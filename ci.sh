@@ -25,45 +25,26 @@ cargo test --workspace -q
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== table1 smoke run, event-driven engine, 2 threads (default; JSON report) =="
-rm -f BENCH_table1.json BENCH_table1_serial.json BENCH_table1_full.json BENCH_table1_compiled.json
-SBST_ENGINE=event \
-  cargo run --release -p sbst-bench --bin table1 -- --smoke \
+echo "== table1 smoke run, 2 threads (JSON report) =="
+rm -f BENCH_table1.json BENCH_table1_serial.json BENCH_table1_td.json
+cargo run --release -p sbst-bench --bin table1 -- --smoke \
   --threads "${SBST_THREADS:-2}" --json BENCH_table1.json
 
-echo "== table1 smoke run, event-driven engine, single-threaded (JSON report) =="
-SBST_ENGINE=event \
-  cargo run --release -p sbst-bench --bin table1 -- --smoke \
+echo "== table1 smoke run, single-threaded (JSON report) =="
+cargo run --release -p sbst-bench --bin table1 -- --smoke \
   --threads 1 --json BENCH_table1_serial.json
 
-echo "== table1 smoke run, full-eval engine (JSON report) =="
-SBST_THREADS="${SBST_THREADS:-2}" SBST_ENGINE=full \
-  cargo run --release -p sbst-bench --bin table1 -- --smoke --json BENCH_table1_full.json
-
-echo "== table1 smoke run, compiled tape engine (JSON report) =="
-SBST_THREADS="${SBST_THREADS:-2}" SBST_ENGINE=compiled \
-  cargo run --release -p sbst-bench --bin table1 -- --smoke --json BENCH_table1_compiled.json
-
-echo "== table1 delay-fault smoke runs: transition headline under all three engines =="
+echo "== table1 delay-fault smoke run: transition headline =="
 # Same pipeline with --fault-model transition: the FC column flips to the
 # two-pattern transition numbers while the per-model JSON columns stay.
-rm -f BENCH_table1_td.json BENCH_table1_td_full.json BENCH_table1_td_compiled.json
-SBST_THREADS="${SBST_THREADS:-2}" SBST_ENGINE=event \
+SBST_THREADS="${SBST_THREADS:-2}" \
   cargo run --release -p sbst-bench --bin table1 -- --smoke \
   --fault-model transition --json BENCH_table1_td.json
-SBST_THREADS="${SBST_THREADS:-2}" SBST_ENGINE=full \
-  cargo run --release -p sbst-bench --bin table1 -- --smoke \
-  --fault-model transition --json BENCH_table1_td_full.json
-SBST_THREADS="${SBST_THREADS:-2}" SBST_ENGINE=compiled \
-  cargo run --release -p sbst-bench --bin table1 -- --smoke \
-  --fault-model transition --json BENCH_table1_td_compiled.json
 
-echo "== validate all seven reports =="
+echo "== validate all three reports =="
 # jsonlint exits nonzero when a report is missing, unparseable, or
 # lacks the expected top-level fields.
-for report in BENCH_table1.json BENCH_table1_serial.json BENCH_table1_full.json \
-              BENCH_table1_compiled.json BENCH_table1_td.json \
-              BENCH_table1_td_full.json BENCH_table1_td_compiled.json; do
+for report in BENCH_table1.json BENCH_table1_serial.json BENCH_table1_td.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require table1 --require execution_time
   # Reports must carry the current schema (8: tamper-evident store).
@@ -72,41 +53,16 @@ for report in BENCH_table1.json BENCH_table1_serial.json BENCH_table1_full.json 
     exit 1
   fi
 done
-for report in BENCH_table1_td.json BENCH_table1_td_full.json BENCH_table1_td_compiled.json; do
-  if [ "$(jq -r '.table1.fault_model' "$report")" != "transition" ]; then
-    echo "error: $report headline fault_model is not transition" >&2
-    exit 1
-  fi
-done
+if [ "$(jq -r '.table1.fault_model' BENCH_table1_td.json)" != "transition" ]; then
+  echo "error: BENCH_table1_td.json headline fault_model is not transition" >&2
+  exit 1
+fi
 
-echo "== engine differential: coverage fields must be bit-identical =="
-# Project every coverage-bearing field out of each report — including the
-# always-present per-model stuck-at and transition columns — and diff
-# against the event-driven reference; any engine divergence fails the gate.
-coverage_fields() {
-  jq -S '.table1 | {
-    fault_model,
-    rows: [.rows[] | {name, fault_count, faults_detected, fault_coverage_percent,
-                      stuck_at_fault_count, stuck_at_detected, stuck_at_coverage_percent,
-                      transition_fault_count, transition_detected, transition_coverage_percent}],
-    overall: .totals.fault_coverage_percent,
-    overall_stuck_at: .totals.stuck_at_coverage_percent,
-    overall_transition: .totals.transition_coverage_percent
-  }' "$1"
-}
-for report in BENCH_table1_full.json BENCH_table1_compiled.json; do
-  if ! diff <(coverage_fields BENCH_table1.json) <(coverage_fields "$report"); then
-    echo "error: coverage diverges between BENCH_table1.json and $report" >&2
-    exit 1
-  fi
-done
-for report in BENCH_table1_td_full.json BENCH_table1_td_compiled.json; do
-  if ! diff <(coverage_fields BENCH_table1_td.json) <(coverage_fields "$report"); then
-    echo "error: transition coverage diverges between BENCH_table1_td.json and $report" >&2
-    exit 1
-  fi
-done
-# The headline flip must not change the underlying per-model numbers.
+# The compiled-vs-full-eval engine differential over this same smoke
+# inventory, under both fault models, runs in `cargo test` above
+# (crates/core/tests/engine_differential.rs).
+
+echo "== headline flip: per-model coverage must not change =="
 per_model_fields() {
   jq -S '.table1 | {
     rows: [.rows[] | {name, stuck_at_fault_count, stuck_at_detected, stuck_at_coverage_percent,
@@ -125,6 +81,17 @@ echo "== thread differential: coverage and ATPG outcomes must be bit-identical =
 # single-threaded coverage AND every deterministic ATPG outcome field
 # (wall times, thread counts and per-worker accounting are observational
 # and excluded).
+coverage_fields() {
+  jq -S '.table1 | {
+    fault_model,
+    rows: [.rows[] | {name, fault_count, faults_detected, fault_coverage_percent,
+                      stuck_at_fault_count, stuck_at_detected, stuck_at_coverage_percent,
+                      transition_fault_count, transition_detected, transition_coverage_percent}],
+    overall: .totals.fault_coverage_percent,
+    overall_stuck_at: .totals.stuck_at_coverage_percent,
+    overall_transition: .totals.transition_coverage_percent
+  }' "$1"
+}
 atpg_outcome_fields() {
   jq -S '.table1.atpg | {
     runs, random_patterns_tried, random_patterns_kept, detected_by_random,

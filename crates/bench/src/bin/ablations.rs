@@ -16,13 +16,13 @@
 //!    quantifying the "negligible aliasing" claim on a real routine.
 //! 5. **Fault-list collapsing**: grading cost with and without equivalence
 //!    collapsing (quality is unchanged by construction; the win is volume).
-//! 6. **Simulation engine**: full-eval vs event-driven selective trace vs
-//!    the compiled tape on the same stimulus — identical coverage; the
-//!    event engine saves gate evaluations, the compiled engine saves wall
-//!    time by folding fanout-free chains and packing 255 faults per pass.
+//! 6. **Simulation engine**: the full-eval reference vs the compiled tape
+//!    on the same stimulus — identical coverage; the compiled engine saves
+//!    wall time by folding fanout-free chains and packing 255 faults per
+//!    pass.
 //! 7. **Fault model**: single stuck-at vs gross transition-delay on the
 //!    same stimulus — two-pattern launch/capture detection needs pattern
-//!    *pairs*, so transition coverage trails stuck-at coverage; all three
+//!    *pairs*, so transition coverage trails stuck-at coverage; both
 //!    engines agree bit-for-bit on the transition numbers too.
 
 use sbst_bench::{json_output_path, sim_config_from_env, write_report_if_requested};
@@ -216,13 +216,9 @@ fn main() {
         coll.coverage().percent()
     );
 
-    println!("\n== Ablation 6: simulation engine (full-eval vs event-driven vs compiled) ==");
+    println!("\n== Ablation 6: simulation engine (full-eval vs compiled) ==");
     let mut engine_rows = Vec::new();
-    for engine in [
-        SimEngine::FullEval,
-        SimEngine::EventDriven,
-        SimEngine::Compiled,
-    ] {
+    for engine in [SimEngine::FullEval, SimEngine::Compiled] {
         let cfg = FaultSimConfig {
             engine,
             ..sim_config_from_env()
@@ -232,12 +228,12 @@ fn main() {
             .simulate(&collapsed, &stimulus);
         let t = t0.elapsed();
         println!(
-            "{:<13} {:.2?}, coverage {:.2}%, {} events ({:.1}% of full-eval baseline)",
+            "{:<13} {:.2?}, coverage {:.2}%, {} events, {} passes",
             engine.name(),
             t,
             res.coverage().percent(),
             res.stats.events_simulated,
-            res.stats.event_ratio().unwrap_or(1.0) * 100.0
+            res.stats.batches
         );
         engine_rows.push(JsonValue::object([
             ("engine", JsonValue::from(engine.name())),
@@ -271,11 +267,7 @@ fn main() {
         transition_faults.len()
     );
     let mut model_rows = Vec::new();
-    for engine in [
-        SimEngine::FullEval,
-        SimEngine::EventDriven,
-        SimEngine::Compiled,
-    ] {
+    for engine in [SimEngine::FullEval, SimEngine::Compiled] {
         let cfg = FaultSimConfig {
             engine,
             ..sim_config_from_env()

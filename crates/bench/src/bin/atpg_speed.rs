@@ -8,8 +8,8 @@
 //! Usage: `atpg_speed [--smoke] [--threads N] [--json <path>]`
 //!
 //! `--threads` pins both the fault-simulator and PODEM worker pools (the
-//! `SBST_THREADS` / `SBST_PODEM_THREADS` / `SBST_ENGINE` environment knobs
-//! are honoured otherwise). Patterns, coverage and search stats are
+//! `SBST_THREADS` / `SBST_PODEM_THREADS` environment knobs are honoured
+//! otherwise). Patterns, coverage and search stats are
 //! bit-identical for every setting — only the wall times move.
 
 use std::time::Instant;

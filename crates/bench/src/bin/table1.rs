@@ -15,11 +15,11 @@
 //! whole pipeline in seconds. `--json <path>` additionally writes the
 //! machine-readable report (rows, totals, fault-sim timing, ATPG search
 //! telemetry). `--threads <n>` pins both the fault-simulator worker count
-//! and the PODEM search pool in one flag; the finer-grained `SBST_THREADS`,
-//! `SBST_PODEM_THREADS` and `SBST_ENGINE` environment knobs are also
-//! honoured. `--fault-model stuck-at|transition` picks the headline fault
-//! model for the FC column — both models are always graded and the JSON
-//! report carries per-model columns either way. Coverage, patterns and
+//! and the PODEM search pool in one flag; the finer-grained `SBST_THREADS`
+//! and `SBST_PODEM_THREADS` environment knobs are also honoured.
+//! `--fault-model stuck-at|transition` picks the headline fault model for
+//! the FC column — both models are always graded and the JSON report
+//! carries per-model columns either way. Coverage, patterns and
 //! ATPG stats are bit-identical for every setting.
 
 use std::time::Instant;
@@ -112,12 +112,7 @@ fn main() {
         table.sim_threads,
         table.grading_wall_time.as_secs_f64()
     );
-    eprintln!(
-        "gate-evaluation events: {} of {} full-eval baseline ({:.1}%)",
-        table.events_simulated,
-        table.events_full_eval,
-        table.event_ratio().unwrap_or(1.0) * 100.0
-    );
+    eprintln!("gate-evaluation events: {}", table.events_simulated);
     eprintln!(
         "constrained ATPG: {} run(s), {} PODEM thread(s), {:.3} s inside the PODEM phase",
         table.atpg.runs,

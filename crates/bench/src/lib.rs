@@ -1,5 +1,5 @@
-//! Benchmark harness (binaries and Criterion benches regenerating the
-//! paper's tables and figures). See `src/bin/` and `benches/`.
+//! Benchmark harness: the binaries regenerating the paper's tables and
+//! figures. See `src/bin/`.
 //!
 //! Every binary supports `--json <path>`: alongside its human-readable
 //! stdout it writes a machine-readable [`sbst_core::RunReport`] so perf
@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use sbst_core::RunReport;
-use sbst_gates::{FaultModel, FaultSimConfig, SimEngine};
+use sbst_gates::{FaultModel, FaultSimConfig};
 use sbst_tpg::AtpgConfig;
 
 /// Parses a worker-thread count from the named environment variable's
@@ -27,64 +27,17 @@ pub fn parse_threads_var(var: &str, value: &str) -> Result<usize, String> {
     }
 }
 
-/// Parses an `SBST_THREADS` value: a positive integer worker count.
-///
-/// # Errors
-///
-/// Returns a one-line message naming the rejected value.
-pub fn parse_threads(value: &str) -> Result<usize, String> {
-    parse_threads_var("SBST_THREADS", value)
-}
-
-/// Parses an `SBST_ENGINE` value: `full`/`full-eval`,
-/// `event`/`event-driven` or `compiled`/`tape`.
-///
-/// # Errors
-///
-/// Returns a one-line message naming the rejected value.
-pub fn parse_engine(value: &str) -> Result<SimEngine, String> {
-    SimEngine::from_name(value).ok_or_else(|| {
-        format!(
-            "SBST_ENGINE must be `full`/`full-eval`, `event`/`event-driven` \
-             or `compiled`/`tape`, got `{value}`; using the default engine"
-        )
-    })
-}
-
 /// Fault-simulator configuration shared by the bench binaries.
 ///
 /// Reads `SBST_THREADS` (a positive integer) to pin the worker-thread
 /// count — pinning is how runs on shared machines stay reproducible in
-/// wall time — and `SBST_ENGINE` (`full`/`full-eval`,
-/// `event`/`event-driven` or `compiled`/`tape`) to pin the simulation
-/// engine. Unset values fall
-/// back to the machine's available parallelism and the default engine;
-/// invalid values do the same but print a one-line warning to stderr
-/// naming the rejected value, so a typo never silently changes the run.
-/// Coverage numbers are identical for every combination.
+/// wall time. An unset value falls back to the machine's available
+/// parallelism; an invalid value does the same but prints a one-line
+/// warning to stderr naming the rejected value, so a typo never silently
+/// changes the run. Coverage numbers are identical for every setting.
 pub fn sim_config_from_env() -> FaultSimConfig {
-    let threads = std::env::var("SBST_THREADS")
-        .ok()
-        .and_then(|v| match parse_threads(&v) {
-            Ok(n) => Some(n),
-            Err(msg) => {
-                eprintln!("warning: {msg}");
-                None
-            }
-        });
-    let engine = std::env::var("SBST_ENGINE")
-        .ok()
-        .and_then(|v| match parse_engine(&v) {
-            Ok(e) => Some(e),
-            Err(msg) => {
-                eprintln!("warning: {msg}");
-                None
-            }
-        })
-        .unwrap_or_default();
     FaultSimConfig {
-        threads,
-        engine,
+        threads: threads_from_env("SBST_THREADS"),
         ..FaultSimConfig::default()
     }
 }
@@ -108,26 +61,14 @@ fn threads_from_env(var: &str) -> Option<usize> {
 ///
 /// The PODEM search pool is pinned by `SBST_PODEM_THREADS` (a positive
 /// integer; invalid values warn and fall back to available parallelism,
-/// same contract as `SBST_THREADS`), the grading passes by `SBST_THREADS`
-/// and `SBST_ENGINE` (unset keeps ATPG's compiled-tape default). Pattern
-/// sets, outcomes and stats are bit-identical for every combination.
+/// same contract as `SBST_THREADS`) and the grading passes by
+/// `SBST_THREADS`. Pattern sets, outcomes and stats are bit-identical for
+/// every combination.
 pub fn atpg_config_from_env() -> AtpgConfig {
-    let defaults = AtpgConfig::default();
-    let engine = std::env::var("SBST_ENGINE")
-        .ok()
-        .and_then(|v| match parse_engine(&v) {
-            Ok(e) => Some(e),
-            Err(msg) => {
-                eprintln!("warning: {msg}");
-                None
-            }
-        })
-        .unwrap_or(defaults.sim_engine);
     AtpgConfig {
         sim_threads: threads_from_env("SBST_THREADS"),
-        sim_engine: engine,
         podem_threads: threads_from_env("SBST_PODEM_THREADS"),
-        ..defaults
+        ..AtpgConfig::default()
     }
 }
 
@@ -317,10 +258,10 @@ mod tests {
 
     #[test]
     fn thread_parsing_names_bad_values() {
-        assert_eq!(parse_threads("4"), Ok(4));
-        assert_eq!(parse_threads(" 8 "), Ok(8));
+        assert_eq!(parse_threads_var("SBST_THREADS", "4"), Ok(4));
+        assert_eq!(parse_threads_var("SBST_THREADS", " 8 "), Ok(8));
         for bad in ["0", "-2", "many", "3.5", ""] {
-            let err = parse_threads(bad).unwrap_err();
+            let err = parse_threads_var("SBST_THREADS", bad).unwrap_err();
             assert!(err.contains(&format!("`{bad}`")), "message: {err}");
             assert!(err.contains("SBST_THREADS"), "message: {err}");
         }
@@ -436,32 +377,6 @@ mod tests {
         if let Some(n) = cfg.podem_threads {
             assert!(n > 0);
         }
-    }
-
-    #[test]
-    fn engine_parsing_names_bad_values() {
-        assert_eq!(parse_engine("full"), Ok(SimEngine::FullEval));
-        assert_eq!(parse_engine("event-driven"), Ok(SimEngine::EventDriven));
-        assert_eq!(parse_engine("compiled"), Ok(SimEngine::Compiled));
-        assert_eq!(parse_engine("tape"), Ok(SimEngine::Compiled));
-        assert_eq!(parse_engine("Compiled-Tape"), Ok(SimEngine::Compiled));
-        for bad in ["turbo", "evnt", "compilled", ""] {
-            let err = parse_engine(bad).unwrap_err();
-            assert!(err.contains(&format!("`{bad}`")), "message: {err}");
-            assert!(err.contains("SBST_ENGINE"), "message: {err}");
-        }
-    }
-
-    /// Pins the exact warning emitted for an unknown `SBST_ENGINE` value:
-    /// the message must name every accepted spelling, echo the rejected
-    /// value verbatim, and state the fallback.
-    #[test]
-    fn unknown_engine_warning_is_pinned() {
-        assert_eq!(
-            parse_engine("bogus").unwrap_err(),
-            "SBST_ENGINE must be `full`/`full-eval`, `event`/`event-driven` \
-             or `compiled`/`tape`, got `bogus`; using the default engine"
-        );
     }
 
     #[test]

@@ -91,8 +91,7 @@ pub fn grade_trace_with(cut: &Cut, trace: &OperandTrace, sim: FaultSimConfig) ->
 
 /// [`grade_trace_with`], additionally returning the simulation-volume
 /// instrumentation ([`SimStats`]) of the grading run — cycles clocked,
-/// gate-evaluation events, and the full-eval baseline the event-driven
-/// engine is measured against.
+/// batches, gate-evaluation events and the tape's lane occupancy.
 pub fn grade_trace_detailed(
     cut: &Cut,
     trace: &OperandTrace,

@@ -55,7 +55,7 @@ pub use grade::{
 };
 pub use json::{parse_ndjson, JsonValue, NdjsonError, NdjsonWriter};
 pub use mac::{siphash24, MacKey, SipHash24};
-pub use metrics::{Metrics, RunReport};
+pub use metrics::RunReport;
 pub use plan::{
     build_managed_schedule, build_managed_schedule_graded, plan_excluding, plan_with_target,
     ManagedSchedule, TestPlan,

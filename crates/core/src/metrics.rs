@@ -1,34 +1,24 @@
-//! Zero-dependency run metrics: counters, gauges, wall-clock timers and
-//! scoped spans, serialized through the hand-rolled [`crate::json`] writer.
+//! Machine-readable run reports: a named, schema-versioned JSON document
+//! serialized through the hand-rolled [`crate::json`] writer.
 //!
 //! The lower crates (`sbst-gates`, `sbst-tpg`, `sbst-cpu`) cannot depend on
 //! `sbst-core`, so they expose plain stats structs (`SimStats`, `AtpgStats`,
 //! `ExecStats`) from their hot paths; this module is the aggregation point
-//! where those numbers, plus anything recorded directly on a [`Metrics`]
-//! registry, become a machine-readable [`RunReport`] on disk. Every bench
+//! where those numbers become a [`RunReport`] on disk. Every bench
 //! binary's `--json <path>` flag bottoms out here.
 //!
 //! # Example
 //!
 //! ```
-//! use sbst_core::metrics::{Metrics, RunReport};
+//! use sbst_core::metrics::RunReport;
+//! use sbst_core::JsonValue;
 //!
-//! let metrics = Metrics::new();
-//! metrics.incr("patterns_tried", 64);
-//! metrics.gauge_set("coverage_percent", 97.5);
-//! {
-//!     let _span = metrics.span("fault_sim");
-//!     // ... timed work ...
-//! }
-//! let report = RunReport::new("example").with_metrics(&metrics);
+//! let report = RunReport::new("example").field("patterns_tried", JsonValue::UInt(64));
 //! let text = report.to_value().to_json();
 //! assert!(text.contains("\"patterns_tried\":64"));
 //! ```
 
 use crate::json::JsonValue;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Version stamped into every emitted report so downstream tooling can
 /// detect schema changes. Bump when renaming or removing fields.
@@ -75,150 +65,10 @@ use std::time::{Duration, Instant};
 /// object (`attacks_injected`/`attacks_detected`/`false_alarms`); fleet
 /// reports gain tamper totals in the `aggregate` tree and per-node
 /// `attacks_injected`/`tampers_detected` in the NDJSON `node` lines.
+/// Within schema 8 the event-driven engine was removed: `engine` is now
+/// `compiled` (the default) or `full-eval`, and `events_simulated` always
+/// equals `events_full_eval` (`event_ratio` 1).
 pub const SCHEMA_VERSION: u32 = 8;
-
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    timers: BTreeMap<String, TimerStat>,
-}
-
-/// Accumulated observations for one named timer.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TimerStat {
-    /// Number of recorded intervals.
-    pub count: u64,
-    /// Total recorded wall-clock time.
-    pub total: Duration,
-}
-
-/// A thread-safe registry of named counters, gauges and timers.
-///
-/// Keys are stored in a `BTreeMap` so serialization order is deterministic
-/// regardless of recording order (important for diffable reports produced
-/// by multi-threaded runs).
-#[derive(Debug, Default)]
-pub struct Metrics {
-    inner: Mutex<Inner>,
-}
-
-impl Metrics {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to the named counter (created at zero).
-    pub fn incr(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        *inner.counters.entry(name.to_owned()).or_insert(0) += delta;
-    }
-
-    /// Reads a counter; zero if never incremented.
-    pub fn counter(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().expect("metrics lock");
-        inner.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets the named gauge to `value` (last write wins).
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        inner.gauges.insert(name.to_owned(), value);
-    }
-
-    /// Reads a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        let inner = self.inner.lock().expect("metrics lock");
-        inner.gauges.get(name).copied()
-    }
-
-    /// Records one interval of `elapsed` against the named timer.
-    pub fn record_duration(&self, name: &str, elapsed: Duration) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        let stat = inner.timers.entry(name.to_owned()).or_default();
-        stat.count += 1;
-        stat.total += elapsed;
-    }
-
-    /// Reads a timer's accumulated stats, if any interval was recorded.
-    pub fn timer(&self, name: &str) -> Option<TimerStat> {
-        let inner = self.inner.lock().expect("metrics lock");
-        inner.timers.get(name).copied()
-    }
-
-    /// Starts a scoped span; the elapsed time is recorded against `name`
-    /// when the returned guard drops.
-    pub fn span<'a>(&'a self, name: &str) -> Span<'a> {
-        Span {
-            metrics: self,
-            name: name.to_owned(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Snapshots the registry as a JSON object with `counters`, `gauges`
-    /// and `timers` sub-objects (timers as `{count, total_seconds}`).
-    pub fn to_value(&self) -> JsonValue {
-        let inner = self.inner.lock().expect("metrics lock");
-        JsonValue::object([
-            (
-                "counters",
-                JsonValue::Object(
-                    inner
-                        .counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::UInt(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                JsonValue::Object(
-                    inner
-                        .gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::Float(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "timers",
-                JsonValue::Object(
-                    inner
-                        .timers
-                        .iter()
-                        .map(|(k, v)| {
-                            (
-                                k.clone(),
-                                JsonValue::object([
-                                    ("count", JsonValue::UInt(v.count)),
-                                    ("total_seconds", JsonValue::Float(v.total.as_secs_f64())),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Drop guard returned by [`Metrics::span`]; records elapsed wall-clock
-/// time when it goes out of scope.
-#[derive(Debug)]
-pub struct Span<'a> {
-    metrics: &'a Metrics,
-    name: String,
-    started: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.metrics
-            .record_duration(&self.name, self.started.elapsed());
-    }
-}
 
 /// A machine-readable run report: a named, schema-versioned JSON document
 /// that every bench binary writes behind its `--json <path>` flag.
@@ -242,11 +92,6 @@ impl RunReport {
     pub fn field(mut self, key: &str, value: JsonValue) -> Self {
         self.fields.push((key.to_owned(), value));
         self
-    }
-
-    /// Appends a `metrics` field with the registry snapshot.
-    pub fn with_metrics(self, metrics: &Metrics) -> Self {
-        self.field("metrics", metrics.to_value())
     }
 
     /// Builds the final JSON tree.
@@ -277,42 +122,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let m = Metrics::new();
-        m.incr("a", 2);
-        m.incr("a", 3);
-        assert_eq!(m.counter("a"), 5);
-        assert_eq!(m.counter("missing"), 0);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let m = Metrics::new();
-        m.gauge_set("cov", 10.0);
-        m.gauge_set("cov", 97.5);
-        assert_eq!(m.gauge("cov"), Some(97.5));
-    }
-
-    #[test]
-    fn spans_record_timers() {
-        let m = Metrics::new();
-        {
-            let _s = m.span("work");
-        }
-        {
-            let _s = m.span("work");
-        }
-        let stat = m.timer("work").unwrap();
-        assert_eq!(stat.count, 2);
-    }
-
-    #[test]
     fn report_serializes_header_and_fields() {
-        let m = Metrics::new();
-        m.incr("events", 7);
-        let report = RunReport::new("unit")
-            .field("answer", JsonValue::UInt(42))
-            .with_metrics(&m);
+        let report = RunReport::new("unit").field("answer", JsonValue::UInt(42));
         let v = report.to_value();
         assert_eq!(v.get("tool").unwrap().as_str(), Some("unit"));
         assert_eq!(
@@ -320,29 +131,8 @@ mod tests {
             Some(SCHEMA_VERSION as u64)
         );
         assert_eq!(v.get("answer").unwrap().as_u64(), Some(42));
-        let metrics = v.get("metrics").unwrap();
-        assert_eq!(
-            metrics
-                .get("counters")
-                .unwrap()
-                .get("events")
-                .unwrap()
-                .as_u64(),
-            Some(7)
-        );
         // Round-trips through the parser.
         let text = v.to_json_pretty();
         assert_eq!(crate::json::parse(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn metrics_snapshot_is_sorted() {
-        let m = Metrics::new();
-        m.incr("zeta", 1);
-        m.incr("alpha", 1);
-        let text = m.to_value().to_json();
-        let a = text.find("alpha").unwrap();
-        let z = text.find("zeta").unwrap();
-        assert!(a < z);
     }
 }

@@ -127,18 +127,18 @@ pub struct Table1 {
     pub grading_wall_time: Duration,
     /// Simulation engine that graded every row.
     pub engine: SimEngine,
-    /// Gate-evaluation events actually performed across all rows (true
-    /// event count — under the event-driven engine only gates whose inputs
-    /// changed are counted).
+    /// Gate-evaluation events performed across all rows (both engines
+    /// evaluate every combinational gate on every clocked cycle, so this
+    /// equals [`Table1::events_full_eval`]).
     pub events_simulated: u64,
-    /// Events a full evaluation of every clocked cycle would have cost
-    /// across all rows; the baseline for the event-driven saving.
+    /// Events a full evaluation of every clocked cycle costs across all
+    /// rows.
     pub events_full_eval: u64,
-    /// Compiled-tape entries summed across rows (0 under the narrow
-    /// engines).
+    /// Compiled-tape entries summed across rows (0 under the full-eval
+    /// reference).
     pub tape_len: u64,
     /// Gates folded into predecessors' tape entries, summed across rows
-    /// (0 under the narrow engines).
+    /// (0 under the full-eval reference).
     pub chains_collapsed: u64,
     /// Fault lanes occupied across all rows' simulation passes.
     pub lane_slots_filled: u64,
@@ -561,13 +561,11 @@ impl Table1 {
         );
         let _ = writeln!(
             out,
-            "\nFault grading: {} thread{} · {:.3} s wall · {} engine ({} events, {:.1}% of full-eval)",
+            "\nFault grading: {} thread{} · {:.3} s wall · {} engine",
             self.sim_threads,
             if self.sim_threads == 1 { "" } else { "s" },
             self.grading_wall_time.as_secs_f64(),
             self.engine.name(),
-            self.events_simulated,
-            self.event_ratio().unwrap_or(1.0) * 100.0,
         );
         if self.tape_len > 0 {
             let _ = writeln!(
@@ -851,13 +849,11 @@ impl fmt::Display for Table1 {
         )?;
         writeln!(
             f,
-            "Fault grading: {} thread{} · {:.3} s wall · {} engine ({} events, {:.1}% of full-eval)",
+            "Fault grading: {} thread{} · {:.3} s wall · {} engine",
             self.sim_threads,
             if self.sim_threads == 1 { "" } else { "s" },
             self.grading_wall_time.as_secs_f64(),
             self.engine.name(),
-            self.events_simulated,
-            self.event_ratio().unwrap_or(1.0) * 100.0,
         )?;
         if self.tape_len > 0 {
             writeln!(
@@ -929,25 +925,19 @@ mod tests {
     }
 
     #[test]
-    fn engines_reproduce_identical_coverage_with_fewer_events() {
+    fn engines_reproduce_identical_coverage_and_events() {
         let cuts = vec![Cut::alu(8), Cut::pipeline(8)];
         let full =
             Table1::generate_with(&cuts, FaultSimConfig::with_engine(SimEngine::FullEval)).unwrap();
-        let event =
-            Table1::generate_with(&cuts, FaultSimConfig::with_engine(SimEngine::EventDriven))
-                .unwrap();
-        for (a, b) in full.rows.iter().zip(&event.rows) {
+        let compiled = Table1::generate(&cuts).unwrap();
+        for (a, b) in full.rows.iter().zip(&compiled.rows) {
             assert_eq!(a.coverage, b.coverage, "{}", a.name);
         }
-        assert_eq!(full.overall_coverage, event.overall_coverage);
-        assert_eq!(full.event_ratio(), Some(1.0));
-        assert!(
-            event.events_simulated < event.events_full_eval,
-            "event engine should skip work: {} vs {}",
-            event.events_simulated,
-            event.events_full_eval
-        );
-        assert!(event.to_string().contains("event-driven engine"));
+        assert_eq!(full.overall_coverage, compiled.overall_coverage);
+        for table in [&full, &compiled] {
+            assert_eq!(table.event_ratio(), Some(1.0));
+        }
+        assert!(compiled.to_string().contains("compiled engine"));
         assert!(full.to_string().contains("full-eval engine"));
     }
 
@@ -1167,15 +1157,13 @@ mod tests {
         let cuts = vec![Cut::alu(8), Cut::pipeline(8)];
         let full =
             Table1::generate_with(&cuts, FaultSimConfig::with_engine(SimEngine::FullEval)).unwrap();
-        let event =
-            Table1::generate_with(&cuts, FaultSimConfig::with_engine(SimEngine::EventDriven))
-                .unwrap();
-        for (a, b) in full.rows.iter().zip(&event.rows) {
+        let compiled = Table1::generate(&cuts).unwrap();
+        for (a, b) in full.rows.iter().zip(&compiled.rows) {
             assert_eq!(a.transition_coverage, b.transition_coverage, "{}", a.name);
         }
         assert_eq!(
             full.overall_transition_coverage,
-            event.overall_transition_coverage
+            compiled.overall_transition_coverage
         );
     }
 

@@ -1,8 +1,7 @@
-//! Engine differential over the component smoke suite: the event-driven
-//! and compiled engines must reproduce the full-eval engine's coverage
-//! bit-for-bit on every real CUT (ISSUE 4 and ISSUE 6 acceptance
-//! criteria), crossed with thread counts, while the event engine performs
-//! measurably fewer gate-evaluation events in aggregate.
+//! Engine differential over the component smoke suite (the inventory of
+//! `table1 --smoke`): the compiled tape engine must reproduce the full-eval
+//! reference oracle's stuck-at and transition coverage bit-for-bit on
+//! every real CUT, crossed with thread counts.
 
 use sbst_core::{grade_trace_detailed, grade_trace_models, Cut, RoutineSpec, Table1};
 use sbst_gates::{FaultSimConfig, SimEngine};
@@ -22,42 +21,36 @@ fn component_suite_coverage_is_bit_identical_across_engines() {
     let cuts = smoke_inventory();
     let full =
         Table1::generate_with(&cuts, FaultSimConfig::with_engine(SimEngine::FullEval)).unwrap();
-    let event =
-        Table1::generate_with(&cuts, FaultSimConfig::with_engine(SimEngine::EventDriven)).unwrap();
     let compiled =
         Table1::generate_with(&cuts, FaultSimConfig::with_engine(SimEngine::Compiled)).unwrap();
-    for other in [&event, &compiled] {
-        for (a, b) in full.rows.iter().zip(&other.rows) {
-            assert_eq!(a.coverage, b.coverage, "{} coverage diverged", a.name);
-            assert_eq!(a.size_words, b.size_words, "{}", a.name);
-            assert_eq!(a.cpu_cycles, b.cpu_cycles, "{}", a.name);
-        }
-        assert_eq!(full.overall_coverage, other.overall_coverage);
+    for (a, b) in full.rows.iter().zip(&compiled.rows) {
+        assert_eq!(a.coverage, b.coverage, "{} coverage diverged", a.name);
+        assert_eq!(
+            a.transition_coverage, b.transition_coverage,
+            "{} transition coverage diverged",
+            a.name
+        );
+        assert_eq!(a.size_words, b.size_words, "{}", a.name);
+        assert_eq!(a.cpu_cycles, b.cpu_cycles, "{}", a.name);
     }
-    // The event-driven engine skips a measurable share of the full-eval
-    // gate evaluations on real component traces.
-    assert_eq!(full.events_simulated, full.events_full_eval);
-    assert!(
-        event.events_simulated < event.events_full_eval,
-        "event engine saved nothing: {} vs {}",
-        event.events_simulated,
-        event.events_full_eval
+    assert_eq!(full.overall_coverage, compiled.overall_coverage);
+    assert_eq!(
+        full.overall_transition_coverage,
+        compiled.overall_transition_coverage
     );
-    let ratio = event.event_ratio().unwrap();
-    assert!(
-        ratio < 0.95,
-        "expected a measurable event saving, got ratio {ratio:.3}"
-    );
+    // Both engines evaluate every gate on every clocked cycle.
+    for table in [&full, &compiled] {
+        assert_eq!(table.events_simulated, table.events_full_eval);
+    }
     // The compiled tape folds a measurable share of gates into chains and
-    // reports its instrumentation; the narrow engines report none.
+    // reports its instrumentation; the full-eval reference reports none.
     assert!(compiled.tape_len > 0);
     assert!(compiled.chains_collapsed > 0, "no chains collapsed");
     assert!(compiled.lane_occupancy() > 0.0 && compiled.lane_occupancy() <= 1.0);
-    assert_eq!(event.tape_len, 0);
     assert_eq!(full.tape_len, 0);
 }
 
-/// The full 3-way engine × thread-count matrix over the smoke suite:
+/// The engine × thread-count matrix over the smoke suite:
 /// every combination must reproduce the single-threaded full-eval
 /// coverage exactly, per component and overall.
 #[test]
@@ -72,11 +65,7 @@ fn engine_thread_matrix_is_bit_identical_on_components() {
         },
     )
     .unwrap();
-    for engine in [
-        SimEngine::FullEval,
-        SimEngine::EventDriven,
-        SimEngine::Compiled,
-    ] {
+    for engine in [SimEngine::FullEval, SimEngine::Compiled] {
         for threads in [1usize, 4] {
             let table = Table1::generate_with(
                 &cuts,
@@ -121,9 +110,8 @@ fn engine_thread_matrix_is_bit_identical_on_components() {
 
 /// Two-pattern transition grading over a real routine trace: every engine
 /// × thread-count combination must reproduce the single-threaded
-/// full-eval transition coverage bit-for-bit (ISSUE 9 acceptance
-/// criterion), alongside the stuck-at numbers from the same shared
-/// stimulus.
+/// full-eval transition coverage bit-for-bit, alongside the stuck-at
+/// numbers from the same shared stimulus.
 #[test]
 fn transition_grading_matrix_is_bit_identical() {
     let cut = Cut::alu(8);
@@ -144,11 +132,7 @@ fn transition_grading_matrix_is_bit_identical() {
     // stuck-at detection of the same stem value, so the transition model
     // can never beat stuck-at coverage on the same stimulus here.
     assert!(reference.transition_coverage.percent() <= reference.coverage.percent());
-    for engine in [
-        SimEngine::FullEval,
-        SimEngine::EventDriven,
-        SimEngine::Compiled,
-    ] {
+    for engine in [SimEngine::FullEval, SimEngine::Compiled] {
         for threads in [1usize, 2, 7] {
             let grade = grade_trace_models(
                 &cut,
@@ -177,8 +161,8 @@ fn transition_grading_matrix_is_bit_identical() {
 
 #[test]
 fn trace_grading_agrees_per_component() {
-    // Grade a single routine's trace under all engines and compare the
-    // detailed stats component by component.
+    // Grade a single routine's trace under both engines and compare the
+    // detailed stats.
     let cut = Cut::alu(8);
     let routine = RoutineSpec::recommended(&cut).build(&cut).unwrap();
     let (_, trace, _) = sbst_core::grade::execute_routine(&routine).unwrap();
@@ -187,19 +171,9 @@ fn trace_grading_agrees_per_component() {
         &trace,
         FaultSimConfig::with_engine(SimEngine::FullEval),
     );
-    let (cov_event, stats_event) = grade_trace_detailed(
-        &cut,
-        &trace,
-        FaultSimConfig::with_engine(SimEngine::EventDriven),
-    );
-    assert_eq!(cov_full, cov_event);
-    // The two narrow engines share batch packing, so their simulation
-    // volume is directly comparable.
-    assert_eq!(stats_full.batches, stats_event.batches);
-    assert_eq!(stats_full.cycles_simulated, stats_event.cycles_simulated);
-    assert!(stats_event.events_simulated <= stats_full.events_simulated);
-    assert!(stats_event.events_simulated > 0);
-    // The compiled engine repacks faults 4× wider: same coverage, about a
+    assert_eq!(stats_full.events_simulated, stats_full.events_full_eval);
+    assert!(stats_full.events_simulated > 0);
+    // The compiled engine packs faults 4× wider: same coverage, about a
     // quarter of the batches.
     let (cov_compiled, stats_compiled) = grade_trace_detailed(
         &cut,

@@ -6,40 +6,32 @@
 //! under two-pattern (launch/capture) semantics. Both models share all of
 //! the machinery below — only the per-batch injection step differs.
 //!
-//! Three levels of parallelism/selectivity compose here:
+//! Two engines grade a batch ([`SimEngine`]):
 //!
-//! 1. **Bit-level**: each simulation pass packs up to [`LANES`]` - 1`
-//!    faulty machines plus one fault-free reference machine into the 64
-//!    lanes of a simulator word.
-//! 2. **Thread-level**: the fault list is partitioned into
-//!    [`FAULTS_PER_BATCH`]-sized batches (see [`fault_batches_by_cone`]),
-//!    and the batches fan out over scoped worker threads. Batches are
-//!    mutually independent — every worker owns a private simulator — so
-//!    the reduction is a deterministic, fault-index-ordered merge and the
-//!    results are **bit-identical** to the single-threaded path.
-//! 3. **Event-level** (the default [`SimEngine::EventDriven`]): each batch
-//!    runs on an [`EventSimulator`], which only re-evaluates gates whose
-//!    inputs changed. Faults are packed into batches by fanout-cone
-//!    locality, so a batch's activity stays confined to a small region of
-//!    the netlist and the event-driven saving compounds.
+//! - [`SimEngine::Compiled`] (the default, the production engine): the
+//!   netlist is compiled once into a flat evaluation tape
+//!   ([`crate::CompiledTape`]) with fanout-free chains collapsed, and each
+//!   pass runs [`crate::MAX_LANE_WORDS`]` × 64 = 256` lanes wide — one
+//!   fault-free reference lane plus up to 255 faulty machines.
+//! - [`SimEngine::FullEval`] (the reference oracle): a plain
+//!   [`Simulator`] evaluates every combinational gate on every cycle, 64
+//!   lanes wide — one reference plus [`FAULTS_PER_BATCH`] faults per pass.
+//!   It is the simplest engine, and the differential tests pin the
+//!   compiled tape against it.
 //!
-//! [`SimEngine::Compiled`] trades selectivity for raw throughput: the
-//! netlist is compiled once into a flat evaluation tape
-//! ([`crate::CompiledTape`]) with fanout-free chains collapsed, and each
-//! pass runs [`crate::MAX_LANE_WORDS`]` × 64 = 256` lanes wide — one
-//! reference plus up to 255 faults per pass, four times the narrow
-//! engines' packing density.
-//!
-//! Workers publish detections into a shared atomic bitmap as they find
-//! them (each fault's bit is owned by exactly one batch, hence one
-//! thread), and `drop_on_detect` keeps working unchanged: a worker stops
-//! clocking a batch as soon as all of its own faults are detected.
+//! The fault list is partitioned in index order into contiguous batches
+//! of the engine's [`SimEngine::faults_per_pass`], and the batches fan out
+//! over scoped worker threads. Batches are mutually independent — every
+//! worker owns a private simulator — so the reduction is a deterministic,
+//! fault-index-ordered merge. Workers publish detections into a shared
+//! atomic bitmap as they find them (each fault's bit is owned by exactly
+//! one batch, hence one thread), and `drop_on_detect` stops clocking a
+//! batch as soon as all of its own faults are detected.
 //!
 //! Coverage, per-fault detecting cycles and fault-free responses are
-//! bit-identical across every engine, thread count and batching choice:
-//! lanes are independent, a batch never stops before all of its own
-//! faults are detected, and the reference batch always spans the whole
-//! stimulus.
+//! bit-identical across both engines and every thread count: lanes are
+//! independent, a batch never stops before all of its own faults are
+//! detected, and the reference batch always spans the whole stimulus.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -47,10 +39,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::coverage::FaultCoverage;
-use crate::event_sim::EventSimulator;
-use crate::fault::{Fault, FaultSite, TransitionFault};
-use crate::gate::{GateId, GateKind};
-use crate::net::NetId;
+use crate::fault::{Fault, TransitionFault};
 use crate::netlist::Netlist;
 use crate::sim::{Simulator, LANES};
 use crate::tape::{CompiledTape, TapeSimulator, MAX_LANE_WORDS};
@@ -127,144 +116,48 @@ impl Stimulus {
     }
 }
 
-/// Partitions `fault_count` faults into the contiguous index ranges graded
-/// together in one simulation pass ([`FAULTS_PER_BATCH`] faults per batch;
-/// lane 0 carries the fault-free reference machine).
-///
-/// Every fault index appears in exactly one range, in order. An empty fault
-/// list yields a single empty batch: the simulator still runs one
+/// Partitions `fault_count` faults into contiguous index ranges of at
+/// most `per_batch` faults, one simulation pass each, in order. An empty
+/// fault list yields a single empty batch: the simulator still runs one
 /// reference-only pass to record fault-free responses.
-///
-/// [`FaultSimulator::simulate`] itself groups faults by fanout-cone
-/// locality instead (see [`fault_batches_by_cone`]); this index-order
-/// partition remains available for callers that need contiguous ranges.
-pub fn fault_batches(fault_count: usize) -> Vec<Range<usize>> {
-    let per_batch = FAULTS_PER_BATCH;
+fn fault_batches(fault_count: usize, per_batch: usize) -> Vec<Range<usize>> {
     let n_batches = fault_count.div_ceil(per_batch).max(1);
     (0..n_batches)
-        .map(|b| {
-            let start = b * per_batch;
-            start..(start + per_batch).min(fault_count)
-        })
+        .map(|b| b * per_batch..((b + 1) * per_batch).min(fault_count))
         .collect()
-}
-
-/// Sort key that clusters faults whose fanout cones overlap: the earliest
-/// (level, gate) position at which the fault first perturbs combinational
-/// logic. Faults acting through flip-flops only (DFF pins, registered
-/// outputs) sort last — their cones start on the *next* cycle anywhere in
-/// the netlist.
-fn cone_key(netlist: &Netlist, fault: &Fault) -> (u32, u32) {
-    fn gate_key(netlist: &Netlist, gid: GateId) -> (u32, u32) {
-        if netlist.gate(gid).kind == GateKind::Dff {
-            (u32::MAX, gid.index() as u32)
-        } else {
-            (netlist.gate_level(gid), gid.index() as u32)
-        }
-    }
-    match fault.site {
-        FaultSite::Pin { gate, .. } => gate_key(netlist, gate),
-        FaultSite::Stem(net) => netlist
-            .comb_users(net)
-            .iter()
-            .map(|&g| gate_key(netlist, g))
-            .min()
-            .unwrap_or_else(|| match netlist.driver(net) {
-                Some(d) => gate_key(netlist, d),
-                None => (u32::MAX, net.index() as u32),
-            }),
-    }
-}
-
-/// Packs fault indices into [`FAULTS_PER_BATCH`]-sized batches by
-/// fanout-cone locality: faults are ordered by the topological position
-/// where they first perturb the logic, then chunked. Each batch's activity
-/// stays confined to a small region of the netlist, which compounds the
-/// event-driven engine's selective-trace savings.
-///
-/// Every fault index appears in exactly one batch. An empty fault list
-/// yields a single empty batch (the reference-only pass). Coverage is
-/// independent of batch composition — lanes are independent and a batch
-/// never stops early before all of its own faults are detected — so this
-/// ordering is purely a performance choice.
-pub fn fault_batches_by_cone(netlist: &Netlist, faults: &[Fault]) -> Vec<Vec<u32>> {
-    fault_batches_by_cone_sized(netlist, faults, FAULTS_PER_BATCH)
-}
-
-/// [`fault_batches_by_cone`] with an explicit batch capacity, for engines
-/// whose lane width differs from the narrow [`LANES`]-lane simulators —
-/// [`SimEngine::Compiled`] packs [`SimEngine::faults_per_pass`] (255)
-/// faults per pass.
-pub fn fault_batches_by_cone_sized(
-    netlist: &Netlist,
-    faults: &[Fault],
-    per_batch: usize,
-) -> Vec<Vec<u32>> {
-    assert!(per_batch > 0, "batches must hold at least one fault");
-    let mut order: Vec<u32> = (0..faults.len() as u32).collect();
-    order.sort_by_key(|&i| cone_key(netlist, &faults[i as usize]));
-    let batches: Vec<Vec<u32>> = order
-        .chunks(per_batch)
-        .map(|chunk| chunk.to_vec())
-        .collect();
-    if batches.is_empty() {
-        vec![Vec::new()]
-    } else {
-        batches
-    }
 }
 
 /// Which simulation engine grades each fault batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SimEngine {
-    /// Evaluate every combinational gate on every cycle (the legacy
-    /// engine; simple, branch-free inner loop).
-    FullEval,
-    /// Selective trace: levelize once, then per cycle propagate only
-    /// through gates whose inputs changed (the default).
-    #[default]
-    EventDriven,
     /// Compiled evaluation tape (see [`crate::CompiledTape`]): flat
     /// instruction stream with precomputed operand indices, fanout-free
     /// chains collapsed, and 4×`u64` lane blocks grading up to 255 faults
-    /// per pass.
+    /// per pass (the default).
+    #[default]
     Compiled,
+    /// Evaluate every combinational gate on every cycle with a plain
+    /// [`Simulator`]: the reference oracle the compiled tape is
+    /// differentially tested against.
+    FullEval,
 }
 
 impl SimEngine {
     /// Human-readable engine name (used in bench output and JSON reports).
     pub fn name(self) -> &'static str {
         match self {
-            SimEngine::FullEval => "full-eval",
-            SimEngine::EventDriven => "event-driven",
             SimEngine::Compiled => "compiled",
-        }
-    }
-
-    /// Parses an engine name as accepted by the `SBST_ENGINE` environment
-    /// variable: `full` / `full-eval` / `fulleval`, `event` /
-    /// `event-driven` / `eventdriven`, and `compiled` / `tape` /
-    /// `compiled-tape` (case-insensitive).
-    pub fn from_name(name: &str) -> Option<SimEngine> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "full" | "full-eval" | "full_eval" | "fulleval" => Some(SimEngine::FullEval),
-            "event" | "event-driven" | "event_driven" | "eventdriven" => {
-                Some(SimEngine::EventDriven)
-            }
-            "compiled" | "tape" | "compiled-tape" | "compiled_tape" | "compiledtape" => {
-                Some(SimEngine::Compiled)
-            }
-            _ => None,
+            SimEngine::FullEval => "full-eval",
         }
     }
 
     /// Faults graded per simulation pass under this engine (excluding the
-    /// fault-free reference lane): [`FAULTS_PER_BATCH`] for the narrow
-    /// 64-lane engines, `4 × 64 - 1 = 255` for the wide compiled tape.
+    /// fault-free reference lane): `4 × 64 - 1 = 255` for the wide
+    /// compiled tape, [`FAULTS_PER_BATCH`] for the 64-lane reference.
     pub fn faults_per_pass(self) -> usize {
         match self {
-            SimEngine::FullEval | SimEngine::EventDriven => FAULTS_PER_BATCH,
             SimEngine::Compiled => MAX_LANE_WORDS * LANES - 1,
+            SimEngine::FullEval => FAULTS_PER_BATCH,
         }
     }
 }
@@ -284,9 +177,9 @@ pub struct FaultSimConfig {
     /// The effective count never exceeds the number of batches. Coverage
     /// results are bit-identical for every setting.
     pub threads: Option<usize>,
-    /// Simulation engine (default [`SimEngine::EventDriven`]). Coverage
-    /// results are bit-identical for every engine; only
-    /// [`SimStats::events_simulated`], batch packing and wall time differ.
+    /// Simulation engine (default [`SimEngine::Compiled`]). Coverage
+    /// results are bit-identical for both engines; only batch packing and
+    /// wall time differ.
     pub engine: SimEngine,
 }
 
@@ -342,37 +235,36 @@ pub struct ThreadStats {
 }
 
 /// Instrumentation from one [`FaultSimulator::simulate`] run: how much
-/// simulation happened, how much `drop_on_detect` and the event-driven
-/// engine saved, and how evenly the work spread over the pool.
+/// simulation happened, how much `drop_on_detect` saved, and how evenly
+/// the work spread over the pool.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Fault batches graded ([`FAULTS_PER_BATCH`] faults each, plus
-    /// reference).
+    /// Fault batches graded (up to [`SimEngine::faults_per_pass`] faults
+    /// each, plus the reference lane).
     pub batches: u64,
     /// Netlist cycles actually clocked, summed over batches.
     pub cycles_simulated: u64,
     /// Cycles that a full run would clock (`batches * stimulus.len()`);
     /// the gap to `cycles_simulated` is the drop-on-detect saving.
     pub cycles_scheduled: u64,
-    /// Gate-evaluation events actually performed (each event evaluating
-    /// all [`LANES`] machines bit-parallel). Under [`SimEngine::FullEval`]
-    /// this equals [`SimStats::events_full_eval`]; under
-    /// [`SimEngine::EventDriven`] it counts only the gates whose inputs
-    /// changed — a *true* event count, not `cycles × gates`.
+    /// Gate-evaluation events performed (each event evaluating every lane
+    /// of one gate bit-parallel). Both engines evaluate every
+    /// combinational gate on every clocked cycle — the compiled tape counts
+    /// a collapsed chain as one event per folded gate — so this always
+    /// equals [`SimStats::events_full_eval`].
     pub events_simulated: u64,
-    /// Events a full evaluation of every clocked cycle would have cost
-    /// (`cycles_simulated × combinational gate count`) — the baseline the
-    /// event-driven saving is measured against.
+    /// Events a full evaluation of every clocked cycle costs
+    /// (`cycles_simulated × combinational gate count`).
     pub events_full_eval: u64,
-    /// Length of the compiled evaluation tape (entries per cycle); 0 for
-    /// the non-compiled engines.
+    /// Length of the compiled evaluation tape (entries per cycle); 0 under
+    /// the full-eval reference.
     pub tape_len: u64,
     /// Gates folded into a predecessor's tape entry by chain collapsing;
-    /// 0 for the non-compiled engines.
+    /// 0 under the full-eval reference.
     pub chains_collapsed: u64,
     /// Evaluation tapes compiled *during this call*: 1 on a compiled-engine
     /// simulator's first run, 0 afterwards (the tape is cached per
-    /// [`FaultSimulator`]) and 0 for the non-compiled engines.
+    /// [`FaultSimulator`]) and 0 under the full-eval reference.
     pub tape_compilations: u64,
     /// Fault lanes actually occupied across all passes (the fault count).
     pub lane_slots_filled: u64,
@@ -397,26 +289,6 @@ impl SimStats {
             0.0
         } else {
             self.cycles_dropped() as f64 / self.cycles_scheduled as f64 * 100.0
-        }
-    }
-
-    /// Events performed as a fraction of the full-eval baseline, in
-    /// `0.0..=1.0` (1.0 for the full-eval engine; `None` when nothing was
-    /// simulated).
-    pub fn event_ratio(&self) -> Option<f64> {
-        if self.events_full_eval == 0 {
-            None
-        } else {
-            Some(self.events_simulated as f64 / self.events_full_eval as f64)
-        }
-    }
-
-    /// Fraction of full-eval gate evaluations the event-driven engine
-    /// skipped, as a percentage in `0.0..=100.0`.
-    pub fn event_savings_percent(&self) -> f64 {
-        match self.event_ratio() {
-            Some(r) => (1.0 - r).max(0.0) * 100.0,
-            None => 0.0,
         }
     }
 
@@ -520,95 +392,6 @@ impl DetectedBitmap {
     }
 }
 
-/// Engine-dispatched simulator backend for one batch.
-enum Backend<'a> {
-    Full {
-        sim: Simulator<'a>,
-        comb_gates: u64,
-        events: u64,
-    },
-    Event(EventSimulator<'a>),
-}
-
-impl<'a> Backend<'a> {
-    fn new(netlist: &'a Netlist, engine: SimEngine) -> Self {
-        match engine {
-            SimEngine::FullEval => Backend::Full {
-                sim: Simulator::new(netlist),
-                comb_gates: netlist.comb_order().len() as u64,
-                events: 0,
-            },
-            SimEngine::EventDriven => Backend::Event(EventSimulator::new(netlist)),
-            // Compiled batches never reach the narrow backend: run_batch
-            // dispatches them to run_batch_compiled first.
-            SimEngine::Compiled => unreachable!("compiled engine uses TapeSimulator"),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Backend::Full { sim, .. } => sim.reset(),
-            Backend::Event(sim) => sim.reset(),
-        }
-    }
-
-    fn inject_fault(&mut self, fault: &Fault, lane_mask: u64) {
-        match self {
-            Backend::Full { sim, .. } => sim.inject_fault(fault, lane_mask),
-            Backend::Event(sim) => sim.inject_fault(fault, lane_mask),
-        }
-    }
-
-    fn inject_transition_fault(&mut self, fault: &TransitionFault, lane_mask: u64) {
-        match self {
-            Backend::Full { sim, .. } => sim.inject_transition_fault(fault, lane_mask),
-            Backend::Event(sim) => sim.inject_transition_fault(fault, lane_mask),
-        }
-    }
-
-    fn set_input(&mut self, net: NetId, value: bool) {
-        match self {
-            Backend::Full { sim, .. } => sim.set_input(net, value),
-            Backend::Event(sim) => sim.set_input(net, value),
-        }
-    }
-
-    fn eval(&mut self) {
-        match self {
-            Backend::Full {
-                sim,
-                comb_gates,
-                events,
-            } => {
-                sim.eval();
-                *events += *comb_gates;
-            }
-            Backend::Event(sim) => sim.eval(),
-        }
-    }
-
-    fn step(&mut self) {
-        match self {
-            Backend::Full { sim, .. } => sim.step(),
-            Backend::Event(sim) => sim.step(),
-        }
-    }
-
-    fn value(&self, net: NetId) -> u64 {
-        match self {
-            Backend::Full { sim, .. } => sim.value(net),
-            Backend::Event(sim) => sim.value(net),
-        }
-    }
-
-    fn events(&self) -> u64 {
-        match self {
-            Backend::Full { events, .. } => *events,
-            Backend::Event(sim) => sim.events(),
-        }
-    }
-}
-
 /// The fault list being graded: either classic single-stuck-at faults or
 /// gross transition-delay faults (two-pattern detection).
 ///
@@ -631,15 +414,15 @@ impl<'f> FaultList<'f> {
         }
     }
 
-    /// Injects fault `index` into a narrow (64-lane) backend.
-    fn inject(&self, sim: &mut Backend<'_>, index: usize, lane_mask: u64) {
+    /// Injects fault `index` into the 64-lane reference simulator.
+    fn inject(&self, sim: &mut Simulator<'_>, index: usize, lane_mask: u64) {
         match self {
             FaultList::Stuck(faults) => sim.inject_fault(&faults[index], lane_mask),
             FaultList::Transition(faults) => sim.inject_transition_fault(&faults[index], lane_mask),
         }
     }
 
-    /// Injects fault `index` into a wide compiled-tape backend.
+    /// Injects fault `index` into a wide compiled-tape simulator.
     fn inject_tape<const W: usize>(
         &self,
         sim: &mut TapeSimulator<'_, '_, W>,
@@ -651,30 +434,18 @@ impl<'f> FaultList<'f> {
             FaultList::Transition(faults) => sim.inject_transition_fault(&faults[index], lane),
         }
     }
-
-    /// Cone-locality batches for this fault list. Transition faults batch
-    /// by their capture-side stuck-at equivalent (the stem stuck at the
-    /// initialization value), which has the same fanout cone.
-    fn batches(&self, netlist: &Netlist, per_batch: usize) -> Vec<Vec<u32>> {
-        match self {
-            FaultList::Stuck(faults) => fault_batches_by_cone_sized(netlist, faults, per_batch),
-            FaultList::Transition(faults) => {
-                let capture: Vec<Fault> = faults.iter().map(|f| f.capture_stuck_at()).collect();
-                fault_batches_by_cone_sized(netlist, &capture, per_batch)
-            }
-        }
-    }
 }
 
 /// Parallel single-stuck-at fault simulator.
 ///
-/// Packs up to [`FAULTS_PER_BATCH`] faulty machines plus one fault-free
-/// reference machine (lane 0) into each simulation pass, and fans the
-/// passes out over worker threads (see [`FaultSimConfig::threads`]). A
-/// fault is *detected* when any primary output differs from the reference
-/// lane on an observed cycle — the same criterion commercial fault
-/// simulators use. MISR aliasing, which the paper argues is negligible, can
-/// be audited separately with `sbst-tpg`'s MISR model.
+/// Packs up to [`SimEngine::faults_per_pass`] faulty machines plus one
+/// fault-free reference machine (lane 0) into each simulation pass, and
+/// fans the passes out over worker threads (see
+/// [`FaultSimConfig::threads`]). A fault is *detected* when any primary
+/// output differs from the reference lane on an observed cycle — the same
+/// criterion commercial fault simulators use. MISR aliasing, which the
+/// paper argues is negligible, can be audited separately with `sbst-tpg`'s
+/// MISR model.
 #[derive(Debug)]
 pub struct FaultSimulator<'a> {
     netlist: &'a Netlist,
@@ -741,7 +512,7 @@ impl<'a> FaultSimulator<'a> {
     /// Shared grading driver for both fault models.
     fn simulate_list(&self, faults: FaultList<'_>, stimulus: &Stimulus) -> FaultSimResult {
         let start = Instant::now();
-        let batches = faults.batches(self.netlist, self.config.engine.faults_per_pass());
+        let batches = fault_batches(faults.len(), self.config.engine.faults_per_pass());
         // The compiled engine's tape is built once per *simulator* and
         // shared (immutably) by every worker and every later call; each
         // worker still owns a private simulator state.
@@ -783,7 +554,7 @@ impl<'a> FaultSimulator<'a> {
     fn simulate_serial(
         &self,
         tape: Option<&CompiledTape<'_>>,
-        batches: &[Vec<u32>],
+        batches: &[Range<usize>],
         faults: FaultList<'_>,
         stimulus: &Stimulus,
     ) -> FaultSimResult {
@@ -796,7 +567,7 @@ impl<'a> FaultSimulator<'a> {
             let (cycles_run, events_run, reference) = self.run_batch(
                 tape,
                 faults,
-                batch,
+                batch.clone(),
                 stimulus,
                 index == 0,
                 &mut |fault_index, cycle| {
@@ -831,7 +602,7 @@ impl<'a> FaultSimulator<'a> {
     fn simulate_threaded(
         &self,
         tape: Option<&CompiledTape<'_>>,
-        batches: &[Vec<u32>],
+        batches: &[Range<usize>],
         faults: FaultList<'_>,
         stimulus: &Stimulus,
         threads: usize,
@@ -865,16 +636,12 @@ impl<'a> FaultSimulator<'a> {
                         let (cycles_run, events_run, reference) = self.run_batch(
                             tape,
                             faults,
-                            batch,
+                            batch.clone(),
                             stimulus,
                             index == 0,
                             &mut |fault_index, cycle| {
                                 bitmap.set(fault_index);
-                                let offset = batch
-                                    .iter()
-                                    .position(|&fi| fi as usize == fault_index)
-                                    .expect("detected fault belongs to this batch");
-                                cycles[offset] = Some(cycle);
+                                cycles[fault_index - batch.start] = Some(cycle);
                             },
                         );
                         local.batches += 1;
@@ -904,9 +671,9 @@ impl<'a> FaultSimulator<'a> {
         let mut detecting_cycle = vec![None; faults.len()];
         for (index, batch) in batches.iter().enumerate() {
             let cycles = cycle_slots[index].get().expect("every batch ran");
-            for (offset, &fault_index) in batch.iter().enumerate() {
-                detecting_cycle[fault_index as usize] = cycles[offset];
-                detected[fault_index as usize] = bitmap.get(fault_index as usize);
+            for (offset, fault_index) in batch.clone().enumerate() {
+                detecting_cycle[fault_index] = cycles[offset];
+                detected[fault_index] = bitmap.get(fault_index);
             }
         }
         FaultSimResult {
@@ -926,8 +693,9 @@ impl<'a> FaultSimulator<'a> {
         }
     }
 
-    /// Grades one batch of faults (given as global fault indices) on a
-    /// private simulator backend.
+    /// Grades one batch of faults (a contiguous range of fault indices) on a
+    /// private simulator: the compiled tape when one is given, the 64-lane
+    /// full-eval reference [`Simulator`] otherwise.
     ///
     /// Reports each detection through `on_detect(global_fault_index,
     /// cycle)`. When `record_reference` is set (the first batch), the
@@ -942,7 +710,7 @@ impl<'a> FaultSimulator<'a> {
         &self,
         tape: Option<&CompiledTape<'_>>,
         faults: FaultList<'_>,
-        batch: &[u32],
+        batch: Range<usize>,
         stimulus: &Stimulus,
         record_reference: bool,
         on_detect: &mut dyn FnMut(usize, u32),
@@ -958,12 +726,12 @@ impl<'a> FaultSimulator<'a> {
             );
         }
         debug_assert!(batch.len() <= FAULTS_PER_BATCH);
-        let mut sim = Backend::new(self.netlist, self.config.engine);
+        let mut sim = Simulator::new(self.netlist);
         if self.config.reset_between_batches {
             sim.reset();
         }
-        for (lane_off, &fault_index) in batch.iter().enumerate() {
-            faults.inject(&mut sim, fault_index as usize, 1u64 << (lane_off + 1));
+        for (lane_off, fault_index) in batch.clone().enumerate() {
+            faults.inject(&mut sim, fault_index, 1u64 << (lane_off + 1));
         }
         // Mask of lanes carrying live (not yet detected) faults:
         // lanes 1..=batch.len().
@@ -1005,7 +773,7 @@ impl<'a> FaultSimulator<'a> {
                     while bits != 0 {
                         let lane = bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        on_detect(batch[lane - 1] as usize, cycle_index);
+                        on_detect(batch.start + lane - 1, cycle_index);
                     }
                     undetected_mask &= !newly;
                     if self.config.drop_on_detect && undetected_mask == 0 && !record_reference {
@@ -1015,9 +783,11 @@ impl<'a> FaultSimulator<'a> {
             }
             sim.step();
         }
+        // Full evaluation: every combinational gate on every clocked cycle.
+        let events = cycles_run * self.netlist.comb_order().len() as u64;
         (
             cycles_run,
-            sim.events(),
+            events,
             record_reference.then_some(fault_free_responses),
         )
     }
@@ -1030,7 +800,7 @@ impl<'a> FaultSimulator<'a> {
         &self,
         tape: &CompiledTape<'_>,
         faults: FaultList<'_>,
-        batch: &[u32],
+        batch: Range<usize>,
         stimulus: &Stimulus,
         record_reference: bool,
         on_detect: &mut dyn FnMut(usize, u32),
@@ -1041,8 +811,8 @@ impl<'a> FaultSimulator<'a> {
         if self.config.reset_between_batches {
             sim.reset();
         }
-        for (lane_off, &fault_index) in batch.iter().enumerate() {
-            faults.inject_tape(&mut sim, fault_index as usize, lane_off + 1);
+        for (lane_off, fault_index) in batch.clone().enumerate() {
+            faults.inject_tape(&mut sim, fault_index, lane_off + 1);
         }
         // Mask of lanes carrying live (not yet detected) faults:
         // lanes 1..=batch.len() across the four words.
@@ -1094,7 +864,7 @@ impl<'a> FaultSimulator<'a> {
                     while bits != 0 {
                         let lane = w * 64 + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        on_detect(batch[lane - 1] as usize, cycle_index);
+                        on_detect(batch.start + lane - 1, cycle_index);
                     }
                     undetected[w] &= !newly;
                 }
@@ -1228,50 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn batches_partition_every_fault_exactly_once() {
-        for count in [0usize, 1, 62, 63, 64, 126, 127, 500] {
-            let batches = fault_batches(count);
-            let mut seen = vec![0usize; count];
-            for range in &batches {
-                assert!(range.len() <= FAULTS_PER_BATCH);
-                for i in range.clone() {
-                    seen[i] += 1;
-                }
-            }
-            assert!(seen.iter().all(|&c| c == 1), "count {count}");
-            assert!(!batches.is_empty());
-        }
-    }
-
-    #[test]
-    fn cone_batches_partition_every_fault_exactly_once() {
-        let mut b = NetlistBuilder::new("mix");
-        let bus = b.input_bus("a", 48);
-        let mut acc = bus.net(0);
-        for (i, &net) in bus.nets().iter().enumerate().skip(1) {
-            acc = if i % 2 == 0 {
-                b.xor2(acc, net)
-            } else {
-                b.or2(acc, net)
-            };
-        }
-        b.mark_output(acc, "o");
-        let n = b.finish().unwrap();
-        let faults = n.collapsed_faults();
-        let batches = fault_batches_by_cone(&n, &faults);
-        let mut seen = vec![0usize; faults.len()];
-        for batch in &batches {
-            assert!(batch.len() <= FAULTS_PER_BATCH);
-            for &i in batch {
-                seen[i as usize] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1));
-        // Empty fault list: one reference-only batch.
-        assert_eq!(fault_batches_by_cone(&n, &[]), vec![Vec::<u32>::new()]);
-    }
-
-    #[test]
     fn engines_agree_bitwise() {
         let mut b = NetlistBuilder::new("mix");
         let bus = b.input_bus("a", 48);
@@ -1304,22 +1030,8 @@ mod tests {
             },
         )
         .simulate(&faults, &s);
-        let event = FaultSimulator::with_config(
-            &n,
-            FaultSimConfig {
-                engine: SimEngine::EventDriven,
-                threads: Some(1),
-                ..FaultSimConfig::default()
-            },
-        )
-        .simulate(&faults, &s);
-        assert_eq!(full.detected, event.detected);
-        assert_eq!(full.detecting_cycle, event.detecting_cycle);
-        assert_eq!(full.fault_free_responses, event.fault_free_responses);
-        // The event engine never does more work than the full-eval
-        // baseline for the cycles it clocked.
-        assert!(event.stats.events_simulated <= event.stats.events_full_eval);
-        assert!(event.stats.events_simulated > 0);
+        assert_eq!(full.stats.events_simulated, full.stats.events_full_eval);
+        assert!(full.stats.events_simulated > 0);
         let compiled = FaultSimulator::with_config(
             &n,
             FaultSimConfig {
@@ -1368,10 +1080,10 @@ mod tests {
                 .collect();
             s.push_pattern(&bits);
         }
-        let event = FaultSimulator::with_config(
+        let full = FaultSimulator::with_config(
             &n,
             FaultSimConfig {
-                engine: SimEngine::EventDriven,
+                engine: SimEngine::FullEval,
                 threads: Some(1),
                 ..FaultSimConfig::default()
             },
@@ -1387,13 +1099,13 @@ mod tests {
                 },
             )
             .simulate(&faults, &s);
-            assert_eq!(event.detected, compiled.detected, "{threads} threads");
+            assert_eq!(full.detected, compiled.detected, "{threads} threads");
             assert_eq!(
-                event.detecting_cycle, compiled.detecting_cycle,
+                full.detecting_cycle, compiled.detecting_cycle,
                 "{threads} threads"
             );
             assert_eq!(
-                event.fault_free_responses, compiled.fault_free_responses,
+                full.fault_free_responses, compiled.fault_free_responses,
                 "{threads} threads"
             );
             // 4× wider lanes → about a quarter of the narrow batch count.
@@ -1402,7 +1114,7 @@ mod tests {
                 compiled.stats.batches,
                 (faults.len() as u64).div_ceil(per_pass)
             );
-            assert!(compiled.stats.batches < event.stats.batches);
+            assert!(compiled.stats.batches < full.stats.batches);
             // Tape instrumentation is populated and consistent.
             assert!(compiled.stats.tape_len > 0);
             assert_eq!(
@@ -1417,34 +1129,30 @@ mod tests {
             let occ = compiled.stats.lane_occupancy();
             assert!(occ > 0.0 && occ <= 1.0, "occupancy {occ}");
         }
-        // Narrow engines leave tape instrumentation at zero.
-        assert_eq!(event.stats.tape_len, 0);
-        assert_eq!(event.stats.chains_collapsed, 0);
-        assert_eq!(event.stats.lane_slots_filled, faults.len() as u64);
+        // The full-eval reference leaves tape instrumentation at zero.
+        assert_eq!(full.stats.tape_len, 0);
+        assert_eq!(full.stats.chains_collapsed, 0);
+        assert_eq!(full.stats.lane_slots_filled, faults.len() as u64);
     }
 
     #[test]
-    fn sized_cone_batches_partition_every_fault_exactly_once() {
-        let mut b = NetlistBuilder::new("mix");
-        let bus = b.input_bus("a", 64);
-        let mut acc = bus.net(0);
-        for &net in bus.nets().iter().skip(1) {
-            acc = b.xor2(acc, net);
-        }
-        b.mark_output(acc, "o");
-        let n = b.finish().unwrap();
-        let faults = n.collapsed_faults();
-        for per_batch in [1usize, 63, 255, 10_000] {
-            let batches = fault_batches_by_cone_sized(&n, &faults, per_batch);
-            let mut seen = vec![0usize; faults.len()];
-            for batch in &batches {
-                assert!(batch.len() <= per_batch);
-                for &i in batch {
-                    seen[i as usize] += 1;
+    fn batches_partition_every_fault_exactly_once_in_order() {
+        for per_batch in [1usize, 63, 255] {
+            for count in [0usize, 1, 62, 63, 64, 254, 255, 256, 1000] {
+                let batches = fault_batches(count, per_batch);
+                let mut next = 0;
+                for range in &batches {
+                    assert_eq!(range.start, next, "contiguous, in order");
+                    assert!(range.len() <= per_batch);
+                    next = range.end;
+                }
+                assert_eq!(next, count, "covers the whole fault list");
+                assert_eq!(batches.len(), count.div_ceil(per_batch).max(1));
+                // Every batch except possibly the last is full.
+                for range in &batches[..batches.len() - 1] {
+                    assert_eq!(range.len(), per_batch);
                 }
             }
-            assert!(seen.iter().all(|&c| c == 1), "per_batch {per_batch}");
-            assert_eq!(batches.len(), faults.len().div_ceil(per_batch).max(1));
         }
     }
 
@@ -1512,7 +1220,7 @@ mod tests {
             ..FaultSimConfig::default()
         };
         let res = FaultSimulator::with_config(&n, cfg).simulate(&faults, &stim);
-        let batches = fault_batches_by_cone(&n, &faults).len() as u64;
+        let batches = fault_batches(faults.len(), FAULTS_PER_BATCH).len() as u64;
         assert_eq!(res.stats.batches, batches);
         assert_eq!(res.stats.cycles_scheduled, batches * stim.len() as u64);
         // drop_on_detect off: every scheduled cycle is clocked.
@@ -1525,8 +1233,6 @@ mod tests {
             res.stats.cycles_simulated * n.comb_order().len() as u64
         );
         assert_eq!(res.stats.events_simulated, res.stats.events_full_eval);
-        assert_eq!(res.stats.event_ratio(), Some(1.0));
-        assert_eq!(res.stats.event_savings_percent(), 0.0);
         assert_eq!(res.stats.per_thread.len(), res.threads_used);
         let per_thread_total: u64 = res.stats.per_thread.iter().map(|t| t.batches).sum();
         assert_eq!(per_thread_total, batches);
@@ -1534,70 +1240,46 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_reports_savings_in_stats() {
-        // Wide OR tree: each pattern toggles one input, so the event
-        // engine touches only one root-to-output path per cycle.
-        let mut b = NetlistBuilder::new("wide");
-        let bus = b.input_bus("a", 40);
-        let o = b.reduce_or(&bus);
-        b.mark_output(o, "o");
-        let n = b.finish().unwrap();
-        let faults = n.collapsed_faults();
-        let mut s = Stimulus::new();
-        s.push_pattern(&[false; 40]);
-        for i in 0..40 {
-            let mut v = vec![false; 40];
-            v[i] = true;
-            s.push_pattern(&v);
-        }
-        let cfg = FaultSimConfig {
-            drop_on_detect: false,
-            threads: Some(1),
-            engine: SimEngine::EventDriven,
-            ..FaultSimConfig::default()
-        };
-        let res = FaultSimulator::with_config(&n, cfg).simulate(&faults, &s);
-        assert_eq!(res.coverage().percent(), 100.0);
-        assert!(
-            res.stats.events_simulated < res.stats.events_full_eval,
-            "event engine should skip quiet gates: {:?}",
-            res.stats
-        );
-        assert!(res.stats.event_savings_percent() > 0.0);
-        assert!(res.stats.event_ratio().unwrap() < 1.0);
-    }
-
-    #[test]
     fn drop_on_detect_savings_show_in_stats() {
-        // Wide OR tree, multi-batch; the all-ones tail patterns detect most
-        // faults early so later cycles are dropped in non-reference batches.
+        // Wide OR tree, multi-batch under both engines; the walking-one
+        // patterns detect every fault early so later cycles are dropped in
+        // non-reference batches.
+        const WIDTH: usize = 160;
         let mut b = NetlistBuilder::new("wide");
-        let bus = b.input_bus("a", 40);
+        let bus = b.input_bus("a", WIDTH);
         let o = b.reduce_or(&bus);
         b.mark_output(o, "o");
         let n = b.finish().unwrap();
         let faults = n.collapsed_faults();
+        assert!(faults.len() > SimEngine::Compiled.faults_per_pass());
         let mut s = Stimulus::new();
-        s.push_pattern(&[false; 40]);
-        for i in 0..40 {
-            let mut v = vec![false; 40];
+        s.push_pattern(&[false; WIDTH]);
+        for i in 0..WIDTH {
+            let mut v = vec![false; WIDTH];
             v[i] = true;
             s.push_pattern(&v);
         }
         // Pad with patterns that detect nothing new: dropped batches skip
         // these entirely.
         for _ in 0..64 {
-            s.push_pattern(&[false; 40]);
+            s.push_pattern(&[false; WIDTH]);
         }
-        let res =
-            FaultSimulator::with_config(&n, FaultSimConfig::with_threads(2)).simulate(&faults, &s);
-        assert_eq!(res.coverage().percent(), 100.0);
-        assert!(
-            res.stats.cycles_simulated < res.stats.cycles_scheduled,
-            "expected drop-on-detect to skip padded cycles: {:?}",
-            res.stats
-        );
-        assert!(res.stats.drop_savings_percent() > 0.0);
+        for engine in [SimEngine::FullEval, SimEngine::Compiled] {
+            let cfg = FaultSimConfig {
+                engine,
+                threads: Some(2),
+                ..FaultSimConfig::default()
+            };
+            let res = FaultSimulator::with_config(&n, cfg).simulate(&faults, &s);
+            assert_eq!(res.coverage().percent(), 100.0, "{}", engine.name());
+            assert!(
+                res.stats.cycles_simulated < res.stats.cycles_scheduled,
+                "{}: expected drop-on-detect to skip padded cycles: {:?}",
+                engine.name(),
+                res.stats
+            );
+            assert!(res.stats.drop_savings_percent() > 0.0);
+        }
     }
 
     #[test]
@@ -1705,11 +1387,7 @@ mod tests {
             reference.coverage().detected < faults.len(),
             "and misses some (hidden cycles)"
         );
-        for engine in [
-            SimEngine::FullEval,
-            SimEngine::EventDriven,
-            SimEngine::Compiled,
-        ] {
+        for engine in [SimEngine::FullEval, SimEngine::Compiled] {
             for threads in [1usize, 2, 7] {
                 let res = FaultSimulator::with_config(
                     &n,
@@ -1732,34 +1410,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_round_trip() {
-        assert_eq!(SimEngine::from_name("full"), Some(SimEngine::FullEval));
-        assert_eq!(
-            SimEngine::from_name("Event-Driven"),
-            Some(SimEngine::EventDriven)
-        );
-        assert_eq!(SimEngine::from_name("FULLEVAL"), Some(SimEngine::FullEval));
-        assert_eq!(SimEngine::from_name("compiled"), Some(SimEngine::Compiled));
-        assert_eq!(SimEngine::from_name("tape"), Some(SimEngine::Compiled));
-        assert_eq!(
-            SimEngine::from_name("Compiled-Tape"),
-            Some(SimEngine::Compiled)
-        );
-        assert_eq!(
-            SimEngine::from_name(SimEngine::Compiled.name()),
-            Some(SimEngine::Compiled)
-        );
-        assert_eq!(SimEngine::from_name("bogus"), None);
+    fn engine_names_and_pass_widths() {
+        assert_eq!(SimEngine::default(), SimEngine::Compiled);
+        assert_eq!(SimEngine::Compiled.name(), "compiled");
+        assert_eq!(SimEngine::FullEval.name(), "full-eval");
         assert_eq!(SimEngine::Compiled.faults_per_pass(), 255);
-        assert_eq!(SimEngine::EventDriven.faults_per_pass(), 63);
-        assert_eq!(
-            SimEngine::from_name(SimEngine::EventDriven.name()),
-            Some(SimEngine::EventDriven)
-        );
-        assert_eq!(
-            SimEngine::from_name(SimEngine::FullEval.name()),
-            Some(SimEngine::FullEval)
-        );
-        assert_eq!(SimEngine::default(), SimEngine::EventDriven);
+        assert_eq!(SimEngine::FullEval.faults_per_pass(), FAULTS_PER_BATCH);
     }
 }

@@ -43,7 +43,6 @@
 //! ```
 
 mod error;
-mod event_sim;
 mod fault;
 mod fault_sim;
 mod gate;
@@ -58,14 +57,13 @@ pub mod scoap;
 pub mod verilog;
 
 pub use error::BuildNetlistError;
-pub use event_sim::EventSimulator;
 pub use fault::{
     collapse_faults, enumerate_faults, enumerate_transition_faults, Fault, FaultModel, FaultSite,
     TransitionFault,
 };
 pub use fault_sim::{
-    fault_batches, fault_batches_by_cone, fault_batches_by_cone_sized, FaultSimConfig,
-    FaultSimResult, FaultSimulator, SimEngine, SimStats, Stimulus, ThreadStats, FAULTS_PER_BATCH,
+    FaultSimConfig, FaultSimResult, FaultSimulator, SimEngine, SimStats, Stimulus, ThreadStats,
+    FAULTS_PER_BATCH,
 };
 pub use gate::{Gate, GateId, GateKind};
 pub use net::{Bus, NetId};

@@ -31,7 +31,7 @@ pub struct Netlist {
     fanout: Vec<u32>,
     input_index: HashMap<NetId, usize>,
     /// Combinational gates reading each net (the fanout list that seeds
-    /// event-driven propagation).
+    /// PODEM's event-driven implication).
     comb_users: Vec<Vec<GateId>>,
     /// Topological level per gate: `level(g) = 1 + max(level of
     /// combinational drivers of g's inputs)`, `0` when all inputs come from
@@ -120,11 +120,11 @@ impl Netlist {
 
     /// Combinational gates reading `net`, deduplicated per gate.
     ///
-    /// This is the per-net fanout list used by the event-driven simulator:
-    /// when `net` changes, exactly these gates need re-evaluation. DFF
-    /// gates are excluded — their `d` pins are sampled by
-    /// [`Simulator::step`](crate::Simulator::step), not propagated
-    /// combinationally.
+    /// This is the per-net fanout list used by event-driven propagation
+    /// (PODEM's implication queue): when `net` changes, exactly these gates
+    /// need re-evaluation. DFF gates are excluded — their `d` pins are
+    /// sampled by [`Simulator::step`](crate::Simulator::step), not
+    /// propagated combinationally.
     pub fn comb_users(&self, net: NetId) -> &[GateId] {
         &self.comb_users[net.index()]
     }
@@ -132,9 +132,9 @@ impl Netlist {
     /// Topological level of `gate`: `0` when every input comes from a
     /// primary input, flip-flop or constant, otherwise one more than the
     /// deepest combinational driver. Every combinational user of a gate's
-    /// output sits at a strictly greater level, which is what lets the
-    /// event-driven simulator process levels in ascending order without
-    /// re-visiting a gate twice in one cycle.
+    /// output sits at a strictly greater level, which is what lets an
+    /// event-driven pass (PODEM's implication queue) process levels in
+    /// ascending order without re-visiting a gate.
     pub fn gate_level(&self, gate: GateId) -> u32 {
         self.gate_level[gate.index()]
     }

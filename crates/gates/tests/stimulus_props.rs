@@ -1,14 +1,12 @@
-//! Property tests for [`Stimulus`] bookkeeping, fault-batch partitioning
-//! and the `drop_on_detect` optimization.
+//! Property tests for [`Stimulus`] bookkeeping and the `drop_on_detect`
+//! optimization.
 
 // The vendored `proptest!` macro is a tt-muncher; long test bodies need a
 // deeper macro recursion budget than the default 128.
 #![recursion_limit = "512"]
 
 use proptest::prelude::*;
-use sbst_gates::{
-    fault_batches, FaultSimConfig, FaultSimulator, GateKind, NetId, NetlistBuilder, Stimulus, LANES,
-};
+use sbst_gates::{FaultSimConfig, FaultSimulator, GateKind, NetId, NetlistBuilder, Stimulus};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -41,26 +39,6 @@ proptest! {
         // The iterator replays observability in insertion order.
         let observed_in_order: Vec<bool> = stim.iter().map(|(_, o)| o).collect();
         prop_assert_eq!(observed_in_order.iter().filter(|o| **o).count(), n_shown);
-    }
-
-    /// Batch partitioning covers every fault index exactly once, in order,
-    /// with every batch small enough to share a simulator word with the
-    /// reference lane.
-    #[test]
-    fn fault_batches_partition_exactly_once(count in 0usize..1000) {
-        let batches = fault_batches(count);
-        prop_assert!(!batches.is_empty(), "at least one (reference) batch");
-        let mut next = 0usize;
-        for range in &batches {
-            prop_assert_eq!(range.start, next, "contiguous, in order");
-            prop_assert!(range.len() < LANES, "fits alongside the reference lane");
-            next = range.end;
-        }
-        prop_assert_eq!(next, count, "covers the whole fault list");
-        // Every batch except possibly the last is full.
-        for range in &batches[..batches.len().saturating_sub(1)] {
-            prop_assert_eq!(range.len(), LANES - 1);
-        }
     }
 }
 

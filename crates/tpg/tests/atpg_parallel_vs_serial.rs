@@ -4,7 +4,7 @@
 //! [`AtpgStats`] are bit-identical for every PODEM thread count and every
 //! fault-simulation engine. This test runs the constrained-shifter campaign
 //! (the paper's running D-VC example) over threads ∈ {1, 2, 7} × engines ∈
-//! {full, event-driven, compiled} and compares everything against the
+//! {full-eval, compiled} and compares everything against the
 //! single-threaded full-eval baseline. A property test then checks the
 //! compiled three-valued tape against the interpreted dual-rail walk it
 //! replaced, on random netlists, partial assignments and faults.
@@ -47,11 +47,7 @@ fn atpg_results_identical_across_threads_and_engines() {
         "matrix needs a real PODEM phase"
     );
     for threads in [1usize, 2, 7] {
-        for engine in [
-            SimEngine::FullEval,
-            SimEngine::EventDriven,
-            SimEngine::Compiled,
-        ] {
+        for engine in [SimEngine::FullEval, SimEngine::Compiled] {
             let res = run_shifter(threads, engine);
             let tag = format!("threads={threads} engine={}", engine.name());
             assert_eq!(res.patterns, base.patterns, "patterns diverge: {tag}");

@@ -1,8 +1,8 @@
 //! The on-line test manager is engine-invariant end to end: a managed
-//! schedule characterized (and fault-graded) under the full-eval, the
-//! event-driven and the compiled tape engine produces bit-identical golden
-//! signature stores, coverage numbers and — when run against the same
-//! injected faults — identical verdict/event sequences. Reruns the two
+//! schedule characterized (and fault-graded) under the compiled tape engine
+//! and the full-eval reference produces bit-identical golden signature
+//! stores, coverage numbers and — when run against the same injected
+//! faults — identical verdict/event sequences. Reruns the two
 //! headline `manager_faults.rs` scenarios (permanent quarantine, windowed
 //! transient) once per engine and diffs everything observable.
 
@@ -15,11 +15,7 @@ use sbst::cpu::manager::{
 use sbst::cpu::{ArchFault, Cpu, CpuConfig, FaultActivity};
 use sbst::gates::{Fault, FaultSimConfig, SimEngine};
 
-const ENGINES: [SimEngine; 3] = [
-    SimEngine::FullEval,
-    SimEngine::EventDriven,
-    SimEngine::Compiled,
-];
+const ENGINES: [SimEngine; 2] = [SimEngine::FullEval, SimEngine::Compiled];
 
 fn fresh_cpu() -> Cpu {
     Cpu::new(CpuConfig {
