@@ -14,6 +14,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use sbst_components::{
     alu, comparator, control, divider, memctrl, misc, multiplier, pipeline, regfile, shifter,
@@ -21,8 +22,8 @@ use sbst_components::{
 };
 use sbst_cpu::{ArchFault, Cpu, CpuConfig, CpuError, ExecStats, OperandTrace};
 use sbst_gates::{
-    enumerate_transition_faults, Fault, FaultCoverage, FaultSimConfig, FaultSimulator, SimStats,
-    Stimulus,
+    enumerate_transition_faults, CompiledTape, Fault, FaultCoverage, FaultSimConfig,
+    FaultSimulator, SimStats, Stimulus,
 };
 
 use crate::cut::Cut;
@@ -305,6 +306,8 @@ pub fn arch_validate_with(
     let replay =
         FaultSimulator::with_config(&cut.component.netlist, sim).simulate(faults, &stimulus);
 
+    // One tape per call, shared by every mount below.
+    let tape = Arc::new(CompiledTape::compile(&cut.component.netlist));
     let mut v = ArchValidation::default();
     for (i, fault) in faults.iter().enumerate() {
         let mut cpu = Cpu::new(CpuConfig {
@@ -316,7 +319,11 @@ pub fn arch_validate_with(
             ..CpuConfig::default()
         });
         cpu.load_program(&routine.program);
-        cpu.mount_fault(ArchFault::new(cut.component.clone(), *fault));
+        cpu.mount_fault(ArchFault::from_shared(
+            &cut.component,
+            Arc::clone(&tape),
+            *fault,
+        ));
         let arch_detected = match cpu.run() {
             Ok(_) => {
                 let sig_addr = routine

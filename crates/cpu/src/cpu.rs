@@ -216,7 +216,9 @@ pub struct Cpu {
     icache: Option<Cache>,
     dcache: Option<Cache>,
     trace: OperandTrace,
-    arch_fault: Option<ArchFault>,
+    /// Boxed so the slot stays pointer-sized: the fault-free hot path
+    /// never touches the mounted simulator.
+    arch_fault: Option<Box<ArchFault>>,
     /// Cycle at which the Hi/Lo unit finishes its current operation.
     hilo_ready_at: u64,
     /// Writeback history for hazard accounting and pipeline tracing:
@@ -335,12 +337,12 @@ impl Cpu {
 
     /// Mounts an architectural fault (see [`ArchFault`]).
     pub fn mount_fault(&mut self, fault: ArchFault) {
-        self.arch_fault = Some(fault);
+        self.arch_fault = Some(Box::new(fault));
     }
 
     /// Removes any mounted fault.
     pub fn unmount_fault(&mut self) -> Option<ArchFault> {
-        self.arch_fault.take()
+        self.arch_fault.take().map(|fault| *fault)
     }
 
     /// Runs until `break`, an error, or the watchdog limit.
@@ -485,11 +487,9 @@ impl Cpu {
         if self.config.trace {
             self.trace.alu.push(op);
         }
-        if let Some(af) = &self.arch_fault {
-            if af.is_active(self.stats.cycles) {
-                if let Some(faulty) = af.eval_alu(&op) {
-                    return faulty;
-                }
+        if self.arch_fault.is_some() {
+            if let Some(faulty) = self.faulty(|af| af.eval_alu(&op)) {
+                return faulty;
             }
         }
         let (result, zero) = sbst_components::alu::model(func, a, b, 32);
@@ -501,11 +501,9 @@ impl Cpu {
         if self.config.trace {
             self.trace.shifter.push(op);
         }
-        if let Some(af) = &self.arch_fault {
-            if af.is_active(self.stats.cycles) {
-                if let Some(faulty) = af.eval_shift(&op) {
-                    return faulty;
-                }
+        if self.arch_fault.is_some() {
+            if let Some(faulty) = self.faulty(|af| af.eval_shift(&op)) {
+                return faulty;
             }
         }
         sbst_components::shifter::model(func, data, amount, 32)
@@ -517,14 +515,26 @@ impl Cpu {
         if self.config.trace {
             self.trace.multiplier.push(op);
         }
-        if let Some(af) = &self.arch_fault {
-            if af.is_active(self.stats.cycles) {
-                if let Some(faulty) = af.eval_mul(&op) {
-                    return faulty;
-                }
+        if self.arch_fault.is_some() {
+            if let Some(faulty) = self.faulty(|af| af.eval_mul(&op)) {
+                return faulty;
             }
         }
         sbst_components::multiplier::model(a, b, 32)
+    }
+
+    /// The mounted fault's result for one datapath operation, when the
+    /// fault is active this cycle and lives in the operation's component.
+    /// Kept out of line so the fault-free path stays tight.
+    #[inline(never)]
+    fn faulty<R>(&mut self, eval: impl FnOnce(&mut ArchFault) -> Option<R>) -> Option<R> {
+        let cycle = self.stats.cycles;
+        let fault = self.arch_fault.as_deref_mut()?;
+        if fault.is_active(cycle) {
+            eval(fault)
+        } else {
+            None
+        }
     }
 
     /// Unsigned core divide.

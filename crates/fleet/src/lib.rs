@@ -9,13 +9,13 @@
 //!
 //! - **Characterize once, run everywhere** ([`characterize`]): the graded
 //!   schedule, golden [`sbst_cpu::manager::SignatureStore`] and mountable
-//!   netlists are built exactly once — on whichever worker asks first —
+//!   netlists with their compiled tapes are built exactly once — on whichever worker asks first —
 //!   and shared immutably via `Arc`. An atomic counter proves the
 //!   "exactly once" invariant for any node and worker count.
 //! - **Heterogeneous populations** ([`profile`]): each node draws a
 //!   lifetime profile (healthy / infant-mortality / wear-out /
 //!   correlated-batch defect) as a pure function of `(seed, node index)`,
-//!   mounting gate-level stuck-at faults through the shared netlists.
+//!   mounting gate-level stuck-at faults through the shared tapes.
 //! - **Sharded work stealing** ([`scheduler`]): per-worker deadline heaps
 //!   over `std::thread::scope`; steal-on-empty; deterministic
 //!   node-index-order merge, so aggregates are bit-identical for any
@@ -50,7 +50,7 @@ pub mod profile;
 pub mod scheduler;
 
 pub use aggregate::{Aggregate, Anomaly, ProfileGroup};
-pub use characterize::{Characterizer, FaultTarget, SharedArtifacts};
+pub use characterize::{Characterizer, FaultTarget, FaultTargets, SharedArtifacts};
 pub use node::{FleetNode, NodeOutcome, SessionSample};
 pub use profile::{
     assign_profile, AttackKind, NodeProfile, PlannedAttack, PlannedFault, PopulationMix,

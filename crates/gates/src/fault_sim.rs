@@ -425,7 +425,7 @@ impl<'f> FaultList<'f> {
     /// Injects fault `index` into a wide compiled-tape simulator.
     fn inject_tape<const W: usize>(
         &self,
-        sim: &mut TapeSimulator<'_, '_, W>,
+        sim: &mut TapeSimulator<&CompiledTape, W>,
         index: usize,
         lane: usize,
     ) {
@@ -454,7 +454,7 @@ pub struct FaultSimulator<'a> {
     /// run and reused by every later [`FaultSimulator::simulate`] call on
     /// this simulator — callers that grade many small stimuli (ATPG fault
     /// dropping) pay compilation once per simulator, not once per call.
-    tape: OnceLock<CompiledTape<'a>>,
+    tape: OnceLock<CompiledTape>,
 }
 
 impl<'a> FaultSimulator<'a> {
@@ -553,7 +553,7 @@ impl<'a> FaultSimulator<'a> {
     /// calling thread.
     fn simulate_serial(
         &self,
-        tape: Option<&CompiledTape<'_>>,
+        tape: Option<&CompiledTape>,
         batches: &[Range<usize>],
         faults: FaultList<'_>,
         stimulus: &Stimulus,
@@ -601,7 +601,7 @@ impl<'a> FaultSimulator<'a> {
     /// per-batch results in fault-index order.
     fn simulate_threaded(
         &self,
-        tape: Option<&CompiledTape<'_>>,
+        tape: Option<&CompiledTape>,
         batches: &[Range<usize>],
         faults: FaultList<'_>,
         stimulus: &Stimulus,
@@ -708,7 +708,7 @@ impl<'a> FaultSimulator<'a> {
     /// performed, alongside the optional reference responses.
     fn run_batch(
         &self,
-        tape: Option<&CompiledTape<'_>>,
+        tape: Option<&CompiledTape>,
         faults: FaultList<'_>,
         batch: Range<usize>,
         stimulus: &Stimulus,
@@ -798,7 +798,7 @@ impl<'a> FaultSimulator<'a> {
     /// blocks, with lane 0 of word 0 still the fault-free reference.
     fn run_batch_compiled(
         &self,
-        tape: &CompiledTape<'_>,
+        tape: &CompiledTape,
         faults: FaultList<'_>,
         batch: Range<usize>,
         stimulus: &Stimulus,
@@ -807,7 +807,7 @@ impl<'a> FaultSimulator<'a> {
     ) -> (u64, u64, Option<Vec<Vec<u64>>>) {
         const W: usize = MAX_LANE_WORDS;
         debug_assert!(batch.len() <= SimEngine::Compiled.faults_per_pass());
-        let mut sim: TapeSimulator<'_, '_, W> = TapeSimulator::new(tape);
+        let mut sim: TapeSimulator<&CompiledTape, W> = TapeSimulator::new(tape);
         if self.config.reset_between_batches {
             sim.reset();
         }

@@ -83,7 +83,7 @@ proptest! {
         let tape = CompiledTape::compile(&netlist);
         let stim = random_stimulus(netlist.inputs().len(), 8, seed);
         let mut plain = Simulator::new(&netlist);
-        let mut fast: TapeSimulator<'_, '_, 1> = TapeSimulator::new(&tape);
+        let mut fast: TapeSimulator<_, 1> = TapeSimulator::new(&tape);
         for (inputs, _) in stim.iter() {
             for (pos, &net) in netlist.inputs().iter().enumerate() {
                 plain.set_input(net, inputs[pos]);
@@ -179,9 +179,9 @@ proptest! {
         let stim = random_stimulus(netlist.inputs().len(), 6, seed);
         let faults = netlist.collapsed_faults();
         let take = faults.len().min(3);
-        let mut w1: TapeSimulator<'_, '_, 1> = TapeSimulator::new(&tape);
-        let mut w2: TapeSimulator<'_, '_, 2> = TapeSimulator::new(&tape);
-        let mut w4: TapeSimulator<'_, '_, 4> = TapeSimulator::new(&tape);
+        let mut w1: TapeSimulator<_, 1> = TapeSimulator::new(&tape);
+        let mut w2: TapeSimulator<_, 2> = TapeSimulator::new(&tape);
+        let mut w4: TapeSimulator<_, 4> = TapeSimulator::new(&tape);
         // The same faults injected at a narrow lane, a word-1 lane and a
         // word-3 lane respectively.
         for (k, fault) in faults[..take].iter().enumerate() {
