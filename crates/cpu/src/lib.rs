@@ -11,7 +11,8 @@
 //!   33-cycle serial divide matching the divider netlist protocol of one
 //!   load cycle plus 32 iterations ([`cpu::DIV_LATENCY`]), full
 //!   forwarding);
-//! - [`Memory`] — big-endian sparse memory with program loading;
+//! - [`Memory`] — big-endian sparse memory in flat 4 KiB pages, with
+//!   program loading;
 //! - [`cache`] — direct-mapped I/D caches plus the paper's *analytic* stall
 //!   model (Section 4 assumes a 5 % miss rate and 20-cycle penalty);
 //! - [`trace`] — per-component operand capture: every executed instruction

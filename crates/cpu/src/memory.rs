@@ -1,17 +1,39 @@
 //! Sparse big-endian memory.
 
-use std::collections::HashMap;
-
 use sbst_isa::Program;
+
+/// Words per 4 KiB page.
+const PAGE_WORDS: usize = 1024;
+/// Address bits below the page number.
+const PAGE_SHIFT: u32 = 12;
+
+/// One 4 KiB page: its words plus a bitmap of the words ever written.
+#[derive(Debug, Clone)]
+struct Page {
+    words: [u32; PAGE_WORDS],
+    written: [u64; PAGE_WORDS / 64],
+}
+
+/// Index of the word containing `addr` within its page.
+fn word_index(addr: u32) -> usize {
+    (addr >> 2) as usize & (PAGE_WORDS - 1)
+}
 
 /// Word-granular sparse memory with MIPS big-endian byte ordering.
 ///
+/// Storage is a few flat 4 KiB pages, allocated on first write and found
+/// by a scan over the live page numbers: a self-test routine touches only
+/// its code and data windows, so a lookup is one or two compares.
 /// Unwritten locations read as zero (like an initialized SRAM model); this
 /// keeps self-test program behaviour deterministic without requiring an
 /// explicit memory map.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    words: HashMap<u32, u32>,
+    /// Page numbers (`addr >> 12`) of the live pages, parallel to `pages`.
+    numbers: Vec<u32>,
+    pages: Vec<Box<Page>>,
+    /// Distinct words ever written.
+    written: usize,
 }
 
 impl Memory {
@@ -20,14 +42,43 @@ impl Memory {
         Memory::default()
     }
 
+    fn page(&self, addr: u32) -> Option<&Page> {
+        let number = addr >> PAGE_SHIFT;
+        let i = self.numbers.iter().position(|&n| n == number)?;
+        Some(&self.pages[i])
+    }
+
+    fn page_mut(&mut self, addr: u32) -> &mut Page {
+        let number = addr >> PAGE_SHIFT;
+        let i = match self.numbers.iter().position(|&n| n == number) {
+            Some(i) => i,
+            None => {
+                self.numbers.push(number);
+                self.pages.push(Box::new(Page {
+                    words: [0; PAGE_WORDS],
+                    written: [0; PAGE_WORDS / 64],
+                }));
+                self.pages.len() - 1
+            }
+        };
+        &mut self.pages[i]
+    }
+
     /// Reads the aligned 32-bit word containing `addr`.
     pub fn read_word(&self, addr: u32) -> u32 {
-        self.words.get(&(addr & !3)).copied().unwrap_or(0)
+        self.page(addr)
+            .map_or(0, |page| page.words[word_index(addr)])
     }
 
     /// Writes the aligned 32-bit word containing `addr`.
     pub fn write_word(&mut self, addr: u32, value: u32) {
-        self.words.insert(addr & !3, value);
+        let index = word_index(addr);
+        let (slot, bit) = (index / 64, 1u64 << (index % 64));
+        let page = self.page_mut(addr);
+        page.words[index] = value;
+        let fresh = page.written[slot] & bit == 0;
+        page.written[slot] |= bit;
+        self.written += usize::from(fresh);
     }
 
     /// Reads the byte at `addr` (big-endian lane numbering).
@@ -70,9 +121,9 @@ impl Memory {
         }
     }
 
-    /// Number of words ever written (footprint proxy).
+    /// Number of distinct words ever written (footprint proxy).
     pub fn written_words(&self) -> usize {
-        self.words.len()
+        self.written
     }
 }
 
