@@ -21,12 +21,11 @@
 //!
 //! The fault list is partitioned in index order into contiguous batches
 //! of the engine's [`SimEngine::faults_per_pass`], and the batches fan out
-//! over scoped worker threads. Batches are mutually independent — every
-//! worker owns a private simulator — so the reduction is a deterministic,
-//! fault-index-ordered merge. Workers publish detections into a shared
-//! atomic bitmap as they find them (each fault's bit is owned by exactly
-//! one batch, hence one thread), and `drop_on_detect` stops clocking a
-//! batch as soon as all of its own faults are detected.
+//! over worker threads ([`crate::fan_out`]). Every batch runs on a private
+//! simulator and reports its faults' first detecting cycles; the merge
+//! concatenates them in batch order. `drop_on_detect` stops clocking a
+//! batch as soon as all of its own faults are detected — dropping is per
+//! batch, so no state is shared between workers.
 //!
 //! Coverage, per-fault detecting cycles and fault-free responses are
 //! bit-identical across both engines and every thread count: lanes are
@@ -34,12 +33,13 @@
 //! detected, and the reference batch always spans the whole stimulus.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::coverage::FaultCoverage;
+use crate::fanout::{fan_out, resolve_threads};
 use crate::fault::{Fault, TransitionFault};
+use crate::net::NetId;
 use crate::netlist::Netlist;
 use crate::sim::{Simulator, LANES};
 use crate::tape::{CompiledTape, TapeSimulator, MAX_LANE_WORDS};
@@ -51,9 +51,8 @@ use crate::tape::{CompiledTape, TapeSimulator, MAX_LANE_WORDS};
 /// from injection.
 pub const FAULTS_PER_BATCH: usize = LANES - 1;
 
-// Lane masks, the detection bitmap and the per-batch live mask are all
-// `u64` words; the lane count must match exactly or injection masks would
-// silently truncate.
+// Lane masks and the per-batch live mask are `u64` words; the lane count
+// must match exactly or injection masks would silently truncate.
 const _: () = assert!(
     LANES == u64::BITS as usize,
     "LANES must equal the bit width of the u64 lane masks"
@@ -167,12 +166,10 @@ impl SimEngine {
 pub struct FaultSimConfig {
     /// Stop simulating a batch as soon as every fault in it is detected.
     pub drop_on_detect: bool,
-    /// Reset flip-flops before each batch (almost always desired).
-    pub reset_between_batches: bool,
     /// Worker threads for fault-batch fan-out.
     ///
     /// `None` (the default) uses [`std::thread::available_parallelism`];
-    /// `Some(1)` is the exact single-threaded legacy path; `Some(n)` pins
+    /// `Some(1)` grades every batch on the calling thread; `Some(n)` pins
     /// the pool, which is how benches make wall-clock numbers reproducible.
     /// The effective count never exceeds the number of batches. Coverage
     /// results are bit-identical for every setting.
@@ -187,7 +184,6 @@ impl Default for FaultSimConfig {
     fn default() -> Self {
         FaultSimConfig {
             drop_on_detect: true,
-            reset_between_batches: true,
             threads: None,
             engine: SimEngine::default(),
         }
@@ -209,15 +205,6 @@ impl FaultSimConfig {
             engine,
             ..FaultSimConfig::default()
         }
-    }
-
-    /// The worker count this configuration resolves to for `batch_count`
-    /// fault batches.
-    pub fn resolved_threads(&self, batch_count: usize) -> usize {
-        let requested = self
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        requested.clamp(1, batch_count.max(1))
     }
 }
 
@@ -365,41 +352,13 @@ impl FaultSimResult {
     }
 }
 
-/// Shared atomic detection bitmap, one bit per fault index.
-///
-/// Each bit is set by at most one worker (the one grading the fault's
-/// batch), so relaxed ordering suffices; the scoped-thread join provides
-/// the final happens-before edge for the merge.
-struct DetectedBitmap {
-    words: Vec<AtomicU64>,
-}
-
-impl DetectedBitmap {
-    fn new(fault_count: usize) -> Self {
-        DetectedBitmap {
-            words: (0..fault_count.div_ceil(64).max(1))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        }
-    }
-
-    fn set(&self, index: usize) {
-        self.words[index / 64].fetch_or(1u64 << (index % 64), Ordering::Relaxed);
-    }
-
-    fn get(&self, index: usize) -> bool {
-        self.words[index / 64].load(Ordering::Relaxed) >> (index % 64) & 1 == 1
-    }
-}
-
 /// The fault list being graded: either classic single-stuck-at faults or
 /// gross transition-delay faults (two-pattern detection).
 ///
 /// This indirection lets the batching, threading, lane-assignment and
 /// detection machinery be shared between both models: the only
 /// model-specific step is *injection*, which happens once per batch before
-/// the cycle loop, so the per-cycle hot path is identical (and the
-/// stuck-at path stays exactly as fast as before).
+/// the cycle loop, so the per-cycle hot path is identical.
 #[derive(Clone, Copy)]
 enum FaultList<'f> {
     Stuck(&'f [Fault]),
@@ -414,26 +373,104 @@ impl<'f> FaultList<'f> {
         }
     }
 
-    /// Injects fault `index` into the 64-lane reference simulator.
-    fn inject(&self, sim: &mut Simulator<'_>, index: usize, lane_mask: u64) {
+    /// Injects fault `index` into lane `lane` of a batch simulator.
+    fn inject<const W: usize>(&self, sim: &mut impl LaneSim<W>, index: usize, lane: usize) {
         match self {
-            FaultList::Stuck(faults) => sim.inject_fault(&faults[index], lane_mask),
-            FaultList::Transition(faults) => sim.inject_transition_fault(&faults[index], lane_mask),
+            FaultList::Stuck(faults) => sim.inject_stuck(&faults[index], lane),
+            FaultList::Transition(faults) => sim.inject_transition(&faults[index], lane),
         }
+    }
+}
+
+/// A simulator the batch loop can drive: `W` lane words per net, with
+/// lane 0 of word 0 the fault-free reference machine. Implemented by the
+/// 64-lane full-eval [`Simulator`] (`W = 1`) and by the compiled tape
+/// (`W = `[`MAX_LANE_WORDS`]).
+trait LaneSim<const W: usize> {
+    fn inject_stuck(&mut self, fault: &Fault, lane: usize);
+    fn inject_transition(&mut self, fault: &TransitionFault, lane: usize);
+    fn set_input_at(&mut self, pos: usize, value: bool);
+    fn eval(&mut self);
+    fn lanes(&self, net: NetId) -> [u64; W];
+    fn step(&mut self);
+    /// Gate-evaluation events performed over `cycles` clocked cycles.
+    fn events(&self, cycles: u64) -> u64;
+}
+
+impl LaneSim<1> for Simulator<'_> {
+    fn inject_stuck(&mut self, fault: &Fault, lane: usize) {
+        self.inject_fault(fault, 1u64 << lane);
     }
 
-    /// Injects fault `index` into a wide compiled-tape simulator.
-    fn inject_tape<const W: usize>(
-        &self,
-        sim: &mut TapeSimulator<&CompiledTape, W>,
-        index: usize,
-        lane: usize,
-    ) {
-        match self {
-            FaultList::Stuck(faults) => sim.inject_fault(&faults[index], lane),
-            FaultList::Transition(faults) => sim.inject_transition_fault(&faults[index], lane),
-        }
+    fn inject_transition(&mut self, fault: &TransitionFault, lane: usize) {
+        self.inject_transition_fault(fault, 1u64 << lane);
     }
+
+    fn set_input_at(&mut self, pos: usize, value: bool) {
+        let net = self.netlist().inputs()[pos];
+        self.set_input(net, value);
+    }
+
+    fn eval(&mut self) {
+        Simulator::eval(self);
+    }
+
+    fn lanes(&self, net: NetId) -> [u64; 1] {
+        [self.value(net)]
+    }
+
+    fn step(&mut self) {
+        Simulator::step(self);
+    }
+
+    /// Full evaluation: every combinational gate on every clocked cycle.
+    fn events(&self, cycles: u64) -> u64 {
+        cycles * self.netlist().comb_order().len() as u64
+    }
+}
+
+impl<const W: usize> LaneSim<W> for TapeSimulator<&CompiledTape, W> {
+    fn inject_stuck(&mut self, fault: &Fault, lane: usize) {
+        self.inject_fault(fault, lane);
+    }
+
+    fn inject_transition(&mut self, fault: &TransitionFault, lane: usize) {
+        self.inject_transition_fault(fault, lane);
+    }
+
+    #[inline]
+    fn set_input_at(&mut self, pos: usize, value: bool) {
+        TapeSimulator::set_input_at(self, pos, value);
+    }
+
+    fn eval(&mut self) {
+        TapeSimulator::eval(self);
+    }
+
+    #[inline]
+    fn lanes(&self, net: NetId) -> [u64; W] {
+        self.value(net)
+    }
+
+    fn step(&mut self) {
+        TapeSimulator::step(self);
+    }
+
+    fn events(&self, _cycles: u64) -> u64 {
+        TapeSimulator::events(self)
+    }
+}
+
+/// What grading one batch reports back to the merge.
+struct BatchOutcome {
+    /// First detecting cycle of each fault in the batch, in batch order.
+    detecting_cycle: Vec<Option<u32>>,
+    /// Fault-free responses of every observed cycle (first batch only).
+    reference: Option<Vec<Vec<u64>>>,
+    /// Cycles clocked.
+    cycles: u64,
+    /// Gate-evaluation events performed.
+    events: u64,
 }
 
 /// Parallel single-stuck-at fault simulator.
@@ -512,321 +549,110 @@ impl<'a> FaultSimulator<'a> {
     /// Shared grading driver for both fault models.
     fn simulate_list(&self, faults: FaultList<'_>, stimulus: &Stimulus) -> FaultSimResult {
         let start = Instant::now();
-        let batches = fault_batches(faults.len(), self.config.engine.faults_per_pass());
+        let engine = self.config.engine;
+        let batches = fault_batches(faults.len(), engine.faults_per_pass());
         // The compiled engine's tape is built once per *simulator* and
         // shared (immutably) by every worker and every later call; each
-        // worker still owns a private simulator state.
+        // batch still gets a private simulator state.
         let mut tape_compilations = 0u64;
-        let tape = matches!(self.config.engine, SimEngine::Compiled).then(|| {
+        let tape = matches!(engine, SimEngine::Compiled).then(|| {
             self.tape.get_or_init(|| {
                 tape_compilations += 1;
                 CompiledTape::compile(self.netlist)
             })
         });
-        let threads = self.config.resolved_threads(batches.len());
-        let mut result = if threads <= 1 {
-            self.simulate_serial(tape, &batches, faults, stimulus)
-        } else {
-            self.simulate_threaded(tape, &batches, faults, stimulus, threads)
-        };
-        result.threads_used = threads;
-        result.engine = self.config.engine;
-        result.wall_time = start.elapsed();
-        result.stats.batches = batches.len() as u64;
-        result.stats.cycles_scheduled = batches.len() as u64 * stimulus.len() as u64;
-        result.stats.cycles_simulated = result.stats.per_thread.iter().map(|t| t.cycles).sum();
-        result.stats.events_simulated = result.stats.per_thread.iter().map(|t| t.events).sum();
-        result.stats.events_full_eval =
-            result.stats.cycles_simulated * self.netlist.comb_order().len() as u64;
-        if let Some(tape) = tape {
-            result.stats.tape_len = tape.tape_len() as u64;
-            result.stats.chains_collapsed = tape.chains_collapsed() as u64;
-        }
-        result.stats.tape_compilations = tape_compilations;
-        result.stats.lane_slots_filled = faults.len() as u64;
-        result.stats.lane_slots_total =
-            batches.len() as u64 * self.config.engine.faults_per_pass() as u64;
-        result
-    }
+        let (graded, per_thread) = fan_out(
+            &batches,
+            resolve_threads(self.config.threads),
+            ThreadStats::default,
+            |worker, batch| {
+                let busy_start = Instant::now();
+                let outcome = match tape {
+                    Some(tape) => self.run_batch(
+                        TapeSimulator::<_, MAX_LANE_WORDS>::new(tape),
+                        faults,
+                        batch,
+                        stimulus,
+                    ),
+                    None => self.run_batch(Simulator::new(self.netlist), faults, batch, stimulus),
+                };
+                worker.batches += 1;
+                worker.cycles += outcome.cycles;
+                worker.events += outcome.events;
+                worker.busy += busy_start.elapsed();
+                outcome
+            },
+        );
 
-    /// The legacy single-threaded path: batches graded in order on the
-    /// calling thread.
-    fn simulate_serial(
-        &self,
-        tape: Option<&CompiledTape>,
-        batches: &[Range<usize>],
-        faults: FaultList<'_>,
-        stimulus: &Stimulus,
-    ) -> FaultSimResult {
-        let mut detected = vec![false; faults.len()];
-        let mut detecting_cycle = vec![None; faults.len()];
+        // Batches come back in fault-index order, whichever worker graded
+        // them, so concatenating them is the deterministic merge.
+        let mut detecting_cycle = Vec::with_capacity(faults.len());
         let mut fault_free_responses = Vec::new();
-        let mut thread_stats = ThreadStats::default();
-        let busy_start = Instant::now();
-        for (index, batch) in batches.iter().enumerate() {
-            let (cycles_run, events_run, reference) = self.run_batch(
-                tape,
-                faults,
-                batch.clone(),
-                stimulus,
-                index == 0,
-                &mut |fault_index, cycle| {
-                    detected[fault_index] = true;
-                    detecting_cycle[fault_index] = Some(cycle);
-                },
-            );
-            thread_stats.batches += 1;
-            thread_stats.cycles += cycles_run;
-            thread_stats.events += events_run;
-            if let Some(responses) = reference {
+        for outcome in graded {
+            detecting_cycle.extend(outcome.detecting_cycle);
+            if let Some(responses) = outcome.reference {
                 fault_free_responses = responses;
             }
         }
-        thread_stats.busy = busy_start.elapsed();
+        let cycles_simulated: u64 = per_thread.iter().map(|t| t.cycles).sum();
+        let (tape_len, chains_collapsed) = tape.map_or((0, 0), |tape| {
+            (tape.tape_len() as u64, tape.chains_collapsed() as u64)
+        });
         FaultSimResult {
-            detected,
+            detected: detecting_cycle.iter().map(Option::is_some).collect(),
             detecting_cycle,
             fault_free_responses,
-            threads_used: 1,
-            engine: self.config.engine,
-            wall_time: Duration::ZERO,
+            threads_used: per_thread.len(),
+            engine,
+            wall_time: start.elapsed(),
             stats: SimStats {
-                per_thread: vec![thread_stats],
-                ..SimStats::default()
+                batches: batches.len() as u64,
+                cycles_simulated,
+                cycles_scheduled: batches.len() as u64 * stimulus.len() as u64,
+                events_simulated: per_thread.iter().map(|t| t.events).sum(),
+                events_full_eval: cycles_simulated * self.netlist.comb_order().len() as u64,
+                tape_len,
+                chains_collapsed,
+                tape_compilations,
+                lane_slots_filled: faults.len() as u64,
+                lane_slots_total: batches.len() as u64 * engine.faults_per_pass() as u64,
+                per_thread,
             },
         }
     }
 
-    /// Fans batches out over `threads` scoped workers and merges the
-    /// per-batch results in fault-index order.
-    fn simulate_threaded(
-        &self,
-        tape: Option<&CompiledTape>,
-        batches: &[Range<usize>],
-        faults: FaultList<'_>,
-        stimulus: &Stimulus,
-        threads: usize,
-    ) -> FaultSimResult {
-        let bitmap = DetectedBitmap::new(faults.len());
-        // One slot per batch for the detecting-cycle vector; each slot is
-        // written by exactly one worker.
-        let cycle_slots: Vec<OnceLock<Vec<Option<u32>>>> =
-            (0..batches.len()).map(|_| OnceLock::new()).collect();
-        let reference_slot: OnceLock<Vec<Vec<u64>>> = OnceLock::new();
-        // One slot per worker for its accounting; written once at exit.
-        let thread_slots: Vec<OnceLock<ThreadStats>> =
-            (0..threads).map(|_| OnceLock::new()).collect();
-        let next_batch = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            let bitmap = &bitmap;
-            let cycle_slots = &cycle_slots;
-            let reference_slot = &reference_slot;
-            let next_batch = &next_batch;
-            for thread_slot in &thread_slots {
-                scope.spawn(move || {
-                    let mut local = ThreadStats::default();
-                    let busy_start = Instant::now();
-                    loop {
-                        let index = next_batch.fetch_add(1, Ordering::Relaxed);
-                        let Some(batch) = batches.get(index) else {
-                            break;
-                        };
-                        let mut cycles = vec![None; batch.len()];
-                        let (cycles_run, events_run, reference) = self.run_batch(
-                            tape,
-                            faults,
-                            batch.clone(),
-                            stimulus,
-                            index == 0,
-                            &mut |fault_index, cycle| {
-                                bitmap.set(fault_index);
-                                cycles[fault_index - batch.start] = Some(cycle);
-                            },
-                        );
-                        local.batches += 1;
-                        local.cycles += cycles_run;
-                        local.events += events_run;
-                        cycle_slots[index]
-                            .set(cycles)
-                            .expect("each batch is graded exactly once");
-                        if let Some(responses) = reference {
-                            reference_slot
-                                .set(responses)
-                                .expect("only batch 0 records the reference");
-                        }
-                    }
-                    local.busy = busy_start.elapsed();
-                    thread_slot
-                        .set(local)
-                        .expect("each worker reports exactly once");
-                });
-            }
-        });
-
-        // Deterministic reduction: visit batches (hence faults) in batch
-        // order, independent of which worker graded what when. Each fault
-        // index lives in exactly one batch.
-        let mut detected = vec![false; faults.len()];
-        let mut detecting_cycle = vec![None; faults.len()];
-        for (index, batch) in batches.iter().enumerate() {
-            let cycles = cycle_slots[index].get().expect("every batch ran");
-            for (offset, fault_index) in batch.clone().enumerate() {
-                detecting_cycle[fault_index] = cycles[offset];
-                detected[fault_index] = bitmap.get(fault_index);
-            }
-        }
-        FaultSimResult {
-            detected,
-            detecting_cycle,
-            fault_free_responses: reference_slot.into_inner().unwrap_or_default(),
-            threads_used: threads,
-            engine: self.config.engine,
-            wall_time: Duration::ZERO,
-            stats: SimStats {
-                per_thread: thread_slots
-                    .into_iter()
-                    .map(|slot| slot.into_inner().expect("every worker reported"))
-                    .collect(),
-                ..SimStats::default()
-            },
-        }
-    }
-
-    /// Grades one batch of faults (a contiguous range of fault indices) on a
-    /// private simulator: the compiled tape when one is given, the 64-lane
-    /// full-eval reference [`Simulator`] otherwise.
+    /// Grades one batch of faults (a contiguous range of fault indices) on
+    /// the private simulator `sim`, one fault per lane from lane 1 up.
     ///
-    /// Reports each detection through `on_detect(global_fault_index,
-    /// cycle)`. When `record_reference` is set (the first batch), the
-    /// fault-free lane-0 responses of every observed cycle are returned and
-    /// the batch never stops early — the reference must span the whole
-    /// stimulus. Other batches may stop early under
+    /// The first batch (the one starting at fault 0) also records the
+    /// fault-free lane-0 responses of every observed cycle and never stops
+    /// early: the reference must span the whole stimulus. Other batches
+    /// stop once all their faults are detected under
     /// [`FaultSimConfig::drop_on_detect`].
-    ///
-    /// Returns the number of cycles clocked and gate-evaluation events
-    /// performed, alongside the optional reference responses.
-    fn run_batch(
+    fn run_batch<const W: usize>(
         &self,
-        tape: Option<&CompiledTape>,
+        mut sim: impl LaneSim<W>,
         faults: FaultList<'_>,
-        batch: Range<usize>,
+        batch: &Range<usize>,
         stimulus: &Stimulus,
-        record_reference: bool,
-        on_detect: &mut dyn FnMut(usize, u32),
-    ) -> (u64, u64, Option<Vec<Vec<u64>>>) {
-        if let Some(tape) = tape {
-            return self.run_batch_compiled(
-                tape,
-                faults,
-                batch,
-                stimulus,
-                record_reference,
-                on_detect,
-            );
+    ) -> BatchOutcome {
+        debug_assert!(batch.len() < 64 * W, "lane 0 is the reference");
+        let record_reference = batch.start == 0;
+        for (offset, fault_index) in batch.clone().enumerate() {
+            faults.inject(&mut sim, fault_index, offset + 1);
         }
-        debug_assert!(batch.len() <= FAULTS_PER_BATCH);
-        let mut sim = Simulator::new(self.netlist);
-        if self.config.reset_between_batches {
-            sim.reset();
-        }
-        for (lane_off, fault_index) in batch.clone().enumerate() {
-            faults.inject(&mut sim, fault_index, 1u64 << (lane_off + 1));
-        }
-        // Mask of lanes carrying live (not yet detected) faults:
-        // lanes 1..=batch.len().
-        let live_mask: u64 = (((1u128 << batch.len()) - 1) as u64) << 1;
-        let mut undetected_mask = live_mask;
-        let mut fault_free_responses: Vec<Vec<u64>> = Vec::new();
-        let mut cycles_run: u64 = 0;
-
-        for (cycle, (inputs, observe)) in stimulus.iter().enumerate() {
-            cycles_run += 1;
-            let cycle_index = cycle as u32;
-            debug_assert_eq!(inputs.len(), self.netlist.inputs().len());
-            for (pos, &net) in self.netlist.inputs().iter().enumerate() {
-                sim.set_input(net, inputs[pos]);
-            }
-            sim.eval();
-            if observe {
-                let mut diff_mask = 0u64;
-                let outputs = self.netlist.outputs();
-                let mut response_words: Vec<u64> = if record_reference {
-                    vec![0; outputs.len().div_ceil(64)]
-                } else {
-                    Vec::new()
-                };
-                for (k, &out) in outputs.iter().enumerate() {
-                    let v = sim.value(out);
-                    let reference = 0u64.wrapping_sub(v & 1); // broadcast lane 0
-                    diff_mask |= v ^ reference;
-                    if record_reference && (v & 1) == 1 {
-                        response_words[k / 64] |= 1u64 << (k % 64);
-                    }
-                }
-                if record_reference {
-                    fault_free_responses.push(response_words);
-                }
-                let newly = diff_mask & undetected_mask;
-                if newly != 0 {
-                    let mut bits = newly;
-                    while bits != 0 {
-                        let lane = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        on_detect(batch.start + lane - 1, cycle_index);
-                    }
-                    undetected_mask &= !newly;
-                    if self.config.drop_on_detect && undetected_mask == 0 && !record_reference {
-                        break;
-                    }
-                }
-            }
-            sim.step();
-        }
-        // Full evaluation: every combinational gate on every clocked cycle.
-        let events = cycles_run * self.netlist.comb_order().len() as u64;
-        (
-            cycles_run,
-            events,
-            record_reference.then_some(fault_free_responses),
-        )
-    }
-
-    /// [`FaultSimulator::run_batch`] for the compiled tape engine: the
-    /// same grading semantics at [`MAX_LANE_WORDS`]` × 64 = 256` lanes —
-    /// the detection masks, live mask and responses become `[u64; 4]`
-    /// blocks, with lane 0 of word 0 still the fault-free reference.
-    fn run_batch_compiled(
-        &self,
-        tape: &CompiledTape,
-        faults: FaultList<'_>,
-        batch: Range<usize>,
-        stimulus: &Stimulus,
-        record_reference: bool,
-        on_detect: &mut dyn FnMut(usize, u32),
-    ) -> (u64, u64, Option<Vec<Vec<u64>>>) {
-        const W: usize = MAX_LANE_WORDS;
-        debug_assert!(batch.len() <= SimEngine::Compiled.faults_per_pass());
-        let mut sim: TapeSimulator<&CompiledTape, W> = TapeSimulator::new(tape);
-        if self.config.reset_between_batches {
-            sim.reset();
-        }
-        for (lane_off, fault_index) in batch.clone().enumerate() {
-            faults.inject_tape(&mut sim, fault_index, lane_off + 1);
-        }
-        // Mask of lanes carrying live (not yet detected) faults:
-        // lanes 1..=batch.len() across the four words.
-        let mut live = [0u64; W];
+        // Lanes carrying a fault not yet detected: 1..=batch.len().
+        let mut undetected = [0u64; W];
         for lane in 1..=batch.len() {
-            live[lane / 64] |= 1u64 << (lane % 64);
+            undetected[lane / 64] |= 1u64 << (lane % 64);
         }
-        let mut undetected = live;
-        let mut fault_free_responses: Vec<Vec<u64>> = Vec::new();
-        let mut cycles_run: u64 = 0;
+        let mut detecting_cycle = vec![None; batch.len()];
+        let mut reference: Vec<Vec<u64>> = Vec::new();
+        let mut cycles: u64 = 0;
+        let outputs = self.netlist.outputs();
 
         for (cycle, (inputs, observe)) in stimulus.iter().enumerate() {
-            cycles_run += 1;
-            let cycle_index = cycle as u32;
+            cycles += 1;
             debug_assert_eq!(inputs.len(), self.netlist.inputs().len());
             for (pos, &value) in inputs.iter().enumerate() {
                 sim.set_input_at(pos, value);
@@ -834,39 +660,37 @@ impl<'a> FaultSimulator<'a> {
             sim.eval();
             if observe {
                 let mut diff = [0u64; W];
-                let outputs = self.netlist.outputs();
                 let mut response_words: Vec<u64> = if record_reference {
                     vec![0; outputs.len().div_ceil(64)]
                 } else {
                     Vec::new()
                 };
                 for (k, &out) in outputs.iter().enumerate() {
-                    let v = sim.value(out);
-                    let reference = 0u64.wrapping_sub(v[0] & 1); // broadcast lane 0
+                    let v = sim.lanes(out);
+                    let lane0 = 0u64.wrapping_sub(v[0] & 1); // broadcast lane 0
                     for w in 0..W {
-                        diff[w] |= v[w] ^ reference;
+                        diff[w] |= v[w] ^ lane0;
                     }
                     if record_reference && (v[0] & 1) == 1 {
                         response_words[k / 64] |= 1u64 << (k % 64);
                     }
                 }
                 if record_reference {
-                    fault_free_responses.push(response_words);
+                    reference.push(response_words);
                 }
                 let mut any_new = false;
                 for w in 0..W {
-                    let newly = diff[w] & undetected[w];
+                    let mut newly = diff[w] & undetected[w];
                     if newly == 0 {
                         continue;
                     }
                     any_new = true;
-                    let mut bits = newly;
-                    while bits != 0 {
-                        let lane = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        on_detect(batch.start + lane - 1, cycle_index);
-                    }
                     undetected[w] &= !newly;
+                    while newly != 0 {
+                        let lane = w * 64 + newly.trailing_zeros() as usize;
+                        newly &= newly - 1;
+                        detecting_cycle[lane - 1] = Some(cycle as u32);
+                    }
                 }
                 if any_new
                     && self.config.drop_on_detect
@@ -878,11 +702,12 @@ impl<'a> FaultSimulator<'a> {
             }
             sim.step();
         }
-        (
-            cycles_run,
-            sim.events(),
-            record_reference.then_some(fault_free_responses),
-        )
+        BatchOutcome {
+            detecting_cycle,
+            reference: record_reference.then_some(reference),
+            events: sim.events(cycles),
+            cycles,
+        }
     }
 }
 

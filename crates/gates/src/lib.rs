@@ -43,6 +43,7 @@
 //! ```
 
 mod error;
+mod fanout;
 mod fault;
 mod fault_sim;
 mod gate;
@@ -57,6 +58,7 @@ pub mod scoap;
 pub mod verilog;
 
 pub use error::BuildNetlistError;
+pub use fanout::{fan_out, resolve_threads};
 pub use fault::{
     collapse_faults, enumerate_faults, enumerate_transition_faults, Fault, FaultModel, FaultSite,
     TransitionFault,
@@ -71,6 +73,6 @@ pub use netlist::{Netlist, NetlistBuilder};
 pub use scoap::Testability;
 pub use sim::{Simulator, LANES};
 pub use tape::{CompiledTape, TapeSimulator, MAX_LANE_WORDS};
-pub use tape3::{eval3, Dual3, Tape3, T3};
+pub use tape3::{eval3, eval_dual_gate, eval_dual_reference, Dual3, Tape3, T3};
 
 pub use coverage::FaultCoverage;

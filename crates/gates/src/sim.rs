@@ -37,6 +37,18 @@ impl InjectMask {
     }
 }
 
+/// Gross transition-delay forcing of one lane word: `v` is the net's
+/// freshly computed value, `prev` the value it computed on the previous
+/// cycle, and `rise` / `fall` the lanes carrying a slow-to-rise /
+/// slow-to-fall fault. Armed lanes saw the initial value last cycle, so
+/// they hold it now. Shared by [`Simulator`] and the compiled tape.
+#[inline]
+pub(crate) fn hold_armed_lanes(v: u64, rise: u64, fall: u64, prev: u64) -> u64 {
+    let force0 = rise & !prev;
+    let force1 = fall & prev;
+    (v & !force0) | force1
+}
+
 /// Cycle-based logic simulator over a [`Netlist`], evaluating 64 independent
 /// machines per pass (see [`LANES`]).
 ///
@@ -164,10 +176,7 @@ impl<'a> Simulator<'a> {
         // A net first seen this eval (fault injected mid-run) has no
         // arming state yet and cannot capture.
         let Some(prev) = prev else { return v };
-        // Armed lanes saw the initial value last cycle; they hold it now.
-        let force0 = rise & !prev;
-        let force1 = fall & prev;
-        (v & !force0) | force1
+        hold_armed_lanes(v, rise, fall, prev)
     }
 
     /// Drives a primary input with the same logic value in every lane.

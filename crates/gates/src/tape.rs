@@ -33,6 +33,7 @@ use crate::fault::{Fault, FaultSite, TransitionFault};
 use crate::gate::{GateId, GateKind};
 use crate::net::NetId;
 use crate::netlist::Netlist;
+use crate::sim::hold_armed_lanes;
 
 /// Maximum number of 64-bit lane words a [`TapeSimulator`] supports; the
 /// fault simulator's compiled engine runs at this width (256 lanes).
@@ -816,10 +817,7 @@ impl<const W: usize> LaneState<W> {
             return;
         }
         for w in 0..W {
-            // Armed lanes saw the initial value last cycle; hold it now.
-            let force0 = st.rise[w] & !prev[w];
-            let force1 = st.fall[w] & prev[w];
-            v[w] = (v[w] & !force0) | force1;
+            v[w] = hold_armed_lanes(v[w], st.rise[w], st.fall[w], prev[w]);
         }
     }
 

@@ -23,7 +23,7 @@
 //! fault sites against pins.
 
 use crate::fault::{Fault, FaultSite};
-use crate::gate::GateKind;
+use crate::gate::{GateId, GateKind};
 use crate::netlist::Netlist;
 
 /// Three-valued logic value: `Some(v)` is a known Boolean, `None` is X.
@@ -105,6 +105,71 @@ pub fn eval3(kind: GateKind, inputs: &[T3]) -> T3 {
         },
         GateKind::Dff => unreachable!("three-valued evaluation is combinational"),
     }
+}
+
+/// Interpreted dual-rail evaluation of one gate from the current net
+/// values, with `fault` applied: a faulted input pin is overridden on the
+/// faulty rail, and so is a faulted output stem. `good_in` / `faulty_in`
+/// are caller-owned staging buffers.
+///
+/// This is the reference semantics [`Tape3`] compiles away, and the
+/// per-gate step of PODEM's incremental implication.
+// PODEM's implication loop in `sbst-tpg` calls this once per gate event;
+// without the hint it would not inline across the crate boundary.
+#[inline]
+pub fn eval_dual_gate(
+    netlist: &Netlist,
+    gid: GateId,
+    fault: &Fault,
+    values: &[Dual3],
+    good_in: &mut Vec<T3>,
+    faulty_in: &mut Vec<T3>,
+) -> Dual3 {
+    let gate = netlist.gate(gid);
+    good_in.clear();
+    faulty_in.clear();
+    for (pin, &inp) in gate.inputs.iter().enumerate() {
+        let dr = values[inp.index()];
+        good_in.push(dr.good);
+        let mut f = dr.faulty;
+        if let FaultSite::Pin { gate: fg, pin: fp } = fault.site {
+            if fg == gid && fp as usize == pin {
+                f = Some(fault.stuck_value);
+            }
+        }
+        faulty_in.push(f);
+    }
+    let mut dr = Dual3 {
+        good: eval3(gate.kind, good_in),
+        faulty: eval3(gate.kind, faulty_in),
+    };
+    if fault.site == FaultSite::Stem(gate.output) {
+        dr.faulty = Some(fault.stuck_value);
+    }
+    dr
+}
+
+/// Interpreted dual-rail three-valued simulation: [`eval_dual_gate`] over
+/// [`Netlist::comb_order`]. The differential-testing oracle for
+/// [`Tape3::eval_into`], with the same arguments and result.
+pub fn eval_dual_reference(netlist: &Netlist, pi: &[T3], fault: &Fault) -> Vec<Dual3> {
+    let mut values = vec![Dual3::default(); netlist.net_count()];
+    for (pos, &net) in netlist.inputs().iter().enumerate() {
+        let v = pi[pos];
+        let mut dr = Dual3 { good: v, faulty: v };
+        if fault.site == FaultSite::Stem(net) {
+            dr.faulty = Some(fault.stuck_value);
+        }
+        values[net.index()] = dr;
+    }
+    let mut good_in = Vec::new();
+    let mut faulty_in = Vec::new();
+    for &gid in netlist.comb_order() {
+        let out = netlist.gate(gid).output;
+        values[out.index()] =
+            eval_dual_gate(netlist, gid, fault, &values, &mut good_in, &mut faulty_in);
+    }
+    values
 }
 
 /// One compiled gate: its kind, output net and operand slice in the pool.
@@ -399,7 +464,7 @@ fn mux3(s: T3, d0: T3, d1: T3) -> T3 {
 mod tests {
     use super::*;
     use crate::netlist::NetlistBuilder;
-    use crate::{GateId, NetId};
+    use crate::NetId;
 
     fn full_adder() -> Netlist {
         let mut b = NetlistBuilder::new("fa");
@@ -414,49 +479,6 @@ mod tests {
         b.mark_output(sum, "sum");
         b.mark_output(co, "co");
         b.finish().unwrap()
-    }
-
-    /// Interpreted reference: the pre-compiled-tape dual-rail walk.
-    fn reference(netlist: &Netlist, pi: &[T3], fault: &Fault) -> Vec<Dual3> {
-        let mut values = vec![Dual3::default(); netlist.net_count()];
-        for (pos, &net) in netlist.inputs().iter().enumerate() {
-            let v = pi[pos];
-            let mut dr = Dual3 { good: v, faulty: v };
-            if fault.site == FaultSite::Stem(net) {
-                dr.faulty = Some(fault.stuck_value);
-            }
-            values[net.index()] = dr;
-        }
-        for &gid in netlist.comb_order() {
-            let gate = netlist.gate(gid);
-            let good_in: Vec<T3> = gate.inputs.iter().map(|i| values[i.index()].good).collect();
-            let faulty_in: Vec<T3> = gate
-                .inputs
-                .iter()
-                .enumerate()
-                .map(|(pin, i)| {
-                    if fault.site
-                        == (FaultSite::Pin {
-                            gate: gid,
-                            pin: pin as u8,
-                        })
-                    {
-                        Some(fault.stuck_value)
-                    } else {
-                        values[i.index()].faulty
-                    }
-                })
-                .collect();
-            let mut dr = Dual3 {
-                good: eval3(gate.kind, &good_in),
-                faulty: eval3(gate.kind, &faulty_in),
-            };
-            if fault.site == FaultSite::Stem(gate.output) {
-                dr.faulty = Some(fault.stuck_value);
-            }
-            values[gate.output.index()] = dr;
-        }
-        values
     }
 
     #[test]
@@ -483,7 +505,7 @@ mod tests {
                 tape.eval_into(&pi, fault, &mut values);
                 assert_eq!(
                     values,
-                    reference(&n, &pi, fault),
+                    eval_dual_reference(&n, &pi, fault),
                     "fault {fault:?} pi {pi:?}"
                 );
             }

@@ -20,10 +20,10 @@
 //!   [`AtpgConfig::rng_seed`] and the fault's identity), so a search's
 //!   result is a pure function of (netlist, constraints, config, fault) —
 //!   independent of visitation order and thread count.
-//! * *schedule* — undetected targets are sorted into a canonical
+//! * *fan-out* — undetected targets are sorted into a canonical
 //!   fault-site order and searched in fixed-size rounds; within a round,
-//!   [`std::thread::scope`] workers claim targets from an atomic cursor and
-//!   publish results into per-target slots.
+//!   [`sbst_gates::fan_out`] spreads the searches over workers and returns
+//!   the results in target order.
 //! * *merge* — a sequential reducer applies each round's results in the
 //!   canonical order: accepted tests re-run drop simulation on one
 //!   long-lived [`FaultSimulator`] (shared with the random phase; its
@@ -35,22 +35,27 @@
 //! `outcomes` and [`AtpgStats`] are bit-identical for **any thread count**,
 //! and outcome multisets / kept-pattern sets are invariant under
 //! **permutations of the fault list**.
+//!
+//! Stuck-at ([`Atpg::run`]) and transition-delay ([`Atpg::run_transition`])
+//! ATPG share this one driver; what differs by fault model is the small
+//! `AtpgFault` hook.
 
 mod merge;
-mod schedule;
 mod search;
 
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
 
 use sbst_gates::{
-    Dual3, Fault, FaultSimConfig, FaultSimulator, NetId, Netlist, SimEngine, TransitionFault, T3,
+    fan_out, resolve_threads, Fault, FaultSimConfig, FaultSimResult, FaultSimulator, NetId,
+    Netlist, SimEngine, Stimulus, TransitionFault, T3,
 };
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use search::{Scratch, SearchOutcome, Searcher};
+use search::{Scratch, Searcher};
 
 /// Targets searched speculatively per scheduling round. Fixed (never
 /// derived from the thread count) so round composition — and therefore the
@@ -185,6 +190,14 @@ pub struct AtpgThreadStats {
     pub busy: Duration,
 }
 
+impl AtpgThreadStats {
+    fn accumulate(&mut self, other: &AtpgThreadStats) {
+        self.searches += other.searches;
+        self.backtracks += other.backtracks;
+        self.busy += other.busy;
+    }
+}
+
 /// Result of an ATPG run: the compacted pattern set and per-fault outcomes.
 #[derive(Debug, Clone)]
 pub struct AtpgResult {
@@ -211,8 +224,8 @@ pub struct AtpgResult {
 
 impl AtpgResult {
     /// The pattern set as a fault-simulation stimulus.
-    pub fn stimulus(&self) -> sbst_gates::Stimulus {
-        let mut stim = sbst_gates::Stimulus::new();
+    pub fn stimulus(&self) -> Stimulus {
+        let mut stim = Stimulus::new();
         for p in &self.patterns {
             stim.push_pattern(p);
         }
@@ -258,9 +271,7 @@ impl AtpgTelemetry {
                 .resize(result.thread_stats.len(), AtpgThreadStats::default());
         }
         for (acc, t) in self.thread_stats.iter_mut().zip(&result.thread_stats) {
-            acc.searches += t.searches;
-            acc.backtracks += t.backtracks;
-            acc.busy += t.busy;
+            acc.accumulate(t);
         }
     }
 
@@ -277,9 +288,7 @@ impl AtpgTelemetry {
                 .resize(other.thread_stats.len(), AtpgThreadStats::default());
         }
         for (acc, t) in self.thread_stats.iter_mut().zip(&other.thread_stats) {
-            acc.searches += t.searches;
-            acc.backtracks += t.backtracks;
-            acc.busy += t.busy;
+            acc.accumulate(t);
         }
     }
 }
@@ -306,6 +315,64 @@ pub(crate) fn fault_stream_seed(rng_seed: u64, fault: &Fault) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// What the ATPG driver needs from a fault model. The random phase, the
+/// canonical order, the search rounds and the reducer are shared; only
+/// these steps differ between stuck-at and transition-delay faults.
+pub(crate) trait AtpgFault: Copy + Sync {
+    /// The stuck-at fault whose PODEM test detects this fault. For a
+    /// transition fault this is the capture test: if it is redundant, no
+    /// pattern excites and propagates the stem at its initialization
+    /// value, so no pattern pair exists either.
+    fn podem_target(&self) -> Fault;
+    /// A stuck-at fault whose PODEM test must be applied just before the
+    /// [`AtpgFault::podem_target`] test, if the model needs one.
+    fn initialization_target(&self) -> Option<Fault>;
+    /// Grades `faults` against `stimulus` under this model.
+    fn grade(sim: &FaultSimulator<'_>, faults: &[Self], stimulus: &Stimulus) -> FaultSimResult;
+    /// The random-phase cycles to keep for a fault first detected on
+    /// `cycle`.
+    fn kept_cycles(cycle: u32) -> RangeInclusive<u32>;
+}
+
+impl AtpgFault for Fault {
+    fn podem_target(&self) -> Fault {
+        *self
+    }
+
+    fn initialization_target(&self) -> Option<Fault> {
+        None
+    }
+
+    fn grade(sim: &FaultSimulator<'_>, faults: &[Self], stimulus: &Stimulus) -> FaultSimResult {
+        sim.simulate(faults, stimulus)
+    }
+
+    fn kept_cycles(cycle: u32) -> RangeInclusive<u32> {
+        cycle..=cycle
+    }
+}
+
+impl AtpgFault for TransitionFault {
+    fn podem_target(&self) -> Fault {
+        self.capture_stuck_at()
+    }
+
+    fn initialization_target(&self) -> Option<Fault> {
+        Some(self.initialization_stuck_at())
+    }
+
+    fn grade(sim: &FaultSimulator<'_>, faults: &[Self], stimulus: &Stimulus) -> FaultSimResult {
+        sim.simulate_transition(faults, stimulus)
+    }
+
+    /// The detecting pair `{c-1, c}`. Cycle 0 can never detect (nothing is
+    /// armed yet), so `c-1` is always valid.
+    fn kept_cycles(cycle: u32) -> RangeInclusive<u32> {
+        debug_assert!(cycle > 0, "an unprimed first cycle cannot capture");
+        cycle - 1..=cycle
+    }
 }
 
 /// PODEM automatic test pattern generator over a combinational netlist.
@@ -386,109 +453,7 @@ impl<'a> Atpg<'a> {
 
     /// Runs the random phase followed by PODEM on the remaining faults.
     pub fn run(&self, faults: &[Fault]) -> AtpgResult {
-        let mut rng = StdRng::seed_from_u64(self.config.rng_seed);
-        let n_inputs = self.netlist.inputs().len();
-        let mut outcomes = vec![AtpgOutcome::Aborted; faults.len()];
-        let mut patterns: Vec<Vec<bool>> = Vec::new();
-        let mut stats = AtpgStats::default();
-        // One fault simulator for the whole run: the random phase and every
-        // PODEM drop simulation share it, so the compiled engine pays tape
-        // compilation once per run, not once per generated pattern.
-        let sim = FaultSimulator::with_config(self.netlist, self.sim_config());
-
-        // --- Random phase with fault dropping and pattern compaction ---
-        if self.config.random_patterns > 0 {
-            let mut stim = sbst_gates::Stimulus::new();
-            let mut random_set = Vec::with_capacity(self.config.random_patterns);
-            for _ in 0..self.config.random_patterns {
-                let p: Vec<bool> = (0..n_inputs)
-                    .map(|i| {
-                        let net = self.netlist.inputs()[i];
-                        self.constraints
-                            .get(&net)
-                            .copied()
-                            .unwrap_or_else(|| rng.random())
-                    })
-                    .collect();
-                stim.push_pattern(&p);
-                random_set.push(p);
-            }
-            let res = sim.simulate(faults, &stim);
-            // Keep only patterns that were the first detector of some fault.
-            let mut keep: Vec<u32> = res.detecting_cycle.iter().flatten().copied().collect();
-            keep.sort_unstable();
-            keep.dedup();
-            for &cycle in &keep {
-                patterns.push(random_set[cycle as usize].clone());
-            }
-            for (i, det) in res.detected.iter().enumerate() {
-                if *det {
-                    outcomes[i] = AtpgOutcome::DetectedByRandom;
-                }
-            }
-            stats.random_patterns_tried = self.config.random_patterns as u64;
-            stats.random_patterns_kept = keep.len() as u64;
-            stats.detected_by_random = res.detected.iter().filter(|d| **d).count() as u64;
-        }
-
-        // --- PODEM phase: speculative parallel searches, canonical merge ---
-        let podem_start = Instant::now();
-        let threads = self
-            .config
-            .podem_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .max(1);
-        let searcher = Searcher::new(
-            self.netlist,
-            self.pi_template(),
-            self.config.backtrack_limit,
-            self.config.rng_seed,
-        );
-        // Canonical target order: intrinsic to the fault sites, so the
-        // reduction (and every stat it produces) is invariant under
-        // permutations of the caller's fault list.
-        let mut order: Vec<usize> = (0..faults.len())
-            .filter(|&i| !outcomes[i].is_detected())
-            .collect();
-        order.sort_by_key(|&i| (fault_key(&faults[i]), i));
-
-        let mut thread_stats = vec![AtpgThreadStats::default(); threads];
-        let mut drop_sim_tape_compilations = 0u64;
-        let mut cursor = 0usize;
-        while cursor < order.len() {
-            let mut round: Vec<usize> = Vec::with_capacity(ROUND_TARGETS);
-            while cursor < order.len() && round.len() < ROUND_TARGETS {
-                let i = order[cursor];
-                cursor += 1;
-                if !outcomes[i].is_detected() {
-                    round.push(i);
-                }
-            }
-            if round.is_empty() {
-                continue;
-            }
-            let results =
-                schedule::search_round(&searcher, faults, &round, threads, &mut thread_stats);
-            drop_sim_tape_compilations += merge::apply_round(
-                &sim,
-                faults,
-                &round,
-                results,
-                &mut outcomes,
-                &mut patterns,
-                &mut stats,
-            );
-        }
-
-        AtpgResult {
-            patterns,
-            outcomes,
-            stats,
-            podem_wall_time: podem_start.elapsed(),
-            podem_threads_used: threads,
-            thread_stats,
-            drop_sim_tape_compilations,
-        }
+        self.drive(faults)
     }
 
     /// Runs two-pattern (launch/capture) ATPG for gross transition-delay
@@ -523,16 +488,31 @@ impl<'a> Atpg<'a> {
     /// count and invariant under permutations of the fault list, exactly
     /// as for [`Atpg::run`].
     pub fn run_transition(&self, faults: &[TransitionFault]) -> AtpgResult {
+        self.drive(faults)
+    }
+
+    /// The ATPG driver behind [`Atpg::run`] and [`Atpg::run_transition`].
+    fn drive<F: AtpgFault>(&self, faults: &[F]) -> AtpgResult {
         let mut rng = StdRng::seed_from_u64(self.config.rng_seed);
         let n_inputs = self.netlist.inputs().len();
-        let mut outcomes = vec![AtpgOutcome::Aborted; faults.len()];
-        let mut patterns: Vec<Vec<bool>> = Vec::new();
-        let mut stats = AtpgStats::default();
+        let threads = resolve_threads(self.config.podem_threads);
+        let mut run = AtpgResult {
+            patterns: Vec::new(),
+            outcomes: vec![AtpgOutcome::Aborted; faults.len()],
+            stats: AtpgStats::default(),
+            podem_wall_time: Duration::ZERO,
+            podem_threads_used: threads,
+            thread_stats: vec![AtpgThreadStats::default(); threads],
+            drop_sim_tape_compilations: 0,
+        };
+        // One fault simulator for the whole run: the random phase and every
+        // PODEM drop simulation share it, so the compiled engine pays tape
+        // compilation once per run, not once per generated pattern.
         let sim = FaultSimulator::with_config(self.netlist, self.sim_config());
 
-        // --- Random phase: a random sequence graded as launch/capture pairs ---
+        // --- Random phase with fault dropping and pattern compaction ---
         if self.config.random_patterns > 0 {
-            let mut stim = sbst_gates::Stimulus::new();
+            let mut stim = Stimulus::new();
             let mut random_set = Vec::with_capacity(self.config.random_patterns);
             for _ in 0..self.config.random_patterns {
                 let p: Vec<bool> = (0..n_inputs)
@@ -547,56 +527,48 @@ impl<'a> Atpg<'a> {
                 stim.push_pattern(&p);
                 random_set.push(p);
             }
-            let res = sim.simulate_transition(faults, &stim);
-            // Keep each first-detecting pair {c-1, c}. Cycle 0 can never
-            // detect (nothing is armed yet), so c-1 is always valid.
-            let mut keep: Vec<u32> = Vec::new();
-            for &cycle in res.detecting_cycle.iter().flatten() {
-                debug_assert!(cycle > 0, "an unprimed first cycle cannot capture");
-                keep.push(cycle - 1);
-                keep.push(cycle);
-            }
+            let res = F::grade(&sim, faults, &stim);
+            // Keep only the patterns that first detected some fault.
+            let mut keep: Vec<u32> = res
+                .detecting_cycle
+                .iter()
+                .flatten()
+                .flat_map(|&cycle| F::kept_cycles(cycle))
+                .collect();
             keep.sort_unstable();
             keep.dedup();
             for &cycle in &keep {
-                patterns.push(random_set[cycle as usize].clone());
+                run.patterns.push(random_set[cycle as usize].clone());
             }
             for (i, det) in res.detected.iter().enumerate() {
                 if *det {
-                    outcomes[i] = AtpgOutcome::DetectedByRandom;
+                    run.outcomes[i] = AtpgOutcome::DetectedByRandom;
                 }
             }
-            stats.random_patterns_tried = self.config.random_patterns as u64;
-            stats.random_patterns_kept = keep.len() as u64;
-            stats.detected_by_random = res.detected.iter().filter(|d| **d).count() as u64;
+            run.stats.random_patterns_tried = self.config.random_patterns as u64;
+            run.stats.random_patterns_kept = keep.len() as u64;
+            run.stats.detected_by_random = res.detected.iter().filter(|d| **d).count() as u64;
         }
 
-        // --- PODEM phase: capture searches in speculative parallel rounds,
-        // initialization searches resolved in the canonical-order reducer ---
+        // --- PODEM phase: speculative parallel searches, canonical merge ---
         let podem_start = Instant::now();
-        let threads = self
-            .config
-            .podem_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .max(1);
         let searcher = Searcher::new(
             self.netlist,
             self.pi_template(),
             self.config.backtrack_limit,
             self.config.rng_seed,
         );
-        let capture: Vec<Fault> = faults.iter().map(|f| f.capture_stuck_at()).collect();
-        let init: Vec<Fault> = faults.iter().map(|f| f.initialization_stuck_at()).collect();
-        // Canonical order via the capture-side stuck-at key, which is
-        // injective over transition faults (same net, opposite polarities
-        // map to opposite stuck values).
+        let targets: Vec<Fault> = faults.iter().map(F::podem_target).collect();
+        // Canonical target order: intrinsic to the fault sites, so the
+        // reduction (and every stat it produces) is invariant under
+        // permutations of the caller's fault list. The target key is
+        // injective over transition faults too (same net, opposite
+        // polarities map to opposite stuck values).
         let mut order: Vec<usize> = (0..faults.len())
-            .filter(|&i| !outcomes[i].is_detected())
+            .filter(|&i| !run.outcomes[i].is_detected())
             .collect();
-        order.sort_by_key(|&i| (fault_key(&capture[i]), i));
+        order.sort_by_key(|&i| (fault_key(&targets[i]), i));
 
-        let mut thread_stats = vec![AtpgThreadStats::default(); threads];
-        let mut drop_sim_tape_compilations = 0u64;
         let mut init_scratch = Scratch::default();
         let mut cursor = 0usize;
         while cursor < order.len() {
@@ -604,110 +576,41 @@ impl<'a> Atpg<'a> {
             while cursor < order.len() && round.len() < ROUND_TARGETS {
                 let i = order[cursor];
                 cursor += 1;
-                if !outcomes[i].is_detected() {
+                if !run.outcomes[i].is_detected() {
                     round.push(i);
                 }
             }
             if round.is_empty() {
                 continue;
             }
-            let results =
-                schedule::search_round(&searcher, &capture, &round, threads, &mut thread_stats);
-            for (&target, result) in round.iter().zip(results) {
-                if outcomes[target].is_detected() {
-                    stats.podem_discarded += 1;
-                    continue;
-                }
-                stats.podem_targets += 1;
-                stats.podem_backtracks += result.backtracks;
-                match result.outcome {
-                    SearchOutcome::Test(capture_pattern) => {
-                        let init_res = searcher.search(&init[target], &mut init_scratch);
-                        thread_stats[0].searches += 1;
-                        thread_stats[0].backtracks += init_res.backtracks;
-                        stats.podem_backtracks += init_res.backtracks;
-                        match init_res.outcome {
-                            SearchOutcome::Test(init_pattern) => {
-                                // Drop other remaining faults detected by
-                                // this launch/capture pair.
-                                let remaining: Vec<usize> = (0..faults.len())
-                                    .filter(|&i| !outcomes[i].is_detected())
-                                    .collect();
-                                let remaining_faults: Vec<TransitionFault> =
-                                    remaining.iter().map(|&i| faults[i]).collect();
-                                let mut stim = sbst_gates::Stimulus::new();
-                                stim.push_pattern(&init_pattern);
-                                stim.push_pattern(&capture_pattern);
-                                let res = sim.simulate_transition(&remaining_faults, &stim);
-                                drop_sim_tape_compilations += res.stats.tape_compilations;
-                                for (k, &i) in remaining.iter().enumerate() {
-                                    if res.detected[k] {
-                                        outcomes[i] = AtpgOutcome::DetectedByPodem;
-                                    }
-                                }
-                                debug_assert!(
-                                    outcomes[target].is_detected(),
-                                    "an initialize-then-excite pair must detect its target"
-                                );
-                                patterns.push(init_pattern);
-                                patterns.push(capture_pattern);
-                                stats.podem_tests += 1;
-                            }
-                            SearchOutcome::Redundant | SearchOutcome::Aborted => {
-                                // The capture half is testable, so the
-                                // transition fault is not provably
-                                // redundant — only the (conservative)
-                                // initialization search gave up.
-                                outcomes[target] = AtpgOutcome::Aborted;
-                                stats.aborted += 1;
-                            }
-                        }
-                    }
-                    SearchOutcome::Redundant => {
-                        // No pattern can excite-and-propagate the stem at
-                        // its initialization value, so no capture pattern
-                        // exists for any pair.
-                        outcomes[target] = AtpgOutcome::Redundant;
-                        stats.redundant += 1;
-                    }
-                    SearchOutcome::Aborted => {
-                        outcomes[target] = AtpgOutcome::Aborted;
-                        stats.aborted += 1;
-                    }
-                }
+            let (results, workers) = fan_out(
+                &round,
+                threads,
+                <(Scratch, AtpgThreadStats)>::default,
+                |(scratch, local), &target| {
+                    let busy_start = Instant::now();
+                    let res = searcher.search(&targets[target], scratch);
+                    local.searches += 1;
+                    local.backtracks += res.backtracks;
+                    local.busy += busy_start.elapsed();
+                    res
+                },
+            );
+            for (acc, (_, local)) in run.thread_stats.iter_mut().zip(&workers) {
+                acc.accumulate(local);
             }
+            merge::apply_round(
+                &sim,
+                &searcher,
+                &mut init_scratch,
+                faults,
+                &round,
+                results,
+                &mut run,
+            );
         }
-
-        AtpgResult {
-            patterns,
-            outcomes,
-            stats,
-            podem_wall_time: podem_start.elapsed(),
-            podem_threads_used: threads,
-            thread_stats,
-            drop_sim_tape_compilations,
-        }
-    }
-
-    /// Dual-rail three-valued simulation under a partial PI assignment, on
-    /// the compiled tape (what the PODEM searches run).
-    pub fn simulate_dual(&self, pi: &[T3], fault: &Fault) -> Vec<Dual3> {
-        let searcher = Searcher::new(
-            self.netlist,
-            self.pi_template(),
-            self.config.backtrack_limit,
-            self.config.rng_seed,
-        );
-        let mut values = Vec::new();
-        searcher.eval(pi, fault, &mut values);
-        values
-    }
-
-    /// Dual-rail three-valued simulation by the interpreted netlist walk —
-    /// the pre-tape reference implementation, retained as the differential
-    /// oracle for [`Atpg::simulate_dual`].
-    pub fn simulate_dual_reference(&self, pi: &[T3], fault: &Fault) -> Vec<Dual3> {
-        search::reference_simulate(self.netlist, pi, fault)
+        run.podem_wall_time = podem_start.elapsed();
+        run
     }
 }
 

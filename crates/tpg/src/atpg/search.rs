@@ -28,7 +28,9 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sbst_gates::{eval3, Dual3, Fault, FaultSite, GateId, GateKind, NetId, Netlist, Tape3, T3};
+use sbst_gates::{
+    eval_dual_gate, Dual3, Fault, FaultSite, GateId, GateKind, NetId, Netlist, Tape3, T3,
+};
 
 use super::fault_stream_seed;
 
@@ -76,7 +78,7 @@ pub(crate) struct Scratch {
     /// Nets whose `reach` entry must be reset each iteration: the cone
     /// gates' pins plus the fault site and the primary outputs.
     clear_nets: Vec<u32>,
-    /// eval3 input staging.
+    /// `eval_dual_gate` input staging.
     good_in: Vec<T3>,
     faulty_in: Vec<T3>,
 }
@@ -119,41 +121,6 @@ enum FrontierObjective {
     NoXInput,
 }
 
-/// Evaluates one gate's dual-rail output from the current net values,
-/// applying the faulted-pin override and the output-stem override — the
-/// same semantics as [`reference_simulate`]'s inner loop.
-fn eval_gate(
-    nl: &Netlist,
-    gid: GateId,
-    fault: &Fault,
-    values: &[Dual3],
-    good_in: &mut Vec<T3>,
-    faulty_in: &mut Vec<T3>,
-) -> Dual3 {
-    let gate = nl.gate(gid);
-    good_in.clear();
-    faulty_in.clear();
-    for (pin, &inp) in gate.inputs.iter().enumerate() {
-        let dr = values[inp.index()];
-        good_in.push(dr.good);
-        let mut f = dr.faulty;
-        if let FaultSite::Pin { gate: fg, pin: fp } = fault.site {
-            if fg == gid && fp as usize == pin {
-                f = Some(fault.stuck_value);
-            }
-        }
-        faulty_in.push(f);
-    }
-    let mut dr = Dual3 {
-        good: eval3(gate.kind, good_in),
-        faulty: eval3(gate.kind, faulty_in),
-    };
-    if fault.site == FaultSite::Stem(gate.output) {
-        dr.faulty = Some(fault.stuck_value);
-    }
-    dr
-}
-
 impl<'a> Searcher<'a> {
     pub(crate) fn new(
         netlist: &'a Netlist,
@@ -173,11 +140,6 @@ impl<'a> Searcher<'a> {
             backtrack_limit,
             rng_seed,
         }
-    }
-
-    /// Compiled dual-rail evaluation (exposed for the differential tests).
-    pub(crate) fn eval(&self, pi: &[T3], fault: &Fault, values: &mut Vec<Dual3>) {
-        self.tape.eval_into(pi, fault, values);
     }
 
     /// Collects the static fanout cone of the fault site: every gate an
@@ -269,7 +231,7 @@ impl<'a> Searcher<'a> {
         for lvl in 0..nl.level_count() {
             while let Some(gid) = buckets[lvl].pop() {
                 queued[gid.index()] = false;
-                let new = eval_gate(nl, gid, fault, values, good_in, faulty_in);
+                let new = eval_dual_gate(nl, gid, fault, values, good_in, faulty_in);
                 let out = nl.gate(gid).output;
                 let old = values[out.index()];
                 if new == old {
@@ -564,46 +526,4 @@ impl<'a> Searcher<'a> {
             FrontierObjective::NoFrontier
         }
     }
-}
-
-/// Dual-rail three-valued simulation by an interpreted walk of
-/// [`Netlist::comb_order`] — the original `Atpg::simulate` implementation,
-/// kept verbatim as the differential-testing oracle for [`Tape3`].
-pub(crate) fn reference_simulate(nl: &Netlist, pi: &[T3], fault: &Fault) -> Vec<Dual3> {
-    let mut values = vec![Dual3::default(); nl.net_count()];
-    for (pos, &net) in nl.inputs().iter().enumerate() {
-        let v = pi[pos];
-        let mut dr = Dual3 { good: v, faulty: v };
-        if fault.site == FaultSite::Stem(net) {
-            dr.faulty = Some(fault.stuck_value);
-        }
-        values[net.index()] = dr;
-    }
-    let mut good_in: Vec<T3> = Vec::with_capacity(8);
-    let mut faulty_in: Vec<T3> = Vec::with_capacity(8);
-    for &gid in nl.comb_order() {
-        let gate = nl.gate(gid);
-        good_in.clear();
-        faulty_in.clear();
-        for (pin, &inp) in gate.inputs.iter().enumerate() {
-            let dr = values[inp.index()];
-            good_in.push(dr.good);
-            let mut f = dr.faulty;
-            if let FaultSite::Pin { gate: fg, pin: fp } = fault.site {
-                if fg == gid && fp as usize == pin {
-                    f = Some(fault.stuck_value);
-                }
-            }
-            faulty_in.push(f);
-        }
-        let mut dr = Dual3 {
-            good: eval3(gate.kind, &good_in),
-            faulty: eval3(gate.kind, &faulty_in),
-        };
-        if fault.site == FaultSite::Stem(gate.output) {
-            dr.faulty = Some(fault.stuck_value);
-        }
-        values[gate.output.index()] = dr;
-    }
-    values
 }

@@ -220,6 +220,7 @@ fn podem_thread_count_leaves_results_invariant() {
         assert_eq!(res.outcomes, base.outcomes);
         assert_eq!(res.stats, base.stats);
         assert_eq!(res.podem_threads_used, threads);
+        assert_eq!(res.thread_stats.len(), threads);
     }
 }
 
