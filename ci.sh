@@ -188,20 +188,24 @@ if ! diff <(jq -S '.aggregate' BENCH_fleet_serial.json) <(jq -S '.aggregate' BEN
   exit 1
 fi
 
-echo "== fleet full inventory: 200 nodes with the multiplier, workers 1 vs 2 =="
+echo "== fleet full inventory: 200 nodes with the multiplier, workers 1 vs 2 vs 7 =="
 # The smoke fleets above characterize ALU + shifter only, so this is the run
 # that mounts multiplier faults in the datapath. Its aggregate must be
-# bit-identical for both worker counts, and some node must quarantine the
+# bit-identical for every worker count, and some node must quarantine the
 # multiplier, or the multiplier's mounted path went unexercised.
-rm -f BENCH_fleet_full.json BENCH_fleet_full_serial.json
+rm -f BENCH_fleet_full.json BENCH_fleet_full_serial.json target/fleet_full_workers7.json
 cargo run --release -p sbst-bench --bin fleet -- --nodes 200 \
   --workers 1 --json BENCH_fleet_full_serial.json
 cargo run --release -p sbst-bench --bin fleet -- --nodes 200 \
   --workers 2 --json BENCH_fleet_full.json --ndjson target/fleet_full_telemetry.ndjson
-if ! diff <(jq -S '.aggregate' BENCH_fleet_full_serial.json) <(jq -S '.aggregate' BENCH_fleet_full.json); then
-  echo "error: full-inventory fleet aggregate diverges between workers=1 and workers=2" >&2
-  exit 1
-fi
+cargo run --release -p sbst-bench --bin fleet -- --nodes 200 \
+  --workers 7 --json target/fleet_full_workers7.json
+for report in BENCH_fleet_full.json target/fleet_full_workers7.json; do
+  if ! diff <(jq -S '.aggregate' BENCH_fleet_full_serial.json) <(jq -S '.aggregate' "$report"); then
+    echo "error: full-inventory fleet aggregate of $report diverges from workers=1" >&2
+    exit 1
+  fi
+done
 if [ "$(jq -s '[.[] | select(.type == "node") | .quarantined[]] | index("Parallel Mul.") != null' \
         target/fleet_full_telemetry.ndjson)" != "true" ]; then
   echo "error: no node quarantined the multiplier in the full-inventory fleet" >&2

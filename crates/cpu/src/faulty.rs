@@ -144,17 +144,43 @@ impl FaultActivity {
     }
 }
 
+/// Slots in a mount's evaluation memo (a power of two).
+const MEMO_SLOTS: usize = 1024;
+
+/// Tag bit of an occupied memo slot. Packed operand keys never reach it,
+/// so an all-zero key cannot hit a slot that was never written.
+const MEMO_VALID: u128 = 1 << 127;
+
+/// How a mount answered its evaluations: replays of the faulty tape
+/// against lookups answered by its memo.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Evaluations that replayed the tape.
+    pub tape_runs: u64,
+    /// Evaluations answered by the memo.
+    pub hits: u64,
+}
+
 /// A faulty component mounted in the datapath.
 ///
 /// The component runs on a [`CompiledTape`] shared behind an [`Arc`]: a
 /// fault campaign compiles each mountable component once, and mounting is
 /// a refcount bump plus a private one-lane [`TapeSimulator`] with the fault
 /// injected and the port buses resolved to input positions and result
-/// nets. Each operation then drives its operand bits by position, replays
-/// the tape once and reads lane 0 of the result nets. The tape simulator
-/// recomputes every net from the inputs on each replay (the mountable
-/// components are combinational), so nothing leaks from one operation
-/// into the next.
+/// nets. An operation drives its operand bits by position, replays the
+/// tape once and reads lane 0 of the result nets. The tape simulator
+/// recomputes every net from the inputs on each replay, so nothing leaks
+/// from one operation into the next.
+///
+/// Each mount also keeps a bounded, direct-mapped memo from the packed
+/// operand words to the result word, so an operation whose operands it
+/// has already evaluated skips the replay. The memo is exact because the
+/// mountable components are combinational (mounting asserts that the tape
+/// has no flip-flops): the result is a pure function of the operands and
+/// the fault, and both are fixed for the mount's lifetime. It is allocated
+/// by the first replay, so a mount whose fault never fires costs nothing,
+/// and it survives [`ArchFault::with_activity`], so re-arming one mount for
+/// a retried attempt keeps what earlier attempts evaluated.
 #[derive(Debug)]
 pub struct ArchFault {
     target: ArchFaultTarget,
@@ -168,6 +194,10 @@ pub struct ArchFault {
     /// Result nets, LSB first (ALU: `result` then `zero`; shifter:
     /// `result`; multiplier: the 64-bit `product`).
     results: Vec<NetId>,
+    /// `(key | MEMO_VALID, result word)` per slot; empty until the first
+    /// replay.
+    memo: Vec<(u128, u64)>,
+    stats: MemoStats,
 }
 
 impl ArchFault {
@@ -197,7 +227,9 @@ impl ArchFault {
     /// # Panics
     ///
     /// Same contract as [`ArchFault::new`], and additionally panics if
-    /// `tape` was not compiled from `component`'s netlist.
+    /// `tape` was not compiled from `component`'s netlist, or if the tape
+    /// has flip-flops: the evaluation memo is exact only for a
+    /// combinational component.
     pub fn from_shared(component: &Component, tape: Arc<CompiledTape>, fault: Fault) -> Self {
         let (target, operand_ports, result_ports): (_, &[&str], &[&str]) = match component.kind {
             ComponentKind::Alu => (ArchFaultTarget::Alu, &["a", "b", "op"], &["result", "zero"]),
@@ -228,6 +260,11 @@ impl ArchFault {
         if tape.net_count() != netlist.net_count() {
             foreign();
         }
+        assert!(
+            tape.is_combinational(),
+            "the {} tape has flip-flops; only combinational components can be mounted",
+            netlist.name()
+        );
         let operands = operand_ports
             .iter()
             .map(|name| {
@@ -252,10 +289,13 @@ impl ArchFault {
             sim,
             operands,
             results,
+            memo: Vec::new(),
+            stats: MemoStats::default(),
         }
     }
 
-    /// Gives the fault intermittent activity.
+    /// Gives the fault intermittent activity. The evaluation memo is kept,
+    /// so a mount can be re-armed for another attempt.
     pub fn with_activity(mut self, activity: FaultActivity) -> Self {
         self.activity = activity;
         self
@@ -276,21 +316,43 @@ impl ArchFault {
         self.activity.is_active(cycle)
     }
 
-    /// Drives the operand buses, replays the faulty tape and gathers the
-    /// result nets into one word, LSB first.
-    fn eval_ports(&mut self, operands: &[u64]) -> u64 {
+    /// Replays and memo hits so far over this mount's lifetime.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.stats
+    }
+
+    /// The result word for `operands`: from the memo when this mount has
+    /// evaluated them before, otherwise by driving the operand buses,
+    /// replaying the faulty tape and gathering the result nets into one
+    /// word, LSB first.
+    fn eval_ports(&mut self, operands: &[u32]) -> u64 {
+        let key = memo_key(operands);
+        let slot = memo_slot(key);
+        if let Some(&(tag, word)) = self.memo.get(slot) {
+            if tag == key {
+                self.stats.hits += 1;
+                return word;
+            }
+        }
         for (bus, &value) in self.operands.iter().zip(operands) {
             for (bit, &pos) in bus.iter().enumerate() {
                 self.sim.set_input_at(pos, (value >> bit) & 1 == 1);
             }
         }
         self.sim.eval();
-        self.results
+        let word = self
+            .results
             .iter()
             .enumerate()
             .fold(0, |word, (bit, &net)| {
                 word | (self.sim.value(net)[0] & 1) << bit
-            })
+            });
+        if self.memo.is_empty() {
+            self.memo = vec![(0, 0); MEMO_SLOTS];
+        }
+        self.memo[slot] = (key, word);
+        self.stats.tape_runs += 1;
+        word
     }
 
     /// Evaluates an ALU operation through the faulty netlist.
@@ -299,7 +361,7 @@ impl ArchFault {
         if self.target != ArchFaultTarget::Alu {
             return None;
         }
-        let word = self.eval_ports(&[op.a as u64, op.b as u64, op.func.encoding() as u64]);
+        let word = self.eval_ports(&[op.a, op.b, op.func.encoding().into()]);
         Some((word as u32, (word >> 32) & 1 == 1))
     }
 
@@ -308,7 +370,7 @@ impl ArchFault {
         if self.target != ArchFaultTarget::Shifter {
             return None;
         }
-        let word = self.eval_ports(&[op.data as u64, op.amount as u64, op.func.encoding() as u64]);
+        let word = self.eval_ports(&[op.data, op.amount.into(), op.func.encoding().into()]);
         Some(word as u32)
     }
 
@@ -317,7 +379,7 @@ impl ArchFault {
         if self.target != ArchFaultTarget::Multiplier {
             return None;
         }
-        Some(self.eval_ports(&[op.a as u64, op.b as u64]))
+        Some(self.eval_ports(&[op.a, op.b]))
     }
 
     /// Convenience: `AluFunc` reference evaluation with the fault-free
@@ -335,6 +397,25 @@ impl ArchFault {
     pub fn good_mul(op: &MulOp) -> u64 {
         sbst_components::multiplier::model(op.a, op.b, 32)
     }
+}
+
+/// The memo key of one evaluation: the operand words packed 32 bits apart
+/// (`a | b << 32 | op << 64`), tagged with [`MEMO_VALID`].
+fn memo_key(operands: &[u32]) -> u128 {
+    operands
+        .iter()
+        .enumerate()
+        .fold(MEMO_VALID, |key, (i, &value)| {
+            key | u128::from(value) << (32 * i)
+        })
+}
+
+/// The memo slot of a packed operand key: both halves folded into one
+/// word, then a Fibonacci hash down to the slot index.
+fn memo_slot(key: u128) -> usize {
+    const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+    let folded = (key as u64) ^ ((key >> 64) as u64).wrapping_mul(PHI);
+    (folded.wrapping_mul(PHI) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 #[cfg(test)]
@@ -575,6 +656,107 @@ mod tests {
         let shifter_tape = Arc::new(CompiledTape::compile(&shifter::shifter(32).netlist));
         let fault = Fault::stem_sa0(alu.ports.output("result").net(0));
         let _ = ArchFault::from_shared(&alu, shifter_tape, fault);
+    }
+
+    #[test]
+    #[should_panic(expected = "tape has flip-flops")]
+    fn sequential_component_is_refused() {
+        // An ALU-shaped component whose outputs are registered: its result
+        // depends on state as well as on the operands, which the memo
+        // cannot key on.
+        let mut b = sbst_gates::NetlistBuilder::new("registered_alu");
+        let a = b.input_bus("a", 32);
+        let bb = b.input_bus("b", 32);
+        let op = b.input_bus("op", 3);
+        let sum = b.bus_op(sbst_gates::GateKind::Xor, &a, &bb);
+        let result = b.bus_dff(&sum);
+        let zero = b.dff(op.net(0));
+        b.mark_output_bus(&result, "result");
+        b.mark_output(zero, "zero");
+        let netlist = b.finish().unwrap();
+        let mut ports = sbst_components::PortMap::new();
+        ports.add_input("a", a.clone());
+        ports.add_input("b", bb);
+        ports.add_input("op", op);
+        ports.add_output("result", result);
+        ports.add_output("zero", std::iter::once(zero).collect());
+        let component = Component {
+            netlist,
+            ports,
+            kind: ComponentKind::Alu,
+            class: sbst_components::ComponentClass::DataVisible,
+            width: 32,
+            area_split: Vec::new(),
+        };
+        let _ = ArchFault::new(component, Fault::stem_sa0(a.net(0)));
+    }
+
+    #[test]
+    fn memo_allocates_on_the_first_replay_and_answers_repeats() {
+        let c = alu::alu(32);
+        let fault = Fault::stem_sa0(c.ports.output("result").net(3));
+        let mut af = ArchFault::new(c, fault);
+        assert!(
+            af.memo.is_empty(),
+            "a mount that never fired allocates nothing"
+        );
+        // Not the mounted component: no replay, no memo.
+        assert!(af.eval_mul(&MulOp { a: 3, b: 5 }).is_none());
+        assert!(af.memo.is_empty());
+        // The all-zero key must replay, not hit an empty slot.
+        let zero = AluOp {
+            func: AluFunc::ALL[0],
+            a: 0,
+            b: 0,
+        };
+        let first = af.eval_alu(&zero);
+        assert_eq!(af.memo.len(), MEMO_SLOTS);
+        assert_eq!(
+            af.memo_stats(),
+            MemoStats {
+                tape_runs: 1,
+                hits: 0
+            }
+        );
+        let mut af = af.with_activity(FaultActivity::Window {
+            from_cycle: 0,
+            until_cycle: 10,
+        });
+        assert_eq!(af.eval_alu(&zero), first);
+        assert_eq!(
+            af.memo_stats(),
+            MemoStats {
+                tape_runs: 1,
+                hits: 1
+            }
+        );
+    }
+
+    #[test]
+    fn colliding_keys_evict_each_other_and_replay() {
+        let op = |a| AluOp {
+            func: AluFunc::Add,
+            a,
+            b: 0,
+        };
+        let slot = |a| memo_slot(memo_key(&[a, 0, AluFunc::Add.encoding().into()]));
+        let rival = (1..).find(|&a| slot(a) == slot(0)).unwrap();
+        let fault = Fault::stem_sa1(alu::alu(32).ports.output("result").net(7));
+        let mut af = ArchFault::new(alu::alu(32), fault);
+        let first = af.eval_alu(&op(0));
+        let second = af.eval_alu(&op(rival));
+        assert_eq!(af.eval_alu(&op(0)), first);
+        assert_eq!(
+            af.memo_stats(),
+            MemoStats {
+                tape_runs: 3,
+                hits: 0
+            },
+            "each key evicts the other from their shared slot"
+        );
+        let mut fresh = ArchFault::new(alu::alu(32), fault);
+        assert_eq!(fresh.eval_alu(&op(rival)), second);
+        assert_eq!(second, Some((rival | 1 << 7, false)));
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //!   discarded.
 //!
 //! Execution environments are abstracted by [`TestBench`], which builds a
-//! fresh [`Cpu`] per attempt — fault-injection campaigns mount
-//! [`crate::faulty::ArchFault`]s there.
+//! fresh [`Cpu`] per attempt and takes it back afterwards — fault-injection
+//! campaigns mount [`crate::faulty::ArchFault`]s there.
 
 use std::fmt;
 use std::sync::Arc;
@@ -801,9 +801,18 @@ pub enum SessionStatus {
 /// The returned CPU should execute undecoded words as no-ops
 /// ([`CpuConfig::undecoded_as_nop`]) because some routine styles sweep the
 /// opcode space.
+///
+/// Every CPU the manager prepares is handed back through
+/// [`TestBench::finish`] once its run is over, whatever the verdict, so a
+/// bench can take its mounted fault back out and reuse it (with its
+/// evaluation memo) for the next attempt.
 pub trait TestBench {
     /// Returns a fresh CPU for one attempt at `component`.
     fn prepare(&mut self, component: &str, attempt: u32, now_cycles: u64) -> Cpu;
+
+    /// Takes back a CPU this bench prepared, after its run. The default
+    /// drops it.
+    fn finish(&mut self, _cpu: Cpu) {}
 }
 
 impl<F: FnMut(&str, u32, u64) -> Cpu> TestBench for F {
@@ -1120,7 +1129,7 @@ impl OnlineTestManager {
         let component = &components[index];
         let mut cpu = bench.prepare(&component.name, attempt, self.clock_cycles);
         cpu.load_program(&component.program);
-        match run_with_watchdog(&mut cpu, budget) {
+        let outcome = match run_with_watchdog(&mut cpu, budget) {
             Ok(WatchdogOutcome::Completed { cycles }) => {
                 let verdict = match (component.sig_addr(), self.store.get(&component.name)) {
                     (Some(addr), Some(golden)) => {
@@ -1147,7 +1156,9 @@ impl OnlineTestManager {
                 (Verdict::Hung { budget_cycles }, budget_cycles)
             }
             Err(_) => (Verdict::Crashed, cpu.stats().total_cycles()),
-        }
+        };
+        bench.finish(cpu);
+        outcome
     }
 
     fn record_attempt(&mut self, index: usize, name: &str, attempt: u32, verdict: Verdict) {
@@ -1222,7 +1233,7 @@ impl OnlineTestManager {
             .budget_cycles(component.expected_cycles);
         let mut cpu = bench.prepare(&component.name, 0, self.clock_cycles);
         cpu.load_program(&component.program);
-        match run_with_watchdog(&mut cpu, budget) {
+        let signature = match run_with_watchdog(&mut cpu, budget) {
             Ok(WatchdogOutcome::Completed { cycles }) => {
                 self.clock_cycles += cycles;
                 component
@@ -1230,7 +1241,9 @@ impl OnlineTestManager {
                     .map(|addr| cpu.memory().read_word(addr))
             }
             _ => None,
-        }
+        };
+        bench.finish(cpu);
+        signature
     }
 
     /// Audits the replica (if installed) and drops it when compromised;

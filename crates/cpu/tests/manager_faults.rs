@@ -10,7 +10,7 @@ use sbst_components::Component;
 use sbst_cpu::cpu::{Cpu, CpuConfig};
 use sbst_cpu::manager::{
     FaultClass, FaultFreeBench, Health, ManagedComponent, ManagerConfig, OnlineTestManager,
-    RetryPolicy, SessionStatus, SigLocation, SignatureStore, StorePolicy, Verdict,
+    RetryPolicy, SessionStatus, SigLocation, SignatureStore, StorePolicy, TestBench, Verdict,
 };
 use sbst_cpu::{ArchFault, FaultActivity, MacKey};
 use sbst_gates::Fault;
@@ -217,6 +217,118 @@ fn hung_routine_is_aborted_and_escalates() {
     assert_eq!(mgr.counters().watchdog_fires, 3);
     // The spare was still tested despite the hang streak.
     assert_eq!(mgr.status("spare").unwrap().passes, 1);
+}
+
+/// Word where [`HandBackBench`] tags each CPU it prepares; no routine
+/// here touches it.
+const TAG_ADDR: u32 = 0x0070_0000;
+
+/// A bench that tags every CPU it prepares and checks every CPU handed
+/// back to [`TestBench::finish`] against the ones still out.
+struct HandBackBench {
+    fault: (Component, Fault),
+    next_tag: u32,
+    outstanding: Vec<u32>,
+    finished: u64,
+    mounted: u64,
+    mounts_back: u64,
+}
+
+impl TestBench for HandBackBench {
+    fn prepare(&mut self, component: &str, _attempt: u32, _now_cycles: u64) -> Cpu {
+        self.next_tag += 1;
+        let mut cpu = fresh_cpu();
+        cpu.memory_mut().write_word(TAG_ADDR, self.next_tag);
+        if component == "faulty" {
+            let (comp, fault) = &self.fault;
+            cpu.mount_fault(ArchFault::new(comp.clone(), *fault));
+            self.mounted += 1;
+        }
+        self.outstanding.push(self.next_tag);
+        cpu
+    }
+
+    fn finish(&mut self, mut cpu: Cpu) {
+        let tag = cpu.memory().read_word(TAG_ADDR);
+        let out = self
+            .outstanding
+            .iter()
+            .position(|&t| t == tag)
+            .unwrap_or_else(|| panic!("CPU {tag} handed back twice or never prepared"));
+        self.outstanding.swap_remove(out);
+        self.finished += 1;
+        if cpu.unmount_fault().is_some() {
+            self.mounts_back += 1;
+        }
+    }
+}
+
+#[test]
+fn every_prepared_cpu_is_handed_back_once() {
+    let spin = parse_asm("spin: j spin\nnop")
+        .unwrap()
+        .assemble(0, 0x1_0000)
+        .unwrap();
+    let comps = vec![
+        component("healthy"),
+        component("faulty"),
+        ManagedComponent {
+            name: "spinner".to_owned(),
+            program: spin,
+            signature: SigLocation::Address(0x1_0000),
+            expected_cycles: 32,
+        },
+        ManagedComponent {
+            signature: SigLocation::Label("nowhere".to_owned()),
+            ..component("unresolvable")
+        },
+        ManagedComponent {
+            program: parse_asm("li $t0, 1\nlw $t1, 0($t0)\nbreak 0")
+                .unwrap()
+                .assemble(0, 0x1_0000)
+                .unwrap(),
+            signature: SigLocation::Address(0x1_0000),
+            ..component("misaligned")
+        },
+    ];
+    let mut store = golden_store(&["healthy", "faulty", "unresolvable", "misaligned"]);
+    store.set("spinner", 0);
+    let config = ManagerConfig {
+        store_policy: StorePolicy::Recapture,
+        ..ManagerConfig::default()
+    };
+    let mut mgr = OnlineTestManager::new(config, comps, store);
+    let mut bench = HandBackBench {
+        fault: alu_bit7_sa0(),
+        next_tag: 0,
+        outstanding: Vec::new(),
+        finished: 0,
+        mounted: 0,
+        mounts_back: 0,
+    };
+    assert_eq!(
+        mgr.run_session(&mut bench),
+        SessionStatus::Completed { healthy: false }
+    );
+    let c = *mgr.counters();
+    assert!(c.passes > 0 && c.mismatches > 0, "{c:?}");
+    assert!(c.watchdog_fires > 0, "{c:?}");
+    // Crashed both by a CPU error and by an unresolvable signature.
+    assert_eq!(c.crashes, 6, "{c:?}");
+    assert_eq!(bench.finished, c.attempts);
+    // Golden recapture after a store flip prepares CPUs outside any
+    // attempt; those come back too.
+    mgr.store_mut().corrupt("healthy", 0x0000_0080);
+    assert_eq!(
+        mgr.run_session(&mut bench),
+        SessionStatus::Completed { healthy: true }
+    );
+    assert_eq!(mgr.counters().store_recaptures, 1);
+    assert!(bench.finished > mgr.counters().attempts);
+    assert!(bench.outstanding.is_empty(), "{:?}", bench.outstanding);
+    assert_eq!(u64::from(bench.next_tag), bench.finished);
+    assert!(bench.mounted > 0);
+    assert_eq!(bench.mounts_back, bench.mounted);
 }
 
 #[test]

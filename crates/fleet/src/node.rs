@@ -13,11 +13,13 @@ use std::sync::Arc;
 use sbst_cpu::cpu::{Cpu, CpuConfig};
 use sbst_cpu::manager::{
     ManagerConfig, ManagerCounters, ManagerEvent, OnlineTestManager, SignatureStore, StorePolicy,
+    TestBench,
 };
+use sbst_cpu::ArchFault;
 use sbst_gates::Fault;
 
-use crate::characterize::SharedArtifacts;
-use crate::profile::{AttackKind, NodeProfile, ProfileKind};
+use crate::characterize::{FaultTargets, SharedArtifacts};
+use crate::profile::{AttackKind, NodeProfile, PlannedFault, ProfileKind};
 
 /// FNV-1a 64-bit fold over one `u64`.
 fn fnv1a_u64(hash: u64, value: u64) -> u64 {
@@ -85,6 +87,52 @@ impl NodeOutcome {
     /// Tamper detections on this node (forgeries + replays).
     pub fn tampers_detected(&self) -> u64 {
         self.counters.tamper_forgeries + self.counters.tamper_replays
+    }
+}
+
+/// The test bench of one session: a fault-free CPU per attempt, with the
+/// node's planned fault (if any) mounted while its own target's routine
+/// runs — every other routine executes on fault-free hardware.
+///
+/// The mount lives for the session: the first attempt that needs it
+/// builds it, [`TestBench::finish`] takes it back out of the finished CPU,
+/// and the next attempt re-arms it, so retries and recaptures reuse its
+/// evaluation memo. It is dropped with the bench when the session ends,
+/// which keeps at most one mount alive per worker.
+struct SessionBench<'a> {
+    targets: &'a FaultTargets,
+    planned: Option<(Fault, PlannedFault)>,
+    mount: Option<ArchFault>,
+}
+
+impl TestBench for SessionBench<'_> {
+    fn prepare(&mut self, name: &str, _attempt: u32, now: u64) -> Cpu {
+        let mut cpu = Cpu::new(CpuConfig {
+            undecoded_as_nop: true,
+            ..CpuConfig::default()
+        });
+        // The planned window lives in fleet virtual time; the CPU's cycle
+        // counter restarts per attempt, so rebase into the attempt's local
+        // frame (and skip mounting once the window is entirely in the
+        // past — burned-out faults cost nothing).
+        if let Some((fault, planned)) = self.planned {
+            if self.targets[planned.target].name == name {
+                if let Some(local) = planned.activity.rebase(now) {
+                    let mount = self
+                        .mount
+                        .take()
+                        .unwrap_or_else(|| self.targets.mount(planned.target, fault));
+                    cpu.mount_fault(mount.with_activity(local));
+                }
+            }
+        }
+        cpu
+    }
+
+    fn finish(&mut self, mut cpu: Cpu) {
+        if let Some(mount) = cpu.unmount_fault() {
+            self.mount = Some(mount);
+        }
     }
 }
 
@@ -225,34 +273,16 @@ impl FleetNode {
         self.apply_due_attack();
         let before = *self.manager.counters();
 
-        // The planned fault lives in its own target's netlist, so it is
-        // mounted only while that target's routine runs: every other
-        // routine executes on fault-free hardware.
-        let mounted = self.planned_fault.zip(self.profile.fault);
-        let targets = &self.artifacts.targets;
-        let manager = &mut self.manager;
-        let mut bench = move |name: &str, _attempt: u32, now: u64| {
-            let mut cpu = Cpu::new(CpuConfig {
-                undecoded_as_nop: true,
-                ..CpuConfig::default()
-            });
-            // The planned window lives in fleet virtual time; the CPU's
-            // cycle counter restarts per attempt, so rebase into the
-            // attempt's local frame (and skip mounting once the window is
-            // entirely in the past — burned-out faults cost nothing).
-            if let Some((fault, planned)) = mounted {
-                if targets[planned.target].name == name {
-                    if let Some(local) = planned.activity.rebase(now) {
-                        cpu.mount_fault(targets.mount(planned.target, fault).with_activity(local));
-                    }
-                }
-            }
-            cpu
+        let mut bench = SessionBench {
+            targets: &self.artifacts.targets,
+            planned: self.planned_fault.zip(self.profile.fault),
+            mount: None,
         };
+        let manager = &mut self.manager;
         // Quantum preemption is off fleet-side, and nothing corrupts the
         // store, so a session always completes; loop defensively anyway.
         let mut healthy = true;
-        for _ in 0..=targets.len() {
+        for _ in 0..=bench.targets.len() {
             match manager.run_session(&mut bench) {
                 sbst_cpu::manager::SessionStatus::Completed { healthy: h } => {
                     healthy = h;
@@ -342,6 +372,8 @@ mod tests {
     use crate::characterize::Characterizer;
     use crate::profile::{assign_profile, PlannedAttack, PopulationMix};
     use sbst_core::Cut;
+    use sbst_cpu::manager::SessionStatus;
+    use sbst_cpu::FaultActivity;
 
     fn artifacts() -> Arc<SharedArtifacts> {
         Characterizer::new(vec![Cut::alu(32), Cut::shifter(32)]).artifacts()
@@ -444,6 +476,45 @@ mod tests {
         assert_eq!(outcome.attacks_injected, 0);
         assert_eq!(outcome.tampers_detected(), 0, "zero false alarms");
         assert_eq!(outcome.counters.store_corruptions, 0);
+    }
+
+    #[test]
+    fn session_reuses_one_mount_across_its_attempts() {
+        let artifacts = artifacts();
+        // A permanent stuck-at on the ALU result: every attempt fails, so
+        // the session retries the same routine until it quarantines.
+        let profile = NodeProfile {
+            kind: ProfileKind::WearOut,
+            period_cycles: 500_000,
+            phase_cycles: 0,
+            fault: Some(PlannedFault {
+                target: 0,
+                bit: 0,
+                stuck_at_one: true,
+                activity: FaultActivity::Permanent,
+            }),
+            attack: None,
+        };
+        let mut node = FleetNode::new(0, profile, Arc::clone(&artifacts), false);
+        let mut bench = SessionBench {
+            targets: &artifacts.targets,
+            planned: node.planned_fault.zip(node.profile.fault),
+            mount: None,
+        };
+        let status = node.manager.run_session(&mut bench);
+        assert_eq!(status, SessionStatus::Completed { healthy: false });
+        let counters = node.manager.counters();
+        assert_eq!(counters.quarantines, 1);
+        assert!(
+            counters.mismatches + counters.watchdog_fires > 1,
+            "{counters:?}"
+        );
+        let mount = bench.mount.expect("finish hands the mount back");
+        let stats = mount.memo_stats();
+        assert!(
+            stats.hits > stats.tape_runs,
+            "retries repeat the first attempt's operations: {stats:?}"
+        );
     }
 
     #[test]

@@ -444,6 +444,12 @@ impl CompiledTape {
         self.input_nets.iter().position(|&n| n == index)
     }
 
+    /// Whether the source netlist has no flip-flops, so that every net is
+    /// a pure function of the primary inputs.
+    pub fn is_combinational(&self) -> bool {
+        self.dff_nets.is_empty()
+    }
+
     /// Number of tape entries (evaluation steps per cycle).
     pub fn tape_len(&self) -> usize {
         self.entries.len()
