@@ -47,9 +47,9 @@ echo "== validate all three reports =="
 for report in BENCH_table1.json BENCH_table1_serial.json BENCH_table1_td.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require table1 --require execution_time
-  # Reports must carry the current schema (8: tamper-evident store).
-  if [ "$(jq '.schema_version' "$report")" != "8" ]; then
-    echo "error: $report schema_version is not 8" >&2
+  # Reports must carry the current schema (9: no steal or event-ratio keys).
+  if [ "$(jq '.schema_version' "$report")" != "9" ]; then
+    echo "error: $report schema_version is not 9" >&2
     exit 1
   fi
 done
@@ -131,8 +131,8 @@ cargo run --release -p sbst-bench --bin online_manager -- --smoke --adversary \
 echo "== validate online_manager red-team report =="
 cargo run --release -p sbst-bench --bin jsonlint -- BENCH_online_manager_adv.json \
   --require tool --require schema_version --require scenarios --require adversary
-if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "8" ]; then
-  echo "error: BENCH_online_manager_adv.json schema_version is not 8" >&2
+if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "9" ]; then
+  echo "error: BENCH_online_manager_adv.json schema_version is not 9" >&2
   exit 1
 fi
 # The red-team SLO: attacks were actually mounted, every one was
@@ -162,8 +162,8 @@ for report in BENCH_fleet.json BENCH_fleet_serial.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require characterizations \
     --require throughput --require aggregate --require workers_detail
-  if [ "$(jq '.schema_version' "$report")" != "8" ]; then
-    echo "error: $report schema_version is not 8" >&2
+  if [ "$(jq '.schema_version' "$report")" != "9" ]; then
+    echo "error: $report schema_version is not 9" >&2
     exit 1
   fi
   if [ "$(jq '.characterizations' "$report")" != "1" ]; then
@@ -190,19 +190,27 @@ fi
 
 echo "== fleet full inventory: 200 nodes with the multiplier, workers 1 vs 2 vs 7 =="
 # The smoke fleets above characterize ALU + shifter only, so this is the run
-# that mounts multiplier faults in the datapath. Its aggregate must be
-# bit-identical for every worker count, and some node must quarantine the
-# multiplier, or the multiplier's mounted path went unexercised.
+# that mounts multiplier faults in the datapath. Its aggregate and its
+# telemetry record contents must be bit-identical for every worker count
+# (only the order of the lines depends on scheduling, so the streams are
+# compared sorted), and some node must quarantine the multiplier, or the
+# multiplier's mounted path went unexercised.
 rm -f BENCH_fleet_full.json BENCH_fleet_full_serial.json target/fleet_full_workers7.json
 cargo run --release -p sbst-bench --bin fleet -- --nodes 200 \
-  --workers 1 --json BENCH_fleet_full_serial.json
+  --workers 1 --json BENCH_fleet_full_serial.json --ndjson target/fleet_full_telemetry_workers1.ndjson
 cargo run --release -p sbst-bench --bin fleet -- --nodes 200 \
   --workers 2 --json BENCH_fleet_full.json --ndjson target/fleet_full_telemetry.ndjson
 cargo run --release -p sbst-bench --bin fleet -- --nodes 200 \
-  --workers 7 --json target/fleet_full_workers7.json
+  --workers 7 --json target/fleet_full_workers7.json --ndjson target/fleet_full_telemetry_workers7.ndjson
 for report in BENCH_fleet_full.json target/fleet_full_workers7.json; do
   if ! diff <(jq -S '.aggregate' BENCH_fleet_full_serial.json) <(jq -S '.aggregate' "$report"); then
     echo "error: full-inventory fleet aggregate of $report diverges from workers=1" >&2
+    exit 1
+  fi
+done
+for stream in target/fleet_full_telemetry_workers1.ndjson target/fleet_full_telemetry_workers7.ndjson; do
+  if ! diff <(sort target/fleet_full_telemetry.ndjson) <(sort "$stream") >/dev/null; then
+    echo "error: full-inventory fleet telemetry of $stream diverges from workers=2" >&2
     exit 1
   fi
 done
@@ -225,8 +233,8 @@ cargo run --release -p sbst-bench --bin jsonlint -- BENCH_fleet_adv.json \
   --require tool --require schema_version --require adversary --require aggregate
 cargo run --release -p sbst-bench --bin jsonlint -- target/fleet_adv_telemetry.ndjson \
   --ndjson --require type --require node
-if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "8" ]; then
-  echo "error: BENCH_fleet_adv.json schema_version is not 8" >&2
+if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "9" ]; then
+  echo "error: BENCH_fleet_adv.json schema_version is not 9" >&2
   exit 1
 fi
 if [ "$(jq '.aggregate.attacks_injected > 0

@@ -17,22 +17,22 @@
 //! netlists — built exactly once, proven by a counter), over a virtual
 //! horizon of `S` seconds at the nominal clock. Nodes draw heterogeneous
 //! fault profiles (healthy / infant-mortality / wear-out /
-//! correlated-batch) from the fleet seed; a sharded work-stealing
-//! scheduler drives their sessions across `W` workers; batched NDJSON
-//! telemetry streams to `--ndjson`.
+//! correlated-batch) from the fleet seed; `W` workers each take the next
+//! node and run it to completion, and each finished node's NDJSON
+//! telemetry streams to `--ndjson` as one batch.
 //!
 //! The run is deterministic in everything but wall time: the `aggregate`
-//! tree in the `--json` report is bit-identical for any worker count
-//! under a fixed seed (ci.sh diffs workers=1 against workers=2), and the
-//! binary exits nonzero if the characterize-once invariant or session
-//! conservation is violated. `--workers` falls back to
-//! `SBST_FLEET_WORKERS`, then to available parallelism.
+//! tree in the `--json` report and the sorted telemetry records are
+//! bit-identical for any worker count under a fixed seed (ci.sh diffs
+//! them across worker counts), and the binary exits nonzero if the
+//! characterize-once invariant or session conservation is violated. `--workers` falls back to available
+//! parallelism; `--seed` accepts any 64-bit integer, 0 included.
 
 use std::io::Write;
 use std::time::Instant;
 
 use sbst_bench::{
-    fleet_workers_from_env, json_output_path, store_key_seed_from_env, write_report_if_requested,
+    flag_value, json_output_path, store_key_seed_from_env, uint_flag, write_report_if_requested,
 };
 use sbst_core::{Cut, JsonValue, RunReport};
 use sbst_fleet::{run_fleet, Characterizer, FleetConfig, FleetRun, PopulationMix, NOMINAL_HZ};
@@ -42,46 +42,6 @@ const DEFAULT_KEY_SEED: u64 = 0xC0DE_5EA1;
 
 /// Percent of nodes drawn adversarial under `--adversary`.
 const ADVERSARY_PCT: u8 = 20;
-
-fn parse_u64_flag(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let value = if arg == flag {
-            match iter.next() {
-                Some(v) => v.clone(),
-                None => return Err(format!("{flag} requires a positive integer")),
-            }
-        } else if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-            v.to_owned()
-        } else {
-            continue;
-        };
-        return match value.trim().parse::<u64>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(format!("{flag} must be a positive integer, got `{value}`")),
-        };
-    }
-    Ok(None)
-}
-
-fn string_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == flag {
-            return match iter.next() {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(format!("{flag} requires a path argument")),
-            };
-        }
-        if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-            if v.is_empty() {
-                return Err(format!("{flag} requires a path argument"));
-            }
-            return Ok(Some(v.to_owned()));
-        }
-    }
-    Ok(None)
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -139,24 +99,21 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let adversary = args.iter().any(|a| a == "--adversary");
     let json_path = json_output_path(&args).unwrap_or_else(|e| fail(&e));
-    let nodes = parse_u64_flag(&args, "--nodes")
+    let nodes = uint_flag(&args, "--nodes", 1)
         .unwrap_or_else(|e| fail(&e))
         .unwrap_or(1000);
-    let seconds = parse_u64_flag(&args, "--seconds")
+    let seconds = uint_flag(&args, "--seconds", 1)
         .unwrap_or_else(|e| fail(&e))
         .unwrap_or(if smoke { 2 } else { 4 });
-    let seed = parse_u64_flag(&args, "--seed")
+    let seed = uint_flag(&args, "--seed", 0)
         .unwrap_or_else(|e| fail(&e))
         .unwrap_or(0x5B57_F1EE);
-    let workers = match parse_u64_flag(&args, "--workers").unwrap_or_else(|e| fail(&e)) {
-        Some(n) => n as usize,
-        None => fleet_workers_from_env().unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }),
-    };
-    let ndjson_path = string_flag(&args, "--ndjson").unwrap_or_else(|e| fail(&e));
+    let workers = sbst_gates::resolve_threads(
+        uint_flag(&args, "--workers", 1)
+            .unwrap_or_else(|e| fail(&e))
+            .map(|n| n as usize),
+    );
+    let ndjson_path = flag_value(&args, "--ndjson").unwrap_or_else(|e| fail(&e));
 
     // Smoke trims the managed inventory (no multiplier) — the same cut
     // split the online_manager campaign uses.
@@ -235,8 +192,8 @@ fn main() {
     );
     for w in &run.workers {
         eprintln!(
-            "  worker {}: {} sessions, {} steals, {} nodes finalized, {} telemetry lines",
-            w.worker, w.sessions, w.steals, w.nodes_finalized, w.telemetry_lines
+            "  worker {}: {} sessions, {} nodes finalized, {} telemetry lines",
+            w.worker, w.sessions, w.nodes_finalized, w.telemetry_lines
         );
     }
 
@@ -274,10 +231,8 @@ fn main() {
                         JsonValue::object([
                             ("worker", JsonValue::UInt(w.worker as u64)),
                             ("sessions", JsonValue::UInt(w.sessions)),
-                            ("steals", JsonValue::UInt(w.steals)),
                             ("nodes_finalized", JsonValue::UInt(w.nodes_finalized)),
                             ("telemetry_lines", JsonValue::UInt(w.telemetry_lines)),
-                            ("telemetry_batches", JsonValue::UInt(w.telemetry_batches)),
                         ])
                     })
                     .collect(),

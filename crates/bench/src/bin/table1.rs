@@ -112,7 +112,7 @@ fn main() {
         table.sim_threads,
         table.grading_wall_time.as_secs_f64()
     );
-    eprintln!("gate-evaluation events: {}", table.events_simulated);
+    eprintln!("gate-evaluation events: {}", table.events_full_eval);
     eprintln!(
         "constrained ATPG: {} run(s), {} PODEM thread(s), {:.3} s inside the PODEM phase",
         table.atpg.runs,

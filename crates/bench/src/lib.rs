@@ -72,15 +72,6 @@ pub fn atpg_config_from_env() -> AtpgConfig {
     }
 }
 
-/// Fleet worker-thread count from `SBST_FLEET_WORKERS`, through the
-/// shared warning path: unset → `None` (callers fall back to available
-/// parallelism), invalid → `None` plus a one-line stderr warning echoing
-/// the rejected value. The fleet's aggregates are bit-identical for every
-/// worker count, so this only shapes wall time.
-pub fn fleet_workers_from_env() -> Option<usize> {
-    threads_from_env("SBST_FLEET_WORKERS")
-}
-
 /// Parses an `SBST_STORE_KEY` value: a 64-bit MAC-key seed, decimal or
 /// `0x`-prefixed hex. The seed derives the store's SipHash key via
 /// `MacKey::from_seed`, so a fixed seed reproduces the same key (and the
@@ -120,9 +111,65 @@ pub fn store_key_seed_from_env() -> Option<u64> {
         })
 }
 
-/// Extracts the `--threads <n>` flag from an argument list: a positive
-/// worker count applied to both the fault simulator and the PODEM search
-/// pool. Accepts `--threads 2` and `--threads=2`.
+/// Finds the value of the flag `name` in an argument list (as produced
+/// by `std::env::args().skip(1)`): `--name v` or `--name=v`. Returns
+/// `None` when the flag is absent.
+///
+/// # Errors
+///
+/// Returns a one-line message when the flag is present without a value.
+pub fn flag_value<I, S>(args: I, name: &str) -> Result<Option<String>, String>
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<str>,
+{
+    let mut iter = args.into_iter();
+    while let Some(arg) = iter.next() {
+        let arg = arg.as_ref();
+        let value = if arg == name {
+            iter.next().map(|v| v.as_ref().to_owned())
+        } else if let Some(v) = arg.strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
+            Some(v.to_owned())
+        } else {
+            continue;
+        };
+        return match value {
+            Some(v) if !v.is_empty() => Ok(Some(v)),
+            _ => Err(format!("{name} requires a value")),
+        };
+    }
+    Ok(None)
+}
+
+/// Parses the flag `name` (see [`flag_value`]) as an unsigned integer no
+/// smaller than `min`.
+///
+/// # Errors
+///
+/// Returns a one-line message when the flag is missing its value or the
+/// value is not an integer of at least `min`.
+pub fn uint_flag<I, S>(args: I, name: &str, min: u64) -> Result<Option<u64>, String>
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<str>,
+{
+    flag_value(args, name)?
+        .map(|value| match value.trim().parse::<u64>() {
+            Ok(n) if n >= min => Ok(n),
+            _ => {
+                let want = match min {
+                    0 => "an unsigned 64-bit integer".to_owned(),
+                    1 => "a positive integer".to_owned(),
+                    _ => format!("an integer >= {min}"),
+                };
+                Err(format!("{name} must be {want}, got `{value}`"))
+            }
+        })
+        .transpose()
+}
+
+/// Extracts the `--threads <n>` flag: a positive worker count applied to
+/// both the fault simulator and the PODEM search pool.
 ///
 /// # Errors
 ///
@@ -133,34 +180,13 @@ where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let arg = arg.as_ref();
-        let value = if arg == "--threads" {
-            match iter.next() {
-                Some(v) => v.as_ref().to_owned(),
-                None => return Err("--threads requires a positive integer".to_owned()),
-            }
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            v.to_owned()
-        } else {
-            continue;
-        };
-        return match value.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(format!(
-                "--threads must be a positive integer, got `{value}`"
-            )),
-        };
-    }
-    Ok(None)
+    Ok(uint_flag(args, "--threads", 1)?.map(|n| n as usize))
 }
 
-/// Extracts the `--fault-model <name>` flag from an argument list: the
-/// *headline* fault model for the report's FC column (both models are
-/// always graded and serialized). Accepts `--fault-model transition` and
-/// `--fault-model=transition`; names are the [`FaultModel::from_name`]
-/// spellings (`stuck-at`/`sa`, `transition`/`transition-delay`/`td`).
+/// Extracts the `--fault-model <name>` flag: the *headline* fault model
+/// for the report's FC column (both models are always graded and
+/// serialized). Names are the [`FaultModel::from_name`] spellings
+/// (`stuck-at`/`sa`, `transition`/`transition-delay`/`td`).
 ///
 /// # Errors
 ///
@@ -171,56 +197,26 @@ where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let arg = arg.as_ref();
-        let value = if arg == "--fault-model" {
-            match iter.next() {
-                Some(v) => v.as_ref().to_owned(),
-                None => return Err("--fault-model requires a model name".to_owned()),
-            }
-        } else if let Some(v) = arg.strip_prefix("--fault-model=") {
-            v.to_owned()
-        } else {
-            continue;
-        };
-        return match FaultModel::from_name(&value) {
-            Some(model) => Ok(Some(model)),
-            None => Err(format!(
-                "--fault-model must be `stuck-at` or `transition`, got `{value}`"
-            )),
-        };
-    }
-    Ok(None)
+    flag_value(args, "--fault-model")?
+        .map(|value| {
+            FaultModel::from_name(&value).ok_or_else(|| {
+                format!("--fault-model must be `stuck-at` or `transition`, got `{value}`")
+            })
+        })
+        .transpose()
 }
 
-/// Extracts the `--json <path>` flag from an argument list (as produced by
-/// `std::env::args().skip(1)`), returning the path if present.
+/// Extracts the `--json <path>` flag: where to write the run report.
 ///
-/// Accepts both `--json out.json` and `--json=out.json`. Returns an error
-/// message when the flag is given without a path.
+/// # Errors
+///
+/// Returns a one-line message when the flag is given without a path.
 pub fn json_output_path<I, S>(args: I) -> Result<Option<PathBuf>, String>
 where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let arg = arg.as_ref();
-        if arg == "--json" {
-            return match iter.next() {
-                Some(path) => Ok(Some(PathBuf::from(path.as_ref()))),
-                None => Err("--json requires a path argument".to_owned()),
-            };
-        }
-        if let Some(path) = arg.strip_prefix("--json=") {
-            if path.is_empty() {
-                return Err("--json requires a path argument".to_owned());
-            }
-            return Ok(Some(PathBuf::from(path)));
-        }
-    }
-    Ok(None)
+    Ok(flag_value(args, "--json")?.map(PathBuf::from))
 }
 
 /// Writes a [`RunReport`] where [`json_output_path`] pointed, if anywhere.
@@ -254,6 +250,39 @@ mod tests {
         );
         assert!(json_output_path(["--json"] as [&str; 1]).is_err());
         assert!(json_output_path(["--json="] as [&str; 1]).is_err());
+    }
+
+    #[test]
+    fn flag_value_forms() {
+        assert_eq!(flag_value(["--smoke"], "--ndjson").unwrap(), None);
+        assert_eq!(
+            flag_value(["--ndjson", "t.ndjson"], "--ndjson").unwrap(),
+            Some("t.ndjson".to_owned())
+        );
+        assert_eq!(
+            flag_value(["--ndjson=t.ndjson"], "--ndjson").unwrap(),
+            Some("t.ndjson".to_owned())
+        );
+        // A longer flag sharing the prefix is a different flag.
+        assert_eq!(flag_value(["--ndjsonx=1"], "--ndjson").unwrap(), None);
+        assert!(flag_value(["--ndjson"], "--ndjson").is_err());
+        assert!(flag_value(["--ndjson="], "--ndjson").is_err());
+    }
+
+    /// 0 is a valid fleet seed, while node and worker counts must be
+    /// positive.
+    #[test]
+    fn uint_flag_accepts_zero_seed_and_rejects_zero_counts() {
+        assert_eq!(uint_flag(["--seed", "0"], "--seed", 0).unwrap(), Some(0));
+        assert_eq!(
+            uint_flag(["--seed=18446744073709551615"], "--seed", 0).unwrap(),
+            Some(u64::MAX)
+        );
+        let err = uint_flag(["--seed", "-1"], "--seed", 0).unwrap_err();
+        assert_eq!(err, "--seed must be an unsigned 64-bit integer, got `-1`");
+        assert_eq!(uint_flag(["--nodes", "5"], "--nodes", 1).unwrap(), Some(5));
+        let err = uint_flag(["--nodes", "0"], "--nodes", 1).unwrap_err();
+        assert_eq!(err, "--nodes must be a positive integer, got `0`");
     }
 
     #[test]
@@ -316,29 +345,6 @@ mod tests {
         assert_eq!(
             parse_threads_var("SBST_PODEM_THREADS", "bogus").unwrap_err(),
             "SBST_PODEM_THREADS must be a positive integer, got `bogus`; \
-             using available parallelism"
-        );
-    }
-
-    #[test]
-    fn fleet_workers_parsing_names_bad_values() {
-        assert_eq!(parse_threads_var("SBST_FLEET_WORKERS", "4"), Ok(4));
-        assert_eq!(parse_threads_var("SBST_FLEET_WORKERS", " 16 "), Ok(16));
-        for bad in ["0", "-3", "four", "2.5", ""] {
-            let err = parse_threads_var("SBST_FLEET_WORKERS", bad).unwrap_err();
-            assert!(err.contains(&format!("`{bad}`")), "message: {err}");
-            assert!(err.contains("SBST_FLEET_WORKERS"), "message: {err}");
-        }
-    }
-
-    /// Pins the exact warning for an invalid `SBST_FLEET_WORKERS` value —
-    /// same convention as `SBST_THREADS` / `SBST_PODEM_THREADS`: name the
-    /// variable, echo the rejected value in backticks, state the fallback.
-    #[test]
-    fn bad_fleet_workers_warning_is_pinned() {
-        assert_eq!(
-            parse_threads_var("SBST_FLEET_WORKERS", "bogus").unwrap_err(),
-            "SBST_FLEET_WORKERS must be a positive integer, got `bogus`; \
              using available parallelism"
         );
     }

@@ -68,7 +68,11 @@ use crate::json::JsonValue;
 /// Within schema 8 the event-driven engine was removed: `engine` is now
 /// `compiled` (the default) or `full-eval`, and `events_simulated` always
 /// equals `events_full_eval` (`event_ratio` 1).
-pub const SCHEMA_VERSION: u32 = 8;
+/// 9 — Table 1's `fault_sim` object drops `events_simulated` and
+/// `event_ratio` (it keeps `events_full_eval`, the one event count), and
+/// fleet `workers_detail[]` entries drop `steals` and `telemetry_batches`:
+/// each worker runs whole nodes and writes one telemetry batch per node.
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// A machine-readable run report: a named, schema-versioned JSON document
 /// that every bench binary writes behind its `--json <path>` flag.

@@ -127,12 +127,8 @@ pub struct Table1 {
     pub grading_wall_time: Duration,
     /// Simulation engine that graded every row.
     pub engine: SimEngine,
-    /// Gate-evaluation events performed across all rows (both engines
-    /// evaluate every combinational gate on every clocked cycle, so this
-    /// equals [`Table1::events_full_eval`]).
-    pub events_simulated: u64,
-    /// Events a full evaluation of every clocked cycle costs across all
-    /// rows.
+    /// Gate-evaluation events across all rows: both engines evaluate
+    /// every combinational gate on every clocked cycle.
     pub events_full_eval: u64,
     /// Compiled-tape entries summed across rows (0 under the full-eval
     /// reference).
@@ -212,7 +208,6 @@ impl Table1 {
         let mut atpg_telemetry = AtpgTelemetry::default();
         let mut sim_threads = 1usize;
         let mut grading_wall_time = Duration::ZERO;
-        let mut events_simulated = 0u64;
         let mut events_full_eval = 0u64;
         let mut tape_len = 0u64;
         let mut chains_collapsed = 0u64;
@@ -242,7 +237,6 @@ impl Table1 {
                 let graded = grade_routine_with(cut, &routine, sim)?;
                 sim_threads = sim_threads.max(graded.sim_threads);
                 grading_wall_time += graded.sim_wall_time;
-                events_simulated += graded.sim_stats.events_simulated;
                 events_full_eval += graded.sim_stats.events_full_eval;
                 tape_len += graded.sim_stats.tape_len;
                 chains_collapsed += graded.sim_stats.chains_collapsed;
@@ -266,7 +260,6 @@ impl Table1 {
                 let grade = grade_trace_models(cut, &combined_run.trace, sim);
                 let elapsed = started.elapsed();
                 grading_wall_time += elapsed;
-                events_simulated += grade.sim_stats.events_simulated;
                 events_full_eval += grade.sim_stats.events_full_eval;
                 tape_len += grade.sim_stats.tape_len;
                 chains_collapsed += grade.sim_stats.chains_collapsed;
@@ -316,7 +309,6 @@ impl Table1 {
             sim_threads,
             grading_wall_time,
             engine: sim.engine,
-            events_simulated,
             events_full_eval,
             tape_len,
             chains_collapsed,
@@ -324,16 +316,6 @@ impl Table1 {
             lane_slots_total,
             atpg: atpg_telemetry,
         })
-    }
-
-    /// Events performed as a fraction of the full-eval baseline across all
-    /// rows, in `0.0..=1.0` (`None` when nothing was simulated).
-    pub fn event_ratio(&self) -> Option<f64> {
-        if self.events_full_eval == 0 {
-            None
-        } else {
-            Some(self.events_simulated as f64 / self.events_full_eval as f64)
-        }
     }
 
     /// Overall coverage under `model` (both models are always graded).
@@ -444,15 +426,7 @@ impl Table1 {
                         JsonValue::Float(self.grading_wall_time.as_secs_f64()),
                     ),
                     ("engine", JsonValue::from(self.engine.name())),
-                    ("events_simulated", JsonValue::from(self.events_simulated)),
                     ("events_full_eval", JsonValue::from(self.events_full_eval)),
-                    (
-                        "event_ratio",
-                        match self.event_ratio() {
-                            Some(r) => JsonValue::Float(r),
-                            None => JsonValue::Null,
-                        },
-                    ),
                     ("tape_len", JsonValue::from(self.tape_len)),
                     ("chains_collapsed", JsonValue::from(self.chains_collapsed)),
                     ("lane_slots_filled", JsonValue::from(self.lane_slots_filled)),
@@ -925,7 +899,7 @@ mod tests {
     }
 
     #[test]
-    fn engines_reproduce_identical_coverage_and_events() {
+    fn engines_reproduce_identical_coverage() {
         let cuts = vec![Cut::alu(8), Cut::pipeline(8)];
         let full =
             Table1::generate_with(&cuts, FaultSimConfig::with_engine(SimEngine::FullEval)).unwrap();
@@ -934,9 +908,6 @@ mod tests {
             assert_eq!(a.coverage, b.coverage, "{}", a.name);
         }
         assert_eq!(full.overall_coverage, compiled.overall_coverage);
-        for table in [&full, &compiled] {
-            assert_eq!(table.event_ratio(), Some(1.0));
-        }
         assert!(compiled.to_string().contains("compiled engine"));
         assert!(full.to_string().contains("full-eval engine"));
     }
@@ -971,15 +942,9 @@ mod tests {
             Some(table.engine.name())
         );
         assert_eq!(
-            sim.get("events_simulated").unwrap().as_u64(),
-            Some(table.events_simulated)
-        );
-        assert_eq!(
             sim.get("events_full_eval").unwrap().as_u64(),
             Some(table.events_full_eval)
         );
-        let ratio = sim.get("event_ratio").unwrap().as_f64().unwrap();
-        assert!((0.0..=1.0).contains(&ratio), "event ratio {ratio}");
         // The document round-trips through the parser.
         let text = v.to_json_pretty();
         assert_eq!(crate::json::parse(&text).unwrap(), v);

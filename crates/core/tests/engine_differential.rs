@@ -38,10 +38,6 @@ fn component_suite_coverage_is_bit_identical_across_engines() {
         full.overall_transition_coverage,
         compiled.overall_transition_coverage
     );
-    // Both engines evaluate every gate on every clocked cycle.
-    for table in [&full, &compiled] {
-        assert_eq!(table.events_simulated, table.events_full_eval);
-    }
     // The compiled tape folds a measurable share of gates into chains and
     // reports its instrumentation; the full-eval reference reports none.
     assert!(compiled.tape_len > 0);

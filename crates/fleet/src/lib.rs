@@ -9,20 +9,20 @@
 //!
 //! - **Characterize once, run everywhere** ([`characterize`]): the graded
 //!   schedule, golden [`sbst_cpu::manager::SignatureStore`] and mountable
-//!   netlists with their compiled tapes are built exactly once — on whichever worker asks first —
-//!   and shared immutably via `Arc`. An atomic counter proves the
-//!   "exactly once" invariant for any node and worker count.
+//!   netlists with their compiled tapes are built exactly once, before
+//!   any node runs, and shared immutably via `Arc`. An atomic counter
+//!   proves the "exactly once" invariant for any node and worker count.
 //! - **Heterogeneous populations** ([`profile`]): each node draws a
 //!   lifetime profile (healthy / infant-mortality / wear-out /
 //!   correlated-batch defect) as a pure function of `(seed, node index)`,
 //!   mounting gate-level stuck-at faults through the shared tapes.
-//! - **Sharded work stealing** ([`scheduler`]): per-worker deadline heaps
-//!   over `std::thread::scope`; steal-on-empty; deterministic
-//!   node-index-order merge, so aggregates are bit-identical for any
-//!   worker count under a fixed seed.
-//! - **Batched streaming telemetry** ([`scheduler`], [`aggregate`]):
-//!   per-worker NDJSON buffers flushed through one shared
-//!   [`sbst_core::NdjsonWriter`], rolled up into a deterministic
+//! - **One node per work item** ([`scheduler`]): one
+//!   [`sbst_gates::fan_out`] over the node indices, each item running one
+//!   node to completion; outcomes come back in node-index order, so
+//!   aggregates are bit-identical for any worker count under a fixed seed.
+//! - **Streaming telemetry** ([`scheduler`], [`aggregate`]): each
+//!   finished node's NDJSON records written as one batch through one
+//!   shared [`sbst_core::NdjsonWriter`], rolled up into a deterministic
 //!   aggregation tree (quarantine rate, fleet coverage SLO,
 //!   transient-rate drift anomalies).
 //!

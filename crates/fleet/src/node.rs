@@ -5,8 +5,8 @@
 //! A node is strictly sequential — its next session is scheduled only
 //! after the previous one finished — and every observable it produces is a
 //! pure function of `(fleet seed, node index, virtual time)`. That is the
-//! determinism argument for the whole fleet: work stealing moves *when and
-//! where* a session executes, never *what* it computes.
+//! determinism argument for the whole fleet: the worker count decides
+//! which thread runs a node, never *what* it computes.
 
 use std::sync::Arc;
 

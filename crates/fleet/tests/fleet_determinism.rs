@@ -1,14 +1,18 @@
 //! Fleet determinism differential: under a fixed seed, the aggregate,
 //! every per-node outcome and every per-node ordered event log must be
-//! bit-identical for 1, 2 and 7 workers — work stealing may move sessions
-//! between threads, never change what they compute.
+//! bit-identical for 1, 2 and 7 workers, and equal to each node run alone
+//! — the worker count decides which thread runs a node, never what it
+//! computes.
 
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::ProptestConfig;
 use proptest::proptest;
 use sbst_core::{parse_ndjson, Cut};
-use sbst_fleet::{run_fleet, Characterizer, FleetConfig, FleetRun, PopulationMix};
+use sbst_fleet::{
+    assign_profile, run_fleet, Characterizer, FleetConfig, FleetNode, FleetRun, NodeOutcome,
+    PopulationMix,
+};
 
 fn config(nodes: u64, workers: usize, record_events: bool) -> FleetConfig {
     FleetConfig {
@@ -27,7 +31,6 @@ fn config(nodes: u64, workers: usize, record_events: bool) -> FleetConfig {
         },
         record_events,
         coverage_slo_percent: 90.0,
-        telemetry_batch_lines: 8,
     }
 }
 
@@ -36,8 +39,32 @@ fn run(nodes: u64, workers: usize, record_events: bool) -> FleetRun {
     run_fleet(&config(nodes, workers, record_events), &characterizer, None)
 }
 
+/// The defining property, without the scheduler: every node built with
+/// [`FleetNode::new`] and run alone to completion, in index order.
+fn run_each_node_alone(nodes: u64) -> Vec<NodeOutcome> {
+    let characterizer = Characterizer::new(vec![Cut::alu(32), Cut::shifter(32)]);
+    let cfg = config(nodes, 1, true);
+    let specs = characterizer.target_specs();
+    (0..nodes)
+        .map(|index| {
+            let profile = assign_profile(
+                cfg.seed,
+                index,
+                &cfg.mix,
+                cfg.base_period_cycles,
+                cfg.horizon_cycles,
+                &specs,
+            );
+            let mut node = FleetNode::new(index, profile, characterizer.artifacts(), true);
+            while !node.run_due_session(cfg.horizon_cycles).done {}
+            node.finish()
+        })
+        .collect()
+}
+
 #[test]
 fn aggregates_and_event_logs_bit_identical_across_worker_counts() {
+    let alone = run_each_node_alone(24);
     let reference = run(24, 1, true);
     assert_eq!(reference.characterizations, 1);
     assert_eq!(reference.outcomes.len(), 24);
@@ -45,8 +72,21 @@ fn aggregates_and_event_logs_bit_identical_across_worker_counts() {
     // vacuous.
     assert!(reference.aggregate.transients + reference.aggregate.quarantines > 0);
 
+    let same_as_alone = |run: &FleetRun, workers: usize| {
+        assert_eq!(run.outcomes.len(), alone.len(), "{workers} workers");
+        for (a, b) in alone.iter().zip(&run.outcomes) {
+            assert_eq!(
+                a, b,
+                "node {} run alone diverges at {workers} workers",
+                a.index
+            );
+        }
+    };
+    same_as_alone(&reference, 1);
+
     for workers in [2usize, 7] {
         let other = run(24, workers, true);
+        same_as_alone(&other, workers);
         assert_eq!(other.characterizations, 1, "{workers} workers");
         assert_eq!(
             reference.aggregate, other.aggregate,
