@@ -25,6 +25,12 @@ cargo test --workspace -q
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== examples (exit code gates each run) =="
+# `cargo test` builds the examples but never runs them.
+for example in quickstart fault_injection periodic_testing; do
+  cargo run --release --quiet --example "$example" >/dev/null
+done
+
 echo "== table1 smoke run, 2 threads (JSON report) =="
 rm -f BENCH_table1.json BENCH_table1_serial.json BENCH_table1_td.json
 cargo run --release -p sbst-bench --bin table1 -- --smoke \

@@ -33,10 +33,7 @@ use sbst_gates::{FaultSimConfig, FaultSimulator, SimEngine};
 use std::time::Instant;
 
 fn run_with(routine: &sbst_core::SelfTestRoutine, config: CpuConfig) -> sbst_cpu::ExecStats {
-    let mut cpu = Cpu::new(CpuConfig {
-        undecoded_as_nop: true,
-        ..config
-    });
+    let mut cpu = Cpu::new(config);
     cpu.load_program(&routine.program);
     cpu.run().expect("routine runs").stats
 }
@@ -70,12 +67,12 @@ fn main() {
     );
     let mut branch_rows = Vec::new();
     for (style, routine) in &routines {
-        let base = run_with(routine, CpuConfig::default());
+        let base = run_with(routine, CpuConfig::self_test());
         let pred = run_with(
             routine,
             CpuConfig {
                 branch_penalty: 2,
-                ..CpuConfig::default()
+                ..CpuConfig::self_test()
             },
         );
         println!(
@@ -99,12 +96,12 @@ fn main() {
     );
     let mut forwarding_rows = Vec::new();
     for (style, routine) in &routines {
-        let with = run_with(routine, CpuConfig::default());
+        let with = run_with(routine, CpuConfig::self_test());
         let without = run_with(
             routine,
             CpuConfig {
                 forwarding: false,
-                ..CpuConfig::default()
+                ..CpuConfig::self_test()
             },
         );
         println!(
@@ -139,7 +136,7 @@ fn main() {
             CpuConfig {
                 icache: Some(CacheConfig::default()),
                 dcache: Some(CacheConfig::default()),
-                ..CpuConfig::default()
+                ..CpuConfig::self_test()
             },
         );
         let e = model.estimate(&stats, 0);

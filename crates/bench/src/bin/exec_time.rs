@@ -75,10 +75,9 @@ fn main() {
     // (3) Simulated caches: the locality the code styles were designed for.
     let mut cpu = Cpu::new(CpuConfig {
         trace: false,
-        undecoded_as_nop: true,
         icache: Some(CacheConfig::default()),
         dcache: Some(CacheConfig::default()),
-        ..CpuConfig::default()
+        ..CpuConfig::self_test()
     });
     cpu.load_program(&program.program);
     let cached = cpu.run().expect("cached run");

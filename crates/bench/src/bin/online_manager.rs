@@ -40,10 +40,9 @@ use std::time::Instant;
 
 use sbst_bench::{json_output_path, store_key_seed_from_env, write_report_if_requested};
 use sbst_components::ComponentKind;
-use sbst_core::plan::{build_managed_schedule, plan_excluding};
+use sbst_core::plan::{build_managed_schedule, plan_excluding, ManagedSchedule};
 use sbst_core::report::manager_to_json;
 use sbst_core::{Cut, JsonValue, MacKey, RunReport};
-use sbst_cpu::cpu::{Cpu, CpuConfig};
 use sbst_cpu::manager::{
     FaultFreeBench, ManagedComponent, ManagerConfig, OnlineTestManager, SessionStatus, SigLocation,
     SignatureStore, StorePolicy,
@@ -63,25 +62,22 @@ struct ScenarioResult {
     manager: JsonValue,
 }
 
-fn fresh_cpu() -> Cpu {
-    Cpu::new(CpuConfig {
-        undecoded_as_nop: true,
-        ..CpuConfig::default()
-    })
-}
-
 /// A bench mounting a stuck-at-0 on the ALU result bus whenever
 /// `active(attempt)` says so.
-fn alu_fault_bench(cut: &Cut, active: impl Fn(u32) -> bool) -> impl FnMut(&str, u32, u64) -> Cpu {
+fn alu_fault_bench(
+    cut: &Cut,
+    active: impl Fn(u32) -> bool,
+) -> impl FnMut(&str, u32, u64) -> Option<ArchFault> {
     let component = cut.component.clone();
     let fault = Fault::stem_sa0(cut.component.ports.output("result").net(7));
     move |name: &str, attempt: u32, _now: u64| {
-        let mut cpu = fresh_cpu();
-        if name == "ALU" && active(attempt) {
-            cpu.mount_fault(ArchFault::new(component.clone(), fault));
-        }
-        cpu
+        (name == "ALU" && active(attempt)).then(|| ArchFault::new(component.clone(), fault))
     }
+}
+
+/// A manager over a copy of the characterized schedule.
+fn manager(config: ManagerConfig, schedule: &ManagedSchedule) -> OnlineTestManager {
+    OnlineTestManager::new(config, schedule.components.clone(), schedule.store.clone())
 }
 
 fn snapshot(
@@ -147,7 +143,7 @@ fn keyed_store(store: &SignatureStore, key: &MacKey) -> SignatureStore {
 /// asserted 100% detected, plus a clean keyed control run asserted
 /// alarm-free.
 fn run_adversary_campaign(
-    cuts: &[Cut],
+    schedule: &ManagedSchedule,
     alu_cut: &Cut,
     key: &MacKey,
     healthy_sessions: u32,
@@ -164,9 +160,8 @@ fn run_adversary_campaign(
         let mut detected_all = true;
         let mut last = None;
         for field in 0..5u32 {
-            let sched = build_managed_schedule(cuts).unwrap();
-            let store = keyed_store(&sched.store, key);
-            let mut mgr = OnlineTestManager::new(keyed_config, sched.components, store);
+            let store = keyed_store(&schedule.store, key);
+            let mut mgr = OnlineTestManager::new(keyed_config, schedule.components.clone(), store);
             match field {
                 0 => mgr.store_mut().corrupt("ALU", 1 << 16),
                 1 => mgr.store_mut().corrupt_name(0, 0, 1),
@@ -193,10 +188,9 @@ fn run_adversary_campaign(
 
     // -- full-entry forgery with recomputed FNV seal --------------------
     {
-        let sched = build_managed_schedule(cuts).unwrap();
-        let golden = sched.store.get("ALU").unwrap();
-        let store = keyed_store(&sched.store, key);
-        let mut mgr = OnlineTestManager::new(keyed_config, sched.components, store);
+        let golden = schedule.store.get("ALU").unwrap();
+        let store = keyed_store(&schedule.store, key);
+        let mut mgr = OnlineTestManager::new(keyed_config, schedule.components.clone(), store);
         mgr.store_mut().forge("ALU", golden ^ 0xBAD);
         adversary.inject();
         let fnv_fooled = mgr.store().verify();
@@ -214,13 +208,12 @@ fn run_adversary_campaign(
 
     // -- stale-epoch replay of a validly-sealed snapshot ----------------
     {
-        let sched = build_managed_schedule(cuts).unwrap();
-        let store = keyed_store(&sched.store, key);
+        let store = keyed_store(&schedule.store, key);
         let config = ManagerConfig {
             store_policy: StorePolicy::Recapture,
             ..keyed_config
         };
-        let mut mgr = OnlineTestManager::new(config, sched.components, store);
+        let mut mgr = OnlineTestManager::new(config, schedule.components.clone(), store);
         mgr.install_replica();
         let stale_snapshot = mgr.store().clone(); // validly sealed, epoch 0
         let mut pass =
@@ -252,14 +245,13 @@ fn run_adversary_campaign(
 
     // -- recapture poisoning from a faulty core -------------------------
     {
-        let sched = build_managed_schedule(cuts).unwrap();
-        let golden = sched.store.get("ALU").unwrap();
-        let store = keyed_store(&sched.store, key);
+        let golden = schedule.store.get("ALU").unwrap();
+        let store = keyed_store(&schedule.store, key);
         let config = ManagerConfig {
             store_policy: StorePolicy::Recapture,
             ..keyed_config
         };
-        let mut mgr = OnlineTestManager::new(config, sched.components, store);
+        let mut mgr = OnlineTestManager::new(config, schedule.components.clone(), store);
         mgr.install_replica();
         // The core is permanently faulty *and* the attacker corrupts the
         // store, hoping the recapture bakes the faulty signature in.
@@ -287,13 +279,12 @@ fn run_adversary_campaign(
 
     // -- clean keyed control: zero false alarms -------------------------
     {
-        let sched = build_managed_schedule(cuts).unwrap();
-        let store = keyed_store(&sched.store, key);
+        let store = keyed_store(&schedule.store, key);
         let config = ManagerConfig {
             store_policy: StorePolicy::Recapture,
             ..keyed_config
         };
-        let mut mgr = OnlineTestManager::new(config, sched.components, store);
+        let mut mgr = OnlineTestManager::new(config, schedule.components.clone(), store);
         mgr.install_replica();
         let mut ok = true;
         for _ in 0..healthy_sessions {
@@ -352,9 +343,7 @@ fn main() {
 
     // -- healthy --------------------------------------------------------
     {
-        let sched = build_managed_schedule(&cuts).unwrap();
-        let mut mgr =
-            OnlineTestManager::new(ManagerConfig::default(), sched.components, sched.store);
+        let mut mgr = manager(ManagerConfig::default(), &schedule);
         let mut ok = true;
         for _ in 0..healthy_sessions {
             ok &=
@@ -377,9 +366,7 @@ fn main() {
 
     // -- permanent fault → quarantine → reduced schedule ----------------
     {
-        let sched = build_managed_schedule(&cuts).unwrap();
-        let mut mgr =
-            OnlineTestManager::new(ManagerConfig::default(), sched.components, sched.store);
+        let mut mgr = manager(ManagerConfig::default(), &schedule);
         let mut bench = alu_fault_bench(alu_cut, |_| true);
         let status = mgr.run_session(&mut bench);
         let quarantined = mgr.quarantined().to_vec();
@@ -387,11 +374,25 @@ fn main() {
         let mut pass = status == SessionStatus::Completed { healthy: false }
             && quarantined == ["ALU"]
             && mgr.counters().quarantines == 1;
-        // Regenerate the schedule over the survivors and keep testing.
-        let remaining: Vec<Cut> = cuts.iter().filter(|c| c.name() != "ALU").cloned().collect();
-        let reduced = build_managed_schedule(&remaining).unwrap();
-        let survivors = reduced.components.len();
-        mgr.adopt_schedule(reduced.components, reduced.store);
+        // Characterization is per component, so the survivors' schedule is
+        // the full one without the ALU; keep testing it.
+        let reduced: Vec<ManagedComponent> = schedule
+            .components
+            .iter()
+            .filter(|c| c.name != "ALU")
+            .cloned()
+            .collect();
+        let reduced_store = SignatureStore::new(
+            schedule
+                .store
+                .entries()
+                .iter()
+                .filter(|(name, _)| name != "ALU")
+                .cloned()
+                .collect(),
+        );
+        let survivors = reduced.len();
+        mgr.adopt_schedule(reduced, reduced_store);
         pass &= mgr.run_session(&mut bench) == SessionStatus::Completed { healthy: true };
         results.push(snapshot(
             "permanent",
@@ -406,9 +407,7 @@ fn main() {
 
     // -- transient fault → retry recovers → classified transient --------
     {
-        let sched = build_managed_schedule(&cuts).unwrap();
-        let mut mgr =
-            OnlineTestManager::new(ManagerConfig::default(), sched.components, sched.store);
+        let mut mgr = manager(ManagerConfig::default(), &schedule);
         let mut bench = alu_fault_bench(alu_cut, |attempt| attempt == 0);
         let status = mgr.run_session(&mut bench);
         let s = mgr.status("ALU").unwrap();
@@ -439,7 +438,7 @@ fn main() {
             signature: SigLocation::Address(0x1_0000),
             expected_cycles: 50,
         }];
-        let store = sbst_cpu::manager::SignatureStore::new(vec![("spinner".to_owned(), 0)]);
+        let store = SignatureStore::new(vec![("spinner".to_owned(), 0)]);
         let mut mgr = OnlineTestManager::new(ManagerConfig::default(), comps, store);
         let status = mgr.run_session(&mut FaultFreeBench);
         let pass = status == SessionStatus::Completed { healthy: false }
@@ -458,9 +457,7 @@ fn main() {
 
     // -- corrupted store: halt policy -----------------------------------
     {
-        let sched = build_managed_schedule(&cuts).unwrap();
-        let mut mgr =
-            OnlineTestManager::new(ManagerConfig::default(), sched.components, sched.store);
+        let mut mgr = manager(ManagerConfig::default(), &schedule);
         mgr.store_mut().corrupt("ALU", 0x0001_0000);
         let pass = mgr.run_session(&mut FaultFreeBench) == SessionStatus::Halted
             && mgr.is_halted()
@@ -475,13 +472,12 @@ fn main() {
 
     // -- corrupted store: recapture policy ------------------------------
     {
-        let sched = build_managed_schedule(&cuts).unwrap();
-        let golden_alu = sched.store.get("ALU").unwrap();
+        let golden_alu = schedule.store.get("ALU").unwrap();
         let config = ManagerConfig {
             store_policy: StorePolicy::Recapture,
             ..ManagerConfig::default()
         };
-        let mut mgr = OnlineTestManager::new(config, sched.components, sched.store);
+        let mut mgr = manager(config, &schedule);
         mgr.store_mut().corrupt("ALU", 0x0001_0000);
         let status = mgr.run_session(&mut FaultFreeBench);
         let pass = status == SessionStatus::Completed { healthy: true }
@@ -498,13 +494,12 @@ fn main() {
 
     // -- quantum preemption → checkpoint → resume -----------------------
     {
-        let sched = build_managed_schedule(&cuts).unwrap();
         let config = ManagerConfig {
             quantum_cycles: Some(1),
             ..ManagerConfig::default()
         };
-        let n = sched.components.len();
-        let mut mgr = OnlineTestManager::new(config, sched.components, sched.store);
+        let n = schedule.components.len();
+        let mut mgr = manager(config, &schedule);
         let mut preemptions = 0u32;
         let mut status = mgr.run_session(&mut FaultFreeBench);
         while status == SessionStatus::Preempted {
@@ -530,7 +525,7 @@ fn main() {
         let key = MacKey::from_seed(key_seed);
         eprintln!("running the red-team adversary campaign (key seed {key_seed:#x})...");
         results.extend(run_adversary_campaign(
-            &cuts,
+            &schedule,
             alu_cut,
             &key,
             healthy_sessions,

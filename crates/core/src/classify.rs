@@ -64,10 +64,7 @@ pub fn classification_row(cut: &Cut, total_gates: u32) -> ClassificationRow {
         } else {
             cut.gate_equivalents() as f64 / total_gates as f64 * 100.0
         },
-        gets_routine: matches!(
-            cut.class(),
-            ComponentClass::DataVisible | ComponentClass::PartiallyVisible
-        ),
+        gets_routine: cut.gets_routine(),
     }
 }
 

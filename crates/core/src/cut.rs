@@ -138,6 +138,16 @@ impl Cut {
         self.component.class
     }
 
+    /// Whether the CUT gets a dedicated self-test routine. Only the D-VC
+    /// and PVC classes do; the others are graded from the side effects of
+    /// those routines.
+    pub(crate) fn gets_routine(&self) -> bool {
+        matches!(
+            self.class(),
+            ComponentClass::DataVisible | ComponentClass::PartiallyVisible
+        )
+    }
+
     /// NAND2-equivalent area.
     pub fn gate_equivalents(&self) -> u32 {
         self.component.gate_equivalents()

@@ -228,8 +228,7 @@ pub fn execute_routine(
 ) -> Result<(ExecStats, OperandTrace, u32), GradeError> {
     let mut cpu = Cpu::new(CpuConfig {
         trace: true,
-        undecoded_as_nop: true, // the FT routine sweeps the opcode space
-        ..CpuConfig::default()
+        ..CpuConfig::self_test()
     });
     cpu.load_program(&routine.program);
     let outcome = cpu.run()?;
@@ -311,12 +310,11 @@ pub fn arch_validate_with(
     let mut v = ArchValidation::default();
     for (i, fault) in faults.iter().enumerate() {
         let mut cpu = Cpu::new(CpuConfig {
-            undecoded_as_nop: true,
             // A fault that corrupts loop control can spin forever; a tight
             // watchdog (vs the fault-free instruction count) converts that
             // into a detection instead of an unbounded simulation.
             max_instructions: ref_stats.instructions * 16 + 10_000,
-            ..CpuConfig::default()
+            ..CpuConfig::self_test()
         });
         cpu.load_program(&routine.program);
         cpu.mount_fault(ArchFault::from_shared(

@@ -185,10 +185,7 @@ fn build_schedule_inner(
     let mut scheduled = Vec::new();
     let mut coverage = Vec::new();
     for cut in cuts {
-        if !matches!(
-            cut.class(),
-            ComponentClass::DataVisible | ComponentClass::PartiallyVisible
-        ) {
+        if !cut.gets_routine() {
             continue;
         }
         let routine = RoutineSpec::recommended(cut).build(cut)?;

@@ -14,7 +14,7 @@ use sbst_isa::{Asm, Instruction, Program};
 use crate::codestyle::{emit_misr_subroutine, emit_prologue, emit_signature_unload};
 use crate::cut::Cut;
 use crate::grade::GradeError;
-use crate::routine::{BuildRoutineError, RoutineSpec, DATA_BASE, MISR_LABEL};
+use crate::routine::{routine_name, BuildRoutineError, RoutineSpec, DATA_BASE, MISR_LABEL};
 
 /// Builds a combined self-test program from per-CUT routine specs.
 #[derive(Debug, Default)]
@@ -62,7 +62,7 @@ impl SelfTestProgramBuilder {
         let mut asm = Asm::new();
         let mut sig_labels = Vec::new();
         for (cut, spec) in &self.entries {
-            let sig_label = format!("sig_{}", routine_tag(cut.kind()));
+            let sig_label = format!("sig_{}", routine_name(cut.kind()));
             asm.data_label(&sig_label);
             asm.word(0);
             emit_prologue(&mut asm); // reseed the MISR per routine
@@ -78,21 +78,6 @@ impl SelfTestProgramBuilder {
             cuts: self.entries.iter().map(|(c, _)| c.clone()).collect(),
             sig_labels,
         })
-    }
-}
-
-fn routine_tag(kind: ComponentKind) -> &'static str {
-    match kind {
-        ComponentKind::Alu => "alu",
-        ComponentKind::Comparator => "cmp",
-        ComponentKind::Shifter => "shifter",
-        ComponentKind::Multiplier => "mul",
-        ComponentKind::Divider => "div",
-        ComponentKind::RegisterFile => "regfile",
-        ComponentKind::MemoryController => "memctrl",
-        ComponentKind::ControlLogic => "control",
-        ComponentKind::Pipeline => "pipeline",
-        ComponentKind::PcUnit => "pc_unit",
     }
 }
 
@@ -133,8 +118,7 @@ impl SelfTestProgram {
     pub fn run(&self) -> Result<ProgramRun, GradeError> {
         let mut cpu = Cpu::new(CpuConfig {
             trace: true,
-            undecoded_as_nop: true, // the FT routine sweeps the opcode space
-            ..CpuConfig::default()
+            ..CpuConfig::self_test()
         });
         cpu.load_program(&self.program);
         let outcome = cpu.run()?;

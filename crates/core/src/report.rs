@@ -216,10 +216,7 @@ impl Table1 {
         let mut builder = SelfTestProgramBuilder::new();
         let mut routine_cuts = Vec::new();
         for cut in cuts {
-            if matches!(
-                cut.class(),
-                ComponentClass::DataVisible | ComponentClass::PartiallyVisible
-            ) {
+            if cut.gets_routine() {
                 builder.add(cut.clone());
                 routine_cuts.push(cut);
             }

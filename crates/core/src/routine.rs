@@ -932,7 +932,8 @@ fn pseudorandom_applies(kind: ComponentKind) -> Vec<ApplyOp> {
     }
 }
 
-fn routine_name(kind: ComponentKind) -> &'static str {
+/// The short name a CUT kind's routine labels are built from.
+pub(crate) fn routine_name(kind: ComponentKind) -> &'static str {
     match kind {
         ComponentKind::Alu => "alu",
         ComponentKind::Comparator => "cmp",

@@ -76,6 +76,18 @@ impl Default for CpuConfig {
     }
 }
 
+impl CpuConfig {
+    /// The CPU every self-test program runs on: the default core, with
+    /// undecoded words executed as no-ops because some routine styles
+    /// sweep the opcode space through the control decoder.
+    pub fn self_test() -> Self {
+        CpuConfig {
+            undecoded_as_nop: true,
+            ..CpuConfig::default()
+        }
+    }
+}
+
 /// Execution statistics in the terms of the paper's Section 2 equation:
 /// `CPU-execution-time = clock-cycle-time × (CPU-clock-cycles +
 /// pipeline-stall-cycles + memory-stall-cycles)`.

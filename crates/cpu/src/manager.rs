@@ -31,9 +31,10 @@
 //!   resumes there on the next activation, so partial passes are never
 //!   discarded.
 //!
-//! Execution environments are abstracted by [`TestBench`], which builds a
-//! fresh [`Cpu`] per attempt and takes it back afterwards — fault-injection
-//! campaigns mount [`crate::faulty::ArchFault`]s there.
+//! Every routine runs on a fresh [`Cpu`] built from
+//! [`CpuConfig::self_test`]; the only thing that varies between runs is the
+//! hardware defect. A [`TestBench`] chooses it: per attempt it may hand the
+//! manager an [`ArchFault`] to mount, and gets the mount back afterwards.
 
 use std::fmt;
 use std::sync::Arc;
@@ -41,6 +42,7 @@ use std::sync::Arc;
 use sbst_isa::Program;
 
 use crate::cpu::{Cpu, CpuConfig, CpuError};
+use crate::faulty::ArchFault;
 use crate::mac::{MacKey, SipHash24};
 use crate::system::ExecTimeEstimate;
 
@@ -793,45 +795,53 @@ pub enum SessionStatus {
     Halted,
 }
 
-/// Builds the execution environment for each routine attempt.
+/// Chooses the hardware defect, if any, for each routine run.
 ///
-/// Fault-injection campaigns mount [`crate::faulty::ArchFault`]s on the
-/// returned CPU; `now_cycles` (the manager's virtual clock) lets
-/// intermittent faults phase their activity windows against global time.
-/// The returned CPU should execute undecoded words as no-ops
-/// ([`CpuConfig::undecoded_as_nop`]) because some routine styles sweep the
-/// opcode space.
+/// The manager runs every routine on a fresh [`CpuConfig::self_test`] CPU;
+/// a bench decides only which [`ArchFault`] to mount on it.
+/// `now_cycles` (the manager's virtual clock) lets intermittent faults
+/// phase their activity windows against global time.
 ///
-/// Every CPU the manager prepares is handed back through
+/// Every fault the bench returns is handed back through
 /// [`TestBench::finish`] once its run is over, whatever the verdict, so a
-/// bench can take its mounted fault back out and reuse it (with its
-/// evaluation memo) for the next attempt.
+/// bench can reuse the mount (with its evaluation memo) for the next
+/// attempt.
 pub trait TestBench {
-    /// Returns a fresh CPU for one attempt at `component`.
-    fn prepare(&mut self, component: &str, attempt: u32, now_cycles: u64) -> Cpu;
+    /// The fault to mount for one attempt at `component`, or `None` for
+    /// fault-free hardware.
+    fn prepare(&mut self, component: &str, attempt: u32, now_cycles: u64) -> Option<ArchFault>;
 
-    /// Takes back a CPU this bench prepared, after its run. The default
+    /// Takes back a fault this bench mounted, after its run. The default
     /// drops it.
-    fn finish(&mut self, _cpu: Cpu) {}
+    fn finish(&mut self, _fault: ArchFault) {}
 }
 
-impl<F: FnMut(&str, u32, u64) -> Cpu> TestBench for F {
-    fn prepare(&mut self, component: &str, attempt: u32, now_cycles: u64) -> Cpu {
+impl<F: FnMut(&str, u32, u64) -> Option<ArchFault>> TestBench for F {
+    fn prepare(&mut self, component: &str, attempt: u32, now_cycles: u64) -> Option<ArchFault> {
         self(component, attempt, now_cycles)
     }
 }
 
-/// A fault-free [`TestBench`]: the default CPU with opcode-sweep support.
+/// A fault-free [`TestBench`]: mounts nothing.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FaultFreeBench;
 
 impl TestBench for FaultFreeBench {
-    fn prepare(&mut self, _component: &str, _attempt: u32, _now_cycles: u64) -> Cpu {
-        Cpu::new(CpuConfig {
-            undecoded_as_nop: true,
-            ..CpuConfig::default()
-        })
+    fn prepare(&mut self, _component: &str, _attempt: u32, _now_cycles: u64) -> Option<ArchFault> {
+        None
     }
+}
+
+/// How one run of a routine ended (see [`OnlineTestManager::execute`]).
+enum Execution {
+    /// Reached `break` within budget after `cycles`; `signature` is the
+    /// word at the routine's signature address, `None` when the location
+    /// does not resolve.
+    Completed { cycles: u64, signature: Option<u32> },
+    /// The watchdog budget expired.
+    Hung { budget_cycles: u64 },
+    /// The CPU faulted after `cycles`.
+    Crashed { cycles: u64 },
 }
 
 #[derive(Debug, Clone)]
@@ -1127,26 +1137,18 @@ impl OnlineTestManager {
     ) -> (Verdict, u64) {
         let components = Arc::clone(&self.components);
         let component = &components[index];
-        let mut cpu = bench.prepare(&component.name, attempt, self.clock_cycles);
-        cpu.load_program(&component.program);
-        let outcome = match run_with_watchdog(&mut cpu, budget) {
-            Ok(WatchdogOutcome::Completed { cycles }) => {
-                let verdict = match (component.sig_addr(), self.store.get(&component.name)) {
-                    (Some(addr), Some(golden)) => {
-                        let observed = cpu.memory().read_word(addr);
-                        if observed == golden {
-                            Verdict::Pass
-                        } else {
-                            Verdict::Mismatch { golden, observed }
-                        }
-                    }
+        match self.execute(component, attempt, budget, bench) {
+            Execution::Completed { cycles, signature } => {
+                let verdict = match (signature, self.store.get(&component.name)) {
+                    (Some(observed), Some(golden)) if observed == golden => Verdict::Pass,
+                    (Some(observed), Some(golden)) => Verdict::Mismatch { golden, observed },
                     // No resolvable signature or no reference: the routine
                     // cannot produce a trustworthy pass.
                     _ => Verdict::Crashed,
                 };
                 (verdict, cycles)
             }
-            Ok(WatchdogOutcome::Hung { budget_cycles }) => {
+            Execution::Hung { budget_cycles } => {
                 if self.config.record_events {
                     self.events.push(ManagerEvent::WatchdogFired {
                         component: component.name.clone(),
@@ -1155,10 +1157,43 @@ impl OnlineTestManager {
                 }
                 (Verdict::Hung { budget_cycles }, budget_cycles)
             }
-            Err(_) => (Verdict::Crashed, cpu.stats().total_cycles()),
+            Execution::Crashed { cycles } => (Verdict::Crashed, cycles),
+        }
+    }
+
+    /// The one execution path of attempts and captures: loads
+    /// `component`'s routine on a fresh self-test CPU with the bench's
+    /// fault (if any) mounted, runs it under the watchdog `budget`, reads
+    /// the signature and hands the mount back to the bench. Leaves the
+    /// clock alone; each caller charges its own cycles.
+    fn execute(
+        &self,
+        component: &ManagedComponent,
+        attempt: u32,
+        budget: u64,
+        bench: &mut dyn TestBench,
+    ) -> Execution {
+        let mut cpu = Cpu::new(CpuConfig::self_test());
+        if let Some(fault) = bench.prepare(&component.name, attempt, self.clock_cycles) {
+            cpu.mount_fault(fault);
+        }
+        cpu.load_program(&component.program);
+        let execution = match run_with_watchdog(&mut cpu, budget) {
+            Ok(WatchdogOutcome::Completed { cycles }) => Execution::Completed {
+                cycles,
+                signature: component
+                    .sig_addr()
+                    .map(|addr| cpu.memory().read_word(addr)),
+            },
+            Ok(WatchdogOutcome::Hung { budget_cycles }) => Execution::Hung { budget_cycles },
+            Err(_) => Execution::Crashed {
+                cycles: cpu.stats().total_cycles(),
+            },
         };
-        bench.finish(cpu);
-        outcome
+        if let Some(fault) = cpu.unmount_fault() {
+            bench.finish(fault);
+        }
+        execution
     }
 
     fn record_attempt(&mut self, index: usize, name: &str, attempt: u32, verdict: Verdict) {
@@ -1217,33 +1252,6 @@ impl OnlineTestManager {
             });
         }
         self.counters.quarantines += 1;
-    }
-
-    /// Runs `component`'s routine once and returns its observed signature,
-    /// or `None` when the routine hangs, crashes or has no resolvable
-    /// signature location. Advances the virtual clock by the cycles spent.
-    fn capture_signature(
-        &mut self,
-        component: &ManagedComponent,
-        bench: &mut dyn TestBench,
-    ) -> Option<u32> {
-        let budget = self
-            .config
-            .watchdog
-            .budget_cycles(component.expected_cycles);
-        let mut cpu = bench.prepare(&component.name, 0, self.clock_cycles);
-        cpu.load_program(&component.program);
-        let signature = match run_with_watchdog(&mut cpu, budget) {
-            Ok(WatchdogOutcome::Completed { cycles }) => {
-                self.clock_cycles += cycles;
-                component
-                    .sig_addr()
-                    .map(|addr| cpu.memory().read_word(addr))
-            }
-            _ => None,
-        };
-        bench.finish(cpu);
-        signature
     }
 
     /// Audits the replica (if installed) and drops it when compromised;
@@ -1337,7 +1345,19 @@ impl OnlineTestManager {
         bench: &mut dyn TestBench,
     ) -> bool {
         let key = self.config.store_key;
-        let fresh = self.capture_signature(component, bench);
+        // A fresh capture: the routine's signature when it completes (the
+        // clock advances only then), `None` when it hangs or crashes.
+        let budget = self
+            .config
+            .watchdog
+            .budget_cycles(component.expected_cycles);
+        let fresh = match self.execute(component, 0, budget, bench) {
+            Execution::Completed { cycles, signature } => {
+                self.clock_cycles += cycles;
+                signature
+            }
+            Execution::Hung { .. } | Execution::Crashed { .. } => None,
+        };
         let replicated = if replica_ok {
             self.replica.as_ref().and_then(|r| r.get(&component.name))
         } else {
@@ -1676,6 +1696,39 @@ mod tests {
     }
 
     #[test]
+    fn undecoded_word_runs_as_nop_under_the_fault_free_bench() {
+        // Benches only choose faults, so the manager alone must give every
+        // routine the opcode-sweep CPU: an undecoded word is a no-op, not
+        // a crash.
+        let mut asm = parse_asm(
+            "li $t0, 5
+             li $t1, 7
+             addu $t2, $t0, $t1
+             la $t3, sig
+             sw $t2, 0($t3)",
+        )
+        .unwrap();
+        asm.raw_word(0xFC00_0000) // opcode 0x3F: outside the implemented subset
+            .insn(sbst_isa::Instruction::Break { code: 0 })
+            .data_label("sig")
+            .word(0);
+        let sweeper = ManagedComponent {
+            program: asm.assemble(0, 0x1_0000).unwrap(),
+            ..adder_component("alu")
+        };
+        let mut mgr = OnlineTestManager::new(
+            ManagerConfig::default(),
+            vec![sweeper],
+            golden_store(&["alu"]),
+        );
+        assert_eq!(
+            mgr.run_session(&mut FaultFreeBench),
+            SessionStatus::Completed { healthy: true }
+        );
+        assert_eq!(mgr.status("alu").unwrap().last_verdict, Some(Verdict::Pass));
+    }
+
+    #[test]
     fn resumed_session_audits_store_regression() {
         // Regression: the audit used to be skipped when resuming from a
         // preemption checkpoint, so corruption landing while the session
@@ -1739,18 +1792,41 @@ mod tests {
     #[test]
     fn failed_restore_suspends_component_and_later_session_heals_it() {
         use std::sync::atomic::{AtomicBool, Ordering};
+        // The "alu" routine counts down to zero before computing its
+        // signature. A stuck-at-1 on ALU result bit 0 keeps the counter
+        // odd, so the loop never exits and the capture hangs.
+        let countdown = parse_asm(
+            "li $t0, 4
+             countdown: addiu $t0, $t0, -1
+             bne $t0, $zero, countdown
+             nop
+             li $t0, 5
+             li $t1, 7
+             addu $t2, $t0, $t1
+             la $t3, sig
+             sw $t2, 0($t3)
+             break 0
+             .data
+             sig: .word 0",
+        )
+        .unwrap()
+        .assemble(0, 0x1_0000)
+        .unwrap();
+        let alu = sbst_components::alu::alu(32);
+        let bit0_sa1 = sbst_gates::Fault::stem_sa1(alu.ports.output("result").net(0));
+        let mut faulty = Cpu::new(CpuConfig::self_test());
+        faulty.mount_fault(ArchFault::new(alu.clone(), bit0_sa1));
+        faulty.load_program(&countdown);
+        assert_eq!(
+            run_with_watchdog(&mut faulty, 1_000).unwrap(),
+            WatchdogOutcome::Hung {
+                budget_cycles: 1_000
+            }
+        );
         let hang_alu = AtomicBool::new(true);
         let mut bench = |name: &str, _attempt: u32, _now: u64| {
-            let max_instructions = if name == "alu" && hang_alu.load(Ordering::Relaxed) {
-                1 // instruction-limit fires instantly: capture hangs
-            } else {
-                CpuConfig::default().max_instructions
-            };
-            Cpu::new(CpuConfig {
-                undecoded_as_nop: true,
-                max_instructions,
-                ..CpuConfig::default()
-            })
+            (name == "alu" && hang_alu.load(Ordering::Relaxed))
+                .then(|| ArchFault::new(alu.clone(), bit0_sa1))
         };
         let config = ManagerConfig {
             store_policy: StorePolicy::Recapture,
@@ -1758,7 +1834,13 @@ mod tests {
         };
         let mut mgr = OnlineTestManager::new(
             config,
-            vec![adder_component("alu"), adder_component("shifter")],
+            vec![
+                ManagedComponent {
+                    program: countdown,
+                    ..adder_component("alu")
+                },
+                adder_component("shifter"),
+            ],
             golden_store(&["alu", "shifter"]),
         );
         mgr.store_mut().corrupt("alu", 0xFFFF);
@@ -1775,7 +1857,7 @@ mod tests {
         assert_eq!(alu.attempts, 0, "suspended component must be skipped");
         assert_eq!(mgr.status("shifter").unwrap().attempts, 1);
 
-        // The hang clears; the next clean session heals and re-tests.
+        // The fault clears; the next clean session heals and re-tests.
         hang_alu.store(false, Ordering::Relaxed);
         assert_eq!(
             mgr.run_session(&mut bench),

@@ -255,10 +255,7 @@ pub fn run_time_shared(
     test: &Program,
     config: TimeShareConfig,
 ) -> Result<TimeShareReport, CpuError> {
-    let mut cpu = Cpu::new(CpuConfig {
-        undecoded_as_nop: true,
-        ..CpuConfig::default()
-    });
+    let mut cpu = Cpu::new(CpuConfig::self_test());
     cpu.load_program(user);
     cpu.memory_mut().load_program(test);
     let mut user_ctx;

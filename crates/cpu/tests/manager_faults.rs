@@ -7,7 +7,6 @@
 
 use sbst_components::alu::alu;
 use sbst_components::Component;
-use sbst_cpu::cpu::{Cpu, CpuConfig};
 use sbst_cpu::manager::{
     FaultClass, FaultFreeBench, Health, ManagedComponent, ManagerConfig, OnlineTestManager,
     RetryPolicy, SessionStatus, SigLocation, SignatureStore, StorePolicy, TestBench, Verdict,
@@ -49,13 +48,6 @@ fn golden_store(names: &[&str]) -> SignatureStore {
     SignatureStore::new(names.iter().map(|n| ((*n).to_owned(), GOLDEN)).collect())
 }
 
-fn fresh_cpu() -> Cpu {
-    Cpu::new(CpuConfig {
-        undecoded_as_nop: true,
-        ..CpuConfig::default()
-    })
-}
-
 /// The injected defect: stuck-at-0 on ALU result bit 7.
 fn alu_bit7_sa0() -> (Component, Fault) {
     let comp = alu(32);
@@ -67,11 +59,7 @@ fn alu_bit7_sa0() -> (Component, Fault) {
 fn permanent_fault_is_classified_and_quarantined() {
     let (comp, fault) = alu_bit7_sa0();
     let mut bench = |name: &str, _attempt: u32, _now: u64| {
-        let mut cpu = fresh_cpu();
-        if name == "alu" {
-            cpu.mount_fault(ArchFault::new(comp.clone(), fault));
-        }
-        cpu
+        (name == "alu").then(|| ArchFault::new(comp.clone(), fault))
     };
     let mut mgr = OnlineTestManager::new(
         ManagerConfig::default(),
@@ -115,16 +103,12 @@ fn windowed_disturbance_is_classified_transient() {
     let disturbance_until = 100_000u64;
     let (comp, fault) = alu_bit7_sa0();
     let mut bench = move |name: &str, _attempt: u32, now: u64| {
-        let mut cpu = fresh_cpu();
-        if name == "alu" && now < disturbance_until {
-            let mounted =
-                ArchFault::new(comp.clone(), fault).with_activity(FaultActivity::Window {
-                    from_cycle: 0,
-                    until_cycle: disturbance_until - now,
-                });
-            cpu.mount_fault(mounted);
-        }
-        cpu
+        (name == "alu" && now < disturbance_until).then(|| {
+            ArchFault::new(comp.clone(), fault).with_activity(FaultActivity::Window {
+                from_cycle: 0,
+                until_cycle: disturbance_until - now,
+            })
+        })
     };
     let mut mgr = OnlineTestManager::new(
         ManagerConfig::default(),
@@ -158,17 +142,13 @@ fn intermittent_activity_fault_terminates_in_a_classification() {
     // hang or panic.
     let (comp, fault) = alu_bit7_sa0();
     let mut bench = move |name: &str, _attempt: u32, _now: u64| {
-        let mut cpu = fresh_cpu();
-        if name == "alu" {
-            let mounted =
-                ArchFault::new(comp.clone(), fault).with_activity(FaultActivity::Intermittent {
-                    period_cycles: 7,
-                    active_cycles: 3,
-                    phase_cycles: 0,
-                });
-            cpu.mount_fault(mounted);
-        }
-        cpu
+        (name == "alu").then(|| {
+            ArchFault::new(comp.clone(), fault).with_activity(FaultActivity::Intermittent {
+                period_cycles: 7,
+                active_cycles: 3,
+                phase_cycles: 0,
+            })
+        })
     };
     let mut mgr = OnlineTestManager::new(
         ManagerConfig::default(),
@@ -219,52 +199,39 @@ fn hung_routine_is_aborted_and_escalates() {
     assert_eq!(mgr.status("spare").unwrap().passes, 1);
 }
 
-/// Word where [`HandBackBench`] tags each CPU it prepares; no routine
-/// here touches it.
-const TAG_ADDR: u32 = 0x0070_0000;
-
-/// A bench that tags every CPU it prepares and checks every CPU handed
-/// back to [`TestBench::finish`] against the ones still out.
+/// A bench that mounts a fault on every run and checks that each one comes
+/// back through [`TestBench::finish`] before the next run is prepared:
+/// ALU result bit 7 stuck-at-0 on the "faulty" routine, and on every other
+/// routine bit 31 stuck-at-0, which none of their values use.
 struct HandBackBench {
-    fault: (Component, Fault),
-    next_tag: u32,
-    outstanding: Vec<u32>,
-    finished: u64,
+    alu: Component,
+    outstanding: Option<Fault>,
     mounted: u64,
-    mounts_back: u64,
+    handed_back: u64,
 }
 
 impl TestBench for HandBackBench {
-    fn prepare(&mut self, component: &str, _attempt: u32, _now_cycles: u64) -> Cpu {
-        self.next_tag += 1;
-        let mut cpu = fresh_cpu();
-        cpu.memory_mut().write_word(TAG_ADDR, self.next_tag);
-        if component == "faulty" {
-            let (comp, fault) = &self.fault;
-            cpu.mount_fault(ArchFault::new(comp.clone(), *fault));
-            self.mounted += 1;
-        }
-        self.outstanding.push(self.next_tag);
-        cpu
+    fn prepare(&mut self, component: &str, _attempt: u32, _now_cycles: u64) -> Option<ArchFault> {
+        assert_eq!(self.outstanding, None, "the previous mount never came back");
+        let bit = if component == "faulty" { 7 } else { 31 };
+        let fault = Fault::stem_sa0(self.alu.ports.output("result").net(bit));
+        self.outstanding = Some(fault);
+        self.mounted += 1;
+        Some(ArchFault::new(self.alu.clone(), fault))
     }
 
-    fn finish(&mut self, mut cpu: Cpu) {
-        let tag = cpu.memory().read_word(TAG_ADDR);
-        let out = self
-            .outstanding
-            .iter()
-            .position(|&t| t == tag)
-            .unwrap_or_else(|| panic!("CPU {tag} handed back twice or never prepared"));
-        self.outstanding.swap_remove(out);
-        self.finished += 1;
-        if cpu.unmount_fault().is_some() {
-            self.mounts_back += 1;
-        }
+    fn finish(&mut self, fault: ArchFault) {
+        assert_eq!(
+            self.outstanding.take(),
+            Some(fault.fault()),
+            "handed back a fault that is not the one mounted"
+        );
+        self.handed_back += 1;
     }
 }
 
 #[test]
-fn every_prepared_cpu_is_handed_back_once() {
+fn every_mounted_fault_is_handed_back_exactly_once() {
     let spin = parse_asm("spin: j spin\nnop")
         .unwrap()
         .assemble(0, 0x1_0000)
@@ -299,12 +266,10 @@ fn every_prepared_cpu_is_handed_back_once() {
     };
     let mut mgr = OnlineTestManager::new(config, comps, store);
     let mut bench = HandBackBench {
-        fault: alu_bit7_sa0(),
-        next_tag: 0,
-        outstanding: Vec::new(),
-        finished: 0,
+        alu: alu(32),
+        outstanding: None,
         mounted: 0,
-        mounts_back: 0,
+        handed_back: 0,
     };
     assert_eq!(
         mgr.run_session(&mut bench),
@@ -315,20 +280,18 @@ fn every_prepared_cpu_is_handed_back_once() {
     assert!(c.watchdog_fires > 0, "{c:?}");
     // Crashed both by a CPU error and by an unresolvable signature.
     assert_eq!(c.crashes, 6, "{c:?}");
-    assert_eq!(bench.finished, c.attempts);
-    // Golden recapture after a store flip prepares CPUs outside any
-    // attempt; those come back too.
+    assert_eq!(bench.handed_back, c.attempts);
+    // Golden recapture after a store flip runs routines outside any
+    // attempt; their mounts come back too.
     mgr.store_mut().corrupt("healthy", 0x0000_0080);
     assert_eq!(
         mgr.run_session(&mut bench),
         SessionStatus::Completed { healthy: true }
     );
     assert_eq!(mgr.counters().store_recaptures, 1);
-    assert!(bench.finished > mgr.counters().attempts);
-    assert!(bench.outstanding.is_empty(), "{:?}", bench.outstanding);
-    assert_eq!(u64::from(bench.next_tag), bench.finished);
-    assert!(bench.mounted > 0);
-    assert_eq!(bench.mounts_back, bench.mounted);
+    assert!(bench.handed_back > mgr.counters().attempts);
+    assert_eq!(bench.outstanding, None);
+    assert_eq!(bench.handed_back, bench.mounted);
 }
 
 #[test]
@@ -378,11 +341,7 @@ fn recapture_on_a_faulty_machine_still_detects_via_consistency() {
     // that the flow terminates deterministically in that state.
     let (comp, fault) = alu_bit7_sa0();
     let mut bench = |name: &str, _attempt: u32, _now: u64| {
-        let mut cpu = fresh_cpu();
-        if name == "alu" {
-            cpu.mount_fault(ArchFault::new(comp.clone(), fault));
-        }
-        cpu
+        (name == "alu").then(|| ArchFault::new(comp.clone(), fault))
     };
     let config = ManagerConfig {
         store_policy: StorePolicy::Recapture,
@@ -411,11 +370,7 @@ fn recapture_poisoning_is_rejected_by_the_replica_cross_check() {
     // quarantines it instead of normalizing it into the references.
     let (comp, fault) = alu_bit7_sa0();
     let mut bench = |name: &str, _attempt: u32, _now: u64| {
-        let mut cpu = fresh_cpu();
-        if name == "alu" {
-            cpu.mount_fault(ArchFault::new(comp.clone(), fault));
-        }
-        cpu
+        (name == "alu").then(|| ArchFault::new(comp.clone(), fault))
     };
     let key = MacKey::from_seed(0x7E57_0001);
     let config = ManagerConfig {
@@ -529,11 +484,7 @@ fn corruption_at_a_preemption_boundary_is_caught_on_resume() {
 fn preemption_resumes_around_an_injected_fault() {
     let (comp, fault) = alu_bit7_sa0();
     let mut bench = |name: &str, _attempt: u32, _now: u64| {
-        let mut cpu = fresh_cpu();
-        if name == "alu" {
-            cpu.mount_fault(ArchFault::new(comp.clone(), fault));
-        }
-        cpu
+        (name == "alu").then(|| ArchFault::new(comp.clone(), fault))
     };
     let config = ManagerConfig {
         quantum_cycles: Some(1),
@@ -569,13 +520,10 @@ fn campaign_always_terminates_without_panicking() {
     let (comp, fault) = alu_bit7_sa0();
     let mut mix = 0x9e37u32;
     let mut bench = move |name: &str, attempt: u32, now: u64| {
-        let mut cpu = fresh_cpu();
         mix = mix.wrapping_mul(0x0019_660d).wrapping_add(0x3c6e_f35f);
         let flaky = (mix >> 16) & 1 == 0;
-        if name == "alu" && (flaky || attempt == 0) && now % 3 != 2 {
-            cpu.mount_fault(ArchFault::new(comp.clone(), fault));
-        }
-        cpu
+        (name == "alu" && (flaky || attempt == 0) && now % 3 != 2)
+            .then(|| ArchFault::new(comp.clone(), fault))
     };
     let retry = RetryPolicy {
         max_retries: 2,

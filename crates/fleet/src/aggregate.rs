@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use sbst_core::JsonValue;
 
 use crate::characterize::SharedArtifacts;
-use crate::node::NodeOutcome;
+use crate::node::{fnv1a_u64, NodeOutcome, FNV_OFFSET};
 use crate::profile::ProfileKind;
 
 /// Rollup for one population profile.
@@ -153,7 +153,7 @@ impl Aggregate {
             tamper_detection_rate: 1.0,
             quarantine_rate: 0.0,
             transient_rate: 0.0,
-            fleet_digest: 0xCBF2_9CE4_8422_2325,
+            fleet_digest: FNV_OFFSET,
             coverage: artifacts.coverage.clone(),
             coverage_slo_percent,
             coverage_slo_met: artifacts
@@ -193,10 +193,7 @@ impl Aggregate {
             if !outcome.quarantined.is_empty() {
                 quarantined_nodes += 1;
             }
-            for byte in outcome.digest.to_le_bytes() {
-                agg.fleet_digest ^= byte as u64;
-                agg.fleet_digest = agg.fleet_digest.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            agg.fleet_digest = fnv1a_u64(agg.fleet_digest, outcome.digest);
             let group = groups
                 .entry(outcome.profile.kind)
                 .or_insert_with(|| ProfileGroup {

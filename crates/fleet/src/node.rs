@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use sbst_cpu::cpu::{Cpu, CpuConfig};
 use sbst_cpu::manager::{
     ManagerConfig, ManagerCounters, ManagerEvent, OnlineTestManager, SignatureStore, StorePolicy,
     TestBench,
@@ -22,7 +21,7 @@ use crate::characterize::{FaultTargets, SharedArtifacts};
 use crate::profile::{AttackKind, NodeProfile, PlannedFault, ProfileKind};
 
 /// FNV-1a 64-bit fold over one `u64`.
-fn fnv1a_u64(hash: u64, value: u64) -> u64 {
+pub(crate) fn fnv1a_u64(hash: u64, value: u64) -> u64 {
     let mut h = hash;
     for byte in value.to_le_bytes() {
         h ^= byte as u64;
@@ -31,7 +30,7 @@ fn fnv1a_u64(hash: u64, value: u64) -> u64 {
     h
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// What one periodic session observed, for telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,15 +89,15 @@ impl NodeOutcome {
     }
 }
 
-/// The test bench of one session: a fault-free CPU per attempt, with the
-/// node's planned fault (if any) mounted while its own target's routine
-/// runs — every other routine executes on fault-free hardware.
+/// The test bench of one session: the node's planned fault (if any) is
+/// mounted while its own target's routine runs — every other routine
+/// executes on fault-free hardware.
 ///
 /// The mount lives for the session: the first attempt that needs it
-/// builds it, [`TestBench::finish`] takes it back out of the finished CPU,
-/// and the next attempt re-arms it, so retries and recaptures reuse its
-/// evaluation memo. It is dropped with the bench when the session ends,
-/// which keeps at most one mount alive per worker.
+/// builds it, [`TestBench::finish`] takes it back after the run, and the
+/// next attempt re-arms it, so retries and recaptures reuse its evaluation
+/// memo. It is dropped with the bench when the session ends, which keeps
+/// at most one mount alive per worker.
 struct SessionBench<'a> {
     targets: &'a FaultTargets,
     planned: Option<(Fault, PlannedFault)>,
@@ -106,33 +105,25 @@ struct SessionBench<'a> {
 }
 
 impl TestBench for SessionBench<'_> {
-    fn prepare(&mut self, name: &str, _attempt: u32, now: u64) -> Cpu {
-        let mut cpu = Cpu::new(CpuConfig {
-            undecoded_as_nop: true,
-            ..CpuConfig::default()
-        });
+    fn prepare(&mut self, name: &str, _attempt: u32, now: u64) -> Option<ArchFault> {
+        let (fault, planned) = self.planned?;
+        if self.targets[planned.target].name != name {
+            return None;
+        }
         // The planned window lives in fleet virtual time; the CPU's cycle
         // counter restarts per attempt, so rebase into the attempt's local
         // frame (and skip mounting once the window is entirely in the
         // past — burned-out faults cost nothing).
-        if let Some((fault, planned)) = self.planned {
-            if self.targets[planned.target].name == name {
-                if let Some(local) = planned.activity.rebase(now) {
-                    let mount = self
-                        .mount
-                        .take()
-                        .unwrap_or_else(|| self.targets.mount(planned.target, fault));
-                    cpu.mount_fault(mount.with_activity(local));
-                }
-            }
-        }
-        cpu
+        let local = planned.activity.rebase(now)?;
+        let mount = self
+            .mount
+            .take()
+            .unwrap_or_else(|| self.targets.mount(planned.target, fault));
+        Some(mount.with_activity(local))
     }
 
-    fn finish(&mut self, mut cpu: Cpu) {
-        if let Some(mount) = cpu.unmount_fault() {
-            self.mount = Some(mount);
-        }
+    fn finish(&mut self, fault: ArchFault) {
+        self.mount = Some(fault);
     }
 }
 

@@ -18,10 +18,7 @@ use sbst::core::plan::build_managed_schedule;
 use sbst::core::{Cut, GoldenSignatures, SelfTestProgramBuilder};
 use sbst::cpu::manager::{ManagerConfig, OnlineTestManager};
 use sbst::cpu::system::{run_time_shared, scheduler_overhead, TimeShareConfig};
-use sbst::cpu::{
-    ActivationPolicy, AnalyticStallModel, ArchFault, Cpu, CpuConfig, ExecTimeEstimate,
-    QuantumConfig,
-};
+use sbst::cpu::{ActivationPolicy, AnalyticStallModel, ArchFault, ExecTimeEstimate, QuantumConfig};
 use sbst::gates::Fault;
 use sbst::isa::parse_asm;
 
@@ -173,20 +170,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     // The shifter suffers a one-off disturbance (its very first attempt,
     // never again); the ALU carries a hard defect present on every attempt.
     let mut shifter_disturbed = false;
-    let mut bench = move |name: &str, _attempt: u32, _now: u64| {
-        let mut cpu = Cpu::new(CpuConfig {
-            undecoded_as_nop: true,
-            ..CpuConfig::default()
-        });
-        match name {
-            "ALU" => cpu.mount_fault(ArchFault::new(alu.component.clone(), alu_fault)),
-            "Shifter" if !shifter_disturbed => {
-                shifter_disturbed = true;
-                cpu.mount_fault(ArchFault::new(shifter.component.clone(), shifter_fault));
-            }
-            _ => {}
+    let mut bench = move |name: &str, _attempt: u32, _now: u64| match name {
+        "ALU" => Some(ArchFault::new(alu.component.clone(), alu_fault)),
+        "Shifter" if !shifter_disturbed => {
+            shifter_disturbed = true;
+            Some(ArchFault::new(shifter.component.clone(), shifter_fault))
         }
-        cpu
+        _ => None,
     };
     let mut mgr = OnlineTestManager::new(
         ManagerConfig::default(),

@@ -12,17 +12,10 @@ use sbst::cpu::manager::{
     FaultClass, Health, ManagerConfig, ManagerEvent, OnlineTestManager, SessionStatus,
     SignatureStore,
 };
-use sbst::cpu::{ArchFault, Cpu, CpuConfig, FaultActivity};
+use sbst::cpu::{ArchFault, FaultActivity};
 use sbst::gates::{Fault, FaultSimConfig, SimEngine};
 
 const ENGINES: [SimEngine; 2] = [SimEngine::FullEval, SimEngine::Compiled];
-
-fn fresh_cpu() -> Cpu {
-    Cpu::new(CpuConfig {
-        undecoded_as_nop: true,
-        ..CpuConfig::default()
-    })
-}
 
 fn graded_schedule(cuts: &[Cut], engine: SimEngine) -> ManagedSchedule {
     build_managed_schedule_graded(cuts, FaultSimConfig::with_engine(engine)).unwrap()
@@ -59,11 +52,7 @@ fn run_permanent_scenario(engine: SimEngine) -> (Vec<ManagerEvent>, SignatureSto
     let alu = cuts[0].clone();
     let fault = Fault::stem_sa0(alu.component.ports.output("result").net(7));
     let mut bench = move |name: &str, _attempt: u32, _now: u64| {
-        let mut cpu = fresh_cpu();
-        if name == "ALU" {
-            cpu.mount_fault(ArchFault::new(alu.component.clone(), fault));
-        }
-        cpu
+        (name == "ALU").then(|| ArchFault::new(alu.component.clone(), fault))
     };
     let mut mgr = OnlineTestManager::new(
         ManagerConfig::default(),
@@ -117,16 +106,12 @@ fn run_transient_scenario(engine: SimEngine) -> (Vec<ManagerEvent>, SignatureSto
     let alu = cuts[0].clone();
     let fault = Fault::stem_sa0(alu.component.ports.output("result").net(7));
     let mut bench = move |name: &str, _attempt: u32, now: u64| {
-        let mut cpu = fresh_cpu();
-        if name == "ALU" && now < disturbance_until {
-            let mounted =
-                ArchFault::new(alu.component.clone(), fault).with_activity(FaultActivity::Window {
-                    from_cycle: 0,
-                    until_cycle: disturbance_until - now,
-                });
-            cpu.mount_fault(mounted);
-        }
-        cpu
+        (name == "ALU" && now < disturbance_until).then(|| {
+            ArchFault::new(alu.component.clone(), fault).with_activity(FaultActivity::Window {
+                from_cycle: 0,
+                until_cycle: disturbance_until - now,
+            })
+        })
     };
     let mut mgr = OnlineTestManager::new(
         ManagerConfig::default(),

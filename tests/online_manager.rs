@@ -11,15 +11,8 @@ use sbst::core::Cut;
 use sbst::cpu::manager::{
     FaultClass, FaultFreeBench, Health, ManagerConfig, OnlineTestManager, SessionStatus,
 };
-use sbst::cpu::{ArchFault, Cpu, CpuConfig};
+use sbst::cpu::ArchFault;
 use sbst::gates::Fault;
-
-fn fresh_cpu() -> Cpu {
-    Cpu::new(CpuConfig {
-        undecoded_as_nop: true,
-        ..CpuConfig::default()
-    })
-}
 
 #[test]
 fn characterized_schedule_runs_clean_sessions() {
@@ -51,11 +44,7 @@ fn permanent_fault_quarantines_and_replan_keeps_survivors_tested() {
     let alu_cut = cuts[0].clone();
     let fault = Fault::stem_sa0(alu_cut.component.ports.output("result").net(7));
     let mut bench = move |name: &str, _attempt: u32, _now: u64| {
-        let mut cpu = fresh_cpu();
-        if name == "ALU" {
-            cpu.mount_fault(ArchFault::new(alu_cut.component.clone(), fault));
-        }
-        cpu
+        (name == "ALU").then(|| ArchFault::new(alu_cut.component.clone(), fault))
     };
 
     let mut mgr = OnlineTestManager::new(
