@@ -114,6 +114,34 @@ if ! diff <(atpg_outcome_fields BENCH_table1_serial.json) <(atpg_outcome_fields 
   exit 1
 fi
 
+echo "== atpg_speed smoke: per-function ATPG campaign, 1 vs 2 threads =="
+# The campaign behind every AtpgD routine. Its patterns, coverage and
+# search outcomes are deterministic; only the PODEM thread count and wall
+# time may differ between the two runs.
+rm -f BENCH_atpg_speed_serial.json BENCH_atpg_speed.json
+cargo run --release -p sbst-bench --bin atpg_speed -- --smoke --threads 1 \
+  --json BENCH_atpg_speed_serial.json
+cargo run --release -p sbst-bench --bin atpg_speed -- --smoke --threads 2 \
+  --json BENCH_atpg_speed.json
+for report in BENCH_atpg_speed_serial.json BENCH_atpg_speed.json; do
+  cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
+    --require tool --require schema_version --require components --require atpg
+  if [ "$(jq '.schema_version' "$report")" != "9" ]; then
+    echo "error: $report schema_version is not 9" >&2
+    exit 1
+  fi
+done
+atpg_speed_fields() {
+  jq -S '{
+    components: [.components[] | {component, patterns, faults_detected, fault_count}],
+    atpg: (.atpg | del(.podem_threads, .podem_wall_seconds))
+  }' "$1"
+}
+if ! diff <(atpg_speed_fields BENCH_atpg_speed_serial.json) <(atpg_speed_fields BENCH_atpg_speed.json); then
+  echo "error: atpg_speed outcomes diverge between 1 and 2 threads" >&2
+  exit 1
+fi
+
 echo "== online_manager fault-injection smoke (exit code gates the campaign) =="
 rm -f BENCH_online_manager.json
 cargo run --release -p sbst-bench --bin online_manager -- --smoke --json BENCH_online_manager.json

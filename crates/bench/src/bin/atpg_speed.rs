@@ -1,5 +1,6 @@
-//! ATPG wall-time benchmark: constrained per-function PODEM campaigns on
-//! the ATPG-capable full-width components (shifter, ALU), timed end to end.
+//! ATPG wall-time benchmark: the constrained per-function PODEM campaign
+//! (`sbst_tpg::per_function_campaign`) on the ATPG-capable full-width
+//! components (shifter, ALU), timed end to end.
 //!
 //! This is the workload behind Table 1's deterministic shifter routine and
 //! the Figure-1/2 ALU style comparison — the "long pole" of report
@@ -19,46 +20,23 @@ use sbst_components::alu::AluFunc;
 use sbst_components::shifter::ShiftFunc;
 use sbst_components::Component;
 use sbst_core::{JsonValue, RunReport};
-use sbst_tpg::{Atpg, AtpgConfig, AtpgTelemetry, InputConstraint};
+use sbst_tpg::{per_function_campaign, AtpgConfig, AtpgResult, AtpgTelemetry};
 
-fn op_constraints(component: &Component, encoding: u8) -> Vec<InputConstraint> {
-    let op_bus = component.ports.input("op");
-    (0..op_bus.width())
-        .map(|bit| InputConstraint {
-            net: op_bus.net(bit),
-            value: (encoding >> bit) & 1 == 1,
-        })
-        .collect()
-}
-
-/// Runs the per-function constrained campaign (the `body_*_atpg` discipline:
-/// each function's run targets only the faults every earlier function left
-/// undetected) and returns (patterns, detected, total_faults).
+/// Runs the per-function constrained campaign, folds its runs into
+/// `telemetry`, and returns (patterns, detected, total_faults).
 fn campaign(
     component: &Component,
     encodings: &[u8],
     config: AtpgConfig,
     telemetry: &mut AtpgTelemetry,
 ) -> (usize, usize, usize) {
-    let mut remaining = component.netlist.collapsed_faults();
-    let total = remaining.len();
-    let mut patterns = 0usize;
-    for &enc in encodings {
-        let constraints = op_constraints(component, enc);
-        let result = Atpg::new(&component.netlist)
-            .with_constraints(&constraints)
-            .with_config(config)
-            .run(&remaining);
-        telemetry.absorb(&result);
-        patterns += result.patterns.len();
-        remaining = remaining
-            .into_iter()
-            .zip(result.outcomes)
-            .filter(|(_, o)| !o.is_detected())
-            .map(|(f, _)| f)
-            .collect();
-    }
-    (patterns, total - remaining.len(), total)
+    let runs = per_function_campaign(component, encodings, config);
+    runs.iter().for_each(|r| telemetry.absorb(r));
+    (
+        runs.iter().map(|r| r.patterns.len()).sum(),
+        runs.iter().map(AtpgResult::detected_count).sum(),
+        component.netlist.collapsed_faults().len(),
+    )
 }
 
 fn component_json(
@@ -101,16 +79,24 @@ fn main() {
     let mut telemetry = AtpgTelemetry::default();
 
     let shifter = sbst_components::shifter::shifter(width);
-    let shift_encs: Vec<u8> = ShiftFunc::ALL.iter().map(|f| f.encoding()).collect();
     let t0 = Instant::now();
-    let (sp, sd, st) = campaign(&shifter, &shift_encs, config, &mut telemetry);
+    let (sp, sd, st) = campaign(
+        &shifter,
+        &ShiftFunc::ALL.map(ShiftFunc::encoding),
+        config,
+        &mut telemetry,
+    );
     let shifter_secs = t0.elapsed().as_secs_f64();
     println!("shifter({width}): {sp} patterns, {sd}/{st} detected, {shifter_secs:.3} s");
 
     let alu = sbst_components::alu::alu(width);
-    let alu_encs: Vec<u8> = AluFunc::ALL.iter().map(|f| f.encoding()).collect();
     let t0 = Instant::now();
-    let (ap, ad, at) = campaign(&alu, &alu_encs, config, &mut telemetry);
+    let (ap, ad, at) = campaign(
+        &alu,
+        &AluFunc::ALL.map(AluFunc::encoding),
+        config,
+        &mut telemetry,
+    );
     let alu_secs = t0.elapsed().as_secs_f64();
     println!("alu({width}): {ap} patterns, {ad}/{at} detected, {alu_secs:.3} s");
 

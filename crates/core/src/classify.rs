@@ -145,5 +145,7 @@ mod tests {
                 _ => assert!(!row.gets_routine),
             }
         }
+        // The branch comparator is the D-VC graded from the branch stream.
+        assert!(!classification_row(&Cut::comparator(8), total).gets_routine);
     }
 }

@@ -11,7 +11,8 @@
 //!   patterns in a compact loop, constant code *and* data size;
 //! - [`emit_regular_walking_loop`] — Figure 4: a regular deterministic
 //!   generator steps from an initial value to a final value in a compact
-//!   loop.
+//!   loop. The regular routines of [`crate::routine`] pair it with
+//!   immediate corner patterns (`RegD (L + I)`).
 //!
 //! All styles compact responses through the shared 8-word software MISR
 //! subroutine ([`emit_misr_subroutine`]) and unload one signature word per
@@ -21,7 +22,6 @@ use sbst_components::alu::AluFunc;
 use sbst_isa::{Asm, Instruction, Reg};
 use sbst_tpg::lfsr::LfsrConfig;
 use sbst_tpg::misr;
-use sbst_tpg::strategy::TpgStrategy;
 
 /// The register conventions used by every emitted routine (mirroring the
 /// paper's figures, which use `$s0`/`$s1` for patterns and `$s2` for the
@@ -82,18 +82,6 @@ impl CodeStyle {
             CodeStyle::RegularLoopImmediate => "RegD (L + I)",
             CodeStyle::RegularImmediate => "RegD (I)",
             CodeStyle::FunctionalTest => "FT",
-        }
-    }
-
-    /// The TPG strategy behind the style.
-    pub fn strategy(self) -> TpgStrategy {
-        match self {
-            CodeStyle::AtpgImmediate | CodeStyle::AtpgDataFetch => TpgStrategy::DeterministicAtpg,
-            CodeStyle::PseudorandomLoop => TpgStrategy::Pseudorandom,
-            CodeStyle::RegularLoopImmediate | CodeStyle::RegularImmediate => {
-                TpgStrategy::RegularDeterministic
-            }
-            CodeStyle::FunctionalTest => TpgStrategy::FunctionalTest,
         }
     }
 }
@@ -435,44 +423,58 @@ pub fn emit_pseudorandom_loop(
     asm.nop();
 }
 
+/// All ones in the low `width` bits.
+pub(crate) fn mask(width: usize) -> u32 {
+    if width == 32 {
+        u32::MAX
+    } else {
+        (1u32 << width) - 1
+    }
+}
+
+/// The `01…01` and `10…10` checkerboards, masked to `width` bits.
+pub(crate) fn checkerboards(width: usize) -> (u32, u32) {
+    let m = mask(width);
+    (0x5555_5555 & m, 0xAAAA_AAAA & m)
+}
+
 /// Figure 4: regular deterministic loop code style.
 ///
-/// `X` walks a single one across the word (`initial value` 1, `generate
-/// next` = shift left, `final value` 0 after the one falls off) while `Y`
-/// holds all-ones — the linear part of the regular test sets for iterative
+/// `walk` (one of [`regs::X`], [`regs::Y`]) walks a single one across the
+/// word (`initial value` 1, `generate next` = shift left, `final value` 0
+/// after the one falls off) while the other operand register holds
+/// all-ones — the linear part of the regular test sets for iterative
 /// arrays. Code size is constant.
 pub fn emit_regular_walking_loop(
     asm: &mut Asm,
     width: usize,
+    walk: Reg,
     applies: &[ApplyOp],
     loop_label: &str,
     misr_label: &str,
 ) {
-    let ones: u32 = if width == 32 {
-        u32::MAX
-    } else {
-        (1u32 << width) - 1
-    };
-    asm.li(regs::X, 1); // initial_value_x
-    asm.li(regs::Y, ones); // y fixed at all-ones
+    let ones = mask(width);
+    let fixed = if walk == regs::X { regs::Y } else { regs::X };
+    asm.li(walk, 1); // initial value
+    asm.li(fixed, ones); // other operand fixed at all-ones
     asm.label(loop_label);
     for &apply in applies {
         emit_apply(asm, apply, misr_label);
     }
-    // generate next X pattern (walking one); loop until it falls off.
+    // generate next pattern (walking one); loop until it falls off.
     asm.insn(Instruction::Sll {
-        rd: regs::X,
-        rt: regs::X,
+        rd: walk,
+        rt: walk,
         shamt: 1,
     });
     if width < 32 {
         asm.insn(Instruction::Andi {
-            rt: regs::X,
-            rs: regs::X,
+            rt: walk,
+            rs: walk,
             imm: ones as u16,
         });
     }
-    asm.bne(regs::X, Reg::ZERO, loop_label); // final value reached
+    asm.bne(walk, Reg::ZERO, loop_label); // final value reached
     asm.nop();
 }
 

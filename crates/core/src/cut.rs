@@ -138,14 +138,11 @@ impl Cut {
         self.component.class
     }
 
-    /// Whether the CUT gets a dedicated self-test routine. Only the D-VC
-    /// and PVC classes do; the others are graded from the side effects of
-    /// those routines.
+    /// Whether the CUT gets a dedicated self-test routine: the D-VCs other
+    /// than the branch comparator, and the PVC. The others are graded from
+    /// the side effects of those routines.
     pub(crate) fn gets_routine(&self) -> bool {
-        matches!(
-            self.class(),
-            ComponentClass::DataVisible | ComponentClass::PartiallyVisible
-        )
+        crate::routine::dedicated_style(self.kind()).is_some()
     }
 
     /// NAND2-equivalent area.

@@ -80,17 +80,11 @@ pub fn stimulus_for(cut: &Cut, trace: &OperandTrace) -> Stimulus {
 
 /// Grades the CUT's collapsed fault list against a recorded trace.
 pub fn grade_trace(cut: &Cut, trace: &OperandTrace) -> FaultCoverage {
-    grade_trace_with(cut, trace, FaultSimConfig::default())
+    grade_trace_detailed(cut, trace, FaultSimConfig::default()).0
 }
 
 /// [`grade_trace`] with an explicit fault-simulator configuration (thread
-/// count, drop-on-detect, …). Coverage is bit-identical for every
-/// configuration; only wall time differs.
-pub fn grade_trace_with(cut: &Cut, trace: &OperandTrace, sim: FaultSimConfig) -> FaultCoverage {
-    grade_trace_detailed(cut, trace, sim).0
-}
-
-/// [`grade_trace_with`], additionally returning the simulation-volume
+/// count, drop-on-detect, …), additionally returning the simulation-volume
 /// instrumentation ([`SimStats`]) of the grading run — cycles clocked,
 /// batches, gate-evaluation events and the tape's lane occupancy.
 pub fn grade_trace_detailed(
@@ -284,26 +278,10 @@ pub fn arch_validate(
     routine: &SelfTestRoutine,
     faults: &[Fault],
 ) -> Result<ArchValidation, GradeError> {
-    arch_validate_with(cut, routine, faults, FaultSimConfig::default())
-}
-
-/// [`arch_validate`] with an explicit fault-simulator configuration for the
-/// trace-replay side of the comparison.
-///
-/// # Errors
-///
-/// Returns [`GradeError`] if the fault-free run fails.
-pub fn arch_validate_with(
-    cut: &Cut,
-    routine: &SelfTestRoutine,
-    faults: &[Fault],
-    sim: FaultSimConfig,
-) -> Result<ArchValidation, GradeError> {
     // Reference: fault-free signature + replay detections.
     let (ref_stats, trace, good_signature) = execute_routine(routine)?;
     let stimulus = stimulus_for(cut, &trace);
-    let replay =
-        FaultSimulator::with_config(&cut.component.netlist, sim).simulate(faults, &stimulus);
+    let replay = FaultSimulator::new(&cut.component.netlist).simulate(faults, &stimulus);
 
     // One tape per call, shared by every mount below.
     let tape = Arc::new(CompiledTape::compile(&cut.component.netlist));

@@ -49,9 +49,8 @@ pub use codestyle::CodeStyle;
 pub use cut::Cut;
 pub use diagnose::{Diagnosis, GoldenSignatures};
 pub use grade::{
-    arch_validate, arch_validate_with, grade_routine, grade_routine_with, grade_trace,
-    grade_trace_detailed, grade_trace_models, grade_trace_with, stimulus_for, ArchValidation,
-    GradeError, GradedRoutine, TraceGrade,
+    arch_validate, grade_routine, grade_routine_with, grade_trace, grade_trace_detailed,
+    grade_trace_models, stimulus_for, ArchValidation, GradeError, GradedRoutine, TraceGrade,
 };
 pub use json::{parse_ndjson, JsonValue, NdjsonError, NdjsonWriter};
 pub use mac::{siphash24, MacKey, SipHash24};

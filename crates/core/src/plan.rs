@@ -119,8 +119,8 @@ pub struct ManagedSchedule {
     pub components: Vec<ManagedComponent>,
     /// Golden signatures keyed by component name, checksummed.
     pub store: SignatureStore,
-    /// The CUTs that received a schedule entry (D-VC and PVC classes; the
-    /// side-effect-graded classes have no standalone routine to schedule).
+    /// The CUTs that received a schedule entry (those with a dedicated
+    /// routine; the side-effect-graded CUTs have none to schedule).
     pub cuts: Vec<Cut>,
     /// Per-component fault coverage measured at characterization time, in
     /// schedule order. Empty unless built by

@@ -16,10 +16,11 @@ use crate::cut::Cut;
 use crate::grade::GradeError;
 use crate::routine::{routine_name, BuildRoutineError, RoutineSpec, DATA_BASE, MISR_LABEL};
 
-/// Builds a combined self-test program from per-CUT routine specs.
+/// Builds a combined self-test program from the CUTs' recommended
+/// routines.
 #[derive(Debug, Default)]
 pub struct SelfTestProgramBuilder {
-    entries: Vec<(Cut, RoutineSpec)>,
+    cuts: Vec<Cut>,
 }
 
 impl SelfTestProgramBuilder {
@@ -30,14 +31,7 @@ impl SelfTestProgramBuilder {
 
     /// Adds a CUT with its recommended routine spec.
     pub fn add(&mut self, cut: Cut) -> &mut Self {
-        let spec = RoutineSpec::recommended(&cut);
-        self.entries.push((cut, spec));
-        self
-    }
-
-    /// Adds a CUT with an explicit spec.
-    pub fn add_with_spec(&mut self, cut: Cut, spec: RoutineSpec) -> &mut Self {
-        self.entries.push((cut, spec));
+        self.cuts.push(cut);
         self
     }
 
@@ -50,23 +44,23 @@ impl SelfTestProgramBuilder {
     /// added twice (label uniqueness).
     pub fn build(&self) -> Result<SelfTestProgram, BuildRoutineError> {
         let mut seen: Vec<ComponentKind> = Vec::new();
-        for (cut, spec) in &self.entries {
+        for cut in &self.cuts {
             if seen.contains(&cut.kind()) {
                 return Err(BuildRoutineError::UnsupportedStyle {
                     kind: cut.kind(),
-                    style: spec.style,
+                    style: RoutineSpec::recommended(cut).style,
                 });
             }
             seen.push(cut.kind());
         }
         let mut asm = Asm::new();
         let mut sig_labels = Vec::new();
-        for (cut, spec) in &self.entries {
+        for cut in &self.cuts {
             let sig_label = format!("sig_{}", routine_name(cut.kind()));
             asm.data_label(&sig_label);
             asm.word(0);
             emit_prologue(&mut asm); // reseed the MISR per routine
-            spec.emit_body(cut, &mut asm)?;
+            RoutineSpec::recommended(cut).emit_body(cut, &mut asm)?;
             emit_signature_unload(&mut asm, &sig_label);
             sig_labels.push(sig_label);
         }
@@ -75,7 +69,7 @@ impl SelfTestProgramBuilder {
         let program = asm.assemble(0, DATA_BASE)?;
         Ok(SelfTestProgram {
             program,
-            cuts: self.entries.iter().map(|(c, _)| c.clone()).collect(),
+            cuts: self.cuts.clone(),
             sig_labels,
         })
     }

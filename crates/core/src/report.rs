@@ -148,9 +148,10 @@ pub struct Table1 {
 impl Table1 {
     /// Generates the table for a component inventory.
     ///
-    /// Components whose class receives a routine (D-VC, PVC) are built and
-    /// graded individually; the remaining components (A-VC/M-VC/HC) are
-    /// graded as side effects of the combined program's trace, as the paper
+    /// Components that receive a routine (the D-VCs other than the branch
+    /// comparator, and the PVC) are built and graded individually; the
+    /// remaining components (the comparator, A-VC/M-VC/HC) are graded as
+    /// side effects of the combined program's trace, as the paper
     /// prescribes.
     ///
     /// # Errors
@@ -170,30 +171,18 @@ impl Table1 {
     ///
     /// Returns [`Table1Error`] if any routine fails to build, run or grade.
     pub fn generate_with(cuts: &[Cut], sim: FaultSimConfig) -> Result<Table1, Table1Error> {
-        Table1::generate_with_atpg(cuts, sim, AtpgConfig::default())
+        Table1::generate_with_model(cuts, sim, AtpgConfig::default(), FaultModel::default())
     }
 
     /// [`Table1::generate_with`] with an explicit ATPG configuration for
     /// the deterministic-style routine builds (PODEM thread count, random
-    /// phase size, grading engine). Patterns, outcomes and coverage are
-    /// bit-identical for every `atpg.podem_threads` setting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Table1Error`] if any routine fails to build, run or grade.
-    pub fn generate_with_atpg(
-        cuts: &[Cut],
-        sim: FaultSimConfig,
-        atpg: AtpgConfig,
-    ) -> Result<Table1, Table1Error> {
-        Table1::generate_with_model(cuts, sim, atpg, FaultModel::default())
-    }
-
-    /// [`Table1::generate_with_atpg`] with an explicit *headline* fault
-    /// model. Every row is always graded under **both** the single-stuck-at
-    /// and the gross transition-delay model (the per-model columns land in
-    /// the JSON report unconditionally); `model` only selects which model's
-    /// numbers the rendered FC column and [`Table1::fault_model`] report.
+    /// phase size, grading engine) and an explicit *headline* fault
+    /// model. Patterns, outcomes and coverage are bit-identical for every
+    /// `atpg.podem_threads` setting. Every row is always graded under
+    /// **both** the single-stuck-at and the gross transition-delay model
+    /// (the per-model columns land in the JSON report unconditionally);
+    /// `model` only selects which model's numbers the rendered FC column
+    /// and [`Table1::fault_model`] report.
     ///
     /// # Errors
     ///
@@ -884,6 +873,23 @@ mod tests {
     }
 
     #[test]
+    fn dedicated_comparator_is_graded_from_the_branch_stream() {
+        // The comparator is a D-VC without a routine of its own: Table 1
+        // grades it as a side effect, and the schedule leaves it out.
+        let cuts = [Cut::alu(8), Cut::comparator(8)];
+        let table = Table1::generate(&cuts).unwrap();
+        let cmp = &table.rows[1];
+        assert_eq!(cmp.name, cuts[1].name());
+        assert!(!cmp.dedicated_routine);
+        assert!(cmp.code_style.is_none());
+        assert!(cmp.coverage.detected > 0, "comparator {}", cmp.coverage);
+
+        let schedule = crate::plan::build_managed_schedule(&cuts).unwrap();
+        let scheduled: Vec<&str> = schedule.cuts.iter().map(Cut::name).collect();
+        assert_eq!(scheduled, ["ALU"]);
+    }
+
+    #[test]
     fn pinned_thread_counts_reproduce_identical_coverage() {
         let cuts = vec![Cut::alu(8), Cut::pipeline(8)];
         let serial = Table1::generate_with(&cuts, FaultSimConfig::with_threads(1)).unwrap();
@@ -954,10 +960,20 @@ mod tests {
             podem_threads: Some(threads),
             ..AtpgConfig::default()
         };
-        let serial =
-            Table1::generate_with_atpg(&cuts, FaultSimConfig::with_threads(1), config(1)).unwrap();
-        let threaded =
-            Table1::generate_with_atpg(&cuts, FaultSimConfig::with_threads(1), config(3)).unwrap();
+        let serial = Table1::generate_with_model(
+            &cuts,
+            FaultSimConfig::with_threads(1),
+            config(1),
+            FaultModel::default(),
+        )
+        .unwrap();
+        let threaded = Table1::generate_with_model(
+            &cuts,
+            FaultSimConfig::with_threads(1),
+            config(3),
+            FaultModel::default(),
+        )
+        .unwrap();
         // The shifter's constrained-ATPG routine really ran PODEM, and the
         // deterministic merge makes everything except wall time identical.
         assert!(serial.atpg.runs > 0);

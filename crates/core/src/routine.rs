@@ -4,9 +4,11 @@
 //! runnable [`SelfTestRoutine`]: prologue (MISR seed/polynomial), the
 //! style's pattern-application body, the signature unload, a terminating
 //! `break`, and the shared 8-word MISR subroutine. Pattern content comes
-//! from the matching TPG strategy: regular deterministic sets for the
-//! regular D-VCs, constrained PODEM for the shifter, a software LFSR for
-//! the pseudorandom style.
+//! from the matching TPG strategy: the regular deterministic sets emitted
+//! here for the regular D-VCs, the per-function constrained PODEM
+//! campaign (`sbst_tpg::per_function_campaign`) for the `AtpgD` styles,
+//! and a software LFSR for the pseudorandom style.
+//! [`RoutineSpec::recommended`] picks the strategy per component.
 
 use std::error::Error;
 use std::fmt;
@@ -17,11 +19,12 @@ use sbst_components::{pattern_port_value, ComponentKind};
 use sbst_isa::{Asm, AsmError, Instruction, Program, Reg};
 use sbst_tpg::lfsr::LfsrConfig;
 use sbst_tpg::misr;
-use sbst_tpg::{Atpg, AtpgConfig, AtpgTelemetry, InputConstraint};
+use sbst_tpg::{per_function_campaign, AtpgConfig, AtpgTelemetry};
 
 use crate::codestyle::{
-    emit_apply, emit_atpg_data_fetch, emit_atpg_immediate, emit_misr_inline, emit_misr_subroutine,
-    emit_prologue, emit_pseudorandom_loop, emit_signature_unload, regs, ApplyOp, CodeStyle,
+    checkerboards, emit_apply, emit_atpg_data_fetch, emit_atpg_immediate, emit_misr_inline,
+    emit_misr_subroutine, emit_prologue, emit_pseudorandom_loop, emit_regular_walking_loop,
+    emit_signature_unload, mask, regs, ApplyOp, CodeStyle,
 };
 use crate::cut::Cut;
 
@@ -120,23 +123,12 @@ impl RoutineSpec {
         }
     }
 
-    /// The recommended style for a CUT, following Table 1: regular
-    /// deterministic (loops + immediates) for the regular D-VCs,
-    /// immediate-only regular sets for the register file and memory
-    /// controller, constrained ATPG immediates for the shifter, and the
-    /// functional test for the control logic.
+    /// The recommended style for a CUT, following Table 1: the style of
+    /// its dedicated routine, and the functional style for the components
+    /// graded as side effects — for the PC unit that is the optional
+    /// branch-ladder top-up.
     pub fn recommended(cut: &Cut) -> Self {
-        let style = match cut.kind() {
-            ComponentKind::Alu | ComponentKind::Multiplier | ComponentKind::Divider => {
-                CodeStyle::RegularLoopImmediate
-            }
-            ComponentKind::RegisterFile | ComponentKind::MemoryController => {
-                CodeStyle::RegularImmediate
-            }
-            ComponentKind::Shifter => CodeStyle::AtpgImmediate,
-            _ => CodeStyle::FunctionalTest,
-        };
-        RoutineSpec::new(style)
+        RoutineSpec::new(dedicated_style(cut.kind()).unwrap_or(CodeStyle::FunctionalTest))
     }
 
     /// Builds the routine for `cut`.
@@ -290,8 +282,7 @@ impl RoutineSpec {
     fn body_alu_regular(&self, cut: &Cut, asm: &mut Asm) {
         let width = cut.component.width;
         let m = mask(width);
-        let cb = 0x5555_5555 & m;
-        let cbi = 0xAAAA_AAAA & m;
+        let (cb, cbi) = checkerboards(width);
         let msb = 1u32 << (width - 1);
         // Logic slices: both mixed and matched checkerboards.
         let logic_pairs = [(cb, cbi), (cbi, cb), (cb, cb), (0, m)];
@@ -315,27 +306,28 @@ impl RoutineSpec {
             MISR_LABEL,
         );
         // Figure-4 loop: walking one against all-ones through add/sub.
-        emit_walking_loop(
+        emit_regular_walking_loop(
             asm,
             width,
             regs::X,
             &[ApplyOp::Alu(AluFunc::Add), ApplyOp::Alu(AluFunc::Sub)],
             "alu_walk",
+            MISR_LABEL,
         );
     }
 
     fn body_mul_regular(&self, cut: &Cut, asm: &mut Asm) {
         let width = cut.component.width;
         let m = mask(width);
-        let cb = 0x5555_5555 & m;
-        let cbi = 0xAAAA_AAAA & m;
+        let (cb, cbi) = checkerboards(width);
         let corners = [(m, m), (cb, cbi), (cbi, cb), (m, 1), (1, m), (cb, cb)];
         emit_atpg_immediate(asm, &corners, &[ApplyOp::Multu], MISR_LABEL);
         // Walk each operand against all-ones (walking one), then walk a
         // zero through an all-ones operand — together these toggle every
         // partial-product AND and every carry-save cell in both polarities.
-        emit_walking_loop(asm, width, regs::X, &[ApplyOp::Multu], "mul_walk_x");
-        emit_walking_loop(asm, width, regs::Y, &[ApplyOp::Multu], "mul_walk_y");
+        for (walk, label) in [(regs::X, "mul_walk_x"), (regs::Y, "mul_walk_y")] {
+            emit_regular_walking_loop(asm, width, walk, &[ApplyOp::Multu], label, MISR_LABEL);
+        }
         emit_walking_zero_loop(asm, width, regs::X, &[ApplyOp::Multu], "mul_walk0_x");
         emit_walking_zero_loop(asm, width, regs::Y, &[ApplyOp::Multu], "mul_walk0_y");
     }
@@ -343,15 +335,21 @@ impl RoutineSpec {
     fn body_div_regular(&self, cut: &Cut, asm: &mut Asm) {
         let width = cut.component.width;
         let m = mask(width);
-        let cb = 0x5555_5555 & m;
-        let cbi = 0xAAAA_AAAA & m;
+        let (cb, cbi) = checkerboards(width);
         let corners = [(m, 1), (m, m), (0, 1), (cb, cbi), (cbi, cb), (1, m), (m, 0)];
         emit_atpg_immediate(asm, &corners, &[ApplyOp::Divu], MISR_LABEL);
         // Walking divisor sweeps the quotient bit positions. (A walking
         // dividend loop was evaluated and rejected: +5.7k cycles for
         // +0.1 % coverage — the residue is in rarely-sensitized restore
         // paths that would need targeted sequential patterns.)
-        emit_walking_loop(asm, width, regs::Y, &[ApplyOp::Divu], "div_walk");
+        emit_regular_walking_loop(
+            asm,
+            width,
+            regs::Y,
+            &[ApplyOp::Divu],
+            "div_walk",
+            MISR_LABEL,
+        );
     }
 
     /// Register-file march, in the paper's two phases: first the registers
@@ -486,63 +484,36 @@ impl RoutineSpec {
         }
     }
 
-    /// Constrained-ATPG shifter routine: PODEM runs once per shift function
-    /// with the operation-select inputs pinned (the instruction-imposed
-    /// constraint), and each generated pattern becomes `li` + one shift
-    /// instruction with an immediate shift amount (Figure 1 style).
+    /// Constrained-ATPG shifter routine: the per-function campaign runs
+    /// PODEM once per shift function with the operation-select inputs
+    /// pinned (the instruction-imposed constraint), and each generated
+    /// pattern becomes `li` + one shift instruction with an immediate shift
+    /// amount (Figure 1 style).
     fn body_shifter_atpg(&self, cut: &Cut, asm: &mut Asm, telemetry: &mut AtpgTelemetry) {
         let component = &cut.component;
-        let op_bus = component.ports.input("op");
-        let mut remaining = component.netlist.collapsed_faults();
-        for func in ShiftFunc::ALL {
-            let enc = func.encoding();
-            let constraints: Vec<InputConstraint> = (0..op_bus.width())
-                .map(|bit| InputConstraint {
-                    net: op_bus.net(bit),
-                    value: (enc >> bit) & 1 == 1,
-                })
-                .collect();
-            let atpg = Atpg::new(&component.netlist)
-                .with_constraints(&constraints)
-                .with_config(self.atpg);
-            let result = atpg.run(&remaining);
-            telemetry.absorb(&result);
+        let encodings = ShiftFunc::ALL.map(ShiftFunc::encoding);
+        let runs = per_function_campaign(component, &encodings, self.atpg);
+        for (func, result) in ShiftFunc::ALL.into_iter().zip(&runs) {
+            telemetry.absorb(result);
             for pattern in &result.patterns {
                 let data = pattern_port_value(component, pattern, "data") as u32;
-                let amount = pattern_port_value(component, pattern, "amount") as u8;
+                let shamt = pattern_port_value(component, pattern, "amount") as u8;
+                let (rd, rt) = (regs::OPERAND, regs::X);
                 asm.li(regs::X, data);
-                let insn = match func {
-                    ShiftFunc::Sll => Instruction::Sll {
-                        rd: regs::OPERAND,
-                        rt: regs::X,
-                        shamt: amount,
-                    },
-                    ShiftFunc::Srl => Instruction::Srl {
-                        rd: regs::OPERAND,
-                        rt: regs::X,
-                        shamt: amount,
-                    },
-                    ShiftFunc::Sra => Instruction::Sra {
-                        rd: regs::OPERAND,
-                        rt: regs::X,
-                        shamt: amount,
-                    },
-                };
-                asm.insn(insn);
+                asm.insn(match func {
+                    ShiftFunc::Sll => Instruction::Sll { rd, rt, shamt },
+                    ShiftFunc::Srl => Instruction::Srl { rd, rt, shamt },
+                    ShiftFunc::Sra => Instruction::Sra { rd, rt, shamt },
+                });
                 asm.jal(MISR_LABEL);
                 asm.nop();
             }
-            remaining = remaining
-                .into_iter()
-                .zip(result.outcomes)
-                .filter(|(_, o)| !o.is_detected())
-                .map(|(f, _)| f)
-                .collect();
         }
     }
 
     /// ATPG routine for the ALU (used for the Figures 1/2 style
-    /// comparison): one constrained PODEM run per ALU function.
+    /// comparison): the per-function campaign, one constrained PODEM run
+    /// per ALU function.
     fn body_alu_atpg(
         &self,
         cut: &Cut,
@@ -551,21 +522,10 @@ impl RoutineSpec {
         telemetry: &mut AtpgTelemetry,
     ) {
         let component = &cut.component;
-        let op_bus = component.ports.input("op");
-        let mut remaining = component.netlist.collapsed_faults();
-        for func in AluFunc::ALL {
-            let enc = func.encoding();
-            let constraints: Vec<InputConstraint> = (0..op_bus.width())
-                .map(|bit| InputConstraint {
-                    net: op_bus.net(bit),
-                    value: (enc >> bit) & 1 == 1,
-                })
-                .collect();
-            let atpg = Atpg::new(&component.netlist)
-                .with_constraints(&constraints)
-                .with_config(self.atpg);
-            let result = atpg.run(&remaining);
-            telemetry.absorb(&result);
+        let encodings = AluFunc::ALL.map(AluFunc::encoding);
+        let runs = per_function_campaign(component, &encodings, self.atpg);
+        for (func, result) in AluFunc::ALL.into_iter().zip(&runs) {
+            telemetry.absorb(result);
             let pairs: Vec<(u32, u32)> = result
                 .patterns
                 .iter()
@@ -588,12 +548,6 @@ impl RoutineSpec {
             } else {
                 emit_atpg_immediate(asm, &pairs, &[ApplyOp::Alu(func)], MISR_LABEL);
             }
-            remaining = remaining
-                .into_iter()
-                .zip(result.outcomes)
-                .filter(|(_, o)| !o.is_detected())
-                .map(|(f, _)| f)
-                .collect();
         }
     }
 
@@ -922,6 +876,34 @@ impl RoutineSpec {
     }
 }
 
+/// The Section 3.3 strategy decision: the style of a component kind's
+/// dedicated routine, or `None` for the kinds graded as side effects of the
+/// other routines. The one place that decides which CUTs get a routine.
+pub(crate) fn dedicated_style(kind: ComponentKind) -> Option<CodeStyle> {
+    match kind {
+        // Regular iterative-logic D-VCs: a constant or linear test set
+        // independent of the gate-level implementation, as Figure-4 walking
+        // loops plus immediate corners.
+        ComponentKind::Alu | ComponentKind::Multiplier | ComponentKind::Divider => {
+            Some(CodeStyle::RegularLoopImmediate)
+        }
+        // Regular D-VCs whose test sets are applied with immediates only.
+        ComponentKind::RegisterFile | ComponentKind::MemoryController => {
+            Some(CodeStyle::RegularImmediate)
+        }
+        // Combinational D-VC with an irregular mux-tree structure and a
+        // small deterministic test set: constrained ATPG.
+        ComponentKind::Shifter => Some(CodeStyle::AtpgImmediate),
+        // PVC: apply every opcode for RTL coverage.
+        ComponentKind::ControlLogic => Some(CodeStyle::FunctionalTest),
+        // A dedicated branch comparator is a D-VC, but every routine's
+        // branches already drive it: graded from the branch stream.
+        // Hidden and address-carrying components: graded as a side effect,
+        // not targeted by on-line periodic routines.
+        ComponentKind::Comparator | ComponentKind::Pipeline | ComponentKind::PcUnit => None,
+    }
+}
+
 /// Picks the fixed apply set for pseudorandom loops per CUT kind.
 fn pseudorandom_applies(kind: ComponentKind) -> Vec<ApplyOp> {
     match kind {
@@ -945,14 +927,6 @@ pub(crate) fn routine_name(kind: ComponentKind) -> &'static str {
         ComponentKind::ControlLogic => "control",
         ComponentKind::Pipeline => "pipeline",
         ComponentKind::PcUnit => "pc_unit",
-    }
-}
-
-fn mask(width: usize) -> u32 {
-    if width == 32 {
-        u32::MAX
-    } else {
-        (1u32 << width) - 1
     }
 }
 
@@ -1046,39 +1020,6 @@ fn emit_walking_zero_loop(
     asm.nop();
 }
 
-/// Emits a Figure-4 walking-one loop where `walk` steps through bit
-/// positions and the other operand register holds all-ones.
-fn emit_walking_loop(
-    asm: &mut Asm,
-    width: usize,
-    walk: Reg,
-    applies: &[ApplyOp],
-    loop_label: &str,
-) {
-    let ones = mask(width);
-    let fixed = if walk == regs::X { regs::Y } else { regs::X };
-    asm.li(walk, 1);
-    asm.li(fixed, ones);
-    asm.label(loop_label);
-    for &apply in applies {
-        emit_apply(asm, apply, MISR_LABEL);
-    }
-    asm.insn(Instruction::Sll {
-        rd: walk,
-        rt: walk,
-        shamt: 1,
-    });
-    if width < 32 {
-        asm.insn(Instruction::Andi {
-            rt: walk,
-            rs: walk,
-            imm: ones as u16,
-        });
-    }
-    asm.bne(walk, Reg::ZERO, loop_label);
-    asm.nop();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1097,10 +1038,17 @@ mod tests {
             RoutineSpec::recommended(&Cut::regfile(8, 8)).style,
             CodeStyle::RegularImmediate
         );
-        assert_eq!(
-            RoutineSpec::recommended(&Cut::control()).style,
-            CodeStyle::FunctionalTest
-        );
+        // The control logic's functional test; the side-effect kinds fall
+        // back to the same style (the PC unit's optional branch ladder).
+        for cut in [
+            Cut::control(),
+            Cut::comparator(8),
+            Cut::pipeline(8),
+            Cut::pc_unit(8, 4),
+        ] {
+            let style = RoutineSpec::recommended(&cut).style;
+            assert_eq!(style, CodeStyle::FunctionalTest, "{}", cut.name());
+        }
     }
 
     #[test]

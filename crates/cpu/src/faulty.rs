@@ -388,11 +388,6 @@ impl ArchFault {
         sbst_components::alu::model(op.func, op.a, op.b, 32)
     }
 
-    /// Fault-free shifter reference.
-    pub fn good_shift(op: &ShiftOp) -> u32 {
-        sbst_components::shifter::model(op.func, op.data, op.amount, 32)
-    }
-
     /// Fault-free multiplier reference.
     pub fn good_mul(op: &MulOp) -> u64 {
         sbst_components::multiplier::model(op.a, op.b, 32)

@@ -44,7 +44,6 @@ use sbst_isa::Program;
 use crate::cpu::{Cpu, CpuConfig, CpuError};
 use crate::faulty::ArchFault;
 use crate::mac::{MacKey, SipHash24};
-use crate::system::ExecTimeEstimate;
 
 /// Derives a per-routine cycle budget from expected execution time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,11 +69,6 @@ impl WatchdogConfig {
     pub fn budget_cycles(&self, expected_cycles: u64) -> u64 {
         let scaled = (expected_cycles as f64 * self.slack).ceil() as u64;
         scaled.max(self.min_budget_cycles)
-    }
-
-    /// Cycle budget from a Section 2 execution-time estimate.
-    pub fn budget_for(&self, est: &ExecTimeEstimate) -> u64 {
-        self.budget_cycles(est.total_cycles())
     }
 }
 

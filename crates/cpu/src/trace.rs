@@ -52,20 +52,6 @@ impl OperandTrace {
         OperandTrace::default()
     }
 
-    /// Total number of recorded operations across all components.
-    pub fn total_ops(&self) -> usize {
-        self.alu.len()
-            + self.shifter.len()
-            + self.multiplier.len()
-            + self.divider.len()
-            + self.regfile.len()
-            + self.memctrl.len()
-            + self.control.len()
-            + self.comparator.len()
-            + self.pipeline.len()
-            + self.pc_unit.len()
-    }
-
     /// Clears all streams.
     pub fn clear(&mut self) {
         *self = OperandTrace::default();

@@ -157,17 +157,6 @@ impl Default for PopulationMix {
     }
 }
 
-impl PopulationMix {
-    /// Percent of nodes that stay healthy.
-    pub fn healthy_pct(&self) -> u8 {
-        100u8
-            .saturating_sub(self.infant_pct)
-            .saturating_sub(self.wearout_pct)
-            .saturating_sub(self.correlated_pct)
-            .saturating_sub(self.adversary_pct)
-    }
-}
-
 /// A mountable fault site: which characterized target, which output bit,
 /// which polarity, and when the fault is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

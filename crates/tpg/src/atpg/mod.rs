@@ -39,6 +39,15 @@
 //! Stuck-at ([`Atpg::run`]) and transition-delay ([`Atpg::run_transition`])
 //! ATPG share this one driver; what differs by fault model is the small
 //! `AtpgFault` hook.
+//!
+//! # The per-function campaign
+//!
+//! A deterministic routine cannot apply an arbitrary input vector: the
+//! executing instruction fixes the CUT's operation select.
+//! [`per_function_campaign`] is the one place that turns this into ATPG
+//! runs: one constrained run per instruction-selectable operation, each
+//! over the faults the earlier operations left undetected. Every `AtpgD`
+//! routine and the ATPG benchmark go through it.
 
 mod merge;
 mod search;
@@ -47,6 +56,7 @@ use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
 
+use sbst_components::Component;
 use sbst_gates::{
     fan_out, resolve_threads, Fault, FaultSimConfig, FaultSimResult, FaultSimulator, NetId,
     Netlist, SimEngine, Stimulus, TransitionFault, T3,
@@ -612,6 +622,66 @@ impl<'a> Atpg<'a> {
         run.podem_wall_time = podem_start.elapsed();
         run
     }
+}
+
+/// Pins `component`'s `op` bus to `encoding`: the instruction-imposed
+/// constraint of an instruction that selects that operation.
+///
+/// # Panics
+///
+/// Panics if the component has no `op` input port.
+pub fn op_constraints(component: &Component, encoding: u8) -> Vec<InputConstraint> {
+    let op_bus = component.ports.input("op");
+    (0..op_bus.width())
+        .map(|bit| InputConstraint {
+            net: op_bus.net(bit),
+            value: (encoding >> bit) & 1 == 1,
+        })
+        .collect()
+}
+
+/// The per-function constrained ATPG campaign of the `AtpgD` routines.
+///
+/// For each op encoding, in order, pins the `op` bus
+/// ([`op_constraints`]) and runs [`Atpg::run`] over the collapsed faults
+/// that every earlier encoding's run left undetected. Returns one
+/// [`AtpgResult`] per encoding; its `outcomes` are parallel to that run's
+/// remaining-fault list, so the runs' [`AtpgResult::detected_count`]s sum
+/// to the campaign's detected faults.
+///
+/// # Example
+///
+/// ```
+/// use sbst_components::shifter::{self, ShiftFunc};
+/// use sbst_tpg::{per_function_campaign, AtpgConfig};
+///
+/// let cut = shifter::shifter(8);
+/// let encodings = ShiftFunc::ALL.map(ShiftFunc::encoding);
+/// let runs = per_function_campaign(&cut, &encodings, AtpgConfig::default());
+/// let detected: usize = runs.iter().map(|r| r.detected_count()).sum();
+/// assert_eq!(detected, cut.netlist.collapsed_faults().len());
+/// ```
+pub fn per_function_campaign(
+    component: &Component,
+    encodings: &[u8],
+    config: AtpgConfig,
+) -> Vec<AtpgResult> {
+    let mut remaining = component.netlist.collapsed_faults();
+    let mut runs = Vec::with_capacity(encodings.len());
+    for &encoding in encodings {
+        let result = Atpg::new(&component.netlist)
+            .with_constraints(&op_constraints(component, encoding))
+            .with_config(config)
+            .run(&remaining);
+        remaining = remaining
+            .into_iter()
+            .zip(&result.outcomes)
+            .filter(|(_, o)| !o.is_detected())
+            .map(|(f, _)| f)
+            .collect();
+        runs.push(result);
+    }
+    runs
 }
 
 #[cfg(test)]

@@ -1,35 +1,34 @@
-//! Test pattern generation strategies.
+//! Test pattern generation and response compaction.
 //!
-//! Implements the paper's three TPG strategies (Section 3.3) plus the
-//! response-compaction machinery:
+//! Implements the pattern sources behind the paper's Section 3.3 code
+//! styles, plus the response-compaction machinery:
 //!
 //! - [`atpg`] — **deterministic ATPG**: a PODEM implementation with
 //!   instruction-imposed input constraints, preceded by a random-fill pass
-//!   with fault dropping. A low, gate-level strategy for combinational
-//!   D-VCs such as the barrel shifter.
+//!   with fault dropping, and the per-function campaign
+//!   ([`per_function_campaign`]) that every `AtpgD` routine runs. A low,
+//!   gate-level strategy for combinational D-VCs such as the barrel
+//!   shifter.
 //! - [`lfsr`] — **pseudorandom TPG**: software LFSRs whose step function is
 //!   bit-identical to the generated self-test routine's code, so Rust-side
 //!   pattern prediction and the executed assembly agree.
-//! - [`regular`] — **regular deterministic TPG**: implementation-independent
-//!   constant- or linear-size test sets exploiting the regularity of
-//!   adders, logic slices, shifters, multipliers, dividers and register
-//!   files (the high-level strategy of \[9\], \[10\] in the paper).
 //! - [`misr`] — the shared software MISR used to compact responses into the
-//!   per-CUT signature that is unloaded to data memory.
-//! - [`strategy`] — the applicability/selection rules of Section 3.3.
+//!   per-CUT signature that is unloaded to data memory; [`misr_grade`]
+//!   grades faults by whether they survive that compaction.
+//!
+//! The regular deterministic test sets and the choice of strategy per
+//! component live with the routine emitters in `sbst-core`
+//! (`RoutineSpec::recommended`).
 
 pub mod atpg;
 pub mod lfsr;
 pub mod misr;
 pub mod misr_grade;
-pub mod regular;
-pub mod strategy;
 
 pub use atpg::{
-    Atpg, AtpgConfig, AtpgOutcome, AtpgResult, AtpgStats, AtpgTelemetry, AtpgThreadStats,
-    InputConstraint,
+    op_constraints, per_function_campaign, Atpg, AtpgConfig, AtpgOutcome, AtpgResult, AtpgStats,
+    AtpgTelemetry, AtpgThreadStats, InputConstraint,
 };
 pub use lfsr::{Lfsr32, LfsrConfig};
 pub use misr::Misr32;
 pub use misr_grade::{signature_grade, SignatureGradeResult};
-pub use strategy::{StrategyChoice, TpgStrategy};

@@ -7,24 +7,17 @@
 //! {full-eval, compiled} and compares everything against the
 //! single-threaded full-eval baseline.
 
-use sbst_components::shifter;
+use sbst_components::shifter::{self, ShiftFunc};
 use sbst_gates::SimEngine;
-use sbst_tpg::{Atpg, AtpgConfig, AtpgResult, InputConstraint};
+use sbst_tpg::{op_constraints, Atpg, AtpgConfig, AtpgResult};
 
 fn run_shifter(threads: usize, engine: SimEngine) -> AtpgResult {
     let cut = shifter::shifter(8);
     let faults = cut.netlist.collapsed_faults();
     // Pin the op bus like an executing instruction would (logical shift
     // right): constrained ATPG is the mode the paper cares about.
-    let op = cut.ports.input("op");
-    let constraints: Vec<InputConstraint> = (0..op.width())
-        .map(|bit| InputConstraint {
-            net: op.net(bit),
-            value: bit == 0,
-        })
-        .collect();
     Atpg::new(&cut.netlist)
-        .with_constraints(&constraints)
+        .with_constraints(&op_constraints(&cut, ShiftFunc::Srl.encoding()))
         .with_config(AtpgConfig {
             random_patterns: 4,
             podem_threads: Some(threads),

@@ -1,9 +1,10 @@
 //! Quickstart: the SBST methodology end to end on one component.
 //!
-//! Builds the ALU, classifies it, generates its recommended self-test
-//! routine (regular deterministic, loops + immediates), executes the
-//! routine on the MIPS ISS, and fault-grades the captured operand trace
-//! against every collapsed stuck-at fault of the gate-level ALU.
+//! Builds the ALU, classifies it, picks its recommended code style
+//! (`RegD (L + I)`: regular deterministic, loops + immediates), builds that
+//! self-test routine, executes it on the MIPS ISS, and fault-grades the
+//! captured operand trace against every collapsed stuck-at fault of the
+//! gate-level ALU.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -13,7 +14,6 @@ use std::error::Error;
 
 use sbst::core::{classification_row, grade_routine, Cut, RoutineSpec};
 use sbst::cpu::{AnalyticStallModel, ExecTimeEstimate, QuantumConfig};
-use sbst::tpg::strategy;
 
 fn main() -> Result<(), Box<dyn Error>> {
     // Phase A/B: the component, its class, and its priority.
@@ -26,15 +26,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         row.gates,
         cut.fault_count()
     );
-    let choice = strategy::recommend(&cut.component);
-    println!("strategy:  {} — {}", choice.strategy, choice.rationale);
 
-    // Phase C: build the recommended routine.
+    // Phase C: the recommended code style, and its routine.
     let spec = RoutineSpec::recommended(&cut);
+    println!("style:     {}", spec.style);
     let routine = spec.build(&cut)?;
     println!(
-        "routine:   style {}, {} words ({} code + {} data)",
-        routine.style,
+        "routine:   {} words ({} code + {} data)",
         routine.size_words(),
         routine.program.code_words(),
         routine.program.data_words()

@@ -10,9 +10,8 @@
 //! - [`isa`] — a MIPS-I subset instruction set and assembler;
 //! - [`components`] — gate-level processor components (ALU, shifter,
 //!   multiplier, divider, register file, …) with operation metadata;
-//! - [`tpg`] — the paper's three test-pattern-generation strategies
-//!   (constrained ATPG, pseudorandom LFSR, regular deterministic) and the
-//!   software MISR;
+//! - [`tpg`] — pattern generation: constrained ATPG with its
+//!   per-function campaign, pseudorandom LFSRs, and the software MISR;
 //! - [`cpu`] — a Plasma-like 3-stage-pipeline MIPS ISS with cache and
 //!   quantum-scheduling models plus per-component operand tracing;
 //! - [`core`] — the SBST methodology itself: component classification,
