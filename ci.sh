@@ -53,9 +53,9 @@ echo "== validate all three reports =="
 for report in BENCH_table1.json BENCH_table1_serial.json BENCH_table1_td.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require table1 --require execution_time
-  # Reports must carry the current schema (9: no steal or event-ratio keys).
-  if [ "$(jq '.schema_version' "$report")" != "9" ]; then
-    echo "error: $report schema_version is not 9" >&2
+  # Reports must carry the current schema (10: replay counts in fleet and online_manager reports).
+  if [ "$(jq '.schema_version' "$report")" != "10" ]; then
+    echo "error: $report schema_version is not 10" >&2
     exit 1
   fi
 done
@@ -126,8 +126,8 @@ cargo run --release -p sbst-bench --bin atpg_speed -- --smoke --threads 2 \
 for report in BENCH_atpg_speed_serial.json BENCH_atpg_speed.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require components --require atpg
-  if [ "$(jq '.schema_version' "$report")" != "9" ]; then
-    echo "error: $report schema_version is not 9" >&2
+  if [ "$(jq '.schema_version' "$report")" != "10" ]; then
+    echo "error: $report schema_version is not 10" >&2
     exit 1
   fi
 done
@@ -165,8 +165,8 @@ cargo run --release -p sbst-bench --bin online_manager -- --smoke --adversary \
 echo "== validate online_manager red-team report =="
 cargo run --release -p sbst-bench --bin jsonlint -- BENCH_online_manager_adv.json \
   --require tool --require schema_version --require scenarios --require adversary
-if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "9" ]; then
-  echo "error: BENCH_online_manager_adv.json schema_version is not 9" >&2
+if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "10" ]; then
+  echo "error: BENCH_online_manager_adv.json schema_version is not 10" >&2
   exit 1
 fi
 # The red-team SLO: attacks were actually mounted, every one was
@@ -196,8 +196,8 @@ for report in BENCH_fleet.json BENCH_fleet_serial.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require characterizations \
     --require throughput --require aggregate --require workers_detail
-  if [ "$(jq '.schema_version' "$report")" != "9" ]; then
-    echo "error: $report schema_version is not 9" >&2
+  if [ "$(jq '.schema_version' "$report")" != "10" ]; then
+    echo "error: $report schema_version is not 10" >&2
     exit 1
   fi
   if [ "$(jq '.characterizations' "$report")" != "1" ]; then
@@ -208,6 +208,12 @@ for report in BENCH_fleet.json BENCH_fleet_serial.json; do
   if [ "$(jq '.aggregate | [.attacks_injected, .tampers_detected, .tamper_false_alarms] | @csv' \
           -r "$report")" != "0,0,0" ]; then
     echo "error: clean fleet run $report shows tamper activity" >&2
+    exit 1
+  fi
+  # Fault-free routine runs must replay the shared schedule's record
+  # (an observational count, so only its sign is gated).
+  if [ "$(jq '.replayed_attempts > 0' "$report")" != "true" ]; then
+    echo "error: fleet run $report replayed no fault-free routine run" >&2
     exit 1
   fi
 done
@@ -267,8 +273,8 @@ cargo run --release -p sbst-bench --bin jsonlint -- BENCH_fleet_adv.json \
   --require tool --require schema_version --require adversary --require aggregate
 cargo run --release -p sbst-bench --bin jsonlint -- target/fleet_adv_telemetry.ndjson \
   --ndjson --require type --require node
-if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "9" ]; then
-  echo "error: BENCH_fleet_adv.json schema_version is not 9" >&2
+if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "10" ]; then
+  echo "error: BENCH_fleet_adv.json schema_version is not 10" >&2
   exit 1
 fi
 if [ "$(jq '.aggregate.attacks_injected > 0

@@ -27,6 +27,12 @@
 //! them across worker counts), and the binary exits nonzero if the
 //! characterize-once invariant or session conservation is violated. `--workers` falls back to available
 //! parallelism; `--seed` accepts any 64-bit integer, 0 included.
+//!
+//! `replayed_attempts` (the run total, and per worker in
+//! `workers_detail`) counts fault-free routine runs answered from the
+//! shared schedule's record instead of executed. Which node records a
+//! routine first depends on scheduling, so like the rest of
+//! `workers_detail` it is observational and stays out of `aggregate`.
 
 use std::io::Write;
 use std::time::Instant;
@@ -190,10 +196,12 @@ fn main() {
         run.characterizations,
         wall
     );
+    let replayed_attempts: u64 = run.workers.iter().map(|w| w.replayed_attempts).sum();
+    eprintln!("fleet: {replayed_attempts} fault-free runs replayed from the shared schedule");
     for w in &run.workers {
         eprintln!(
-            "  worker {}: {} sessions, {} nodes finalized, {} telemetry lines",
-            w.worker, w.sessions, w.nodes_finalized, w.telemetry_lines
+            "  worker {}: {} sessions, {} nodes finalized, {} telemetry lines, {} replayed runs",
+            w.worker, w.sessions, w.nodes_finalized, w.telemetry_lines, w.replayed_attempts
         );
     }
 
@@ -222,6 +230,7 @@ fn main() {
             ]),
         )
         .field("aggregate", agg.to_json())
+        .field("replayed_attempts", JsonValue::UInt(replayed_attempts))
         .field(
             "workers_detail",
             JsonValue::Array(
@@ -233,6 +242,7 @@ fn main() {
                             ("sessions", JsonValue::UInt(w.sessions)),
                             ("nodes_finalized", JsonValue::UInt(w.nodes_finalized)),
                             ("telemetry_lines", JsonValue::UInt(w.telemetry_lines)),
+                            ("replayed_attempts", JsonValue::UInt(w.replayed_attempts)),
                         ])
                     })
                     .collect(),

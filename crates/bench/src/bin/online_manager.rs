@@ -34,7 +34,9 @@
 //! Every scenario must terminate in the expected status — the binary exits
 //! nonzero otherwise, which is what ci.sh gates on. `--json <path>` writes
 //! the machine-readable report (per-scenario manager state, counters and
-//! the ordered event log).
+//! the ordered event log). Each scenario also reports `replayed_attempts`:
+//! the fault-free routine runs its manager answered from the schedule's
+//! record instead of executing (observational, not a manager counter).
 
 use std::time::Instant;
 
@@ -60,6 +62,9 @@ struct ScenarioResult {
     pass: bool,
     detail: String,
     manager: JsonValue,
+    /// Fault-free runs the manager replayed instead of executing
+    /// (observational; not a manager counter).
+    replayed_attempts: u64,
 }
 
 /// A bench mounting a stuck-at-0 on the ALU result bus whenever
@@ -91,6 +96,7 @@ fn snapshot(
         pass,
         detail,
         manager: manager_to_json(mgr),
+        replayed_attempts: mgr.replayed_attempts(),
     }
 }
 
@@ -590,6 +596,7 @@ fn main() {
                     ("pass", JsonValue::from(r.pass)),
                     ("detail", JsonValue::from(r.detail)),
                     ("manager", r.manager),
+                    ("replayed_attempts", JsonValue::UInt(r.replayed_attempts)),
                 ])
             })),
         )

@@ -72,7 +72,13 @@ use crate::json::JsonValue;
 /// `event_ratio` (it keeps `events_full_eval`, the one event count), and
 /// fleet `workers_detail[]` entries drop `steals` and `telemetry_batches`:
 /// each worker runs whole nodes and writes one telemetry batch per node.
-pub const SCHEMA_VERSION: u32 = 9;
+/// 10 — fault-free runs replay the shared schedule's record: `fleet`
+/// reports gain a top-level `replayed_attempts` total and a per-worker
+/// `replayed_attempts` in `workers_detail[]`, and every `online_manager`
+/// scenario gains `replayed_attempts`. All are observational (scheduling
+/// decides which node records a routine first); none is under
+/// `aggregate` or in a manager's `counters`.
+pub const SCHEMA_VERSION: u32 = 10;
 
 /// A machine-readable run report: a named, schema-versioned JSON document
 /// that every bench binary writes behind its `--json <path>` flag.

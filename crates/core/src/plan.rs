@@ -9,7 +9,7 @@
 //! (the PC-unit branch ladder) and folds its coverage in.
 
 use sbst_components::{ComponentClass, ComponentKind};
-use sbst_cpu::manager::{ManagedComponent, SigLocation, SignatureStore};
+use sbst_cpu::manager::{ManagedComponent, SharedSchedule, SigLocation, SignatureStore};
 use sbst_gates::{FaultCoverage, FaultSimConfig};
 
 use crate::codestyle::CodeStyle;
@@ -129,13 +129,16 @@ pub struct ManagedSchedule {
 }
 
 impl ManagedSchedule {
-    /// The schedule's components as a shareable `Arc` slice — the
-    /// characterize-once, run-everywhere handle: every fleet node's
-    /// manager adopts the same allocation
-    /// ([`sbst_cpu::manager::OnlineTestManager::with_shared_components`]),
-    /// so per-node cost excludes routine programs entirely. The `Arc` is
-    /// built once per call; call it once and clone the returned handle.
-    pub fn shared_components(&self) -> std::sync::Arc<[ManagedComponent]> {
+    /// The schedule's components as a [`SharedSchedule`] — the
+    /// characterize-once, run-everywhere handle: every fleet node's manager
+    /// adopts the same allocation ([`OnlineTestManager::new`]), so per-node
+    /// cost excludes routine programs entirely, and a routine's fault-free
+    /// outcome is recorded once for every manager holding the handle. Each
+    /// call builds a new schedule with empty records; call it once and
+    /// clone the returned handle.
+    ///
+    /// [`OnlineTestManager::new`]: sbst_cpu::manager::OnlineTestManager::new
+    pub fn shared_components(&self) -> SharedSchedule {
         self.components.clone().into()
     }
 

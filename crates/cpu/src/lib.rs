@@ -75,8 +75,8 @@ pub use faulty::{ArchFault, ArchFaultTarget, FaultActivity, MemoStats};
 pub use mac::{siphash24, MacKey, SipHash24};
 pub use manager::{
     FaultClass, FaultFreeBench, Health, ManagedComponent, ManagerConfig, ManagerEvent,
-    OnlineTestManager, RetryPolicy, SessionStatus, SigLocation, SignatureStore, StorePolicy,
-    TamperVerdict, TestBench, Verdict, WatchdogConfig,
+    OnlineTestManager, RetryPolicy, SessionStatus, SharedSchedule, SigLocation, SignatureStore,
+    StorePolicy, TamperVerdict, TestBench, Verdict, WatchdogConfig,
 };
 pub use memory::Memory;
 pub use power::{EnergyEstimate, EnergyModel};

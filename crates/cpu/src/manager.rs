@@ -35,9 +35,14 @@
 //! [`CpuConfig::self_test`]; the only thing that varies between runs is the
 //! hardware defect. A [`TestBench`] chooses it: per attempt it may hand the
 //! manager an [`ArchFault`] to mount, and gets the mount back afterwards.
+//! A run with nothing mounted is therefore a constant: the first one that
+//! completes records its cycles and signature word in the
+//! [`SharedSchedule`], and later fault-free runs within the watchdog
+//! budget replay that record instead of executing.
 
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use sbst_isa::Program;
 
@@ -626,6 +631,51 @@ impl ManagedComponent {
     }
 }
 
+/// A component schedule that many managers share, plus what each routine
+/// does on fault-free hardware.
+///
+/// With no fault mounted, a routine's run depends on nothing but its
+/// program: every CPU is a fresh [`CpuConfig::self_test`] core. Its outcome
+/// (completion cycles and the word at the signature address) is therefore
+/// a constant. Each component has one cell for it, filled by the first
+/// fault-free run that completes, in whichever manager that run happens.
+/// Every manager holding a clone of the schedule then replays that
+/// outcome instead of executing the routine again (see
+/// [`OnlineTestManager::replayed_attempts`]).
+///
+/// Cloning is two refcount bumps; the routines are never copied.
+#[derive(Debug, Clone)]
+pub struct SharedSchedule {
+    components: Arc<[ManagedComponent]>,
+    /// Per component: the outcome of a completed fault-free run.
+    golden: Arc<[OnceLock<GoldenRun>]>,
+}
+
+/// A completed fault-free run: its cycles and the word at the signature
+/// address (`None` when the location does not resolve).
+type GoldenRun = (u64, Option<u32>);
+
+impl From<Arc<[ManagedComponent]>> for SharedSchedule {
+    fn from(components: Arc<[ManagedComponent]>) -> Self {
+        let golden = components.iter().map(|_| OnceLock::new()).collect();
+        SharedSchedule { components, golden }
+    }
+}
+
+impl From<Vec<ManagedComponent>> for SharedSchedule {
+    fn from(components: Vec<ManagedComponent>) -> Self {
+        Arc::<[ManagedComponent]>::from(components).into()
+    }
+}
+
+impl Deref for SharedSchedule {
+    type Target = [ManagedComponent];
+
+    fn deref(&self) -> &[ManagedComponent] {
+        &self.components
+    }
+}
+
 /// Everything that happened inside the manager, in order. Flows into the
 /// `RunReport` JSON of the `online_manager` bench binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -827,6 +877,7 @@ impl TestBench for FaultFreeBench {
 }
 
 /// How one run of a routine ended (see [`OnlineTestManager::execute`]).
+#[derive(Clone, Copy)]
 enum Execution {
     /// Reached `break` within budget after `cycles`; `signature` is the
     /// word at the routine's signature address, `None` when the location
@@ -894,7 +945,7 @@ pub struct ComponentStatus {
 #[derive(Debug)]
 pub struct OnlineTestManager {
     config: ManagerConfig,
-    components: Arc<[ManagedComponent]>,
+    schedule: SharedSchedule,
     states: Vec<ComponentState>,
     store: SignatureStore,
     /// Seal epoch the manager expects to find in the store — mirrored
@@ -906,6 +957,10 @@ pub struct OnlineTestManager {
     replica: Option<SignatureStore>,
     events: Vec<ManagerEvent>,
     counters: ManagerCounters,
+    /// Fault-free runs answered from the shared schedule's record instead
+    /// of executed. Kept out of [`ManagerCounters`]: it depends on what
+    /// other managers of the same schedule ran first, never on a verdict.
+    replayed_attempts: u64,
     clock_cycles: u64,
     session_count: u32,
     resume_at: Option<usize>,
@@ -915,38 +970,32 @@ pub struct OnlineTestManager {
 }
 
 impl OnlineTestManager {
-    /// Creates a manager over `components`, with golden references in
+    /// Creates a manager over `schedule`, with golden references in
     /// `store` (keyed by component name).
+    ///
+    /// Fleet deployments characterize once and hand clones of one
+    /// [`SharedSchedule`] to thousands of managers: each additional manager
+    /// costs only its per-component state and its (small) signature store,
+    /// and the routines' fault-free outcomes are recorded once for all of
+    /// them. A `Vec<ManagedComponent>` gives the manager a private schedule.
     pub fn new(
         config: ManagerConfig,
-        components: Vec<ManagedComponent>,
+        schedule: impl Into<SharedSchedule>,
         store: SignatureStore,
     ) -> Self {
-        Self::with_shared_components(config, components.into(), store)
-    }
-
-    /// [`OnlineTestManager::new`] over a *shared* component schedule.
-    ///
-    /// Fleet deployments characterize once and hand the identical schedule
-    /// to thousands of managers; sharing the `Arc` makes each additional
-    /// manager cost only its per-component state and its (small) signature
-    /// store — the routines and programs are never cloned.
-    pub fn with_shared_components(
-        config: ManagerConfig,
-        components: Arc<[ManagedComponent]>,
-        store: SignatureStore,
-    ) -> Self {
-        let states = components.iter().map(|_| ComponentState::fresh()).collect();
+        let schedule = schedule.into();
+        let states = schedule.iter().map(|_| ComponentState::fresh()).collect();
         let expected_epoch = store.epoch();
         OnlineTestManager {
             config,
-            components,
+            schedule,
             states,
             store,
             expected_epoch,
             replica: None,
             events: Vec::new(),
             counters: ManagerCounters::default(),
+            replayed_attempts: 0,
             clock_cycles: 0,
             session_count: 0,
             resume_at: None,
@@ -1025,7 +1074,7 @@ impl OnlineTestManager {
         }
 
         let mut spent_cycles = 0u64;
-        for index in start_index..self.components.len() {
+        for index in start_index..self.schedule.len() {
             // Quarantined components are out of the schedule; suspended
             // ones (untrusted reference) are skipped until healed — the
             // graceful-degradation path keeps every other component
@@ -1064,7 +1113,7 @@ impl OnlineTestManager {
     fn visit_component(&mut self, index: usize, bench: &mut dyn TestBench) -> u64 {
         let retry = self.config.retry;
         let threshold = retry.effective_permanent_threshold();
-        let components = Arc::clone(&self.components);
+        let components = Arc::clone(&self.schedule.components);
         let name = components[index].name.as_str();
         let budget = self
             .config
@@ -1129,11 +1178,9 @@ impl OnlineTestManager {
         budget: u64,
         bench: &mut dyn TestBench,
     ) -> (Verdict, u64) {
-        let components = Arc::clone(&self.components);
-        let component = &components[index];
-        match self.execute(component, attempt, budget, bench) {
+        match self.execute(index, attempt, budget, bench) {
             Execution::Completed { cycles, signature } => {
-                let verdict = match (signature, self.store.get(&component.name)) {
+                let verdict = match (signature, self.store.get(&self.schedule[index].name)) {
                     (Some(observed), Some(golden)) if observed == golden => Verdict::Pass,
                     (Some(observed), Some(golden)) => Verdict::Mismatch { golden, observed },
                     // No resolvable signature or no reference: the routine
@@ -1145,7 +1192,7 @@ impl OnlineTestManager {
             Execution::Hung { budget_cycles } => {
                 if self.config.record_events {
                     self.events.push(ManagerEvent::WatchdogFired {
-                        component: component.name.clone(),
+                        component: self.schedule[index].name.clone(),
                         budget_cycles,
                     });
                 }
@@ -1155,20 +1202,40 @@ impl OnlineTestManager {
         }
     }
 
-    /// The one execution path of attempts and captures: loads
-    /// `component`'s routine on a fresh self-test CPU with the bench's
-    /// fault (if any) mounted, runs it under the watchdog `budget`, reads
-    /// the signature and hands the mount back to the bench. Leaves the
-    /// clock alone; each caller charges its own cycles.
+    /// The one execution path of attempts and captures: runs component
+    /// `index`'s routine under the watchdog `budget` with the bench's fault
+    /// (if any) mounted, reads the signature and hands the mount back to
+    /// the bench. Leaves the clock alone; each caller charges its own
+    /// cycles.
+    ///
+    /// With no fault mounted and the schedule's fault-free record under
+    /// the budget, the record is the outcome and nothing executes. The
+    /// comparison is strict: the watchdog checks before every step, so a
+    /// run that completes after `cycles` only ever sees fewer. Otherwise
+    /// the routine runs on a fresh self-test CPU, and a fault-free run
+    /// that completes fills the record. A mounted fault always executes,
+    /// even one whose activity window never opens.
     fn execute(
-        &self,
-        component: &ManagedComponent,
+        &mut self,
+        index: usize,
         attempt: u32,
         budget: u64,
         bench: &mut dyn TestBench,
     ) -> Execution {
+        let component = &self.schedule.components[index];
+        let golden = &self.schedule.golden[index];
+        let fault = bench.prepare(&component.name, attempt, self.clock_cycles);
+        let fault_free = fault.is_none();
+        if fault_free {
+            if let Some(&(cycles, signature)) = golden.get() {
+                if cycles < budget {
+                    self.replayed_attempts += 1;
+                    return Execution::Completed { cycles, signature };
+                }
+            }
+        }
         let mut cpu = Cpu::new(CpuConfig::self_test());
-        if let Some(fault) = bench.prepare(&component.name, attempt, self.clock_cycles) {
+        if let Some(fault) = fault {
             cpu.mount_fault(fault);
         }
         cpu.load_program(&component.program);
@@ -1186,6 +1253,15 @@ impl OnlineTestManager {
         };
         if let Some(fault) = cpu.unmount_fault() {
             bench.finish(fault);
+        }
+        if let (true, Execution::Completed { cycles, signature }) = (fault_free, execution) {
+            let recorded = *golden.get_or_init(|| (cycles, signature));
+            debug_assert_eq!(
+                recorded,
+                (cycles, signature),
+                "fault-free runs of {} disagree",
+                component.name
+            );
         }
         execution
     }
@@ -1292,7 +1368,7 @@ impl OnlineTestManager {
     /// the replica from the healed store.
     fn recapture_store(&mut self, bench: &mut dyn TestBench) {
         let replica_ok = self.audit_replica();
-        let components = Arc::clone(&self.components);
+        let components = Arc::clone(&self.schedule.components);
         for (index, component) in components.iter().enumerate() {
             if self.states[index].health == Health::Quarantined {
                 continue;
@@ -1312,7 +1388,7 @@ impl OnlineTestManager {
             return;
         }
         let replica_ok = self.audit_replica();
-        let components = Arc::clone(&self.components);
+        let components = Arc::clone(&self.schedule.components);
         let mut healed_any = false;
         for (index, component) in components.iter().enumerate() {
             if self.states[index].health == Health::Quarantined || self.states[index].store_trusted
@@ -1345,7 +1421,7 @@ impl OnlineTestManager {
             .config
             .watchdog
             .budget_cycles(component.expected_cycles);
-        let fresh = match self.execute(component, 0, budget, bench) {
+        let fresh = match self.execute(index, 0, budget, bench) {
             Execution::Completed { cycles, signature } => {
                 self.clock_cycles += cycles;
                 signature
@@ -1425,20 +1501,12 @@ impl OnlineTestManager {
     /// Replaces the schedule and store after a re-plan (e.g. a reduced
     /// plan over the remaining CUTs once a component is quarantined).
     /// Events, counters, the virtual clock and the quarantine log persist;
-    /// per-component state is reset for the new schedule.
-    pub fn adopt_schedule(&mut self, components: Vec<ManagedComponent>, store: SignatureStore) {
-        self.adopt_shared_schedule(components.into(), store);
-    }
-
-    /// [`OnlineTestManager::adopt_schedule`] over a shared schedule `Arc` —
-    /// the fleet path, where one re-plan is adopted by many managers.
-    pub fn adopt_shared_schedule(
-        &mut self,
-        components: Arc<[ManagedComponent]>,
-        store: SignatureStore,
-    ) {
-        self.states = components.iter().map(|_| ComponentState::fresh()).collect();
-        self.components = components;
+    /// per-component state is reset for the new schedule. Many managers
+    /// adopt one re-plan by passing clones of one [`SharedSchedule`].
+    pub fn adopt_schedule(&mut self, schedule: impl Into<SharedSchedule>, store: SignatureStore) {
+        let schedule = schedule.into();
+        self.states = schedule.iter().map(|_| ComponentState::fresh()).collect();
+        self.schedule = schedule;
         self.store = store;
         self.expected_epoch = self.store.epoch();
         // A replica of the old store cannot witness for the new one;
@@ -1482,6 +1550,15 @@ impl OnlineTestManager {
         &self.counters
     }
 
+    /// Fault-free runs (attempts and captures) this manager answered from
+    /// the schedule's record instead of executing. Observational: how many
+    /// replay depends on which manager of a shared schedule ran a routine
+    /// first, never on a verdict, so it is kept out of
+    /// [`OnlineTestManager::counters`].
+    pub fn replayed_attempts(&self) -> u64 {
+        self.replayed_attempts
+    }
+
     /// The manager's virtual clock in cycles (test execution + backoff
     /// waits + explicit advances).
     pub fn clock_cycles(&self) -> u64 {
@@ -1521,7 +1598,7 @@ impl OnlineTestManager {
 
     /// Names of components still in the schedule (not quarantined).
     pub fn active_components(&self) -> Vec<&str> {
-        self.components
+        self.schedule
             .iter()
             .zip(&self.states)
             .filter(|(_, s)| s.health != Health::Quarantined)
@@ -1531,7 +1608,7 @@ impl OnlineTestManager {
 
     /// Status snapshot for every scheduled component.
     pub fn component_statuses(&self) -> Vec<ComponentStatus> {
-        self.components
+        self.schedule
             .iter()
             .zip(&self.states)
             .map(|(c, s)| ComponentStatus {
@@ -2036,21 +2113,23 @@ mod tests {
 
     #[test]
     fn shared_components_are_not_cloned_per_manager() {
-        // Two managers over the same Arc'd schedule: the components are
-        // shared (refcount 3 with the local handle), and both managers
-        // behave identically to privately-owned schedules.
-        let shared: Arc<[ManagedComponent]> = vec![adder_component("alu")].into();
-        let mut a = OnlineTestManager::with_shared_components(
+        // Two managers over one shared schedule: the components are not
+        // copied (refcount 4 with the local handle and the schedule's own),
+        // both behave like managers over private schedules, and the second
+        // replays the fault-free run the first recorded.
+        let components: Arc<[ManagedComponent]> = vec![adder_component("alu")].into();
+        let shared = SharedSchedule::from(Arc::clone(&components));
+        let mut a = OnlineTestManager::new(
             ManagerConfig::default(),
-            Arc::clone(&shared),
+            shared.clone(),
             golden_store(&["alu"]),
         );
-        let mut b = OnlineTestManager::with_shared_components(
+        let mut b = OnlineTestManager::new(
             ManagerConfig::default(),
-            Arc::clone(&shared),
+            shared.clone(),
             golden_store(&["alu"]),
         );
-        assert_eq!(Arc::strong_count(&shared), 3);
+        assert_eq!(Arc::strong_count(&components), 4);
         for mgr in [&mut a, &mut b] {
             assert_eq!(
                 mgr.run_session(&mut FaultFreeBench),
@@ -2058,6 +2137,98 @@ mod tests {
             );
         }
         assert_eq!(a.counters(), b.counters());
+        assert_eq!(a.clock_cycles(), b.clock_cycles());
+        assert_eq!(a.replayed_attempts(), 0, "the first run executes");
+        assert_eq!(b.replayed_attempts(), 1, "the second replays its record");
+        let private = {
+            let mut mgr = OnlineTestManager::new(
+                ManagerConfig::default(),
+                vec![adder_component("alu")],
+                golden_store(&["alu"]),
+            );
+            mgr.run_session(&mut FaultFreeBench);
+            mgr
+        };
+        assert_eq!(private.counters(), b.counters());
+        assert_eq!(private.events(), b.events());
+    }
+
+    #[test]
+    fn a_budget_at_or_below_the_record_executes_instead_of_replaying() {
+        let shared = SharedSchedule::from(vec![adder_component("alu")]);
+        let mut recorder = OnlineTestManager::new(
+            ManagerConfig::default(),
+            shared.clone(),
+            golden_store(&["alu"]),
+        );
+        recorder.run_session(&mut FaultFreeBench);
+        let cycles = recorder.clock_cycles();
+        assert!(cycles > 2, "{cycles}");
+        let with_budget = |budget: u64| {
+            let config = ManagerConfig {
+                watchdog: WatchdogConfig {
+                    slack: 0.0,
+                    min_budget_cycles: budget,
+                },
+                ..ManagerConfig::default()
+            };
+            let mut mgr = OnlineTestManager::new(config, shared.clone(), golden_store(&["alu"]));
+            let status = mgr.run_session(&mut FaultFreeBench);
+            (mgr, status)
+        };
+
+        // Half the recorded cycles: the routine must run and hang.
+        let (tight, status) = with_budget(cycles / 2);
+        assert_eq!(status, SessionStatus::Completed { healthy: false });
+        assert_eq!(tight.replayed_attempts(), 0);
+        assert_eq!(tight.counters().watchdog_fires, 3);
+        assert_eq!(tight.quarantined(), ["alu"]);
+
+        // Exactly the recorded cycles: the watchdog still lets the run
+        // finish, but only an execution shows that, so it executes.
+        let (exact, status) = with_budget(cycles);
+        assert_eq!(status, SessionStatus::Completed { healthy: true });
+        assert_eq!(exact.replayed_attempts(), 0);
+        assert_eq!(exact.clock_cycles(), cycles);
+
+        // One cycle more: the record fits, so the run is replayed.
+        let (roomy, status) = with_budget(cycles + 1);
+        assert_eq!(status, SessionStatus::Completed { healthy: true });
+        assert_eq!(roomy.replayed_attempts(), 1);
+        assert_eq!(roomy.clock_cycles(), cycles);
+    }
+
+    #[test]
+    fn a_mounted_inert_fault_always_executes() {
+        let alu = sbst_components::alu::alu(32);
+        let fault = sbst_gates::Fault::stem_sa0(alu.ports.output("result").net(0));
+        let mut mounted = 0u64;
+        let mut inert = |_: &str, _: u32, _: u64| {
+            mounted += 1;
+            Some(
+                ArchFault::new(alu.clone(), fault).with_activity(crate::FaultActivity::Window {
+                    from_cycle: u64::MAX,
+                    until_cycle: u64::MAX,
+                }),
+            )
+        };
+        let mut mgr = OnlineTestManager::new(
+            ManagerConfig::default(),
+            vec![adder_component("alu")],
+            golden_store(&["alu"]),
+        );
+        mgr.run_session(&mut FaultFreeBench);
+        mgr.run_session(&mut FaultFreeBench);
+        assert_eq!(mgr.replayed_attempts(), 1, "the record is filled and used");
+        for _ in 0..2 {
+            assert_eq!(
+                mgr.run_session(&mut inert),
+                SessionStatus::Completed { healthy: true }
+            );
+        }
+        assert_eq!(mounted, 2);
+        assert_eq!(mgr.replayed_attempts(), 1, "a mounted fault never replays");
+        assert_eq!(mgr.counters().passes, 4);
     }
 
     #[test]

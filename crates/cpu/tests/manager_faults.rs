@@ -558,3 +558,147 @@ fn campaign_always_terminates_without_panicking() {
         assert_eq!(spare.attempts, spare.passes);
     }
 }
+
+/// Mounts ALU result bit 7 stuck-at-0 on every run, with an activity
+/// window that never opens: the hardware behaves fault-free, but a mounted
+/// fault makes the manager execute every run instead of replaying the
+/// schedule's fault-free record.
+#[derive(Default)]
+struct InertFaultBench {
+    mount: Option<ArchFault>,
+    mounted: u64,
+}
+
+impl TestBench for InertFaultBench {
+    fn prepare(&mut self, _component: &str, _attempt: u32, _now_cycles: u64) -> Option<ArchFault> {
+        self.mounted += 1;
+        let mount = self.mount.take().unwrap_or_else(|| {
+            let (comp, fault) = alu_bit7_sa0();
+            ArchFault::new(comp, fault)
+        });
+        Some(mount.with_activity(FaultActivity::Window {
+            from_cycle: u64::MAX,
+            until_cycle: u64::MAX,
+        }))
+    }
+
+    fn finish(&mut self, fault: ArchFault) {
+        self.mount = Some(fault);
+    }
+}
+
+/// Everything a manager run leaves behind that a replay could disturb.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    counters: sbst_cpu::manager::ManagerCounters,
+    events: Vec<sbst_cpu::manager::ManagerEvent>,
+    clock_cycles: u64,
+    store: SignatureStore,
+    expected_epoch: u64,
+    quarantined: Vec<String>,
+}
+
+/// Runs `scenario` once under the fault-free bench and once under the
+/// inert-fault bench; returns what each observed and how many runs the
+/// fault-free manager replayed.
+fn replayed_vs_executed(
+    scenario: impl Fn(&mut dyn TestBench) -> OnlineTestManager,
+) -> (Observed, Observed, u64) {
+    let observe = |mgr: &OnlineTestManager| Observed {
+        counters: *mgr.counters(),
+        events: mgr.events().to_vec(),
+        clock_cycles: mgr.clock_cycles(),
+        store: mgr.store().clone(),
+        expected_epoch: mgr.expected_epoch(),
+        quarantined: mgr.quarantined().to_vec(),
+    };
+    let replayed = scenario(&mut FaultFreeBench);
+    let mut inert = InertFaultBench::default();
+    let executed = scenario(&mut inert);
+    assert_eq!(
+        executed.replayed_attempts(),
+        0,
+        "a mounted fault never replays"
+    );
+    assert!(
+        inert.mounted >= executed.counters().attempts,
+        "every attempt mounted the inert fault"
+    );
+    (
+        observe(&replayed),
+        observe(&executed),
+        replayed.replayed_attempts(),
+    )
+}
+
+#[test]
+fn replaying_fault_free_runs_changes_nothing_observable() {
+    // Plain periodic sessions over two healthy routines.
+    let (replayed, executed, replays) = replayed_vs_executed(|bench| {
+        let mut mgr = OnlineTestManager::new(
+            ManagerConfig::default(),
+            vec![component("alu"), component("shifter")],
+            golden_store(&["alu", "shifter"]),
+        );
+        for _ in 0..3 {
+            mgr.run_session(bench);
+            mgr.advance_clock(10_000);
+        }
+        mgr
+    });
+    assert_eq!(replayed, executed);
+    assert_eq!(replays, 4, "all but each routine's first run replay");
+    assert_eq!(replayed.counters.passes, 6);
+
+    // A reference that never matches: mismatches, backoffs, permanent
+    // classification and quarantine, while the other routine passes.
+    let (replayed, executed, replays) = replayed_vs_executed(|bench| {
+        let mut store = golden_store(&["alu", "shifter"]);
+        store.set("shifter", GOLDEN ^ 1);
+        let mut mgr = OnlineTestManager::new(
+            ManagerConfig::default(),
+            vec![component("alu"), component("shifter")],
+            store,
+        );
+        for _ in 0..3 {
+            mgr.run_session(bench);
+        }
+        mgr
+    });
+    assert_eq!(replayed, executed);
+    assert!(replays > 0);
+    assert_eq!(replayed.counters.mismatches, 3);
+    assert_eq!(replayed.quarantined, ["shifter"]);
+
+    // Recapture with a replica: a bit flip and then a stale-epoch replay
+    // force two cross-checked captures and epoch-advancing re-seals.
+    let (replayed, executed, replays) = replayed_vs_executed(|bench| {
+        let key = MacKey::from_seed(0x5EED);
+        let config = ManagerConfig {
+            store_policy: StorePolicy::Recapture,
+            store_key: key,
+            ..ManagerConfig::default()
+        };
+        let store = SignatureStore::with_key(
+            vec![("alu".to_owned(), GOLDEN), ("shifter".to_owned(), GOLDEN)],
+            &key,
+        );
+        let pristine = store.clone();
+        let mut mgr =
+            OnlineTestManager::new(config, vec![component("alu"), component("shifter")], store);
+        mgr.install_replica();
+        mgr.run_session(bench);
+        mgr.store_mut().corrupt("alu", 0x0000_0010);
+        mgr.run_session(bench);
+        *mgr.store_mut() = pristine;
+        mgr.run_session(bench);
+        mgr
+    });
+    assert_eq!(replayed, executed);
+    assert!(replays > 0);
+    assert_eq!(replayed.counters.store_recaptures, 2);
+    assert_eq!(replayed.counters.tamper_forgeries, 1);
+    assert_eq!(replayed.counters.tamper_replays, 1);
+    assert_eq!(replayed.counters.recapture_rejects, 0);
+    assert_eq!(replayed.counters.passes, 6);
+}

@@ -19,7 +19,7 @@ use sbst_core::plan::build_managed_schedule_graded;
 use sbst_core::Cut;
 use sbst_cpu::faulty::ArchFault;
 use sbst_cpu::mac::MacKey;
-use sbst_cpu::manager::{ManagedComponent, SignatureStore};
+use sbst_cpu::manager::{SharedSchedule, SignatureStore};
 use sbst_gates::{CompiledTape, Fault, FaultSimConfig};
 
 use crate::profile::TargetSpec;
@@ -98,8 +98,10 @@ impl<'a> IntoIterator for &'a FaultTargets {
 /// The immutable artifacts every node shares.
 #[derive(Debug)]
 pub struct SharedArtifacts {
-    /// One managed routine per routine-capable CUT, shared fleet-wide.
-    pub components: Arc<[ManagedComponent]>,
+    /// One managed routine per routine-capable CUT, shared fleet-wide,
+    /// with each routine's fault-free outcome recorded by the first node
+    /// that runs it.
+    pub components: SharedSchedule,
     /// The sealed golden store each node's private copy starts from —
     /// keyed with [`SharedArtifacts::store_key`] at seal epoch 0.
     pub store: SignatureStore,

@@ -11,8 +11,8 @@
 use std::sync::Arc;
 
 use sbst_cpu::manager::{
-    ManagerConfig, ManagerCounters, ManagerEvent, OnlineTestManager, SignatureStore, StorePolicy,
-    TestBench,
+    ManagerConfig, ManagerCounters, ManagerEvent, OnlineTestManager, SessionStatus, SignatureStore,
+    StorePolicy, TestBench,
 };
 use sbst_cpu::ArchFault;
 use sbst_gates::Fault;
@@ -169,9 +169,9 @@ impl FleetNode {
             },
             ..ManagerConfig::default()
         };
-        let mut manager = OnlineTestManager::with_shared_components(
+        let mut manager = OnlineTestManager::new(
             config,
-            Arc::clone(&artifacts.components),
+            artifacts.components.clone(),
             artifacts.store.clone(),
         );
         if adversarial {
@@ -256,36 +256,50 @@ impl FleetNode {
         self.next_due
     }
 
+    /// Fault-free runs this node's manager replayed from the shared
+    /// schedule's record instead of executing. Observational: it depends on
+    /// which node ran each routine first, so it stays out of
+    /// [`NodeOutcome`] and the digest.
+    pub fn replayed_attempts(&self) -> u64 {
+        self.manager.replayed_attempts()
+    }
+
     /// Runs the session due at [`FleetNode::next_due`] and schedules the
     /// next one. `horizon_cycles` bounds the node's life: once the next
     /// due time reaches it, the sample reports `done`.
     pub fn run_due_session(&mut self, horizon_cycles: u64) -> SessionSample {
+        let artifacts = Arc::clone(&self.artifacts);
+        let mut bench = self.session_bench(&artifacts.targets);
+        self.run_due_session_on(&mut bench, horizon_cycles)
+    }
+
+    /// The bench of one session: this node's planned fault over `targets`.
+    fn session_bench<'a>(&self, targets: &'a FaultTargets) -> SessionBench<'a> {
+        SessionBench {
+            targets,
+            planned: self.planned_fault.zip(self.profile.fault),
+            mount: None,
+        }
+    }
+
+    /// [`FleetNode::run_due_session`] with the session's faults chosen by
+    /// `bench`.
+    fn run_due_session_on(
+        &mut self,
+        bench: &mut dyn TestBench,
+        horizon_cycles: u64,
+    ) -> SessionSample {
         let due = self.next_due;
         self.apply_due_attack();
         let before = *self.manager.counters();
 
-        let mut bench = SessionBench {
-            targets: &self.artifacts.targets,
-            planned: self.planned_fault.zip(self.profile.fault),
-            mount: None,
-        };
-        let manager = &mut self.manager;
-        // Quantum preemption is off fleet-side, and nothing corrupts the
-        // store, so a session always completes; loop defensively anyway.
-        let mut healthy = true;
-        for _ in 0..=bench.targets.len() {
-            match manager.run_session(&mut bench) {
-                sbst_cpu::manager::SessionStatus::Completed { healthy: h } => {
-                    healthy = h;
-                    break;
-                }
-                sbst_cpu::manager::SessionStatus::Preempted => continue,
-                sbst_cpu::manager::SessionStatus::Halted => {
-                    healthy = false;
-                    break;
-                }
-            }
-        }
+        let status = self.manager.run_session(bench);
+        debug_assert_ne!(
+            status,
+            SessionStatus::Preempted,
+            "fleet managers run without a quantum"
+        );
+        let healthy = status == SessionStatus::Completed { healthy: true };
         self.sessions += 1;
 
         let after = *self.manager.counters();
@@ -363,7 +377,6 @@ mod tests {
     use crate::characterize::Characterizer;
     use crate::profile::{assign_profile, PlannedAttack, PopulationMix};
     use sbst_core::Cut;
-    use sbst_cpu::manager::SessionStatus;
     use sbst_cpu::FaultActivity;
 
     fn artifacts() -> Arc<SharedArtifacts> {
@@ -487,11 +500,7 @@ mod tests {
             attack: None,
         };
         let mut node = FleetNode::new(0, profile, Arc::clone(&artifacts), false);
-        let mut bench = SessionBench {
-            targets: &artifacts.targets,
-            planned: node.planned_fault.zip(node.profile.fault),
-            mount: None,
-        };
+        let mut bench = node.session_bench(&artifacts.targets);
         let status = node.manager.run_session(&mut bench);
         assert_eq!(status, SessionStatus::Completed { healthy: false });
         let counters = node.manager.counters();
@@ -529,5 +538,129 @@ mod tests {
         assert_eq!(a.digest, c.digest);
         assert_eq!(a.counters, c.counters);
         assert!(c.events.len() > a.events.len());
+    }
+
+    /// Mounts a fault whose activity window never opens whenever the
+    /// node's own bench mounts nothing: the hardware stays fault-free, but
+    /// the manager must execute every run instead of replaying the
+    /// schedule's record.
+    struct InertWhenClean<'a> {
+        session: SessionBench<'a>,
+        inert: Option<ArchFault>,
+        inert_out: bool,
+        inert_mounts: u64,
+    }
+
+    impl TestBench for InertWhenClean<'_> {
+        fn prepare(&mut self, name: &str, attempt: u32, now: u64) -> Option<ArchFault> {
+            let planned = self.session.prepare(name, attempt, now);
+            self.inert_out = planned.is_none();
+            if planned.is_some() {
+                return planned;
+            }
+            self.inert_mounts += 1;
+            let targets = self.session.targets;
+            let mount = self.inert.take().unwrap_or_else(|| {
+                let port = targets[0].component.ports.output(targets[0].spec.port);
+                targets.mount(0, Fault::stem_sa1(port.net(0)))
+            });
+            Some(mount.with_activity(FaultActivity::Window {
+                from_cycle: u64::MAX,
+                until_cycle: u64::MAX,
+            }))
+        }
+
+        fn finish(&mut self, fault: ArchFault) {
+            if self.inert_out {
+                self.inert = Some(fault);
+            } else {
+                self.session.finish(fault);
+            }
+        }
+    }
+
+    #[test]
+    fn replayed_clean_runs_match_executed_ones() {
+        let artifacts = Characterizer::new(vec![Cut::alu(32), Cut::shifter(32)])
+            .with_key_seed(0xA11CE)
+            .artifacts();
+        let healthy_mix = PopulationMix {
+            infant_pct: 0,
+            wearout_pct: 0,
+            correlated_pct: 0,
+            adversary_pct: 0,
+            batch_size: 16,
+        };
+        let healthy = assign_profile(1, 0, &healthy_mix, 500_000, 2_000_000, &[]);
+        let wear_out = NodeProfile {
+            kind: ProfileKind::WearOut,
+            period_cycles: 500_000,
+            phase_cycles: 0,
+            fault: Some(PlannedFault {
+                target: 0,
+                bit: 3,
+                stuck_at_one: true,
+                activity: FaultActivity::Window {
+                    from_cycle: 900_000,
+                    until_cycle: u64::MAX,
+                },
+            }),
+            attack: None,
+        };
+        let adversarial = NodeProfile {
+            kind: ProfileKind::Adversarial,
+            period_cycles: 500_000,
+            phase_cycles: 0,
+            fault: None,
+            attack: Some(PlannedAttack {
+                kind: AttackKind::Replay,
+                session: 1,
+                bit: 5,
+            }),
+        };
+        for profile in [healthy, wear_out, adversarial] {
+            let kind = profile.kind;
+            let mut replaying = FleetNode::new(0, profile.clone(), Arc::clone(&artifacts), true);
+            while !replaying.run_due_session(2_000_000).done {}
+            let replays = replaying.replayed_attempts();
+
+            let mut executing = FleetNode::new(0, profile, Arc::clone(&artifacts), true);
+            let mut inert_mounts = 0;
+            loop {
+                let mut bench = InertWhenClean {
+                    session: executing.session_bench(&artifacts.targets),
+                    inert: None,
+                    inert_out: false,
+                    inert_mounts: 0,
+                };
+                let sample = executing.run_due_session_on(&mut bench, 2_000_000);
+                inert_mounts += bench.inert_mounts;
+                if sample.done {
+                    break;
+                }
+            }
+            assert_eq!(executing.replayed_attempts(), 0, "{kind:?}");
+            assert!(replays > 0, "{kind:?}: nothing was replayed");
+            assert!(inert_mounts >= replays, "{kind:?}");
+
+            let (replayed, executed) = (replaying.finish(), executing.finish());
+            assert_eq!(replayed.counters, executed.counters, "{kind:?}");
+            assert_eq!(replayed.events, executed.events, "{kind:?}");
+            assert_eq!(replayed.clock_cycles, executed.clock_cycles, "{kind:?}");
+            assert_eq!(replayed.digest, executed.digest, "{kind:?}");
+            assert_eq!(replayed, executed, "{kind:?}");
+            let c = replayed.counters;
+            match kind {
+                ProfileKind::WearOut => {
+                    assert!(c.mismatches + c.watchdog_fires > 0, "{c:?}");
+                    assert_eq!(replayed.quarantined, ["ALU"]);
+                }
+                ProfileKind::Adversarial => {
+                    assert_eq!(c.tamper_forgeries + c.tamper_replays, 2, "{c:?}");
+                    assert_eq!(c.store_recaptures, 2, "{c:?}");
+                }
+                _ => assert_eq!(c.passes, c.attempts, "{c:?}"),
+            }
+        }
     }
 }

@@ -66,6 +66,9 @@ pub struct WorkerStats {
     pub nodes_finalized: u64,
     /// Telemetry lines this worker produced.
     pub telemetry_lines: u64,
+    /// Fault-free routine runs this worker's nodes replayed from the shared
+    /// schedule instead of executing.
+    pub replayed_attempts: u64,
 }
 
 /// A completed fleet run.
@@ -187,6 +190,7 @@ pub fn run_fleet(
                     break;
                 }
             }
+            stats.replayed_attempts += node.replayed_attempts();
             let outcome = node.finish();
             stats.nodes_finalized += 1;
             if let Some(writer) = &writer {
