@@ -43,9 +43,8 @@ cargo run --release -p sbst-bench --bin table1 -- --smoke \
 echo "== table1 delay-fault smoke run: transition headline =="
 # Same pipeline with --fault-model transition: the FC column flips to the
 # two-pattern transition numbers while the per-model JSON columns stay.
-SBST_THREADS="${SBST_THREADS:-2}" \
-  cargo run --release -p sbst-bench --bin table1 -- --smoke \
-  --fault-model transition --json BENCH_table1_td.json
+cargo run --release -p sbst-bench --bin table1 -- --smoke \
+  --threads "${SBST_THREADS:-2}" --fault-model transition --json BENCH_table1_td.json
 
 echo "== validate all three reports =="
 # jsonlint exits nonzero when a report is missing, unparseable, or

@@ -9,7 +9,6 @@
 //! are compared against them.
 
 use sbst_components::ComponentKind;
-use sbst_cpu::manager::SignatureStore;
 
 use crate::program::{ProgramRun, SelfTestProgram};
 
@@ -120,18 +119,6 @@ impl GoldenSignatures {
             })
             .collect();
         Diagnosis { entries }
-    }
-
-    /// Bridges the golden set into the on-line test manager's checksummed
-    /// [`SignatureStore`], keyed by signature label. The store adds the
-    /// integrity seal the manager's re-capture-or-halt policy depends on.
-    pub fn to_signature_store(&self) -> SignatureStore {
-        SignatureStore::new(
-            self.entries
-                .iter()
-                .map(|(_, label, sig)| (label.clone(), *sig))
-                .collect(),
-        )
     }
 
     /// Compares raw signature words read from data memory (the in-field
@@ -262,23 +249,5 @@ mod tests {
                 sbst_components::ComponentKind::Multiplier
             ]
         );
-    }
-
-    #[test]
-    fn golden_set_bridges_to_checksummed_store() {
-        let p = program();
-        let golden = GoldenSignatures::capture(&p).unwrap();
-        let mut store = golden.to_signature_store();
-        assert_eq!(store.len(), 2);
-        assert!(store.verify());
-        // The store holds the same values the diagnosis compares against.
-        let run = p.run().unwrap();
-        for (label, sig) in &run.signatures {
-            assert_eq!(store.get(label), Some(*sig), "label {label}");
-        }
-        // A bit-flip in the stored references is caught by the seal.
-        let first = run.signatures[0].0.clone();
-        store.corrupt(&first, 0x0200);
-        assert!(!store.verify());
     }
 }

@@ -106,8 +106,7 @@ pub fn grade_trace_detailed(
 }
 
 /// Per-model grading of one trace: stuck-at and transition-delay coverage
-/// of the same stimulus, plus the stuck-at run's simulation-volume
-/// instrumentation.
+/// of the same stimulus, plus how the fault simulator ran.
 #[derive(Debug, Clone)]
 pub struct TraceGrade {
     /// Single-stuck-at coverage (collapsed fault list).
@@ -115,6 +114,10 @@ pub struct TraceGrade {
     /// Gross transition-delay coverage (slow-to-rise/slow-to-fall per net
     /// stem, two-pattern detection) of the *same* stimulus.
     pub transition_coverage: FaultCoverage,
+    /// Worker threads the fault simulator used (0 for an empty stimulus).
+    pub sim_threads: usize,
+    /// Wall-clock time of both models' simulation runs.
+    pub sim_wall_time: std::time::Duration,
     /// Simulation-volume instrumentation of the stuck-at grading run.
     pub sim_stats: SimStats,
 }
@@ -123,23 +126,31 @@ pub struct TraceGrade {
 /// once per model on one shared [`FaultSimulator`] (the compiled engine's
 /// tape is built once and reused).
 pub fn grade_trace_models(cut: &Cut, trace: &OperandTrace, sim: FaultSimConfig) -> TraceGrade {
+    grade_stimulus(cut, &stimulus_for(cut, trace), sim)
+}
+
+/// Grades `stimulus` under both fault models on one [`FaultSimulator`].
+/// An empty stimulus detects nothing but still reports both universes.
+fn grade_stimulus(cut: &Cut, stimulus: &Stimulus, sim: FaultSimConfig) -> TraceGrade {
     let netlist = &cut.component.netlist;
-    let stimulus = stimulus_for(cut, trace);
+    let transition_faults = enumerate_transition_faults(netlist);
     if stimulus.is_empty() {
         return TraceGrade {
             coverage: FaultCoverage::new(0, cut.fault_count()),
-            transition_coverage: FaultCoverage::new(0, enumerate_transition_faults(netlist).len()),
+            transition_coverage: FaultCoverage::new(0, transition_faults.len()),
+            sim_threads: 0,
+            sim_wall_time: std::time::Duration::ZERO,
             sim_stats: SimStats::default(),
         };
     }
-    let faults = netlist.collapsed_faults();
-    let transition_faults = enumerate_transition_faults(netlist);
     let simulator = FaultSimulator::with_config(netlist, sim);
-    let result = simulator.simulate(&faults, &stimulus);
-    let transition = simulator.simulate_transition(&transition_faults, &stimulus);
+    let result = simulator.simulate(&netlist.collapsed_faults(), stimulus);
+    let transition = simulator.simulate_transition(&transition_faults, stimulus);
     TraceGrade {
         coverage: result.coverage(),
         transition_coverage: transition.coverage(),
+        sim_threads: result.threads_used,
+        sim_wall_time: result.wall_time + transition.wall_time,
         sim_stats: result.stats,
     }
 }
@@ -192,27 +203,33 @@ pub fn grade_routine_with(
     routine: &SelfTestRoutine,
     sim: FaultSimConfig,
 ) -> Result<GradedRoutine, GradeError> {
+    let (stats, signature, grade) = grade_routine_models(cut, routine, sim)?;
+    Ok(GradedRoutine {
+        coverage: grade.coverage,
+        transition_coverage: grade.transition_coverage,
+        stats,
+        signature,
+        size_words: routine.size_words(),
+        sim_threads: grade.sim_threads,
+        sim_wall_time: grade.sim_wall_time,
+        sim_stats: grade.sim_stats,
+    })
+}
+
+/// Runs a routine fault-free on the ISS and grades its CUT under both
+/// fault models; returns the run's statistics, its signature and the
+/// grade.
+pub(crate) fn grade_routine_models(
+    cut: &Cut,
+    routine: &SelfTestRoutine,
+    sim: FaultSimConfig,
+) -> Result<(ExecStats, u32, TraceGrade), GradeError> {
     let (stats, trace, signature) = execute_routine(routine)?;
     let stimulus = stimulus_for(cut, &trace);
     if stimulus.is_empty() {
         return Err(GradeError::EmptyTrace { kind: cut.kind() });
     }
-    let netlist = &cut.component.netlist;
-    let faults = netlist.collapsed_faults();
-    let transition_faults = enumerate_transition_faults(netlist);
-    let simulator = FaultSimulator::with_config(netlist, sim);
-    let result = simulator.simulate(&faults, &stimulus);
-    let transition = simulator.simulate_transition(&transition_faults, &stimulus);
-    Ok(GradedRoutine {
-        coverage: result.coverage(),
-        transition_coverage: transition.coverage(),
-        stats,
-        signature,
-        size_words: routine.size_words(),
-        sim_threads: result.threads_used,
-        sim_wall_time: result.wall_time + transition.wall_time,
-        sim_stats: result.stats,
-    })
+    Ok((stats, signature, grade_stimulus(cut, &stimulus, sim)))
 }
 
 /// Runs a routine fault-free with tracing; returns statistics, the trace

@@ -386,16 +386,16 @@ pub fn parse_ndjson(input: &str) -> Result<Vec<JsonValue>, NdjsonError> {
 
 /// A buffered newline-delimited JSON writer.
 ///
-/// Values are serialized compactly, one per line, into an internal buffer
-/// that is flushed to the underlying writer only when it exceeds the
-/// configured threshold (or on [`NdjsonWriter::flush`]/drop-free `finish`).
+/// Pre-serialized batches of compact lines are appended to an internal
+/// buffer that is flushed to the underlying writer only when it reaches
+/// [`NdjsonWriter::DEFAULT_FLUSH_BYTES`] (or on [`NdjsonWriter::flush`] and
+/// [`NdjsonWriter::finish`]).
 /// This is the batching layer for streaming telemetry: per-record cost is
 /// an in-memory append; syscalls amortize over many records.
 #[derive(Debug)]
 pub struct NdjsonWriter<W: Write> {
     sink: W,
     buffer: String,
-    flush_bytes: usize,
     lines: u64,
     flushes: u64,
 }
@@ -406,35 +406,12 @@ impl<W: Write> NdjsonWriter<W> {
 
     /// Creates a writer over `sink` with the default batch threshold.
     pub fn new(sink: W) -> Self {
-        Self::with_flush_bytes(sink, Self::DEFAULT_FLUSH_BYTES)
-    }
-
-    /// Creates a writer flushing whenever the buffer exceeds
-    /// `flush_bytes` (0 flushes after every record).
-    pub fn with_flush_bytes(sink: W, flush_bytes: usize) -> Self {
         NdjsonWriter {
             sink,
             buffer: String::new(),
-            flush_bytes,
             lines: 0,
             flushes: 0,
         }
-    }
-
-    /// Appends one value as an NDJSON line, flushing if the batch
-    /// threshold is exceeded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from an automatic flush.
-    pub fn write_value(&mut self, value: &JsonValue) -> io::Result<()> {
-        value.write(&mut self.buffer, None, 0);
-        self.buffer.push('\n');
-        self.lines += 1;
-        if self.buffer.len() >= self.flush_bytes {
-            self.flush()?;
-        }
-        Ok(())
     }
 
     /// Appends an already-serialized NDJSON batch (newline-terminated
@@ -447,7 +424,7 @@ impl<W: Write> NdjsonWriter<W> {
     pub fn write_batch(&mut self, batch: &str, lines: u64) -> io::Result<()> {
         self.buffer.push_str(batch);
         self.lines += lines;
-        if self.buffer.len() >= self.flush_bytes {
+        if self.buffer.len() >= Self::DEFAULT_FLUSH_BYTES {
             self.flush()?;
         }
         Ok(())
@@ -865,21 +842,19 @@ mod tests {
 
     #[test]
     fn ndjson_writer_batches_flushes() {
-        let mut w = NdjsonWriter::with_flush_bytes(Vec::new(), 1024);
-        let record = JsonValue::object([("k", JsonValue::from(1u32))]);
-        for _ in 0..10 {
-            w.write_value(&record).unwrap();
-        }
-        // 10 small records fit one batch: nothing flushed yet.
-        assert_eq!(w.lines(), 10);
+        let mut w = NdjsonWriter::new(Vec::new());
+        let line = "{\"k\":1}\n";
+        let threshold = NdjsonWriter::<Vec<u8>>::DEFAULT_FLUSH_BYTES;
+        let below = threshold / line.len() - 1;
+        let batch = line.repeat(below);
+        w.write_batch(&batch, below as u64).unwrap();
+        // Records short of the threshold stay in one batch: nothing flushed.
+        assert_eq!(w.lines(), below as u64);
         assert_eq!(w.flushes(), 0);
-        for _ in 0..200 {
-            w.write_value(&record).unwrap();
-        }
-        assert!(w.flushes() >= 1, "threshold crossings must flush");
-        let sink = w.finish().unwrap();
-        let text = String::from_utf8(sink).unwrap();
-        assert_eq!(parse_ndjson(&text).unwrap().len(), 210);
+        w.write_batch(&line.repeat(2), 2).unwrap();
+        assert_eq!(w.flushes(), 1, "crossing the threshold must flush");
+        let text = String::from_utf8(w.finish().unwrap()).unwrap();
+        assert_eq!(parse_ndjson(&text).unwrap().len(), below + 2);
     }
 
     #[test]

@@ -14,8 +14,8 @@ use sbst_gates::{FaultCoverage, FaultSimConfig};
 
 use crate::codestyle::CodeStyle;
 use crate::cut::Cut;
-use crate::grade::{execute_routine, grade_routine, grade_trace_detailed};
-use crate::report::{Table1, Table1Error};
+use crate::grade::{execute_routine, grade_routine_models, grade_trace_detailed};
+use crate::report::{Table1, Table1Error, Table1Row};
 use crate::routine::RoutineSpec;
 
 /// The outcome of the conditional test-planning flow.
@@ -60,24 +60,20 @@ pub fn plan_with_target(cuts: &[Cut], target_percent: f64) -> Result<TestPlan, T
             {
                 continue;
             }
-            let spec = RoutineSpec::new(CodeStyle::FunctionalTest);
-            let routine = spec.build(cut)?;
-            let graded = grade_routine(cut, &routine)?;
+            let routine = RoutineSpec::new(CodeStyle::FunctionalTest).build(cut)?;
+            let (stats, _, grade) = grade_routine_models(cut, &routine, FaultSimConfig::default())?;
+            let ladder = Table1Row::graded(cut, Some(("FT ladder", &routine, &stats)), &grade);
             // Replace the side-effect row with the dedicated result if it
-            // is better, and recompute the rollup.
+            // is better.
             if let Some(row) = table.rows.iter_mut().find(|r| r.name == cut.name()) {
-                if graded.coverage.detected > row.coverage.detected {
-                    row.coverage = graded.coverage;
-                    row.code_style = Some("FT ladder".to_owned());
-                    row.size_words = Some(graded.size_words);
-                    row.cpu_cycles = Some(graded.stats.total_cycles());
-                    row.data_refs = Some(graded.stats.data_refs());
-                    row.dedicated_routine = true;
+                if ladder.coverage.detected > row.coverage.detected {
+                    *row = ladder;
                     topups.push(cut.name());
                 }
             }
         }
         table.overall_coverage = table.rows.iter().map(|r| r.coverage).sum();
+        table.overall_transition_coverage = table.rows.iter().map(|r| r.transition_coverage).sum();
     }
 
     Ok(TestPlan {
@@ -260,12 +256,43 @@ mod tests {
     }
 
     #[test]
-    fn markdown_renders_rows() {
-        let plan = plan_with_target(&cuts(), 50.0).unwrap();
-        let md = plan.table.to_markdown();
-        assert!(md.contains("| Component |"));
-        assert!(md.contains("| ALU |"));
-        assert!(md.contains("**Total**"));
+    fn topup_row_reports_the_ladder_under_both_models() {
+        // The top-up replaces the whole PC row: both coverage columns come
+        // from the branch ladder's own stimulus, and both overall columns
+        // are the sums of the rows.
+        let cuts = cuts();
+        let plan = plan_with_target(&cuts, 97.0).unwrap();
+        let pc = &cuts[2];
+        let ladder = RoutineSpec::new(CodeStyle::FunctionalTest)
+            .build(pc)
+            .unwrap();
+        let graded = crate::grade::grade_routine(pc, &ladder).unwrap();
+        let pc_row = plan
+            .table
+            .rows
+            .iter()
+            .find(|r| r.name == pc.name())
+            .unwrap();
+        assert_eq!(pc_row.coverage, graded.coverage);
+        assert_eq!(pc_row.transition_coverage, graded.transition_coverage);
+        assert_eq!(pc_row.size_words, Some(graded.size_words));
+        assert_eq!(pc_row.cpu_cycles, Some(graded.stats.total_cycles()));
+        assert_eq!(pc_row.data_refs, Some(graded.stats.data_refs()));
+        let rows = &plan.table.rows;
+        assert_eq!(
+            plan.table.overall_coverage,
+            rows.iter().map(|r| r.coverage).sum::<FaultCoverage>()
+        );
+        assert_eq!(
+            plan.table.overall_transition_coverage,
+            rows.iter()
+                .map(|r| r.transition_coverage)
+                .sum::<FaultCoverage>()
+        );
+        assert_eq!(
+            plan.table.overall_transition_coverage,
+            FaultCoverage::new(474, 518)
+        );
     }
 
     #[test]

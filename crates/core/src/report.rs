@@ -9,14 +9,15 @@ use std::fmt;
 use std::time::Duration;
 
 use sbst_components::ComponentClass;
+use sbst_cpu::ExecStats;
 use sbst_gates::{FaultCoverage, FaultModel, FaultSimConfig, SimEngine};
 use sbst_tpg::{AtpgConfig, AtpgTelemetry};
 
 use crate::cut::Cut;
-use crate::grade::{grade_routine_with, grade_trace_models, GradeError};
+use crate::grade::{grade_routine_models, grade_trace_models, GradeError, TraceGrade};
 use crate::json::JsonValue;
 use crate::program::SelfTestProgramBuilder;
-use crate::routine::{BuildRoutineError, RoutineSpec};
+use crate::routine::{BuildRoutineError, RoutineSpec, SelfTestRoutine};
 
 /// One row of Table 1.
 #[derive(Debug, Clone)]
@@ -48,6 +49,30 @@ pub struct Table1Row {
 }
 
 impl Table1Row {
+    /// Builds the row of `cut` from one grading of its stimulus under both
+    /// fault models. `routine` names the dedicated routine's code style,
+    /// the routine and its fault-free run; `None` marks a side-effect row,
+    /// graded against the combined program's trace.
+    pub(crate) fn graded(
+        cut: &Cut,
+        routine: Option<(&str, &SelfTestRoutine, &ExecStats)>,
+        grade: &TraceGrade,
+    ) -> Table1Row {
+        Table1Row {
+            name: cut.name().to_owned(),
+            gates: cut.gate_equivalents(),
+            classification: classification_string(cut),
+            code_style: routine.map(|(style, _, _)| style.to_owned()),
+            size_words: routine.map(|(_, routine, _)| routine.size_words()),
+            cpu_cycles: routine.map(|(_, _, stats)| stats.total_cycles()),
+            data_refs: routine.map(|(_, _, stats)| stats.data_refs()),
+            coverage: grade.coverage,
+            transition_coverage: grade.transition_coverage,
+            dedicated_routine: routine.is_some(),
+            sim_wall_time: grade.sim_wall_time,
+        }
+    }
+
     /// The "Miss. FC (%)" column: this component's undetected faults as a
     /// share of the whole processor's fault universe.
     pub fn missing_fc(&self, universe_total: usize) -> f64 {
@@ -203,68 +228,34 @@ impl Table1 {
         let mut lane_slots_filled = 0u64;
         let mut lane_slots_total = 0u64;
         let mut builder = SelfTestProgramBuilder::new();
-        let mut routine_cuts = Vec::new();
-        for cut in cuts {
-            if cut.gets_routine() {
-                builder.add(cut.clone());
-                routine_cuts.push(cut);
-            }
+        for cut in cuts.iter().filter(|cut| cut.gets_routine()) {
+            builder.add(cut.clone());
         }
         let combined = builder.build()?;
         let combined_run = combined.run()?;
 
         for cut in cuts {
-            let classification = classification_string(cut);
-            let row = if routine_cuts.iter().any(|c| c.kind() == cut.kind()) {
+            let (row, grade) = if cut.gets_routine() {
                 let mut spec = RoutineSpec::recommended(cut);
                 spec.atpg = atpg;
                 let (routine, build_telemetry) = spec.build_traced(cut)?;
                 atpg_telemetry.merge(&build_telemetry);
-                let graded = grade_routine_with(cut, &routine, sim)?;
-                sim_threads = sim_threads.max(graded.sim_threads);
-                grading_wall_time += graded.sim_wall_time;
-                events_full_eval += graded.sim_stats.events_full_eval;
-                tape_len += graded.sim_stats.tape_len;
-                chains_collapsed += graded.sim_stats.chains_collapsed;
-                lane_slots_filled += graded.sim_stats.lane_slots_filled;
-                lane_slots_total += graded.sim_stats.lane_slots_total;
-                Table1Row {
-                    name: cut.name().to_owned(),
-                    gates: cut.gate_equivalents(),
-                    classification,
-                    code_style: Some(spec.style.code().to_owned()),
-                    size_words: Some(graded.size_words),
-                    cpu_cycles: Some(graded.stats.total_cycles()),
-                    data_refs: Some(graded.stats.data_refs()),
-                    coverage: graded.coverage,
-                    transition_coverage: graded.transition_coverage,
-                    dedicated_routine: true,
-                    sim_wall_time: graded.sim_wall_time,
-                }
+                let (stats, _, grade) = grade_routine_models(cut, &routine, sim)?;
+                (
+                    Table1Row::graded(cut, Some((spec.style.code(), &routine, &stats)), &grade),
+                    grade,
+                )
             } else {
-                let started = std::time::Instant::now();
                 let grade = grade_trace_models(cut, &combined_run.trace, sim);
-                let elapsed = started.elapsed();
-                grading_wall_time += elapsed;
-                events_full_eval += grade.sim_stats.events_full_eval;
-                tape_len += grade.sim_stats.tape_len;
-                chains_collapsed += grade.sim_stats.chains_collapsed;
-                lane_slots_filled += grade.sim_stats.lane_slots_filled;
-                lane_slots_total += grade.sim_stats.lane_slots_total;
-                Table1Row {
-                    name: cut.name().to_owned(),
-                    gates: cut.gate_equivalents(),
-                    classification,
-                    code_style: None,
-                    size_words: None,
-                    cpu_cycles: None,
-                    data_refs: None,
-                    coverage: grade.coverage,
-                    transition_coverage: grade.transition_coverage,
-                    dedicated_routine: false,
-                    sim_wall_time: elapsed,
-                }
+                (Table1Row::graded(cut, None, &grade), grade)
             };
+            sim_threads = sim_threads.max(grade.sim_threads);
+            grading_wall_time += grade.sim_wall_time;
+            events_full_eval += grade.sim_stats.events_full_eval;
+            tape_len += grade.sim_stats.tape_len;
+            chains_collapsed += grade.sim_stats.chains_collapsed;
+            lane_slots_filled += grade.sim_stats.lane_slots_filled;
+            lane_slots_total += grade.sim_stats.lane_slots_total;
             rows.push(row);
         }
 
@@ -473,83 +464,6 @@ impl Table1 {
                 ]),
             ),
         ])
-    }
-
-    /// Renders the table as GitHub-flavoured markdown (the format used in
-    /// EXPERIMENTS.md).
-    pub fn to_markdown(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let universe = self.overall_coverage_for(self.fault_model).total;
-        let _ = writeln!(
-            out,
-            "| Component | Gates | Class | Style | Words | Cycles | Refs | FC % | Miss FC % |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|");
-        for row in &self.rows {
-            let primary = row.coverage_for(self.fault_model);
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {} | {} | {} | {:.2} | {:.2} |",
-                row.name,
-                row.gates,
-                row.classification,
-                row.code_style.as_deref().unwrap_or("—"),
-                row.size_words.map_or("—".to_owned(), |v| v.to_string()),
-                row.cpu_cycles.map_or("—".to_owned(), |v| v.to_string()),
-                row.data_refs.map_or("—".to_owned(), |v| v.to_string()),
-                primary.percent(),
-                primary.missing_percent_of(universe),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "| **Total** | **{}** | **{:.0}% D-VC** | | **{}** | **{}** | **{}** | **{:.2}** | |",
-            self.total_gates,
-            self.dvc_area_percent,
-            self.total_size_words,
-            self.total_cycles,
-            self.total_data_refs,
-            self.overall_coverage_for(self.fault_model).percent(),
-        );
-        let _ = writeln!(
-            out,
-            "\nFC column: {} model · stuck-at {:.2}% · transition {:.2}%",
-            self.fault_model.name(),
-            self.overall_coverage.percent(),
-            self.overall_transition_coverage.percent(),
-        );
-        let _ = writeln!(
-            out,
-            "\nFault grading: {} thread{} · {:.3} s wall · {} engine",
-            self.sim_threads,
-            if self.sim_threads == 1 { "" } else { "s" },
-            self.grading_wall_time.as_secs_f64(),
-            self.engine.name(),
-        );
-        if self.tape_len > 0 {
-            let _ = writeln!(
-                out,
-                "Compiled tape: {} entries ({} chained gates folded) · {:.1}% lane occupancy",
-                self.tape_len,
-                self.chains_collapsed,
-                self.lane_occupancy() * 100.0,
-            );
-        }
-        if self.atpg.runs > 0 {
-            let _ = writeln!(
-                out,
-                "Constrained ATPG: {} run{} · {} PODEM thread{} · {:.3} s PODEM wall · {} targets ({} discarded speculative)",
-                self.atpg.runs,
-                if self.atpg.runs == 1 { "" } else { "s" },
-                self.atpg.podem_threads,
-                if self.atpg.podem_threads == 1 { "" } else { "s" },
-                self.atpg.podem_wall_time.as_secs_f64(),
-                self.atpg.stats.podem_targets,
-                self.atpg.stats.podem_discarded,
-            );
-        }
-        out
     }
 }
 
