@@ -141,6 +141,12 @@ if ! diff <(atpg_speed_fields BENCH_atpg_speed_serial.json) <(atpg_speed_fields 
   exit 1
 fi
 
+echo "== exec_time: Section 4 execution-time analysis (JSON report) =="
+mkdir -p target
+cargo run --release -p sbst-bench --bin exec_time -- --json target/exec_time.json
+cargo run --release -p sbst-bench --bin jsonlint -- target/exec_time.json \
+  --require program --require analytic
+
 echo "== online_manager fault-injection smoke (exit code gates the campaign) =="
 rm -f BENCH_online_manager.json
 cargo run --release -p sbst-bench --bin online_manager -- --smoke --json BENCH_online_manager.json

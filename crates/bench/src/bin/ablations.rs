@@ -1,7 +1,7 @@
 //! Ablation studies over the design choices DESIGN.md calls out.
 //!
 //! ```text
-//! cargo run --release -p sbst-bench --bin ablations [-- --json out.json]
+//! cargo run --release -p sbst-bench --bin ablations [-- --threads N] [--json out.json]
 //! ```
 //!
 //! 1. **Branch architecture**: delay slots (Plasma) vs predict-not-taken
@@ -25,7 +25,7 @@
 //!    *pairs*, so transition coverage trails stuck-at coverage; both
 //!    engines agree bit-for-bit on the transition numbers too.
 
-use sbst_bench::{json_output_path, sim_config_from_env, write_report_if_requested};
+use sbst_bench::{json_output_path, threads_flag, write_report_if_requested};
 use sbst_core::grade::execute_routine;
 use sbst_core::{CodeStyle, Cut, JsonValue, RoutineSpec, RunReport};
 use sbst_cpu::{CacheConfig, Cpu, CpuConfig, EnergyModel};
@@ -44,6 +44,14 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
+    let threads = threads_flag(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let sim = FaultSimConfig {
+        threads,
+        ..FaultSimConfig::default()
+    };
     let cut = Cut::alu(32);
     let styles = [
         CodeStyle::AtpgImmediate,
@@ -191,7 +199,6 @@ fn main() {
     let stimulus = sbst_core::stimulus_for(&cut, &trace);
     let all = cut.component.netlist.all_faults();
     let collapsed = cut.component.netlist.collapsed_faults();
-    let sim = sim_config_from_env();
     let t0 = Instant::now();
     let full = FaultSimulator::with_config(&cut.component.netlist, sim).simulate(&all, &stimulus);
     let t_full = t0.elapsed();
@@ -216,10 +223,7 @@ fn main() {
     println!("\n== Ablation 6: simulation engine (full-eval vs compiled) ==");
     let mut engine_rows = Vec::new();
     for engine in [SimEngine::FullEval, SimEngine::Compiled] {
-        let cfg = FaultSimConfig {
-            engine,
-            ..sim_config_from_env()
-        };
+        let cfg = FaultSimConfig { engine, ..sim };
         let t0 = Instant::now();
         let res = FaultSimulator::with_config(&cut.component.netlist, cfg)
             .simulate(&collapsed, &stimulus);
@@ -265,10 +269,7 @@ fn main() {
     );
     let mut model_rows = Vec::new();
     for engine in [SimEngine::FullEval, SimEngine::Compiled] {
-        let cfg = FaultSimConfig {
-            engine,
-            ..sim_config_from_env()
-        };
+        let cfg = FaultSimConfig { engine, ..sim };
         let t0 = Instant::now();
         let res = FaultSimulator::with_config(&cut.component.netlist, cfg)
             .simulate_transition(&transition_faults, &stimulus);

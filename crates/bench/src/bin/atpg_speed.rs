@@ -8,14 +8,14 @@
 //!
 //! Usage: `atpg_speed [--smoke] [--threads N] [--json <path>]`
 //!
-//! `--threads` pins both the fault-simulator and PODEM worker pools (the
-//! `SBST_THREADS` / `SBST_PODEM_THREADS` environment knobs are honoured
-//! otherwise). Patterns, coverage and search stats are
-//! bit-identical for every setting — only the wall times move.
+//! `--threads` pins both the fault-simulator and PODEM worker pools;
+//! without it both use the available parallelism. Patterns, coverage and
+//! search stats are bit-identical for every setting — only the wall times
+//! move.
 
 use std::time::Instant;
 
-use sbst_bench::{atpg_config_from_env, json_output_path, threads_flag, write_report_if_requested};
+use sbst_bench::{json_output_path, threads_flag, write_report_if_requested};
 use sbst_components::alu::AluFunc;
 use sbst_components::shifter::ShiftFunc;
 use sbst_components::Component;
@@ -64,18 +64,15 @@ fn main() {
     });
     let width = if smoke { 8 } else { 32 };
 
-    let mut config = atpg_config_from_env();
-    match threads_flag(&args) {
-        Ok(Some(n)) => {
-            config.sim_threads = Some(n);
-            config.podem_threads = Some(n);
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
+    let threads = threads_flag(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let config = AtpgConfig {
+        sim_threads: threads,
+        podem_threads: threads,
+        ..AtpgConfig::default()
+    };
     let mut telemetry = AtpgTelemetry::default();
 
     let shifter = sbst_components::shifter::shifter(width);

@@ -1,7 +1,7 @@
 //! Figures 1–4: code-style characteristics (the Section 3.3 analysis).
 //!
 //! ```text
-//! cargo run --release -p sbst-bench --bin code_styles [-- --json out.json]
+//! cargo run --release -p sbst-bench --bin code_styles [-- --threads N] [--json out.json]
 //! ```
 //!
 //! For the 32-bit ALU, builds the same test in all four code styles and
@@ -11,9 +11,10 @@
 //! qualitative claims: Figure 1 trades code size for zero loads, Figure 2
 //! the reverse, Figures 3–4 keep both constant.
 
-use sbst_bench::{json_output_path, sim_config_from_env, write_report_if_requested};
+use sbst_bench::{json_output_path, threads_flag, write_report_if_requested};
 use sbst_core::codestyle::style_costs;
 use sbst_core::{grade_routine_with, CodeStyle, Cut, JsonValue, RoutineSpec, RunReport};
+use sbst_gates::FaultSimConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,6 +22,14 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
+    let threads = threads_flag(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let sim = FaultSimConfig {
+        threads,
+        ..FaultSimConfig::default()
+    };
     let cut = Cut::alu(32);
     println!(
         "CUT: 32-bit ALU ({} gate-eq, {} collapsed faults)\n",
@@ -41,8 +50,7 @@ fn main() {
         let mut spec = RoutineSpec::new(style);
         spec.pseudorandom_count = 512;
         let routine = spec.build(&cut).expect("routine builds");
-        let graded =
-            grade_routine_with(&cut, &routine, sim_config_from_env()).expect("routine grades");
+        let graded = grade_routine_with(&cut, &routine, sim).expect("routine grades");
         let costs = style_costs(style, 64, 3);
         println!(
             "{:<14} {:>6} {:>6} {:>8} {:>6} {:>7} {:>8.2}   code {}, data {}",

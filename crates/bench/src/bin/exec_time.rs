@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use sbst_bench::{json_output_path, write_report_if_requested};
-use sbst_core::{Cut, JsonValue, RunReport, SelfTestProgramBuilder};
+use sbst_core::{Cut, JsonValue, RunReport, SelfTestProgram};
 use sbst_cpu::system::scheduler_overhead;
 use sbst_cpu::{
     ActivationPolicy, AnalyticStallModel, CacheConfig, Cpu, CpuConfig, ExecTimeEstimate,
@@ -32,15 +32,16 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let mut builder = SelfTestProgramBuilder::new();
-    builder.add(Cut::multiplier(32));
-    builder.add(Cut::divider(32));
-    builder.add(Cut::regfile(32, 32));
-    builder.add(Cut::memctrl());
-    builder.add(Cut::shifter(32));
-    builder.add(Cut::alu(32));
-    builder.add(Cut::control());
-    let program = builder.build().expect("program builds");
+    let program = SelfTestProgram::build(&[
+        Cut::multiplier(32),
+        Cut::divider(32),
+        Cut::regfile(32, 32),
+        Cut::memctrl(),
+        Cut::shifter(32),
+        Cut::alu(32),
+        Cut::control(),
+    ])
+    .expect("program builds");
     println!(
         "combined self-test program: {} words ({} code, {} data)",
         program.size_words(),

@@ -1,7 +1,7 @@
 //! Pseudorandom pattern-count vs coverage sweep.
 //!
 //! ```text
-//! cargo run --release -p sbst-bench --bin strategy_sweep [-- --json out.json]
+//! cargo run --release -p sbst-bench --bin strategy_sweep [-- --threads N] [--json out.json]
 //! ```
 //!
 //! Backs the paper's strategy-applicability claims with curves: the
@@ -10,11 +10,12 @@
 //! constant/small test sets — which is why it is the fallback, not the
 //! default, for on-line periodic testing (execution time!).
 //!
-//! `SBST_THREADS` pins the fault-simulator worker count; coverage numbers
+//! `--threads` pins the fault-simulator worker count; coverage numbers
 //! are identical for every setting.
 
-use sbst_bench::{json_output_path, sim_config_from_env, write_report_if_requested};
+use sbst_bench::{json_output_path, threads_flag, write_report_if_requested};
 use sbst_core::{grade_routine_with, CodeStyle, Cut, JsonValue, RoutineSpec, RunReport};
+use sbst_gates::FaultSimConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -22,7 +23,14 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let sim = sim_config_from_env();
+    let threads = threads_flag(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let sim = FaultSimConfig {
+        threads,
+        ..FaultSimConfig::default()
+    };
     let mut sweeps = Vec::new();
     for (name, cut) in [
         ("ALU (32-bit)", Cut::alu(32)),

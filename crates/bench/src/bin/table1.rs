@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p sbst-bench --bin table1 [-- --smoke] [--json out.json]
-//! SBST_THREADS=4 cargo run --release -p sbst-bench --bin table1
+//! cargo run --release -p sbst-bench --bin table1 -- --threads 4
 //! ```
 //!
 //! Prints per-component gate counts, classification, code style, routine
@@ -15,22 +15,23 @@
 //! whole pipeline in seconds. `--json <path>` additionally writes the
 //! machine-readable report (rows, totals, fault-sim timing, ATPG search
 //! telemetry). `--threads <n>` pins both the fault-simulator worker count
-//! and the PODEM search pool in one flag; the finer-grained `SBST_THREADS`
-//! and `SBST_PODEM_THREADS` environment knobs are also honoured.
-//! `--fault-model stuck-at|transition` picks the headline fault model for
-//! the FC column — both models are always graded and the JSON report
-//! carries per-model columns either way. Coverage, patterns and
-//! ATPG stats are bit-identical for every setting.
+//! and the PODEM search pool; without it both use the available
+//! parallelism. `--fault-model stuck-at|transition` picks the headline
+//! fault model for the FC column — both models are always graded and the
+//! JSON report carries per-model columns either way. Coverage, patterns
+//! and ATPG stats are bit-identical for every setting.
+//!
+//! The Section 4 execution-time estimate (57 MHz, analytic 5 % miss /
+//! 20-cycle stall model) is computed from the combined program's own
+//! fault-free run, the same run and estimate `exec_time` reports.
 
 use std::time::Instant;
 
-use sbst_bench::{
-    atpg_config_from_env, fault_model_flag, json_output_path, sim_config_from_env, threads_flag,
-    write_report_if_requested,
-};
+use sbst_bench::{fault_model_flag, json_output_path, threads_flag, write_report_if_requested};
 use sbst_core::{Cut, JsonValue, RunReport, Table1};
-use sbst_cpu::cpu::ExecStats;
 use sbst_cpu::{AnalyticStallModel, ExecTimeEstimate, QuantumConfig};
+use sbst_gates::FaultSimConfig;
+use sbst_tpg::AtpgConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,20 +40,19 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let mut sim = sim_config_from_env();
-    let mut atpg = atpg_config_from_env();
-    match threads_flag(&args) {
-        Ok(Some(n)) => {
-            sim.threads = Some(n);
-            atpg.sim_threads = Some(n);
-            atpg.podem_threads = Some(n);
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
+    let threads = threads_flag(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let sim = FaultSimConfig {
+        threads,
+        ..FaultSimConfig::default()
+    };
+    let atpg = AtpgConfig {
+        sim_threads: threads,
+        podem_threads: threads,
+        ..AtpgConfig::default()
+    };
     let fault_model = match fault_model_flag(&args) {
         Ok(model) => model.unwrap_or_default(),
         Err(e) => {
@@ -88,14 +88,8 @@ fn main() {
     println!("{table}");
 
     // The Section 4 execution-time analysis on the combined program.
-    let stats = ExecStats {
-        cycles: table.total_cycles,
-        imem_accesses: table.total_cycles, // ~1 fetch per cycle upper bound
-        dmem_accesses: table.total_data_refs,
-        ..ExecStats::default()
-    };
     let est = ExecTimeEstimate::from_stats(
-        &stats,
+        &table.program_stats,
         QuantumConfig::default(),
         Some(AnalyticStallModel::default()),
     );

@@ -9,68 +9,7 @@
 use std::path::PathBuf;
 
 use sbst_core::RunReport;
-use sbst_gates::{FaultModel, FaultSimConfig};
-use sbst_tpg::AtpgConfig;
-
-/// Parses a worker-thread count from the named environment variable's
-/// value: a positive integer.
-///
-/// # Errors
-///
-/// Returns a one-line message naming the variable and the rejected value.
-pub fn parse_threads_var(var: &str, value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!(
-            "{var} must be a positive integer, got `{value}`; using available parallelism"
-        )),
-    }
-}
-
-/// Fault-simulator configuration shared by the bench binaries.
-///
-/// Reads `SBST_THREADS` (a positive integer) to pin the worker-thread
-/// count — pinning is how runs on shared machines stay reproducible in
-/// wall time. An unset value falls back to the machine's available
-/// parallelism; an invalid value does the same but prints a one-line
-/// warning to stderr naming the rejected value, so a typo never silently
-/// changes the run. Coverage numbers are identical for every setting.
-pub fn sim_config_from_env() -> FaultSimConfig {
-    FaultSimConfig {
-        threads: threads_from_env("SBST_THREADS"),
-        ..FaultSimConfig::default()
-    }
-}
-
-/// Reads one thread-count environment variable through the shared
-/// warning path: unset → `None`, invalid → `None` plus a one-line stderr
-/// warning echoing the rejected value.
-fn threads_from_env(var: &str) -> Option<usize> {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| match parse_threads_var(var, &v) {
-            Ok(n) => Some(n),
-            Err(msg) => {
-                eprintln!("warning: {msg}");
-                None
-            }
-        })
-}
-
-/// ATPG configuration shared by the bench binaries.
-///
-/// The PODEM search pool is pinned by `SBST_PODEM_THREADS` (a positive
-/// integer; invalid values warn and fall back to available parallelism,
-/// same contract as `SBST_THREADS`) and the grading passes by
-/// `SBST_THREADS`. Pattern sets, outcomes and stats are bit-identical for
-/// every combination.
-pub fn atpg_config_from_env() -> AtpgConfig {
-    AtpgConfig {
-        sim_threads: threads_from_env("SBST_THREADS"),
-        podem_threads: threads_from_env("SBST_PODEM_THREADS"),
-        ..AtpgConfig::default()
-    }
-}
+use sbst_gates::FaultModel;
 
 /// Parses an `SBST_STORE_KEY` value: a 64-bit MAC-key seed, decimal or
 /// `0x`-prefixed hex. The seed derives the store's SipHash key via
@@ -286,17 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_parsing_names_bad_values() {
-        assert_eq!(parse_threads_var("SBST_THREADS", "4"), Ok(4));
-        assert_eq!(parse_threads_var("SBST_THREADS", " 8 "), Ok(8));
-        for bad in ["0", "-2", "many", "3.5", ""] {
-            let err = parse_threads_var("SBST_THREADS", bad).unwrap_err();
-            assert!(err.contains(&format!("`{bad}`")), "message: {err}");
-            assert!(err.contains("SBST_THREADS"), "message: {err}");
-        }
-    }
-
-    #[test]
     fn threads_flag_forms() {
         assert_eq!(threads_flag(["--smoke"] as [&str; 1]).unwrap(), None);
         assert_eq!(threads_flag(["--threads", "2"]).unwrap(), Some(2));
@@ -327,29 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn podem_thread_parsing_names_bad_values() {
-        assert_eq!(parse_threads_var("SBST_PODEM_THREADS", "4"), Ok(4));
-        assert_eq!(parse_threads_var("SBST_PODEM_THREADS", " 2 "), Ok(2));
-        for bad in ["0", "-1", "two", "1.5", ""] {
-            let err = parse_threads_var("SBST_PODEM_THREADS", bad).unwrap_err();
-            assert!(err.contains(&format!("`{bad}`")), "message: {err}");
-            assert!(err.contains("SBST_PODEM_THREADS"), "message: {err}");
-        }
-    }
-
-    /// Pins the exact warning for an invalid `SBST_PODEM_THREADS` value —
-    /// same convention as `SBST_THREADS`: name the variable, echo the
-    /// rejected value in backticks, state the fallback.
-    #[test]
-    fn bad_podem_threads_warning_is_pinned() {
-        assert_eq!(
-            parse_threads_var("SBST_PODEM_THREADS", "bogus").unwrap_err(),
-            "SBST_PODEM_THREADS must be a positive integer, got `bogus`; \
-             using available parallelism"
-        );
-    }
-
-    #[test]
     fn store_key_seed_parsing() {
         assert_eq!(parse_store_key_seed("42"), Ok(42));
         assert_eq!(parse_store_key_seed(" 0xDEAD_BEEF "), Ok(0xDEAD_BEEF));
@@ -362,9 +267,9 @@ mod tests {
         }
     }
 
-    /// Pins the exact warning for an invalid `SBST_STORE_KEY` value —
-    /// same convention as the thread knobs: name the variable, echo the
-    /// rejected value in backticks, state the fallback.
+    /// Pins the exact warning for an invalid `SBST_STORE_KEY` value: name
+    /// the variable, echo the rejected value in backticks, state the
+    /// fallback.
     #[test]
     fn bad_store_key_warning_is_pinned() {
         assert_eq!(
@@ -372,27 +277,5 @@ mod tests {
             "SBST_STORE_KEY must be a 64-bit seed (decimal or 0x-hex), \
              got `bogus`; using the default key seed"
         );
-    }
-
-    #[test]
-    fn atpg_env_config_defaults_are_sane() {
-        // Parsing path only; the env vars are process-global so the test
-        // doesn't mutate them.
-        let cfg = atpg_config_from_env();
-        assert!(cfg.random_patterns > 0);
-        if let Some(n) = cfg.podem_threads {
-            assert!(n > 0);
-        }
-    }
-
-    #[test]
-    fn env_override_parses() {
-        // Exercise the parsing path directly; the env var itself is
-        // process-global, so don't mutate it in a test.
-        let cfg = sim_config_from_env();
-        assert!(cfg.drop_on_detect);
-        if let Some(n) = cfg.threads {
-            assert!(n > 0);
-        }
     }
 }

@@ -142,13 +142,9 @@ impl GoldenSignatures {
 mod tests {
     use super::*;
     use crate::cut::Cut;
-    use crate::program::SelfTestProgramBuilder;
 
     fn program() -> SelfTestProgram {
-        let mut b = SelfTestProgramBuilder::new();
-        b.add(Cut::alu(8));
-        b.add(Cut::shifter(8));
-        b.build().unwrap()
+        SelfTestProgram::build(&[Cut::alu(8), Cut::shifter(8)]).unwrap()
     }
 
     #[test]
@@ -192,11 +188,7 @@ mod tests {
     }
 
     fn three_cut_program() -> SelfTestProgram {
-        let mut b = SelfTestProgramBuilder::new();
-        b.add(Cut::alu(8));
-        b.add(Cut::shifter(8));
-        b.add(Cut::multiplier(8));
-        b.build().unwrap()
+        SelfTestProgram::build(&[Cut::alu(8), Cut::shifter(8), Cut::multiplier(8)]).unwrap()
     }
 
     #[test]

@@ -59,6 +59,6 @@ pub use plan::{
     build_managed_schedule, build_managed_schedule_graded, plan_excluding, plan_with_target,
     ManagedSchedule, TestPlan,
 };
-pub use program::{SelfTestProgram, SelfTestProgramBuilder};
+pub use program::SelfTestProgram;
 pub use report::{Table1, Table1Row};
 pub use routine::{BuildRoutineError, RoutineSpec, SelfTestRoutine};

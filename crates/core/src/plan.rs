@@ -5,17 +5,17 @@
 //! not acceptable" extend testing to the address-carrying components —
 //! paying their distributed-memory cost. [`plan_with_target`] automates
 //! that decision: it generates Table 1, compares overall coverage against
-//! the target, and if short, builds the optional M-VC top-up routine
-//! (the PC-unit branch ladder) and folds its coverage in.
+//! the target, and if short, generates the table again with the optional
+//! M-VC top-up routine (the PC-unit branch ladder) in the program.
 
 use sbst_components::{ComponentClass, ComponentKind};
 use sbst_cpu::manager::{ManagedComponent, SharedSchedule, SigLocation, SignatureStore};
-use sbst_gates::{FaultCoverage, FaultSimConfig};
+use sbst_gates::{FaultCoverage, FaultModel, FaultSimConfig};
+use sbst_tpg::AtpgConfig;
 
-use crate::codestyle::CodeStyle;
 use crate::cut::Cut;
-use crate::grade::{execute_routine, grade_routine_models, grade_trace_detailed};
-use crate::report::{Table1, Table1Error, Table1Row};
+use crate::grade::{execute_routine, grade_trace_detailed};
+use crate::report::{Table1, Table1Error};
 use crate::routine::RoutineSpec;
 
 /// The outcome of the conditional test-planning flow.
@@ -38,9 +38,21 @@ impl TestPlan {
     }
 }
 
+/// Whether `cut` gets a routine only as a top-up: the M-VC/A-VC PC unit,
+/// whose recommended routine is the branch ladder.
+fn gets_topup(cut: &Cut) -> bool {
+    cut.kind() == ComponentKind::PcUnit
+        && matches!(
+            cut.class(),
+            ComponentClass::MixedVisible | ComponentClass::AddressVisible
+        )
+}
+
 /// Generates a test plan meeting `target_percent` overall coverage if the
 /// methodology can: D-VC/PVC routines first; if the target is missed, the
-/// M-VC/A-VC top-ups are added (currently the PC-unit branch ladder).
+/// table is generated again with the M-VC/A-VC top-ups (currently the
+/// PC-unit branch ladder) in the program, and that pass is kept if it
+/// detects more faults in a top-up component.
 ///
 /// # Errors
 ///
@@ -50,30 +62,25 @@ pub fn plan_with_target(cuts: &[Cut], target_percent: f64) -> Result<TestPlan, T
     let baseline_coverage = table.overall_coverage;
     let mut topups = Vec::new();
 
-    if table.overall_coverage.percent() < target_percent {
-        for cut in cuts {
-            if cut.kind() != ComponentKind::PcUnit
-                || !matches!(
-                    cut.class(),
-                    ComponentClass::MixedVisible | ComponentClass::AddressVisible
-                )
-            {
-                continue;
-            }
-            let routine = RoutineSpec::new(CodeStyle::FunctionalTest).build(cut)?;
-            let (stats, _, grade) = grade_routine_models(cut, &routine, FaultSimConfig::default())?;
-            let ladder = Table1Row::graded(cut, Some(("FT ladder", &routine, &stats)), &grade);
-            // Replace the side-effect row with the dedicated result if it
-            // is better.
-            if let Some(row) = table.rows.iter_mut().find(|r| r.name == cut.name()) {
-                if ladder.coverage.detected > row.coverage.detected {
-                    *row = ladder;
-                    topups.push(cut.name());
-                }
-            }
+    if baseline_coverage.percent() < target_percent {
+        let topped = Table1::assemble(
+            cuts,
+            |cut| cut.gets_routine() || gets_topup(cut),
+            FaultSimConfig::default(),
+            AtpgConfig::default(),
+            FaultModel::default(),
+        )?;
+        topups = cuts
+            .iter()
+            .zip(table.rows.iter().zip(&topped.rows))
+            .filter(|(cut, (before, after))| {
+                gets_topup(cut) && after.coverage.detected > before.coverage.detected
+            })
+            .map(|(cut, _)| cut.name())
+            .collect();
+        if !topups.is_empty() {
+            table = topped;
         }
-        table.overall_coverage = table.rows.iter().map(|r| r.coverage).sum();
-        table.overall_transition_coverage = table.rows.iter().map(|r| r.transition_coverage).sum();
     }
 
     Ok(TestPlan {
@@ -213,6 +220,8 @@ fn build_schedule_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grade::grade_routine;
+    use crate::program::SelfTestProgram;
 
     fn cuts() -> Vec<Cut> {
         vec![Cut::alu(8), Cut::shifter(8), Cut::pc_unit(8, 4)]
@@ -252,7 +261,7 @@ mod tests {
             .find(|r| r.name == "PC / branch unit")
             .unwrap();
         assert!(pc_row.dedicated_routine);
-        assert_eq!(pc_row.code_style.as_deref(), Some("FT ladder"));
+        assert_eq!(pc_row.code_style.as_deref(), Some("FT"));
     }
 
     #[test]
@@ -263,10 +272,8 @@ mod tests {
         let cuts = cuts();
         let plan = plan_with_target(&cuts, 97.0).unwrap();
         let pc = &cuts[2];
-        let ladder = RoutineSpec::new(CodeStyle::FunctionalTest)
-            .build(pc)
-            .unwrap();
-        let graded = crate::grade::grade_routine(pc, &ladder).unwrap();
+        let ladder = RoutineSpec::recommended(pc).build(pc).unwrap();
+        let graded = grade_routine(pc, &ladder).unwrap();
         let pc_row = plan
             .table
             .rows
@@ -293,6 +300,38 @@ mod tests {
             plan.table.overall_transition_coverage,
             FaultCoverage::new(474, 518)
         );
+    }
+
+    #[test]
+    fn topup_joins_the_program_totals_and_grading() {
+        // The topped-up table is the one generator's second pass: its
+        // Total row is the run of the combined program with the ladder in
+        // it, and its grading telemetry is that of the three routines.
+        let cuts = cuts();
+        let plan = plan_with_target(&cuts, 97.0).unwrap();
+        let table = &plan.table;
+        let program = SelfTestProgram::build(&cuts).unwrap();
+        let run = program.run().unwrap();
+        assert_eq!(table.total_size_words, program.size_words());
+        assert_eq!(table.total_cycles, run.stats.total_cycles());
+        assert_eq!(table.total_data_refs, run.stats.data_refs());
+        assert_eq!(
+            (
+                table.total_size_words,
+                table.total_cycles,
+                table.total_data_refs
+            ),
+            (364, 1107, 3)
+        );
+        let (mut events, mut slots) = (0, 0);
+        for cut in &cuts {
+            let routine = RoutineSpec::recommended(cut).build(cut).unwrap();
+            let graded = grade_routine(cut, &routine).unwrap();
+            events += graded.sim_stats.events_full_eval;
+            slots += graded.sim_stats.lane_slots_total;
+        }
+        assert_eq!(table.events_full_eval, events);
+        assert_eq!(table.lane_slots_total, slots);
     }
 
     #[test]

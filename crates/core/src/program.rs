@@ -7,7 +7,6 @@
 //! the Section 2 requirements: small footprint, no unresolved hazards,
 //! compact loops, few data references.
 
-use sbst_components::ComponentKind;
 use sbst_cpu::{Cpu, CpuConfig, ExecStats, OperandTrace};
 use sbst_isa::{Asm, Instruction, Program};
 
@@ -15,65 +14,6 @@ use crate::codestyle::{emit_misr_subroutine, emit_prologue, emit_signature_unloa
 use crate::cut::Cut;
 use crate::grade::GradeError;
 use crate::routine::{routine_name, BuildRoutineError, RoutineSpec, DATA_BASE, MISR_LABEL};
-
-/// Builds a combined self-test program from the CUTs' recommended
-/// routines.
-#[derive(Debug, Default)]
-pub struct SelfTestProgramBuilder {
-    cuts: Vec<Cut>,
-}
-
-impl SelfTestProgramBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        SelfTestProgramBuilder::default()
-    }
-
-    /// Adds a CUT with its recommended routine spec.
-    pub fn add(&mut self, cut: Cut) -> &mut Self {
-        self.cuts.push(cut);
-        self
-    }
-
-    /// Assembles the combined program.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildRoutineError`] if any routine body fails to build, or
-    /// (as [`BuildRoutineError::UnsupportedStyle`]) if the same CUT kind is
-    /// added twice (label uniqueness).
-    pub fn build(&self) -> Result<SelfTestProgram, BuildRoutineError> {
-        let mut seen: Vec<ComponentKind> = Vec::new();
-        for cut in &self.cuts {
-            if seen.contains(&cut.kind()) {
-                return Err(BuildRoutineError::UnsupportedStyle {
-                    kind: cut.kind(),
-                    style: RoutineSpec::recommended(cut).style,
-                });
-            }
-            seen.push(cut.kind());
-        }
-        let mut asm = Asm::new();
-        let mut sig_labels = Vec::new();
-        for cut in &self.cuts {
-            let sig_label = format!("sig_{}", routine_name(cut.kind()));
-            asm.data_label(&sig_label);
-            asm.word(0);
-            emit_prologue(&mut asm); // reseed the MISR per routine
-            RoutineSpec::recommended(cut).emit_body(cut, &mut asm)?;
-            emit_signature_unload(&mut asm, &sig_label);
-            sig_labels.push(sig_label);
-        }
-        asm.insn(Instruction::Break { code: 0 });
-        emit_misr_subroutine(&mut asm, MISR_LABEL);
-        let program = asm.assemble(0, DATA_BASE)?;
-        Ok(SelfTestProgram {
-            program,
-            cuts: self.cuts.clone(),
-            sig_labels,
-        })
-    }
-}
 
 /// The combined on-line periodic self-test program.
 #[derive(Debug, Clone)]
@@ -99,6 +39,42 @@ pub struct ProgramRun {
 }
 
 impl SelfTestProgram {
+    /// Assembles the combined program from the CUTs' recommended routines,
+    /// in the order given.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildRoutineError`] if any routine body fails to build, or
+    /// (as [`BuildRoutineError::UnsupportedStyle`]) if the same CUT kind
+    /// appears twice (label uniqueness).
+    pub fn build(cuts: &[Cut]) -> Result<SelfTestProgram, BuildRoutineError> {
+        let mut asm = Asm::new();
+        let mut sig_labels = Vec::new();
+        for (i, cut) in cuts.iter().enumerate() {
+            let spec = RoutineSpec::recommended(cut);
+            if cuts[..i].iter().any(|c| c.kind() == cut.kind()) {
+                return Err(BuildRoutineError::UnsupportedStyle {
+                    kind: cut.kind(),
+                    style: spec.style,
+                });
+            }
+            let sig_label = format!("sig_{}", routine_name(cut.kind()));
+            asm.data_label(&sig_label);
+            asm.word(0);
+            emit_prologue(&mut asm); // reseed the MISR per routine
+            spec.emit_body(cut, &mut asm)?;
+            emit_signature_unload(&mut asm, &sig_label);
+            sig_labels.push(sig_label);
+        }
+        asm.insn(Instruction::Break { code: 0 });
+        emit_misr_subroutine(&mut asm, MISR_LABEL);
+        Ok(SelfTestProgram {
+            program: asm.assemble(0, DATA_BASE)?,
+            cuts: cuts.to_vec(),
+            sig_labels,
+        })
+    }
+
     /// Memory footprint in words.
     pub fn size_words(&self) -> usize {
         self.program.size_words()
@@ -141,11 +117,7 @@ mod tests {
     use crate::grade::grade_trace;
 
     fn small_program() -> SelfTestProgram {
-        let mut b = SelfTestProgramBuilder::new();
-        b.add(Cut::alu(8));
-        b.add(Cut::shifter(8));
-        b.add(Cut::control());
-        b.build().unwrap()
+        SelfTestProgram::build(&[Cut::alu(8), Cut::shifter(8), Cut::control()]).unwrap()
     }
 
     #[test]
@@ -178,10 +150,7 @@ mod tests {
 
     #[test]
     fn duplicate_kind_rejected() {
-        let mut b = SelfTestProgramBuilder::new();
-        b.add(Cut::alu(8));
-        b.add(Cut::alu(8));
-        assert!(b.build().is_err());
+        assert!(SelfTestProgram::build(&[Cut::alu(8), Cut::alu(8)]).is_err());
     }
 
     #[test]

@@ -14,10 +14,10 @@ use sbst_gates::{FaultCoverage, FaultModel, FaultSimConfig, SimEngine};
 use sbst_tpg::{AtpgConfig, AtpgTelemetry};
 
 use crate::cut::Cut;
-use crate::grade::{grade_routine_models, grade_trace_models, GradeError, TraceGrade};
+use crate::grade::{grade_routine_models, grade_trace_models, GradeError};
 use crate::json::JsonValue;
-use crate::program::SelfTestProgramBuilder;
-use crate::routine::{BuildRoutineError, RoutineSpec, SelfTestRoutine};
+use crate::program::SelfTestProgram;
+use crate::routine::{BuildRoutineError, RoutineSpec};
 
 /// One row of Table 1.
 #[derive(Debug, Clone)]
@@ -49,30 +49,6 @@ pub struct Table1Row {
 }
 
 impl Table1Row {
-    /// Builds the row of `cut` from one grading of its stimulus under both
-    /// fault models. `routine` names the dedicated routine's code style,
-    /// the routine and its fault-free run; `None` marks a side-effect row,
-    /// graded against the combined program's trace.
-    pub(crate) fn graded(
-        cut: &Cut,
-        routine: Option<(&str, &SelfTestRoutine, &ExecStats)>,
-        grade: &TraceGrade,
-    ) -> Table1Row {
-        Table1Row {
-            name: cut.name().to_owned(),
-            gates: cut.gate_equivalents(),
-            classification: classification_string(cut),
-            code_style: routine.map(|(style, _, _)| style.to_owned()),
-            size_words: routine.map(|(_, routine, _)| routine.size_words()),
-            cpu_cycles: routine.map(|(_, _, stats)| stats.total_cycles()),
-            data_refs: routine.map(|(_, _, stats)| stats.data_refs()),
-            coverage: grade.coverage,
-            transition_coverage: grade.transition_coverage,
-            dedicated_routine: routine.is_some(),
-            sim_wall_time: grade.sim_wall_time,
-        }
-    }
-
     /// The "Miss. FC (%)" column: this component's undetected faults as a
     /// share of the whole processor's fault universe.
     pub fn missing_fc(&self, universe_total: usize) -> f64 {
@@ -134,6 +110,9 @@ pub struct Table1 {
     pub total_cycles: u64,
     /// Total data references (combined program run).
     pub total_data_refs: u64,
+    /// Statistics of the combined program's fault-free run: the inputs of
+    /// the Section 4 execution-time estimate.
+    pub program_stats: ExecStats,
     /// Overall single-stuck-at coverage across every component's fault
     /// universe.
     pub overall_coverage: FaultCoverage,
@@ -218,6 +197,21 @@ impl Table1 {
         atpg: AtpgConfig,
         model: FaultModel,
     ) -> Result<Table1, Table1Error> {
+        Table1::assemble(cuts, Cut::gets_routine, sim, atpg, model)
+    }
+
+    /// [`Table1::generate_with_model`] with the CUTs that get a dedicated
+    /// routine chosen by `gets_routine`. Those routines, in inventory
+    /// order, make up the combined program behind the Total row and the
+    /// side-effect rows; every other CUT is graded from that program's
+    /// trace.
+    pub(crate) fn assemble(
+        cuts: &[Cut],
+        gets_routine: impl Fn(&Cut) -> bool,
+        sim: FaultSimConfig,
+        atpg: AtpgConfig,
+        model: FaultModel,
+    ) -> Result<Table1, Table1Error> {
         let mut rows = Vec::with_capacity(cuts.len());
         let mut atpg_telemetry = AtpgTelemetry::default();
         let mut sim_threads = 1usize;
@@ -227,27 +221,25 @@ impl Table1 {
         let mut chains_collapsed = 0u64;
         let mut lane_slots_filled = 0u64;
         let mut lane_slots_total = 0u64;
-        let mut builder = SelfTestProgramBuilder::new();
-        for cut in cuts.iter().filter(|cut| cut.gets_routine()) {
-            builder.add(cut.clone());
-        }
-        let combined = builder.build()?;
+        let routine_cuts: Vec<Cut> = cuts.iter().filter(|c| gets_routine(c)).cloned().collect();
+        let combined = SelfTestProgram::build(&routine_cuts)?;
         let combined_run = combined.run()?;
 
         for cut in cuts {
-            let (row, grade) = if cut.gets_routine() {
+            // A dedicated row's style, size and fault-free run; `None`
+            // marks a side-effect row, graded from the combined trace.
+            let (routine, grade) = if gets_routine(cut) {
                 let mut spec = RoutineSpec::recommended(cut);
                 spec.atpg = atpg;
                 let (routine, build_telemetry) = spec.build_traced(cut)?;
                 atpg_telemetry.merge(&build_telemetry);
                 let (stats, _, grade) = grade_routine_models(cut, &routine, sim)?;
                 (
-                    Table1Row::graded(cut, Some((spec.style.code(), &routine, &stats)), &grade),
+                    Some((spec.style.code(), routine.size_words(), stats)),
                     grade,
                 )
             } else {
-                let grade = grade_trace_models(cut, &combined_run.trace, sim);
-                (Table1Row::graded(cut, None, &grade), grade)
+                (None, grade_trace_models(cut, &combined_run.trace, sim))
             };
             sim_threads = sim_threads.max(grade.sim_threads);
             grading_wall_time += grade.sim_wall_time;
@@ -256,7 +248,19 @@ impl Table1 {
             chains_collapsed += grade.sim_stats.chains_collapsed;
             lane_slots_filled += grade.sim_stats.lane_slots_filled;
             lane_slots_total += grade.sim_stats.lane_slots_total;
-            rows.push(row);
+            rows.push(Table1Row {
+                name: cut.name().to_owned(),
+                gates: cut.gate_equivalents(),
+                classification: classification_string(cut),
+                code_style: routine.map(|(style, _, _)| style.to_owned()),
+                size_words: routine.map(|(_, words, _)| words),
+                cpu_cycles: routine.map(|(_, _, stats)| stats.total_cycles()),
+                data_refs: routine.map(|(_, _, stats)| stats.data_refs()),
+                coverage: grade.coverage,
+                transition_coverage: grade.transition_coverage,
+                dedicated_routine: routine.is_some(),
+                sim_wall_time: grade.sim_wall_time,
+            });
         }
 
         let total_gates = rows.iter().map(|r| r.gates).sum();
@@ -275,6 +279,7 @@ impl Table1 {
             total_size_words: combined.size_words(),
             total_cycles: combined_run.stats.total_cycles(),
             total_data_refs: combined_run.stats.data_refs(),
+            program_stats: combined_run.stats,
             overall_coverage,
             overall_transition_coverage,
             fault_model: model,
@@ -801,6 +806,35 @@ mod tests {
         let schedule = crate::plan::build_managed_schedule(&cuts).unwrap();
         let scheduled: Vec<&str> = schedule.cuts.iter().map(Cut::name).collect();
         assert_eq!(scheduled, ["ALU"]);
+    }
+
+    #[test]
+    fn rows_program_and_schedule_share_routine_words() {
+        // Under default configs every routine CUT runs the same routine in
+        // its Table 1 row, in the combined program and in the managed
+        // schedule: the schedule's program is the one-CUT combined
+        // program, and the combined program is the rows' routines around
+        // one shared tail (the `break` and the MISR subroutine).
+        let cuts = Cut::small_inventory();
+        let table = Table1::generate(&cuts).unwrap();
+        let schedule = crate::plan::build_managed_schedule(&cuts).unwrap();
+        let shared = SelfTestProgram::build(&[]).unwrap().size_words();
+        let mut scheduled = schedule.components.iter();
+        let mut combined_words = shared;
+        for (cut, row) in cuts.iter().zip(&table.rows) {
+            let Some(words) = row.size_words else {
+                continue;
+            };
+            let component = scheduled.next().unwrap();
+            assert_eq!(component.name, cut.name());
+            let alone = SelfTestProgram::build(std::slice::from_ref(cut)).unwrap();
+            assert_eq!(component.program.text, alone.program.text, "{}", cut.name());
+            assert_eq!(component.program.data, alone.program.data, "{}", cut.name());
+            assert_eq!(alone.size_words(), words, "{}", cut.name());
+            combined_words += words - shared;
+        }
+        assert!(scheduled.next().is_none());
+        assert_eq!(table.total_size_words, combined_words);
     }
 
     #[test]

@@ -554,21 +554,33 @@ impl RoutineSpec {
     /// Branch ladder for the PC/branch unit: taken branches with offsets
     /// walking through the offset field's bit positions, placed across a
     /// wide address span so the PC operand toggles too. Forward hops are
-    /// padded with dead `nop` blocks (never executed, pure footprint) and a
-    /// backward branch closes the span — this is exactly the "distributed
-    /// memory references" cost that disqualifies A-VC/M-VC testing from
-    /// routine on-line use.
+    /// padded with counting blocks (skipped on the correct path, pure
+    /// footprint) and a backward branch closes the span — this is exactly
+    /// the "distributed memory references" cost that disqualifies
+    /// A-VC/M-VC testing from routine on-line use. The count and the
+    /// backward branch's flag are compacted at the end.
     fn body_pc_ladder(&self, cut: &Cut, asm: &mut Asm) {
         let offset_bits = cut.component.ports.input("offset").width();
         // Forward hops with exponentially growing distances: offset bit k
-        // toggles on hop k.
+        // toggles on hop k. The skipped padding counts instead of idling,
+        // so a hop that lands short of its target leaves a nonzero count.
         let max_bit = (offset_bits - 1).min(10); // bound the footprint
+        let count = Instruction::Addiu {
+            rt: regs::OPERAND,
+            rs: regs::OPERAND,
+            imm: 1,
+        };
         for k in 0..=max_bit {
             let hop = 1usize << k;
             asm.beq(Reg::ZERO, Reg::ZERO, &format!("pc_seg_{k}"));
-            asm.nop(); // delay slot
+            if k == 0 {
+                // The first delay slot clears the count.
+                asm.move_reg(regs::OPERAND, Reg::ZERO);
+            } else {
+                asm.nop(); // delay slot
+            }
             for _ in 0..hop.saturating_sub(1) {
-                asm.nop(); // dead padding, skipped by the branch
+                asm.insn(count); // padding, skipped by the branch
             }
             asm.label(&format!("pc_seg_{k}"));
         }
@@ -588,6 +600,13 @@ impl RoutineSpec {
         asm.j("pc_j_done");
         asm.nop();
         asm.label("pc_j_done");
+        // Compact the padding count, then the back-branch flag: the path
+        // the branches took reaches the signature.
+        asm.jal(MISR_LABEL);
+        asm.nop();
+        asm.move_reg(regs::OPERAND, Reg::T1);
+        asm.jal(MISR_LABEL);
+        asm.nop();
     }
 
     /// Functional test for the control logic: one instance of every
@@ -1125,6 +1144,44 @@ mod tests {
             dedicated.coverage,
             side_effect
         );
+    }
+
+    #[test]
+    fn pc_ladder_path_reaches_the_signature() {
+        use crate::grade::execute_routine;
+        let pc = Cut::pc_unit(8, 4);
+        let ladder = RoutineSpec::recommended(&pc).build(&pc).unwrap();
+        let (_, _, signature) = execute_routine(&ladder).unwrap();
+        assert_ne!(signature, misr::DEFAULT_SEED);
+
+        // Point the longest hop one word short of its target: the branch
+        // lands in the padding, and the run still completes.
+        let mut short = ladder.clone();
+        let target = short.program.symbol("pc_seg_3").unwrap();
+        let text_base = short.program.text_base;
+        let (at, rs, rt, offset) = short
+            .program
+            .text
+            .iter()
+            .enumerate()
+            .find_map(|(i, &word)| match Instruction::decode(word) {
+                Ok(Instruction::Beq { rs, rt, offset })
+                    if i64::from(text_base) + 4 * (i as i64 + 1 + i64::from(offset))
+                        == i64::from(target) =>
+                {
+                    Some((i, rs, rt, offset))
+                }
+                _ => None,
+            })
+            .unwrap();
+        short.program.text[at] = Instruction::Beq {
+            rs,
+            rt,
+            offset: offset - 1,
+        }
+        .encode();
+        let (_, _, short_signature) = execute_routine(&short).unwrap();
+        assert_ne!(short_signature, signature);
     }
 
     #[test]

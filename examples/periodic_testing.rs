@@ -15,7 +15,7 @@ use std::error::Error;
 use std::time::Duration;
 
 use sbst::core::plan::build_managed_schedule;
-use sbst::core::{Cut, GoldenSignatures, SelfTestProgramBuilder};
+use sbst::core::{Cut, GoldenSignatures, SelfTestProgram};
 use sbst::cpu::manager::{ManagerConfig, OnlineTestManager};
 use sbst::cpu::system::{run_time_shared, scheduler_overhead, TimeShareConfig};
 use sbst::cpu::{ActivationPolicy, AnalyticStallModel, ArchFault, ExecTimeEstimate, QuantumConfig};
@@ -26,13 +26,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Compose the periodic test program from the high-priority CUTs
     // (reduced widths keep this example fast; the table1 binary runs the
     // full 32-bit processor).
-    let mut builder = SelfTestProgramBuilder::new();
-    builder.add(Cut::alu(16));
-    builder.add(Cut::shifter(16));
-    builder.add(Cut::multiplier(8));
-    builder.add(Cut::divider(8));
-    builder.add(Cut::control());
-    let program = builder.build()?;
+    let program = SelfTestProgram::build(&[
+        Cut::alu(16),
+        Cut::shifter(16),
+        Cut::multiplier(8),
+        Cut::divider(8),
+        Cut::control(),
+    ])?;
     let run = program.run()?;
     println!(
         "self-test program: {} words, {} instructions, {} cycles, {} data refs",

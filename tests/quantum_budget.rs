@@ -2,18 +2,19 @@
 //! execution time below one quantum, no pipeline stalls from unresolved
 //! hazards, locality under simulated caches.
 
-use sbst::core::{Cut, SelfTestProgramBuilder};
+use sbst::core::{Cut, SelfTestProgram};
 use sbst::cpu::{AnalyticStallModel, CacheConfig, Cpu, CpuConfig, ExecTimeEstimate, QuantumConfig};
 
-fn build_program() -> sbst::core::SelfTestProgram {
-    let mut builder = SelfTestProgramBuilder::new();
-    builder.add(Cut::alu(8));
-    builder.add(Cut::shifter(8));
-    builder.add(Cut::multiplier(8));
-    builder.add(Cut::divider(8));
-    builder.add(Cut::memctrl());
-    builder.add(Cut::control());
-    builder.build().expect("program builds")
+fn build_program() -> SelfTestProgram {
+    SelfTestProgram::build(&[
+        Cut::alu(8),
+        Cut::shifter(8),
+        Cut::multiplier(8),
+        Cut::divider(8),
+        Cut::memctrl(),
+        Cut::control(),
+    ])
+    .expect("program builds")
 }
 
 #[test]
@@ -40,11 +41,8 @@ fn no_data_hazard_stalls_with_forwarding() {
     // legitimate Hi/Lo unit waits (`mflo` shortly after `div`/`divu`,
     // present in the divider routine and in the control FT's opcode
     // coverage). A program without any divide has zero stalls.
-    let mut builder = SelfTestProgramBuilder::new();
-    builder.add(Cut::alu(8));
-    builder.add(Cut::shifter(8));
-    builder.add(Cut::memctrl());
-    let no_div = builder.build().expect("program builds");
+    let no_div = SelfTestProgram::build(&[Cut::alu(8), Cut::shifter(8), Cut::memctrl()])
+        .expect("program builds");
     let run = no_div.run().expect("program runs");
     assert_eq!(
         run.stats.pipeline_stall_cycles, 0,
