@@ -52,9 +52,9 @@ echo "== validate all three reports =="
 for report in BENCH_table1.json BENCH_table1_serial.json BENCH_table1_td.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require table1 --require execution_time
-  # Reports must carry the current schema (10: replay counts in fleet and online_manager reports).
-  if [ "$(jq '.schema_version' "$report")" != "10" ]; then
-    echo "error: $report schema_version is not 10" >&2
+  # Reports must carry the current schema (11: grading's cycles_simulated and live_lane_cycles in table1 reports).
+  if [ "$(jq '.schema_version' "$report")" != "11" ]; then
+    echo "error: $report schema_version is not 11" >&2
     exit 1
   fi
 done
@@ -112,6 +112,42 @@ if ! diff <(atpg_outcome_fields BENCH_table1_serial.json) <(atpg_outcome_fields 
   echo "error: ATPG outcome fields diverge between the serial and threaded table1 runs" >&2
   exit 1
 fi
+# Batch groups and their repack windows are fixed by the fault list and
+# the stimulus, so the simulation volume is thread-invariant too.
+sim_volume_fields() {
+  jq -S '.table1.fault_sim | {
+    events_full_eval, cycles_simulated, live_lane_cycles, lane_slots_filled, lane_slots_total
+  }' "$1"
+}
+if ! diff <(sim_volume_fields BENCH_table1_serial.json) <(sim_volume_fields BENCH_table1.json); then
+  echo "error: fault-sim volume diverges between the serial and threaded table1 runs" >&2
+  exit 1
+fi
+
+echo "== table1 full 32-bit inventory, 1 vs 2 threads =="
+# Grading fans out groups of four 255-fault batches, so every smoke row
+# fits one group and grades on one thread whatever --threads asks. The
+# 32-bit rows span many groups: this pair proves a threaded run really
+# grades groups concurrently and still matches the serial run.
+rm -f BENCH_table1_full.json BENCH_table1_full_serial.json
+cargo run --release -p sbst-bench --bin table1 -- --threads 1 --json BENCH_table1_full_serial.json
+cargo run --release -p sbst-bench --bin table1 -- --threads 2 --json BENCH_table1_full.json
+if [ "$(jq '.table1.fault_sim.threads' BENCH_table1_full.json)" != "2" ]; then
+  echo "error: the threaded full table1 run did not grade on 2 threads" >&2
+  exit 1
+fi
+if ! diff <(coverage_fields BENCH_table1_full_serial.json) <(coverage_fields BENCH_table1_full.json); then
+  echo "error: coverage diverges between the serial and threaded full table1 runs" >&2
+  exit 1
+fi
+if ! diff <(atpg_outcome_fields BENCH_table1_full_serial.json) <(atpg_outcome_fields BENCH_table1_full.json); then
+  echo "error: ATPG outcome fields diverge between the serial and threaded full table1 runs" >&2
+  exit 1
+fi
+if ! diff <(sim_volume_fields BENCH_table1_full_serial.json) <(sim_volume_fields BENCH_table1_full.json); then
+  echo "error: fault-sim volume diverges between the serial and threaded full table1 runs" >&2
+  exit 1
+fi
 
 echo "== atpg_speed smoke: per-function ATPG campaign, 1 vs 2 threads =="
 # The campaign behind every AtpgD routine. Its patterns, coverage and
@@ -125,8 +161,8 @@ cargo run --release -p sbst-bench --bin atpg_speed -- --smoke --threads 2 \
 for report in BENCH_atpg_speed_serial.json BENCH_atpg_speed.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require components --require atpg
-  if [ "$(jq '.schema_version' "$report")" != "10" ]; then
-    echo "error: $report schema_version is not 10" >&2
+  if [ "$(jq '.schema_version' "$report")" != "11" ]; then
+    echo "error: $report schema_version is not 11" >&2
     exit 1
   fi
 done
@@ -170,8 +206,8 @@ cargo run --release -p sbst-bench --bin online_manager -- --smoke --adversary \
 echo "== validate online_manager red-team report =="
 cargo run --release -p sbst-bench --bin jsonlint -- BENCH_online_manager_adv.json \
   --require tool --require schema_version --require scenarios --require adversary
-if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "10" ]; then
-  echo "error: BENCH_online_manager_adv.json schema_version is not 10" >&2
+if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "11" ]; then
+  echo "error: BENCH_online_manager_adv.json schema_version is not 11" >&2
   exit 1
 fi
 # The red-team SLO: attacks were actually mounted, every one was
@@ -201,8 +237,8 @@ for report in BENCH_fleet.json BENCH_fleet_serial.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require characterizations \
     --require throughput --require aggregate --require workers_detail
-  if [ "$(jq '.schema_version' "$report")" != "10" ]; then
-    echo "error: $report schema_version is not 10" >&2
+  if [ "$(jq '.schema_version' "$report")" != "11" ]; then
+    echo "error: $report schema_version is not 11" >&2
     exit 1
   fi
   if [ "$(jq '.characterizations' "$report")" != "1" ]; then
@@ -278,8 +314,8 @@ cargo run --release -p sbst-bench --bin jsonlint -- BENCH_fleet_adv.json \
   --require tool --require schema_version --require adversary --require aggregate
 cargo run --release -p sbst-bench --bin jsonlint -- target/fleet_adv_telemetry.ndjson \
   --ndjson --require type --require node
-if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "10" ]; then
-  echo "error: BENCH_fleet_adv.json schema_version is not 10" >&2
+if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "11" ]; then
+  echo "error: BENCH_fleet_adv.json schema_version is not 11" >&2
   exit 1
 fi
 if [ "$(jq '.aggregate.attacks_injected > 0

@@ -24,6 +24,10 @@
 //!    same stimulus — two-pattern launch/capture detection needs pattern
 //!    *pairs*, so transition coverage trails stuck-at coverage; both
 //!    engines agree bit-for-bit on the transition numbers too.
+//!
+//! `--threads` pins every worker pool: the grading fault simulator and the
+//! routine builds' PODEM and ATPG grading pools. Results are identical
+//! for every setting.
 
 use sbst_bench::{json_output_path, threads_flag, write_report_if_requested};
 use sbst_core::grade::execute_routine;
@@ -64,6 +68,9 @@ fn main() {
         .map(|&style| {
             let mut spec = RoutineSpec::new(style);
             spec.pseudorandom_count = 128;
+            // `--threads` pins the ATPG pools as well as the grading simulator.
+            spec.atpg.podem_threads = threads;
+            spec.atpg.sim_threads = threads;
             (style, spec.build(&cut).expect("routine builds"))
         })
         .collect();

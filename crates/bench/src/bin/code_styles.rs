@@ -10,6 +10,10 @@
 //! (which sizes are linear in the pattern count). Reproduces the paper's
 //! qualitative claims: Figure 1 trades code size for zero loads, Figure 2
 //! the reverse, Figures 3–4 keep both constant.
+//!
+//! `--threads` pins every worker pool: the grading fault simulator and the
+//! routine builds' PODEM and ATPG grading pools. Results are identical
+//! for every setting.
 
 use sbst_bench::{json_output_path, threads_flag, write_report_if_requested};
 use sbst_core::codestyle::style_costs;
@@ -49,6 +53,9 @@ fn main() {
     ] {
         let mut spec = RoutineSpec::new(style);
         spec.pseudorandom_count = 512;
+        // `--threads` pins the ATPG pools as well as the grading simulator.
+        spec.atpg.podem_threads = threads;
+        spec.atpg.sim_threads = threads;
         let routine = spec.build(&cut).expect("routine builds");
         let graded = grade_routine_with(&cut, &routine, sim).expect("routine grades");
         let costs = style_costs(style, 64, 3);

@@ -108,6 +108,10 @@ fn main() {
     );
     eprintln!("gate-evaluation events: {}", table.events_full_eval);
     eprintln!(
+        "stuck-at batch-cycles clocked: {} ({} live lane-cycles)",
+        table.cycles_simulated, table.live_lane_cycles
+    );
+    eprintln!(
         "constrained ATPG: {} run(s), {} PODEM thread(s), {:.3} s inside the PODEM phase",
         table.atpg.runs,
         table.atpg.podem_threads,

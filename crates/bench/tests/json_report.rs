@@ -8,7 +8,9 @@ use sbst_gates::FaultSimConfig;
 
 #[test]
 fn table1_report_round_trips_through_disk() {
-    let cuts = [Cut::alu(8), Cut::shifter(8)];
+    // The 16-bit ALU's faults fill more than four 255-lane batches, i.e.
+    // two groups, so the two requested grading threads both get work.
+    let cuts = [Cut::alu(16), Cut::shifter(8)];
     let sim = FaultSimConfig {
         threads: Some(2),
         ..FaultSimConfig::default()

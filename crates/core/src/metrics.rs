@@ -78,7 +78,12 @@ use crate::json::JsonValue;
 /// scenario gains `replayed_attempts`. All are observational (scheduling
 /// decides which node records a routine first); none is under
 /// `aggregate` or in a manager's `counters`.
-pub const SCHEMA_VERSION: u32 = 10;
+/// 11 — fault grading repacks surviving faults into fewer batches: Table
+/// 1's `fault_sim` object gains `cycles_simulated` (batch-cycles clocked)
+/// and `live_lane_cycles` (lane-cycles that carried a not-yet-detected
+/// fault), both over the rows' stuck-at grading runs; `lane_slots_*`
+/// keep describing the initial packing.
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// A machine-readable run report: a named, schema-versioned JSON document
 /// that every bench binary writes behind its `--json <path>` flag.

@@ -323,15 +323,17 @@ mod tests {
             ),
             (364, 1107, 3)
         );
-        let (mut events, mut slots) = (0, 0);
+        let (mut events, mut slots, mut cycles) = (0, 0, 0);
         for cut in &cuts {
             let routine = RoutineSpec::recommended(cut).build(cut).unwrap();
             let graded = grade_routine(cut, &routine).unwrap();
             events += graded.sim_stats.events_full_eval;
             slots += graded.sim_stats.lane_slots_total;
+            cycles += graded.sim_stats.cycles_simulated;
         }
         assert_eq!(table.events_full_eval, events);
         assert_eq!(table.lane_slots_total, slots);
+        assert_eq!(table.cycles_simulated, cycles);
     }
 
     #[test]

@@ -131,9 +131,16 @@ pub struct Table1 {
     pub grading_wall_time: Duration,
     /// Simulation engine that graded every row.
     pub engine: SimEngine,
-    /// Gate-evaluation events across all rows: both engines evaluate
-    /// every combinational gate on every clocked cycle.
+    /// Gate-evaluation events of every row's stuck-at grading run: both
+    /// engines evaluate every combinational gate on every clocked cycle.
     pub events_full_eval: u64,
+    /// Batch-cycles clocked by every row's stuck-at grading run
+    /// ([`SimStats::cycles_simulated`](sbst_gates::SimStats::cycles_simulated)).
+    pub cycles_simulated: u64,
+    /// Lane-cycles of every row's stuck-at grading run that carried a
+    /// not-yet-detected fault
+    /// ([`SimStats::live_lane_cycles`](sbst_gates::SimStats::live_lane_cycles)).
+    pub live_lane_cycles: u64,
     /// Compiled-tape entries summed across rows (0 under the full-eval
     /// reference).
     pub tape_len: u64,
@@ -217,6 +224,8 @@ impl Table1 {
         let mut sim_threads = 1usize;
         let mut grading_wall_time = Duration::ZERO;
         let mut events_full_eval = 0u64;
+        let mut cycles_simulated = 0u64;
+        let mut live_lane_cycles = 0u64;
         let mut tape_len = 0u64;
         let mut chains_collapsed = 0u64;
         let mut lane_slots_filled = 0u64;
@@ -244,6 +253,8 @@ impl Table1 {
             sim_threads = sim_threads.max(grade.sim_threads);
             grading_wall_time += grade.sim_wall_time;
             events_full_eval += grade.sim_stats.events_full_eval;
+            cycles_simulated += grade.sim_stats.cycles_simulated;
+            live_lane_cycles += grade.sim_stats.live_lane_cycles;
             tape_len += grade.sim_stats.tape_len;
             chains_collapsed += grade.sim_stats.chains_collapsed;
             lane_slots_filled += grade.sim_stats.lane_slots_filled;
@@ -292,6 +303,8 @@ impl Table1 {
             grading_wall_time,
             engine: sim.engine,
             events_full_eval,
+            cycles_simulated,
+            live_lane_cycles,
             tape_len,
             chains_collapsed,
             lane_slots_filled,
@@ -409,6 +422,8 @@ impl Table1 {
                     ),
                     ("engine", JsonValue::from(self.engine.name())),
                     ("events_full_eval", JsonValue::from(self.events_full_eval)),
+                    ("cycles_simulated", JsonValue::from(self.cycles_simulated)),
+                    ("live_lane_cycles", JsonValue::from(self.live_lane_cycles)),
                     ("tape_len", JsonValue::from(self.tape_len)),
                     ("chains_collapsed", JsonValue::from(self.chains_collapsed)),
                     ("lane_slots_filled", JsonValue::from(self.lane_slots_filled)),
@@ -895,6 +910,14 @@ mod tests {
         assert_eq!(
             sim.get("events_full_eval").unwrap().as_u64(),
             Some(table.events_full_eval)
+        );
+        assert_eq!(
+            sim.get("cycles_simulated").unwrap().as_u64(),
+            Some(table.cycles_simulated)
+        );
+        assert_eq!(
+            sim.get("live_lane_cycles").unwrap().as_u64(),
+            Some(table.live_lane_cycles)
         );
         // The document round-trips through the parser.
         let text = v.to_json_pretty();

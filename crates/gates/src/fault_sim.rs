@@ -4,7 +4,8 @@
 //! Stuck-at faults are graded by [`FaultSimulator::simulate`];
 //! transition-delay faults by [`FaultSimulator::simulate_transition`]
 //! under two-pattern (launch/capture) semantics. Both models share all of
-//! the machinery below — only the per-batch injection step differs.
+//! the machinery below — only injection, and the arming state a repack
+//! moves with a transition fault, differ.
 //!
 //! Two engines grade a batch ([`SimEngine`]):
 //!
@@ -20,17 +21,27 @@
 //!   compiled tape against it.
 //!
 //! The fault list is partitioned in index order into contiguous batches
-//! of the engine's [`SimEngine::faults_per_pass`], and the batches fan out
-//! over worker threads ([`crate::fan_out`]). Every batch runs on a private
-//! simulator and reports its faults' first detecting cycles; the merge
-//! concatenates them in batch order. `drop_on_detect` stops clocking a
-//! batch as soon as all of its own faults are detected — dropping is per
-//! batch, so no state is shared between workers.
+//! of the engine's [`SimEngine::faults_per_pass`], one lane per fault.
+//! Runs of four consecutive batches form fixed *groups*, and the groups
+//! fan out over worker threads ([`crate::fan_out`]). A group clocks its
+//! batches window by window, 16 cycles at a time. Under `drop_on_detect`
+//! a batch stops as soon as all of its faults are detected, and at every
+//! window boundary the group gathers its undetected faults into as few
+//! batches as they fill, when that frees a batch, and stops clocking the
+//! emptied ones — the survivor repacking of sequential fault simulators
+//! such as PROOFS (Niermann, Cheng and Patel, IEEE TCAD 1992). A moved
+//! fault is re-injected at its new lane and takes its flip-flop bits
+//! and, under the transition model, its arming bit along; every other
+//! net value is rebuilt from the inputs and the flip-flops by each eval.
+//! Groups share no state, and they and their windows are fixed by the
+//! fault list and the stimulus alone, never by the thread count.
 //!
 //! Coverage, per-fault detecting cycles and fault-free responses are
 //! bit-identical across both engines and every thread count: lanes are
-//! independent, a batch never stops before all of its own faults are
-//! detected, and the reference batch always spans the whole stimulus.
+//! independent machines wherever they sit, a fault leaves the simulation
+//! only once it is detected, and the group holding fault 0 keeps one
+//! batch, whose lane 0 records the reference, running over the whole
+//! stimulus.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -50,6 +61,14 @@ use crate::tape::{CompiledTape, TapeSimulator, MAX_LANE_WORDS};
 /// Derived from [`LANES`] so a lane-width change can never desync batching
 /// from injection.
 pub const FAULTS_PER_BATCH: usize = LANES - 1;
+
+/// Consecutive batches one worker grades together, repacking their
+/// surviving faults as the others are detected. It also bounds how many
+/// batch simulators a worker holds at once.
+const GROUP_BATCHES: usize = 4;
+
+/// Cycles a group clocks between repack checks.
+const WINDOW_CYCLES: usize = 16;
 
 // Lane masks and the per-batch live mask are `u64` words; the lane count
 // must match exactly or injection masks would silently truncate.
@@ -164,15 +183,19 @@ impl SimEngine {
 /// Configuration for [`FaultSimulator`].
 #[derive(Debug, Clone, Copy)]
 pub struct FaultSimConfig {
-    /// Stop simulating a batch as soon as every fault in it is detected.
+    /// Stop simulating a fault once it is detected: a batch stops as
+    /// soon as every fault in it is detected, and a group repacks its
+    /// survivors into fewer batches. `false` clocks every batch over the
+    /// whole stimulus.
     pub drop_on_detect: bool,
     /// Worker threads for fault-batch fan-out.
     ///
     /// `None` (the default) uses [`std::thread::available_parallelism`];
     /// `Some(1)` grades every batch on the calling thread; `Some(n)` pins
     /// the pool, which is how benches make wall-clock numbers reproducible.
-    /// The effective count never exceeds the number of batches. Coverage
-    /// results are bit-identical for every setting.
+    /// The effective count never exceeds the number of batch groups (four
+    /// batches each). Coverage results are bit-identical for every
+    /// setting.
     pub threads: Option<usize>,
     /// Simulation engine (default [`SimEngine::Compiled`]). Coverage
     /// results are bit-identical for both engines; only batch packing and
@@ -211,7 +234,7 @@ impl FaultSimConfig {
 /// Per-worker accounting for one [`FaultSimulator::simulate`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadStats {
-    /// Fault batches this worker graded.
+    /// Fault batches of the initial packing this worker graded.
     pub batches: u64,
     /// Netlist cycles this worker clocked.
     pub cycles: u64,
@@ -226,14 +249,24 @@ pub struct ThreadStats {
 /// the work spread over the pool.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Fault batches graded (up to [`SimEngine::faults_per_pass`] faults
-    /// each, plus the reference lane).
+    /// Fault batches of the initial packing (up to
+    /// [`SimEngine::faults_per_pass`] faults each, plus the reference
+    /// lane); repacking merges them as faults are detected.
     pub batches: u64,
-    /// Netlist cycles actually clocked, summed over batches.
+    /// Netlist cycles actually clocked, summed over every batch simulator.
     pub cycles_simulated: u64,
-    /// Cycles that a full run would clock (`batches * stimulus.len()`);
-    /// the gap to `cycles_simulated` is the drop-on-detect saving.
+    /// Cycles the initial packing would clock without dropping
+    /// (`batches * stimulus.len()`); the gap to `cycles_simulated` is what
+    /// dropping detected faults and repacking the survivors saved.
     pub cycles_scheduled: u64,
+    /// Lane-cycles that carried a not-yet-detected fault: each fault
+    /// counts the cycles up to and including its detecting cycle, or the
+    /// whole stimulus when it stays undetected (summed from the merged
+    /// detecting cycles, not counted while clocking). Independent of packing,
+    /// engine and thread count; against `cycles_simulated ×`
+    /// [`SimEngine::faults_per_pass`] it shows how much of the clocked lane
+    /// capacity still had a fault to grade.
+    pub live_lane_cycles: u64,
     /// Gate-evaluation events performed (each event evaluating every lane
     /// of one gate bit-parallel). Both engines evaluate every
     /// combinational gate on every clocked cycle — the compiled tape counts
@@ -253,9 +286,9 @@ pub struct SimStats {
     /// simulator's first run, 0 afterwards (the tape is cached per
     /// [`FaultSimulator`]) and 0 under the full-eval reference.
     pub tape_compilations: u64,
-    /// Fault lanes actually occupied across all passes (the fault count).
+    /// Fault lanes occupied by the initial packing (the fault count).
     pub lane_slots_filled: u64,
-    /// Fault-lane capacity across all passes
+    /// Fault-lane capacity of the initial packing
     /// (`batches × `[`SimEngine::faults_per_pass`]); the gap to
     /// `lane_slots_filled` is the final partial batch's padding.
     pub lane_slots_total: u64,
@@ -264,7 +297,8 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Cycles skipped by `drop_on_detect` (early batch exits).
+    /// Cycles skipped by `drop_on_detect` (batches stopped early or
+    /// emptied by a repack).
     pub fn cycles_dropped(&self) -> u64 {
         self.cycles_scheduled.saturating_sub(self.cycles_simulated)
     }
@@ -279,9 +313,11 @@ impl SimStats {
         }
     }
 
-    /// Fraction of available fault lanes occupied, in `0.0..=1.0` (0.0
-    /// when nothing was graded). Only the final batch can be partial, so
-    /// occupancy approaches 1.0 as the fault list grows.
+    /// Fraction of the initial packing's fault lanes occupied, in
+    /// `0.0..=1.0` (0.0 when nothing was graded). Every batch but the last
+    /// starts full, so this approaches 1.0 as the fault list grows; how
+    /// many lanes still carry an undetected fault as the run goes on is
+    /// [`SimStats::live_lane_cycles`].
     pub fn lane_occupancy(&self) -> f64 {
         if self.lane_slots_total == 0 {
             0.0
@@ -357,8 +393,9 @@ impl FaultSimResult {
 ///
 /// This indirection lets the batching, threading, lane-assignment and
 /// detection machinery be shared between both models: the only
-/// model-specific step is *injection*, which happens once per batch before
-/// the cycle loop, so the per-cycle hot path is identical.
+/// model-specific steps are *injection*, which happens when a fault is
+/// assigned a lane, and the arming state a repack carries along, so the
+/// per-cycle hot path is identical.
 #[derive(Clone, Copy)]
 enum FaultList<'f> {
     Stuck(&'f [Fault]),
@@ -380,9 +417,37 @@ impl<'f> FaultList<'f> {
             FaultList::Transition(faults) => sim.inject_transition(&faults[index], lane),
         }
     }
+
+    /// The net whose arming state fault `index` carries: the transition
+    /// fault's net, `None` for a stuck-at fault (which carries none).
+    fn armed_net(&self, index: usize) -> Option<NetId> {
+        match self {
+            FaultList::Stuck(_) => None,
+            FaultList::Transition(faults) => Some(faults[index].net),
+        }
+    }
 }
 
-/// A simulator the batch loop can drive: `W` lane words per net, with
+/// Bit `lane` of a lane word.
+fn lane_bit<const W: usize>(words: &[u64; W], lane: usize) -> u64 {
+    words[lane / 64] >> (lane % 64) & 1
+}
+
+/// The lanes set in a lane mask, in ascending order.
+fn lanes_of<const W: usize>(mask: [u64; W]) -> impl Iterator<Item = usize> {
+    (0..W).flat_map(move |w| {
+        let mut word = mask[w];
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let lane = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                lane
+            })
+        })
+    })
+}
+
+/// A simulator the group loop can drive: `W` lane words per net, with
 /// lane 0 of word 0 the fault-free reference machine. Implemented by the
 /// 64-lane full-eval [`Simulator`] (`W = 1`) and by the compiled tape
 /// (`W = `[`MAX_LANE_WORDS`]).
@@ -395,6 +460,18 @@ trait LaneSim<const W: usize> {
     fn step(&mut self);
     /// Gate-evaluation events performed over `cycles` clocked cycles.
     fn events(&self, cycles: u64) -> u64;
+    /// Removes every injected fault and zeroes the machine state, so the
+    /// simulator can take a repacked batch; the event count runs on.
+    fn clear(&mut self);
+    /// Lane carry-out: the flip-flop words, in netlist flip-flop order.
+    fn dff_words(&self) -> Vec<[u64; W]>;
+    /// Lane carry-in: overwrites the flip-flop words.
+    fn set_dff_words(&mut self, words: &[[u64; W]]);
+    /// The arming words of transition-fault net `net`.
+    fn transition_prev(&self, net: NetId) -> [u64; W];
+    /// Overwrites the arming words of `net` and marks the machine primed,
+    /// as it was where they were carried out.
+    fn set_transition_prev(&mut self, net: NetId, words: [u64; W]);
 }
 
 impl LaneSim<1> for Simulator<'_> {
@@ -426,6 +503,32 @@ impl LaneSim<1> for Simulator<'_> {
     /// Full evaluation: every combinational gate on every clocked cycle.
     fn events(&self, cycles: u64) -> u64 {
         cycles * self.netlist().comb_order().len() as u64
+    }
+
+    fn clear(&mut self) {
+        self.clear_faults();
+        self.reset();
+    }
+
+    fn dff_words(&self) -> Vec<[u64; 1]> {
+        Simulator::dff_words(self)
+            .iter()
+            .map(|&word| [word])
+            .collect()
+    }
+
+    fn set_dff_words(&mut self, words: &[[u64; 1]]) {
+        for (word, [carried]) in self.dff_words_mut().iter_mut().zip(words) {
+            *word = *carried;
+        }
+    }
+
+    fn transition_prev(&self, net: NetId) -> [u64; 1] {
+        [Simulator::transition_prev(self, net)]
+    }
+
+    fn set_transition_prev(&mut self, net: NetId, [word]: [u64; 1]) {
+        Simulator::set_transition_prev(self, net, word);
     }
 }
 
@@ -459,30 +562,97 @@ impl<const W: usize> LaneSim<W> for TapeSimulator<&CompiledTape, W> {
     fn events(&self, _cycles: u64) -> u64 {
         TapeSimulator::events(self)
     }
+
+    fn clear(&mut self) {
+        self.clear_faults();
+        self.reset();
+    }
+
+    fn dff_words(&self) -> Vec<[u64; W]> {
+        TapeSimulator::dff_words(self).to_vec()
+    }
+
+    fn set_dff_words(&mut self, words: &[[u64; W]]) {
+        self.dff_words_mut().copy_from_slice(words);
+    }
+
+    fn transition_prev(&self, net: NetId) -> [u64; W] {
+        TapeSimulator::transition_prev(self, net)
+    }
+
+    fn set_transition_prev(&mut self, net: NetId, words: [u64; W]) {
+        TapeSimulator::set_transition_prev(self, net, words);
+    }
 }
 
-/// What grading one batch reports back to the merge.
-struct BatchOutcome {
-    /// First detecting cycle of each fault in the batch, in batch order.
+/// One batch of a group in flight: a private simulator and the faults in
+/// its lanes.
+struct Batch<S, const W: usize> {
+    sim: S,
+    /// Fault index carried by lane `i + 1`.
+    faults: Vec<usize>,
+    /// Lanes whose fault is not yet detected.
+    undetected: [u64; W],
+    /// Cycles this simulator has clocked, over every batch it carried.
+    cycles: u64,
+}
+
+impl<S: LaneSim<W>, const W: usize> Batch<S, W> {
+    /// Injects the faults `indices` into lanes 1.. of the (clear)
+    /// simulator, all undetected.
+    fn assign(&mut self, faults: FaultList<'_>, indices: impl Iterator<Item = usize>) {
+        self.faults.clear();
+        self.undetected = [0; W];
+        for (offset, index) in indices.enumerate() {
+            let lane = offset + 1;
+            debug_assert!(lane < 64 * W, "lane 0 is the reference");
+            faults.inject(&mut self.sim, index, lane);
+            self.undetected[lane / 64] |= 1u64 << (lane % 64);
+            self.faults.push(index);
+        }
+    }
+
+    /// Faults in this batch not yet detected.
+    fn live_faults(&self) -> usize {
+        self.undetected
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+}
+
+/// What grading one group of batches reports back to the merge.
+struct GroupOutcome {
+    /// First detecting cycle of each fault in the group, in index order.
     detecting_cycle: Vec<Option<u32>>,
-    /// Fault-free responses of every observed cycle (first batch only).
+    /// Fault-free responses of every observed cycle (the group holding
+    /// fault 0 only).
     reference: Option<Vec<Vec<u64>>>,
-    /// Cycles clocked.
+    /// Cycles clocked, over every batch simulator.
     cycles: u64,
     /// Gate-evaluation events performed.
     events: u64,
 }
 
+impl GroupOutcome {
+    /// Books the work of a batch simulator the group no longer clocks.
+    fn retire<const W: usize>(&mut self, batch: Batch<impl LaneSim<W>, W>) {
+        self.cycles += batch.cycles;
+        self.events += batch.sim.events(batch.cycles);
+    }
+}
+
 /// Parallel single-stuck-at fault simulator.
 ///
 /// Packs up to [`SimEngine::faults_per_pass`] faulty machines plus one
-/// fault-free reference machine (lane 0) into each simulation pass, and
-/// fans the passes out over worker threads (see
-/// [`FaultSimConfig::threads`]). A fault is *detected* when any primary
-/// output differs from the reference lane on an observed cycle — the same
-/// criterion commercial fault simulators use. MISR aliasing, which the
-/// paper argues is negligible, can be audited separately with `sbst-tpg`'s
-/// MISR model.
+/// fault-free reference machine (lane 0) into each simulation pass, fans
+/// groups of four passes out over worker threads (see
+/// [`FaultSimConfig::threads`]) and repacks each group's surviving faults
+/// into fewer passes as the others are detected. A fault is *detected*
+/// when any primary output differs from the reference lane on an observed
+/// cycle — the same criterion commercial fault simulators use. MISR
+/// aliasing, which the paper argues is negligible, can be audited
+/// separately with `sbst-tpg`'s MISR model.
 #[derive(Debug)]
 pub struct FaultSimulator<'a> {
     netlist: &'a Netlist,
@@ -551,6 +721,7 @@ impl<'a> FaultSimulator<'a> {
         let start = Instant::now();
         let engine = self.config.engine;
         let batches = fault_batches(faults.len(), engine.faults_per_pass());
+        let groups: Vec<&[Range<usize>]> = batches.chunks(GROUP_BATCHES).collect();
         // The compiled engine's tape is built once per *simulator* and
         // shared (immutably) by every worker and every later call; each
         // batch still gets a private simulator state.
@@ -562,21 +733,23 @@ impl<'a> FaultSimulator<'a> {
             })
         });
         let (graded, per_thread) = fan_out(
-            &batches,
+            &groups,
             resolve_threads(self.config.threads),
             ThreadStats::default,
-            |worker, batch| {
+            |worker, group| {
                 let busy_start = Instant::now();
                 let outcome = match tape {
-                    Some(tape) => self.run_batch(
-                        TapeSimulator::<_, MAX_LANE_WORDS>::new(tape),
+                    Some(tape) => self.run_group(
+                        || TapeSimulator::<_, MAX_LANE_WORDS>::new(tape),
                         faults,
-                        batch,
+                        group,
                         stimulus,
                     ),
-                    None => self.run_batch(Simulator::new(self.netlist), faults, batch, stimulus),
+                    None => {
+                        self.run_group(|| Simulator::new(self.netlist), faults, group, stimulus)
+                    }
                 };
-                worker.batches += 1;
+                worker.batches += group.len() as u64;
                 worker.cycles += outcome.cycles;
                 worker.events += outcome.events;
                 worker.busy += busy_start.elapsed();
@@ -584,7 +757,7 @@ impl<'a> FaultSimulator<'a> {
             },
         );
 
-        // Batches come back in fault-index order, whichever worker graded
+        // Groups come back in fault-index order, whichever worker graded
         // them, so concatenating them is the deterministic merge.
         let mut detecting_cycle = Vec::with_capacity(faults.len());
         let mut fault_free_responses = Vec::new();
@@ -594,6 +767,11 @@ impl<'a> FaultSimulator<'a> {
                 fault_free_responses = responses;
             }
         }
+        // A fault's lane is live up to and including its detecting cycle.
+        let live_lane_cycles = detecting_cycle
+            .iter()
+            .map(|cycle| cycle.map_or(stimulus.len() as u64, |c| u64::from(c) + 1))
+            .sum();
         let cycles_simulated: u64 = per_thread.iter().map(|t| t.cycles).sum();
         let (tape_len, chains_collapsed) = tape.map_or((0, 0), |tape| {
             (tape.tape_len() as u64, tape.chains_collapsed() as u64)
@@ -609,6 +787,7 @@ impl<'a> FaultSimulator<'a> {
                 batches: batches.len() as u64,
                 cycles_simulated,
                 cycles_scheduled: batches.len() as u64 * stimulus.len() as u64,
+                live_lane_cycles,
                 events_simulated: per_thread.iter().map(|t| t.events).sum(),
                 events_full_eval: cycles_simulated * self.netlist.comb_order().len() as u64,
                 tape_len,
@@ -621,92 +800,213 @@ impl<'a> FaultSimulator<'a> {
         }
     }
 
-    /// Grades one batch of faults (a contiguous range of fault indices) on
-    /// the private simulator `sim`, one fault per lane from lane 1 up.
+    /// Grades one group of consecutive batches (contiguous ranges of fault
+    /// indices) on private simulators from `new_sim`, one fault per lane
+    /// from lane 1 up, window by window.
     ///
-    /// The first batch (the one starting at fault 0) also records the
-    /// fault-free lane-0 responses of every observed cycle and never stops
-    /// early: the reference must span the whole stimulus. Other batches
-    /// stop once all their faults are detected under
-    /// [`FaultSimConfig::drop_on_detect`].
-    fn run_batch<const W: usize>(
+    /// The group holding fault 0 also records the fault-free lane-0
+    /// responses of every observed cycle from its first batch, which never
+    /// stops: the reference must span the whole stimulus. Under
+    /// [`FaultSimConfig::drop_on_detect`] every other batch stops once all
+    /// its faults are detected, and each window boundary may repack the
+    /// survivors ([`FaultSimulator::repack`]).
+    fn run_group<const W: usize, S: LaneSim<W>>(
         &self,
-        mut sim: impl LaneSim<W>,
+        new_sim: impl Fn() -> S,
         faults: FaultList<'_>,
-        batch: &Range<usize>,
+        group: &[Range<usize>],
         stimulus: &Stimulus,
-    ) -> BatchOutcome {
-        debug_assert!(batch.len() < 64 * W, "lane 0 is the reference");
-        let record_reference = batch.start == 0;
-        for (offset, fault_index) in batch.clone().enumerate() {
-            faults.inject(&mut sim, fault_index, offset + 1);
-        }
-        // Lanes carrying a fault not yet detected: 1..=batch.len().
-        let mut undetected = [0u64; W];
-        for lane in 1..=batch.len() {
-            undetected[lane / 64] |= 1u64 << (lane % 64);
-        }
-        let mut detecting_cycle = vec![None; batch.len()];
-        let mut reference: Vec<Vec<u64>> = Vec::new();
-        let mut cycles: u64 = 0;
-        let outputs = self.netlist.outputs();
+    ) -> GroupOutcome {
+        let base = group[0].start;
+        let keeps_reference = base == 0;
+        let mut outcome = GroupOutcome {
+            detecting_cycle: vec![None; group[group.len() - 1].end - base],
+            reference: keeps_reference.then(Vec::new),
+            cycles: 0,
+            events: 0,
+        };
+        let mut live: Vec<Batch<S, W>> = group
+            .iter()
+            .map(|batch| {
+                let mut batch_sim = Batch {
+                    sim: new_sim(),
+                    faults: Vec::with_capacity(batch.len()),
+                    undetected: [0; W],
+                    cycles: 0,
+                };
+                batch_sim.assign(faults, batch.clone());
+                batch_sim
+            })
+            .collect();
 
-        for (cycle, (inputs, observe)) in stimulus.iter().enumerate() {
-            cycles += 1;
+        let mut window_start = 0;
+        while window_start < stimulus.len() && !live.is_empty() {
+            let window = window_start..(window_start + WINDOW_CYCLES).min(stimulus.len());
+            for (i, batch) in live.iter_mut().enumerate() {
+                let reference = if i == 0 {
+                    outcome.reference.as_mut()
+                } else {
+                    None
+                };
+                self.run_window(
+                    batch,
+                    stimulus,
+                    window.clone(),
+                    reference,
+                    &mut outcome.detecting_cycle,
+                    base,
+                );
+            }
+            window_start = window.end;
+            // After the last window there is nothing left to clock.
+            if self.config.drop_on_detect && window_start < stimulus.len() {
+                for (index, batch) in std::mem::take(&mut live).into_iter().enumerate() {
+                    if batch.undetected != [0; W] || (keeps_reference && index == 0) {
+                        live.push(batch);
+                    } else {
+                        outcome.retire(batch);
+                    }
+                }
+                Self::repack(&mut live, faults, keeps_reference, &mut outcome);
+            }
+        }
+        for batch in live {
+            outcome.retire(batch);
+        }
+        outcome
+    }
+
+    /// Clocks `batch` over the stimulus cycles `window`, recording each
+    /// fault's first detecting cycle into `detecting_cycle` (indexed from
+    /// fault `base`) and, when `reference` is given, the fault-free
+    /// responses. Any other batch stops once all its faults are detected
+    /// under [`FaultSimConfig::drop_on_detect`].
+    fn run_window<const W: usize>(
+        &self,
+        batch: &mut Batch<impl LaneSim<W>, W>,
+        stimulus: &Stimulus,
+        window: Range<usize>,
+        mut reference: Option<&mut Vec<Vec<u64>>>,
+        detecting_cycle: &mut [Option<u32>],
+        base: usize,
+    ) {
+        let outputs = self.netlist.outputs();
+        let mut live = batch.live_faults();
+        for cycle in window {
+            let (inputs, observe) = &stimulus.cycles[cycle];
+            batch.cycles += 1;
             debug_assert_eq!(inputs.len(), self.netlist.inputs().len());
             for (pos, &value) in inputs.iter().enumerate() {
-                sim.set_input_at(pos, value);
+                batch.sim.set_input_at(pos, value);
             }
-            sim.eval();
-            if observe {
+            batch.sim.eval();
+            if *observe {
                 let mut diff = [0u64; W];
-                let mut response_words: Vec<u64> = if record_reference {
+                let mut response_words: Vec<u64> = if reference.is_some() {
                     vec![0; outputs.len().div_ceil(64)]
                 } else {
                     Vec::new()
                 };
                 for (k, &out) in outputs.iter().enumerate() {
-                    let v = sim.lanes(out);
+                    let v = batch.sim.lanes(out);
                     let lane0 = 0u64.wrapping_sub(v[0] & 1); // broadcast lane 0
                     for w in 0..W {
                         diff[w] |= v[w] ^ lane0;
                     }
-                    if record_reference && (v[0] & 1) == 1 {
+                    if reference.is_some() && (v[0] & 1) == 1 {
                         response_words[k / 64] |= 1u64 << (k % 64);
                     }
                 }
-                if record_reference {
+                if let Some(reference) = reference.as_deref_mut() {
                     reference.push(response_words);
                 }
-                let mut any_new = false;
+                let mut newly = [0u64; W];
                 for w in 0..W {
-                    let mut newly = diff[w] & undetected[w];
-                    if newly == 0 {
-                        continue;
-                    }
-                    any_new = true;
-                    undetected[w] &= !newly;
-                    while newly != 0 {
-                        let lane = w * 64 + newly.trailing_zeros() as usize;
-                        newly &= newly - 1;
-                        detecting_cycle[lane - 1] = Some(cycle as u32);
-                    }
+                    newly[w] = diff[w] & batch.undetected[w];
+                    batch.undetected[w] &= !newly[w];
                 }
-                if any_new
-                    && self.config.drop_on_detect
-                    && undetected == [0u64; W]
-                    && !record_reference
-                {
-                    break;
+                if newly != [0u64; W] {
+                    for lane in lanes_of(newly) {
+                        detecting_cycle[batch.faults[lane - 1] - base] = Some(cycle as u32);
+                        live -= 1;
+                    }
+                    if self.config.drop_on_detect && live == 0 && reference.is_none() {
+                        break;
+                    }
                 }
             }
-            sim.step();
+            batch.sim.step();
         }
-        BatchOutcome {
-            detecting_cycle,
-            reference: record_reference.then_some(reference),
-            events: sim.events(cycles),
-            cycles,
+    }
+
+    /// Gathers a group's undetected faults into as few batches as they
+    /// fill, in fault-index order from lane 1 up, when that frees a batch;
+    /// the group holding fault 0 keeps at least its reference batch. The
+    /// first batches' simulators are cleared and reused, the rest retired.
+    /// Each moved fault is re-injected and takes its flip-flop bits and
+    /// arming bit to its new lane; lane 0 of every batch takes the
+    /// fault-free state, the same in every batch of the group.
+    fn repack<const W: usize, S: LaneSim<W>>(
+        live: &mut Vec<Batch<S, W>>,
+        faults: FaultList<'_>,
+        keeps_reference: bool,
+        outcome: &mut GroupOutcome,
+    ) {
+        let per_pass = 64 * W - 1;
+        let survivors: usize = live.iter().map(Batch::live_faults).sum();
+        let needed = survivors
+            .div_ceil(per_pass)
+            .max(usize::from(keeps_reference));
+        if needed >= live.len() {
+            return;
+        }
+        // (fault, batch, lane, arming bit) of every survivor, in
+        // fault-index order, and each batch's flip-flop words.
+        let mut moves = Vec::with_capacity(survivors);
+        let mut dffs = Vec::with_capacity(live.len());
+        for (b, batch) in live.iter().enumerate() {
+            for lane in lanes_of(batch.undetected) {
+                let fault = batch.faults[lane - 1];
+                let armed = faults
+                    .armed_net(fault)
+                    .map_or(0, |net| lane_bit(&batch.sim.transition_prev(net), lane));
+                moves.push((fault, b, lane, armed));
+            }
+            dffs.push(batch.sim.dff_words());
+        }
+        moves.sort_unstable();
+        for batch in live.drain(needed..) {
+            outcome.retire(batch);
+        }
+        let mut chunks = moves.chunks(per_pass);
+        for batch in live.iter_mut() {
+            let chunk = chunks.next().unwrap_or_default();
+            // Lane 0 takes the fault-free flip-flop bits.
+            let mut dff: Vec<[u64; W]> = dffs[0]
+                .iter()
+                .map(|words| {
+                    let mut lane0 = [0; W];
+                    lane0[0] = words[0] & 1;
+                    lane0
+                })
+                .collect();
+            for (offset, &(_, from, lane, _)) in chunk.iter().enumerate() {
+                let to = offset + 1;
+                for (dst, src) in dff.iter_mut().zip(&dffs[from]) {
+                    dst[to / 64] |= lane_bit(src, lane) << (to % 64);
+                }
+            }
+            batch.sim.clear();
+            batch.assign(faults, chunk.iter().map(|&(fault, ..)| fault));
+            batch.sim.set_dff_words(&dff);
+            for (offset, &(fault, _, _, armed)) in chunk.iter().enumerate() {
+                if let Some(net) = faults.armed_net(fault) {
+                    let to = offset + 1;
+                    let mut words = batch.sim.transition_prev(net);
+                    words[to / 64] |= armed << (to % 64);
+                    batch.sim.set_transition_prev(net, words);
+                }
+            }
         }
     }
 }
@@ -1105,6 +1405,83 @@ mod tests {
             );
             assert!(res.stats.drop_savings_percent() > 0.0);
         }
+    }
+
+    #[test]
+    fn repack_frees_batches_and_keeps_lane_zero_fault_free() {
+        // A registered 300-input OR: a walking one on input i detects its
+        // stuck-at-0 one cycle later. Every seventh input is walked only
+        // after four idle windows, so every batch keeps a few survivors,
+        // and together they fit into one batch.
+        const WIDTH: usize = 300;
+        let mut b = NetlistBuilder::new("registered_or");
+        let bus = b.input_bus("a", WIDTH);
+        let q = b.bus_dff(&bus);
+        let o = b.reduce_or(&q);
+        b.mark_output(o, "o");
+        let n = b.finish().unwrap();
+        let faults = n.collapsed_faults();
+        let per_pass = SimEngine::Compiled.faults_per_pass();
+        assert!(faults.len() > 2 * per_pass, "{} faults", faults.len());
+        let one_hot = |i: usize| (0..WIDTH).map(|k| k == i).collect::<Vec<_>>();
+        let mut patterns = vec![vec![false; WIDTH]];
+        patterns.extend((0..WIDTH).filter(|i| i % 7 != 3).map(one_hot));
+        patterns.extend((0..64).map(|_| vec![false; WIDTH]));
+        patterns.extend((0..WIDTH).filter(|i| i % 7 == 3).map(one_hot));
+        patterns.push(vec![false; WIDTH]);
+        let mut s = Stimulus::new();
+        for pattern in &patterns {
+            s.push_pattern(pattern);
+        }
+        let grade = |drop_on_detect| {
+            let cfg = FaultSimConfig {
+                drop_on_detect,
+                threads: Some(1),
+                ..FaultSimConfig::default()
+            };
+            FaultSimulator::with_config(&n, cfg).simulate(&faults, &s)
+        };
+        let (dropped, full) = (grade(true), grade(false));
+        assert_eq!(dropped.detecting_cycle, full.detecting_cycle);
+        assert!(dropped.coverage().detected > full.detected.len() / 2);
+
+        // Without repacking every batch but the reference one would run to
+        // its last detection, and the late detections span all batches.
+        let per_batch: u64 = full
+            .detecting_cycle
+            .chunks(per_pass)
+            .enumerate()
+            .map(|(batch, cycles)| {
+                if batch == 0 || cycles.iter().any(Option::is_none) {
+                    s.len() as u64
+                } else {
+                    cycles
+                        .iter()
+                        .flatten()
+                        .map(|&c| u64::from(c) + 1)
+                        .max()
+                        .unwrap()
+                }
+            })
+            .sum();
+        assert!(
+            dropped.stats.cycles_simulated < per_batch,
+            "no repack: {} batch-cycles clocked, {per_batch} per batch",
+            dropped.stats.cycles_simulated
+        );
+        let live: u64 = full
+            .detecting_cycle
+            .iter()
+            .map(|c| c.map_or(s.len() as u64, |c| u64::from(c) + 1))
+            .sum();
+        assert_eq!(dropped.stats.live_lane_cycles, live);
+
+        // Lane 0 stayed the fault-free machine: the output is the OR of the
+        // previous cycle's pattern.
+        let expected: Vec<Vec<u64>> = (0..s.len())
+            .map(|t| vec![u64::from(t > 0 && patterns[t - 1].contains(&true))])
+            .collect();
+        assert_eq!(dropped.fault_free_responses, expected);
     }
 
     #[test]

@@ -650,6 +650,39 @@ impl<T: Deref<Target = CompiledTape>, const W: usize> TapeSimulator<T, W> {
     pub fn events(&self) -> u64 {
         self.state.events
     }
+
+    /// Flip-flop state words, in netlist flip-flop order.
+    pub(crate) fn dff_words(&self) -> &[[u64; W]] {
+        &self.state.dff_state
+    }
+
+    /// Flip-flop state words, in netlist flip-flop order.
+    pub(crate) fn dff_words_mut(&mut self) -> &mut [[u64; W]] {
+        &mut self.state.dff_state
+    }
+
+    /// The arming words of transition-fault net `net` (0 before its
+    /// first eval).
+    pub(crate) fn transition_prev(&self, net: NetId) -> [u64; W] {
+        self.state
+            .transition_states
+            .get(&(net.index() as u32))
+            .map_or([0; W], |st| st.prev)
+    }
+
+    /// Sets the arming words of `net` and marks the machine primed, as if
+    /// it had already evaluated: how a machine resumes a transition
+    /// fault's launch state mid-stimulus.
+    pub(crate) fn set_transition_prev(&mut self, net: NetId, words: [u64; W]) {
+        let st = self
+            .state
+            .transition_states
+            .entry(net.index() as u32)
+            .or_default();
+        st.prev = words;
+        st.seen = true;
+        self.state.transition_primed = true;
+    }
 }
 
 /// The mutable machine state of a [`TapeSimulator`], kept apart from its

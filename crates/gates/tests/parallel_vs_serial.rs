@@ -1,12 +1,14 @@
 //! Differential test: multi-threaded fault simulation must be
 //! **bit-identical** to the single-threaded path on arbitrary netlists.
 //!
-//! Batches are independent (fresh simulator, disjoint fault subsets), so
-//! the deterministic fault-index-order merge guarantees that detected
-//! sets, detecting cycles, coverage percentages, undetected lists and the
+//! The pool grades fixed groups of four consecutive batches. Groups are
+//! independent (private simulators, disjoint fault subsets), so the
+//! deterministic fault-index-order merge guarantees that detected sets,
+//! detecting cycles, coverage percentages, undetected lists and the
 //! recorded fault-free responses never depend on the thread count or on
 //! scheduling. These tests check that guarantee on randomly generated
-//! combinational DAGs and on a hand-built many-batch circuit.
+//! combinational DAGs and on hand-built many-batch and many-group
+//! circuits.
 
 // The vendored `proptest!` macro is a tt-muncher; long test bodies need a
 // deeper macro recursion budget than the default 128.
@@ -135,7 +137,8 @@ proptest! {
 }
 
 /// A deterministic many-batch case: a 64-input XOR/AND/OR mix has several
-/// hundred collapsed faults, forcing > 5 batches and real work stealing.
+/// hundred collapsed faults, more than three 64-lane batches but one
+/// group of 255-fault compiled batches, so the pool stays at one thread.
 #[test]
 fn many_batch_circuit_identical_across_thread_counts() {
     let mut b = NetlistBuilder::new("deep");
@@ -188,4 +191,51 @@ fn default_thread_count_matches_serial() {
         .simulate(&faults, &stim);
     let auto = FaultSimulator::new(&netlist).simulate(&faults, &stim);
     assert_identical(&serial, &auto, "default threads");
+}
+
+/// A deterministic many-group case: twelve 64-input XOR/AND/OR chains,
+/// each over a rotation of the bus, have enough collapsed faults for at
+/// least eight 255-fault compiled batches, i.e. two or more groups, so
+/// threaded runs really grade groups concurrently.
+#[test]
+fn many_group_circuit_identical_across_thread_counts() {
+    let mut b = NetlistBuilder::new("chains");
+    let bus = b.input_bus("a", 64);
+    for chain in 0..12 {
+        let mut acc = bus.net(chain);
+        for i in 1..64 {
+            let net = bus.net((chain + 5 * i) % 64);
+            acc = match (i + chain) % 3 {
+                0 => b.xor2(acc, net),
+                1 => b.and2(acc, net),
+                _ => b.or2(acc, net),
+            };
+            if i % 7 == 0 {
+                b.mark_output(acc, &format!("c{chain}t{i}"));
+            }
+        }
+        b.mark_output(acc, &format!("c{chain}"));
+    }
+    let netlist = b.finish().unwrap();
+    let stim = random_stimulus(64, 48, 0xC0FF_EE00);
+    for drop in [true, false] {
+        let serial = run(&netlist, &stim, 1, drop);
+        assert!(
+            serial.stats.batches >= 8,
+            "want >= 8 compiled batches, got {}",
+            serial.stats.batches
+        );
+        for threads in [2usize, 3, 8] {
+            let parallel = run(&netlist, &stim, threads, drop);
+            assert_identical(
+                &serial,
+                &parallel,
+                &format!("threads={threads} drop={drop}"),
+            );
+            assert!(
+                parallel.threads_used >= 2,
+                "threads={threads}: two or more groups fan out"
+            );
+        }
+    }
 }
