@@ -25,6 +25,9 @@ cargo test --workspace -q
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings: broken intra-doc links fail) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== examples (exit code gates each run) =="
 # `cargo test` builds the examples but never runs them.
 for example in quickstart fault_injection periodic_testing; do

@@ -108,7 +108,7 @@ fn main() {
     );
     eprintln!("gate-evaluation events: {}", table.events_full_eval);
     eprintln!(
-        "stuck-at batch-cycles clocked: {} ({} live lane-cycles)",
+        "batch-cycles clocked, both fault models: {} ({} live lane-cycles)",
         table.cycles_simulated, table.live_lane_cycles
     );
     eprintln!(

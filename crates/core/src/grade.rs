@@ -14,6 +14,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::slice;
 use std::sync::Arc;
 
 use sbst_components::{
@@ -25,8 +26,10 @@ use sbst_gates::{
     enumerate_transition_faults, CompiledTape, Fault, FaultCoverage, FaultSimConfig,
     FaultSimulator, SimStats, Stimulus,
 };
+use sbst_tpg::AtpgTelemetry;
 
 use crate::cut::Cut;
+use crate::program::SelfTestProgram;
 use crate::routine::SelfTestRoutine;
 
 /// Error from grading.
@@ -92,7 +95,15 @@ pub fn grade_trace_detailed(
     trace: &OperandTrace,
     sim: FaultSimConfig,
 ) -> (FaultCoverage, SimStats) {
-    let stimulus = stimulus_for(cut, trace);
+    grade_stuck_at(cut, &stimulus_for(cut, trace), sim)
+}
+
+/// Grades `stimulus` under the single-stuck-at model only.
+pub(crate) fn grade_stuck_at(
+    cut: &Cut,
+    stimulus: &Stimulus,
+    sim: FaultSimConfig,
+) -> (FaultCoverage, SimStats) {
     if stimulus.is_empty() {
         return (
             FaultCoverage::new(0, cut.fault_count()),
@@ -101,7 +112,7 @@ pub fn grade_trace_detailed(
     }
     let faults = cut.component.netlist.collapsed_faults();
     let result =
-        FaultSimulator::with_config(&cut.component.netlist, sim).simulate(&faults, &stimulus);
+        FaultSimulator::with_config(&cut.component.netlist, sim).simulate(&faults, stimulus);
     (result.coverage(), result.stats)
 }
 
@@ -118,7 +129,7 @@ pub struct TraceGrade {
     pub sim_threads: usize,
     /// Wall-clock time of both models' simulation runs.
     pub sim_wall_time: std::time::Duration,
-    /// Simulation-volume instrumentation of the stuck-at grading run.
+    /// Simulation-volume instrumentation of both models' runs, summed.
     pub sim_stats: SimStats,
 }
 
@@ -131,7 +142,7 @@ pub fn grade_trace_models(cut: &Cut, trace: &OperandTrace, sim: FaultSimConfig) 
 
 /// Grades `stimulus` under both fault models on one [`FaultSimulator`].
 /// An empty stimulus detects nothing but still reports both universes.
-fn grade_stimulus(cut: &Cut, stimulus: &Stimulus, sim: FaultSimConfig) -> TraceGrade {
+pub(crate) fn grade_stimulus(cut: &Cut, stimulus: &Stimulus, sim: FaultSimConfig) -> TraceGrade {
     let netlist = &cut.component.netlist;
     let transition_faults = enumerate_transition_faults(netlist);
     if stimulus.is_empty() {
@@ -151,8 +162,25 @@ fn grade_stimulus(cut: &Cut, stimulus: &Stimulus, sim: FaultSimConfig) -> TraceG
         transition_coverage: transition.coverage(),
         sim_threads: result.threads_used,
         sim_wall_time: result.wall_time + transition.wall_time,
-        sim_stats: result.stats,
+        sim_stats: add_run(result.stats, transition.stats),
     }
+}
+
+/// Adds a second run over the same tape to `total`: the volume counters
+/// sum, the tape's shape (`tape_len`, `chains_collapsed`) counts once, and
+/// the run's `per_thread` entries follow `total`'s.
+fn add_run(mut total: SimStats, run: SimStats) -> SimStats {
+    total.batches += run.batches;
+    total.cycles_simulated += run.cycles_simulated;
+    total.cycles_scheduled += run.cycles_scheduled;
+    total.live_lane_cycles += run.live_lane_cycles;
+    total.events_simulated += run.events_simulated;
+    total.events_full_eval += run.events_full_eval;
+    total.tape_compilations += run.tape_compilations;
+    total.lane_slots_filled += run.lane_slots_filled;
+    total.lane_slots_total += run.lane_slots_total;
+    total.per_thread.extend(run.per_thread);
+    total
 }
 
 /// A graded routine: coverage plus the Table-1 statistics.
@@ -173,8 +201,8 @@ pub struct GradedRoutine {
     pub sim_threads: usize,
     /// Wall-clock time spent in fault simulation.
     pub sim_wall_time: std::time::Duration,
-    /// Simulation-volume instrumentation of the grading run (cycles,
-    /// gate-evaluation events, full-eval baseline).
+    /// Simulation-volume instrumentation of both models' grading runs
+    /// ([`TraceGrade::sim_stats`]).
     pub sim_stats: SimStats,
 }
 
@@ -203,12 +231,14 @@ pub fn grade_routine_with(
     routine: &SelfTestRoutine,
     sim: FaultSimConfig,
 ) -> Result<GradedRoutine, GradeError> {
-    let (stats, signature, grade) = grade_routine_models(cut, routine, sim)?;
+    let built = (routine.clone(), AtpgTelemetry::default());
+    let record = characterize(cut, built, |stimulus| grade_stimulus(cut, stimulus, sim))?;
+    let grade = record.grade;
     Ok(GradedRoutine {
         coverage: grade.coverage,
         transition_coverage: grade.transition_coverage,
-        stats,
-        signature,
+        stats: record.stats,
+        signature: record.signature,
         size_words: routine.size_words(),
         sim_threads: grade.sim_threads,
         sim_wall_time: grade.sim_wall_time,
@@ -216,20 +246,38 @@ pub fn grade_routine_with(
     })
 }
 
-/// Runs a routine fault-free on the ISS and grades its CUT under both
-/// fault models; returns the run's statistics, its signature and the
-/// grade.
-pub(crate) fn grade_routine_models(
+/// One CUT's characterization: its routine, with the statistics and
+/// golden signature of its one fault-free run and the grade taken from
+/// that run's stimulus (the operand trace is not kept).
+pub(crate) struct CutRecord<G> {
+    pub(crate) routine: SelfTestRoutine,
+    pub(crate) stats: ExecStats,
+    pub(crate) signature: u32,
+    /// The routine build's constrained-ATPG instrumentation.
+    pub(crate) atpg: AtpgTelemetry,
+    pub(crate) grade: G,
+}
+
+/// Runs a built routine once and grades its CUT's stimulus with `grade`:
+/// the one characterization path behind [`grade_routine_with`], Table 1's
+/// dedicated rows, the plan top-up and the managed schedule.
+pub(crate) fn characterize<G>(
     cut: &Cut,
-    routine: &SelfTestRoutine,
-    sim: FaultSimConfig,
-) -> Result<(ExecStats, u32, TraceGrade), GradeError> {
-    let (stats, trace, signature) = execute_routine(routine)?;
+    (routine, atpg): (SelfTestRoutine, AtpgTelemetry),
+    grade: impl FnOnce(&Stimulus) -> G,
+) -> Result<CutRecord<G>, GradeError> {
+    let (stats, trace, signature) = execute_routine(&routine)?;
     let stimulus = stimulus_for(cut, &trace);
     if stimulus.is_empty() {
         return Err(GradeError::EmptyTrace { kind: cut.kind() });
     }
-    Ok((stats, signature, grade_stimulus(cut, &stimulus, sim)))
+    Ok(CutRecord {
+        routine,
+        stats,
+        signature,
+        atpg,
+        grade: grade(&stimulus),
+    })
 }
 
 /// Runs a routine fault-free with tracing; returns statistics, the trace
@@ -237,18 +285,8 @@ pub(crate) fn grade_routine_models(
 pub fn execute_routine(
     routine: &SelfTestRoutine,
 ) -> Result<(ExecStats, OperandTrace, u32), GradeError> {
-    let mut cpu = Cpu::new(CpuConfig {
-        trace: true,
-        ..CpuConfig::self_test()
-    });
-    cpu.load_program(&routine.program);
-    let outcome = cpu.run()?;
-    let sig_addr = routine
-        .program
-        .symbol(&routine.sig_label)
-        .expect("routine programs always define their signature label");
-    let signature = cpu.memory().read_word(sig_addr);
-    Ok((outcome.stats, cpu.take_trace(), signature))
+    let run = SelfTestProgram::traced_run(&routine.program, slice::from_ref(&routine.sig_label))?;
+    Ok((run.stats, run.trace, run.signatures[0].1))
 }
 
 /// Result of architectural cross-validation on a fault sample.

@@ -82,7 +82,9 @@ use crate::json::JsonValue;
 /// 1's `fault_sim` object gains `cycles_simulated` (batch-cycles clocked)
 /// and `live_lane_cycles` (lane-cycles that carried a not-yet-detected
 /// fault), both over the rows' stuck-at grading runs; `lane_slots_*`
-/// keep describing the initial packing.
+/// keep describing the initial packing. Within schema 11 the volume
+/// counters (`events_full_eval`, `cycles_simulated`, `live_lane_cycles`,
+/// `lane_slots_*`) grew to cover both fault models' grading runs.
 pub const SCHEMA_VERSION: u32 = 11;
 
 /// A machine-readable run report: a named, schema-versioned JSON document

@@ -5,8 +5,8 @@
 //! not acceptable" extend testing to the address-carrying components —
 //! paying their distributed-memory cost. [`plan_with_target`] automates
 //! that decision: it generates Table 1, compares overall coverage against
-//! the target, and if short, generates the table again with the optional
-//! M-VC top-up routine (the PC-unit branch ladder) in the program.
+//! the target, and if short, adds the optional M-VC top-up routine (the
+//! PC-unit branch ladder) to the first pass's routines and program.
 
 use sbst_components::{ComponentClass, ComponentKind};
 use sbst_cpu::manager::{ManagedComponent, SharedSchedule, SigLocation, SignatureStore};
@@ -14,8 +14,8 @@ use sbst_gates::{FaultCoverage, FaultModel, FaultSimConfig};
 use sbst_tpg::AtpgConfig;
 
 use crate::cut::Cut;
-use crate::grade::{execute_routine, grade_trace_detailed};
-use crate::report::{Table1, Table1Error};
+use crate::grade::{characterize, grade_stimulus, grade_stuck_at, CutRecord, TraceGrade};
+use crate::report::{dedicated_records, Table1, Table1Error};
 use crate::routine::RoutineSpec;
 
 /// The outcome of the conditional test-planning flow.
@@ -50,26 +50,38 @@ fn gets_topup(cut: &Cut) -> bool {
 
 /// Generates a test plan meeting `target_percent` overall coverage if the
 /// methodology can: D-VC/PVC routines first; if the target is missed, the
-/// table is generated again with the M-VC/A-VC top-ups (currently the
-/// PC-unit branch ladder) in the program, and that pass is kept if it
-/// detects more faults in a top-up component.
+/// table is assembled again from those rows plus the M-VC/A-VC top-ups
+/// (currently the PC-unit branch ladder) in the program, and that pass is
+/// kept if it detects more faults in a top-up component.
 ///
 /// # Errors
 ///
 /// Returns [`Table1Error`] if routine generation or grading fails.
 pub fn plan_with_target(cuts: &[Cut], target_percent: f64) -> Result<TestPlan, Table1Error> {
-    let mut table = Table1::generate(cuts)?;
+    let dedicated = dedicated_records(cuts, FaultSimConfig::default(), AtpgConfig::default())?;
+    plan_from(cuts, dedicated, target_percent)
+}
+
+/// [`plan_with_target`] from the first pass's `dedicated` records: the
+/// second pass characterizes only the top-up CUTs.
+fn plan_from(
+    cuts: &[Cut],
+    mut dedicated: Vec<Option<CutRecord<TraceGrade>>>,
+    target_percent: f64,
+) -> Result<TestPlan, Table1Error> {
+    let (sim, model) = (FaultSimConfig::default(), FaultModel::default());
+    let mut table = Table1::assemble(cuts, &dedicated, sim, model)?;
     let baseline_coverage = table.overall_coverage;
     let mut topups = Vec::new();
 
     if baseline_coverage.percent() < target_percent {
-        let topped = Table1::assemble(
-            cuts,
-            |cut| cut.gets_routine() || gets_topup(cut),
-            FaultSimConfig::default(),
-            AtpgConfig::default(),
-            FaultModel::default(),
-        )?;
+        for (cut, record) in cuts.iter().zip(&mut dedicated) {
+            if gets_topup(cut) {
+                let built = RoutineSpec::recommended(cut).build_traced(cut)?;
+                *record = Some(characterize(cut, built, |s| grade_stimulus(cut, s, sim))?);
+            }
+        }
+        let topped = Table1::assemble(cuts, &dedicated, sim, model)?;
         topups = cuts
             .iter()
             .zip(table.rows.iter().zip(&topped.rows))
@@ -122,9 +134,6 @@ pub struct ManagedSchedule {
     pub components: Vec<ManagedComponent>,
     /// Golden signatures keyed by component name, checksummed.
     pub store: SignatureStore,
-    /// The CUTs that received a schedule entry (those with a dedicated
-    /// routine; the side-effect-graded CUTs have none to schedule).
-    pub cuts: Vec<Cut>,
     /// Per-component fault coverage measured at characterization time, in
     /// schedule order. Empty unless built by
     /// [`build_managed_schedule_graded`].
@@ -160,7 +169,7 @@ impl ManagedSchedule {
 ///
 /// # Errors
 ///
-/// Returns [`Table1Error`] if a routine fails to build or run.
+/// Returns [`Table1Error`] if a routine fails to build, run or grade.
 pub fn build_managed_schedule(cuts: &[Cut]) -> Result<ManagedSchedule, Table1Error> {
     build_schedule_inner(cuts, None)
 }
@@ -174,7 +183,7 @@ pub fn build_managed_schedule(cuts: &[Cut]) -> Result<ManagedSchedule, Table1Err
 ///
 /// # Errors
 ///
-/// Returns [`Table1Error`] if a routine fails to build or run.
+/// Returns [`Table1Error`] if a routine fails to build, run or grade.
 pub fn build_managed_schedule_graded(
     cuts: &[Cut],
     sim: FaultSimConfig,
@@ -188,31 +197,29 @@ fn build_schedule_inner(
 ) -> Result<ManagedSchedule, Table1Error> {
     let mut components = Vec::new();
     let mut entries = Vec::new();
-    let mut scheduled = Vec::new();
     let mut coverage = Vec::new();
     for cut in cuts {
         if !cut.gets_routine() {
             continue;
         }
-        let routine = RoutineSpec::recommended(cut).build(cut)?;
-        let (stats, trace, signature) = execute_routine(&routine)?;
-        if let Some(sim) = sim {
-            let (cov, _) = grade_trace_detailed(cut, &trace, sim);
+        let built = RoutineSpec::recommended(cut).build_traced(cut)?;
+        let record = characterize(cut, built, |stimulus| {
+            sim.map(|sim| grade_stuck_at(cut, stimulus, sim).0)
+        })?;
+        if let Some(cov) = record.grade {
             coverage.push((cut.name().to_owned(), cov));
         }
-        entries.push((cut.name().to_owned(), signature));
+        entries.push((cut.name().to_owned(), record.signature));
         components.push(ManagedComponent {
             name: cut.name().to_owned(),
-            program: routine.program,
-            signature: SigLocation::Label(routine.sig_label),
-            expected_cycles: stats.total_cycles(),
+            program: record.routine.program,
+            signature: SigLocation::Label(record.routine.sig_label),
+            expected_cycles: record.stats.total_cycles(),
         });
-        scheduled.push(cut.clone());
     }
     Ok(ManagedSchedule {
         components,
         store: SignatureStore::new(entries),
-        cuts: scheduled,
         coverage,
     })
 }
@@ -334,6 +341,31 @@ mod tests {
         assert_eq!(table.events_full_eval, events);
         assert_eq!(table.lane_slots_total, slots);
         assert_eq!(table.cycles_simulated, cycles);
+    }
+
+    #[test]
+    fn topup_keeps_the_first_pass_dedicated_rows() {
+        // The second pass characterizes only the ladder: every dedicated
+        // row of the topped-up table is the first pass's row, down to its
+        // grading wall time, and no PODEM campaign runs again.
+        let cuts = cuts();
+        let (sim, atpg) = (FaultSimConfig::default(), AtpgConfig::default());
+        let dedicated = dedicated_records(&cuts, sim, atpg).unwrap();
+        let first = Table1::assemble(&cuts, &dedicated, sim, FaultModel::default()).unwrap();
+        let plan = plan_from(&cuts, dedicated, 97.0).unwrap();
+        assert_eq!(plan.topups, vec!["PC / branch unit"]);
+        let kept: Vec<_> = first.rows.iter().filter(|r| r.dedicated_routine).collect();
+        assert_eq!(kept.len(), 2);
+        for before in kept {
+            let after = plan.table.rows.iter().find(|r| r.name == before.name);
+            let after = after.unwrap();
+            assert_eq!(after.sim_wall_time, before.sim_wall_time, "{}", before.name);
+            assert_eq!(after.coverage, before.coverage, "{}", before.name);
+            assert_eq!(after.size_words, before.size_words, "{}", before.name);
+            assert_eq!(after.cpu_cycles, before.cpu_cycles, "{}", before.name);
+        }
+        assert_eq!(plan.table.atpg.runs, first.atpg.runs);
+        assert_eq!(plan.table.atpg.podem_wall_time, first.atpg.podem_wall_time);
     }
 
     #[test]

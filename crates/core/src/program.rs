@@ -9,6 +9,7 @@
 
 use sbst_cpu::{Cpu, CpuConfig, ExecStats, OperandTrace};
 use sbst_isa::{Asm, Instruction, Program};
+use sbst_tpg::AtpgTelemetry;
 
 use crate::codestyle::{emit_misr_subroutine, emit_prologue, emit_signature_unload};
 use crate::cut::Cut;
@@ -45,34 +46,41 @@ impl SelfTestProgram {
     /// # Errors
     ///
     /// Returns [`BuildRoutineError`] if any routine body fails to build, or
-    /// (as [`BuildRoutineError::UnsupportedStyle`]) if the same CUT kind
-    /// appears twice (label uniqueness).
+    /// (as an assembly error) if the same CUT kind appears twice (label
+    /// uniqueness).
     pub fn build(cuts: &[Cut]) -> Result<SelfTestProgram, BuildRoutineError> {
+        let routines = cuts.iter().map(|cut| (cut, RoutineSpec::recommended(cut)));
+        let (program, sig_labels) =
+            SelfTestProgram::compose(routines, &mut AtpgTelemetry::default())?;
+        Ok(SelfTestProgram {
+            program,
+            cuts: cuts.to_vec(),
+            sig_labels,
+        })
+    }
+
+    /// The one composer: one routine per `(cut, spec)` pair, in order,
+    /// around one shared tail (the `break` and the MISR subroutine), with
+    /// the ATPG instrumentation folded into `telemetry`. A standalone
+    /// routine is its one-pair program. Returns the signature labels too.
+    pub(crate) fn compose<'a>(
+        routines: impl IntoIterator<Item = (&'a Cut, RoutineSpec)>,
+        telemetry: &mut AtpgTelemetry,
+    ) -> Result<(Program, Vec<String>), BuildRoutineError> {
         let mut asm = Asm::new();
         let mut sig_labels = Vec::new();
-        for (i, cut) in cuts.iter().enumerate() {
-            let spec = RoutineSpec::recommended(cut);
-            if cuts[..i].iter().any(|c| c.kind() == cut.kind()) {
-                return Err(BuildRoutineError::UnsupportedStyle {
-                    kind: cut.kind(),
-                    style: spec.style,
-                });
-            }
+        for (cut, spec) in routines {
             let sig_label = format!("sig_{}", routine_name(cut.kind()));
             asm.data_label(&sig_label);
             asm.word(0);
             emit_prologue(&mut asm); // reseed the MISR per routine
-            spec.emit_body(cut, &mut asm)?;
+            spec.emit_body_traced(cut, &mut asm, telemetry)?;
             emit_signature_unload(&mut asm, &sig_label);
             sig_labels.push(sig_label);
         }
         asm.insn(Instruction::Break { code: 0 });
         emit_misr_subroutine(&mut asm, MISR_LABEL);
-        Ok(SelfTestProgram {
-            program: asm.assemble(0, DATA_BASE)?,
-            cuts: cuts.to_vec(),
-            sig_labels,
-        })
+        Ok((asm.assemble(0, DATA_BASE)?, sig_labels))
     }
 
     /// Memory footprint in words.
@@ -86,18 +94,25 @@ impl SelfTestProgram {
     ///
     /// Returns [`GradeError`] if execution fails.
     pub fn run(&self) -> Result<ProgramRun, GradeError> {
+        SelfTestProgram::traced_run(&self.program, &self.sig_labels)
+    }
+
+    /// The one fault-free traced run of a composed program, reading the
+    /// signature at each of `sig_labels`.
+    pub(crate) fn traced_run(
+        program: &Program,
+        sig_labels: &[String],
+    ) -> Result<ProgramRun, GradeError> {
         let mut cpu = Cpu::new(CpuConfig {
             trace: true,
             ..CpuConfig::self_test()
         });
-        cpu.load_program(&self.program);
+        cpu.load_program(program);
         let outcome = cpu.run()?;
-        let signatures = self
-            .sig_labels
+        let signatures = sig_labels
             .iter()
             .map(|label| {
-                let addr = self
-                    .program
+                let addr = program
                     .symbol(label)
                     .expect("builder defined every signature label");
                 (label.clone(), cpu.memory().read_word(addr))

@@ -14,7 +14,9 @@ use sbst_gates::{FaultCoverage, FaultModel, FaultSimConfig, SimEngine};
 use sbst_tpg::{AtpgConfig, AtpgTelemetry};
 
 use crate::cut::Cut;
-use crate::grade::{grade_routine_models, grade_trace_models, GradeError};
+use crate::grade::{
+    characterize, grade_stimulus, grade_trace_models, CutRecord, GradeError, TraceGrade,
+};
 use crate::json::JsonValue;
 use crate::program::SelfTestProgram;
 use crate::routine::{BuildRoutineError, RoutineSpec};
@@ -131,25 +133,25 @@ pub struct Table1 {
     pub grading_wall_time: Duration,
     /// Simulation engine that graded every row.
     pub engine: SimEngine,
-    /// Gate-evaluation events of every row's stuck-at grading run: both
+    /// Gate-evaluation events of every row's grading runs, both models: both
     /// engines evaluate every combinational gate on every clocked cycle.
     pub events_full_eval: u64,
-    /// Batch-cycles clocked by every row's stuck-at grading run
+    /// Batch-cycles clocked by every row's grading runs, both models
     /// ([`SimStats::cycles_simulated`](sbst_gates::SimStats::cycles_simulated)).
     pub cycles_simulated: u64,
-    /// Lane-cycles of every row's stuck-at grading run that carried a
+    /// Lane-cycles of every row's grading runs, both models, that carried a
     /// not-yet-detected fault
     /// ([`SimStats::live_lane_cycles`](sbst_gates::SimStats::live_lane_cycles)).
     pub live_lane_cycles: u64,
-    /// Compiled-tape entries summed across rows (0 under the full-eval
-    /// reference).
+    /// Compiled-tape entries summed across rows, each counted once for both
+    /// models (0 under the full-eval reference).
     pub tape_len: u64,
     /// Gates folded into predecessors' tape entries, summed across rows
     /// (0 under the full-eval reference).
     pub chains_collapsed: u64,
-    /// Fault lanes occupied across all rows' simulation passes.
+    /// Fault lanes occupied across all rows' simulation passes, both models.
     pub lane_slots_filled: u64,
-    /// Fault-lane capacity across all rows' simulation passes.
+    /// Fault-lane capacity across all rows' simulation passes, both models.
     pub lane_slots_total: u64,
     /// Aggregated constrained-ATPG instrumentation from every routine
     /// build (runs, search stats, PODEM wall time, per-worker accounting).
@@ -204,19 +206,17 @@ impl Table1 {
         atpg: AtpgConfig,
         model: FaultModel,
     ) -> Result<Table1, Table1Error> {
-        Table1::assemble(cuts, Cut::gets_routine, sim, atpg, model)
+        Table1::assemble(cuts, &dedicated_records(cuts, sim, atpg)?, sim, model)
     }
 
-    /// [`Table1::generate_with_model`] with the CUTs that get a dedicated
-    /// routine chosen by `gets_routine`. Those routines, in inventory
-    /// order, make up the combined program behind the Total row and the
-    /// side-effect rows; every other CUT is graded from that program's
-    /// trace.
+    /// [`Table1::generate_with_model`] over the dedicated rows' records,
+    /// parallel to `cuts` (`None` marks a side-effect row). Those CUTs'
+    /// recommended routines, in inventory order, make up the combined
+    /// program behind the Total row and the side-effect rows.
     pub(crate) fn assemble(
         cuts: &[Cut],
-        gets_routine: impl Fn(&Cut) -> bool,
+        dedicated: &[Option<CutRecord<TraceGrade>>],
         sim: FaultSimConfig,
-        atpg: AtpgConfig,
         model: FaultModel,
     ) -> Result<Table1, Table1Error> {
         let mut rows = Vec::with_capacity(cuts.len());
@@ -230,25 +230,25 @@ impl Table1 {
         let mut chains_collapsed = 0u64;
         let mut lane_slots_filled = 0u64;
         let mut lane_slots_total = 0u64;
-        let routine_cuts: Vec<Cut> = cuts.iter().filter(|c| gets_routine(c)).cloned().collect();
+        let routine_cuts: Vec<Cut> = cuts
+            .iter()
+            .zip(dedicated)
+            .filter_map(|(cut, record)| record.as_ref().map(|_| cut.clone()))
+            .collect();
         let combined = SelfTestProgram::build(&routine_cuts)?;
         let combined_run = combined.run()?;
 
-        for cut in cuts {
+        for (cut, record) in cuts.iter().zip(dedicated) {
             // A dedicated row's style, size and fault-free run; `None`
             // marks a side-effect row, graded from the combined trace.
-            let (routine, grade) = if gets_routine(cut) {
-                let mut spec = RoutineSpec::recommended(cut);
-                spec.atpg = atpg;
-                let (routine, build_telemetry) = spec.build_traced(cut)?;
-                atpg_telemetry.merge(&build_telemetry);
-                let (stats, _, grade) = grade_routine_models(cut, &routine, sim)?;
-                (
-                    Some((spec.style.code(), routine.size_words(), stats)),
-                    grade,
-                )
-            } else {
-                (None, grade_trace_models(cut, &combined_run.trace, sim))
+            let (routine, grade) = match record {
+                Some(record) => {
+                    atpg_telemetry.merge(&record.atpg);
+                    let words = record.routine.size_words();
+                    let routine = (record.routine.style.code(), words, record.stats);
+                    (Some(routine), record.grade.clone())
+                }
+                None => (None, grade_trace_models(cut, &combined_run.trace, sim)),
             };
             sim_threads = sim_threads.max(grade.sim_threads);
             grading_wall_time += grade.sim_wall_time;
@@ -669,6 +669,28 @@ pub fn manager_to_json(manager: &sbst_cpu::manager::OnlineTestManager) -> JsonVa
     ])
 }
 
+/// The records of the CUTs that get a dedicated routine, parallel to
+/// `cuts` (`None` for the side-effect rows): recommended routines built
+/// under `atpg`, graded under both fault models.
+pub(crate) fn dedicated_records(
+    cuts: &[Cut],
+    sim: FaultSimConfig,
+    atpg: AtpgConfig,
+) -> Result<Vec<Option<CutRecord<TraceGrade>>>, Table1Error> {
+    let record = |cut: &Cut| -> Result<_, Table1Error> {
+        let built = RoutineSpec {
+            atpg,
+            ..RoutineSpec::recommended(cut)
+        }
+        .build_traced(cut)?;
+        Ok(characterize(cut, built, |s| grade_stimulus(cut, s, sim))?)
+    };
+    let records = cuts
+        .iter()
+        .map(|cut| cut.gets_routine().then(|| record(cut)));
+    records.map(Option::transpose).collect()
+}
+
 fn classification_string(cut: &Cut) -> String {
     if cut.component.area_split.len() <= 1 {
         cut.class().code().to_owned()
@@ -819,7 +841,7 @@ mod tests {
         assert!(cmp.coverage.detected > 0, "comparator {}", cmp.coverage);
 
         let schedule = crate::plan::build_managed_schedule(&cuts).unwrap();
-        let scheduled: Vec<&str> = schedule.cuts.iter().map(Cut::name).collect();
+        let scheduled: Vec<&str> = schedule.components.iter().map(|c| &*c.name).collect();
         assert_eq!(scheduled, ["ALU"]);
     }
 

@@ -1,7 +1,8 @@
 //! Self-test routine construction (Phase C).
 //!
 //! A [`RoutineSpec`] pairs a CUT with a [`CodeStyle`] and produces a
-//! runnable [`SelfTestRoutine`]: prologue (MISR seed/polynomial), the
+//! runnable [`SelfTestRoutine`]: the one-CUT program of the whole-program
+//! composer in [`crate::program`] — prologue (MISR seed/polynomial), the
 //! style's pattern-application body, the signature unload, a terminating
 //! `break`, and the shared 8-word MISR subroutine. Pattern content comes
 //! from the matching TPG strategy: the regular deterministic sets emitted
@@ -23,10 +24,10 @@ use sbst_tpg::{per_function_campaign, AtpgConfig, AtpgTelemetry};
 
 use crate::codestyle::{
     checkerboards, emit_apply, emit_atpg_data_fetch, emit_atpg_immediate, emit_misr_inline,
-    emit_misr_subroutine, emit_prologue, emit_pseudorandom_loop, emit_regular_walking_loop,
-    emit_signature_unload, mask, regs, ApplyOp, CodeStyle,
+    emit_pseudorandom_loop, emit_regular_walking_loop, mask, regs, ApplyOp, CodeStyle,
 };
 use crate::cut::Cut;
+use crate::program::SelfTestProgram;
 
 /// Default data-segment base for standalone routines (clear of any
 /// realistic text segment).
@@ -143,6 +144,7 @@ impl RoutineSpec {
 
     /// [`RoutineSpec::build`] that also returns the ATPG instrumentation of
     /// the deterministic styles (empty telemetry for the non-ATPG styles).
+    /// The routine is the one-CUT program of the whole-program composer.
     ///
     /// # Errors
     ///
@@ -151,34 +153,23 @@ impl RoutineSpec {
         &self,
         cut: &Cut,
     ) -> Result<(SelfTestRoutine, AtpgTelemetry), BuildRoutineError> {
-        let kind = cut.kind();
-        let name = routine_name(kind);
-        let sig_label = format!("sig_{name}");
-        let mut asm = Asm::new();
         let mut telemetry = AtpgTelemetry::default();
-        emit_prologue(&mut asm);
-        asm.data_label(&sig_label);
-        asm.word(0);
-        self.emit_body_traced(cut, &mut asm, &mut telemetry)?;
-        emit_signature_unload(&mut asm, &sig_label);
-        asm.insn(Instruction::Break { code: 0 });
-        emit_misr_subroutine(&mut asm, MISR_LABEL);
-
-        let program = asm.assemble(0, DATA_BASE)?;
+        let (program, mut sig_labels) =
+            SelfTestProgram::compose([(cut, self.clone())], &mut telemetry)?;
         Ok((
             SelfTestRoutine {
-                name: name.to_owned(),
+                name: routine_name(cut.kind()).to_owned(),
                 style: self.style,
                 program,
-                sig_label,
+                sig_label: sig_labels.remove(0),
             },
             telemetry,
         ))
     }
 
     /// Emits the routine body (pattern application and compaction) into an
-    /// existing assembly unit — used both by [`RoutineSpec::build`] and by
-    /// the whole-program composer in [`crate::program`].
+    /// existing assembly unit, as the whole-program composer in
+    /// [`crate::program`] does for every routine.
     ///
     /// # Errors
     ///
