@@ -22,6 +22,11 @@ cargo test -q
 echo "== tests (full workspace) =="
 cargo test --workspace -q
 
+echo "== perfbench smoke tests (its own workspace) =="
+# perfbench builds against the library's public API and checks its
+# reference outputs; a change that breaks either fails here.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

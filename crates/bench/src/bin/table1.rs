@@ -106,10 +106,13 @@ fn main() {
         table.sim_threads,
         table.grading_wall_time.as_secs_f64()
     );
-    eprintln!("gate-evaluation events: {}", table.events_full_eval);
+    eprintln!(
+        "gate-evaluation events: {}",
+        table.sim_stats.events_full_eval
+    );
     eprintln!(
         "batch-cycles clocked, both fault models: {} ({} live lane-cycles)",
-        table.cycles_simulated, table.live_lane_cycles
+        table.sim_stats.cycles_simulated, table.sim_stats.live_lane_cycles
     );
     eprintln!(
         "constrained ATPG: {} run(s), {} PODEM thread(s), {:.3} s inside the PODEM phase",

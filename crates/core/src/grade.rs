@@ -81,23 +81,6 @@ pub fn stimulus_for(cut: &Cut, trace: &OperandTrace) -> Stimulus {
     }
 }
 
-/// Grades the CUT's collapsed fault list against a recorded trace.
-pub fn grade_trace(cut: &Cut, trace: &OperandTrace) -> FaultCoverage {
-    grade_trace_detailed(cut, trace, FaultSimConfig::default()).0
-}
-
-/// [`grade_trace`] with an explicit fault-simulator configuration (thread
-/// count, drop-on-detect, …), additionally returning the simulation-volume
-/// instrumentation ([`SimStats`]) of the grading run — cycles clocked,
-/// batches, gate-evaluation events and the tape's lane occupancy.
-pub fn grade_trace_detailed(
-    cut: &Cut,
-    trace: &OperandTrace,
-    sim: FaultSimConfig,
-) -> (FaultCoverage, SimStats) {
-    grade_stuck_at(cut, &stimulus_for(cut, trace), sim)
-}
-
 /// Grades `stimulus` under the single-stuck-at model only.
 pub(crate) fn grade_stuck_at(
     cut: &Cut,
@@ -133,9 +116,10 @@ pub struct TraceGrade {
     pub sim_stats: SimStats,
 }
 
-/// [`grade_trace_detailed`] for both fault models: the trace is replayed
-/// once per model on one shared [`FaultSimulator`] (the compiled engine's
-/// tape is built once and reused).
+/// Grades the CUT's fault lists under both fault models against a
+/// recorded trace: the trace is replayed once per model on one shared
+/// [`FaultSimulator`] (the compiled engine's tape is built once and
+/// reused).
 pub fn grade_trace_models(cut: &Cut, trace: &OperandTrace, sim: FaultSimConfig) -> TraceGrade {
     grade_stimulus(cut, &stimulus_for(cut, trace), sim)
 }
@@ -157,30 +141,20 @@ pub(crate) fn grade_stimulus(cut: &Cut, stimulus: &Stimulus, sim: FaultSimConfig
     let simulator = FaultSimulator::with_config(netlist, sim);
     let result = simulator.simulate(&netlist.collapsed_faults(), stimulus);
     let transition = simulator.simulate_transition(&transition_faults, stimulus);
+    // Both runs share one tape: its shape counts once.
+    let mut sim_stats = result.stats;
+    sim_stats.accumulate(&SimStats {
+        tape_len: 0,
+        chains_collapsed: 0,
+        ..transition.stats
+    });
     TraceGrade {
         coverage: result.coverage(),
         transition_coverage: transition.coverage(),
         sim_threads: result.threads_used,
         sim_wall_time: result.wall_time + transition.wall_time,
-        sim_stats: add_run(result.stats, transition.stats),
+        sim_stats,
     }
-}
-
-/// Adds a second run over the same tape to `total`: the volume counters
-/// sum, the tape's shape (`tape_len`, `chains_collapsed`) counts once, and
-/// the run's `per_thread` entries follow `total`'s.
-fn add_run(mut total: SimStats, run: SimStats) -> SimStats {
-    total.batches += run.batches;
-    total.cycles_simulated += run.cycles_simulated;
-    total.cycles_scheduled += run.cycles_scheduled;
-    total.live_lane_cycles += run.live_lane_cycles;
-    total.events_simulated += run.events_simulated;
-    total.events_full_eval += run.events_full_eval;
-    total.tape_compilations += run.tape_compilations;
-    total.lane_slots_filled += run.lane_slots_filled;
-    total.lane_slots_total += run.lane_slots_total;
-    total.per_thread.extend(run.per_thread);
-    total
 }
 
 /// A graded routine: coverage plus the Table-1 statistics.
@@ -438,13 +412,11 @@ mod tests {
     fn empty_trace_scores_zero_coverage() {
         let mc = Cut::memctrl();
         let trace = sbst_cpu::OperandTrace::new();
-        let coverage = grade_trace(&mc, &trace);
-        assert_eq!(coverage.detected, 0);
-        assert_eq!(coverage.total, mc.fault_count());
-        // Per-model grading of the empty trace scores zero in both models
-        // but still reports the full fault universes.
+        // The empty trace scores zero in both models but still reports
+        // the full fault universes.
         let grade = grade_trace_models(&mc, &trace, FaultSimConfig::default());
         assert_eq!(grade.coverage.detected, 0);
+        assert_eq!(grade.coverage.total, mc.fault_count());
         assert_eq!(grade.transition_coverage.detected, 0);
         assert!(grade.transition_coverage.total > 0);
     }

@@ -338,9 +338,9 @@ mod tests {
             slots += graded.sim_stats.lane_slots_total;
             cycles += graded.sim_stats.cycles_simulated;
         }
-        assert_eq!(table.events_full_eval, events);
-        assert_eq!(table.lane_slots_total, slots);
-        assert_eq!(table.cycles_simulated, cycles);
+        assert_eq!(table.sim_stats.events_full_eval, events);
+        assert_eq!(table.sim_stats.lane_slots_total, slots);
+        assert_eq!(table.sim_stats.cycles_simulated, cycles);
     }
 
     #[test]

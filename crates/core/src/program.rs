@@ -129,7 +129,8 @@ impl SelfTestProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grade::grade_trace;
+    use crate::grade::grade_trace_models;
+    use sbst_gates::FaultSimConfig;
 
     fn small_program() -> SelfTestProgram {
         SelfTestProgram::build(&[Cut::alu(8), Cut::shifter(8), Cut::control()]).unwrap()
@@ -175,7 +176,7 @@ mod tests {
         let p = small_program();
         let run = p.run().unwrap();
         let cmp = Cut::comparator(8);
-        let coverage = grade_trace(&cmp, &run.trace);
+        let coverage = grade_trace_models(&cmp, &run.trace, FaultSimConfig::default()).coverage;
         assert!(
             coverage.percent() > 40.0,
             "comparator side-effect coverage {coverage}"
@@ -189,7 +190,7 @@ mod tests {
         // The pipeline (HC) gets meaningful side-effect coverage from the
         // combined program's data flow, without any routine of its own.
         let pipe = Cut::pipeline(8);
-        let coverage = grade_trace(&pipe, &run.trace);
+        let coverage = grade_trace_models(&pipe, &run.trace, FaultSimConfig::default()).coverage;
         assert!(
             coverage.percent() > 50.0,
             "side-effect pipeline coverage {coverage}"

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use sbst_components::ComponentClass;
 use sbst_cpu::ExecStats;
-use sbst_gates::{FaultCoverage, FaultModel, FaultSimConfig, SimEngine};
+use sbst_gates::{FaultCoverage, FaultModel, FaultSimConfig, SimEngine, SimStats};
 use sbst_tpg::{AtpgConfig, AtpgTelemetry};
 
 use crate::cut::Cut;
@@ -133,26 +133,10 @@ pub struct Table1 {
     pub grading_wall_time: Duration,
     /// Simulation engine that graded every row.
     pub engine: SimEngine,
-    /// Gate-evaluation events of every row's grading runs, both models: both
-    /// engines evaluate every combinational gate on every clocked cycle.
-    pub events_full_eval: u64,
-    /// Batch-cycles clocked by every row's grading runs, both models
-    /// ([`SimStats::cycles_simulated`](sbst_gates::SimStats::cycles_simulated)).
-    pub cycles_simulated: u64,
-    /// Lane-cycles of every row's grading runs, both models, that carried a
-    /// not-yet-detected fault
-    /// ([`SimStats::live_lane_cycles`](sbst_gates::SimStats::live_lane_cycles)).
-    pub live_lane_cycles: u64,
-    /// Compiled-tape entries summed across rows, each counted once for both
-    /// models (0 under the full-eval reference).
-    pub tape_len: u64,
-    /// Gates folded into predecessors' tape entries, summed across rows
-    /// (0 under the full-eval reference).
-    pub chains_collapsed: u64,
-    /// Fault lanes occupied across all rows' simulation passes, both models.
-    pub lane_slots_filled: u64,
-    /// Fault-lane capacity across all rows' simulation passes, both models.
-    pub lane_slots_total: u64,
+    /// Simulation-volume instrumentation of every row's grading runs, both
+    /// models, summed across rows; each row's tape shape counts once
+    /// ([`TraceGrade::sim_stats`]).
+    pub sim_stats: SimStats,
     /// Aggregated constrained-ATPG instrumentation from every routine
     /// build (runs, search stats, PODEM wall time, per-worker accounting).
     pub atpg: AtpgTelemetry,
@@ -223,13 +207,7 @@ impl Table1 {
         let mut atpg_telemetry = AtpgTelemetry::default();
         let mut sim_threads = 1usize;
         let mut grading_wall_time = Duration::ZERO;
-        let mut events_full_eval = 0u64;
-        let mut cycles_simulated = 0u64;
-        let mut live_lane_cycles = 0u64;
-        let mut tape_len = 0u64;
-        let mut chains_collapsed = 0u64;
-        let mut lane_slots_filled = 0u64;
-        let mut lane_slots_total = 0u64;
+        let mut sim_stats = SimStats::default();
         let routine_cuts: Vec<Cut> = cuts
             .iter()
             .zip(dedicated)
@@ -252,13 +230,7 @@ impl Table1 {
             };
             sim_threads = sim_threads.max(grade.sim_threads);
             grading_wall_time += grade.sim_wall_time;
-            events_full_eval += grade.sim_stats.events_full_eval;
-            cycles_simulated += grade.sim_stats.cycles_simulated;
-            live_lane_cycles += grade.sim_stats.live_lane_cycles;
-            tape_len += grade.sim_stats.tape_len;
-            chains_collapsed += grade.sim_stats.chains_collapsed;
-            lane_slots_filled += grade.sim_stats.lane_slots_filled;
-            lane_slots_total += grade.sim_stats.lane_slots_total;
+            sim_stats.accumulate(&grade.sim_stats);
             rows.push(Table1Row {
                 name: cut.name().to_owned(),
                 gates: cut.gate_equivalents(),
@@ -302,13 +274,7 @@ impl Table1 {
             sim_threads,
             grading_wall_time,
             engine: sim.engine,
-            events_full_eval,
-            cycles_simulated,
-            live_lane_cycles,
-            tape_len,
-            chains_collapsed,
-            lane_slots_filled,
-            lane_slots_total,
+            sim_stats,
             atpg: atpg_telemetry,
         })
     }
@@ -324,11 +290,7 @@ impl Table1 {
     /// Fraction of available fault lanes occupied across all rows, in
     /// `0.0..=1.0` (0.0 when nothing was graded).
     pub fn lane_occupancy(&self) -> f64 {
-        if self.lane_slots_total == 0 {
-            0.0
-        } else {
-            self.lane_slots_filled as f64 / self.lane_slots_total as f64
-        }
+        self.sim_stats.lane_occupancy()
     }
 }
 
@@ -339,6 +301,7 @@ impl Table1 {
     /// `fault_sim` object with the thread count and aggregate grading time.
     pub fn to_json(&self) -> JsonValue {
         let universe = self.overall_coverage_for(self.fault_model).total;
+        let sim = &self.sim_stats;
         let rows = self.rows.iter().map(|row| {
             let primary = row.coverage_for(self.fault_model);
             JsonValue::object([
@@ -421,13 +384,13 @@ impl Table1 {
                         JsonValue::Float(self.grading_wall_time.as_secs_f64()),
                     ),
                     ("engine", JsonValue::from(self.engine.name())),
-                    ("events_full_eval", JsonValue::from(self.events_full_eval)),
-                    ("cycles_simulated", JsonValue::from(self.cycles_simulated)),
-                    ("live_lane_cycles", JsonValue::from(self.live_lane_cycles)),
-                    ("tape_len", JsonValue::from(self.tape_len)),
-                    ("chains_collapsed", JsonValue::from(self.chains_collapsed)),
-                    ("lane_slots_filled", JsonValue::from(self.lane_slots_filled)),
-                    ("lane_slots_total", JsonValue::from(self.lane_slots_total)),
+                    ("events_full_eval", JsonValue::from(sim.events_full_eval)),
+                    ("cycles_simulated", JsonValue::from(sim.cycles_simulated)),
+                    ("live_lane_cycles", JsonValue::from(sim.live_lane_cycles)),
+                    ("tape_len", JsonValue::from(sim.tape_len)),
+                    ("chains_collapsed", JsonValue::from(sim.chains_collapsed)),
+                    ("lane_slots_filled", JsonValue::from(sim.lane_slots_filled)),
+                    ("lane_slots_total", JsonValue::from(sim.lane_slots_total)),
                     ("lane_occupancy", JsonValue::Float(self.lane_occupancy())),
                 ]),
             ),
@@ -771,12 +734,12 @@ impl fmt::Display for Table1 {
             self.grading_wall_time.as_secs_f64(),
             self.engine.name(),
         )?;
-        if self.tape_len > 0 {
+        if self.sim_stats.tape_len > 0 {
             writeln!(
                 f,
                 "Compiled tape: {} entries ({} chained gates folded) · {:.1}% lane occupancy",
-                self.tape_len,
-                self.chains_collapsed,
+                self.sim_stats.tape_len,
+                self.sim_stats.chains_collapsed,
                 self.lane_occupancy() * 100.0,
             )?;
         }
@@ -931,15 +894,15 @@ mod tests {
         );
         assert_eq!(
             sim.get("events_full_eval").unwrap().as_u64(),
-            Some(table.events_full_eval)
+            Some(table.sim_stats.events_full_eval)
         );
         assert_eq!(
             sim.get("cycles_simulated").unwrap().as_u64(),
-            Some(table.cycles_simulated)
+            Some(table.sim_stats.cycles_simulated)
         );
         assert_eq!(
             sim.get("live_lane_cycles").unwrap().as_u64(),
-            Some(table.live_lane_cycles)
+            Some(table.sim_stats.live_lane_cycles)
         );
         // The document round-trips through the parser.
         let text = v.to_json_pretty();

@@ -1115,7 +1115,8 @@ mod tests {
 
     #[test]
     fn pc_ladder_improves_mvc_coverage() {
-        use crate::grade::{grade_routine, grade_trace};
+        use crate::grade::{grade_routine, grade_trace_models};
+        use sbst_gates::FaultSimConfig;
         // Side-effect coverage of the PC unit from a D-VC routine vs the
         // dedicated branch ladder: the ladder must do markedly better —
         // the paper's rationale for the optional A-VC/M-VC top-up.
@@ -1123,7 +1124,7 @@ mod tests {
         let alu = Cut::alu(8);
         let alu_routine = RoutineSpec::recommended(&alu).build(&alu).unwrap();
         let (_, alu_trace, _) = crate::grade::execute_routine(&alu_routine).unwrap();
-        let side_effect = grade_trace(&pc, &alu_trace);
+        let side_effect = grade_trace_models(&pc, &alu_trace, FaultSimConfig::default()).coverage;
 
         let ladder = RoutineSpec::new(CodeStyle::FunctionalTest)
             .build(&pc)

@@ -89,38 +89,6 @@ impl TransitionFault {
         }
     }
 
-    /// The value the slow transition departs *from*: `false` (0) for
-    /// slow-to-rise, `true` (1) for slow-to-fall. During the capture
-    /// cycle an armed fault holds the net at this value.
-    pub fn init_value(&self) -> bool {
-        !self.slow_to_rise
-    }
-
-    /// The stuck-at fault whose single-pattern test is exactly the
-    /// capture half of this fault's two-pattern test: stuck at the
-    /// initial value on the same stem.
-    pub fn capture_stuck_at(&self) -> Fault {
-        Fault {
-            site: FaultSite::Stem(self.net),
-            stuck_value: self.init_value(),
-        }
-    }
-
-    /// The stuck-at fault whose single-pattern test drives the net to the
-    /// *initialization* value in the fault-free circuit: a test for stuck
-    /// at `!init_value()` must excite the net to `init_value()`. Reusing a
-    /// stuck-at test generator on this fault yields the initialization
-    /// half of the two-pattern test (its propagation requirement is
-    /// stronger than strictly needed — justification alone would do — so a
-    /// generator may occasionally abort on a fault whose initialization is
-    /// justifiable; a conservative miss, never a wrong pattern).
-    pub fn initialization_stuck_at(&self) -> Fault {
-        Fault {
-            site: FaultSite::Stem(self.net),
-            stuck_value: !self.init_value(),
-        }
-    }
-
     /// Human-readable description using the netlist's net names.
     pub fn describe(&self, netlist: &Netlist) -> String {
         let name = netlist
@@ -372,6 +340,15 @@ mod tests {
         let n = and_with_fanout();
         let f = Fault::stem_sa1(n.inputs()[0]);
         assert_eq!(f.describe(&n), "a s-a-1");
+        let net = n.inputs()[0];
+        assert_eq!(
+            TransitionFault::slow_to_rise(net).describe(&n),
+            "a slow-to-rise"
+        );
+        assert_eq!(
+            TransitionFault::slow_to_fall(net).describe(&n),
+            "a slow-to-fall"
+        );
     }
 
     #[test]
@@ -384,24 +361,6 @@ mod tests {
             assert!(faults.contains(&TransitionFault::slow_to_rise(net)));
             assert!(faults.contains(&TransitionFault::slow_to_fall(net)));
         }
-    }
-
-    #[test]
-    fn transition_capture_stuck_at_targets_init_value() {
-        let n = and_with_fanout();
-        let net = n.inputs()[0];
-        let str_f = TransitionFault::slow_to_rise(net);
-        assert!(!str_f.init_value()); // rises from 0
-        assert_eq!(str_f.capture_stuck_at(), Fault::stem_sa0(net));
-        let stf = TransitionFault::slow_to_fall(net);
-        assert!(stf.init_value()); // falls from 1
-        assert_eq!(stf.capture_stuck_at(), Fault::stem_sa1(net));
-        assert_eq!(str_f.describe(&n), "a slow-to-rise");
-        assert_eq!(stf.describe(&n), "a slow-to-fall");
-        // The initialization target is the opposite stuck polarity: its
-        // test excites the net to the transition's departure value.
-        assert_eq!(str_f.initialization_stuck_at(), Fault::stem_sa1(net));
-        assert_eq!(stf.initialization_stuck_at(), Fault::stem_sa0(net));
     }
 
     #[test]

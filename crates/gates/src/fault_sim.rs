@@ -231,23 +231,10 @@ impl FaultSimConfig {
     }
 }
 
-/// Per-worker accounting for one [`FaultSimulator::simulate`] run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ThreadStats {
-    /// Fault batches of the initial packing this worker graded.
-    pub batches: u64,
-    /// Netlist cycles this worker clocked.
-    pub cycles: u64,
-    /// Gate-evaluation events this worker performed.
-    pub events: u64,
-    /// Wall-clock time this worker spent grading batches.
-    pub busy: Duration,
-}
-
 /// Instrumentation from one [`FaultSimulator::simulate`] run: how much
-/// simulation happened, how much `drop_on_detect` saved, and how evenly
-/// the work spread over the pool.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// simulation happened and how much `drop_on_detect` saved. Independent
+/// of the thread count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Fault batches of the initial packing (up to
     /// [`SimEngine::faults_per_pass`] faults each, plus the reference
@@ -292,11 +279,26 @@ pub struct SimStats {
     /// (`batches × `[`SimEngine::faults_per_pass`]); the gap to
     /// `lane_slots_filled` is the final partial batch's padding.
     pub lane_slots_total: u64,
-    /// One entry per worker thread, in worker order.
-    pub per_thread: Vec<ThreadStats>,
 }
 
 impl SimStats {
+    /// Field-wise accumulation of another run's counters (e.g. every row of
+    /// a table). The tape shape (`tape_len`, `chains_collapsed`) sums too,
+    /// so a second run over the *same* tape should pass those as 0.
+    pub fn accumulate(&mut self, other: &SimStats) {
+        self.batches += other.batches;
+        self.cycles_simulated += other.cycles_simulated;
+        self.cycles_scheduled += other.cycles_scheduled;
+        self.live_lane_cycles += other.live_lane_cycles;
+        self.events_simulated += other.events_simulated;
+        self.events_full_eval += other.events_full_eval;
+        self.tape_len += other.tape_len;
+        self.chains_collapsed += other.chains_collapsed;
+        self.tape_compilations += other.tape_compilations;
+        self.lane_slots_filled += other.lane_slots_filled;
+        self.lane_slots_total += other.lane_slots_total;
+    }
+
     /// Cycles skipped by `drop_on_detect` (batches stopped early or
     /// emptied by a repack).
     pub fn cycles_dropped(&self) -> u64 {
@@ -325,22 +327,6 @@ impl SimStats {
             self.lane_slots_filled as f64 / self.lane_slots_total as f64
         }
     }
-
-    /// Per-thread utilization relative to the run's wall-clock time
-    /// (`busy / wall`), in `0.0..=1.0` per worker.
-    pub fn utilization(&self, wall_time: Duration) -> Vec<f64> {
-        let wall = wall_time.as_secs_f64();
-        self.per_thread
-            .iter()
-            .map(|t| {
-                if wall > 0.0 {
-                    (t.busy.as_secs_f64() / wall).min(1.0)
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
 }
 
 /// Result of a fault simulation run.
@@ -359,7 +345,7 @@ pub struct FaultSimResult {
     pub engine: SimEngine,
     /// Wall-clock time of the run.
     pub wall_time: Duration,
-    /// Simulation-volume and thread-utilization instrumentation.
+    /// Simulation-volume instrumentation.
     pub stats: SimStats,
 }
 
@@ -380,11 +366,6 @@ impl FaultSimResult {
             .filter(|(_, d)| !**d)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Per-thread utilization (`busy / wall_time`) for this run.
-    pub fn thread_utilization(&self) -> Vec<f64> {
-        self.stats.utilization(self.wall_time)
     }
 }
 
@@ -732,28 +713,18 @@ impl<'a> FaultSimulator<'a> {
                 CompiledTape::compile(self.netlist)
             })
         });
-        let (graded, per_thread) = fan_out(
+        let (graded, workers) = fan_out(
             &groups,
             resolve_threads(self.config.threads),
-            ThreadStats::default,
-            |worker, group| {
-                let busy_start = Instant::now();
-                let outcome = match tape {
-                    Some(tape) => self.run_group(
-                        || TapeSimulator::<_, MAX_LANE_WORDS>::new(tape),
-                        faults,
-                        group,
-                        stimulus,
-                    ),
-                    None => {
-                        self.run_group(|| Simulator::new(self.netlist), faults, group, stimulus)
-                    }
-                };
-                worker.batches += group.len() as u64;
-                worker.cycles += outcome.cycles;
-                worker.events += outcome.events;
-                worker.busy += busy_start.elapsed();
-                outcome
+            || (),
+            |_, group| match tape {
+                Some(tape) => self.run_group(
+                    || TapeSimulator::<_, MAX_LANE_WORDS>::new(tape),
+                    faults,
+                    group,
+                    stimulus,
+                ),
+                None => self.run_group(|| Simulator::new(self.netlist), faults, group, stimulus),
             },
         );
 
@@ -761,7 +732,10 @@ impl<'a> FaultSimulator<'a> {
         // them, so concatenating them is the deterministic merge.
         let mut detecting_cycle = Vec::with_capacity(faults.len());
         let mut fault_free_responses = Vec::new();
+        let (mut cycles_simulated, mut events_simulated) = (0u64, 0u64);
         for outcome in graded {
+            cycles_simulated += outcome.cycles;
+            events_simulated += outcome.events;
             detecting_cycle.extend(outcome.detecting_cycle);
             if let Some(responses) = outcome.reference {
                 fault_free_responses = responses;
@@ -772,7 +746,6 @@ impl<'a> FaultSimulator<'a> {
             .iter()
             .map(|cycle| cycle.map_or(stimulus.len() as u64, |c| u64::from(c) + 1))
             .sum();
-        let cycles_simulated: u64 = per_thread.iter().map(|t| t.cycles).sum();
         let (tape_len, chains_collapsed) = tape.map_or((0, 0), |tape| {
             (tape.tape_len() as u64, tape.chains_collapsed() as u64)
         });
@@ -780,7 +753,7 @@ impl<'a> FaultSimulator<'a> {
             detected: detecting_cycle.iter().map(Option::is_some).collect(),
             detecting_cycle,
             fault_free_responses,
-            threads_used: per_thread.len(),
+            threads_used: workers.len(),
             engine,
             wall_time: start.elapsed(),
             stats: SimStats {
@@ -788,14 +761,13 @@ impl<'a> FaultSimulator<'a> {
                 cycles_simulated,
                 cycles_scheduled: batches.len() as u64 * stimulus.len() as u64,
                 live_lane_cycles,
-                events_simulated: per_thread.iter().map(|t| t.events).sum(),
+                events_simulated,
                 events_full_eval: cycles_simulated * self.netlist.comb_order().len() as u64,
                 tape_len,
                 chains_collapsed,
                 tape_compilations,
                 lane_slots_filled: faults.len() as u64,
                 lane_slots_total: batches.len() as u64 * engine.faults_per_pass() as u64,
-                per_thread,
             },
         }
     }
@@ -1335,7 +1307,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_stats_account_for_cycles_and_threads() {
+    fn sim_stats_account_for_cycles_and_events() {
         let n = and2_netlist();
         let faults = n.collapsed_faults();
         let stim = exhaustive2();
@@ -1358,10 +1330,6 @@ mod tests {
             res.stats.cycles_simulated * n.comb_order().len() as u64
         );
         assert_eq!(res.stats.events_simulated, res.stats.events_full_eval);
-        assert_eq!(res.stats.per_thread.len(), res.threads_used);
-        let per_thread_total: u64 = res.stats.per_thread.iter().map(|t| t.batches).sum();
-        assert_eq!(per_thread_total, batches);
-        assert_eq!(res.thread_utilization().len(), res.threads_used);
     }
 
     #[test]

@@ -64,8 +64,7 @@ pub use fault::{
     TransitionFault,
 };
 pub use fault_sim::{
-    FaultSimConfig, FaultSimResult, FaultSimulator, SimEngine, SimStats, Stimulus, ThreadStats,
-    FAULTS_PER_BATCH,
+    FaultSimConfig, FaultSimResult, FaultSimulator, SimEngine, SimStats, Stimulus, FAULTS_PER_BATCH,
 };
 pub use gate::{Gate, GateId, GateKind};
 pub use net::{Bus, NetId};

@@ -10,20 +10,16 @@
 //!
 //! [`AtpgStats::podem_discarded`]: super::AtpgStats::podem_discarded
 
-use sbst_gates::{FaultSimulator, Stimulus};
+use sbst_gates::{Fault, FaultSimulator, Stimulus};
 
-use super::search::{Scratch, SearchOutcome, SearchResult, Searcher};
-use super::{AtpgFault, AtpgOutcome, AtpgResult};
+use super::search::{SearchOutcome, SearchResult};
+use super::{AtpgOutcome, AtpgResult};
 
 /// Applies one round's `results` (parallel to `round`, indices into
-/// `faults`) to `run`. A fault model that needs an initialization pattern
-/// gets it searched here, on `scratch`, in canonical order — the search is
-/// charged to worker 0.
-pub(crate) fn apply_round<F: AtpgFault>(
+/// `faults`) to `run`.
+pub(crate) fn apply_round(
     sim: &FaultSimulator<'_>,
-    searcher: &Searcher<'_>,
-    scratch: &mut Scratch,
-    faults: &[F],
+    faults: &[Fault],
     round: &[usize],
     results: Vec<SearchResult>,
     run: &mut AtpgResult,
@@ -40,35 +36,14 @@ pub(crate) fn apply_round<F: AtpgFault>(
         run.stats.podem_backtracks += result.backtracks;
         match result.outcome {
             SearchOutcome::Test(pattern) => {
-                let mut sequence = Vec::with_capacity(2);
-                if let Some(init) = faults[target].initialization_target() {
-                    let init_res = searcher.search(&init, scratch);
-                    run.thread_stats[0].searches += 1;
-                    run.thread_stats[0].backtracks += init_res.backtracks;
-                    run.stats.podem_backtracks += init_res.backtracks;
-                    match init_res.outcome {
-                        SearchOutcome::Test(init_pattern) => sequence.push(init_pattern),
-                        SearchOutcome::Redundant | SearchOutcome::Aborted => {
-                            // The capture half is testable, so the fault is
-                            // not provably redundant — only the
-                            // (conservative) initialization search gave up.
-                            run.outcomes[target] = AtpgOutcome::Aborted;
-                            run.stats.aborted += 1;
-                            continue;
-                        }
-                    }
-                }
-                sequence.push(pattern);
-                // Drop other remaining faults detected by this sequence.
+                // Drop other remaining faults detected by this pattern.
                 let remaining: Vec<usize> = (0..faults.len())
                     .filter(|&i| !run.outcomes[i].is_detected())
                     .collect();
-                let remaining_faults: Vec<F> = remaining.iter().map(|&i| faults[i]).collect();
+                let remaining_faults: Vec<Fault> = remaining.iter().map(|&i| faults[i]).collect();
                 let mut stim = Stimulus::new();
-                for p in &sequence {
-                    stim.push_pattern(p);
-                }
-                let res = F::grade(sim, &remaining_faults, &stim);
+                stim.push_pattern(&pattern);
+                let res = sim.simulate(&remaining_faults, &stim);
                 run.drop_sim_tape_compilations += res.stats.tape_compilations;
                 for (k, &i) in remaining.iter().enumerate() {
                     if res.detected[k] {
@@ -79,7 +54,7 @@ pub(crate) fn apply_round<F: AtpgFault>(
                     run.outcomes[target].is_detected(),
                     "a PODEM test must detect its target"
                 );
-                run.patterns.extend(sequence);
+                run.patterns.push(pattern);
                 run.stats.podem_tests += 1;
             }
             SearchOutcome::Redundant => {

@@ -36,10 +36,6 @@
 //! and outcome multisets / kept-pattern sets are invariant under
 //! **permutations of the fault list**.
 //!
-//! Stuck-at ([`Atpg::run`]) and transition-delay ([`Atpg::run_transition`])
-//! ATPG share this one driver; what differs by fault model is the small
-//! `AtpgFault` hook.
-//!
 //! # The per-function campaign
 //!
 //! A deterministic routine cannot apply an arbitrary input vector: the
@@ -53,13 +49,12 @@ mod merge;
 mod search;
 
 use std::collections::HashMap;
-use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
 
 use sbst_components::Component;
 use sbst_gates::{
-    fan_out, resolve_threads, Fault, FaultSimConfig, FaultSimResult, FaultSimulator, NetId,
-    Netlist, SimEngine, Stimulus, TransitionFault, T3,
+    fan_out, resolve_threads, Fault, FaultSimConfig, FaultSimulator, NetId, Netlist, SimEngine,
+    Stimulus, T3,
 };
 
 use rand::rngs::StdRng;
@@ -327,64 +322,6 @@ pub(crate) fn fault_stream_seed(rng_seed: u64, fault: &Fault) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What the ATPG driver needs from a fault model. The random phase, the
-/// canonical order, the search rounds and the reducer are shared; only
-/// these steps differ between stuck-at and transition-delay faults.
-pub(crate) trait AtpgFault: Copy + Sync {
-    /// The stuck-at fault whose PODEM test detects this fault. For a
-    /// transition fault this is the capture test: if it is redundant, no
-    /// pattern excites and propagates the stem at its initialization
-    /// value, so no pattern pair exists either.
-    fn podem_target(&self) -> Fault;
-    /// A stuck-at fault whose PODEM test must be applied just before the
-    /// [`AtpgFault::podem_target`] test, if the model needs one.
-    fn initialization_target(&self) -> Option<Fault>;
-    /// Grades `faults` against `stimulus` under this model.
-    fn grade(sim: &FaultSimulator<'_>, faults: &[Self], stimulus: &Stimulus) -> FaultSimResult;
-    /// The random-phase cycles to keep for a fault first detected on
-    /// `cycle`.
-    fn kept_cycles(cycle: u32) -> RangeInclusive<u32>;
-}
-
-impl AtpgFault for Fault {
-    fn podem_target(&self) -> Fault {
-        *self
-    }
-
-    fn initialization_target(&self) -> Option<Fault> {
-        None
-    }
-
-    fn grade(sim: &FaultSimulator<'_>, faults: &[Self], stimulus: &Stimulus) -> FaultSimResult {
-        sim.simulate(faults, stimulus)
-    }
-
-    fn kept_cycles(cycle: u32) -> RangeInclusive<u32> {
-        cycle..=cycle
-    }
-}
-
-impl AtpgFault for TransitionFault {
-    fn podem_target(&self) -> Fault {
-        self.capture_stuck_at()
-    }
-
-    fn initialization_target(&self) -> Option<Fault> {
-        Some(self.initialization_stuck_at())
-    }
-
-    fn grade(sim: &FaultSimulator<'_>, faults: &[Self], stimulus: &Stimulus) -> FaultSimResult {
-        sim.simulate_transition(faults, stimulus)
-    }
-
-    /// The detecting pair `{c-1, c}`. Cycle 0 can never detect (nothing is
-    /// armed yet), so `c-1` is always valid.
-    fn kept_cycles(cycle: u32) -> RangeInclusive<u32> {
-        debug_assert!(cycle > 0, "an unprimed first cycle cannot capture");
-        cycle - 1..=cycle
-    }
-}
-
 /// PODEM automatic test pattern generator over a combinational netlist.
 ///
 /// # Example
@@ -463,46 +400,6 @@ impl<'a> Atpg<'a> {
 
     /// Runs the random phase followed by PODEM on the remaining faults.
     pub fn run(&self, faults: &[Fault]) -> AtpgResult {
-        self.drive(faults)
-    }
-
-    /// Runs two-pattern (launch/capture) ATPG for gross transition-delay
-    /// faults.
-    ///
-    /// The random phase generates one random *sequence*; consecutive
-    /// patterns form launch/capture pairs for free, and the sequence is
-    /// graded in one [`FaultSimulator::simulate_transition`] call with
-    /// fault dropping. Compaction keeps, for each first-detecting cycle
-    /// `c`, the pair `{c-1, c}`: the kept cycles are consecutive integers,
-    /// so sorting the deduplicated union preserves every detecting pair's
-    /// adjacency, and on a combinational CUT arming depends only on the
-    /// immediately preceding pattern — the compacted sequence provably
-    /// detects every random-detected fault.
-    ///
-    /// The deterministic phase reuses the stuck-at PODEM machinery
-    /// initialize-then-excite style: the *capture* pattern is a PODEM test
-    /// for [`TransitionFault::capture_stuck_at`] (stem stuck at the
-    /// initialization value) searched in the same speculative parallel
-    /// rounds as [`Atpg::run`]; for each accepted capture test the
-    /// *initialization* pattern is a PODEM test for
-    /// [`TransitionFault::initialization_stuck_at`], whose excitation
-    /// drives the net to the initialization value. The pair is appended
-    /// initialization-first and drop-simulated against the remaining
-    /// faults. A redundant capture search proves the transition fault
-    /// untestable; a failed initialization search is conservatively
-    /// reported [`AtpgOutcome::Aborted`].
-    ///
-    /// The returned [`AtpgResult::patterns`] is an ordered *sequence*
-    /// (grade it with [`FaultSimulator::simulate_transition`] over
-    /// [`AtpgResult::stimulus`]); results are bit-identical for any thread
-    /// count and invariant under permutations of the fault list, exactly
-    /// as for [`Atpg::run`].
-    pub fn run_transition(&self, faults: &[TransitionFault]) -> AtpgResult {
-        self.drive(faults)
-    }
-
-    /// The ATPG driver behind [`Atpg::run`] and [`Atpg::run_transition`].
-    fn drive<F: AtpgFault>(&self, faults: &[F]) -> AtpgResult {
         let mut rng = StdRng::seed_from_u64(self.config.rng_seed);
         let n_inputs = self.netlist.inputs().len();
         let threads = resolve_threads(self.config.podem_threads);
@@ -537,14 +434,9 @@ impl<'a> Atpg<'a> {
                 stim.push_pattern(&p);
                 random_set.push(p);
             }
-            let res = F::grade(&sim, faults, &stim);
+            let res = sim.simulate(faults, &stim);
             // Keep only the patterns that first detected some fault.
-            let mut keep: Vec<u32> = res
-                .detecting_cycle
-                .iter()
-                .flatten()
-                .flat_map(|&cycle| F::kept_cycles(cycle))
-                .collect();
+            let mut keep: Vec<u32> = res.detecting_cycle.iter().flatten().copied().collect();
             keep.sort_unstable();
             keep.dedup();
             for &cycle in &keep {
@@ -568,18 +460,14 @@ impl<'a> Atpg<'a> {
             self.config.backtrack_limit,
             self.config.rng_seed,
         );
-        let targets: Vec<Fault> = faults.iter().map(F::podem_target).collect();
         // Canonical target order: intrinsic to the fault sites, so the
         // reduction (and every stat it produces) is invariant under
-        // permutations of the caller's fault list. The target key is
-        // injective over transition faults too (same net, opposite
-        // polarities map to opposite stuck values).
+        // permutations of the caller's fault list.
         let mut order: Vec<usize> = (0..faults.len())
             .filter(|&i| !run.outcomes[i].is_detected())
             .collect();
-        order.sort_by_key(|&i| (fault_key(&targets[i]), i));
+        order.sort_by_key(|&i| (fault_key(&faults[i]), i));
 
-        let mut init_scratch = Scratch::default();
         let mut cursor = 0usize;
         while cursor < order.len() {
             let mut round: Vec<usize> = Vec::with_capacity(ROUND_TARGETS);
@@ -599,7 +487,7 @@ impl<'a> Atpg<'a> {
                 <(Scratch, AtpgThreadStats)>::default,
                 |(scratch, local), &target| {
                     let busy_start = Instant::now();
-                    let res = searcher.search(&targets[target], scratch);
+                    let res = searcher.search(&faults[target], scratch);
                     local.searches += 1;
                     local.backtracks += res.backtracks;
                     local.busy += busy_start.elapsed();
@@ -609,15 +497,7 @@ impl<'a> Atpg<'a> {
             for (acc, (_, local)) in run.thread_stats.iter_mut().zip(&workers) {
                 acc.accumulate(local);
             }
-            merge::apply_round(
-                &sim,
-                &searcher,
-                &mut init_scratch,
-                faults,
-                &round,
-                results,
-                &mut run,
-            );
+            merge::apply_round(&sim, faults, &round, results, &mut run);
         }
         run.podem_wall_time = podem_start.elapsed();
         run

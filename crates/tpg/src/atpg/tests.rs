@@ -123,24 +123,47 @@ fn patterns_are_compacted() {
 fn stats_reconcile_with_outcomes() {
     let n = full_adder_netlist();
     let faults = n.collapsed_faults();
-    let res = Atpg::new(&n).run(&faults);
-    let s = res.stats;
-    assert_eq!(s.random_patterns_tried, 256);
-    assert!(s.random_patterns_kept <= s.random_patterns_tried);
-    assert_eq!(
-        s.detected_by_random,
-        res.outcomes
-            .iter()
-            .filter(|o| **o == AtpgOutcome::DetectedByRandom)
-            .count() as u64
-    );
-    // Every PODEM candidate was either applied by the reducer or discarded
-    // because a pattern accepted earlier in its round covered it.
-    assert_eq!(
-        s.podem_targets + s.podem_discarded,
-        faults.len() as u64 - s.detected_by_random
-    );
-    assert_eq!(s.podem_targets, s.podem_tests + s.redundant + s.aborted);
+    // The full random phase leaves PODEM little to do; two random patterns
+    // leave it several tests, searched on one worker and on three.
+    for (random_patterns, threads) in [(256, 1), (2, 1), (2, 3)] {
+        let res = Atpg::new(&n)
+            .with_config(AtpgConfig {
+                random_patterns,
+                podem_threads: Some(threads),
+                ..AtpgConfig::default()
+            })
+            .run(&faults);
+        let s = res.stats;
+        assert_eq!(s.random_patterns_tried, random_patterns as u64);
+        assert!(s.random_patterns_kept <= s.random_patterns_tried);
+        assert_eq!(
+            s.detected_by_random,
+            res.outcomes
+                .iter()
+                .filter(|o| **o == AtpgOutcome::DetectedByRandom)
+                .count() as u64
+        );
+        // Every PODEM candidate was either applied by the reducer or
+        // discarded because a pattern accepted earlier in its round
+        // covered it.
+        assert_eq!(
+            s.podem_targets + s.podem_discarded,
+            faults.len() as u64 - s.detected_by_random
+        );
+        assert_eq!(s.podem_targets, s.podem_tests + s.redundant + s.aborted);
+        // One kept pattern per first-detecting random cycle and one per
+        // accepted PODEM test.
+        assert_eq!(
+            res.patterns.len() as u64,
+            s.random_patterns_kept + s.podem_tests
+        );
+        // Every search a worker ran was either applied or discarded.
+        let searches: u64 = res.thread_stats.iter().map(|t| t.searches).sum();
+        assert_eq!(searches, s.podem_targets + s.podem_discarded);
+        if random_patterns == 2 {
+            assert!(s.podem_tests > 0, "PODEM must generate tests");
+        }
+    }
 }
 
 #[test]
@@ -272,121 +295,6 @@ fn fault_stream_seeds_are_distinct_per_fault() {
     let before = seeds.len();
     seeds.dedup();
     assert_eq!(seeds.len(), before, "per-fault streams must not collide");
-}
-
-#[test]
-fn transition_atpg_covers_the_full_adder() {
-    let n = full_adder_netlist();
-    let faults = sbst_gates::enumerate_transition_faults(&n);
-    let res = Atpg::new(&n).run_transition(&faults);
-    assert!(
-        res.outcomes.iter().all(|o| o.is_detected()),
-        "outcomes: {:?}",
-        res.outcomes
-    );
-    // Re-grading the returned sequence reproduces the claimed coverage.
-    let check = FaultSimulator::new(&n).simulate_transition(&faults, &res.stimulus());
-    assert_eq!(check.coverage().percent(), 100.0);
-}
-
-#[test]
-fn transition_atpg_without_random_phase() {
-    let n = full_adder_netlist();
-    let faults = sbst_gates::enumerate_transition_faults(&n);
-    let res = Atpg::new(&n)
-        .with_config(AtpgConfig {
-            random_patterns: 0,
-            ..AtpgConfig::default()
-        })
-        .run_transition(&faults);
-    assert!(res.outcomes.iter().all(|o| o.is_detected()));
-    // Patterns arrive as initialization/capture pairs.
-    assert_eq!(res.patterns.len() % 2, 0);
-    assert_eq!(res.stats.podem_tests * 2, res.patterns.len() as u64);
-    let check = FaultSimulator::new(&n).simulate_transition(&faults, &res.stimulus());
-    assert_eq!(check.coverage().percent(), 100.0);
-}
-
-#[test]
-fn transition_atpg_marks_redundant_faults() {
-    // y = a & !a is constantly 0: it can never rise, so slow-to-rise on
-    // the output has no capture pattern (output s-a-0 is redundant).
-    let mut b = NetlistBuilder::new("red");
-    let a = b.input("a");
-    let na = b.not(a);
-    let y = b.and2(a, na);
-    b.mark_output(y, "y");
-    let n = b.finish().unwrap();
-    let fault = sbst_gates::TransitionFault::slow_to_rise(n.outputs()[0]);
-    let res = Atpg::new(&n)
-        .with_config(AtpgConfig {
-            random_patterns: 0,
-            ..AtpgConfig::default()
-        })
-        .run_transition(&[fault]);
-    assert_eq!(res.outcomes[0], AtpgOutcome::Redundant);
-}
-
-#[test]
-fn transition_atpg_is_invariant_under_threads_and_permutation() {
-    let n = full_adder_netlist();
-    let faults = sbst_gates::enumerate_transition_faults(&n);
-    let base = Atpg::new(&n).run_transition(&faults);
-    for threads in [2usize, 7] {
-        let res = Atpg::new(&n)
-            .with_config(AtpgConfig {
-                podem_threads: Some(threads),
-                ..AtpgConfig::default()
-            })
-            .run_transition(&faults);
-        assert_eq!(res.patterns, base.patterns, "{threads} threads");
-        assert_eq!(res.outcomes, base.outcomes, "{threads} threads");
-        assert_eq!(res.stats, base.stats, "{threads} threads");
-    }
-    let mut reversed = faults.clone();
-    reversed.reverse();
-    let res = Atpg::new(&n).run_transition(&reversed);
-    assert_eq!(res.patterns, base.patterns);
-    assert_eq!(res.stats, base.stats);
-    for (f, o) in reversed.iter().zip(&res.outcomes) {
-        let orig = faults.iter().position(|g| g == f).unwrap();
-        assert_eq!(*o, base.outcomes[orig]);
-    }
-}
-
-#[test]
-fn transition_atpg_honours_constraints() {
-    // With `a` pinned to 0, the AND output is stuck at 0 functionally:
-    // no transition on the output is ever excitable.
-    let mut b = NetlistBuilder::new("c");
-    let a = b.input("a");
-    let x = b.input("x");
-    let y = b.and2(a, x);
-    b.mark_output(y, "y");
-    let n = b.finish().unwrap();
-    let a_net = n.inputs()[0];
-    let fault = sbst_gates::TransitionFault::slow_to_rise(n.outputs()[0]);
-    let unconstrained = Atpg::new(&n)
-        .with_config(AtpgConfig {
-            random_patterns: 0,
-            ..AtpgConfig::default()
-        })
-        .run_transition(&[fault]);
-    assert!(unconstrained.outcomes[0].is_detected());
-    let constrained = Atpg::new(&n)
-        .with_constraints(&[InputConstraint {
-            net: a_net,
-            value: false,
-        }])
-        .with_config(AtpgConfig {
-            random_patterns: 0,
-            ..AtpgConfig::default()
-        })
-        .run_transition(&[fault]);
-    assert_eq!(constrained.outcomes[0], AtpgOutcome::Redundant);
-    for p in &constrained.patterns {
-        assert!(!p[0]);
-    }
 }
 
 #[test]
