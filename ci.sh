@@ -60,9 +60,9 @@ echo "== validate all three reports =="
 for report in BENCH_table1.json BENCH_table1_serial.json BENCH_table1_td.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require table1 --require execution_time
-  # Reports must carry the current schema (11: grading's cycles_simulated and live_lane_cycles in table1 reports).
-  if [ "$(jq '.schema_version' "$report")" != "11" ]; then
-    echo "error: $report schema_version is not 11" >&2
+  # Reports must carry the current schema (12: table1's fault_sim object has no tape-shape keys).
+  if [ "$(jq '.schema_version' "$report")" != "12" ]; then
+    echo "error: $report schema_version is not 12" >&2
     exit 1
   fi
 done
@@ -169,8 +169,8 @@ cargo run --release -p sbst-bench --bin atpg_speed -- --smoke --threads 2 \
 for report in BENCH_atpg_speed_serial.json BENCH_atpg_speed.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require components --require atpg
-  if [ "$(jq '.schema_version' "$report")" != "11" ]; then
-    echo "error: $report schema_version is not 11" >&2
+  if [ "$(jq '.schema_version' "$report")" != "12" ]; then
+    echo "error: $report schema_version is not 12" >&2
     exit 1
   fi
 done
@@ -214,8 +214,8 @@ cargo run --release -p sbst-bench --bin online_manager -- --smoke --adversary \
 echo "== validate online_manager red-team report =="
 cargo run --release -p sbst-bench --bin jsonlint -- BENCH_online_manager_adv.json \
   --require tool --require schema_version --require scenarios --require adversary
-if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "11" ]; then
-  echo "error: BENCH_online_manager_adv.json schema_version is not 11" >&2
+if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "12" ]; then
+  echo "error: BENCH_online_manager_adv.json schema_version is not 12" >&2
   exit 1
 fi
 # The red-team SLO: attacks were actually mounted, every one was
@@ -245,8 +245,8 @@ for report in BENCH_fleet.json BENCH_fleet_serial.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require characterizations \
     --require throughput --require aggregate --require workers_detail
-  if [ "$(jq '.schema_version' "$report")" != "11" ]; then
-    echo "error: $report schema_version is not 11" >&2
+  if [ "$(jq '.schema_version' "$report")" != "12" ]; then
+    echo "error: $report schema_version is not 12" >&2
     exit 1
   fi
   if [ "$(jq '.characterizations' "$report")" != "1" ]; then
@@ -309,6 +309,20 @@ if [ "$(jq -s '[.[] | select(.type == "node") | .quarantined[]] | index("Paralle
   exit 1
 fi
 
+echo "== fleet telemetry sink failure: a typed error and exit 1, not a panic =="
+# /dev/full fails every write: the run must finish, print the error and
+# exit 1 (a panic would exit 101).
+set +e
+fleet_err="$(cargo run --release --quiet -p sbst-bench --bin fleet -- --smoke --nodes 50 \
+  --ndjson /dev/full 2>&1 >/dev/null)"
+fleet_status=$?
+set -e
+if [ "$fleet_status" != "1" ] || ! grep -q "^error: telemetry stream" <<<"$fleet_err"; then
+  echo "error: fleet with a failing telemetry sink exited $fleet_status:" >&2
+  echo "$fleet_err" >&2
+  exit 1
+fi
+
 echo "== fleet red-team smoke: adversarial population, keyed store (exit gates tamper SLO) =="
 # The binary itself exits nonzero unless every injected store attack is
 # detected with zero false alarms; the asserts below additionally pin the
@@ -322,8 +336,8 @@ cargo run --release -p sbst-bench --bin jsonlint -- BENCH_fleet_adv.json \
   --require tool --require schema_version --require adversary --require aggregate
 cargo run --release -p sbst-bench --bin jsonlint -- target/fleet_adv_telemetry.ndjson \
   --ndjson --require type --require node
-if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "11" ]; then
-  echo "error: BENCH_fleet_adv.json schema_version is not 11" >&2
+if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "12" ]; then
+  echo "error: BENCH_fleet_adv.json schema_version is not 12" >&2
   exit 1
 fi
 if [ "$(jq '.aggregate.attacks_injected > 0

@@ -18,8 +18,8 @@
 //!    collapsing (quality is unchanged by construction; the win is volume).
 //! 6. **Simulation engine**: the full-eval reference vs the compiled tape
 //!    on the same stimulus — identical coverage; the compiled engine saves
-//!    wall time by folding fanout-free chains and packing 255 faults per
-//!    pass.
+//!    wall time with flat precomputed-operand entries that check no fault
+//!    flag on unfaulted gates, and by packing 255 faults per pass.
 //! 7. **Fault model**: single stuck-at vs gross transition-delay on the
 //!    same stimulus — two-pattern launch/capture detection needs pattern
 //!    *pairs*, so transition coverage trails stuck-at coverage; both
@@ -257,11 +257,6 @@ fn main() {
             (
                 "events_full_eval",
                 JsonValue::from(res.stats.events_full_eval),
-            ),
-            ("tape_len", JsonValue::from(res.stats.tape_len)),
-            (
-                "chains_collapsed",
-                JsonValue::from(res.stats.chains_collapsed),
             ),
         ]));
     }

@@ -25,8 +25,10 @@
 //! tree in the `--json` report and the sorted telemetry records are
 //! bit-identical for any worker count under a fixed seed (ci.sh diffs
 //! them across worker counts), and the binary exits nonzero if the
-//! characterize-once invariant or session conservation is violated. `--workers` falls back to available
-//! parallelism; `--seed` accepts any 64-bit integer, 0 included.
+//! characterize-once invariant or session conservation is violated, or if
+//! writing the `--ndjson` stream fails (the run itself completes).
+//! `--workers` falls back to available parallelism; `--seed` accepts any
+//! 64-bit integer, 0 included.
 //!
 //! `replayed_attempts` (the run total, and per worker in
 //! `workers_detail`) counts fault-free routine runs answered from the
@@ -262,4 +264,8 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("fleet: all invariants hold");
+    if let (Some(e), Some(path)) = (&run.telemetry_error, &ndjson_path) {
+        eprintln!("error: telemetry stream {path} stopped: {e}");
+        std::process::exit(1);
+    }
 }

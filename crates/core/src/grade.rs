@@ -141,13 +141,8 @@ pub(crate) fn grade_stimulus(cut: &Cut, stimulus: &Stimulus, sim: FaultSimConfig
     let simulator = FaultSimulator::with_config(netlist, sim);
     let result = simulator.simulate(&netlist.collapsed_faults(), stimulus);
     let transition = simulator.simulate_transition(&transition_faults, stimulus);
-    // Both runs share one tape: its shape counts once.
     let mut sim_stats = result.stats;
-    sim_stats.accumulate(&SimStats {
-        tape_len: 0,
-        chains_collapsed: 0,
-        ..transition.stats
-    });
+    sim_stats.accumulate(&transition.stats);
     TraceGrade {
         coverage: result.coverage(),
         transition_coverage: transition.coverage(),

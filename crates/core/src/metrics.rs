@@ -85,7 +85,10 @@ use crate::json::JsonValue;
 /// keep describing the initial packing. Within schema 11 the volume
 /// counters (`events_full_eval`, `cycles_simulated`, `live_lane_cycles`,
 /// `lane_slots_*`) grew to cover both fault models' grading runs.
-pub const SCHEMA_VERSION: u32 = 11;
+/// 12 — the compiled tape has one entry per gate: Table 1's `fault_sim`
+/// object and the `ablations` engine rows drop `tape_len` and
+/// `chains_collapsed`.
+pub const SCHEMA_VERSION: u32 = 12;
 
 /// A machine-readable run report: a named, schema-versioned JSON document
 /// that every bench binary writes behind its `--json <path>` flag.

@@ -387,8 +387,6 @@ impl Table1 {
                     ("events_full_eval", JsonValue::from(sim.events_full_eval)),
                     ("cycles_simulated", JsonValue::from(sim.cycles_simulated)),
                     ("live_lane_cycles", JsonValue::from(sim.live_lane_cycles)),
-                    ("tape_len", JsonValue::from(sim.tape_len)),
-                    ("chains_collapsed", JsonValue::from(sim.chains_collapsed)),
                     ("lane_slots_filled", JsonValue::from(sim.lane_slots_filled)),
                     ("lane_slots_total", JsonValue::from(sim.lane_slots_total)),
                     ("lane_occupancy", JsonValue::Float(self.lane_occupancy())),
@@ -734,12 +732,10 @@ impl fmt::Display for Table1 {
             self.grading_wall_time.as_secs_f64(),
             self.engine.name(),
         )?;
-        if self.sim_stats.tape_len > 0 {
+        if self.sim_stats.lane_slots_total > 0 {
             writeln!(
                 f,
-                "Compiled tape: {} entries ({} chained gates folded) · {:.1}% lane occupancy",
-                self.sim_stats.tape_len,
-                self.sim_stats.chains_collapsed,
+                "Fault lanes: {:.1}% occupied by the initial packing",
                 self.lane_occupancy() * 100.0,
             )?;
         }

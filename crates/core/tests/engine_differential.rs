@@ -38,15 +38,7 @@ fn component_suite_coverage_is_bit_identical_across_engines() {
         full.overall_transition_coverage,
         compiled.overall_transition_coverage
     );
-    // The compiled tape folds a measurable share of gates into chains and
-    // reports its instrumentation; the full-eval reference reports none.
-    assert!(compiled.sim_stats.tape_len > 0);
-    assert!(
-        compiled.sim_stats.chains_collapsed > 0,
-        "no chains collapsed"
-    );
     assert!(compiled.lane_occupancy() > 0.0 && compiled.lane_occupancy() <= 1.0);
-    assert_eq!(full.sim_stats.tape_len, 0);
 }
 
 /// The engine × thread-count matrix over the smoke suite:
@@ -191,5 +183,4 @@ fn trace_grading_agrees_per_component() {
         stats_compiled.batches * per_pass
     );
     assert!(stats_compiled.lane_slots_total - stats_compiled.lane_slots_filled < 2 * per_pass);
-    assert!(stats_compiled.tape_len > 0);
 }

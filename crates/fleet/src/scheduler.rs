@@ -7,7 +7,7 @@
 //! returns outcomes in node-index order, making the aggregate (and the
 //! per-node event logs) bit-identical for any worker count.
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 use sbst_core::{JsonValue, NdjsonWriter};
@@ -64,7 +64,8 @@ pub struct WorkerStats {
     pub sessions: u64,
     /// Nodes this worker finalized.
     pub nodes_finalized: u64,
-    /// Telemetry lines this worker produced.
+    /// Telemetry lines this worker handed to the sink (none after a
+    /// telemetry I/O error).
     pub telemetry_lines: u64,
     /// Fault-free routine runs this worker's nodes replayed from the shared
     /// schedule instead of executing.
@@ -86,6 +87,16 @@ pub struct FleetRun {
     pub telemetry_lines: u64,
     /// Telemetry flushes performed by the shared writer.
     pub telemetry_flushes: u64,
+    /// The first telemetry I/O error; the stream stops there, and the
+    /// run goes on without it.
+    pub telemetry_error: Option<io::Error>,
+}
+
+/// The shared telemetry writer and its first I/O error, after which it
+/// takes no more batches.
+struct Telemetry {
+    writer: NdjsonWriter<Box<dyn Write + Send>>,
+    error: Option<io::Error>,
 }
 
 fn session_line(index: u64, sample: &SessionSample) -> String {
@@ -146,11 +157,9 @@ fn node_line(outcome: &NodeOutcome) -> String {
 /// rollup. `telemetry`, when given, receives the NDJSON stream: each
 /// node's session records and then its node record, written as one batch
 /// when the node finishes. The order of the batches depends on
-/// scheduling; record contents do not.
-///
-/// # Panics
-///
-/// Panics on telemetry I/O errors.
+/// scheduling; record contents do not. A telemetry I/O error ends the
+/// stream, not the run: it lands in [`FleetRun::telemetry_error`], and
+/// outcomes and aggregate are those of a run without telemetry.
 pub fn run_fleet(
     config: &FleetConfig,
     characterizer: &Characterizer,
@@ -158,7 +167,12 @@ pub fn run_fleet(
 ) -> FleetRun {
     let artifacts = characterizer.artifacts();
     let target_specs = characterizer.target_specs();
-    let writer = telemetry.map(|sink| Mutex::new(NdjsonWriter::new(sink)));
+    let telemetry = telemetry.map(|sink| {
+        Mutex::new(Telemetry {
+            writer: NdjsonWriter::new(sink),
+            error: None,
+        })
+    });
     let indices: Vec<u64> = (0..config.nodes).collect();
 
     // Each worker keeps its accounting and one telemetry batch buffer it
@@ -182,7 +196,7 @@ pub fn run_fleet(
             loop {
                 let sample = node.run_due_session(config.horizon_cycles);
                 stats.sessions += 1;
-                if writer.is_some() {
+                if telemetry.is_some() {
                     batch.push_str(&session_line(index, &sample));
                     lines += 1;
                 }
@@ -193,15 +207,14 @@ pub fn run_fleet(
             stats.replayed_attempts += node.replayed_attempts();
             let outcome = node.finish();
             stats.nodes_finalized += 1;
-            if let Some(writer) = &writer {
+            if let Some(telemetry) = &telemetry {
                 batch.push_str(&node_line(&outcome));
                 lines += 1;
-                writer
-                    .lock()
-                    .expect("telemetry lock")
-                    .write_batch(batch, lines)
-                    .expect("telemetry sink write");
-                stats.telemetry_lines += lines;
+                let mut telemetry = telemetry.lock().expect("telemetry lock");
+                if telemetry.error.is_none() {
+                    stats.telemetry_lines += lines;
+                    telemetry.error = telemetry.writer.write_batch(batch, lines).err();
+                }
                 batch.clear();
             }
             outcome
@@ -213,13 +226,13 @@ pub fn run_fleet(
         .map(|(worker, (stats, _))| WorkerStats { worker, ..stats })
         .collect();
 
-    let (telemetry_lines, telemetry_flushes) = match writer {
-        Some(writer) => {
-            let mut writer = writer.into_inner().expect("telemetry lock");
-            writer.flush().expect("telemetry sink flush");
-            (writer.lines(), writer.flushes())
+    let (telemetry_lines, telemetry_flushes, telemetry_error) = match telemetry {
+        Some(telemetry) => {
+            let Telemetry { mut writer, error } = telemetry.into_inner().expect("telemetry lock");
+            let error = error.or_else(|| writer.flush().err());
+            (writer.lines(), writer.flushes(), error)
         }
-        None => (0, 0),
+        None => (0, 0, None),
     };
 
     let aggregate = Aggregate::build(&outcomes, &artifacts, config.coverage_slo_percent);
@@ -231,5 +244,63 @@ pub fn run_fleet(
         characterizations: characterizer.characterizations(),
         telemetry_lines,
         telemetry_flushes,
+        telemetry_error,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sbst_core::Cut;
+
+    /// A sink that accepts `room` bytes and then fails every write.
+    struct FailingSink {
+        room: usize,
+    }
+
+    impl Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "sink full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn telemetry_error_ends_the_stream_not_the_run() {
+        let characterizer = Characterizer::new(vec![Cut::alu(32), Cut::shifter(32)]);
+        // Enough nodes that the stream passes the writer's flush threshold
+        // mid-run, so later batches meet the recorded error.
+        let config = FleetConfig {
+            nodes: 200,
+            workers: 2,
+            ..FleetConfig::default()
+        };
+        let quiet = run_fleet(&config, &characterizer, None);
+        let failing = run_fleet(
+            &config,
+            &characterizer,
+            Some(Box::new(FailingSink { room: 10_000 })),
+        );
+        let error = failing.telemetry_error.expect("the sink's error is kept");
+        assert_eq!(error.kind(), io::ErrorKind::StorageFull);
+        assert!(quiet.telemetry_error.is_none());
+        assert_eq!(failing.outcomes, quiet.outcomes);
+        assert_eq!(failing.aggregate, quiet.aggregate);
+        assert_eq!(failing.aggregate.fleet_digest, quiet.aggregate.fleet_digest);
+        // The stream stopped at the failing flush: fewer lines than the
+        // run produced records, and no flush completed.
+        let records = failing.aggregate.sessions + failing.aggregate.nodes;
+        assert!(failing.telemetry_lines > 0 && failing.telemetry_lines < records);
+        assert_eq!(failing.telemetry_flushes, 0);
+        let worker_lines: u64 = failing.workers.iter().map(|w| w.telemetry_lines).sum();
+        assert_eq!(worker_lines, failing.telemetry_lines);
     }
 }

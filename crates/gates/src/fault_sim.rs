@@ -11,9 +11,9 @@
 //!
 //! - [`SimEngine::Compiled`] (the default, the production engine): the
 //!   netlist is compiled once into a flat evaluation tape
-//!   ([`crate::CompiledTape`]) with fanout-free chains collapsed, and each
-//!   pass runs [`crate::MAX_LANE_WORDS`]` × 64 = 256` lanes wide — one
-//!   fault-free reference lane plus up to 255 faulty machines.
+//!   ([`crate::CompiledTape`]) of one entry per gate, and each pass runs
+//!   [`crate::MAX_LANE_WORDS`]` × 64 = 256` lanes wide — one fault-free
+//!   reference lane plus up to 255 faulty machines.
 //! - [`SimEngine::FullEval`] (the reference oracle): a plain
 //!   [`Simulator`] evaluates every combinational gate on every cycle, 64
 //!   lanes wide — one reference plus [`FAULTS_PER_BATCH`] faults per pass.
@@ -149,9 +149,9 @@ fn fault_batches(fault_count: usize, per_batch: usize) -> Vec<Range<usize>> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SimEngine {
     /// Compiled evaluation tape (see [`crate::CompiledTape`]): flat
-    /// instruction stream with precomputed operand indices, fanout-free
-    /// chains collapsed, and 4×`u64` lane blocks grading up to 255 faults
-    /// per pass (the default).
+    /// instruction stream of one entry per gate with precomputed operand
+    /// indices, and 4×`u64` lane blocks grading up to 255 faults per pass
+    /// (the default).
     #[default]
     Compiled,
     /// Evaluate every combinational gate on every cycle with a plain
@@ -256,19 +256,12 @@ pub struct SimStats {
     pub live_lane_cycles: u64,
     /// Gate-evaluation events performed (each event evaluating every lane
     /// of one gate bit-parallel). Both engines evaluate every
-    /// combinational gate on every clocked cycle — the compiled tape counts
-    /// a collapsed chain as one event per folded gate — so this always
-    /// equals [`SimStats::events_full_eval`].
+    /// combinational gate on every clocked cycle, so this always equals
+    /// [`SimStats::events_full_eval`].
     pub events_simulated: u64,
     /// Events a full evaluation of every clocked cycle costs
     /// (`cycles_simulated × combinational gate count`).
     pub events_full_eval: u64,
-    /// Length of the compiled evaluation tape (entries per cycle); 0 under
-    /// the full-eval reference.
-    pub tape_len: u64,
-    /// Gates folded into a predecessor's tape entry by chain collapsing;
-    /// 0 under the full-eval reference.
-    pub chains_collapsed: u64,
     /// Evaluation tapes compiled *during this call*: 1 on a compiled-engine
     /// simulator's first run, 0 afterwards (the tape is cached per
     /// [`FaultSimulator`]) and 0 under the full-eval reference.
@@ -283,8 +276,7 @@ pub struct SimStats {
 
 impl SimStats {
     /// Field-wise accumulation of another run's counters (e.g. every row of
-    /// a table). The tape shape (`tape_len`, `chains_collapsed`) sums too,
-    /// so a second run over the *same* tape should pass those as 0.
+    /// a table).
     pub fn accumulate(&mut self, other: &SimStats) {
         self.batches += other.batches;
         self.cycles_simulated += other.cycles_simulated;
@@ -292,8 +284,6 @@ impl SimStats {
         self.live_lane_cycles += other.live_lane_cycles;
         self.events_simulated += other.events_simulated;
         self.events_full_eval += other.events_full_eval;
-        self.tape_len += other.tape_len;
-        self.chains_collapsed += other.chains_collapsed;
         self.tape_compilations += other.tape_compilations;
         self.lane_slots_filled += other.lane_slots_filled;
         self.lane_slots_total += other.lane_slots_total;
@@ -746,9 +736,6 @@ impl<'a> FaultSimulator<'a> {
             .iter()
             .map(|cycle| cycle.map_or(stimulus.len() as u64, |c| u64::from(c) + 1))
             .sum();
-        let (tape_len, chains_collapsed) = tape.map_or((0, 0), |tape| {
-            (tape.tape_len() as u64, tape.chains_collapsed() as u64)
-        });
         FaultSimResult {
             detected: detecting_cycle.iter().map(Option::is_some).collect(),
             detecting_cycle,
@@ -763,8 +750,6 @@ impl<'a> FaultSimulator<'a> {
                 live_lane_cycles,
                 events_simulated,
                 events_full_eval: cycles_simulated * self.netlist.comb_order().len() as u64,
-                tape_len,
-                chains_collapsed,
                 tape_compilations,
                 lane_slots_filled: faults.len() as u64,
                 lane_slots_total: batches.len() as u64 * engine.faults_per_pass() as u64,
@@ -1141,7 +1126,7 @@ mod tests {
         assert_eq!(full.detected, compiled.detected);
         assert_eq!(full.detecting_cycle, compiled.detecting_cycle);
         assert_eq!(full.fault_free_responses, compiled.fault_free_responses);
-        // Every folded gate counts as one event per cycle: the compiled
+        // Every gate counts as one event per cycle: the compiled
         // engine's event count is exactly the full-eval baseline.
         assert_eq!(
             compiled.stats.events_simulated,
@@ -1212,12 +1197,7 @@ mod tests {
                 (faults.len() as u64).div_ceil(per_pass)
             );
             assert!(compiled.stats.batches < full.stats.batches);
-            // Tape instrumentation is populated and consistent.
-            assert!(compiled.stats.tape_len > 0);
-            assert_eq!(
-                compiled.stats.tape_len + compiled.stats.chains_collapsed,
-                n.comb_order().len() as u64
-            );
+            // Lane instrumentation is populated and consistent.
             assert_eq!(compiled.stats.lane_slots_filled, faults.len() as u64);
             assert_eq!(
                 compiled.stats.lane_slots_total,
@@ -1226,9 +1206,6 @@ mod tests {
             let occ = compiled.stats.lane_occupancy();
             assert!(occ > 0.0 && occ <= 1.0, "occupancy {occ}");
         }
-        // The full-eval reference leaves tape instrumentation at zero.
-        assert_eq!(full.stats.tape_len, 0);
-        assert_eq!(full.stats.chains_collapsed, 0);
         assert_eq!(full.stats.lane_slots_filled, faults.len() as u64);
     }
 

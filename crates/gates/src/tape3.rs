@@ -8,15 +8,11 @@
 //!
 //! [`Tape3`] borrows the design of the wide compiled engine in
 //! [`crate::CompiledTape`]: the levelized netlist compiles **once** into a
-//! flat op list with precomputed operand indices into a shared pool, and
-//! each evaluation replays the ops straight-line. Two deliberate differences
-//! from the 64-lane tape:
-//!
-//! * values are scalar three-valued pairs ([`Dual3`]), not bit-parallel
-//!   words — PODEM works one partial assignment at a time;
-//! * fanout-free chains are **not** collapsed: backtrace and the D-frontier
-//!   scan read chain-interior net values, so every gate output must stay
-//!   observable.
+//! flat list of one op per gate with precomputed operand indices into a
+//! shared pool, and each evaluation replays the ops straight-line. Values
+//! are scalar three-valued pairs ([`Dual3`]), not bit-parallel words —
+//! PODEM works one partial assignment at a time — and every gate output
+//! stays readable, as backtrace and the D-frontier scan need.
 //!
 //! The fault is bound per evaluation to two precomputed hooks (a stem net
 //! and/or the single op owning a faulted pin), so the hot loop never matches
