@@ -27,6 +27,21 @@ echo "== perfbench smoke tests (its own workspace) =="
 # reference outputs; a change that breaks either fails here.
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench atpg_routines at full size: seeds 1, 4 and 7 =="
+# The smoke tests shrink every workload; this runs the real 10-bit ALU and
+# 32-bit shifter campaigns (~1 s per seed). Every repetition must match
+# the traced reference. At seed 4 the shifter's PODEM finds tests, so the
+# search below the root proof is exercised too.
+for seed in 1 4 7; do
+  result="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload atpg_routines --seed "$seed" --seconds 0.5 --trace 0 | tail -n 1)"
+  if [ "$(jq '.correct == true and .failed == 0' <<<"$result")" != "true" ]; then
+    echo "error: perfbench atpg_routines at seed $seed failed its checks:" >&2
+    echo "$result" >&2
+    exit 1
+  fi
+done
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -213,7 +213,10 @@ fn write_float(out: &mut String, v: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string, escaped exactly as
+/// [`JsonValue::to_json`] writes string values and object keys. For
+/// fixed-shape records written straight into a buffer.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -52,7 +52,7 @@ pub use grade::{
     arch_validate, grade_routine, grade_routine_with, grade_trace_models, stimulus_for,
     ArchValidation, GradeError, GradedRoutine, TraceGrade,
 };
-pub use json::{parse_ndjson, JsonValue, NdjsonError, NdjsonWriter};
+pub use json::{parse_ndjson, write_escaped, JsonValue, NdjsonError, NdjsonWriter};
 pub use mac::{siphash24, MacKey, SipHash24};
 pub use metrics::RunReport;
 pub use plan::{

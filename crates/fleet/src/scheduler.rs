@@ -7,10 +7,11 @@
 //! returns outcomes in node-index order, making the aggregate (and the
 //! per-node event logs) bit-identical for any worker count.
 
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
-use sbst_core::{JsonValue, NdjsonWriter};
+use sbst_core::{write_escaped, NdjsonWriter};
 use sbst_gates::fan_out;
 
 use crate::aggregate::Aggregate;
@@ -99,58 +100,56 @@ struct Telemetry {
     error: Option<io::Error>,
 }
 
-fn session_line(index: u64, sample: &SessionSample) -> String {
-    JsonValue::object([
-        ("type", JsonValue::Str("session".to_owned())),
-        ("node", JsonValue::UInt(index)),
-        ("session", JsonValue::UInt(sample.session)),
-        ("due_cycles", JsonValue::UInt(sample.due_cycles)),
-        ("clock_cycles", JsonValue::UInt(sample.clock_cycles)),
-        ("healthy", JsonValue::Bool(sample.healthy)),
-        ("attempts", JsonValue::UInt(sample.attempts)),
-        ("failures", JsonValue::UInt(sample.failures)),
-        ("backoffs", JsonValue::UInt(sample.backoffs)),
-    ])
-    .to_ndjson_line()
+/// Appends one session record to `out` as an NDJSON line. The shape is
+/// fixed, so it is written directly, byte-identical to the same record
+/// built as a [`sbst_core::JsonValue`] object.
+fn push_session_line(out: &mut String, index: u64, sample: &SessionSample) {
+    let _ = writeln!(
+        out,
+        "{{\"type\":\"session\",\"node\":{index},\"session\":{},\"due_cycles\":{},\
+         \"clock_cycles\":{},\"healthy\":{},\"attempts\":{},\"failures\":{},\"backoffs\":{}}}",
+        sample.session,
+        sample.due_cycles,
+        sample.clock_cycles,
+        sample.healthy,
+        sample.attempts,
+        sample.failures,
+        sample.backoffs,
+    );
 }
 
-fn node_line(outcome: &NodeOutcome) -> String {
-    JsonValue::object([
-        ("type", JsonValue::Str("node".to_owned())),
-        ("node", JsonValue::UInt(outcome.index)),
-        (
-            "profile",
-            JsonValue::Str(outcome.profile.kind.name().to_owned()),
-        ),
-        ("sessions", JsonValue::UInt(outcome.sessions)),
-        ("attempts", JsonValue::UInt(outcome.counters.attempts)),
-        ("passes", JsonValue::UInt(outcome.counters.passes)),
-        ("transients", JsonValue::UInt(outcome.counters.transients)),
-        (
-            "attacks_injected",
-            JsonValue::UInt(outcome.attacks_injected),
-        ),
-        (
-            "tampers_detected",
-            JsonValue::UInt(outcome.tampers_detected()),
-        ),
-        (
-            "quarantined",
-            JsonValue::Array(
-                outcome
-                    .quarantined
-                    .iter()
-                    .map(|name| JsonValue::Str(name.clone()))
-                    .collect(),
-            ),
-        ),
-        ("clock_cycles", JsonValue::UInt(outcome.clock_cycles)),
-        (
-            "digest",
-            JsonValue::Str(format!("{:#018x}", outcome.digest)),
-        ),
-    ])
-    .to_ndjson_line()
+/// Appends one node record to `out` as an NDJSON line, written directly
+/// like [`push_session_line`]; the profile and component names go through
+/// the JSON string escaper.
+fn push_node_line(out: &mut String, outcome: &NodeOutcome) {
+    let _ = write!(
+        out,
+        "{{\"type\":\"node\",\"node\":{},\"profile\":",
+        outcome.index
+    );
+    write_escaped(out, outcome.profile.kind.name());
+    let _ = write!(
+        out,
+        ",\"sessions\":{},\"attempts\":{},\"passes\":{},\"transients\":{},\
+         \"attacks_injected\":{},\"tampers_detected\":{},\"quarantined\":[",
+        outcome.sessions,
+        outcome.counters.attempts,
+        outcome.counters.passes,
+        outcome.counters.transients,
+        outcome.attacks_injected,
+        outcome.tampers_detected(),
+    );
+    for (i, name) in outcome.quarantined.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(out, name);
+    }
+    let _ = writeln!(
+        out,
+        "],\"clock_cycles\":{},\"digest\":\"{:#018x}\"}}",
+        outcome.clock_cycles, outcome.digest
+    );
 }
 
 /// Runs the fleet to its virtual horizon and returns the deterministic
@@ -197,7 +196,7 @@ pub fn run_fleet(
                 let sample = node.run_due_session(config.horizon_cycles);
                 stats.sessions += 1;
                 if telemetry.is_some() {
-                    batch.push_str(&session_line(index, &sample));
+                    push_session_line(batch, index, &sample);
                     lines += 1;
                 }
                 if sample.done {
@@ -208,7 +207,7 @@ pub fn run_fleet(
             let outcome = node.finish();
             stats.nodes_finalized += 1;
             if let Some(telemetry) = &telemetry {
-                batch.push_str(&node_line(&outcome));
+                push_node_line(batch, &outcome);
                 lines += 1;
                 let mut telemetry = telemetry.lock().expect("telemetry lock");
                 if telemetry.error.is_none() {
@@ -251,7 +250,115 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbst_core::Cut;
+    use crate::profile::{NodeProfile, ProfileKind};
+    use sbst_core::{Cut, JsonValue};
+    use sbst_cpu::manager::ManagerCounters;
+
+    /// The session record as a JSON tree: the reference encoding
+    /// [`push_session_line`] must reproduce byte for byte.
+    fn session_tree(index: u64, sample: &SessionSample) -> JsonValue {
+        JsonValue::object([
+            ("type", JsonValue::from("session")),
+            ("node", JsonValue::UInt(index)),
+            ("session", JsonValue::UInt(sample.session)),
+            ("due_cycles", JsonValue::UInt(sample.due_cycles)),
+            ("clock_cycles", JsonValue::UInt(sample.clock_cycles)),
+            ("healthy", JsonValue::Bool(sample.healthy)),
+            ("attempts", JsonValue::UInt(sample.attempts)),
+            ("failures", JsonValue::UInt(sample.failures)),
+            ("backoffs", JsonValue::UInt(sample.backoffs)),
+        ])
+    }
+
+    /// The node record as a JSON tree, the reference for [`push_node_line`].
+    fn node_tree(outcome: &NodeOutcome) -> JsonValue {
+        JsonValue::object([
+            ("type", JsonValue::from("node")),
+            ("node", JsonValue::UInt(outcome.index)),
+            ("profile", JsonValue::from(outcome.profile.kind.name())),
+            ("sessions", JsonValue::UInt(outcome.sessions)),
+            ("attempts", JsonValue::UInt(outcome.counters.attempts)),
+            ("passes", JsonValue::UInt(outcome.counters.passes)),
+            ("transients", JsonValue::UInt(outcome.counters.transients)),
+            (
+                "attacks_injected",
+                JsonValue::UInt(outcome.attacks_injected),
+            ),
+            (
+                "tampers_detected",
+                JsonValue::UInt(outcome.tampers_detected()),
+            ),
+            (
+                "quarantined",
+                JsonValue::array(
+                    outcome
+                        .quarantined
+                        .iter()
+                        .map(|n| JsonValue::from(n.as_str())),
+                ),
+            ),
+            ("clock_cycles", JsonValue::UInt(outcome.clock_cycles)),
+            (
+                "digest",
+                JsonValue::Str(format!("{:#018x}", outcome.digest)),
+            ),
+        ])
+    }
+
+    #[test]
+    fn telemetry_lines_match_the_tree_encoder() {
+        let mut out = String::new();
+        for (index, healthy) in [(0, true), (u64::MAX, false)] {
+            let sample = SessionSample {
+                session: 3,
+                due_cycles: 1_800_000,
+                clock_cycles: u64::MAX,
+                healthy,
+                attempts: 7,
+                failures: 2,
+                backoffs: 1,
+                done: false,
+            };
+            out.clear();
+            push_session_line(&mut out, index, &sample);
+            assert_eq!(out, session_tree(index, &sample).to_ndjson_line());
+        }
+
+        let mut outcome = NodeOutcome {
+            index: 41,
+            profile: NodeProfile {
+                kind: ProfileKind::CorrelatedBatch,
+                period_cycles: 600_000,
+                phase_cycles: 17,
+                fault: None,
+                attack: None,
+            },
+            sessions: 4,
+            counters: ManagerCounters {
+                attempts: 9,
+                passes: 6,
+                transients: 1,
+                tamper_forgeries: 1,
+                tamper_replays: 2,
+                ..ManagerCounters::default()
+            },
+            clock_cycles: 2_400_017,
+            quarantined: Vec::new(),
+            attacks_injected: 2,
+            digest: 0x0a63_c3c6_f5ec_ff77,
+            events: Vec::new(),
+        };
+        for quarantined in [
+            vec![],
+            vec!["Parallel Mul.".to_owned()],
+            vec!["ALU".to_owned(), "quote \" back\\slash\n\t\u{1}".to_owned()],
+        ] {
+            outcome.quarantined = quarantined;
+            out.clear();
+            push_node_line(&mut out, &outcome);
+            assert_eq!(out, node_tree(&outcome).to_ndjson_line());
+        }
+    }
 
     /// A sink that accepts `room` bytes and then fails every write.
     struct FailingSink {

@@ -124,8 +124,12 @@ pub enum AtpgOutcome {
     DetectedByRandom,
     /// Detected by a PODEM-generated pattern.
     DetectedByPodem,
-    /// Proved untestable under the given constraints (search space
-    /// exhausted without heuristic cutoffs).
+    /// Proved untestable under the given constraints: either at the root
+    /// of the search, before its first decision (the activation net is
+    /// held at the stuck value, or no open route leads to an output —
+    /// a mux whose select the constraints fix blocks its other data
+    /// input), or by exhausting the search space without heuristic
+    /// cutoffs.
     Redundant,
     /// Search abandoned (backtrack limit or heuristic dead end).
     Aborted,
@@ -158,7 +162,8 @@ pub struct AtpgStats {
     pub podem_tests: u64,
     /// Total backtracks (decision retries) across all applied searches.
     pub podem_backtracks: u64,
-    /// Faults proved redundant under the constraints.
+    /// Faults proved redundant under the constraints (root proofs
+    /// included; they cost no backtrack).
     pub redundant: u64,
     /// Searches abandoned (backtrack limit or heuristic dead end).
     pub aborted: u64,
@@ -237,8 +242,7 @@ impl AtpgResult {
         stim
     }
 
-    /// Fraction of faults detected, in percent (testable coverage counts
-    /// redundant faults as undetectable).
+    /// Number of faults detected, by the random phase or by PODEM.
     pub fn detected_count(&self) -> usize {
         self.outcomes.iter().filter(|o| o.is_detected()).count()
     }

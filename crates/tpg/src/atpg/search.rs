@@ -23,13 +23,25 @@
 //!   list instead of the whole topological order.
 //! * **X-path pruning.** Branches where no effect can reach an output
 //!   through still-open nets are abandoned as *sound* failures (see
-//!   [`Searcher::compute_reach`]), which is what lets constraint-blocked
-//!   faults prove redundant in a few backtracks.
+//!   [`Searcher::compute_reach`]).
+//!
+//! Before its first decision, every search tries a **root proof**
+//! ([`Searcher::root_proof`]): on the constraint-seeded values it checks
+//! whether the activation net is already held at the stuck value, and
+//! runs the X-path pass once with one extra rule — a `Mux2` whose select
+//! is definite and equal on both rails passes an effect only from its
+//! selected data input. A fault that fails either check is `Redundant`
+//! with 0 backtracks. This is what proves constraint-blocked faults
+//! untestable: an op-pinned mux keeps an open output (its selected input
+//! is still X), so without the mux rule the per-decision pass sees a
+//! route from the unselected input and the search runs to its backtrack
+//! limit. The mux rule stays out of the per-decision pass, so the search
+//! below the root (and every test it finds) is unaffected.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sbst_gates::{
-    eval_dual_gate, Dual3, Fault, FaultSite, GateId, GateKind, NetId, Netlist, Tape3, T3,
+    eval_dual_gate, Dual3, Fault, FaultSite, Gate, GateId, GateKind, NetId, Netlist, Tape3, T3,
 };
 
 use super::fault_stream_seed;
@@ -40,8 +52,8 @@ pub(crate) enum SearchOutcome {
     /// A test pattern (full input vector, X-filled from the per-target
     /// stream).
     Test(Vec<bool>),
-    /// The search space was exhausted without heuristic cutoffs: the fault
-    /// is untestable under the constraints.
+    /// The root proof held, or the search space was exhausted without
+    /// heuristic cutoffs: the fault is untestable under the constraints.
     Redundant,
     /// The search was abandoned (backtrack limit or heuristic dead end).
     Aborted,
@@ -99,6 +111,21 @@ impl Scratch {
         }
         self.trail.clear();
         self.frames.clear();
+    }
+}
+
+/// The data pin (1 or 2) a `Mux2` passes for good, if its select is
+/// definite and equal on both rails; `None` for any other gate.
+fn fixed_select(values: &[Dual3], gate: &Gate) -> Option<usize> {
+    if gate.kind != GateKind::Mux2 {
+        return None;
+    }
+    match values[gate.inputs[0].index()] {
+        Dual3 {
+            good: Some(g),
+            faulty: Some(f),
+        } if g == f => Some(1 + g as usize),
+        _ => None,
     }
 }
 
@@ -279,6 +306,12 @@ impl<'a> Searcher<'a> {
         self.build_cone(fault, scr);
         let mut pi = self.pi_template.clone();
         self.tape.eval_into(&pi, fault, &mut scr.values);
+        if self.root_proof(fault, scr) {
+            return SearchResult {
+                outcome: SearchOutcome::Redundant,
+                backtracks: 0,
+            };
+        }
         // Decision stack: (input position, value, flipped yet?).
         let mut stack: Vec<(usize, bool, bool)> = Vec::new();
         let mut backtracks = 0u64;
@@ -319,10 +352,8 @@ impl<'a> Searcher<'a> {
                     // under every further assignment), so a fault effect
                     // can only ever travel through nets that are open
                     // *now*. Branches with no open route to an output are
-                    // abandoned as sound failures — this is what lets
-                    // constraint-blocked faults prove redundant in a few
-                    // backtracks instead of burning the abort budget.
-                    self.compute_reach(scr);
+                    // abandoned as sound failures.
+                    self.compute_reach(scr, false);
                     if act.is_none() {
                         if scr.reach[act_net.index()] {
                             Some((act_net, act_value))
@@ -447,7 +478,13 @@ impl<'a> Searcher<'a> {
     /// three-valued evaluation is monotone, definite-and-equal nets are
     /// walls the effect can never cross, so this over-approximates every
     /// future propagation path and pruning on it is sound.
-    fn compute_reach(&self, scr: &mut Scratch) {
+    ///
+    /// With `fixed_mux` (the root proof only), an open `Mux2` whose select
+    /// is definite and equal on both rails marks only its selected data
+    /// input: that select never reopens, so the other data input can never
+    /// reach the output. The per-decision pass leaves the rule off, so it
+    /// never changes which D-frontier gate a search drives.
+    fn compute_reach(&self, scr: &mut Scratch, fixed_mux: bool) {
         let nl = self.netlist;
         let Scratch {
             values,
@@ -466,10 +503,46 @@ impl<'a> Searcher<'a> {
             let gate = nl.gate(gid);
             let out = values[gate.output.index()];
             let open = out.has_effect() || out.good.is_none() || out.faulty.is_none();
-            if open && reach[gate.output.index()] {
-                for i in &gate.inputs {
-                    reach[i.index()] = true;
+            if !open || !reach[gate.output.index()] {
+                continue;
+            }
+            match fixed_select(values, gate).filter(|_| fixed_mux) {
+                Some(pin) => reach[gate.inputs[pin].index()] = true,
+                None => {
+                    for i in &gate.inputs {
+                        reach[i.index()] = true;
+                    }
                 }
+            }
+        }
+    }
+
+    /// Proves before the first decision, on the constraint-seeded values,
+    /// that `fault` is untestable: its activation net is held at the stuck
+    /// value, or no open route (with the fixed-mux rule of
+    /// [`Searcher::compute_reach`]) leads from the fault to an output. A
+    /// pin fault's route starts through its own gate, whose output must be
+    /// open and reachable; the unselected data pin of a fixed mux is
+    /// blocked, its select pin is not (the fault changes the select the
+    /// faulty rail sees). Both facts hold under every further assignment,
+    /// so `true` is a sound redundancy proof.
+    // Out of line: it runs once per search, off the per-decision path.
+    #[inline(never)]
+    fn root_proof(&self, fault: &Fault, scr: &mut Scratch) -> bool {
+        let (act_net, act_value) = self.activation_objective(fault);
+        if scr.values[act_net.index()].good == Some(!act_value) {
+            return true;
+        }
+        self.compute_reach(scr, true);
+        match fault.site {
+            FaultSite::Stem(net) => !scr.reach[net.index()],
+            FaultSite::Pin { gate, pin } => {
+                let gate = self.netlist.gate(gate);
+                let out = scr.values[gate.output.index()];
+                let open = out.has_effect() || out.is_x();
+                let blocked = fixed_select(&scr.values, gate)
+                    .is_some_and(|sel| pin != 0 && pin as usize != sel);
+                !open || !scr.reach[gate.output.index()] || blocked
             }
         }
     }
@@ -524,6 +597,98 @@ impl<'a> Searcher<'a> {
             FrontierObjective::NoXInput
         } else {
             FrontierObjective::NoFrontier
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sbst_gates::NetlistBuilder;
+
+    /// `y = s ? (b & c) : a` with the select `s` pinned to 0, so the mux
+    /// passes `a` and blocks the AND gate.
+    fn pinned_mux() -> (Netlist, Vec<T3>) {
+        let mut b = NetlistBuilder::new("pinned_mux");
+        let s = b.input("s");
+        let a = b.input("a");
+        let x = b.input("b");
+        let c = b.input("c");
+        let d1 = b.and2(x, c);
+        let y = b.mux2(s, a, d1);
+        b.mark_output(y, "y");
+        (b.finish().unwrap(), vec![Some(false), None, None, None])
+    }
+
+    fn search(netlist: &Netlist, pi: &[T3], fault: Fault) -> SearchResult {
+        Searcher::new(netlist, pi.to_vec(), 2_000, 1).search(&fault, &mut Scratch::default())
+    }
+
+    fn mux_gate(netlist: &Netlist) -> GateId {
+        netlist.driver(netlist.outputs()[0]).unwrap()
+    }
+
+    #[test]
+    fn unselected_data_input_proves_at_the_root() {
+        let (n, pi) = pinned_mux();
+        let mux = mux_gate(&n);
+        let d1 = n.gate(mux).inputs[2];
+        for fault in [
+            Fault::stem_sa0(d1),
+            Fault::stem_sa1(d1),
+            Fault {
+                site: FaultSite::Pin { gate: mux, pin: 2 },
+                stuck_value: false,
+            },
+        ] {
+            let res = search(&n, &pi, fault);
+            assert!(
+                matches!(res.outcome, SearchOutcome::Redundant),
+                "{fault:?}: {:?}",
+                res.outcome
+            );
+            assert_eq!(res.backtracks, 0, "{fault:?} proved before any decision");
+        }
+
+        // The mux output stays open (its selected input `a` is X), so the
+        // per-decision pass alone still sees a route from `d1`.
+        let searcher = Searcher::new(&n, pi.clone(), 2_000, 1);
+        let fault = Fault::stem_sa0(d1);
+        let mut scr = Scratch::default();
+        scr.prepare(&n);
+        searcher.build_cone(&fault, &mut scr);
+        searcher.tape.eval_into(&pi, &fault, &mut scr.values);
+        searcher.compute_reach(&mut scr, false);
+        assert!(scr.reach[d1.index()]);
+        searcher.compute_reach(&mut scr, true);
+        assert!(!scr.reach[d1.index()]);
+    }
+
+    #[test]
+    fn select_faults_and_the_selected_input_still_find_tests() {
+        let (n, pi) = pinned_mux();
+        let mux = mux_gate(&n);
+        let [s, a, _] = [0, 1, 2].map(|pin| n.gate(mux).inputs[pin]);
+        for fault in [
+            // The pin fault flips the select only the faulty rail sees.
+            Fault {
+                site: FaultSite::Pin { gate: mux, pin: 0 },
+                stuck_value: true,
+            },
+            // The select net itself carries the fault effect.
+            Fault::stem_sa1(s),
+            Fault::stem_sa0(a),
+            Fault {
+                site: FaultSite::Pin { gate: mux, pin: 1 },
+                stuck_value: true,
+            },
+        ] {
+            let res = search(&n, &pi, fault);
+            assert!(
+                matches!(res.outcome, SearchOutcome::Test(_)),
+                "{fault:?}: {:?}",
+                res.outcome
+            );
         }
     }
 }
