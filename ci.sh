@@ -292,6 +292,18 @@ if ! diff <(jq -S '.aggregate' BENCH_fleet_serial.json) <(jq -S '.aggregate' BEN
   exit 1
 fi
 
+# The fleet's fixed point: a change that moves a fleet digest on purpose
+# updates the pinned value here and reports old -> new.
+require_fleet_digest() {
+  local report="$1" expected="$2" actual
+  actual="$(jq -r '.aggregate.fleet_digest' "$report")"
+  if [ "$actual" != "$expected" ]; then
+    echo "error: $report fleet_digest is $actual, pinned $expected" >&2
+    exit 1
+  fi
+}
+require_fleet_digest BENCH_fleet_serial.json 0x0a63c3c6f5ecff77
+
 echo "== fleet full inventory: 200 nodes with the multiplier, workers 1 vs 2 vs 7 =="
 # The smoke fleets above characterize ALU + shifter only, so this is the run
 # that mounts multiplier faults in the datapath. Its aggregate and its
@@ -312,6 +324,7 @@ for report in BENCH_fleet_full.json target/fleet_full_workers7.json; do
     exit 1
   fi
 done
+require_fleet_digest BENCH_fleet_full_serial.json 0x38f77a428865d3dd
 for stream in target/fleet_full_telemetry_workers1.ndjson target/fleet_full_telemetry_workers7.ndjson; do
   if ! diff <(sort target/fleet_full_telemetry.ndjson) <(sort "$stream") >/dev/null; then
     echo "error: full-inventory fleet telemetry of $stream diverges from workers=2" >&2

@@ -21,10 +21,10 @@ use sbst_components::{
     alu, comparator, control, divider, memctrl, misc, multiplier, pipeline, regfile, shifter,
     ComponentKind,
 };
-use sbst_cpu::{ArchFault, Cpu, CpuConfig, CpuError, ExecStats, OperandTrace};
+use sbst_cpu::{ArchFault, Cpu, CpuConfig, CpuError, ExecStats, Mountable, OperandTrace};
 use sbst_gates::{
-    enumerate_transition_faults, CompiledTape, Fault, FaultCoverage, FaultSimConfig,
-    FaultSimulator, SimStats, Stimulus,
+    enumerate_transition_faults, Fault, FaultCoverage, FaultSimConfig, FaultSimulator, SimStats,
+    Stimulus,
 };
 use sbst_tpg::AtpgTelemetry;
 
@@ -307,8 +307,8 @@ pub fn arch_validate(
     let stimulus = stimulus_for(cut, &trace);
     let replay = FaultSimulator::new(&cut.component.netlist).simulate(faults, &stimulus);
 
-    // One tape per call, shared by every mount below.
-    let tape = Arc::new(CompiledTape::compile(&cut.component.netlist));
+    // One preparation per call, shared by every mount below.
+    let shared = Arc::new(Mountable::new(Arc::new(cut.component.clone())));
     let mut v = ArchValidation::default();
     for (i, fault) in faults.iter().enumerate() {
         let mut cpu = Cpu::new(CpuConfig {
@@ -319,11 +319,7 @@ pub fn arch_validate(
             ..CpuConfig::self_test()
         });
         cpu.load_program(&routine.program);
-        cpu.mount_fault(ArchFault::from_shared(
-            &cut.component,
-            Arc::clone(&tape),
-            *fault,
-        ));
+        cpu.mount_fault(ArchFault::from_shared(&shared, *fault));
         let arch_detected = match cpu.run() {
             Ok(_) => {
                 let sig_addr = routine

@@ -492,7 +492,7 @@ impl Cpu {
         Ok(result)
     }
 
-    /// Routes an ALU operation through the faulty netlist when one is
+    /// Routes an ALU operation through the faulty component when one is
     /// mounted, recording the trace either way.
     fn alu_op(&mut self, func: AluFunc, a: u32, b: u32) -> (u32, bool) {
         let op = AluOp { func, a, b };

@@ -1,20 +1,27 @@
 //! Architectural fault injection.
 //!
 //! Wires a gate-level component carrying an injected stuck-at fault into
-//! the ISS datapath: every instruction that exercises the component gets
-//! its result from the *faulty netlist* instead of native arithmetic, so
-//! the fault's effect propagates through architectural state exactly as it
-//! would in silicon — corrupted values flow into registers, addresses,
-//! branches and, eventually, the self-test signature. This end-to-end mode
-//! cross-validates the faster trace-replay grading of `sbst-core`.
+//! the ISS datapath: every instruction that exercises the component while
+//! the fault is active gets its result from the *faulty component* instead
+//! of native arithmetic, so the fault's effect propagates through
+//! architectural state exactly as it would in silicon — corrupted values
+//! flow into registers, addresses, branches and, eventually, the self-test
+//! signature. This end-to-end mode cross-validates the faster trace-replay
+//! grading of `sbst-core`.
+//!
+//! A fault whose fanout cone stays among the result-port nets is evaluated
+//! from the behavioural model with the faulty bit forced (the *port path*);
+//! any other fault replays the faulty netlist's compiled tape (the *tape
+//! path*). See [`ArchFault`].
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use sbst_components::alu::AluOp;
 use sbst_components::multiplier::MulOp;
 use sbst_components::shifter::ShiftOp;
-use sbst_components::{Component, ComponentKind};
-use sbst_gates::{CompiledTape, Fault, FaultSite, NetId, TapeSimulator};
+use sbst_components::{alu, multiplier, shifter, Component, ComponentKind};
+use sbst_gates::{CompiledTape, Fault, FaultSite, GateId, GateKind, NetId, Netlist, TapeSimulator};
 
 /// Which datapath component the fault lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,6 +149,35 @@ impl FaultActivity {
             } => (from_cycle..until_cycle).contains(&cycle),
         }
     }
+
+    /// The first cycle at which [`FaultActivity::is_active`] holds, or
+    /// `u64::MAX` when it never does. An intermittent fault is active at
+    /// cycle 0 when its span wraps past a period boundary onto it;
+    /// otherwise its first span opens at the phase.
+    pub fn first_active_cycle(self) -> u64 {
+        match self {
+            FaultActivity::Permanent => 0,
+            FaultActivity::Intermittent {
+                active_cycles: 0, ..
+            } => u64::MAX,
+            FaultActivity::Intermittent { .. } if self.is_active(0) => 0,
+            FaultActivity::Intermittent {
+                period_cycles,
+                phase_cycles,
+                ..
+            } => phase_cycles % period_cycles.max(1),
+            FaultActivity::Window {
+                from_cycle,
+                until_cycle,
+            } => {
+                if from_cycle < until_cycle {
+                    from_cycle
+                } else {
+                    u64::MAX
+                }
+            }
+        }
+    }
 }
 
 /// Slots in a mount's evaluation memo (a power of two).
@@ -151,42 +187,31 @@ const MEMO_SLOTS: usize = 1024;
 /// so an all-zero key cannot hit a slot that was never written.
 const MEMO_VALID: u128 = 1 << 127;
 
-/// How a mount answered its evaluations: replays of the faulty tape
-/// against lookups answered by its memo.
+/// How a mount answered its evaluations. Every evaluation lands in
+/// exactly one field: the port path, a tape replay or a memo hit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Evaluations that replayed the tape.
+pub struct EvalStats {
+    /// Evaluations answered on the port path.
+    pub port_evals: u64,
+    /// Evaluations that replayed the faulty tape.
     pub tape_runs: u64,
-    /// Evaluations answered by the memo.
-    pub hits: u64,
+    /// Evaluations answered by the tape path's memo.
+    pub memo_hits: u64,
 }
 
-/// A faulty component mounted in the datapath.
+/// A datapath component prepared once for mounting faults into it.
 ///
-/// The component runs on a [`CompiledTape`] shared behind an [`Arc`]: a
-/// fault campaign compiles each mountable component once, and mounting is
-/// a refcount bump plus a private one-lane [`TapeSimulator`] with the fault
-/// injected and the port buses resolved to input positions and result
-/// nets. An operation drives its operand bits by position, replays the
-/// tape once and reads lane 0 of the result nets. The tape simulator
-/// recomputes every net from the inputs on each replay, so nothing leaks
-/// from one operation into the next.
-///
-/// Each mount also keeps a bounded, direct-mapped memo from the packed
-/// operand words to the result word, so an operation whose operands it
-/// has already evaluated skips the replay. The memo is exact because the
-/// mountable components are combinational (mounting asserts that the tape
-/// has no flip-flops): the result is a pure function of the operands and
-/// the fault, and both are fixed for the mount's lifetime. It is allocated
-/// by the first replay, so a mount whose fault never fires costs nothing,
-/// and it survives [`ArchFault::with_activity`], so re-arming one mount for
-/// a retried attempt keeps what earlier attempts evaluated.
+/// Preparing compiles the component's [`CompiledTape`], resolves its
+/// operand and result buses against it and finds its port region (see
+/// [`ArchFault`]). Every [`ArchFault::from_shared`] over the same
+/// preparation is then a refcount bump, a short lookup and the mount's own
+/// evaluator, so a campaign that mounts many faults into one component
+/// pays for all three once.
 #[derive(Debug)]
-pub struct ArchFault {
+pub struct Mountable {
+    component: Arc<Component>,
     target: ArchFaultTarget,
-    fault: Fault,
-    activity: FaultActivity,
-    sim: TapeSimulator<Arc<CompiledTape>, 1>,
+    tape: Arc<CompiledTape>,
     /// Input positions of each operand bus, LSB first, in the order the
     /// `eval_*` methods pass operands (ALU: `a`, `b`, `op`; shifter:
     /// `data`, `amount`, `op`; multiplier: `a`, `b`).
@@ -194,43 +219,20 @@ pub struct ArchFault {
     /// Result nets, LSB first (ALU: `result` then `zero`; shifter:
     /// `result`; multiplier: the 64-bit `product`).
     results: Vec<NetId>,
-    /// `(key | MEMO_VALID, result word)` per slot; empty until the first
-    /// replay.
-    memo: Vec<(u128, u64)>,
-    stats: MemoStats,
+    region: PortRegion,
 }
 
-impl ArchFault {
-    /// Mounts `fault` inside `component` as a permanent fault, compiling
-    /// the component's tape for this mount alone. Campaigns that mount
-    /// many faults into one component should compile its tape once and
-    /// use [`ArchFault::from_shared`].
+impl Mountable {
+    /// Prepares `component` for mounting.
     ///
     /// # Panics
     ///
     /// Panics if the component kind does not admit architectural mounting
     /// (only ALU, shifter and multiplier are datapath-replaceable), if the
-    /// component is not full width (32-bit), or if the fault site lies
-    /// outside `component`'s netlist (a net or gate index past its end, or
-    /// a pin past its gate's inputs) — a fault drawn against another
-    /// component's netlist is a caller bug, and mounting it silently would
-    /// land it on an unrelated net or nowhere at all.
-    pub fn new(component: Component, fault: Fault) -> Self {
-        let tape = Arc::new(CompiledTape::compile(&component.netlist));
-        Self::from_shared(&component, tape, fault)
-    }
-
-    /// [`ArchFault::new`] over a tape compiled once from `component`'s
-    /// netlist and shared — the fleet path, where one characterization's
-    /// tapes are mounted on many simulated nodes without recompiling.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`ArchFault::new`], and additionally panics if
-    /// `tape` was not compiled from `component`'s netlist, or if the tape
-    /// has flip-flops: the evaluation memo is exact only for a
+    /// component is not full width (32-bit), or if it has flip-flops: the
+    /// evaluation memo and the port path are exact only for a
     /// combinational component.
-    pub fn from_shared(component: &Component, tape: Arc<CompiledTape>, fault: Fault) -> Self {
+    pub fn new(component: Arc<Component>) -> Self {
         let (target, operand_ports, result_ports): (_, &[&str], &[&str]) = match component.kind {
             ComponentKind::Alu => (ArchFaultTarget::Alu, &["a", "b", "op"], &["result", "zero"]),
             ComponentKind::Shifter => (
@@ -243,23 +245,7 @@ impl ArchFault {
         };
         assert_eq!(component.width, 32, "architectural mounting needs width 32");
         let netlist = &component.netlist;
-        let inside = match fault.site {
-            FaultSite::Stem(net) => net.index() < netlist.net_count(),
-            FaultSite::Pin { gate, pin } => netlist
-                .gates()
-                .get(gate.index())
-                .is_some_and(|g| usize::from(pin) < g.inputs.len()),
-        };
-        assert!(
-            inside,
-            "fault {fault} lies outside the {} netlist",
-            netlist.name()
-        );
-        let foreign =
-            || -> ! { panic!("tape was not compiled from the {} netlist", netlist.name()) };
-        if tape.net_count() != netlist.net_count() {
-            foreign();
-        }
+        let tape = Arc::new(CompiledTape::compile(netlist));
         assert!(
             tape.is_combinational(),
             "the {} tape has flip-flops; only combinational components can be mounted",
@@ -272,30 +258,385 @@ impl ArchFault {
                     .ports
                     .input(name)
                     .iter()
-                    .map(|&net| tape.input_position(net).unwrap_or_else(|| foreign()))
+                    .map(|&net| {
+                        tape.input_position(net)
+                            .expect("operand ports are primary inputs")
+                    })
                     .collect()
             })
             .collect();
-        let results = result_ports
+        let results: Vec<NetId> = result_ports
             .iter()
             .flat_map(|name| component.ports.output(name).iter().copied())
             .collect();
-        let mut sim = TapeSimulator::new(tape);
-        sim.inject_fault(&fault, 0);
-        ArchFault {
+        // The behavioural model supplies the first result port; later
+        // ones (the ALU's `zero`) are re-derived from it.
+        let seeds = component.ports.output(result_ports[0]).nets();
+        let region = PortRegion::new(netlist, seeds, &results);
+        Mountable {
             target,
-            fault,
-            activity: FaultActivity::Permanent,
-            sim,
+            tape,
             operands,
             results,
-            memo: Vec::new(),
-            stats: MemoStats::default(),
+            region,
+            component,
         }
     }
 
-    /// Gives the fault intermittent activity. The evaluation memo is kept,
-    /// so a mount can be re-armed for another attempt.
+    /// The prepared component.
+    pub fn component(&self) -> &Component {
+        &self.component
+    }
+}
+
+/// The port region of a component: its result-port nets, plus the output
+/// of every gate whose inputs all lie in the region (the ALU's `zero` OR
+/// tree and inverter; nothing beyond the ports for the shifter and the
+/// multiplier). The behavioural model supplies the result-port nets as the
+/// bits of one word, and the region's gates are re-evaluated from it.
+#[derive(Debug)]
+struct PortRegion {
+    /// The result-port net behind each bit of the model's word.
+    seeds: Vec<NetId>,
+    /// Per seed bit: whether its net's fanout cone stays inside the region.
+    seed_contained: Vec<bool>,
+    /// The region's gates, in tape order.
+    gates: Vec<RegionGate>,
+    /// Inputs of every region gate, in pin order, as value slots: slot
+    /// `b` below `seeds.len()` is bit `b` of the result word, and slot
+    /// `seeds.len() + g` the output of region gate `g`.
+    pool: Vec<u32>,
+    /// `(result word bit, region gate)` of every result bit a region gate
+    /// drives.
+    outputs: Vec<(u8, u32)>,
+}
+
+/// A gate of the port region.
+#[derive(Debug)]
+struct RegionGate {
+    gate: GateId,
+    kind: GateKind,
+    output: NetId,
+    /// Its inputs, as a range of [`PortRegion::pool`].
+    inputs: Range<usize>,
+    /// Whether the output's fanout cone stays inside the region.
+    contained: bool,
+}
+
+/// Where a port-path fault sits.
+#[derive(Debug, Clone, Copy)]
+enum PortSite {
+    /// A result-port stem: the mask of the word bits its net carries.
+    Port(u64),
+    /// The output stem of a region gate, by index.
+    Gate(u32),
+    /// An input pin of a region gate, by the gate's index.
+    Pin { gate: u32, pin: u8 },
+}
+
+impl PortRegion {
+    /// The region of `netlist` grown from the result-port nets `seeds`.
+    /// `results` are all the result nets, by word bit.
+    fn new(netlist: &Netlist, seeds: &[NetId], results: &[NetId]) -> Self {
+        // Each region net's value slot.
+        let mut source: Vec<Option<u32>> = vec![None; netlist.net_count()];
+        for (bit, &net) in seeds.iter().enumerate() {
+            source[net.index()].get_or_insert(bit as u32);
+        }
+        let mut gates = Vec::new();
+        let mut pool = Vec::new();
+        for &gid in netlist.comb_order() {
+            let gate = netlist.gate(gid);
+            if gate.inputs.is_empty() || source[gate.output.index()].is_some() {
+                continue;
+            }
+            let Some(inputs) = gate
+                .inputs
+                .iter()
+                .map(|net| source[net.index()])
+                .collect::<Option<Vec<_>>>()
+            else {
+                continue;
+            };
+            let start = pool.len();
+            pool.extend(inputs);
+            source[gate.output.index()] = Some((seeds.len() + gates.len()) as u32);
+            gates.push(RegionGate {
+                gate: gid,
+                kind: gate.kind,
+                output: gate.output,
+                inputs: start..pool.len(),
+                contained: false,
+            });
+        }
+        // A net's cone stays inside when every gate reading it is a region
+        // gate whose own cone does. Readers come later in tape order, so
+        // one backward pass settles every gate before its inputs.
+        let gate_of = |slot: Option<u32>| slot?.checked_sub(seeds.len() as u32);
+        let inside = |net: NetId, gates: &[RegionGate]| {
+            netlist.comb_users(net).iter().all(|&reader| {
+                gate_of(source[netlist.gate(reader).output.index()])
+                    .is_some_and(|g| gates[g as usize].contained)
+            })
+        };
+        for index in (0..gates.len()).rev() {
+            gates[index].contained = inside(gates[index].output, &gates);
+        }
+        let seed_contained = seeds.iter().map(|&net| inside(net, &gates)).collect();
+        let outputs = results
+            .iter()
+            .enumerate()
+            .filter_map(|(bit, net)| Some((bit as u8, gate_of(source[net.index()])?)))
+            .collect();
+        PortRegion {
+            seeds: seeds.to_vec(),
+            seed_contained,
+            gates,
+            pool,
+            outputs,
+        }
+    }
+
+    /// Where `fault` sits in the region, if its site is a region net's
+    /// stem or a region gate's pin and its whole fanout cone stays inside.
+    /// `results` are the result nets, by word bit.
+    fn site(&self, fault: &Fault, results: &[NetId]) -> Option<PortSite> {
+        let (index, site) = match fault.site {
+            FaultSite::Stem(net) => {
+                if let Some(bit) = self.seeds.iter().position(|&n| n == net) {
+                    let mask = results
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &n)| n == net)
+                        .fold(0, |mask, (bit, _)| mask | 1 << bit);
+                    return self.seed_contained[bit].then_some(PortSite::Port(mask));
+                }
+                let index = self.gates.iter().position(|g| g.output == net)?;
+                (index, PortSite::Gate(index as u32))
+            }
+            FaultSite::Pin { gate, pin } => {
+                let index = self.gates.iter().position(|g| g.gate == gate)?;
+                (
+                    index,
+                    PortSite::Pin {
+                        gate: index as u32,
+                        pin,
+                    },
+                )
+            }
+        };
+        self.gates[index].contained.then_some(site)
+    }
+
+    /// The result word under a fault at `site` stuck at `stuck`, given the
+    /// fault-free word `good`: the faulty bit is forced and the region's
+    /// gates are re-evaluated in tape order. `values` holds one entry per
+    /// slot and `scratch` the inputs of a wide or pin-faulted gate.
+    fn eval(
+        &self,
+        site: PortSite,
+        stuck: bool,
+        good: u64,
+        values: &mut [u64],
+        scratch: &mut Vec<u64>,
+    ) -> u64 {
+        let stuck = u64::from(stuck);
+        let (word, forced) = match site {
+            PortSite::Port(mask) => {
+                let word = if stuck == 1 {
+                    good | mask
+                } else {
+                    good & !mask
+                };
+                // A result-port stem that already carries the stuck value
+                // changes nothing, and without region gates nothing reads
+                // the forced bit.
+                if word == good || self.gates.is_empty() {
+                    return word;
+                }
+                (word, u32::MAX)
+            }
+            PortSite::Gate(gate) | PortSite::Pin { gate, .. } => (good, gate),
+        };
+        let (ports, outs) = values.split_at_mut(self.seeds.len());
+        for (bit, value) in ports.iter_mut().enumerate() {
+            *value = (word >> bit) & 1;
+        }
+        for (index, gate) in self.gates.iter().enumerate() {
+            let inputs = &self.pool[gate.inputs.clone()];
+            let load = |slot: u32| {
+                let slot = slot as usize;
+                if slot < ports.len() {
+                    ports[slot]
+                } else {
+                    outs[slot - ports.len()]
+                }
+            };
+            let value = if index as u32 != forced {
+                match *inputs {
+                    [a] => gate.kind.eval(&[load(a)]),
+                    [a, b] => gate.kind.eval(&[load(a), load(b)]),
+                    _ => {
+                        scratch.clear();
+                        scratch.extend(inputs.iter().map(|&slot| load(slot)));
+                        gate.kind.eval(scratch)
+                    }
+                }
+            } else if let PortSite::Pin { pin, .. } = site {
+                scratch.clear();
+                scratch.extend(inputs.iter().enumerate().map(|(k, &slot)| {
+                    if k == usize::from(pin) {
+                        stuck
+                    } else {
+                        load(slot)
+                    }
+                }));
+                gate.kind.eval(scratch)
+            } else {
+                stuck
+            };
+            outs[index] = value & 1;
+        }
+        self.outputs.iter().fold(word, |word, &(bit, g)| {
+            word & !(1 << bit) | outs[g as usize] << bit
+        })
+    }
+
+    /// Value slots: one per result-port bit, then one per region gate.
+    fn slots(&self) -> usize {
+        self.seeds.len() + self.gates.len()
+    }
+}
+
+/// How a mount evaluates its component.
+#[derive(Debug)]
+enum Evaluator {
+    /// The behavioural result with the faulty bit forced.
+    Port {
+        site: PortSite,
+        /// One value per region slot.
+        values: Vec<u64>,
+        /// The inputs of a wide or pin-faulted region gate.
+        scratch: Vec<u64>,
+    },
+    /// A private one-lane simulator over the shared tape.
+    Tape {
+        sim: Box<TapeSimulator<Arc<CompiledTape>, 1>>,
+        /// `(key | MEMO_VALID, result word)` per slot; empty until the
+        /// first replay.
+        memo: Vec<(u128, u64)>,
+    },
+}
+
+/// A faulty component mounted in the datapath.
+///
+/// Mounting picks one of two evaluation paths from the fault site alone:
+///
+/// - **Port path.** A component's *port region* is its result-port nets
+///   (ALU `result`, shifter `result`, multiplier `product`) plus the
+///   output of every gate whose inputs all lie in the region (the ALU's
+///   `zero` flag logic). A stem on a region net, or a pin of a region
+///   gate, whose whole fanout cone stays inside the region takes this
+///   path: an operation takes the fault-free port word from the
+///   behavioural model the ISS already calls, forces the faulty bit and
+///   re-evaluates only the region's gates, in tape order. This is exact:
+///   the fault can reach nothing else, and the model computes what the
+///   fault-free netlist does. Such a mount holds no tape simulator and no
+///   memo.
+/// - **Tape path.** Any other site gets a private one-lane
+///   [`TapeSimulator`] over the shared [`CompiledTape`] with the fault
+///   injected. An operation drives its operand bits by position, replays
+///   the tape once and reads lane 0 of the result nets. The simulator
+///   recomputes every net from the inputs on each replay, so nothing
+///   leaks from one operation into the next.
+///
+///   Each tape-path mount also keeps a bounded, direct-mapped memo from
+///   the packed operand words to the result word, so an operation whose
+///   operands it has already evaluated skips the replay. The memo is
+///   exact because the mountable components are combinational: the result
+///   is a pure function of the operands and the fault, and both are fixed
+///   for the mount's lifetime. It is allocated by the first replay, so a
+///   mount whose fault never fires costs nothing, and it survives
+///   [`ArchFault::with_activity`], so re-arming one mount for a retried
+///   attempt keeps what earlier attempts evaluated.
+///
+/// [`ArchFault::eval_stats`] counts the evaluations on both paths.
+#[derive(Debug)]
+pub struct ArchFault {
+    shared: Arc<Mountable>,
+    fault: Fault,
+    activity: FaultActivity,
+    eval: Evaluator,
+    stats: EvalStats,
+}
+
+impl ArchFault {
+    /// Mounts `fault` inside `component` as a permanent fault, preparing
+    /// the component for this mount alone. Campaigns that mount many
+    /// faults into one component should prepare it once as a
+    /// [`Mountable`] and use [`ArchFault::from_shared`].
+    ///
+    /// # Panics
+    ///
+    /// Panics under the contracts of [`Mountable::new`] and
+    /// [`ArchFault::from_shared`].
+    pub fn new(component: Component, fault: Fault) -> Self {
+        Self::from_shared(&Arc::new(Mountable::new(Arc::new(component))), fault)
+    }
+
+    /// Mounts `fault` as a permanent fault inside a component prepared
+    /// once and shared — the fleet path, where one characterization's
+    /// components are mounted on many simulated nodes. Whether the fault
+    /// takes the port path or the tape path is decided here, from its
+    /// site.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault site lies outside the component's netlist (a
+    /// net or gate index past its end, or a pin past its gate's inputs) —
+    /// a fault drawn against another component's netlist is a caller bug,
+    /// and mounting it silently would land it on an unrelated net or
+    /// nowhere at all.
+    pub fn from_shared(shared: &Arc<Mountable>, fault: Fault) -> Self {
+        let netlist = &shared.component.netlist;
+        let inside = match fault.site {
+            FaultSite::Stem(net) => net.index() < netlist.net_count(),
+            FaultSite::Pin { gate, pin } => netlist
+                .gates()
+                .get(gate.index())
+                .is_some_and(|g| usize::from(pin) < g.inputs.len()),
+        };
+        assert!(
+            inside,
+            "fault {fault} lies outside the {} netlist",
+            netlist.name()
+        );
+        let eval = match shared.region.site(&fault, &shared.results) {
+            Some(site) => Evaluator::Port {
+                site,
+                values: vec![0; shared.region.slots()],
+                scratch: Vec::new(),
+            },
+            None => {
+                let mut sim = Box::new(TapeSimulator::new(Arc::clone(&shared.tape)));
+                sim.inject_fault(&fault, 0);
+                Evaluator::Tape {
+                    sim,
+                    memo: Vec::new(),
+                }
+            }
+        };
+        ArchFault {
+            shared: Arc::clone(shared),
+            fault,
+            activity: FaultActivity::Permanent,
+            eval,
+            stats: EvalStats::default(),
+        }
+    }
+
+    /// Sets the fault's activity. The evaluator is kept, with a tape-path
+    /// mount's memo, so a mount can be re-armed for another attempt.
     pub fn with_activity(mut self, activity: FaultActivity) -> Self {
         self.activity = activity;
         self
@@ -303,7 +644,7 @@ impl ArchFault {
 
     /// The mounted target.
     pub fn target(&self) -> ArchFaultTarget {
-        self.target
+        self.shared.target
     }
 
     /// The injected fault.
@@ -316,81 +657,114 @@ impl ArchFault {
         self.activity.is_active(cycle)
     }
 
-    /// Replays and memo hits so far over this mount's lifetime.
-    pub fn memo_stats(&self) -> MemoStats {
+    /// The first CPU cycle at which the fault manifests, `u64::MAX` for
+    /// never (see [`FaultActivity::first_active_cycle`]).
+    pub fn first_active_cycle(&self) -> u64 {
+        self.activity.first_active_cycle()
+    }
+
+    /// Whether this mount evaluates on the port path (see [`ArchFault`]).
+    pub fn on_port_path(&self) -> bool {
+        matches!(self.eval, Evaluator::Port { .. })
+    }
+
+    /// Evaluations so far over this mount's lifetime, by path.
+    pub fn eval_stats(&self) -> EvalStats {
         self.stats
     }
 
-    /// The result word for `operands`: from the memo when this mount has
-    /// evaluated them before, otherwise by driving the operand buses,
-    /// replaying the faulty tape and gathering the result nets into one
-    /// word, LSB first.
-    fn eval_ports(&mut self, operands: &[u32]) -> u64 {
+    /// The result word for `operands`, LSB first. On the port path it is
+    /// `good` (the fault-free word, from the behavioural model) with the
+    /// fault applied to the port region. On the tape path it comes from
+    /// the memo when this mount has evaluated `operands` before, and
+    /// otherwise from driving the operand buses, replaying the faulty tape
+    /// and gathering the result nets.
+    fn eval_ports(&mut self, operands: &[u32], good: impl FnOnce() -> u64) -> u64 {
+        let (sim, memo) = match &mut self.eval {
+            Evaluator::Port {
+                site,
+                values,
+                scratch,
+            } => {
+                self.stats.port_evals += 1;
+                let stuck = self.fault.stuck_value;
+                return self
+                    .shared
+                    .region
+                    .eval(*site, stuck, good(), values, scratch);
+            }
+            Evaluator::Tape { sim, memo } => (sim, memo),
+        };
         let key = memo_key(operands);
         let slot = memo_slot(key);
-        if let Some(&(tag, word)) = self.memo.get(slot) {
+        if let Some(&(tag, word)) = memo.get(slot) {
             if tag == key {
-                self.stats.hits += 1;
+                self.stats.memo_hits += 1;
                 return word;
             }
         }
-        for (bus, &value) in self.operands.iter().zip(operands) {
+        for (bus, &value) in self.shared.operands.iter().zip(operands) {
             for (bit, &pos) in bus.iter().enumerate() {
-                self.sim.set_input_at(pos, (value >> bit) & 1 == 1);
+                sim.set_input_at(pos, (value >> bit) & 1 == 1);
             }
         }
-        self.sim.eval();
+        sim.eval();
         let word = self
+            .shared
             .results
             .iter()
             .enumerate()
-            .fold(0, |word, (bit, &net)| {
-                word | (self.sim.value(net)[0] & 1) << bit
-            });
-        if self.memo.is_empty() {
-            self.memo = vec![(0, 0); MEMO_SLOTS];
+            .fold(0, |word, (bit, &net)| word | (sim.value(net)[0] & 1) << bit);
+        if memo.is_empty() {
+            *memo = vec![(0, 0); MEMO_SLOTS];
         }
-        self.memo[slot] = (key, word);
+        memo[slot] = (key, word);
         self.stats.tape_runs += 1;
         word
     }
 
-    /// Evaluates an ALU operation through the faulty netlist.
+    /// Evaluates an ALU operation through the faulty component.
     /// Returns `None` if the mounted component is not the ALU.
     pub fn eval_alu(&mut self, op: &AluOp) -> Option<(u32, bool)> {
-        if self.target != ArchFaultTarget::Alu {
+        if self.target() != ArchFaultTarget::Alu {
             return None;
         }
-        let word = self.eval_ports(&[op.a, op.b, op.func.encoding().into()]);
+        let word = self.eval_ports(&[op.a, op.b, op.func.encoding().into()], || {
+            let (result, zero) = Self::good_alu(op);
+            u64::from(result) | u64::from(zero) << 32
+        });
         Some((word as u32, (word >> 32) & 1 == 1))
     }
 
-    /// Evaluates a shift through the faulty netlist.
+    /// Evaluates a shift through the faulty component.
     pub fn eval_shift(&mut self, op: &ShiftOp) -> Option<u32> {
-        if self.target != ArchFaultTarget::Shifter {
+        if self.target() != ArchFaultTarget::Shifter {
             return None;
         }
-        let word = self.eval_ports(&[op.data, op.amount.into(), op.func.encoding().into()]);
+        let word = self.eval_ports(
+            &[op.data, op.amount.into(), op.func.encoding().into()],
+            || shifter::model(op.func, op.data, op.amount, 32).into(),
+        );
         Some(word as u32)
     }
 
-    /// Evaluates a multiplication through the faulty netlist.
+    /// Evaluates a multiplication through the faulty component.
     pub fn eval_mul(&mut self, op: &MulOp) -> Option<u64> {
-        if self.target != ArchFaultTarget::Multiplier {
+        if self.target() != ArchFaultTarget::Multiplier {
             return None;
         }
-        Some(self.eval_ports(&[op.a, op.b]))
+        Some(self.eval_ports(&[op.a, op.b], || Self::good_mul(op)))
     }
 
     /// Convenience: `AluFunc` reference evaluation with the fault-free
     /// model, used by tests comparing faulty vs good behaviour.
     pub fn good_alu(op: &AluOp) -> (u32, bool) {
-        sbst_components::alu::model(op.func, op.a, op.b, 32)
+        alu::model(op.func, op.a, op.b, 32)
     }
 
     /// Fault-free multiplier reference.
     pub fn good_mul(op: &MulOp) -> u64 {
-        sbst_components::multiplier::model(op.a, op.b, 32)
+        multiplier::model(op.a, op.b, 32)
     }
 }
 
@@ -418,7 +792,6 @@ mod tests {
     use super::*;
     use sbst_components::alu::AluFunc;
     use sbst_components::shifter::ShiftFunc;
-    use sbst_components::{alu, multiplier, shifter};
 
     #[test]
     fn faulty_alu_differs_somewhere() {
@@ -628,6 +1001,49 @@ mod tests {
                 let local = global.rebase(now).unwrap();
                 prop_assert_eq!(local.is_active(delta), global.is_active(now + delta));
             }
+
+            /// The first active cycle is active, and a brute-force scan
+            /// finds no active cycle before it — near zero, and just below
+            /// it for first cycles far out in a saturated period. `u64::MAX`
+            /// means the scan finds no active cycle at all.
+            #[test]
+            fn first_active_cycle_matches_a_scan(
+                period in prop::sample::select(vec![
+                    0u64, 1, 2, 3, 7, 97, 1 << 32,
+                    u64::MAX / 2 + 3, u64::MAX - 1, u64::MAX,
+                ]),
+                active in 0u64..5,
+                phase in prop::sample::select(vec![
+                    0u64, 1, 2, 5, 96, 97, 1 << 40,
+                    u64::MAX / 2, u64::MAX - 2, u64::MAX - 1, u64::MAX,
+                ]),
+                from in any::<u64>(),
+                length in 0u64..4,
+                window in any::<bool>(),
+            ) {
+                let activity = if window {
+                    FaultActivity::Window {
+                        from_cycle: from % 500,
+                        until_cycle: (from % 500).saturating_add(length).saturating_sub(1),
+                    }
+                } else {
+                    FaultActivity::Intermittent {
+                        period_cycles: period,
+                        active_cycles: active,
+                        phase_cycles: phase,
+                    }
+                };
+                let first = activity.first_active_cycle();
+                let scan = |cycles: std::ops::Range<u64>| cycles.into_iter().find(|&c| activity.is_active(c));
+                if first == u64::MAX {
+                    prop_assert_eq!(scan(0..1000), None, "{:?}", activity);
+                    prop_assert!(!activity.is_active(u64::MAX - 1), "{:?}", activity);
+                } else {
+                    prop_assert!(activity.is_active(first), "{:?} at {}", activity, first);
+                    prop_assert_eq!(scan(0..first.min(1000)), None, "{:?}", activity);
+                    prop_assert_eq!(scan(first.saturating_sub(1000)..first), None, "{:?}", activity);
+                }
+            }
         }
     }
 
@@ -642,15 +1058,6 @@ mod tests {
         let alu = alu::alu(32);
         assert!(product.net(product.width() - 1).index() >= alu.netlist.net_count());
         let _ = ArchFault::new(alu, fault);
-    }
-
-    #[test]
-    #[should_panic(expected = "tape was not compiled from the")]
-    fn tape_of_another_component_is_refused() {
-        let alu = alu::alu(32);
-        let shifter_tape = Arc::new(CompiledTape::compile(&shifter::shifter(32).netlist));
-        let fault = Fault::stem_sa0(alu.ports.output("result").net(0));
-        let _ = ArchFault::from_shared(&alu, shifter_tape, fault);
     }
 
     #[test]
@@ -686,18 +1093,37 @@ mod tests {
         let _ = ArchFault::new(component, Fault::stem_sa0(a.net(0)));
     }
 
+    /// A stuck-at on the first input of the gate driving ALU result bit
+    /// `bit`: an internal site, so the mount takes the tape path.
+    fn internal_alu_fault(c: &Component, bit: usize) -> Fault {
+        let netlist = &c.netlist;
+        let driver = netlist
+            .driver(c.ports.output("result").net(bit))
+            .expect("result bits are driven");
+        Fault::stem_sa0(netlist.gate(driver).inputs[0])
+    }
+
+    /// The tape path's memo, whatever [`ArchFault`] holds.
+    fn memo(af: &ArchFault) -> &[(u128, u64)] {
+        match &af.eval {
+            Evaluator::Tape { memo, .. } => memo,
+            Evaluator::Port { .. } => panic!("{} took the port path", af.fault),
+        }
+    }
+
     #[test]
     fn memo_allocates_on_the_first_replay_and_answers_repeats() {
         let c = alu::alu(32);
-        let fault = Fault::stem_sa0(c.ports.output("result").net(3));
+        let fault = internal_alu_fault(&c, 3);
         let mut af = ArchFault::new(c, fault);
+        assert!(!af.on_port_path());
         assert!(
-            af.memo.is_empty(),
+            memo(&af).is_empty(),
             "a mount that never fired allocates nothing"
         );
         // Not the mounted component: no replay, no memo.
         assert!(af.eval_mul(&MulOp { a: 3, b: 5 }).is_none());
-        assert!(af.memo.is_empty());
+        assert!(memo(&af).is_empty());
         // The all-zero key must replay, not hit an empty slot.
         let zero = AluOp {
             func: AluFunc::ALL[0],
@@ -705,12 +1131,12 @@ mod tests {
             b: 0,
         };
         let first = af.eval_alu(&zero);
-        assert_eq!(af.memo.len(), MEMO_SLOTS);
+        assert_eq!(memo(&af).len(), MEMO_SLOTS);
         assert_eq!(
-            af.memo_stats(),
-            MemoStats {
+            af.eval_stats(),
+            EvalStats {
                 tape_runs: 1,
-                hits: 0
+                ..EvalStats::default()
             }
         );
         let mut af = af.with_activity(FaultActivity::Window {
@@ -719,10 +1145,11 @@ mod tests {
         });
         assert_eq!(af.eval_alu(&zero), first);
         assert_eq!(
-            af.memo_stats(),
-            MemoStats {
+            af.eval_stats(),
+            EvalStats {
                 tape_runs: 1,
-                hits: 1
+                memo_hits: 1,
+                ..EvalStats::default()
             }
         );
     }
@@ -736,22 +1163,130 @@ mod tests {
         };
         let slot = |a| memo_slot(memo_key(&[a, 0, AluFunc::Add.encoding().into()]));
         let rival = (1..).find(|&a| slot(a) == slot(0)).unwrap();
-        let fault = Fault::stem_sa1(alu::alu(32).ports.output("result").net(7));
+        // Operand bit `a[7]` stuck at 1: a primary input, so the tape path.
+        let fault = Fault::stem_sa1(alu::alu(32).ports.input("a").net(7));
         let mut af = ArchFault::new(alu::alu(32), fault);
         let first = af.eval_alu(&op(0));
         let second = af.eval_alu(&op(rival));
         assert_eq!(af.eval_alu(&op(0)), first);
         assert_eq!(
-            af.memo_stats(),
-            MemoStats {
+            af.eval_stats(),
+            EvalStats {
                 tape_runs: 3,
-                hits: 0
+                ..EvalStats::default()
             },
             "each key evicts the other from their shared slot"
         );
         let mut fresh = ArchFault::new(alu::alu(32), fault);
         assert_eq!(fresh.eval_alu(&op(rival)), second);
         assert_eq!(second, Some((rival | 1 << 7, false)));
+    }
+
+    #[test]
+    fn output_port_faults_take_the_port_path() {
+        for c in [
+            alu::alu(32),
+            shifter::shifter(32),
+            multiplier::multiplier(32),
+        ] {
+            let shared = Arc::new(Mountable::new(Arc::new(c)));
+            let c = shared.component();
+            let (port, nets) = match c.kind {
+                ComponentKind::Multiplier => ("product", 64),
+                _ => ("result", 32),
+            };
+            for bit in 0..nets {
+                let net = c.ports.output(port).net(bit);
+                for fault in [Fault::stem_sa0(net), Fault::stem_sa1(net)] {
+                    assert!(
+                        ArchFault::from_shared(&shared, fault).on_port_path(),
+                        "{fault}"
+                    );
+                }
+            }
+            // A primary-input stem reaches the whole component.
+            let input = Fault::stem_sa1(c.netlist.inputs()[0]);
+            assert!(!ArchFault::from_shared(&shared, input).on_port_path());
+        }
+        // The ALU's region is its result bits plus the zero flag logic:
+        // an OR tree over 32 bits and the inverter.
+        let shared = Arc::new(Mountable::new(Arc::new(alu::alu(32))));
+        assert_eq!(shared.region.gates.len(), 32);
+        let zero = shared.component().ports.output("zero").net(0);
+        assert!(ArchFault::from_shared(&shared, Fault::stem_sa0(zero)).on_port_path());
+        let inverter = shared.component().netlist.driver(zero).unwrap();
+        let pin = Fault {
+            site: FaultSite::Pin {
+                gate: inverter,
+                pin: 0,
+            },
+            stuck_value: true,
+        };
+        assert!(ArchFault::from_shared(&shared, pin).on_port_path());
+        let internal = internal_alu_fault(shared.component(), 0);
+        assert!(!ArchFault::from_shared(&shared, internal).on_port_path());
+        for c in [shifter::shifter(32), multiplier::multiplier(32)] {
+            assert!(Mountable::new(Arc::new(c)).region.gates.is_empty());
+        }
+    }
+
+    #[test]
+    fn port_path_rederives_the_zero_flag() {
+        let c = alu::alu(32);
+        let result = c.ports.output("result");
+        let (bit5_sa1, bit5_sa0) = (
+            Fault::stem_sa1(result.net(5)),
+            Fault::stem_sa0(result.net(5)),
+        );
+        let shared = Arc::new(Mountable::new(Arc::new(c)));
+        let add = |a, b| AluOp {
+            func: AluFunc::Add,
+            a,
+            b,
+        };
+        // A zero result gains bit 5, so the flag drops.
+        let mut sa1 = ArchFault::from_shared(&shared, bit5_sa1);
+        assert_eq!(sa1.eval_alu(&add(0, 0)), Some((1 << 5, false)));
+        // Bit 5 alone, cleared: the result becomes zero and the flag rises.
+        let mut sa0 = ArchFault::from_shared(&shared, bit5_sa0);
+        assert_eq!(sa0.eval_alu(&add(1 << 5, 0)), Some((0, true)));
+        assert_eq!(sa0.eval_alu(&add(3, 4)), Some((7, false)));
+        assert_eq!(
+            sa0.eval_stats(),
+            EvalStats {
+                port_evals: 2,
+                ..EvalStats::default()
+            }
+        );
+        assert!(matches!(sa0.eval, Evaluator::Port { .. }));
+    }
+
+    #[test]
+    fn first_active_cycle_of_each_activity() {
+        assert_eq!(FaultActivity::Permanent.first_active_cycle(), 0);
+        let window = |from_cycle, until_cycle| FaultActivity::Window {
+            from_cycle,
+            until_cycle,
+        };
+        assert_eq!(window(100, 150).first_active_cycle(), 100);
+        assert_eq!(window(150, 150).first_active_cycle(), u64::MAX);
+        assert_eq!(window(200, 150).first_active_cycle(), u64::MAX);
+        assert_eq!(window(u64::MAX, u64::MAX).first_active_cycle(), u64::MAX);
+        let intermittent = |period_cycles, active_cycles, phase_cycles| {
+            FaultActivity::Intermittent {
+                period_cycles,
+                active_cycles,
+                phase_cycles,
+            }
+            .first_active_cycle()
+        };
+        assert_eq!(intermittent(100, 10, 30), 30);
+        assert_eq!(intermittent(100, 10, 130), 30);
+        assert_eq!(intermittent(100, 10, 0), 0);
+        // The span that opened at 95 covers cycles 0..5 of the next period.
+        assert_eq!(intermittent(100, 10, 95), 0);
+        assert_eq!(intermittent(100, 0, 30), u64::MAX);
+        assert_eq!(intermittent(0, 1, 5), 0);
     }
 
     #[test]

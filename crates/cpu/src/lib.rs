@@ -71,7 +71,7 @@ pub mod trace;
 
 pub use cache::{AnalyticStallModel, Cache, CacheConfig, CacheConfigError};
 pub use cpu::{Cpu, CpuConfig, CpuError, ExecStats, RunOutcome, DIV_LATENCY};
-pub use faulty::{ArchFault, ArchFaultTarget, FaultActivity, MemoStats};
+pub use faulty::{ArchFault, ArchFaultTarget, EvalStats, FaultActivity, Mountable};
 pub use mac::{siphash24, MacKey, SipHash24};
 pub use manager::{
     FaultClass, FaultFreeBench, Health, ManagedComponent, ManagerConfig, ManagerEvent,

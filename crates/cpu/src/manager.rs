@@ -1208,13 +1208,17 @@ impl OnlineTestManager {
     /// the bench. Leaves the clock alone; each caller charges its own
     /// cycles.
     ///
-    /// With no fault mounted and the schedule's fault-free record under
-    /// the budget, the record is the outcome and nothing executes. The
-    /// comparison is strict: the watchdog checks before every step, so a
-    /// run that completes after `cycles` only ever sees fewer. Otherwise
-    /// the routine runs on a fresh self-test CPU, and a fault-free run
-    /// that completes fills the record. A mounted fault always executes,
-    /// even one whose activity window never opens.
+    /// With the schedule's fault-free record under the budget, the record
+    /// is the outcome and nothing executes when no fault is mounted, or
+    /// when the mounted fault first manifests at or after the record's
+    /// completion cycle. Such a fault never fires: a datapath operation
+    /// checks activity at its instruction's cycle count, and the closing
+    /// `break` adds a cycle after the last one while evaluating nothing.
+    /// So the run is the fault-free one, and the unused mount goes back to
+    /// the bench. The budget comparison is strict: the watchdog checks
+    /// before every step, so a run that completes after `cycles` only ever
+    /// sees fewer. Otherwise the routine runs on a fresh self-test CPU, and
+    /// a fault-free run that completes fills the record.
     fn execute(
         &mut self,
         index: usize,
@@ -1226,12 +1230,16 @@ impl OnlineTestManager {
         let golden = &self.schedule.golden[index];
         let fault = bench.prepare(&component.name, attempt, self.clock_cycles);
         let fault_free = fault.is_none();
-        if fault_free {
-            if let Some(&(cycles, signature)) = golden.get() {
-                if cycles < budget {
-                    self.replayed_attempts += 1;
-                    return Execution::Completed { cycles, signature };
+        if let Some(&(cycles, signature)) = golden.get() {
+            let inert = fault
+                .as_ref()
+                .is_none_or(|fault| fault.first_active_cycle() >= cycles);
+            if inert && cycles < budget {
+                if let Some(fault) = fault {
+                    bench.finish(fault);
                 }
+                self.replayed_attempts += 1;
+                return Execution::Completed { cycles, signature };
             }
         }
         let mut cpu = Cpu::new(CpuConfig::self_test());
@@ -2199,36 +2207,67 @@ mod tests {
     }
 
     #[test]
-    fn a_mounted_inert_fault_always_executes() {
+    fn a_fault_opening_at_the_record_replays_and_one_cycle_earlier_executes() {
         let alu = sbst_components::alu::alu(32);
         let fault = sbst_gates::Fault::stem_sa0(alu.ports.output("result").net(0));
-        let mut mounted = 0u64;
-        let mut inert = |_: &str, _: u32, _: u64| {
-            mounted += 1;
-            Some(
-                ArchFault::new(alu.clone(), fault).with_activity(crate::FaultActivity::Window {
-                    from_cycle: u64::MAX,
-                    until_cycle: u64::MAX,
-                }),
-            )
-        };
         let mut mgr = OnlineTestManager::new(
             ManagerConfig::default(),
             vec![adder_component("alu")],
             golden_store(&["alu"]),
         );
         mgr.run_session(&mut FaultFreeBench);
+        let record = mgr.clock_cycles();
         mgr.run_session(&mut FaultFreeBench);
         assert_eq!(mgr.replayed_attempts(), 1, "the record is filled and used");
-        for _ in 0..2 {
-            assert_eq!(
-                mgr.run_session(&mut inert),
-                SessionStatus::Completed { healthy: true }
-            );
-        }
-        assert_eq!(mounted, 2);
-        assert_eq!(mgr.replayed_attempts(), 1, "a mounted fault never replays");
+        // Mounts a window opening at `from_cycle` and counts the mounts the
+        // manager hands back, with the evaluations they made.
+        let session = |mgr: &mut OnlineTestManager, from_cycle: u64| {
+            struct Windowed<'a> {
+                alu: &'a sbst_components::Component,
+                fault: sbst_gates::Fault,
+                from_cycle: u64,
+                returned: Vec<crate::EvalStats>,
+            }
+            impl TestBench for Windowed<'_> {
+                fn prepare(&mut self, _: &str, _: u32, _: u64) -> Option<ArchFault> {
+                    Some(ArchFault::new(self.alu.clone(), self.fault).with_activity(
+                        crate::FaultActivity::Window {
+                            from_cycle: self.from_cycle,
+                            until_cycle: u64::MAX,
+                        },
+                    ))
+                }
+                fn finish(&mut self, fault: ArchFault) {
+                    self.returned.push(fault.eval_stats());
+                }
+            }
+            let mut bench = Windowed {
+                alu: &alu,
+                fault,
+                from_cycle,
+                returned: Vec::new(),
+            };
+            let status = mgr.run_session(&mut bench);
+            (status, bench.returned)
+        };
+
+        // Opening at the record's completion cycle: the fault can never
+        // fire, so the record answers and the unused mount comes back.
+        let (status, returned) = session(&mut mgr, record);
+        assert_eq!(status, SessionStatus::Completed { healthy: true });
+        assert_eq!(mgr.replayed_attempts(), 2);
+        assert_eq!(returned, [crate::EvalStats::default()]);
+
+        // One cycle earlier: the routine executes. The last operation (the
+        // `sw` address) is checked before its data-memory cycle, so the
+        // fault does not fire this late either, but only executing shows
+        // that.
+        let (status, returned) = session(&mut mgr, record - 1);
+        assert_eq!(status, SessionStatus::Completed { healthy: true });
+        assert_eq!(mgr.replayed_attempts(), 2, "the window may open in time");
+        assert_eq!(returned, [crate::EvalStats::default()]);
         assert_eq!(mgr.counters().passes, 4);
+        assert_eq!(mgr.clock_cycles(), 4 * record);
     }
 
     #[test]

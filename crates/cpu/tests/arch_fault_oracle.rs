@@ -1,16 +1,17 @@
 //! Differential oracle for architectural fault injection: a mounted
-//! [`ArchFault`] evaluates on a shared compiled tape with one lane, and it
-//! must agree with a fresh full-eval [`Simulator`] carrying the same fault
-//! on every operation. Covered: the 32-bit ALU, shifter and multiplier,
-//! under collapsed stem, pin and primary-input stem faults, with many
-//! operations per mount so that nothing one operation leaves in the tape
-//! simulator can leak into the next.
+//! [`ArchFault`] must agree with a fresh full-eval [`Simulator`] carrying
+//! the same fault on every operation. Covered: the 32-bit ALU, shifter and
+//! multiplier, under collapsed stem, pin and primary-input stem faults on
+//! the tape path, with many operations per mount so that nothing one
+//! operation leaves in the tape simulator can leak into the next, and
+//! every fault the port path accepts, on operations that drive the result
+//! to zero and to a single set bit.
 //!
 //! The `*_memo_*` properties draw operands from a small pool, so that
-//! operations repeat, and re-arm one mount across several simulated
-//! attempts the way a fleet session retries a routine. Every operation is
-//! checked against the oracle, and the mount's [`MemoStats`] must show
-//! that the memo answered some of them.
+//! operations repeat, and re-arm one tape-path mount across several
+//! simulated attempts the way a fleet session retries a routine. Every
+//! operation is checked against the oracle, and the mount's [`EvalStats`]
+//! must show that the memo answered some of them.
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,29 +20,49 @@ use sbst_components::alu::{AluFunc, AluOp};
 use sbst_components::multiplier::MulOp;
 use sbst_components::shifter::{ShiftFunc, ShiftOp};
 use sbst_components::{alu, multiplier, shifter, Component};
-use sbst_cpu::{ArchFault, FaultActivity, MemoStats};
-use sbst_gates::{CompiledTape, Fault, FaultSite, Simulator};
+use sbst_cpu::{ArchFault, EvalStats, FaultActivity, Mountable};
+use sbst_gates::{Fault, FaultSite, Simulator};
 
-/// A component compiled once per test binary, with its collapsed fault
-/// list split by site kind.
-struct Mountable {
-    component: Component,
-    tape: Arc<CompiledTape>,
-    /// `[gate-output stems, pins, primary-input stems]`.
-    faults: [Vec<Fault>; 3],
+/// Index of the port-path faults in [`Fixture::faults`].
+const PORT: usize = 3;
+
+/// A component prepared once per test binary, with its faults split by
+/// evaluation path and site kind.
+struct Fixture {
+    shared: Arc<Mountable>,
+    /// Tape path: `[gate-output stems, pins, primary-input stems]` of the
+    /// collapsed list. Port path (`PORT`): every fault of the uncollapsed
+    /// list whose mount takes it, plus both stems of every result bit.
+    faults: [Vec<Fault>; 4],
 }
 
-impl Mountable {
+impl Fixture {
     fn new(component: Component) -> Self {
+        let shared = Arc::new(Mountable::new(Arc::new(component)));
+        let component = shared.component();
         let netlist = &component.netlist;
-        let mut faults: [Vec<Fault>; 3] = Default::default();
+        let on_port_path = |fault: &Fault| ArchFault::from_shared(&shared, *fault).on_port_path();
+        let mut faults: [Vec<Fault>; 4] = Default::default();
         for fault in netlist.collapsed_faults() {
+            if on_port_path(&fault) {
+                continue;
+            }
             let kind = match fault.site {
                 FaultSite::Stem(net) if netlist.driver(net).is_some() => 0,
                 FaultSite::Pin { .. } => 1,
                 FaultSite::Stem(_) => 2,
             };
             faults[kind].push(fault);
+        }
+        let result_stems = component.ports.outputs().flat_map(|(_, bus)| {
+            bus.iter()
+                .flat_map(|&net| [Fault::stem_sa0(net), Fault::stem_sa1(net)])
+                .collect::<Vec<_>>()
+        });
+        for fault in result_stems.chain(netlist.all_faults()) {
+            if on_port_path(&fault) && !faults[PORT].contains(&fault) {
+                faults[PORT].push(fault);
+            }
         }
         for (kind, list) in faults.iter().enumerate() {
             assert!(
@@ -50,53 +71,56 @@ impl Mountable {
                 netlist.name()
             );
         }
-        Mountable {
-            tape: Arc::new(CompiledTape::compile(netlist)),
-            component,
-            faults,
-        }
+        Fixture { shared, faults }
     }
 
-    /// The fault of `kind` picked by `pick`, mounted on the shared tape.
+    fn component(&self) -> &Component {
+        self.shared.component()
+    }
+
+    /// The fault of `kind` picked by `pick`, mounted on the shared
+    /// preparation.
     fn mount(&self, kind: usize, pick: u64) -> (Fault, ArchFault) {
         let list = &self.faults[kind];
         let fault = list[(pick % list.len() as u64) as usize];
-        let mounted = ArchFault::from_shared(&self.component, Arc::clone(&self.tape), fault);
+        let mounted = ArchFault::from_shared(&self.shared, fault);
+        assert_eq!(mounted.on_port_path(), kind == PORT, "{fault}");
         (fault, mounted)
     }
 
     /// A fresh full-eval simulator with `fault` in lane 0, driven with
     /// `inputs` (port name, value) and evaluated.
     fn oracle(&self, fault: &Fault, inputs: &[(&str, u32)]) -> Simulator<'_> {
-        let mut sim = Simulator::new(&self.component.netlist);
+        let component = self.component();
+        let mut sim = Simulator::new(&component.netlist);
         sim.inject_fault(fault, 1);
         for &(port, value) in inputs {
-            sim.set_bus(self.component.ports.input(port), value.into());
+            sim.set_bus(component.ports.input(port), value.into());
         }
         sim.eval();
         sim
     }
 }
 
-fn alu32() -> &'static Mountable {
-    static CELL: OnceLock<Mountable> = OnceLock::new();
-    CELL.get_or_init(|| Mountable::new(alu::alu(32)))
+fn alu32() -> &'static Fixture {
+    static CELL: OnceLock<Fixture> = OnceLock::new();
+    CELL.get_or_init(|| Fixture::new(alu::alu(32)))
 }
 
-fn shifter32() -> &'static Mountable {
-    static CELL: OnceLock<Mountable> = OnceLock::new();
-    CELL.get_or_init(|| Mountable::new(shifter::shifter(32)))
+fn shifter32() -> &'static Fixture {
+    static CELL: OnceLock<Fixture> = OnceLock::new();
+    CELL.get_or_init(|| Fixture::new(shifter::shifter(32)))
 }
 
-fn multiplier32() -> &'static Mountable {
-    static CELL: OnceLock<Mountable> = OnceLock::new();
-    CELL.get_or_init(|| Mountable::new(multiplier::multiplier(32)))
+fn multiplier32() -> &'static Fixture {
+    static CELL: OnceLock<Fixture> = OnceLock::new();
+    CELL.get_or_init(|| Fixture::new(multiplier::multiplier(32)))
 }
 
 /// The oracle's ALU result and zero flag for `op` under `fault`.
 fn expected_alu(fault: &Fault, op: &AluOp) -> Option<(u32, bool)> {
     let m = alu32();
-    let ports = &m.component.ports;
+    let ports = &m.component().ports;
     let sim = m.oracle(
         fault,
         &[("a", op.a), ("b", op.b), ("op", op.func.encoding().into())],
@@ -118,14 +142,14 @@ fn expected_shift(fault: &Fault, op: &ShiftOp) -> Option<u32> {
             ("op", op.func.encoding().into()),
         ],
     );
-    Some(sim.bus_value(m.component.ports.output("result")) as u32)
+    Some(sim.bus_value(m.component().ports.output("result")) as u32)
 }
 
 /// The oracle's product for `op` under `fault`.
 fn expected_mul(fault: &Fault, op: &MulOp) -> Option<u64> {
     let m = multiplier32();
     let sim = m.oracle(fault, &[("a", op.a), ("b", op.b)]);
-    Some(sim.bus_value(m.component.ports.output("product")))
+    Some(sim.bus_value(m.component().ports.output("product")))
 }
 
 proptest! {
@@ -198,9 +222,10 @@ fn rearm(mounted: ArchFault, attempt: u64) -> ArchFault {
 /// Every evaluation was either replayed or answered by the memo, and the
 /// memo answered at least one — attempts after the first repeat the first
 /// one's operations, so a memo that never hits is broken.
-fn assert_memo_hit(stats: MemoStats, evaluations: usize) -> Result<(), TestCaseError> {
-    prop_assert_eq!(stats.tape_runs + stats.hits, evaluations as u64);
-    prop_assert!(stats.hits > 0, "the memo never hit: {:?}", stats);
+fn assert_memo_hit(stats: EvalStats, evaluations: usize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(stats.port_evals, 0);
+    prop_assert_eq!(stats.tape_runs + stats.memo_hits, evaluations as u64);
+    prop_assert!(stats.memo_hits > 0, "the memo never hit: {:?}", stats);
     Ok(())
 }
 
@@ -231,7 +256,7 @@ proptest! {
                 prop_assert_eq!(memoized, expected, "memoized {} on {:?}", fault, op);
             }
         }
-        assert_memo_hit(mounted.memo_stats(), ops.len() * attempts as usize)?;
+        assert_memo_hit(mounted.eval_stats(), ops.len() * attempts as usize)?;
     }
 
     #[test]
@@ -256,7 +281,7 @@ proptest! {
                 prop_assert_eq!(memoized, expected, "memoized {} on {:?}", fault, op);
             }
         }
-        assert_memo_hit(mounted.memo_stats(), ops.len() * attempts as usize)?;
+        assert_memo_hit(mounted.eval_stats(), ops.len() * attempts as usize)?;
     }
 
     #[test]
@@ -279,7 +304,7 @@ proptest! {
                 prop_assert_eq!(memoized, expected, "memoized {} on {:?}", fault, op);
             }
         }
-        assert_memo_hit(mounted.memo_stats(), ops.len() * attempts as usize)?;
+        assert_memo_hit(mounted.eval_stats(), ops.len() * attempts as usize)?;
     }
 }
 
@@ -305,11 +330,162 @@ fn evicted_alu_operations_replay_correctly() {
             );
         }
     }
-    let stats = mounted.memo_stats();
-    assert_eq!(stats.tape_runs + stats.hits, 2 * ops.len() as u64);
-    assert!(stats.hits > 0, "{stats:?}");
+    let stats = mounted.eval_stats();
+    assert_eq!(stats.tape_runs + stats.memo_hits, 2 * ops.len() as u64);
+    assert!(stats.memo_hits > 0, "{stats:?}");
     assert!(
         stats.tape_runs > ops.len() as u64,
         "1200 keys in 1024 slots must evict some: {stats:?}"
     );
+}
+
+/// ALU operations whose result is zero, a single set bit, all ones or an
+/// arbitrary word, under every function.
+fn alu_port_ops() -> Vec<AluOp> {
+    let op = |func, a, b| AluOp { func, a, b };
+    let mut ops = vec![
+        op(AluFunc::Add, 0, 0),
+        op(AluFunc::Sub, 0x1234_5678, 0x1234_5678),
+        op(AluFunc::And, 0xFFFF_0000, 0x0000_FFFF),
+        op(AluFunc::Xor, 0xDEAD_BEEF, 0xDEAD_BEEF),
+        op(AluFunc::Nor, u32::MAX, 0),
+        op(AluFunc::Slt, 5, 3),
+        op(AluFunc::Sltu, 1, 1),
+        op(AluFunc::Slt, 3, 5),
+        op(AluFunc::Or, 0, u32::MAX),
+        op(AluFunc::Add, 0x9E37_79B9, 0x7F4A_7C15),
+    ];
+    for bit in 0..32 {
+        ops.push(op(AluFunc::Or, 1 << bit, 0));
+        ops.push(op(AluFunc::Add, 1 << bit, 0));
+        ops.push(op(
+            AluFunc::ALL[bit % 8],
+            (1u32 << bit).wrapping_mul(0x0101_0101),
+            !(1 << bit),
+        ));
+    }
+    ops
+}
+
+/// Shifts whose result is zero, a single set bit, all ones or an arbitrary
+/// word, under every function.
+fn shifter_port_ops() -> Vec<ShiftOp> {
+    let op = |func, data, amount| ShiftOp { func, data, amount };
+    let mut ops = vec![
+        op(ShiftFunc::Sll, 0, 3),
+        op(ShiftFunc::Srl, 1, 1),
+        op(ShiftFunc::Sra, u32::MAX, 31),
+        op(ShiftFunc::Sra, 0x8000_0000, 7),
+        op(ShiftFunc::Srl, 0xDEAD_BEEF, 0),
+    ];
+    for amount in 0..32 {
+        ops.push(op(ShiftFunc::Sll, 1, amount));
+        ops.push(op(ShiftFunc::Srl, 0x8000_0000, amount));
+        ops.push(op(
+            ShiftFunc::ALL[usize::from(amount) % 3],
+            0x9E37_79B9,
+            amount,
+        ));
+    }
+    ops
+}
+
+/// Products that are zero, a single set bit or arbitrary words.
+fn multiplier_port_ops() -> Vec<MulOp> {
+    let mut ops = vec![
+        MulOp {
+            a: 0,
+            b: 0xDEAD_BEEF,
+        },
+        MulOp {
+            a: u32::MAX,
+            b: u32::MAX,
+        },
+        MulOp {
+            a: 0x9E37_79B9,
+            b: 0x7F4A_7C15,
+        },
+    ];
+    for bit in 0..32 {
+        ops.push(MulOp { a: 1 << bit, b: 1 });
+        ops.push(MulOp {
+            a: 1 << bit,
+            b: 1 << 31,
+        });
+    }
+    ops
+}
+
+/// Every port-path fault of the ALU — both stems of every `result` and
+/// `zero` bit and each `zero`-logic fault the classifier accepts — agrees
+/// with the oracle on every operation, including those whose forced bit
+/// flips the `zero` flag.
+#[test]
+fn alu_port_path_matches_simulator_exhaustively() {
+    let m = alu32();
+    let ports = &m.component().ports;
+    let pins = m.faults[PORT]
+        .iter()
+        .filter(|f| matches!(f.site, FaultSite::Pin { .. }))
+        .count();
+    assert!(pins > 0, "no zero-logic pin takes the port path");
+    let result_stems = 2 * (ports.output("result").width() + 1);
+    assert!(m.faults[PORT].len() >= result_stems + pins);
+    let ops = alu_port_ops();
+    let mut flips = 0;
+    for &fault in &m.faults[PORT] {
+        let mut mounted = ArchFault::from_shared(&m.shared, fault);
+        for op in &ops {
+            let expected = expected_alu(&fault, op);
+            assert_eq!(mounted.eval_alu(op), expected, "{fault} on {op:?}");
+            flips += usize::from(expected.map(|e| e.1) != Some(ArchFault::good_alu(op).1));
+        }
+        let stats = mounted.eval_stats();
+        assert_eq!(
+            stats,
+            EvalStats {
+                port_evals: ops.len() as u64,
+                ..EvalStats::default()
+            }
+        );
+    }
+    assert!(flips > 0, "no operation flipped the zero flag");
+}
+
+/// Both stems of every shifter `result` bit agree with the oracle.
+#[test]
+fn shifter_port_path_matches_simulator_exhaustively() {
+    let m = shifter32();
+    assert_eq!(m.faults[PORT].len(), 2 * 32);
+    let ops = shifter_port_ops();
+    for &fault in &m.faults[PORT] {
+        let mut mounted = ArchFault::from_shared(&m.shared, fault);
+        for op in &ops {
+            assert_eq!(
+                mounted.eval_shift(op),
+                expected_shift(&fault, op),
+                "{fault} on {op:?}"
+            );
+        }
+    }
+}
+
+/// Both stems of every multiplier `product` bit agree with the oracle.
+#[test]
+fn multiplier_port_path_matches_simulator_exhaustively() {
+    let m = multiplier32();
+    assert_eq!(m.faults[PORT].len(), 2 * 64);
+    let ops = multiplier_port_ops();
+    for &fault in &m.faults[PORT] {
+        let mut mounted = ArchFault::from_shared(&m.shared, fault);
+        for op in &ops {
+            assert_eq!(
+                mounted.eval_mul(op),
+                expected_mul(&fault, op),
+                "{fault} on {}*{}",
+                op.a,
+                op.b
+            );
+        }
+    }
 }

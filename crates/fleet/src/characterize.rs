@@ -3,7 +3,7 @@
 //! A fleet of simulated nodes shares one set of immutable test artifacts:
 //! the graded schedule (routine programs + watchdog budgets), the golden
 //! [`SignatureStore`], the per-component characterization coverage, and
-//! the fault-mountable netlists with their compiled tapes.
+//! the fault-mountable components, each prepared once for mounting.
 //! [`Characterizer`] builds them exactly
 //! once — on whichever worker thread asks first — and hands out `Arc`
 //! clones; an atomic counter proves the "exactly once" claim for any node
@@ -17,10 +17,10 @@ use std::sync::{Arc, OnceLock};
 use sbst_components::Component;
 use sbst_core::plan::build_managed_schedule_graded;
 use sbst_core::Cut;
-use sbst_cpu::faulty::ArchFault;
+use sbst_cpu::faulty::{ArchFault, Mountable};
 use sbst_cpu::mac::MacKey;
 use sbst_cpu::manager::{SharedSchedule, SignatureStore};
-use sbst_gates::{CompiledTape, Fault, FaultSimConfig};
+use sbst_gates::{Fault, FaultSimConfig};
 
 use crate::profile::TargetSpec;
 
@@ -36,22 +36,28 @@ pub struct FaultTarget {
 }
 
 /// The mountable fault targets of one characterization, in inventory
-/// order, each with its netlist compiled into a [`CompiledTape`].
+/// order, each prepared once as a [`Mountable`]: its compiled tape and its
+/// port region.
 ///
-/// Collecting [`FaultTarget`]s into this type compiles every tape exactly
-/// once, and collection happens inside the once-only characterization, so
-/// the fleet compiles each mountable component once per run for any node
-/// and worker count. [`FaultTargets::mount`] is then a refcount bump plus a
-/// private one-lane simulator. Dereferences to the targets as a slice.
+/// Collecting [`FaultTarget`]s into this type prepares every component
+/// exactly once, and collection happens inside the once-only
+/// characterization, so the fleet compiles each mountable component once
+/// per run for any node and worker count. [`FaultTargets::mount`] is then
+/// a refcount bump plus the mount's own evaluator. Dereferences to the
+/// targets as a slice.
+///
+/// # Panics
+///
+/// Collecting panics on a target [`Mountable::new`] refuses.
 #[derive(Debug, Clone, Default)]
 pub struct FaultTargets {
     targets: Vec<FaultTarget>,
     /// Parallel to `targets`.
-    tapes: Vec<Arc<CompiledTape>>,
+    mountables: Vec<Arc<Mountable>>,
 }
 
 impl FaultTargets {
-    /// Mounts `fault` into target `index` over its shared tape.
+    /// Mounts `fault` into target `index`.
     ///
     /// # Panics
     ///
@@ -59,22 +65,21 @@ impl FaultTargets {
     /// [`ArchFault::from_shared`] contract violation — notably a fault
     /// site outside the target's netlist.
     pub fn mount(&self, index: usize, fault: Fault) -> ArchFault {
-        ArchFault::from_shared(
-            &self.targets[index].component,
-            Arc::clone(&self.tapes[index]),
-            fault,
-        )
+        ArchFault::from_shared(&self.mountables[index], fault)
     }
 }
 
 impl FromIterator<FaultTarget> for FaultTargets {
     fn from_iter<I: IntoIterator<Item = FaultTarget>>(iter: I) -> Self {
         let targets: Vec<FaultTarget> = iter.into_iter().collect();
-        let tapes = targets
+        let mountables = targets
             .iter()
-            .map(|t| Arc::new(CompiledTape::compile(&t.component.netlist)))
+            .map(|t| Arc::new(Mountable::new(Arc::clone(&t.component))))
             .collect();
-        FaultTargets { targets, tapes }
+        FaultTargets {
+            targets,
+            mountables,
+        }
     }
 }
 
@@ -112,8 +117,7 @@ pub struct SharedArtifacts {
     /// Per-component fault coverage measured at characterization time
     /// (component name, percent).
     pub coverage: Vec<(String, f64)>,
-    /// Mountable fault targets with their compiled tapes, in inventory
-    /// order.
+    /// Mountable fault targets, each prepared once, in inventory order.
     pub targets: FaultTargets,
 }
 
@@ -277,20 +281,29 @@ mod tests {
     }
 
     #[test]
-    fn mounting_shares_the_compiled_tape() {
+    fn mounting_shares_the_prepared_component() {
         let artifacts = Characterizer::new(vec![Cut::alu(32), Cut::shifter(32)]).artifacts();
         let targets = &artifacts.targets;
         for (index, target) in targets.iter().enumerate() {
-            let tape = &targets.tapes[index];
-            assert_eq!(tape.net_count(), target.component.netlist.net_count());
-            let net = target.component.ports.output(target.spec.port).net(0);
-            let shares = Arc::strong_count(tape);
-            let mounted = targets.mount(index, Fault::stem_sa1(net));
-            // A mount holds one more reference to the same tape: nothing
-            // was compiled for it.
-            assert_eq!(Arc::strong_count(tape), shares + 1);
-            drop(mounted);
-            assert_eq!(Arc::strong_count(tape), shares);
+            let shared = &targets.mountables[index];
+            assert!(
+                std::ptr::eq(shared.component(), &*target.component),
+                "the preparation shares the target's component"
+            );
+            let port = target.component.ports.output(target.spec.port);
+            let shares = Arc::strong_count(shared);
+            for (net, on_port_path) in [
+                (port.net(0), true),
+                (target.component.netlist.inputs()[0], false),
+            ] {
+                let mounted = targets.mount(index, Fault::stem_sa1(net));
+                assert_eq!(mounted.on_port_path(), on_port_path);
+                // A mount holds one more reference to the same preparation:
+                // nothing was compiled for it.
+                assert_eq!(Arc::strong_count(shared), shares + 1);
+                drop(mounted);
+                assert_eq!(Arc::strong_count(shared), shares);
+            }
         }
     }
 }

@@ -499,7 +499,10 @@ mod tests {
             }),
             attack: None,
         };
-        let mut node = FleetNode::new(0, profile, Arc::clone(&artifacts), false);
+        // The same session twice: once on the node's own bench, and once
+        // on a bench that drops every mount it is handed back, so each
+        // attempt builds a fresh one.
+        let mut node = FleetNode::new(0, profile.clone(), Arc::clone(&artifacts), false);
         let mut bench = node.session_bench(&artifacts.targets);
         let status = node.manager.run_session(&mut bench);
         assert_eq!(status, SessionStatus::Completed { healthy: false });
@@ -510,11 +513,38 @@ mod tests {
             "{counters:?}"
         );
         let mount = bench.mount.expect("finish hands the mount back");
-        let stats = mount.memo_stats();
-        assert!(
-            stats.hits > stats.tape_runs,
-            "retries repeat the first attempt's operations: {stats:?}"
+        assert!(mount.on_port_path(), "a result bit takes the port path");
+        let reused = mount.eval_stats();
+
+        struct FreshMounts<'a> {
+            session: SessionBench<'a>,
+            returned: Vec<sbst_cpu::EvalStats>,
+        }
+        impl TestBench for FreshMounts<'_> {
+            fn prepare(&mut self, name: &str, attempt: u32, now: u64) -> Option<ArchFault> {
+                self.session.prepare(name, attempt, now)
+            }
+            fn finish(&mut self, fault: ArchFault) {
+                self.returned.push(fault.eval_stats());
+            }
+        }
+        let mut fresh_node = FleetNode::new(0, profile, Arc::clone(&artifacts), false);
+        let mut fresh = FreshMounts {
+            session: fresh_node.session_bench(&artifacts.targets),
+            returned: Vec::new(),
+        };
+        assert_eq!(fresh_node.manager.run_session(&mut fresh), status);
+        assert_eq!(fresh_node.manager.counters(), counters);
+
+        // The reused mount evaluated every attempt's operations, each on
+        // the port path: no tape replay happened.
+        assert!(fresh.returned.len() > 1, "{:?}", fresh.returned);
+        assert!(fresh.returned.iter().all(|s| s.port_evals > 0));
+        assert_eq!(
+            reused.port_evals,
+            fresh.returned.iter().map(|s| s.port_evals).sum::<u64>()
         );
+        assert_eq!((reused.tape_runs, reused.memo_hits), (0, 0), "{reused:?}");
     }
 
     #[test]
@@ -540,43 +570,82 @@ mod tests {
         assert!(c.events.len() > a.events.len());
     }
 
-    /// Mounts a fault whose activity window never opens whenever the
-    /// node's own bench mounts nothing: the hardware stays fault-free, but
-    /// the manager must execute every run instead of replaying the
-    /// schedule's record.
-    struct InertWhenClean<'a> {
+    /// Runs every attempt whose hardware is fault-free on the ISS. When
+    /// the node's own bench mounts nothing, or mounts a fault that first
+    /// manifests at or after the routine's fault-free completion cycle
+    /// (`records`), this bench mounts a *blind* fault instead: one active
+    /// only at local cycle 0, which every instruction's cycle count has
+    /// already passed. The hardware stays fault-free, but the blind fault's
+    /// first active cycle lies before any record, so the manager must
+    /// execute the run instead of replaying the schedule's record.
+    struct BlindWhenClean<'a> {
         session: SessionBench<'a>,
-        inert: Option<ArchFault>,
-        inert_out: bool,
-        inert_mounts: u64,
+        records: &'a [(String, u64)],
+        blind: Option<ArchFault>,
+        blind_out: bool,
+        blind_mounts: u64,
+        /// Planned mounts swapped for the blind one.
+        swapped: u64,
     }
 
-    impl TestBench for InertWhenClean<'_> {
+    impl TestBench for BlindWhenClean<'_> {
         fn prepare(&mut self, name: &str, attempt: u32, now: u64) -> Option<ArchFault> {
             let planned = self.session.prepare(name, attempt, now);
-            self.inert_out = planned.is_none();
-            if planned.is_some() {
-                return planned;
+            let record = self.records.iter().find(|(n, _)| n == name).unwrap().1;
+            match planned {
+                Some(mount) if mount.first_active_cycle() < record => {
+                    self.blind_out = false;
+                    return Some(mount);
+                }
+                Some(mount) => {
+                    self.swapped += 1;
+                    self.session.finish(mount);
+                }
+                None => {}
             }
-            self.inert_mounts += 1;
+            self.blind_out = true;
+            self.blind_mounts += 1;
             let targets = self.session.targets;
-            let mount = self.inert.take().unwrap_or_else(|| {
+            let mount = self.blind.take().unwrap_or_else(|| {
                 let port = targets[0].component.ports.output(targets[0].spec.port);
                 targets.mount(0, Fault::stem_sa1(port.net(0)))
             });
             Some(mount.with_activity(FaultActivity::Window {
-                from_cycle: u64::MAX,
-                until_cycle: u64::MAX,
+                from_cycle: 0,
+                until_cycle: 1,
             }))
         }
 
         fn finish(&mut self, fault: ArchFault) {
-            if self.inert_out {
-                self.inert = Some(fault);
+            if self.blind_out {
+                assert_eq!(
+                    fault.eval_stats(),
+                    sbst_cpu::EvalStats::default(),
+                    "the blind fault fired"
+                );
+                self.blind = Some(fault);
             } else {
                 self.session.finish(fault);
             }
         }
+    }
+
+    /// Each routine's fault-free completion cycle, from a run on the ISS.
+    fn fault_free_records(artifacts: &SharedArtifacts) -> Vec<(String, u64)> {
+        artifacts
+            .components
+            .iter()
+            .map(|component| {
+                let mut cpu = sbst_cpu::Cpu::new(sbst_cpu::CpuConfig::self_test());
+                cpu.load_program(&component.program);
+                match sbst_cpu::manager::run_with_watchdog(&mut cpu, u64::MAX) {
+                    Ok(sbst_cpu::manager::WatchdogOutcome::Completed { cycles }) => {
+                        (component.name.clone(), cycles)
+                    }
+                    other => panic!("{}: {other:?}", component.name),
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -618,6 +687,7 @@ mod tests {
                 bit: 5,
             }),
         };
+        let records = fault_free_records(&artifacts);
         for profile in [healthy, wear_out, adversarial] {
             let kind = profile.kind;
             let mut replaying = FleetNode::new(0, profile.clone(), Arc::clone(&artifacts), true);
@@ -625,23 +695,31 @@ mod tests {
             let replays = replaying.replayed_attempts();
 
             let mut executing = FleetNode::new(0, profile, Arc::clone(&artifacts), true);
-            let mut inert_mounts = 0;
+            let mut blind_mounts = 0;
+            let mut swapped = 0;
             loop {
-                let mut bench = InertWhenClean {
+                let mut bench = BlindWhenClean {
                     session: executing.session_bench(&artifacts.targets),
-                    inert: None,
-                    inert_out: false,
-                    inert_mounts: 0,
+                    records: &records,
+                    blind: None,
+                    blind_out: false,
+                    blind_mounts: 0,
+                    swapped: 0,
                 };
                 let sample = executing.run_due_session_on(&mut bench, 2_000_000);
-                inert_mounts += bench.inert_mounts;
+                blind_mounts += bench.blind_mounts;
+                swapped += bench.swapped;
                 if sample.done {
                     break;
                 }
             }
             assert_eq!(executing.replayed_attempts(), 0, "{kind:?}");
             assert!(replays > 0, "{kind:?}: nothing was replayed");
-            assert!(inert_mounts >= replays, "{kind:?}");
+            assert!(blind_mounts >= replays, "{kind:?}");
+            // The wear-out window opens in the third session: the first two
+            // mount it, and the record answers them.
+            let expected_swaps = if kind == ProfileKind::WearOut { 2 } else { 0 };
+            assert_eq!(swapped, expected_swaps, "{kind:?}");
 
             let (replayed, executed) = (replaying.finish(), executing.finish());
             assert_eq!(replayed.counters, executed.counters, "{kind:?}");
