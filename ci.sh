@@ -22,6 +22,12 @@ cargo test -q
 echo "== tests (full workspace) =="
 cargo test --workspace -q
 
+echo "== arch-vs-replay cross-validation: full fault lists, pinned counts =="
+# The ignored test mounts every collapsed ALU and shifter fault and every
+# 7th multiplier fault in the datapath (~10 s in release mode) and pins the
+# agreement counts exactly.
+cargo test --release --test arch_agreement -- --ignored
+
 echo "== perfbench smoke tests (its own workspace) =="
 # perfbench builds against the library's public API and checks its
 # reference outputs; a change that breaks either fails here.
@@ -242,6 +248,18 @@ if [ "$(jq '.adversary.attacks_injected > 0
   jq '.adversary' BENCH_online_manager_adv.json >&2
   exit 1
 fi
+
+echo "== online_manager snapshots: deterministic fields must match tests/golden =="
+# The manager campaigns' fixed point (README: "Updating the snapshots").
+# Only the wall clock is dropped; every verdict, counter and signature stays.
+for pair in BENCH_online_manager.json:online_manager_smoke.json \
+            BENCH_online_manager_adv.json:online_manager_adversary.json; do
+  report="${pair%%:*}" golden="tests/golden/${pair#*:}"
+  if ! diff <(jq -S 'del(.wall_seconds)' "$report") "$golden"; then
+    echo "error: $report diverges from $golden" >&2
+    exit 1
+  fi
+done
 
 echo "== fleet orchestration smoke: 1000 nodes, workers 1 vs 2 (exit code gates invariants) =="
 # The binary itself exits nonzero unless exactly one characterization ran

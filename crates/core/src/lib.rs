@@ -33,7 +33,6 @@
 pub mod classify;
 pub mod codestyle;
 pub mod cut;
-pub mod diagnose;
 pub mod extract;
 pub mod grade;
 pub mod json;
@@ -47,7 +46,6 @@ pub mod routine;
 pub use classify::{classification_row, test_priority_order, testability_row};
 pub use codestyle::CodeStyle;
 pub use cut::Cut;
-pub use diagnose::{Diagnosis, GoldenSignatures};
 pub use grade::{
     arch_validate, grade_routine, grade_routine_with, grade_trace_models, stimulus_for,
     ArchValidation, GradeError, GradedRoutine, TraceGrade,

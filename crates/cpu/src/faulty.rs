@@ -9,12 +9,12 @@
 //! signature. This end-to-end mode cross-validates the faster trace-replay
 //! grading of `sbst-core`.
 //!
-//! A fault whose fanout cone stays among the result-port nets is evaluated
-//! from the behavioural model with the faulty bit forced (the *port path*);
-//! any other fault replays the faulty netlist's compiled tape (the *tape
+//! A stuck-at on a result-port stem is evaluated from the behavioural
+//! model with the faulty bit forced, the ALU's `zero` re-derived from a
+//! forced `result` (the *port path*), when nothing else reads the net; any
+//! other fault replays the faulty netlist's compiled tape (the *tape
 //! path*). See [`ArchFault`].
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use sbst_components::alu::AluOp;
@@ -202,11 +202,11 @@ pub struct EvalStats {
 /// A datapath component prepared once for mounting faults into it.
 ///
 /// Preparing compiles the component's [`CompiledTape`], resolves its
-/// operand and result buses against it and finds its port region (see
-/// [`ArchFault`]). Every [`ArchFault::from_shared`] over the same
-/// preparation is then a refcount bump, a short lookup and the mount's own
-/// evaluator, so a campaign that mounts many faults into one component
-/// pays for all three once.
+/// operand and result buses against it and decides which result-port
+/// stems take the port path (see [`ArchFault`]). Every
+/// [`ArchFault::from_shared`] over the same preparation is then a refcount
+/// bump, a short lookup and the mount's own evaluator, so a campaign that
+/// mounts many faults into one component pays for all three once.
 #[derive(Debug)]
 pub struct Mountable {
     component: Arc<Component>,
@@ -219,7 +219,8 @@ pub struct Mountable {
     /// Result nets, LSB first (ALU: `result` then `zero`; shifter:
     /// `result`; multiplier: the 64-bit `product`).
     results: Vec<NetId>,
-    region: PortRegion,
+    /// The result-word bits whose net's stem takes the port path.
+    port_bits: u64,
 }
 
 impl Mountable {
@@ -269,16 +270,36 @@ impl Mountable {
             .iter()
             .flat_map(|name| component.ports.output(name).iter().copied())
             .collect();
-        // The behavioural model supplies the first result port; later
-        // ones (the ALU's `zero`) are re-derived from it.
-        let seeds = component.ports.output(result_ports[0]).nets();
-        let region = PortRegion::new(netlist, seeds, &results);
+        // The behavioural model supplies the first result port; the ALU's
+        // `zero` is re-derived from it, so a forced `result` bit may reach
+        // the gates of its reduction and nothing else.
+        let word_bits = component.ports.output(result_ports[0]).width();
+        let reduction = match target {
+            ArchFaultTarget::Alu => {
+                zero_reduction(netlist, &results[..word_bits], results[word_bits])
+            }
+            _ => Some(Vec::new()),
+        };
+        let port_bits = results.iter().enumerate().fold(0, |bits, (bit, &net)| {
+            let readers = if bit < word_bits {
+                reduction.as_deref()
+            } else {
+                Some(&[][..])
+            };
+            let contained = readers.is_some_and(|gates| {
+                netlist
+                    .comb_users(net)
+                    .iter()
+                    .all(|gate| gates.contains(gate))
+            });
+            bits | u64::from(contained) << bit
+        });
         Mountable {
             target,
             tape,
             operands,
             results,
-            region,
+            port_bits,
             component,
         }
     }
@@ -289,236 +310,45 @@ impl Mountable {
     }
 }
 
-/// The port region of a component: its result-port nets, plus the output
-/// of every gate whose inputs all lie in the region (the ALU's `zero` OR
-/// tree and inverter; nothing beyond the ports for the shifter and the
-/// multiplier). The behavioural model supplies the result-port nets as the
-/// bits of one word, and the region's gates are re-evaluated from it.
-#[derive(Debug)]
-struct PortRegion {
-    /// The result-port net behind each bit of the model's word.
-    seeds: Vec<NetId>,
-    /// Per seed bit: whether its net's fanout cone stays inside the region.
-    seed_contained: Vec<bool>,
-    /// The region's gates, in tape order.
-    gates: Vec<RegionGate>,
-    /// Inputs of every region gate, in pin order, as value slots: slot
-    /// `b` below `seeds.len()` is bit `b` of the result word, and slot
-    /// `seeds.len() + g` the output of region gate `g`.
-    pool: Vec<u32>,
-    /// `(result word bit, region gate)` of every result bit a region gate
-    /// drives.
-    outputs: Vec<(u8, u32)>,
-}
-
-/// A gate of the port region.
-#[derive(Debug)]
-struct RegionGate {
-    gate: GateId,
-    kind: GateKind,
-    output: NetId,
-    /// Its inputs, as a range of [`PortRegion::pool`].
-    inputs: Range<usize>,
-    /// Whether the output's fanout cone stays inside the region.
-    contained: bool,
-}
-
-/// Where a port-path fault sits.
-#[derive(Debug, Clone, Copy)]
-enum PortSite {
-    /// A result-port stem: the mask of the word bits its net carries.
-    Port(u64),
-    /// The output stem of a region gate, by index.
-    Gate(u32),
-    /// An input pin of a region gate, by the gate's index.
-    Pin { gate: u32, pin: u8 },
-}
-
-impl PortRegion {
-    /// The region of `netlist` grown from the result-port nets `seeds`.
-    /// `results` are all the result nets, by word bit.
-    fn new(netlist: &Netlist, seeds: &[NetId], results: &[NetId]) -> Self {
-        // Each region net's value slot.
-        let mut source: Vec<Option<u32>> = vec![None; netlist.net_count()];
-        for (bit, &net) in seeds.iter().enumerate() {
-            source[net.index()].get_or_insert(bit as u32);
-        }
-        let mut gates = Vec::new();
-        let mut pool = Vec::new();
-        for &gid in netlist.comb_order() {
-            let gate = netlist.gate(gid);
-            if gate.inputs.is_empty() || source[gate.output.index()].is_some() {
-                continue;
-            }
-            let Some(inputs) = gate
-                .inputs
-                .iter()
-                .map(|net| source[net.index()])
-                .collect::<Option<Vec<_>>>()
-            else {
-                continue;
-            };
-            let start = pool.len();
-            pool.extend(inputs);
-            source[gate.output.index()] = Some((seeds.len() + gates.len()) as u32);
-            gates.push(RegionGate {
-                gate: gid,
-                kind: gate.kind,
-                output: gate.output,
-                inputs: start..pool.len(),
-                contained: false,
-            });
-        }
-        // A net's cone stays inside when every gate reading it is a region
-        // gate whose own cone does. Readers come later in tape order, so
-        // one backward pass settles every gate before its inputs.
-        let gate_of = |slot: Option<u32>| slot?.checked_sub(seeds.len() as u32);
-        let inside = |net: NetId, gates: &[RegionGate]| {
-            netlist.comb_users(net).iter().all(|&reader| {
-                gate_of(source[netlist.gate(reader).output.index()])
-                    .is_some_and(|g| gates[g as usize].contained)
-            })
-        };
-        for index in (0..gates.len()).rev() {
-            gates[index].contained = inside(gates[index].output, &gates);
-        }
-        let seed_contained = seeds.iter().map(|&net| inside(net, &gates)).collect();
-        let outputs = results
-            .iter()
-            .enumerate()
-            .filter_map(|(bit, net)| Some((bit as u8, gate_of(source[net.index()])?)))
-            .collect();
-        PortRegion {
-            seeds: seeds.to_vec(),
-            seed_contained,
-            gates,
-            pool,
-            outputs,
-        }
+/// The gates of the ALU's `zero` flag logic when they compute what
+/// [`alu::model`] does, `result == 0`: an inverter driving `zero` from an
+/// OR tree whose leaves are exactly the `result` nets, with no net of the
+/// tree and not `zero` itself read by any other gate. `None` otherwise.
+fn zero_reduction(netlist: &Netlist, result: &[NetId], zero: NetId) -> Option<Vec<GateId>> {
+    let inverter = netlist.driver(zero)?;
+    let gate = netlist.gate(inverter);
+    if gate.kind != GateKind::Not || !netlist.comb_users(zero).is_empty() {
+        return None;
     }
-
-    /// Where `fault` sits in the region, if its site is a region net's
-    /// stem or a region gate's pin and its whole fanout cone stays inside.
-    /// `results` are the result nets, by word bit.
-    fn site(&self, fault: &Fault, results: &[NetId]) -> Option<PortSite> {
-        let (index, site) = match fault.site {
-            FaultSite::Stem(net) => {
-                if let Some(bit) = self.seeds.iter().position(|&n| n == net) {
-                    let mask = results
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &n)| n == net)
-                        .fold(0, |mask, (bit, _)| mask | 1 << bit);
-                    return self.seed_contained[bit].then_some(PortSite::Port(mask));
-                }
-                let index = self.gates.iter().position(|g| g.output == net)?;
-                (index, PortSite::Gate(index as u32))
-            }
-            FaultSite::Pin { gate, pin } => {
-                let index = self.gates.iter().position(|g| g.gate == gate)?;
-                (
-                    index,
-                    PortSite::Pin {
-                        gate: index as u32,
-                        pin,
-                    },
-                )
-            }
-        };
-        self.gates[index].contained.then_some(site)
-    }
-
-    /// The result word under a fault at `site` stuck at `stuck`, given the
-    /// fault-free word `good`: the faulty bit is forced and the region's
-    /// gates are re-evaluated in tape order. `values` holds one entry per
-    /// slot and `scratch` the inputs of a wide or pin-faulted gate.
-    fn eval(
-        &self,
-        site: PortSite,
-        stuck: bool,
-        good: u64,
-        values: &mut [u64],
-        scratch: &mut Vec<u64>,
-    ) -> u64 {
-        let stuck = u64::from(stuck);
-        let (word, forced) = match site {
-            PortSite::Port(mask) => {
-                let word = if stuck == 1 {
-                    good | mask
-                } else {
-                    good & !mask
-                };
-                // A result-port stem that already carries the stuck value
-                // changes nothing, and without region gates nothing reads
-                // the forced bit.
-                if word == good || self.gates.is_empty() {
-                    return word;
-                }
-                (word, u32::MAX)
-            }
-            PortSite::Gate(gate) | PortSite::Pin { gate, .. } => (good, gate),
-        };
-        let (ports, outs) = values.split_at_mut(self.seeds.len());
-        for (bit, value) in ports.iter_mut().enumerate() {
-            *value = (word >> bit) & 1;
+    let mut gates = vec![inverter];
+    let mut leaves = Vec::new();
+    let mut pending = gate.inputs.clone();
+    while let Some(net) = pending.pop() {
+        if result.contains(&net) {
+            leaves.push(net);
+            continue;
         }
-        for (index, gate) in self.gates.iter().enumerate() {
-            let inputs = &self.pool[gate.inputs.clone()];
-            let load = |slot: u32| {
-                let slot = slot as usize;
-                if slot < ports.len() {
-                    ports[slot]
-                } else {
-                    outs[slot - ports.len()]
-                }
-            };
-            let value = if index as u32 != forced {
-                match *inputs {
-                    [a] => gate.kind.eval(&[load(a)]),
-                    [a, b] => gate.kind.eval(&[load(a), load(b)]),
-                    _ => {
-                        scratch.clear();
-                        scratch.extend(inputs.iter().map(|&slot| load(slot)));
-                        gate.kind.eval(scratch)
-                    }
-                }
-            } else if let PortSite::Pin { pin, .. } = site {
-                scratch.clear();
-                scratch.extend(inputs.iter().enumerate().map(|(k, &slot)| {
-                    if k == usize::from(pin) {
-                        stuck
-                    } else {
-                        load(slot)
-                    }
-                }));
-                gate.kind.eval(scratch)
-            } else {
-                stuck
-            };
-            outs[index] = value & 1;
+        let or = netlist.driver(net)?;
+        let gate = netlist.gate(or);
+        if gate.kind != GateKind::Or || netlist.comb_users(net).len() != 1 {
+            return None;
         }
-        self.outputs.iter().fold(word, |word, &(bit, g)| {
-            word & !(1 << bit) | outs[g as usize] << bit
-        })
+        gates.push(or);
+        pending.extend(&gate.inputs);
     }
-
-    /// Value slots: one per result-port bit, then one per region gate.
-    fn slots(&self) -> usize {
-        self.seeds.len() + self.gates.len()
+    let mut result = result.to_vec();
+    for list in [&mut leaves, &mut result] {
+        list.sort_unstable();
+        list.dedup();
     }
+    (leaves == result).then_some(gates)
 }
 
 /// How a mount evaluates its component.
 #[derive(Debug)]
 enum Evaluator {
-    /// The behavioural result with the faulty bit forced.
-    Port {
-        site: PortSite,
-        /// One value per region slot.
-        values: Vec<u64>,
-        /// The inputs of a wide or pin-faulted region gate.
-        scratch: Vec<u64>,
-    },
+    /// The behavioural result with the word bits of `mask` forced.
+    Port { mask: u64 },
     /// A private one-lane simulator over the shared tape.
     Tape {
         sim: Box<TapeSimulator<Arc<CompiledTape>, 1>>,
@@ -532,23 +362,24 @@ enum Evaluator {
 ///
 /// Mounting picks one of two evaluation paths from the fault site alone:
 ///
-/// - **Port path.** A component's *port region* is its result-port nets
-///   (ALU `result`, shifter `result`, multiplier `product`) plus the
-///   output of every gate whose inputs all lie in the region (the ALU's
-///   `zero` flag logic). A stem on a region net, or a pin of a region
-///   gate, whose whole fanout cone stays inside the region takes this
-///   path: an operation takes the fault-free port word from the
-///   behavioural model the ISS already calls, forces the faulty bit and
-///   re-evaluates only the region's gates, in tape order. This is exact:
-///   the fault can reach nothing else, and the model computes what the
-///   fault-free netlist does. Such a mount holds no tape simulator and no
-///   memo.
-/// - **Tape path.** Any other site gets a private one-lane
-///   [`TapeSimulator`] over the shared [`CompiledTape`] with the fault
-///   injected. An operation drives its operand bits by position, replays
-///   the tape once and reads lane 0 of the result nets. The simulator
-///   recomputes every net from the inputs on each replay, so nothing
-///   leaks from one operation into the next.
+/// - **Port path.** A stuck-at on the stem of a result-port net that no
+///   gate reads (shifter `result`, multiplier `product`, ALU `zero`) takes
+///   this path, and so does an ALU `result` bit whose only readers are the
+///   gates of the `zero` reduction, when [`Mountable::new`] found that
+///   reduction to be an OR tree plus inverter over exactly the `result`
+///   nets. An operation takes the fault-free word from the behavioural
+///   model the ISS already calls and forces the faulty bits; when a
+///   `result` bit was forced, the ALU re-derives `zero` as [`alu::model`]
+///   does, `result == 0`. This is exact: the fault reaches no other net,
+///   and the model computes what the fault-free netlist does. Such a mount
+///   holds only the mask of the word bits to force.
+/// - **Tape path.** Any other site, including every gate and pin inside
+///   the `zero` reduction, gets a private one-lane [`TapeSimulator`] over
+///   the shared [`CompiledTape`] with the fault injected. An operation
+///   drives its operand bits by position, replays the tape once and reads
+///   lane 0 of the result nets. The simulator recomputes every net from
+///   the inputs on each replay, so nothing leaks from one operation into
+///   the next.
 ///
 ///   Each tape-path mount also keeps a bounded, direct-mapped memo from
 ///   the packed operand words to the result word, so an operation whose
@@ -587,8 +418,8 @@ impl ArchFault {
     /// Mounts `fault` as a permanent fault inside a component prepared
     /// once and shared — the fleet path, where one characterization's
     /// components are mounted on many simulated nodes. Whether the fault
-    /// takes the port path or the tape path is decided here, from its
-    /// site.
+    /// takes the port path or the tape path is looked up here, from its
+    /// site and what [`Mountable::new`] decided.
     ///
     /// # Panics
     ///
@@ -611,19 +442,24 @@ impl ArchFault {
             "fault {fault} lies outside the {} netlist",
             netlist.name()
         );
-        let eval = match shared.region.site(&fault, &shared.results) {
-            Some(site) => Evaluator::Port {
-                site,
-                values: vec![0; shared.region.slots()],
-                scratch: Vec::new(),
-            },
-            None => {
-                let mut sim = Box::new(TapeSimulator::new(Arc::clone(&shared.tape)));
-                sim.inject_fault(&fault, 0);
-                Evaluator::Tape {
-                    sim,
-                    memo: Vec::new(),
-                }
+        // The word bits a stem carries; a port mount forces all of them.
+        let mask = match fault.site {
+            FaultSite::Stem(net) => shared
+                .results
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n == net)
+                .fold(0, |mask, (bit, _)| mask | 1 << bit),
+            FaultSite::Pin { .. } => 0,
+        };
+        let eval = if mask != 0 && mask & !shared.port_bits == 0 {
+            Evaluator::Port { mask }
+        } else {
+            let mut sim = Box::new(TapeSimulator::new(Arc::clone(&shared.tape)));
+            sim.inject_fault(&fault, 0);
+            Evaluator::Tape {
+                sim,
+                memo: Vec::new(),
             }
         };
         ArchFault {
@@ -675,23 +511,20 @@ impl ArchFault {
 
     /// The result word for `operands`, LSB first. On the port path it is
     /// `good` (the fault-free word, from the behavioural model) with the
-    /// fault applied to the port region. On the tape path it comes from
-    /// the memo when this mount has evaluated `operands` before, and
-    /// otherwise from driving the operand buses, replaying the faulty tape
-    /// and gathering the result nets.
+    /// mount's bits forced. On the tape path it comes from the memo when
+    /// this mount has evaluated `operands` before, and otherwise from
+    /// driving the operand buses, replaying the faulty tape and gathering
+    /// the result nets.
     fn eval_ports(&mut self, operands: &[u32], good: impl FnOnce() -> u64) -> u64 {
         let (sim, memo) = match &mut self.eval {
-            Evaluator::Port {
-                site,
-                values,
-                scratch,
-            } => {
+            &mut Evaluator::Port { mask } => {
                 self.stats.port_evals += 1;
-                let stuck = self.fault.stuck_value;
-                return self
-                    .shared
-                    .region
-                    .eval(*site, stuck, good(), values, scratch);
+                let good = good();
+                return if self.fault.stuck_value {
+                    good | mask
+                } else {
+                    good & !mask
+                };
             }
             Evaluator::Tape { sim, memo } => (sim, memo),
         };
@@ -733,7 +566,15 @@ impl ArchFault {
             let (result, zero) = Self::good_alu(op);
             u64::from(result) | u64::from(zero) << 32
         });
-        Some((word as u32, (word >> 32) & 1 == 1))
+        let result = word as u32;
+        let zero = match self.eval {
+            // A forced `result` bit reaches `zero` only through the
+            // reduction, which `Mountable::new` checked computes
+            // `result == 0`.
+            Evaluator::Port { mask } if mask as u32 != 0 => result == 0,
+            _ => (word >> 32) & 1 == 1,
+        };
+        Some((result, zero))
     }
 
     /// Evaluates a shift through the faulty component.
@@ -792,6 +633,7 @@ mod tests {
     use super::*;
     use sbst_components::alu::AluFunc;
     use sbst_components::shifter::ShiftFunc;
+    use sbst_gates::{Bus, NetlistBuilder, Simulator};
 
     #[test]
     fn faulty_alu_differs_somewhere() {
@@ -1208,13 +1050,17 @@ mod tests {
             let input = Fault::stem_sa1(c.netlist.inputs()[0]);
             assert!(!ArchFault::from_shared(&shared, input).on_port_path());
         }
-        // The ALU's region is its result bits plus the zero flag logic:
-        // an OR tree over 32 bits and the inverter.
-        let shared = Arc::new(Mountable::new(Arc::new(alu::alu(32))));
-        assert_eq!(shared.region.gates.len(), 32);
-        let zero = shared.component().ports.output("zero").net(0);
+        // The ALU's `zero` logic is an OR tree over 32 bits and the
+        // inverter: `zero` itself takes the port path, every site inside
+        // the reduction the tape path.
+        let c = alu::alu(32);
+        let (result, zero) = (c.ports.output("result"), c.ports.output("zero").net(0));
+        let reduction = zero_reduction(&c.netlist, result.nets(), zero).unwrap();
+        assert_eq!(reduction.len(), 32);
+        let shared = Arc::new(Mountable::new(Arc::new(c)));
         assert!(ArchFault::from_shared(&shared, Fault::stem_sa0(zero)).on_port_path());
-        let inverter = shared.component().netlist.driver(zero).unwrap();
+        let inverter = reduction[0];
+        let root = shared.component().netlist.gate(inverter).inputs[0];
         let pin = Fault {
             site: FaultSite::Pin {
                 gate: inverter,
@@ -1222,12 +1068,115 @@ mod tests {
             },
             stuck_value: true,
         };
-        assert!(ArchFault::from_shared(&shared, pin).on_port_path());
+        for fault in [pin, Fault::stem_sa1(root)] {
+            assert!(!ArchFault::from_shared(&shared, fault).on_port_path());
+        }
         let internal = internal_alu_fault(shared.component(), 0);
         assert!(!ArchFault::from_shared(&shared, internal).on_port_path());
-        for c in [shifter::shifter(32), multiplier::multiplier(32)] {
-            assert!(Mountable::new(Arc::new(c)).region.gates.is_empty());
+    }
+
+    /// A combinational ALU-shaped component whose `result` is `a ^ b`, so
+    /// that the model agrees with it on `xor`, and whose `zero` is built
+    /// by `zero_logic` from `result` and `a`. With `tap`, `result[0]` also
+    /// feeds `result[1]`, which still carries `a[1] ^ b[1]`.
+    fn xor_alu(
+        tap: bool,
+        zero_logic: impl FnOnce(&mut NetlistBuilder, &Bus, &Bus) -> NetId,
+    ) -> Component {
+        let mut b = NetlistBuilder::new("xor_alu");
+        let a = b.input_bus("a", 32);
+        let bb = b.input_bus("b", 32);
+        let op = b.input_bus("op", 3);
+        let mut result: Vec<NetId> = (0..32).map(|i| b.xor2(a.net(i), bb.net(i))).collect();
+        if tap {
+            let low = b.xor2(a.net(0), bb.net(0));
+            let high = b.xor2(result[1], low);
+            result[1] = b.xor2(result[0], high);
         }
+        let result = Bus::new(result);
+        let zero = zero_logic(&mut b, &result, &a);
+        b.mark_output_bus(&result, "result");
+        b.mark_output(zero, "zero");
+        let mut ports = sbst_components::PortMap::new();
+        ports.add_input("a", a);
+        ports.add_input("b", bb);
+        ports.add_input("op", op);
+        ports.add_output("result", result);
+        ports.add_output("zero", std::iter::once(zero).collect());
+        Component {
+            netlist: b.finish().unwrap(),
+            ports,
+            kind: ComponentKind::Alu,
+            class: sbst_components::ComponentClass::DataVisible,
+            width: 32,
+            area_split: Vec::new(),
+        }
+    }
+
+    /// Mounts both stems of every `result` and `zero` net of `c`, checks
+    /// each against the full-eval simulator on `xor` operations and
+    /// returns the word bits whose stems took the port path.
+    fn checked_port_bits(c: Component) -> u64 {
+        let shared = Arc::new(Mountable::new(Arc::new(c)));
+        let c = shared.component();
+        let (result, zero) = (c.ports.output("result"), c.ports.output("zero"));
+        let words = (0..32)
+            .map(|bit| 1u32 << bit)
+            .chain([0, u32::MAX, 0x9E37_79B9]);
+        let ops: Vec<AluOp> = words
+            .flat_map(|a| [(a, 0), (a, 1), (a, 1 << 31)])
+            .map(|(a, b)| AluOp {
+                func: AluFunc::Xor,
+                a,
+                b,
+            })
+            .collect();
+        let mut port_bits = 0;
+        for (bit, &net) in result.iter().chain(zero.iter()).enumerate() {
+            for fault in [Fault::stem_sa0(net), Fault::stem_sa1(net)] {
+                let mut mounted = ArchFault::from_shared(&shared, fault);
+                port_bits |= u64::from(mounted.on_port_path()) << bit;
+                for op in &ops {
+                    let mut sim = Simulator::new(&c.netlist);
+                    sim.inject_fault(&fault, 1);
+                    sim.set_bus(c.ports.input("a"), op.a.into());
+                    sim.set_bus(c.ports.input("b"), op.b.into());
+                    sim.eval();
+                    let expected = (sim.bus_value(result) as u32, sim.bus_value(zero) & 1 == 1);
+                    assert_eq!(mounted.eval_alu(op), Some(expected), "{fault} on {op:?}");
+                }
+            }
+        }
+        port_bits
+    }
+
+    #[test]
+    fn result_stems_reaching_other_logic_take_the_tape_path() {
+        let zero_bit = 1 << 32;
+        let or_tree = |b: &mut NetlistBuilder, result: &Bus, _: &Bus| {
+            let any = b.reduce_or(result);
+            b.not(any)
+        };
+        // The model's reduction: every result bit but the tapped one.
+        assert_eq!(
+            checked_port_bits(xor_alu(true, or_tree)),
+            !1 & 0x1_FFFF_FFFF
+        );
+        assert_eq!(checked_port_bits(xor_alu(false, or_tree)), 0x1_FFFF_FFFF);
+        // An AND tree, and an OR tree with `a[0]` in place of
+        // `result[31]`: `zero` is no longer `result == 0`, so only its own
+        // stems take the port path.
+        let and_tree = |b: &mut NetlistBuilder, result: &Bus, _: &Bus| {
+            let all = b.reduce_and(result);
+            b.not(all)
+        };
+        assert_eq!(checked_port_bits(xor_alu(false, and_tree)), zero_bit);
+        let foreign_leaf = |b: &mut NetlistBuilder, result: &Bus, a: &Bus| {
+            let leaves: Bus = result.iter().take(31).chain([&a.net(0)]).copied().collect();
+            let any = b.reduce_or(&leaves);
+            b.not(any)
+        };
+        assert_eq!(checked_port_bits(xor_alu(false, foreign_leaf)), zero_bit);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! multiplier, under collapsed stem, pin and primary-input stem faults on
 //! the tape path, with many operations per mount so that nothing one
 //! operation leaves in the tape simulator can leak into the next, and
-//! every fault the port path accepts, on operations that drive the result
-//! to zero and to a single set bit.
+//! every fault the port path accepts and every site of the ALU's `zero`
+//! reduction, on operations that drive the result to zero and to a single
+//! set bit.
 //!
 //! The `*_memo_*` properties draw operands from a small pool, so that
 //! operations repeat, and re-arm one tape-path mount across several
@@ -416,21 +417,13 @@ fn multiplier_port_ops() -> Vec<MulOp> {
     ops
 }
 
-/// Every port-path fault of the ALU — both stems of every `result` and
-/// `zero` bit and each `zero`-logic fault the classifier accepts — agrees
-/// with the oracle on every operation, including those whose forced bit
-/// flips the `zero` flag.
+/// The port-path faults of the ALU are exactly both stems of every
+/// `result` and `zero` bit, and each agrees with the oracle on every
+/// operation, including those whose forced bit flips the `zero` flag.
 #[test]
 fn alu_port_path_matches_simulator_exhaustively() {
     let m = alu32();
-    let ports = &m.component().ports;
-    let pins = m.faults[PORT]
-        .iter()
-        .filter(|f| matches!(f.site, FaultSite::Pin { .. }))
-        .count();
-    assert!(pins > 0, "no zero-logic pin takes the port path");
-    let result_stems = 2 * (ports.output("result").width() + 1);
-    assert!(m.faults[PORT].len() >= result_stems + pins);
+    assert_eq!(m.faults[PORT].len(), 2 * (32 + 1));
     let ops = alu_port_ops();
     let mut flips = 0;
     for &fault in &m.faults[PORT] {
@@ -450,6 +443,55 @@ fn alu_port_path_matches_simulator_exhaustively() {
         );
     }
     assert!(flips > 0, "no operation flipped the zero flag");
+}
+
+/// Every site of the ALU's `zero` reduction — the stem and both pins of
+/// each OR-tree gate, the inverter's pin and the `zero` stem it drives —
+/// agrees with the oracle on every operation. All but the `zero` stem take
+/// the tape path.
+#[test]
+fn alu_zero_reduction_matches_simulator_exhaustively() {
+    let m = alu32();
+    let component = m.component();
+    let netlist = &component.netlist;
+    let result = component.ports.output("result").nets();
+    let zero = component.ports.output("zero").net(0);
+    let mut gates = vec![netlist.driver(zero).unwrap()];
+    let mut next = 0;
+    while let Some(&gate) = gates.get(next) {
+        for net in &netlist.gate(gate).inputs {
+            if !result.contains(net) {
+                gates.push(netlist.driver(*net).unwrap());
+            }
+        }
+        next += 1;
+    }
+    assert_eq!(gates.len(), 32, "31 OR gates and the inverter");
+    let faults: Vec<Fault> = netlist
+        .all_faults()
+        .into_iter()
+        .filter(|fault| match fault.site {
+            FaultSite::Stem(net) => netlist.driver(net).is_some_and(|g| gates.contains(&g)),
+            FaultSite::Pin { gate, .. } => gates.contains(&gate),
+        })
+        .collect();
+    assert_eq!(faults.len(), 2 * (32 + 31 * 2 + 1));
+    let ops = alu_port_ops();
+    for &fault in &faults {
+        let mut mounted = ArchFault::from_shared(&m.shared, fault);
+        assert_eq!(
+            mounted.on_port_path(),
+            fault.site == FaultSite::Stem(zero),
+            "{fault}"
+        );
+        for op in &ops {
+            assert_eq!(
+                mounted.eval_alu(op),
+                expected_alu(&fault, op),
+                "{fault} on {op:?}"
+            );
+        }
+    }
 }
 
 /// Both stems of every shifter `result` bit agree with the oracle.

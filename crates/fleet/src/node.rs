@@ -95,9 +95,11 @@ impl NodeOutcome {
 ///
 /// The mount lives for the session: the first attempt that needs it
 /// builds it, [`TestBench::finish`] takes it back after the run, and the
-/// next attempt re-arms it, so retries and recaptures reuse its evaluation
-/// memo. It is dropped with the bench when the session ends, which keeps
-/// at most one mount alive per worker.
+/// next attempt re-arms it, so retries and recaptures mount nothing anew
+/// (a tape-path mount would keep its memo too; the fleet's result-port
+/// faults take the port path, which holds only a mask). It is dropped
+/// with the bench when the session ends, which keeps at most one mount
+/// alive per worker.
 struct SessionBench<'a> {
     targets: &'a FaultTargets,
     planned: Option<(Fault, PlannedFault)>,

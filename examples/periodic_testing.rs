@@ -15,7 +15,7 @@ use std::error::Error;
 use std::time::Duration;
 
 use sbst::core::plan::build_managed_schedule;
-use sbst::core::{Cut, GoldenSignatures, SelfTestProgram};
+use sbst::core::{Cut, SelfTestProgram};
 use sbst::cpu::manager::{ManagerConfig, OnlineTestManager};
 use sbst::cpu::system::{run_time_shared, scheduler_overhead, TimeShareConfig};
 use sbst::cpu::{ActivationPolicy, AnalyticStallModel, ArchFault, ExecTimeEstimate, QuantumConfig};
@@ -144,16 +144,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         share.test_runs_completed,
         share.user_instructions,
         share.test_overhead_fraction() * 100.0
-    );
-
-    // Error identification: golden signatures vs an in-field run.
-    let golden = GoldenSignatures::capture(&program)?;
-    let later_run = program.run()?;
-    let diagnosis = golden.diagnose(&later_run);
-    println!(
-        "\ndiagnosis of a healthy in-field run: healthy = {}, faulty CUTs = {:?}",
-        diagnosis.healthy(),
-        diagnosis.faulty_components()
     );
 
     // The on-line test manager closing the loop in-field: watchdogged
