@@ -81,9 +81,9 @@ echo "== validate all three reports =="
 for report in BENCH_table1.json BENCH_table1_serial.json BENCH_table1_td.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require table1 --require execution_time
-  # Reports must carry the current schema (12: table1's fault_sim object has no tape-shape keys).
-  if [ "$(jq '.schema_version' "$report")" != "12" ]; then
-    echo "error: $report schema_version is not 12" >&2
+  # Reports must carry the current schema (13: table1's fault_sim object reports lane_words_simulated).
+  if [ "$(jq '.schema_version' "$report")" != "13" ]; then
+    echo "error: $report schema_version is not 13" >&2
     exit 1
   fi
 done
@@ -145,11 +145,36 @@ fi
 # the stimulus, so the simulation volume is thread-invariant too.
 sim_volume_fields() {
   jq -S '.table1.fault_sim | {
-    events_full_eval, cycles_simulated, live_lane_cycles, lane_slots_filled, lane_slots_total
+    events_full_eval, cycles_simulated, live_lane_cycles, lane_slots_filled, lane_slots_total,
+    lane_words_simulated
   }' "$1"
 }
 if ! diff <(sim_volume_fields BENCH_table1_serial.json) <(sim_volume_fields BENCH_table1.json); then
   echo "error: fault-sim volume diverges between the serial and threaded table1 runs" >&2
+  exit 1
+fi
+
+echo "== table1 smoke snapshot: deterministic fields must match tests/golden =="
+# Table 1's fixed point (README: "Updating the snapshots"): the coverage,
+# ATPG-outcome and fault-sim volume fields above plus each row's routine
+# size, cycles and data references and the totals.
+table1_snapshot_fields() {
+  jq -S '.table1 | {
+    fault_model,
+    rows: [.rows[] | {name, size_words, cpu_cycles, data_refs,
+                      fault_count, faults_detected, fault_coverage_percent,
+                      stuck_at_fault_count, stuck_at_detected, stuck_at_coverage_percent,
+                      transition_fault_count, transition_detected, transition_coverage_percent}],
+    totals,
+    atpg: (.atpg | {runs, random_patterns_tried, random_patterns_kept, detected_by_random,
+                    podem_targets, podem_tests, podem_backtracks, redundant, aborted,
+                    podem_discarded, drop_sim_tape_compilations}),
+    fault_sim: (.fault_sim | {events_full_eval, cycles_simulated, live_lane_cycles,
+                              lane_slots_filled, lane_slots_total, lane_words_simulated})
+  }' "$1"
+}
+if ! diff <(table1_snapshot_fields BENCH_table1.json) tests/golden/table1_smoke.json; then
+  echo "error: BENCH_table1.json diverges from tests/golden/table1_smoke.json" >&2
   exit 1
 fi
 
@@ -190,8 +215,8 @@ cargo run --release -p sbst-bench --bin atpg_speed -- --smoke --threads 2 \
 for report in BENCH_atpg_speed_serial.json BENCH_atpg_speed.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require components --require atpg
-  if [ "$(jq '.schema_version' "$report")" != "12" ]; then
-    echo "error: $report schema_version is not 12" >&2
+  if [ "$(jq '.schema_version' "$report")" != "13" ]; then
+    echo "error: $report schema_version is not 13" >&2
     exit 1
   fi
 done
@@ -235,8 +260,8 @@ cargo run --release -p sbst-bench --bin online_manager -- --smoke --adversary \
 echo "== validate online_manager red-team report =="
 cargo run --release -p sbst-bench --bin jsonlint -- BENCH_online_manager_adv.json \
   --require tool --require schema_version --require scenarios --require adversary
-if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "12" ]; then
-  echo "error: BENCH_online_manager_adv.json schema_version is not 12" >&2
+if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "13" ]; then
+  echo "error: BENCH_online_manager_adv.json schema_version is not 13" >&2
   exit 1
 fi
 # The red-team SLO: attacks were actually mounted, every one was
@@ -278,8 +303,8 @@ for report in BENCH_fleet.json BENCH_fleet_serial.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require characterizations \
     --require throughput --require aggregate --require workers_detail
-  if [ "$(jq '.schema_version' "$report")" != "12" ]; then
-    echo "error: $report schema_version is not 12" >&2
+  if [ "$(jq '.schema_version' "$report")" != "13" ]; then
+    echo "error: $report schema_version is not 13" >&2
     exit 1
   fi
   if [ "$(jq '.characterizations' "$report")" != "1" ]; then
@@ -382,8 +407,8 @@ cargo run --release -p sbst-bench --bin jsonlint -- BENCH_fleet_adv.json \
   --require tool --require schema_version --require adversary --require aggregate
 cargo run --release -p sbst-bench --bin jsonlint -- target/fleet_adv_telemetry.ndjson \
   --ndjson --require type --require node
-if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "12" ]; then
-  echo "error: BENCH_fleet_adv.json schema_version is not 12" >&2
+if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "13" ]; then
+  echo "error: BENCH_fleet_adv.json schema_version is not 13" >&2
   exit 1
 fi
 if [ "$(jq '.aggregate.attacks_injected > 0

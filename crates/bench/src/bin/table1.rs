@@ -111,8 +111,10 @@ fn main() {
         table.sim_stats.events_full_eval
     );
     eprintln!(
-        "batch-cycles clocked, both fault models: {} ({} live lane-cycles)",
-        table.sim_stats.cycles_simulated, table.sim_stats.live_lane_cycles
+        "batch-cycles clocked, both fault models: {} ({} lane words, {} live lane-cycles)",
+        table.sim_stats.cycles_simulated,
+        table.sim_stats.lane_words_simulated,
+        table.sim_stats.live_lane_cycles
     );
     eprintln!(
         "constrained ATPG: {} run(s), {} PODEM thread(s), {:.3} s inside the PODEM phase",

@@ -88,7 +88,13 @@ use crate::json::JsonValue;
 /// 12 — the compiled tape has one entry per gate: Table 1's `fault_sim`
 /// object and the `ablations` engine rows drop `tape_len` and
 /// `chains_collapsed`.
-pub const SCHEMA_VERSION: u32 = 12;
+/// 13 — fault grading evaluates only the lane words that still hold an
+/// undetected fault, and skips repeated patterns on a netlist without
+/// flip-flops: Table 1's `fault_sim` object gains `lane_words_simulated`
+/// (64-bit lane words evaluated, summed over every clocked cycle), and
+/// `cycles_simulated` and `events_full_eval` no longer count the skipped
+/// cycles.
+pub const SCHEMA_VERSION: u32 = 13;
 
 /// A machine-readable run report: a named, schema-versioned JSON document
 /// that every bench binary writes behind its `--json <path>` flag.

@@ -386,6 +386,10 @@ impl Table1 {
                     ("engine", JsonValue::from(self.engine.name())),
                     ("events_full_eval", JsonValue::from(sim.events_full_eval)),
                     ("cycles_simulated", JsonValue::from(sim.cycles_simulated)),
+                    (
+                        "lane_words_simulated",
+                        JsonValue::from(sim.lane_words_simulated),
+                    ),
                     ("live_lane_cycles", JsonValue::from(sim.live_lane_cycles)),
                     ("lane_slots_filled", JsonValue::from(sim.lane_slots_filled)),
                     ("lane_slots_total", JsonValue::from(sim.lane_slots_total)),
@@ -899,6 +903,10 @@ mod tests {
         assert_eq!(
             sim.get("live_lane_cycles").unwrap().as_u64(),
             Some(table.sim_stats.live_lane_cycles)
+        );
+        assert_eq!(
+            sim.get("lane_words_simulated").unwrap().as_u64(),
+            Some(table.sim_stats.lane_words_simulated)
         );
         // The document round-trips through the parser.
         let text = v.to_json_pretty();

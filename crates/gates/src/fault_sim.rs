@@ -24,25 +24,47 @@
 //! of the engine's [`SimEngine::faults_per_pass`], one lane per fault.
 //! Runs of four consecutive batches form fixed *groups*, and the groups
 //! fan out over worker threads ([`crate::fan_out`]). A group clocks its
-//! batches window by window, 16 cycles at a time. Under `drop_on_detect`
-//! a batch stops as soon as all of its faults are detected, and at every
-//! window boundary the group gathers its undetected faults into as few
-//! batches as they fill, when that frees a batch, and stops clocking the
-//! emptied ones — the survivor repacking of sequential fault simulators
-//! such as PROOFS (Niermann, Cheng and Patel, IEEE TCAD 1992). A moved
-//! fault is re-injected at its new lane and takes its flip-flop bits
-//! and, under the transition model, its arming bit along; every other
-//! net value is rebuilt from the inputs and the flip-flops by each eval.
-//! Groups share no state, and they and their windows are fixed by the
-//! fault list and the stimulus alone, never by the thread count.
+//! batches window by window, 16 cycles at a time.
+//!
+//! Under `drop_on_detect` a group clocks only work that can still detect
+//! a fault, which is the fault dropping of sequential fault simulators
+//! such as PROOFS (Niermann, Cheng and Patel, IEEE TCAD 1992) carried
+//! down to lane words and repeated patterns:
+//!
+//! - A batch stops as soon as all of its faults are detected.
+//! - A batch evaluates only the lane words up to the one holding its
+//!   highest undetected lane (word 0, with the reference lane, always
+//!   counts), narrowed after every detection.
+//! - At every window boundary the group gathers its undetected faults
+//!   into as few batches as they fill, in index order from lane 1 up,
+//!   when that frees a batch or lowers the group's total live words, and
+//!   stops clocking the emptied batches. A moved fault is re-injected at
+//!   its new lane and takes its flip-flop bits and, under the transition
+//!   model, its arming bit along; every other net value is rebuilt from
+//!   the inputs and the flip-flops by each eval.
+//! - On a netlist without flip-flops a cycle can detect only what its
+//!   input vector (stuck-at) or its pair of previous and current vectors
+//!   (transition) can, so the group leaves out every cycle that repeats
+//!   an earlier observed cycle's vector or pair, and under stuck-at every
+//!   unobserved cycle. A compared transition cycle's predecessor is still
+//!   clocked, as its launch. The plan is fixed per call by the stimulus
+//!   and the model, and a left-out observed cycle takes its fault-free
+//!   response from the first observed cycle with the same vector.
+//!
+//! `drop_on_detect: false` clocks every batch at full width over every
+//! cycle: the oracle the dropping runs are tested against. Groups share
+//! no state, and they and their windows are fixed by the fault list and
+//! the stimulus alone, never by the thread count.
 //!
 //! Coverage, per-fault detecting cycles and fault-free responses are
-//! bit-identical across both engines and every thread count: lanes are
-//! independent machines wherever they sit, a fault leaves the simulation
-//! only once it is detected, and the group holding fault 0 keeps one
-//! batch, whose lane 0 records the reference, running over the whole
+//! bit-identical across both engines, every thread count and either
+//! `drop_on_detect`: lanes are independent machines wherever they sit, a
+//! fault leaves the simulation only once it is detected, a left-out cycle
+//! could detect no fault still in it, and the group holding fault 0 keeps
+//! one batch, whose lane 0 records the reference, running over the whole
 //! stimulus.
 
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -145,6 +167,117 @@ fn fault_batches(fault_count: usize, per_batch: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// What grading does with one stimulus cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CycleStep {
+    /// Clock the cycle and compare the outputs with the reference lane.
+    Compare,
+    /// Clock the cycle without comparing: an unobserved cycle, or the
+    /// launch of a transition pair whose own pair already occurred.
+    Clock,
+    /// Leave the cycle out: on a netlist without flip-flops it can detect
+    /// no fault that an earlier observed cycle has not. A skipped observed
+    /// cycle's fault-free response is that of observed cycle `same_as`
+    /// (counted among the observed cycles), which applied the same vector.
+    Skip { same_as: Option<u32> },
+}
+
+/// A stimulus and the step grading takes at each of its cycles, fixed by
+/// the stimulus and the fault model alone.
+struct Plan<'s> {
+    stimulus: &'s Stimulus,
+    steps: Vec<CycleStep>,
+}
+
+impl<'s> Plan<'s> {
+    /// Plans grading over `stimulus`.
+    ///
+    /// Without `skip` every cycle is clocked and the observed ones
+    /// compared. With `skip` (a netlist without flip-flops, under
+    /// drop-on-detect) a cycle's outputs depend on its input vector
+    /// alone, and a transition fault's lane on the (previous, current)
+    /// vector pair, so:
+    ///
+    /// - stuck-at: only an observed cycle applying a vector no earlier
+    ///   observed cycle applied is clocked;
+    /// - transition: only an observed cycle whose pair no earlier
+    ///   observed cycle had is compared, and its predecessor is clocked
+    ///   as its launch, so the arming state it reads is exact.
+    fn new(stimulus: &'s Stimulus, transition: bool, skip: bool) -> Self {
+        let mut steps: Vec<CycleStep> = stimulus
+            .iter()
+            .map(|(_, observe)| {
+                if observe {
+                    CycleStep::Compare
+                } else {
+                    CycleStep::Clock
+                }
+            })
+            .collect();
+        if !skip {
+            return Plan { stimulus, steps };
+        }
+        // A dense id per distinct input vector, hashed packed into words.
+        let stride = stimulus
+            .cycles
+            .first()
+            .map_or(0, |(v, _)| v.len())
+            .div_ceil(64)
+            .max(1);
+        let mut packed = vec![0u64; stimulus.len() * stride];
+        for ((inputs, _), words) in stimulus.cycles.iter().zip(packed.chunks_mut(stride)) {
+            for (word, bits) in words.iter_mut().zip(inputs.chunks(64)) {
+                *word = bits
+                    .iter()
+                    .rev()
+                    .fold(0, |acc, &bit| acc << 1 | u64::from(bit));
+            }
+        }
+        let mut ids: HashMap<&[u64], u32> = HashMap::new();
+        let vector: Vec<u32> = packed
+            .chunks(stride)
+            .map(|words| {
+                let next = ids.len() as u32;
+                *ids.entry(words).or_insert(next)
+            })
+            .collect();
+        // Each vector's first observed cycle, counted among the observed ones.
+        let mut first_observed = vec![u32::MAX; ids.len()];
+        let mut pairs = HashSet::new();
+        let mut observed = 0;
+        for (t, (_, observe)) in stimulus.iter().enumerate() {
+            if !observe {
+                steps[t] = CycleStep::Skip { same_as: None };
+                continue;
+            }
+            let v = vector[t] as usize;
+            let new = if transition {
+                t == 0 || pairs.insert(u64::from(vector[t - 1]) << 32 | u64::from(vector[t]))
+            } else {
+                first_observed[v] == u32::MAX
+            };
+            if first_observed[v] == u32::MAX {
+                first_observed[v] = observed;
+            }
+            if !new {
+                steps[t] = CycleStep::Skip {
+                    same_as: Some(first_observed[v]),
+                };
+            }
+            observed += 1;
+        }
+        if transition {
+            for t in 1..steps.len() {
+                if steps[t] == CycleStep::Compare && matches!(steps[t - 1], CycleStep::Skip { .. })
+                {
+                    steps[t - 1] = CycleStep::Clock;
+                }
+            }
+        }
+        Plan { stimulus, steps }
+    }
+}
+
 /// Which simulation engine grades each fault batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SimEngine {
@@ -184,9 +317,12 @@ impl SimEngine {
 #[derive(Debug, Clone, Copy)]
 pub struct FaultSimConfig {
     /// Stop simulating a fault once it is detected: a batch stops as
-    /// soon as every fault in it is detected, and a group repacks its
-    /// survivors into fewer batches. `false` clocks every batch over the
-    /// whole stimulus.
+    /// soon as every fault in it is detected and evaluates only the lane
+    /// words that still hold an undetected fault, a group repacks its
+    /// survivors into fewer batches or words, and a netlist without
+    /// flip-flops skips the cycles that repeat an observed pattern (see
+    /// the module docs). `false` clocks every batch at full width over
+    /// the whole stimulus.
     pub drop_on_detect: bool,
     /// Worker threads for fault-batch fan-out.
     ///
@@ -241,7 +377,16 @@ pub struct SimStats {
     /// lane); repacking merges them as faults are detected.
     pub batches: u64,
     /// Netlist cycles actually clocked, summed over every batch simulator.
+    /// Under `drop_on_detect` a netlist without flip-flops leaves out the
+    /// cycles that can detect nothing new (repeated patterns), and they
+    /// are not counted.
     pub cycles_simulated: u64,
+    /// Lane words evaluated, summed over every clocked cycle: under
+    /// `drop_on_detect` a batch evaluates only the words up to its highest
+    /// undetected lane, so this falls below `cycles_simulated ×`
+    /// [`crate::MAX_LANE_WORDS`] on the compiled engine (the 64-lane
+    /// full-eval engine evaluates one word per cycle).
+    pub lane_words_simulated: u64,
     /// Cycles the initial packing would clock without dropping
     /// (`batches * stimulus.len()`); the gap to `cycles_simulated` is what
     /// dropping detected faults and repacking the survivors saved.
@@ -280,6 +425,7 @@ impl SimStats {
     pub fn accumulate(&mut self, other: &SimStats) {
         self.batches += other.batches;
         self.cycles_simulated += other.cycles_simulated;
+        self.lane_words_simulated += other.lane_words_simulated;
         self.cycles_scheduled += other.cycles_scheduled;
         self.live_lane_cycles += other.live_lane_cycles;
         self.events_simulated += other.events_simulated;
@@ -426,6 +572,8 @@ trait LaneSim<const W: usize> {
     fn inject_stuck(&mut self, fault: &Fault, lane: usize);
     fn inject_transition(&mut self, fault: &TransitionFault, lane: usize);
     fn set_input_at(&mut self, pos: usize, value: bool);
+    /// Narrows [`LaneSim::eval`] to the first `words` lane words.
+    fn set_words(&mut self, words: usize);
     fn eval(&mut self);
     fn lanes(&self, net: NetId) -> [u64; W];
     fn step(&mut self);
@@ -458,6 +606,9 @@ impl LaneSim<1> for Simulator<'_> {
         let net = self.netlist().inputs()[pos];
         self.set_input(net, value);
     }
+
+    /// One word, which holds the reference lane: nothing to narrow.
+    fn set_words(&mut self, _words: usize) {}
 
     fn eval(&mut self) {
         Simulator::eval(self);
@@ -517,6 +668,10 @@ impl<const W: usize> LaneSim<W> for TapeSimulator<&CompiledTape, W> {
         TapeSimulator::set_input_at(self, pos, value);
     }
 
+    fn set_words(&mut self, words: usize) {
+        TapeSimulator::set_words(self, words);
+    }
+
     fn eval(&mut self) {
         TapeSimulator::eval(self);
     }
@@ -564,8 +719,12 @@ struct Batch<S, const W: usize> {
     faults: Vec<usize>,
     /// Lanes whose fault is not yet detected.
     undetected: [u64; W],
+    /// Lane words each clocked cycle evaluates, from word 0.
+    words: usize,
     /// Cycles this simulator has clocked, over every batch it carried.
     cycles: u64,
+    /// Lane words this simulator has evaluated, summed over its cycles.
+    lane_words: u64,
 }
 
 impl<S: LaneSim<W>, const W: usize> Batch<S, W> {
@@ -581,6 +740,17 @@ impl<S: LaneSim<W>, const W: usize> Batch<S, W> {
             self.undetected[lane / 64] |= 1u64 << (lane % 64);
             self.faults.push(index);
         }
+    }
+
+    /// Narrows the simulator to the lane words up to the one holding the
+    /// highest undetected lane. Word 0, which holds the reference lane,
+    /// always counts.
+    fn narrow(&mut self) {
+        self.words = (1..W)
+            .rev()
+            .find(|&w| self.undetected[w] != 0)
+            .map_or(1, |w| w + 1);
+        self.sim.set_words(self.words);
     }
 
     /// Faults in this batch not yet detected.
@@ -601,6 +771,8 @@ struct GroupOutcome {
     reference: Option<Vec<Vec<u64>>>,
     /// Cycles clocked, over every batch simulator.
     cycles: u64,
+    /// Lane words evaluated, over every clocked cycle.
+    lane_words: u64,
     /// Gate-evaluation events performed.
     events: u64,
 }
@@ -609,6 +781,7 @@ impl GroupOutcome {
     /// Books the work of a batch simulator the group no longer clocks.
     fn retire<const W: usize>(&mut self, batch: Batch<impl LaneSim<W>, W>) {
         self.cycles += batch.cycles;
+        self.lane_words += batch.lane_words;
         self.events += batch.sim.events(batch.cycles);
     }
 }
@@ -703,6 +876,11 @@ impl<'a> FaultSimulator<'a> {
                 CompiledTape::compile(self.netlist)
             })
         });
+        let plan = Plan::new(
+            stimulus,
+            matches!(faults, FaultList::Transition(_)),
+            self.config.drop_on_detect && self.netlist.is_combinational(),
+        );
         let (graded, workers) = fan_out(
             &groups,
             resolve_threads(self.config.threads),
@@ -712,9 +890,9 @@ impl<'a> FaultSimulator<'a> {
                     || TapeSimulator::<_, MAX_LANE_WORDS>::new(tape),
                     faults,
                     group,
-                    stimulus,
+                    &plan,
                 ),
-                None => self.run_group(|| Simulator::new(self.netlist), faults, group, stimulus),
+                None => self.run_group(|| Simulator::new(self.netlist), faults, group, &plan),
             },
         );
 
@@ -722,9 +900,10 @@ impl<'a> FaultSimulator<'a> {
         // them, so concatenating them is the deterministic merge.
         let mut detecting_cycle = Vec::with_capacity(faults.len());
         let mut fault_free_responses = Vec::new();
-        let (mut cycles_simulated, mut events_simulated) = (0u64, 0u64);
+        let (mut cycles_simulated, mut lane_words_simulated, mut events_simulated) = (0, 0, 0);
         for outcome in graded {
             cycles_simulated += outcome.cycles;
+            lane_words_simulated += outcome.lane_words;
             events_simulated += outcome.events;
             detecting_cycle.extend(outcome.detecting_cycle);
             if let Some(responses) = outcome.reference {
@@ -746,6 +925,7 @@ impl<'a> FaultSimulator<'a> {
             stats: SimStats {
                 batches: batches.len() as u64,
                 cycles_simulated,
+                lane_words_simulated,
                 cycles_scheduled: batches.len() as u64 * stimulus.len() as u64,
                 live_lane_cycles,
                 events_simulated,
@@ -759,20 +939,21 @@ impl<'a> FaultSimulator<'a> {
 
     /// Grades one group of consecutive batches (contiguous ranges of fault
     /// indices) on private simulators from `new_sim`, one fault per lane
-    /// from lane 1 up, window by window.
+    /// from lane 1 up, window by window, taking each cycle's `plan` step.
     ///
     /// The group holding fault 0 also records the fault-free lane-0
     /// responses of every observed cycle from its first batch, which never
     /// stops: the reference must span the whole stimulus. Under
     /// [`FaultSimConfig::drop_on_detect`] every other batch stops once all
-    /// its faults are detected, and each window boundary may repack the
-    /// survivors ([`FaultSimulator::repack`]).
+    /// its faults are detected, every batch evaluates only the lane words
+    /// that still hold an undetected fault, and each window boundary may
+    /// repack the survivors ([`FaultSimulator::repack`]).
     fn run_group<const W: usize, S: LaneSim<W>>(
         &self,
         new_sim: impl Fn() -> S,
         faults: FaultList<'_>,
         group: &[Range<usize>],
-        stimulus: &Stimulus,
+        plan: &Plan<'_>,
     ) -> GroupOutcome {
         let base = group[0].start;
         let keeps_reference = base == 0;
@@ -780,6 +961,7 @@ impl<'a> FaultSimulator<'a> {
             detecting_cycle: vec![None; group[group.len() - 1].end - base],
             reference: keeps_reference.then(Vec::new),
             cycles: 0,
+            lane_words: 0,
             events: 0,
         };
         let mut live: Vec<Batch<S, W>> = group
@@ -789,16 +971,21 @@ impl<'a> FaultSimulator<'a> {
                     sim: new_sim(),
                     faults: Vec::with_capacity(batch.len()),
                     undetected: [0; W],
+                    words: W,
                     cycles: 0,
+                    lane_words: 0,
                 };
                 batch_sim.assign(faults, batch.clone());
+                if self.config.drop_on_detect {
+                    batch_sim.narrow();
+                }
                 batch_sim
             })
             .collect();
 
         let mut window_start = 0;
-        while window_start < stimulus.len() && !live.is_empty() {
-            let window = window_start..(window_start + WINDOW_CYCLES).min(stimulus.len());
+        while window_start < plan.stimulus.len() && !live.is_empty() {
+            let window = window_start..(window_start + WINDOW_CYCLES).min(plan.stimulus.len());
             for (i, batch) in live.iter_mut().enumerate() {
                 let reference = if i == 0 {
                     outcome.reference.as_mut()
@@ -807,7 +994,7 @@ impl<'a> FaultSimulator<'a> {
                 };
                 self.run_window(
                     batch,
-                    stimulus,
+                    plan,
                     window.clone(),
                     reference,
                     &mut outcome.detecting_cycle,
@@ -816,7 +1003,7 @@ impl<'a> FaultSimulator<'a> {
             }
             window_start = window.end;
             // After the last window there is nothing left to clock.
-            if self.config.drop_on_detect && window_start < stimulus.len() {
+            if self.config.drop_on_detect && window_start < plan.stimulus.len() {
                 for (index, batch) in std::mem::take(&mut live).into_iter().enumerate() {
                     if batch.undetected != [0; W] || (keeps_reference && index == 0) {
                         live.push(batch);
@@ -833,15 +1020,16 @@ impl<'a> FaultSimulator<'a> {
         outcome
     }
 
-    /// Clocks `batch` over the stimulus cycles `window`, recording each
-    /// fault's first detecting cycle into `detecting_cycle` (indexed from
-    /// fault `base`) and, when `reference` is given, the fault-free
-    /// responses. Any other batch stops once all its faults are detected
-    /// under [`FaultSimConfig::drop_on_detect`].
+    /// Clocks `batch` over the stimulus cycles `window`, taking each
+    /// cycle's `plan` step, recording each fault's first detecting cycle
+    /// into `detecting_cycle` (indexed from fault `base`) and, when
+    /// `reference` is given, the fault-free responses. Any other batch
+    /// stops once all its faults are detected under
+    /// [`FaultSimConfig::drop_on_detect`].
     fn run_window<const W: usize>(
         &self,
         batch: &mut Batch<impl LaneSim<W>, W>,
-        stimulus: &Stimulus,
+        plan: &Plan<'_>,
         window: Range<usize>,
         mut reference: Option<&mut Vec<Vec<u64>>>,
         detecting_cycle: &mut [Option<u32>],
@@ -850,32 +1038,39 @@ impl<'a> FaultSimulator<'a> {
         let outputs = self.netlist.outputs();
         let mut live = batch.live_faults();
         for cycle in window {
-            let (inputs, observe) = &stimulus.cycles[cycle];
+            let (inputs, observe) = &plan.stimulus.cycles[cycle];
+            let compare = match plan.steps[cycle] {
+                CycleStep::Compare => true,
+                CycleStep::Clock => false,
+                CycleStep::Skip { same_as } => {
+                    if let (Some(reference), Some(same_as)) = (reference.as_deref_mut(), same_as) {
+                        reference.push(reference[same_as as usize].clone());
+                    }
+                    continue;
+                }
+            };
             batch.cycles += 1;
+            batch.lane_words += batch.words as u64;
             debug_assert_eq!(inputs.len(), self.netlist.inputs().len());
             for (pos, &value) in inputs.iter().enumerate() {
                 batch.sim.set_input_at(pos, value);
             }
             batch.sim.eval();
-            if *observe {
-                let mut diff = [0u64; W];
-                let mut response_words: Vec<u64> = if reference.is_some() {
-                    vec![0; outputs.len().div_ceil(64)]
-                } else {
-                    Vec::new()
-                };
+            if let Some(reference) = reference.as_deref_mut().filter(|_| *observe) {
+                let mut response_words = vec![0; outputs.len().div_ceil(64)];
                 for (k, &out) in outputs.iter().enumerate() {
+                    response_words[k / 64] |= (batch.sim.lanes(out)[0] & 1) << (k % 64);
+                }
+                reference.push(response_words);
+            }
+            if compare {
+                let mut diff = [0u64; W];
+                for &out in outputs {
                     let v = batch.sim.lanes(out);
                     let lane0 = 0u64.wrapping_sub(v[0] & 1); // broadcast lane 0
                     for w in 0..W {
                         diff[w] |= v[w] ^ lane0;
                     }
-                    if reference.is_some() && (v[0] & 1) == 1 {
-                        response_words[k / 64] |= 1u64 << (k % 64);
-                    }
-                }
-                if let Some(reference) = reference.as_deref_mut() {
-                    reference.push(response_words);
                 }
                 let mut newly = [0u64; W];
                 for w in 0..W {
@@ -887,8 +1082,11 @@ impl<'a> FaultSimulator<'a> {
                         detecting_cycle[batch.faults[lane - 1] - base] = Some(cycle as u32);
                         live -= 1;
                     }
-                    if self.config.drop_on_detect && live == 0 && reference.is_none() {
-                        break;
+                    if self.config.drop_on_detect {
+                        if live == 0 && reference.is_none() {
+                            break;
+                        }
+                        batch.narrow();
                     }
                 }
             }
@@ -897,9 +1095,10 @@ impl<'a> FaultSimulator<'a> {
     }
 
     /// Gathers a group's undetected faults into as few batches as they
-    /// fill, in fault-index order from lane 1 up, when that frees a batch;
-    /// the group holding fault 0 keeps at least its reference batch. The
-    /// first batches' simulators are cleared and reused, the rest retired.
+    /// fill, in fault-index order from lane 1 up, when that frees a batch
+    /// or lowers the lane words the group evaluates per cycle; the group
+    /// holding fault 0 keeps at least its reference batch. The first
+    /// batches' simulators are cleared and reused, the rest retired.
     /// Each moved fault is re-injected and takes its flip-flop bits and
     /// arming bit to its new lane; lane 0 of every batch takes the
     /// fault-free state, the same in every batch of the group.
@@ -914,7 +1113,12 @@ impl<'a> FaultSimulator<'a> {
         let needed = survivors
             .div_ceil(per_pass)
             .max(usize::from(keeps_reference));
-        if needed >= live.len() {
+        // Packed from lane 1 up, a batch's words reach its highest lane.
+        let packed_words: usize = (0..needed)
+            .map(|b| survivors.saturating_sub(b * per_pass).min(per_pass) / 64 + 1)
+            .sum();
+        let live_words: usize = live.iter().map(|batch| batch.words).sum();
+        if needed >= live.len() && packed_words >= live_words {
             return;
         }
         // (fault, batch, lane, arming bit) of every survivor, in
@@ -955,6 +1159,7 @@ impl<'a> FaultSimulator<'a> {
             }
             batch.sim.clear();
             batch.assign(faults, chunk.iter().map(|&(fault, ..)| fault));
+            batch.narrow();
             batch.sim.set_dff_words(&dff);
             for (offset, &(fault, _, _, armed)) in chunk.iter().enumerate() {
                 if let Some(net) = faults.armed_net(fault) {

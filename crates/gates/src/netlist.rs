@@ -1,7 +1,5 @@
 //! Netlist representation and builder.
 
-use std::collections::HashMap;
-
 use crate::error::BuildNetlistError;
 use crate::fault::{collapse_faults, enumerate_faults, Fault};
 use crate::gate::{Gate, GateId, GateKind};
@@ -29,7 +27,9 @@ pub struct Netlist {
     comb_order: Vec<GateId>,
     driver: Vec<Option<GateId>>,
     fanout: Vec<u32>,
-    input_index: HashMap<NetId, usize>,
+    /// Net index → its position in `inputs` (`u32::MAX` for a net that
+    /// is not a primary input).
+    input_index: Vec<u32>,
     /// Combinational gates reading each net (the fanout list that seeds
     /// PODEM's event-driven implication).
     comb_users: Vec<Vec<GateId>>,
@@ -115,7 +115,10 @@ impl Netlist {
 
     /// Position of `net` within [`Netlist::inputs`], if it is a primary input.
     pub fn input_position(&self, net: NetId) -> Option<usize> {
-        self.input_index.get(&net).copied()
+        match self.input_index.get(net.index()) {
+            Some(&pos) if pos != u32::MAX => Some(pos as usize),
+            _ => None,
+        }
     }
 
     /// Combinational gates reading `net`, deduplicated per gate.
@@ -529,12 +532,10 @@ impl NetlistBuilder {
             return Err(BuildNetlistError::CombinationalLoop { net: stuck });
         }
 
-        let input_index = self
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
+        let mut input_index = vec![u32::MAX; net_count];
+        for (i, &n) in self.inputs.iter().enumerate() {
+            input_index[n.index()] = i as u32;
+        }
 
         // Per-net combinational fanout lists (event-propagation targets)
         // and topological levels. Levels are computed over `comb_order`, so

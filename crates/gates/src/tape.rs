@@ -13,7 +13,10 @@
 //! 2. **Wide lanes** ([`TapeSimulator`]): every net value is `W` 64-bit
 //!    words instead of one, so a `W = 4` pass simulates 256 independent
 //!    machines — one fault-free reference plus up to 255 faulty ones —
-//!    and the `[u64; W]` logic ops auto-vectorize.
+//!    and the `[u64; W]` logic ops auto-vectorize. A simulator can be
+//!    narrowed to its first `k` words, the ones a fault simulator's batch
+//!    still has an undetected fault in: one eval body, generic over the
+//!    word count on the `W`-word stride, is picked once per eval.
 //!
 //! Fault injection stays off the hot path. A simulator lists the entries
 //! that carry an injection (a stem or transition fault on the gate's
@@ -232,8 +235,9 @@ impl<const W: usize> Default for WideMask<W> {
 }
 
 impl<const W: usize> WideMask<W> {
+    /// Forces the masked lanes of the first `K` words.
     #[inline]
-    fn apply(&self, v: &mut [u64; W]) {
+    fn apply<const K: usize>(&self, v: &mut [u64; K]) {
         for (v, (and0, or1)) in v.iter_mut().zip(self.and0.iter().zip(&self.or1)) {
             *v = (*v & !and0) | or1;
         }
@@ -272,16 +276,17 @@ impl<const W: usize> Default for TransitionState<W> {
 }
 
 impl<const W: usize> TransitionState<W> {
-    /// Records the freshly computed `v` as the arming state, and holds
-    /// each armed lane at the value it took in the previous eval.
+    /// Records the freshly computed first `K` words `v` as the arming
+    /// state, and holds each armed lane at the value it took in the
+    /// previous eval.
     #[inline]
-    fn hold(&mut self, v: &mut [u64; W]) {
-        let (prev, armed) = (self.prev, self.seen);
-        self.prev = *v;
+    fn hold<const K: usize>(&mut self, v: &mut [u64; K]) {
+        let armed = self.seen;
         self.seen = true;
-        if armed {
-            for w in 0..W {
-                v[w] = hold_armed_lanes(v[w], self.rise[w], self.fall[w], prev[w]);
+        for (w, v) in v.iter_mut().enumerate() {
+            let prev = std::mem::replace(&mut self.prev[w], *v);
+            if armed {
+                *v = hold_armed_lanes(*v, self.rise[w], self.fall[w], prev);
             }
         }
     }
@@ -301,9 +306,10 @@ struct SiteFaults<const W: usize> {
 }
 
 impl<const W: usize> SiteFaults<W> {
-    /// `v` as the gate reads it through input pin `pin`.
+    /// The first `K` words `v` as the gate reads them through input pin
+    /// `pin`.
     #[inline]
-    fn pin_value(&self, pin: usize, mut v: [u64; W]) -> [u64; W] {
+    fn pin_value<const K: usize>(&self, pin: usize, mut v: [u64; K]) -> [u64; K] {
         for (p, mask) in &self.pins {
             if usize::from(*p) == pin {
                 mask.apply(&mut v);
@@ -312,10 +318,10 @@ impl<const W: usize> SiteFaults<W> {
         v
     }
 
-    /// The net's value from its computed value `v`: the stem mask, then
-    /// transition forcing.
+    /// The net's first `K` words from their computed value `v`: the stem
+    /// mask, then transition forcing.
     #[inline]
-    fn force(&mut self, mut v: [u64; W]) -> [u64; W] {
+    fn force<const K: usize>(&mut self, mut v: [u64; K]) -> [u64; K] {
         self.stem.apply(&mut v);
         if let Some(transition) = &mut self.transition {
             transition.hold(&mut v);
@@ -489,6 +495,23 @@ impl<T: Deref<Target = CompiledTape>, const W: usize> TapeSimulator<T, W> {
         self.state.eval(&self.tape);
     }
 
+    /// Narrows [`TapeSimulator::eval`] to the first `words` lane words
+    /// (lanes `0..64·words`), the words a fault simulator's batch still
+    /// has an undetected fault in. The words past them keep stale values
+    /// until the simulator is widened again, so their lanes must carry no
+    /// fault still being graded. A new simulator evaluates all `W`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= words <= W`.
+    pub(crate) fn set_words(&mut self, words: usize) {
+        assert!(
+            (1..=W).contains(&words),
+            "{words} lane words outside 1..={W}"
+        );
+        self.state.words = words;
+    }
+
     /// Latches flip-flop next-state (the value on each DFF's `d` pin,
     /// after any injected `d`-pin fault).
     ///
@@ -500,7 +523,7 @@ impl<T: Deref<Target = CompiledTape>, const W: usize> TapeSimulator<T, W> {
     /// Current lane words on `net` (valid after [`TapeSimulator::eval`]).
     #[inline]
     pub fn value(&self, net: NetId) -> [u64; W] {
-        load(&self.state.values, net.index() as u32)
+        load::<W, W>(&self.state.values, net.index() as u32)
     }
 
     /// Gate-evaluation events performed so far: each tape replay counts
@@ -559,6 +582,8 @@ struct LaneState<const W: usize> {
     source_faults: FaultedSites<W>,
     /// DFF indices with a faulty `d` pin.
     dff_pin_masks: HashMap<u32, WideMask<W>>,
+    /// Lane words [`LaneState::eval`] computes, from word 0.
+    words: usize,
     events: u64,
 }
 
@@ -571,6 +596,7 @@ impl<const W: usize> LaneState<W> {
             entry_faults: FaultedSites::new(tape.entries.len()),
             source_faults: FaultedSites::new(tape.net_count),
             dff_pin_masks: HashMap::new(),
+            words: W,
             events: 0,
         }
     }
@@ -667,11 +693,28 @@ impl<const W: usize> LaneState<W> {
         target[lane / 64] |= 1u64 << (lane % 64);
     }
 
-    /// Propagates values through the combinational tape.
+    /// Propagates values through the combinational tape, over the first
+    /// `words` lane words of every net.
     ///
     /// Flip-flop outputs present their current state; call
     /// [`TapeSimulator::step`] afterwards to latch the next state.
     fn eval(&mut self, tape: &CompiledTape) {
+        // `words <= W <= MAX_LANE_WORDS`; an arm narrower than `W` exists
+        // only where `W` leaves room for it, so a one-word simulator
+        // keeps a single body.
+        match self.words {
+            1 if W > 1 => self.eval_words::<1>(tape),
+            2 if W > 2 => self.eval_words::<2>(tape),
+            3 if W > 3 => self.eval_words::<3>(tape),
+            _ => self.eval_words::<W>(tape),
+        }
+        self.events += tape.entries.len() as u64;
+    }
+
+    /// [`LaneState::eval`] over the first `K` of each net's `W` words.
+    #[inline(always)]
+    fn eval_words<const K: usize>(&mut self, tape: &CompiledTape) {
+        debug_assert!(K <= W);
         let LaneState {
             values,
             input_words,
@@ -681,30 +724,29 @@ impl<const W: usize> LaneState<W> {
             ..
         } = self;
         for (&ni, &word) in tape.input_nets.iter().zip(input_words.iter()) {
-            store(values, ni, [word; W]);
+            store::<W, K>(values, ni, [word; K]);
         }
-        for (&(q, _, _), &v) in tape.dff_nets.iter().zip(dff_state.iter()) {
-            store(values, q, v);
+        for (&(q, _, _), v) in tape.dff_nets.iter().zip(dff_state.iter()) {
+            store::<W, K>(values, q, std::array::from_fn(|w| v[w]));
         }
         for (ni, site) in source_faults.in_order() {
-            let v = site.force(load(values, *ni));
-            store(values, *ni, v);
+            let v = site.force(load::<W, K>(values, *ni));
+            store::<W, K>(values, *ni, v);
         }
         // Fault-free runs between faulted entries take one micro-op and
         // one store per gate.
         let mut next = 0;
         for (e, site) in entry_faults.in_order() {
             let e = *e as usize;
-            replay::<W>(&tape.pool, values, &tape.entries[next..e]);
+            replay::<W, K>(&tape.pool, values, &tape.entries[next..e]);
             let TapeEntry { op, out } = tape.entries[e];
             let v = eval_op(&tape.pool, op, |pin, n| {
-                site.pin_value(pin, load(values, n))
+                site.pin_value(pin, load::<W, K>(values, n))
             });
-            store(values, out, site.force(v));
+            store::<W, K>(values, out, site.force(v));
             next = e + 1;
         }
-        replay::<W>(&tape.pool, values, &tape.entries[next..]);
-        self.events += tape.entries.len() as u64;
+        replay::<W, K>(&tape.pool, values, &tape.entries[next..]);
     }
 
     /// Latches flip-flop next-state (the value on each DFF's `d` pin,
@@ -714,7 +756,7 @@ impl<const W: usize> LaneState<W> {
     fn step(&mut self, tape: &CompiledTape) {
         for k in 0..tape.dff_nets.len() {
             let (_, d, gidx) = tape.dff_nets[k];
-            let mut v = load(&self.values, d);
+            let mut v = load::<W, W>(&self.values, d);
             if let Some(m) = self.dff_pin_masks.get(&gidx) {
                 m.apply(&mut v);
             }
@@ -723,26 +765,30 @@ impl<const W: usize> LaneState<W> {
     }
 }
 
+/// The first `K` words of net `idx` in a value store of `W` words per net.
 #[inline(always)]
-fn load<const W: usize>(values: &[u64], idx: u32) -> [u64; W] {
+fn load<const W: usize, const K: usize>(values: &[u64], idx: u32) -> [u64; K] {
     let base = idx as usize * W;
-    values[base..base + W]
+    values[base..base + K]
         .try_into()
-        .expect("net value slice has exactly W words")
+        .expect("net value slice has exactly K words")
 }
 
+/// Overwrites the first `K` words of net `idx` in a value store of `W`
+/// words per net.
 #[inline(always)]
-fn store<const W: usize>(values: &mut [u64], idx: u32, v: [u64; W]) {
+fn store<const W: usize, const K: usize>(values: &mut [u64], idx: u32, v: [u64; K]) {
     let base = idx as usize * W;
-    values[base..base + W].copy_from_slice(&v);
+    values[base..base + K].copy_from_slice(&v);
 }
 
-/// Evaluates fault-free `entries` in order.
+/// Evaluates fault-free `entries` in order, over the first `K` of each
+/// net's `W` words.
 #[inline(always)]
-fn replay<const W: usize>(pool: &[u32], values: &mut [u64], entries: &[TapeEntry]) {
+fn replay<const W: usize, const K: usize>(pool: &[u32], values: &mut [u64], entries: &[TapeEntry]) {
     for entry in entries {
-        let v: [u64; W] = eval_op(pool, entry.op, |_, n| load(values, n));
-        store(values, entry.out, v);
+        let v: [u64; K] = eval_op(pool, entry.op, |_, n| load::<W, K>(values, n));
+        store::<W, K>(values, entry.out, v);
     }
 }
 
@@ -870,12 +916,10 @@ mod tests {
         }
     }
 
-    /// Injections agree with [`Simulator`] on every net, cycle by cycle:
-    /// one gate carries a stem, a pin and a transition fault in three
-    /// lanes; a primary input and a flip-flop output each carry a stem
-    /// fault; then every fault is cleared and re-injected into other
-    /// lanes, as a repack does.
-    fn check_injections<const W: usize>() {
+    /// A small sequential netlist, stuck-at faults on every kind of site
+    /// (a gate's stem and input pin, a primary input, a flip-flop output
+    /// and a flip-flop's `d` pin) and a transition fault on the gate.
+    fn sites_netlist() -> (Netlist, Vec<Fault>, TransitionFault) {
         let mut b = NetlistBuilder::new("sites");
         let a = b.input("a");
         let c = b.input("b");
@@ -890,24 +934,41 @@ mod tests {
         b.mark_output(x, "x");
         b.mark_output(q2, "q2");
         let n = b.finish().unwrap();
-        let and_gate = n.driver(g).unwrap();
-        let stuck = [
-            Fault::stem_sa1(g),
-            Fault {
-                site: FaultSite::Pin {
-                    gate: and_gate,
-                    pin: 1,
-                },
-                stuck_value: false,
+        let pin = |net, pin, stuck_value| Fault {
+            site: FaultSite::Pin {
+                gate: n.driver(net).unwrap(),
+                pin,
             },
+            stuck_value,
+        };
+        let stuck = vec![
+            Fault::stem_sa1(g),
+            pin(g, 1, false),
             Fault::stem_sa0(a),
             Fault::stem_sa1(q),
+            pin(q2, 0, true),
         ];
-        let slow = TransitionFault::slow_to_rise(g);
+        (n, stuck, TransitionFault::slow_to_rise(g))
+    }
+
+    /// Drives `n`'s inputs with the bits of `pattern`.
+    fn drive<const W: usize>(n: &Netlist, sim: &mut TapeSimulator<&CompiledTape, W>, pattern: u32) {
+        for (k, &inp) in n.inputs().iter().enumerate() {
+            sim.set_input(inp, pattern >> k & 1 == 1);
+        }
+    }
+
+    /// Injections agree with [`Simulator`] on every net, cycle by cycle:
+    /// one gate carries a stem, a pin and a transition fault in three
+    /// lanes; a primary input, a flip-flop output and a flip-flop's `d`
+    /// pin each carry a stuck-at fault; then every fault is cleared and
+    /// re-injected into other lanes, as a repack does.
+    fn check_injections<const W: usize>() {
+        let (n, stuck, slow) = sites_netlist();
         let tape = CompiledTape::compile(&n);
         let mut plain = Simulator::new(&n);
         let mut fast: TapeSimulator<_, W> = TapeSimulator::new(&tape);
-        // Simulator lanes 1..=5 first, then 6..=10 after the repack.
+        // Simulator lanes 1..=6 first, then 6..=11 after the repack.
         let inject = |plain: &mut Simulator, fast: &mut TapeSimulator<_, W>, first: usize| {
             for (k, fault) in stuck.iter().enumerate() {
                 let lane = first + k + usize::from(k > 0);
@@ -953,6 +1014,52 @@ mod tests {
     fn injections_match_simulator_across_clear_and_reinject() {
         check_injections::<1>();
         check_injections::<4>();
+    }
+
+    /// A simulator narrowed to its first `words` words computes exactly
+    /// what a full-width one does in those words, wherever the faults sit
+    /// in them, and the faults in the words past them disturb nothing.
+    #[test]
+    fn narrowed_words_match_full_width_on_live_lanes() {
+        let (n, stuck, slow) = sites_netlist();
+        let tape = CompiledTape::compile(&n);
+        let patterns = [0u32, 2, 7, 7, 1, 6, 5, 3, 0, 7, 2, 4, 4, 1];
+        for words in 1..=4 {
+            let mut full: TapeSimulator<_, 4> = TapeSimulator::new(&tape);
+            let mut narrow: TapeSimulator<_, 4> = TapeSimulator::new(&tape);
+            narrow.set_words(words);
+            // Live lanes at both ends of the live words; with words to
+            // spare, the same faults in the first dead word as well.
+            let top = 64 * words;
+            let mut lanes = vec![1, top - 1 - stuck.len()];
+            if words < 4 {
+                lanes.push(top + 1);
+            }
+            for sim in [&mut full, &mut narrow] {
+                for &first in &lanes {
+                    for (k, fault) in stuck.iter().enumerate() {
+                        sim.inject_fault(fault, first + k);
+                    }
+                    sim.inject_transition_fault(&slow, first + stuck.len());
+                }
+            }
+            for (cycle, &pattern) in patterns.iter().enumerate() {
+                drive(&n, &mut full, pattern);
+                drive(&n, &mut narrow, pattern);
+                full.eval();
+                narrow.eval();
+                for idx in 0..n.net_count() {
+                    let net = NetId::from_index(idx);
+                    assert_eq!(
+                        full.value(net)[..words],
+                        narrow.value(net)[..words],
+                        "{words} words, cycle {cycle}, net {net}"
+                    );
+                }
+                full.step();
+                narrow.step();
+            }
+        }
     }
 
     #[test]

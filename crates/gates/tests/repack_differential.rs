@@ -1,16 +1,23 @@
-//! Survivor repacking must be invisible in the grading results. On seeded
-//! random sequential netlists, each with at least three batches of faults
-//! and a stimulus many repack windows long, a dropping run (which stops
-//! detected batches and repacks survivors into fewer batches) must report
-//! exactly the detections, detecting cycles and fault-free responses of a
-//! `drop_on_detect: false` run (which clocks every batch over the whole
-//! stimulus and never repacks), under both fault models and both engines,
-//! at 1, 2 and 7 threads. A larger case spans several groups of batches,
-//! so its threaded runs really fan the groups out.
+//! Dropping must be invisible in the grading results. A dropping run stops
+//! detected batches, repacks survivors into fewer batches or fewer lane
+//! words, evaluates only the lane words that still hold an undetected
+//! fault and, on a netlist without flip-flops, skips repeated patterns.
+//! It must report exactly the detections, detecting cycles and fault-free
+//! responses of a `drop_on_detect: false` run (which clocks every batch at
+//! full width over the whole stimulus and never repacks), under both fault
+//! models and both engines, at 1, 2 and 7 threads.
+//!
+//! The cases: seeded random sequential netlists, each with at least three
+//! batches of faults and a stimulus many repack windows long; a larger one
+//! spanning several groups of batches, so its threaded runs really fan the
+//! groups out; random combinational netlists whose stimuli repeat vectors
+//! and vector pairs, at observed and unobserved cycles and across window
+//! boundaries; and a batch whose survivors sit in its highest lane words,
+//! so only a repack can narrow it.
 
 use sbst_gates::{
-    enumerate_transition_faults, FaultSimConfig, FaultSimResult, FaultSimulator, GateKind, NetId,
-    Netlist, NetlistBuilder, SimEngine, Stimulus,
+    enumerate_transition_faults, Fault, FaultSimConfig, FaultSimResult, FaultSimulator, GateKind,
+    NetId, Netlist, NetlistBuilder, SimEngine, Stimulus, TransitionFault,
 };
 
 /// SplitMix64: a tiny seeded generator, so every case is reproducible.
@@ -22,15 +29,15 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A random sequential netlist: 16 inputs, 24 flip-flops whose next state
+/// A random netlist: 16 inputs, `flip_flops` flip-flops whose next state
 /// is random logic over the inputs and the flip-flops (so state feeds
 /// back), `gates` random gates and 8 observed outputs.
-fn random_sequential(seed: u64, gates: usize) -> Netlist {
+fn random_netlist(seed: u64, gates: usize, flip_flops: usize) -> Netlist {
     let mut rng = seed;
-    let mut b = NetlistBuilder::new("random_seq");
+    let mut b = NetlistBuilder::new("random");
     let mut nets: Vec<NetId> = (0..16).map(|i| b.input(&format!("i{i}"))).collect();
     // Flip-flops start on a placeholder input and are rewired below.
-    let qs: Vec<NetId> = (0..24).map(|_| b.dff(nets[0])).collect();
+    let qs: Vec<NetId> = (0..flip_flops).map(|_| b.dff(nets[0])).collect();
     nets.extend(&qs);
     let first_gate = nets.len();
     for _ in 0..gates {
@@ -61,7 +68,7 @@ fn random_sequential(seed: u64, gates: usize) -> Netlist {
         let net = nets[first_gate + (next(&mut rng) % gate_span) as usize];
         b.mark_output(net, &format!("o{k}"));
     }
-    b.finish().expect("random sequential netlists are valid")
+    b.finish().expect("random netlists are valid")
 }
 
 /// 120 random cycles (seven and a half 16-cycle windows), about three in
@@ -112,11 +119,12 @@ fn live_lane_cycles(result: &FaultSimResult, len: usize) -> u64 {
 }
 
 /// The deterministic simulation-volume counters of a run.
-fn volume(result: &FaultSimResult) -> [u64; 7] {
+fn volume(result: &FaultSimResult) -> [u64; 8] {
     let s = &result.stats;
     [
         s.batches,
         s.cycles_simulated,
+        s.lane_words_simulated,
         s.cycles_scheduled,
         s.live_lane_cycles,
         s.events_simulated,
@@ -125,21 +133,18 @@ fn volume(result: &FaultSimResult) -> [u64; 7] {
     ]
 }
 
-/// Grades `netlist` under both fault models on `engine`, with and without
-/// dropping, and checks that the dropping runs at 1, 2 and 7 threads
-/// report exactly what the never-dropping run does. Returns how many of
-/// the two models' dropping runs clocked fewer batch-cycles than
-/// per-batch dropping would, i.e. repacked.
-fn check_case(netlist: &Netlist, stimulus: &Stimulus, engine: SimEngine, case: &str) -> usize {
-    let stuck = netlist.collapsed_faults();
-    let transition = enumerate_transition_faults(netlist);
-    let per_pass = engine.faults_per_pass();
-    assert!(
-        stuck.len() > 2 * per_pass && transition.len() > 2 * per_pass,
-        "{case}: need three batches per model ({} / {} faults)",
-        stuck.len(),
-        transition.len()
-    );
+/// Grades `stuck` and `transition` on `netlist` on `engine`, with and
+/// without dropping, and checks that the dropping runs at 1, 2 and 7
+/// threads report exactly what the never-dropping run does. Returns each
+/// model's never-dropping run and serial dropping run, stuck-at first.
+fn check_lists(
+    netlist: &Netlist,
+    stimulus: &Stimulus,
+    stuck: &[Fault],
+    transition: &[TransitionFault],
+    engine: SimEngine,
+    case: &str,
+) -> Vec<(FaultSimResult, FaultSimResult)> {
     let grade = |drop_on_detect: bool, threads: usize, model_is_stuck: bool| {
         let simulator = FaultSimulator::with_config(
             netlist,
@@ -150,15 +155,21 @@ fn check_case(netlist: &Netlist, stimulus: &Stimulus, engine: SimEngine, case: &
             },
         );
         if model_is_stuck {
-            simulator.simulate(&stuck, stimulus)
+            simulator.simulate(stuck, stimulus)
         } else {
-            simulator.simulate_transition(&transition, stimulus)
+            simulator.simulate_transition(transition, stimulus)
         }
     };
-    let mut repacked = 0;
+    let mut runs = Vec::new();
     for model_is_stuck in [true, false] {
         let full = grade(false, 1, model_is_stuck);
         assert_eq!(full.stats.cycles_simulated, full.stats.cycles_scheduled);
+        // Without dropping every cycle evaluates every lane word.
+        let words = (engine.faults_per_pass() + 1) as u64 / 64;
+        assert_eq!(
+            full.stats.lane_words_simulated,
+            words * full.stats.cycles_simulated
+        );
         let serial = grade(true, 1, model_is_stuck);
         // Groups of four batches are the unit the pool fans out.
         let groups = serial.stats.batches.div_ceil(4) as usize;
@@ -189,18 +200,38 @@ fn check_case(netlist: &Netlist, stimulus: &Stimulus, engine: SimEngine, case: &
             );
             assert_eq!(full.stats.live_lane_cycles, dropped.stats.live_lane_cycles);
         }
-        if serial.stats.cycles_simulated < per_batch_cycles(&full, per_pass, stimulus.len()) {
-            repacked += 1;
-        }
+        runs.push((full, serial));
     }
-    repacked
+    runs
+}
+
+/// [`check_lists`] over `netlist`'s collapsed stuck-at and transition
+/// fault lists, each at least three batches long. Returns how many of the
+/// two models' dropping runs clocked fewer batch-cycles than per-batch
+/// dropping would, i.e. repacked.
+fn check_case(netlist: &Netlist, stimulus: &Stimulus, engine: SimEngine, case: &str) -> usize {
+    let stuck = netlist.collapsed_faults();
+    let transition = enumerate_transition_faults(netlist);
+    let per_pass = engine.faults_per_pass();
+    assert!(
+        stuck.len() > 2 * per_pass && transition.len() > 2 * per_pass,
+        "{case}: need three batches per model ({} / {} faults)",
+        stuck.len(),
+        transition.len()
+    );
+    check_lists(netlist, stimulus, &stuck, &transition, engine, case)
+        .iter()
+        .filter(|(full, serial)| {
+            serial.stats.cycles_simulated < per_batch_cycles(full, per_pass, stimulus.len())
+        })
+        .count()
 }
 
 #[test]
 fn repacking_matches_the_never_dropping_run() {
     let mut repacked_runs = 0;
     for seed in 0..6u64 {
-        let netlist = random_sequential(seed, 300);
+        let netlist = random_netlist(seed, 300, 24);
         let stimulus = random_stimulus(&netlist, seed);
         for engine in [SimEngine::Compiled, SimEngine::FullEval] {
             repacked_runs += check_case(&netlist, &stimulus, engine, &format!("seed {seed}"));
@@ -216,11 +247,129 @@ fn repacking_across_groups_matches_the_never_dropping_run() {
     // Enough faults for at least eight 255-fault compiled batches per
     // model, i.e. two or more groups, so 2 and 7 threads grade groups
     // concurrently.
-    let netlist = random_sequential(42, 1000);
+    let netlist = random_netlist(42, 1000, 24);
     let stimulus = random_stimulus(&netlist, 42);
     let per_pass = SimEngine::Compiled.faults_per_pass();
     assert!(netlist.collapsed_faults().len() > 7 * per_pass);
     assert!(enumerate_transition_faults(&netlist).len() > 7 * per_pass);
     let repacked = check_case(&netlist, &stimulus, SimEngine::Compiled, "seed 42");
     assert_eq!(repacked, 2, "both models should have repacked");
+}
+
+/// 160 cycles of random vectors, about three in four observed, in which
+/// runs of earlier cycles recur: a run copies 2 to 7 consecutive vectors
+/// from anywhere before it, so vectors and vector pairs repeat at observed
+/// and unobserved cycles alike, and across window boundaries.
+fn repeating_stimulus(netlist: &Netlist, seed: u64) -> Stimulus {
+    let mut rng = seed ^ 0x6A09_E667_F3BC_C908;
+    let width = netlist.inputs().len();
+    let mut vectors: Vec<u64> = Vec::new();
+    while vectors.len() < 160 {
+        let word = next(&mut rng);
+        if vectors.len() < 4 || word.is_multiple_of(3) {
+            vectors.push(next(&mut rng));
+        } else {
+            let len = (2 + word % 6) as usize;
+            let from = (word >> 8) as usize % (vectors.len() - 1);
+            for k in 0..len.min(vectors.len() - from) {
+                vectors.push(vectors[from + k]);
+            }
+        }
+    }
+    let mut stimulus = Stimulus::new();
+    for &vector in &vectors[..160] {
+        let inputs: Vec<bool> = (0..width).map(|i| vector >> i & 1 == 1).collect();
+        stimulus.push_cycle(&inputs, !next(&mut rng).is_multiple_of(4));
+    }
+    stimulus
+}
+
+#[test]
+fn skipping_repeated_patterns_matches_the_never_dropping_run() {
+    for seed in 0..4u64 {
+        let netlist = random_netlist(seed, 300, 0);
+        let stimulus = repeating_stimulus(&netlist, seed);
+        for engine in [SimEngine::Compiled, SimEngine::FullEval] {
+            check_case(
+                &netlist,
+                &stimulus,
+                engine,
+                &format!("combinational seed {seed}"),
+            );
+        }
+        // The reference batch runs over the whole stimulus, so it alone
+        // shows the skipped cycles: under either model it clocks fewer
+        // cycles than the stimulus has.
+        let simulator = FaultSimulator::with_config(&netlist, FaultSimConfig::with_threads(1));
+        for (model, reference) in [
+            ("stuck-at", simulator.simulate(&[], &stimulus)),
+            ("transition", simulator.simulate_transition(&[], &stimulus)),
+        ] {
+            assert!(
+                reference.stats.cycles_simulated < stimulus.len() as u64,
+                "seed {seed}, {model}: {} of {} cycles clocked",
+                reference.stats.cycles_simulated,
+                stimulus.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn survivors_in_high_lane_words_are_repacked_into_fewer_words() {
+    // A registered 200-input OR: a one on input i reaches the output a
+    // cycle later, detecting q_i stuck-at-0 and slow-to-rise. The faults
+    // on inputs 150.. are excited only after four idle windows, so for a
+    // while the batch's survivors sit in lanes 151..=200, words 2 and 3.
+    // Narrowing alone keeps all four words until lane 200 is detected;
+    // packing the survivors into lanes 1..=50 takes one.
+    const WIDTH: usize = 200;
+    let mut b = NetlistBuilder::new("registered_or");
+    let bus = b.input_bus("a", WIDTH);
+    let q = b.bus_dff(&bus);
+    let o = b.reduce_or(&q);
+    b.mark_output(o, "o");
+    let netlist = b.finish().unwrap();
+    let stuck: Vec<Fault> = q.nets().iter().map(|&net| Fault::stem_sa0(net)).collect();
+    let transition: Vec<TransitionFault> = q
+        .nets()
+        .iter()
+        .map(|&net| TransitionFault::slow_to_rise(net))
+        .collect();
+    let one_hot = |i: usize| (0..WIDTH).map(|k| k == i).collect::<Vec<_>>();
+    let mut stimulus = Stimulus::new();
+    stimulus.push_pattern(&[false; WIDTH]);
+    for i in 0..150 {
+        // Back to zero after each one, so the next rise launches.
+        stimulus.push_pattern(&one_hot(i));
+        stimulus.push_pattern(&[false; WIDTH]);
+    }
+    for _ in 0..64 {
+        stimulus.push_pattern(&[false; WIDTH]);
+    }
+    for i in 150..WIDTH {
+        stimulus.push_pattern(&one_hot(i));
+        stimulus.push_pattern(&[false; WIDTH]);
+    }
+    for engine in [SimEngine::Compiled, SimEngine::FullEval] {
+        let runs = check_lists(
+            &netlist,
+            &stimulus,
+            &stuck,
+            &transition,
+            engine,
+            &format!("registered OR, {}", engine.name()),
+        );
+        for (full, dropped) in runs {
+            assert_eq!(full.coverage().detected, WIDTH, "{}", engine.name());
+            if engine == SimEngine::Compiled {
+                assert!(
+                    dropped.stats.lane_words_simulated < 4 * dropped.stats.cycles_simulated,
+                    "no narrowing repack: {} lane words over {} cycles",
+                    dropped.stats.lane_words_simulated,
+                    dropped.stats.cycles_simulated
+                );
+            }
+        }
+    }
 }
