@@ -231,6 +231,18 @@ if ! diff <(atpg_speed_fields BENCH_atpg_speed_serial.json) <(atpg_speed_fields 
   exit 1
 fi
 
+echo "== atpg_speed full width: deterministic fields must match tests/golden =="
+# The per-function campaigns of the 32-bit shifter and ALU (~0.1 s): their
+# patterns, coverage and search outcomes. README, "Updating the snapshots",
+# says how to regenerate the file.
+rm -f BENCH_atpg_speed_full.json
+cargo run --release -p sbst-bench --bin atpg_speed -- --threads 1 \
+  --json BENCH_atpg_speed_full.json
+if ! diff <(atpg_speed_fields BENCH_atpg_speed_full.json) tests/golden/atpg_speed_full.json; then
+  echo "error: BENCH_atpg_speed_full.json diverges from tests/golden/atpg_speed_full.json" >&2
+  exit 1
+fi
+
 echo "== exec_time: Section 4 execution-time analysis (JSON report) =="
 mkdir -p target
 cargo run --release -p sbst-bench --bin exec_time -- --json target/exec_time.json

@@ -63,13 +63,7 @@ fn main() {
     let start = Instant::now();
     let cuts = if smoke {
         eprintln!("building down-scaled 8-bit smoke inventory...");
-        vec![
-            Cut::alu(8),
-            Cut::shifter(8),
-            Cut::control(),
-            Cut::pipeline(8),
-            Cut::pc_unit(8, 4),
-        ]
+        Cut::smoke_inventory()
     } else {
         eprintln!("building 32-bit component inventory...");
         Cut::processor_inventory()

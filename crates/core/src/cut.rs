@@ -107,6 +107,18 @@ impl Cut {
         ]
     }
 
+    /// The 8-bit inventory of the smoke Table 1 (`table1 --smoke`): the
+    /// ALU and shifter D-VCs, the control PVC and the two side-effect rows.
+    pub fn smoke_inventory() -> Vec<Cut> {
+        vec![
+            Cut::alu(8),
+            Cut::shifter(8),
+            Cut::control(),
+            Cut::pipeline(8),
+            Cut::pc_unit(8, 4),
+        ]
+    }
+
     /// A reduced-width inventory for fast tests (8-bit datapath, 8×8
     /// register file).
     pub fn small_inventory() -> Vec<Cut> {

@@ -768,13 +768,7 @@ mod tests {
     fn small_table_generates() {
         // A reduced inventory keeps the test fast while exercising every
         // row type: dedicated-routine D-VCs, a PVC, and side-effect rows.
-        let cuts = vec![
-            Cut::alu(8),
-            Cut::shifter(8),
-            Cut::control(),
-            Cut::pipeline(8),
-            Cut::pc_unit(8, 4),
-        ];
+        let cuts = Cut::smoke_inventory();
         let table = Table1::generate(&cuts).unwrap();
         assert_eq!(table.rows.len(), 5);
         // Routine rows carry stats; side-effect rows don't.

@@ -6,19 +6,9 @@
 use sbst_core::{grade_trace_models, Cut, RoutineSpec, Table1};
 use sbst_gates::{FaultSimConfig, SimEngine};
 
-fn smoke_inventory() -> Vec<Cut> {
-    vec![
-        Cut::alu(8),
-        Cut::shifter(8),
-        Cut::control(),
-        Cut::pipeline(8),
-        Cut::pc_unit(8, 4),
-    ]
-}
-
 #[test]
 fn component_suite_coverage_is_bit_identical_across_engines() {
-    let cuts = smoke_inventory();
+    let cuts = Cut::smoke_inventory();
     let full =
         Table1::generate_with(&cuts, FaultSimConfig::with_engine(SimEngine::FullEval)).unwrap();
     let compiled =
@@ -46,7 +36,7 @@ fn component_suite_coverage_is_bit_identical_across_engines() {
 /// coverage exactly, per component and overall.
 #[test]
 fn engine_thread_matrix_is_bit_identical_on_components() {
-    let cuts = smoke_inventory();
+    let cuts = Cut::smoke_inventory();
     let reference = Table1::generate_with(
         &cuts,
         FaultSimConfig {

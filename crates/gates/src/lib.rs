@@ -42,6 +42,7 @@
 //! # }
 //! ```
 
+mod dual3;
 mod error;
 mod fanout;
 mod fault;
@@ -51,12 +52,12 @@ mod net;
 mod netlist;
 mod sim;
 mod tape;
-mod tape3;
 
 pub mod coverage;
 pub mod scoap;
 pub mod verilog;
 
+pub use dual3::{eval3, eval_dual_gate, eval_dual_reference, Dual3, T3};
 pub use error::BuildNetlistError;
 pub use fanout::{fan_out, resolve_threads};
 pub use fault::{
@@ -72,6 +73,5 @@ pub use netlist::{Netlist, NetlistBuilder};
 pub use scoap::Testability;
 pub use sim::{Simulator, LANES};
 pub use tape::{CompiledTape, TapeSimulator, MAX_LANE_WORDS};
-pub use tape3::{eval3, eval_dual_gate, eval_dual_reference, Dual3, Tape3, T3};
 
 pub use coverage::FaultCoverage;

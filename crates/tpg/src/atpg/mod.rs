@@ -13,9 +13,10 @@
 //! The PODEM phase is organized for reproducible parallelism, in three
 //! pieces (one submodule each):
 //!
-//! * [`search`](self) — one PODEM search per target fault, evaluated on a
-//!   compiled three-valued tape ([`sbst_gates::Tape3`]) instead of an
-//!   interpreted netlist walk. Each search draws its X-fill bits from a
+//! * [`search`](self) — one PODEM search per target fault, on dual-rail
+//!   three-valued net values ([`sbst_gates::Dual3`]) seeded from one
+//!   constraint-only state per run and updated gate by gate with
+//!   [`sbst_gates::eval_dual_gate`]. Each search draws its X-fill bits from a
 //!   **per-target RNG stream** (a splitmix64 mix of
 //!   [`AtpgConfig::rng_seed`] and the fault's identity), so a search's
 //!   result is a pure function of (netlist, constraints, config, fault) —

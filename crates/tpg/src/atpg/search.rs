@@ -10,13 +10,17 @@
 //!
 //! Per-decision work is kept off the whole-netlist path three ways:
 //!
-//! * **Incremental evaluation.** The net values are seeded by one compiled
-//!   [`Tape3`] pass per search and then maintained by levelized event
-//!   propagation: assigning a primary input re-evaluates only its fanout
-//!   cone, and every overwritten value is recorded on a trail so a
-//!   backtrack restores the exact prior state without re-evaluating
-//!   anything. The state after any sequence of assignments is identical to
-//!   a from-scratch evaluation (debug builds assert this every iteration).
+//! * **Incremental evaluation.** [`Searcher::new`] evaluates the
+//!   fault-free values under the input constraints once per run. Each
+//!   search copies that state and injects its fault by levelized event
+//!   propagation from the fault site ([`Searcher::seed`]); after that,
+//!   assigning a primary input re-evaluates only its fanout cone, and
+//!   every overwritten value is recorded on a trail so a backtrack
+//!   restores the exact prior state without re-evaluating anything. The
+//!   state after seeding and after any sequence of assignments is
+//!   identical to a from-scratch
+//!   [`eval_dual_reference`](sbst_gates::eval_dual_reference) (debug builds
+//!   assert this after seeding and every iteration).
 //! * **Cone-restricted bookkeeping.** A fault effect only ever lives
 //!   inside the static fanout cone of the fault site, so the D-frontier
 //!   scan and the X-path reachability pass walk a per-search cone gate
@@ -41,7 +45,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sbst_gates::{
-    eval_dual_gate, Dual3, Fault, FaultSite, Gate, GateId, GateKind, NetId, Netlist, Tape3, T3,
+    eval3, eval_dual_gate, Dual3, Fault, FaultSite, Gate, GateId, GateKind, NetId, Netlist, T3,
 };
 
 use super::fault_stream_seed;
@@ -129,11 +133,21 @@ fn fixed_select(values: &[Dual3], gate: &Gate) -> Option<usize> {
     }
 }
 
+/// Queues `gid` for re-evaluation at its topological level, once.
+fn enqueue(netlist: &Netlist, queued: &mut [bool], buckets: &mut [Vec<GateId>], gid: GateId) {
+    if !queued[gid.index()] {
+        queued[gid.index()] = true;
+        buckets[netlist.gate_level(gid) as usize].push(gid);
+    }
+}
+
 /// Shared, immutable PODEM search engine for one run.
 #[derive(Debug)]
 pub(crate) struct Searcher<'a> {
     netlist: &'a Netlist,
-    tape: Tape3<'a>,
+    /// Fault-free value of every net under the input constraints alone
+    /// (both rails equal): the state every search is seeded from.
+    base: Vec<Dual3>,
     /// Position of each gate in `comb_order`, for sorting cone gates.
     order_pos: Vec<u32>,
     pi_template: Vec<T3>,
@@ -159,9 +173,21 @@ impl<'a> Searcher<'a> {
         for (pos, &gid) in netlist.comb_order().iter().enumerate() {
             order_pos[gid.index()] = pos as u32;
         }
+        let mut base = vec![Dual3::default(); netlist.net_count()];
+        for (&net, &v) in netlist.inputs().iter().zip(&pi_template) {
+            base[net.index()] = Dual3 { good: v, faulty: v };
+        }
+        let mut good_in = Vec::new();
+        for &gid in netlist.comb_order() {
+            let gate = netlist.gate(gid);
+            good_in.clear();
+            good_in.extend(gate.inputs.iter().map(|i| base[i.index()].good));
+            let v = eval3(gate.kind, &good_in);
+            base[gate.output.index()] = Dual3 { good: v, faulty: v };
+        }
         Searcher {
             netlist,
-            tape: Tape3::compile(netlist),
+            base,
             order_pos,
             pi_template,
             backtrack_limit,
@@ -213,12 +239,39 @@ impl<'a> Searcher<'a> {
         }
     }
 
+    /// Copies the shared constraint-only state into `scr.values` and
+    /// injects `fault` into it: a primary-input stem fault sets that
+    /// input's faulty rail the way [`Searcher::assign`] does, and any other
+    /// fault queues the gate that owns its site; [`Searcher::propagate`]
+    /// then carries the effect through the fanout. The trail is cleared
+    /// afterwards, so no backtrack ever unwinds the seed.
+    fn seed(&self, fault: &Fault, scr: &mut Scratch) {
+        let nl = self.netlist;
+        scr.values.clear();
+        scr.values.extend_from_slice(&self.base);
+        let owner = match fault.site {
+            FaultSite::Stem(net) => nl.driver(net),
+            FaultSite::Pin { gate, .. } => Some(gate),
+        };
+        if let Some(gid) = owner {
+            enqueue(nl, &mut scr.queued, &mut scr.buckets, gid);
+            self.propagate(fault, scr);
+        } else if let FaultSite::Stem(net) = fault.site {
+            // No gate drives the site: it is a primary input.
+            let dr = Dual3 {
+                faulty: Some(fault.stuck_value),
+                ..self.base[net.index()]
+            };
+            self.drive_input(fault, net, dr, scr);
+        }
+        scr.trail.clear();
+    }
+
     /// Assigns one primary input and propagates the change through its
     /// fanout cone, recording every overwritten value on a new trail frame.
     fn assign(&self, fault: &Fault, pos: usize, value: bool, scr: &mut Scratch) {
-        let nl = self.netlist;
         scr.frames.push(scr.trail.len());
-        let net = nl.inputs()[pos];
+        let net = self.netlist.inputs()[pos];
         let mut dr = Dual3 {
             good: Some(value),
             faulty: Some(value),
@@ -226,17 +279,20 @@ impl<'a> Searcher<'a> {
         if fault.site == FaultSite::Stem(net) {
             dr.faulty = Some(fault.stuck_value);
         }
+        self.drive_input(fault, net, dr, scr);
+    }
+
+    /// Sets primary input `net` to `dr` and, if that changes it, records
+    /// the old value on the trail and propagates through its fanout cone.
+    fn drive_input(&self, fault: &Fault, net: NetId, dr: Dual3, scr: &mut Scratch) {
         let old = scr.values[net.index()];
         if dr == old {
             return;
         }
         scr.trail.push((net.index() as u32, old));
         scr.values[net.index()] = dr;
-        for &u in nl.comb_users(net) {
-            if !scr.queued[u.index()] {
-                scr.queued[u.index()] = true;
-                scr.buckets[nl.gate_level(u) as usize].push(u);
-            }
+        for &u in self.netlist.comb_users(net) {
+            enqueue(self.netlist, &mut scr.queued, &mut scr.buckets, u);
         }
         self.propagate(fault, scr);
     }
@@ -267,10 +323,7 @@ impl<'a> Searcher<'a> {
                 trail.push((out.index() as u32, old));
                 values[out.index()] = new;
                 for &u in nl.comb_users(out) {
-                    if !queued[u.index()] {
-                        queued[u.index()] = true;
-                        buckets[nl.gate_level(u) as usize].push(u);
-                    }
+                    enqueue(nl, queued, buckets, u);
                 }
             }
         }
@@ -287,14 +340,13 @@ impl<'a> Searcher<'a> {
     }
 
     /// In debug builds: the incrementally maintained state must equal a
-    /// from-scratch compiled evaluation at every decision point.
+    /// from-scratch evaluation after seeding and at every decision point.
     #[cfg(debug_assertions)]
     fn check_values(&self, pi: &[T3], fault: &Fault, scr: &Scratch) {
-        let mut fresh = Vec::new();
-        self.tape.eval_into(pi, fault, &mut fresh);
         debug_assert_eq!(
-            fresh, scr.values,
-            "incremental values diverged from the compiled evaluation"
+            sbst_gates::eval_dual_reference(self.netlist, pi, fault),
+            scr.values,
+            "incremental values diverged from the from-scratch evaluation"
         );
     }
 
@@ -305,7 +357,9 @@ impl<'a> Searcher<'a> {
         scr.prepare(nl);
         self.build_cone(fault, scr);
         let mut pi = self.pi_template.clone();
-        self.tape.eval_into(&pi, fault, &mut scr.values);
+        self.seed(fault, scr);
+        #[cfg(debug_assertions)]
+        self.check_values(&pi, fault, scr);
         if self.root_proof(fault, scr) {
             return SearchResult {
                 outcome: SearchOutcome::Redundant,
@@ -628,6 +682,79 @@ mod tests {
         netlist.driver(netlist.outputs()[0]).unwrap()
     }
 
+    /// Every combinational gate kind, with reconvergent fanout and a
+    /// multi-input AND and OR.
+    fn every_gate_kind() -> Netlist {
+        let mut b = NetlistBuilder::new("every_kind");
+        let [a, x, c, d] = ["a", "b", "c", "d"].map(|name| b.input(name));
+        let buf = b.gate(GateKind::Buf, &[a]);
+        let inv = b.not(x);
+        let and3 = b.gate(GateKind::And, &[a, x, c]);
+        let nand = b.gate(GateKind::Nand, &[buf, inv]);
+        let or3 = b.gate(GateKind::Or, &[and3, c, d]);
+        let nor = b.gate(GateKind::Nor, &[nand, d]);
+        let xor = b.xor2(or3, nor);
+        let xnor = b.gate(GateKind::Xnor, &[xor, a]);
+        let mux = b.mux2(c, xnor, nand);
+        let k0 = b.const0();
+        let k1 = b.const1();
+        let y = b.and2(mux, k1);
+        let z = b.or2(nor, k0);
+        b.mark_output(y, "y");
+        b.mark_output(z, "z");
+        b.mark_output(xor, "xor");
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn seed_matches_the_reference_for_every_fault_and_template() {
+        let n = every_gate_kind();
+        let kinds: Vec<GateKind> = n.gates().iter().map(|g| g.kind).collect();
+        for kind in [
+            GateKind::Buf,
+            GateKind::Not,
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Mux2,
+            GateKind::Const0,
+            GateKind::Const1,
+        ] {
+            assert!(kinds.contains(&kind), "{kind:?} missing from the netlist");
+        }
+        let faults = n.all_faults();
+        assert!(faults
+            .iter()
+            .any(|f| matches!(f.site, FaultSite::Pin { .. })));
+        // One scratch across every search, as a worker reuses it.
+        let mut scr = Scratch::default();
+        // All 81 three-valued templates over the four inputs; code 0 is
+        // all-X.
+        for code in 0..81u32 {
+            let pi: Vec<T3> = (0..4)
+                .map(|i| match code / 3u32.pow(i) % 3 {
+                    0 => None,
+                    1 => Some(false),
+                    _ => Some(true),
+                })
+                .collect();
+            let searcher = Searcher::new(&n, pi.clone(), 2_000, 1);
+            for fault in &faults {
+                scr.prepare(&n);
+                searcher.seed(fault, &mut scr);
+                assert_eq!(
+                    scr.values,
+                    sbst_gates::eval_dual_reference(&n, &pi, fault),
+                    "{fault:?} under {pi:?}"
+                );
+                assert!(scr.trail.is_empty(), "the seed is not undoable");
+            }
+        }
+    }
+
     #[test]
     fn unselected_data_input_proves_at_the_root() {
         let (n, pi) = pinned_mux();
@@ -657,7 +784,7 @@ mod tests {
         let mut scr = Scratch::default();
         scr.prepare(&n);
         searcher.build_cone(&fault, &mut scr);
-        searcher.tape.eval_into(&pi, &fault, &mut scr.values);
+        searcher.seed(&fault, &mut scr);
         searcher.compute_reach(&mut scr, false);
         assert!(scr.reach[d1.index()]);
         searcher.compute_reach(&mut scr, true);

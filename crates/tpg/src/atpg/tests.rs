@@ -28,6 +28,17 @@ fn full_adder_complete_coverage() {
 }
 
 #[test]
+#[should_panic(expected = "combinational")]
+fn sequential_netlist_rejected() {
+    let mut b = NetlistBuilder::new("seq");
+    let a = b.input("a");
+    let q = b.dff(a);
+    b.mark_output(q, "q");
+    let n = b.finish().unwrap();
+    let _ = Atpg::new(&n);
+}
+
+#[test]
 fn podem_without_random_phase() {
     let n = full_adder_netlist();
     let faults = n.collapsed_faults();
