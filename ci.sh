@@ -10,6 +10,10 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+# Every JSON report must carry the current schema (13: table1's fault_sim
+# object reports lane_words_simulated). A schema bump edits this line only.
+expected_schema=13
+
 echo "== format check =="
 cargo fmt --check
 
@@ -81,9 +85,8 @@ echo "== validate all three reports =="
 for report in BENCH_table1.json BENCH_table1_serial.json BENCH_table1_td.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require table1 --require execution_time
-  # Reports must carry the current schema (13: table1's fault_sim object reports lane_words_simulated).
-  if [ "$(jq '.schema_version' "$report")" != "13" ]; then
-    echo "error: $report schema_version is not 13" >&2
+  if [ "$(jq '.schema_version' "$report")" != "$expected_schema" ]; then
+    echo "error: $report schema_version is not $expected_schema" >&2
     exit 1
   fi
 done
@@ -215,8 +218,8 @@ cargo run --release -p sbst-bench --bin atpg_speed -- --smoke --threads 2 \
 for report in BENCH_atpg_speed_serial.json BENCH_atpg_speed.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require components --require atpg
-  if [ "$(jq '.schema_version' "$report")" != "13" ]; then
-    echo "error: $report schema_version is not 13" >&2
+  if [ "$(jq '.schema_version' "$report")" != "$expected_schema" ]; then
+    echo "error: $report schema_version is not $expected_schema" >&2
     exit 1
   fi
 done
@@ -272,8 +275,8 @@ cargo run --release -p sbst-bench --bin online_manager -- --smoke --adversary \
 echo "== validate online_manager red-team report =="
 cargo run --release -p sbst-bench --bin jsonlint -- BENCH_online_manager_adv.json \
   --require tool --require schema_version --require scenarios --require adversary
-if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "13" ]; then
-  echo "error: BENCH_online_manager_adv.json schema_version is not 13" >&2
+if [ "$(jq '.schema_version' BENCH_online_manager_adv.json)" != "$expected_schema" ]; then
+  echo "error: BENCH_online_manager_adv.json schema_version is not $expected_schema" >&2
   exit 1
 fi
 # The red-team SLO: attacks were actually mounted, every one was
@@ -315,8 +318,8 @@ for report in BENCH_fleet.json BENCH_fleet_serial.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require characterizations \
     --require throughput --require aggregate --require workers_detail
-  if [ "$(jq '.schema_version' "$report")" != "13" ]; then
-    echo "error: $report schema_version is not 13" >&2
+  if [ "$(jq '.schema_version' "$report")" != "$expected_schema" ]; then
+    echo "error: $report schema_version is not $expected_schema" >&2
     exit 1
   fi
   if [ "$(jq '.characterizations' "$report")" != "1" ]; then
@@ -419,8 +422,8 @@ cargo run --release -p sbst-bench --bin jsonlint -- BENCH_fleet_adv.json \
   --require tool --require schema_version --require adversary --require aggregate
 cargo run --release -p sbst-bench --bin jsonlint -- target/fleet_adv_telemetry.ndjson \
   --ndjson --require type --require node
-if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "13" ]; then
-  echo "error: BENCH_fleet_adv.json schema_version is not 13" >&2
+if [ "$(jq '.schema_version' BENCH_fleet_adv.json)" != "$expected_schema" ]; then
+  echo "error: BENCH_fleet_adv.json schema_version is not $expected_schema" >&2
   exit 1
 fi
 if [ "$(jq '.aggregate.attacks_injected > 0

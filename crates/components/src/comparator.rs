@@ -4,9 +4,9 @@
 //! (Section 3.3: "arithmetic and logic components, shifters, comparators,
 //! multiplexers, registers and register files"). Cores with a dedicated
 //! branch comparator (rather than reusing the ALU subtractor, as the
-//! Plasma does) test it with the linear-size regular set in
-//! [`sbst_tpg`-style](crate) fashion: the iterative prefix-equality chain
-//! makes single-bit-difference patterns a complete basis.
+//! Plasma does) get no routine of their own: every routine's branches
+//! already drive it, so it is graded from the traced branch operands
+//! ([`stimulus`]).
 
 use sbst_gates::{NetId, NetlistBuilder, Stimulus};
 
@@ -111,67 +111,10 @@ pub fn stimulus(cmp: &Component, ops: &[CmpOp]) -> Stimulus {
     stim
 }
 
-/// The linear-size regular test set: for every bit position, the
-/// single-bit-difference pair in both directions under both surrounding
-/// polarities, plus equality corners — the canonical complete basis for the
-/// prefix-equality chain.
-pub fn regular_ops(width: usize) -> Vec<CmpOp> {
-    let mask: u32 = if width == 32 {
-        u32::MAX
-    } else {
-        (1u32 << width) - 1
-    };
-    let cb = 0x5555_5555 & mask;
-    let cbi = 0xAAAA_AAAA & mask;
-    let mut ops = vec![
-        CmpOp { a: 0, b: 0 },
-        CmpOp { a: mask, b: mask },
-        CmpOp { a: cb, b: cb },
-        CmpOp { a: cbi, b: cbi },
-        CmpOp { a: cb, b: cbi },
-        CmpOp { a: cbi, b: cb },
-    ];
-    for i in 0..width {
-        let bit = 1u32 << i;
-        for base in [0u32, mask & !bit, cb & !bit, cbi & !bit] {
-            ops.push(CmpOp {
-                a: base & !bit,
-                b: (base & !bit) | bit,
-            });
-            ops.push(CmpOp {
-                a: (base & !bit) | bit,
-                b: base & !bit,
-            });
-        }
-    }
-    // Double-difference pairs: exercise the OR accumulation and the prefix
-    // kill at every chain position (a lower-bit difference must be masked
-    // by a higher-bit difference in both directions).
-    for i in 0..width - 1 {
-        let lo = 1u32 << i;
-        let hi = 1u32 << (i + 1);
-        ops.push(CmpOp { a: lo, b: hi });
-        ops.push(CmpOp { a: hi, b: lo });
-        ops.push(CmpOp {
-            a: mask & !hi,
-            b: mask & !lo,
-        });
-        ops.push(CmpOp {
-            a: mask & !lo,
-            b: mask & !hi,
-        });
-        // Against the top bit, covering the signed-flip interaction.
-        let top = 1u32 << (width - 1);
-        ops.push(CmpOp { a: lo | top, b: hi });
-        ops.push(CmpOp { a: hi, b: lo | top });
-    }
-    ops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbst_gates::{FaultSimulator, Simulator};
+    use sbst_gates::Simulator;
 
     #[test]
     fn exhaustive_4bit_against_oracle() {
@@ -221,27 +164,5 @@ mod tests {
             assert_eq!(sim.bus_value(c.ports.output("lt_u")) & 1 == 1, lt_u);
             assert_eq!(sim.bus_value(c.ports.output("lt_s")) & 1 == 1, lt_s);
         }
-    }
-
-    #[test]
-    fn regular_set_reaches_high_coverage() {
-        let c = comparator(8);
-        let faults = c.netlist.collapsed_faults();
-        let stim = stimulus(&c, &regular_ops(8));
-        let result = FaultSimulator::new(&c.netlist).simulate(&faults, &stim);
-        assert!(
-            result.coverage().percent() > 97.0,
-            "coverage {}",
-            result.coverage()
-        );
-    }
-
-    #[test]
-    fn regular_set_is_linear() {
-        let n8 = regular_ops(8).len();
-        let n16 = regular_ops(16).len();
-        // 8 single-difference ops per added bit position, plus 6
-        // double-difference ops per added chain position.
-        assert_eq!(n16 - n8, 8 * 8 + 6 * 8);
     }
 }

@@ -539,29 +539,6 @@ pub fn style_costs(style: CodeStyle, patterns: usize, apply_words: usize) -> Sty
     }
 }
 
-/// Chooses between the two deterministic-ATPG code styles (Figure 1 vs
-/// Figure 2) the way Section 3.3 prescribes: "The selection is mainly based
-/// on test routine execution time and depends on the clock cycles per
-/// instruction (CPI) of the pertinent instructions and especially of
-/// instruction `lw`."
-///
-/// Per pattern pair, Figure 1 spends ~2 extra single-cycle instructions
-/// (`lui`+`ori` per operand beyond one shared load each) while Figure 2
-/// spends 2 `lw` + 2 pointer increments. With `lw_cycles` the effective
-/// cycles of a load (base plus expected stall), Figure 2 wins only when
-/// loads are as cheap as ALU instructions.
-pub fn select_deterministic_style(lw_cycles: f64) -> CodeStyle {
-    // Figure 1 per pattern: 4 single-cycle words (two 32-bit li).
-    let fig1_cycles_per_pattern = 4.0;
-    // Figure 2 per pattern: 2 loads + 2 addiu.
-    let fig2_cycles_per_pattern = 2.0 * lw_cycles + 2.0;
-    if fig2_cycles_per_pattern < fig1_cycles_per_pattern {
-        CodeStyle::AtpgDataFetch
-    } else {
-        CodeStyle::AtpgImmediate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,17 +601,6 @@ mod tests {
             break 0
         ";
         assert!(parse_asm(src).unwrap().assemble(0, 0x2000).is_ok());
-    }
-
-    #[test]
-    fn lw_cpi_drives_style_selection() {
-        // Single-cycle loads (ideal cache): fetching patterns is cheaper.
-        assert_eq!(select_deterministic_style(0.9), CodeStyle::AtpgDataFetch);
-        // Plasma-like 2-cycle loads: a tie resolved towards immediates
-        // (no data-cache pollution).
-        assert_eq!(select_deterministic_style(2.0), CodeStyle::AtpgImmediate);
-        // Expensive loads (high data miss rate): immediates win clearly.
-        assert_eq!(select_deterministic_style(5.0), CodeStyle::AtpgImmediate);
     }
 
     #[test]

@@ -197,23 +197,6 @@ pub struct RunOutcome {
     pub break_code: u32,
 }
 
-/// A process context: everything the operating system saves and restores
-/// on a context switch (used by the time-shared scheduler model in
-/// [`crate::system`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuContext {
-    /// General-purpose registers.
-    pub regs: [u32; 32],
-    /// Hi register.
-    pub hi: u32,
-    /// Lo register.
-    pub lo: u32,
-    /// Program counter.
-    pub pc: u32,
-    /// Delay-slot successor.
-    pub next_pc: u32,
-}
-
 /// The instruction-set simulator. See the [crate-level example](crate).
 #[derive(Debug)]
 pub struct Cpu {
@@ -300,11 +283,6 @@ impl Cpu {
         &self.memory
     }
 
-    /// Mutable access to memory.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.memory
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> &ExecStats {
         &self.stats
@@ -319,32 +297,6 @@ impl Cpu {
     /// Takes the recorded trace, leaving an empty one.
     pub fn take_trace(&mut self) -> OperandTrace {
         std::mem::take(&mut self.trace)
-    }
-
-    /// Captures the current process context.
-    pub fn context(&self) -> CpuContext {
-        CpuContext {
-            regs: self.regs,
-            hi: self.hi,
-            lo: self.lo,
-            pc: self.pc,
-            next_pc: self.next_pc,
-        }
-    }
-
-    /// Restores a previously captured process context.
-    pub fn restore_context(&mut self, ctx: &CpuContext) {
-        self.regs = ctx.regs;
-        self.hi = ctx.hi;
-        self.lo = ctx.lo;
-        self.pc = ctx.pc;
-        self.next_pc = ctx.next_pc;
-    }
-
-    /// Redirects execution to `pc` (restarting the fetch stream).
-    pub fn set_pc(&mut self, pc: u32) {
-        self.pc = pc;
-        self.next_pc = pc.wrapping_add(4);
     }
 
     /// Mounts an architectural fault (see [`ArchFault`]).

@@ -1,11 +1,11 @@
 //! On-line test manager: the supervisory loop around periodic self-test.
 //!
-//! Detection mechanics alone ([`crate::system::run_time_shared`],
-//! [`crate::system::ActivationPolicy`], signature comparison) stop at
-//! *noticing* a fault. Production on-line testing needs a layer that
-//! *responds* — and keeps responding even when the faults it hunts corrupt
-//! the test program, hang a routine, or flip bits in the golden signatures
-//! themselves. This module provides that layer:
+//! Detection mechanics alone ([`crate::system::ActivationPolicy`],
+//! signature comparison) stop at *noticing* a fault. Production on-line
+//! testing needs a layer that *responds* — and keeps responding even when
+//! the faults it hunts corrupt the test program, hang a routine, or flip
+//! bits in the golden signatures themselves. This module provides that
+//! layer:
 //!
 //! - a **cycle-budget watchdog** per routine ([`run_with_watchdog`],
 //!   budgets derived from measured execution time via [`WatchdogConfig`]) —
@@ -30,6 +30,12 @@
 //!   exhausts its cycle quantum mid-pass parks at a component boundary and
 //!   resumes there on the next activation, so partial passes are never
 //!   discarded.
+//!
+//! The manager is also the crate's one model of time-sharing: its virtual
+//! clock ([`OnlineTestManager::clock_cycles`]) counts test execution,
+//! backoff waits and the idle time a caller advances between periodic
+//! activations ([`OnlineTestManager::advance_clock`]), so the test share
+//! of CPU time is the schedule's cycles over that clock.
 //!
 //! Every routine runs on a fresh [`Cpu`] built from
 //! [`CpuConfig::self_test`]; the only thing that varies between runs is the
@@ -266,7 +272,7 @@ impl SignatureStore {
     }
 
     /// The store's seal epoch: 0 at characterization, advanced by every
-    /// legitimate keyed re-seal ([`SignatureStore::advance_epoch_and_reseal`]).
+    /// legitimate keyed re-seal ([`SignatureStore::seal_at_epoch`]).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -285,21 +291,14 @@ impl SignatureStore {
     /// Overwrites (or inserts) the signature under `name` and re-seals
     /// both seals under `key` at the current epoch. Callers performing a
     /// *batch* of legitimate mutations finish with
-    /// [`SignatureStore::advance_epoch_and_reseal`] so the batch lands in
-    /// a single new epoch.
+    /// [`SignatureStore::seal_at_epoch`] so the batch lands in a single new
+    /// epoch.
     pub fn set_keyed(&mut self, name: &str, value: u32, key: &MacKey) {
         match self.entries.iter_mut().find(|(k, _)| k == name) {
             Some((_, v)) => *v = value,
             None => self.entries.push((name.to_owned(), value)),
         }
         self.reseal(key);
-    }
-
-    /// Advances the seal epoch by one and re-seals under `key` — the
-    /// epilogue of every legitimate re-capture/heal, which is what makes a
-    /// replayed pre-re-seal snapshot detectable.
-    pub fn advance_epoch_and_reseal(&mut self, key: &MacKey) {
-        self.seal_at_epoch(self.epoch + 1, key);
     }
 
     /// Re-seals under `key` at an explicit epoch. Monotonicity is the
@@ -1532,11 +1531,6 @@ impl OnlineTestManager {
         self.replica = Some(self.store.clone());
     }
 
-    /// Whether a (not-yet-compromised) replica is installed.
-    pub fn has_replica(&self) -> bool {
-        self.replica.is_some()
-    }
-
     /// The seal epoch the manager currently expects of its store.
     pub fn expected_epoch(&self) -> u64 {
         self.expected_epoch
@@ -1586,11 +1580,6 @@ impl OnlineTestManager {
     /// Whether testing has permanently stopped.
     pub fn is_halted(&self) -> bool {
         self.halted
-    }
-
-    /// Whether a preempted session is waiting to resume.
-    pub fn is_preempted(&self) -> bool {
-        self.resume_at.is_some()
     }
 
     /// Sessions started so far.
@@ -1761,7 +1750,7 @@ mod tests {
         let key = MacKey::from_seed(7);
         let mut store = SignatureStore::with_key(vec![("alu".to_owned(), 12)], &key);
         let stale = store.clone(); // epoch 0, validly sealed
-        store.advance_epoch_and_reseal(&key);
+        store.seal_at_epoch(store.epoch() + 1, &key);
         assert_eq!(store.epoch(), 1);
         assert_eq!(store.audit(&key, 1), TamperVerdict::Clean);
         // The replayed snapshot is internally consistent but stale.
@@ -1962,7 +1951,6 @@ mod tests {
         let store = SignatureStore::with_key(vec![("alu".to_owned(), 12)], &key);
         let mut mgr = OnlineTestManager::new(config, vec![adder_component("alu")], store);
         mgr.install_replica();
-        assert!(mgr.has_replica());
         for _ in 0..3 {
             assert_eq!(
                 mgr.run_session(&mut FaultFreeBench),
@@ -2072,7 +2060,6 @@ mod tests {
             mgr.run_session(&mut FaultFreeBench),
             SessionStatus::Preempted
         );
-        assert!(mgr.is_preempted());
         // The first component's pass survived the preemption.
         assert_eq!(mgr.status("alu").unwrap().passes, 1);
         assert_eq!(mgr.status("shifter").unwrap().attempts, 0);

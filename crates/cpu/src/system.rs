@@ -7,13 +7,19 @@
 //! a few hundred milliseconds) and analyses fault-detection latency for the
 //! three activation policies: at startup/shutdown, in scheduler idle
 //! cycles, and at fixed timer intervals.
+//!
+//! Everything here is analytic: it turns measured [`ExecStats`] into time
+//! and evaluates the paper's latency and overhead formulas. The periodic
+//! activation itself is simulated in one place, the
+//! [`OnlineTestManager`](crate::manager::OnlineTestManager): its virtual
+//! clock advances by test cycles, backoff waits and the idle time between
+//! activations, and its optional per-session quantum parks a session that
+//! outgrows its slot. The fleet runs one manager per node.
 
 use std::time::Duration;
 
-use sbst_isa::Program;
-
 use crate::cache::AnalyticStallModel;
-use crate::cpu::{Cpu, CpuConfig, CpuError, ExecStats};
+use crate::cpu::ExecStats;
 
 /// Clock and scheduling-quantum parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +59,8 @@ pub struct ExecTimeEstimate {
 impl ExecTimeEstimate {
     /// Computes the estimate from measured statistics. When the run did not
     /// simulate caches, `analytic` supplies the paper's miss-rate/penalty
-    /// stall model instead.
+    /// stall model instead. A zero `clock_hz` saturates `time` to
+    /// [`Duration::MAX`].
     pub fn from_stats(
         stats: &ExecStats,
         config: QuantumConfig,
@@ -68,7 +75,9 @@ impl ExecTimeEstimate {
         };
         let total = stats.cycles + stats.pipeline_stall_cycles + memory_stalls;
         let seconds = total as f64 / config.clock_hz;
-        let time = Duration::from_secs_f64(seconds);
+        // A zero clock makes `seconds` infinite (NaN for a zero-cycle run);
+        // `try_from_secs_f64` rejects both, so the time saturates to MAX.
+        let time = Duration::try_from_secs_f64(seconds).unwrap_or(Duration::MAX);
         ExecTimeEstimate {
             cpu_cycles: stats.cycles,
             pipeline_stall_cycles: stats.pipeline_stall_cycles,
@@ -113,12 +122,14 @@ pub enum ActivationPolicy {
 impl ActivationPolicy {
     /// Worst-case detection latency for a *permanent* fault: the longest
     /// time between the fault's appearance and the completion of the next
-    /// test run.
+    /// test run. Saturates to [`Duration::MAX`] instead of overflowing.
     pub fn permanent_fault_latency(&self, exec_time: Duration) -> Duration {
         match self {
-            ActivationPolicy::StartupShutdown { uptime } => *uptime + exec_time,
-            ActivationPolicy::IdleCycles { mean_idle_gap } => *mean_idle_gap + exec_time,
-            ActivationPolicy::PeriodicTimer { interval } => *interval + exec_time,
+            ActivationPolicy::StartupShutdown { uptime } => uptime.saturating_add(exec_time),
+            ActivationPolicy::IdleCycles { mean_idle_gap } => {
+                mean_idle_gap.saturating_add(exec_time)
+            }
+            ActivationPolicy::PeriodicTimer { interval } => interval.saturating_add(exec_time),
         }
     }
 
@@ -183,145 +194,6 @@ impl ActivationPolicy {
         // and infinity, so every degenerate combination lands on MAX.
         Duration::try_from_secs_f64(cadence.as_secs_f64() * runs).unwrap_or(Duration::MAX)
     }
-}
-
-/// Configuration of the time-shared execution model.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeShareConfig {
-    /// Round-robin quantum in CPU cycles.
-    pub quantum_cycles: u64,
-    /// Launch the test process every this many cycles.
-    pub test_period_cycles: u64,
-    /// Cycles charged per context switch (register save/restore, kernel).
-    pub context_switch_cycles: u64,
-    /// Total simulated cycles.
-    pub horizon_cycles: u64,
-}
-
-impl Default for TimeShareConfig {
-    fn default() -> Self {
-        TimeShareConfig {
-            quantum_cycles: 200_000,
-            test_period_cycles: 1_000_000,
-            context_switch_cycles: 100,
-            horizon_cycles: 10_000_000,
-        }
-    }
-}
-
-/// Result of a time-shared simulation of a user process plus the periodic
-/// self-test process.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeShareReport {
-    /// Instructions retired by the user process.
-    pub user_instructions: u64,
-    /// Complete test-program executions.
-    pub test_runs_completed: u32,
-    /// Cycles spent inside the test process.
-    pub test_cycles: u64,
-    /// Cycles spent on context switches attributable to testing.
-    pub switch_cycles: u64,
-    /// Total simulated cycles.
-    pub total_cycles: u64,
-}
-
-impl TimeShareReport {
-    /// Fraction of CPU time stolen from the user by periodic testing
-    /// (test execution plus its context switches). An empty simulation
-    /// (`total_cycles == 0`) has zero overhead, not NaN.
-    pub fn test_overhead_fraction(&self) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        (self.test_cycles + self.switch_cycles) as f64 / self.total_cycles as f64
-    }
-}
-
-/// Runs a user program and the self-test program *time-shared on one CPU*,
-/// round-robin with the given quantum, launching the test every
-/// `test_period_cycles` — the deployment model of Section 2 ("the SBST
-/// program … is another process that has to compete with user processes
-/// for system resources").
-///
-/// The user program must be an endless loop (it is pre-empted, never
-/// completed); the test program runs to its `break` each period. Programs
-/// must occupy disjoint memory regions.
-///
-/// # Errors
-///
-/// Returns [`CpuError`] if either program faults.
-pub fn run_time_shared(
-    user: &Program,
-    test: &Program,
-    config: TimeShareConfig,
-) -> Result<TimeShareReport, CpuError> {
-    let mut cpu = Cpu::new(CpuConfig::self_test());
-    cpu.load_program(user);
-    cpu.memory_mut().load_program(test);
-    let mut user_ctx;
-
-    let mut report = TimeShareReport {
-        user_instructions: 0,
-        test_runs_completed: 0,
-        test_cycles: 0,
-        switch_cycles: 0,
-        total_cycles: 0,
-    };
-    let mut charged_switches = 0u64;
-    let mut next_test_at = config.test_period_cycles;
-    let mut test_pending = false;
-
-    // Run the user process; at each test period, context-switch to the
-    // test process, run it to completion (it fits one quantum by design —
-    // asserted below), and switch back.
-    loop {
-        let now = cpu.stats().cycles + charged_switches;
-        report.total_cycles = now;
-        if now >= config.horizon_cycles {
-            break;
-        }
-        if now >= next_test_at {
-            test_pending = true;
-            next_test_at += config.test_period_cycles;
-        }
-        if test_pending {
-            test_pending = false;
-            // Switch out the user, run the test to completion.
-            user_ctx = cpu.context();
-            charged_switches += config.context_switch_cycles;
-            cpu.set_pc(test.entry());
-            let start_cycles = cpu.stats().cycles;
-            let start_instructions = cpu.stats().instructions;
-            loop {
-                if let Some(_code) = cpu.step()? {
-                    break;
-                }
-            }
-            let test_cycles = cpu.stats().cycles - start_cycles;
-            let _test_instructions = cpu.stats().instructions - start_instructions;
-            report.test_cycles += test_cycles;
-            report.test_runs_completed += 1;
-            charged_switches += config.context_switch_cycles;
-            cpu.restore_context(&user_ctx);
-            continue;
-        }
-        // One user quantum (or until the next test launch).
-        let user_slice_end = (cpu.stats().cycles + config.quantum_cycles)
-            .min(next_test_at.saturating_sub(charged_switches));
-        let before_user = cpu.stats().instructions;
-        while cpu.stats().cycles < user_slice_end
-            && cpu.stats().cycles + charged_switches < config.horizon_cycles
-        {
-            if cpu.step()?.is_some() {
-                // The "endless" user program terminated: restart it.
-                cpu.set_pc(user.entry());
-            }
-        }
-        report.user_instructions += cpu.stats().instructions - before_user;
-    }
-    report.switch_cycles = charged_switches;
-    report.total_cycles = cpu.stats().cycles + charged_switches;
-    Ok(report)
 }
 
 /// Monte Carlo cross-check of the intermittent-fault detection model: draws
@@ -537,65 +409,36 @@ mod tests {
     }
 
     #[test]
-    fn time_shared_execution_overhead() {
-        use sbst_isa::parse_asm;
-        // Endless user workload at 0x8000; a short "test program" at 0x0.
-        let user = parse_asm(
-            "spin:
-             addiu $t0, $t0, 1
-             addiu $t1, $t1, 2
-             j spin
-             nop",
-        )
-        .unwrap()
-        .assemble(0x8000, 0x2_0000)
-        .unwrap();
-        let test = parse_asm(
-            "li $t2, 0
-             li $t3, 50
-             l: addiu $t2, $t2, 1
-             bne $t2, $t3, l
-             nop
-             break 0",
-        )
-        .unwrap()
-        .assemble(0x0, 0x1_0000)
-        .unwrap();
-        let config = TimeShareConfig {
-            quantum_cycles: 10_000,
-            test_period_cycles: 50_000,
-            context_switch_cycles: 100,
-            horizon_cycles: 1_000_000,
+    fn degenerate_clock_and_latency_inputs_saturate_instead_of_panicking() {
+        // A zero clock: `total / 0` is infinite, or NaN for a zero-cycle
+        // run; both saturate the estimate's time to MAX.
+        let zero_clock = QuantumConfig {
+            clock_hz: 0.0,
+            ..QuantumConfig::default()
         };
-        let report = run_time_shared(&user, &test, config).unwrap();
-        // ~20 test launches over the horizon.
-        assert!(
-            (15..=21).contains(&report.test_runs_completed),
-            "{} runs",
-            report.test_runs_completed
-        );
-        // The user made the vast majority of the progress.
-        assert!(report.user_instructions > 800_000);
-        // Overhead ≈ (test_cycles + switches) / total — small.
-        let overhead = report.test_overhead_fraction();
-        assert!(overhead < 0.02, "overhead {overhead}");
-        assert!(overhead > 0.0);
-    }
-
-    #[test]
-    fn zero_cycle_report_has_zero_overhead() {
-        // A zero-length horizon produces an all-zero report; its overhead
-        // must be 0.0, not NaN (0/0).
-        let report = TimeShareReport {
-            user_instructions: 0,
-            test_runs_completed: 0,
-            test_cycles: 0,
-            switch_cycles: 0,
-            total_cycles: 0,
-        };
-        let overhead = report.test_overhead_fraction();
-        assert_eq!(overhead, 0.0);
-        assert!(!overhead.is_nan());
+        let est = ExecTimeEstimate::from_stats(&paper_stats(), zero_clock, None);
+        assert_eq!(est.time, Duration::MAX);
+        assert!(!est.fits_in_quantum());
+        let est = ExecTimeEstimate::from_stats(&ExecStats::default(), zero_clock, None);
+        assert_eq!(est.time, Duration::MAX);
+        // `uptime + exec_time` past Duration::MAX saturates, not overflows.
+        let policies = [
+            ActivationPolicy::StartupShutdown {
+                uptime: Duration::MAX,
+            },
+            ActivationPolicy::IdleCycles {
+                mean_idle_gap: Duration::MAX,
+            },
+            ActivationPolicy::PeriodicTimer {
+                interval: Duration::MAX,
+            },
+        ];
+        for policy in policies {
+            assert_eq!(
+                policy.permanent_fault_latency(Duration::from_secs(1)),
+                Duration::MAX
+            );
+        }
     }
 
     #[test]

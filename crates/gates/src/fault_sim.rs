@@ -435,22 +435,6 @@ impl SimStats {
         self.lane_slots_total += other.lane_slots_total;
     }
 
-    /// Cycles skipped by `drop_on_detect` (batches stopped early or
-    /// emptied by a repack).
-    pub fn cycles_dropped(&self) -> u64 {
-        self.cycles_scheduled.saturating_sub(self.cycles_simulated)
-    }
-
-    /// Fraction of scheduled cycles skipped by `drop_on_detect`, as a
-    /// percentage in `0.0..=100.0`.
-    pub fn drop_savings_percent(&self) -> f64 {
-        if self.cycles_scheduled == 0 {
-            0.0
-        } else {
-            self.cycles_dropped() as f64 / self.cycles_scheduled as f64 * 100.0
-        }
-    }
-
     /// Fraction of the initial packing's fault lanes occupied, in
     /// `0.0..=1.0` (0.0 when nothing was graded). Every batch but the last
     /// starts full, so this approaches 1.0 as the fault list grows; how
@@ -1504,8 +1488,6 @@ mod tests {
         assert_eq!(res.stats.cycles_scheduled, batches * stim.len() as u64);
         // drop_on_detect off: every scheduled cycle is clocked.
         assert_eq!(res.stats.cycles_simulated, res.stats.cycles_scheduled);
-        assert_eq!(res.stats.cycles_dropped(), 0);
-        assert_eq!(res.stats.drop_savings_percent(), 0.0);
         // Full-eval engine: one event per combinational gate per cycle.
         assert_eq!(
             res.stats.events_simulated,
@@ -1553,7 +1535,6 @@ mod tests {
                 engine.name(),
                 res.stats
             );
-            assert!(res.stats.drop_savings_percent() > 0.0);
         }
     }
 

@@ -412,19 +412,6 @@ impl NetlistBuilder {
         level[0]
     }
 
-    /// A bus whose bits are the constant `value` (little-endian).
-    pub fn const_bus(&mut self, value: u64, width: usize) -> Bus {
-        (0..width)
-            .map(|i| {
-                if (value >> i) & 1 == 1 {
-                    self.const1()
-                } else {
-                    self.const0()
-                }
-            })
-            .collect()
-    }
-
     /// NAND2-equivalent area of the gates created so far — lets component
     /// builders attribute area to sections (e.g. the memory controller's
     /// D-VC / A-VC / PVC split).
@@ -697,15 +684,6 @@ mod tests {
         let n = b.finish().unwrap();
         // 7 OR gates + 7 AND gates.
         assert_eq!(n.gate_count(), 14);
-    }
-
-    #[test]
-    fn const_bus_bits() {
-        let mut b = NetlistBuilder::new("t");
-        let bus = b.const_bus(0b1010, 4);
-        b.mark_output_bus(&bus, "k");
-        let n = b.finish().unwrap();
-        assert_eq!(n.outputs().len(), 4);
     }
 
     #[test]

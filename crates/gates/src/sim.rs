@@ -216,24 +216,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Drives an input bus with one word per lane (`values[L]` is lane *L*'s
-    /// word); missing lanes default to lane 0's word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bus bit is not a primary input, or `values` is empty.
-    pub fn set_bus_lanes(&mut self, bus: &Bus, values: &[u64]) {
-        assert!(!values.is_empty(), "set_bus_lanes needs at least one lane");
-        for (bit, &net) in bus.iter().enumerate() {
-            let mut word = 0u64;
-            for lane in 0..LANES {
-                let v = values.get(lane).copied().unwrap_or(values[0]);
-                word |= ((v >> bit) & 1) << lane;
-            }
-            self.set_input_lanes(net, word);
-        }
-    }
-
     /// Propagates values through the combinational logic.
     ///
     /// Flip-flop outputs present their current state; call
@@ -414,13 +396,20 @@ mod tests {
         let bus_in = Bus::new(n.inputs().to_vec());
         let bus_out = Bus::new(n.outputs().to_vec());
         let mut sim = Simulator::new(&n);
-        sim.set_bus_lanes(&bus_in, &[0x3, 0xC, 0x5]);
+        let lanes = [0x3u64, 0xC, 0x5];
+        for (bit, &net) in bus_in.iter().enumerate() {
+            let word = lanes
+                .iter()
+                .enumerate()
+                .fold(0, |word, (lane, v)| word | ((v >> bit) & 1) << lane);
+            sim.set_input_lanes(net, word);
+        }
         sim.eval();
-        assert_eq!(sim.bus_lane(&bus_out, 0), 0x3);
-        assert_eq!(sim.bus_lane(&bus_out, 1), 0xC);
-        assert_eq!(sim.bus_lane(&bus_out, 2), 0x5);
-        // Lanes beyond the provided values replicate lane 0.
-        assert_eq!(sim.bus_lane(&bus_out, 9), 0x3);
+        for (lane, &v) in lanes.iter().enumerate() {
+            assert_eq!(sim.bus_lane(&bus_out, lane), v);
+        }
+        // Lanes left undriven read zero.
+        assert_eq!(sim.bus_lane(&bus_out, 9), 0);
     }
 
     #[test]

@@ -386,25 +386,6 @@ impl Instruction {
         matches!(self, Sb { .. } | Sh { .. } | Sw { .. })
     }
 
-    /// Returns `true` for conditional branches and unconditional jumps —
-    /// everything followed by a delay slot.
-    pub fn is_control_transfer(self) -> bool {
-        use Instruction::*;
-        matches!(
-            self,
-            Beq { .. }
-                | Bne { .. }
-                | Blez { .. }
-                | Bgtz { .. }
-                | Bltz { .. }
-                | Bgez { .. }
-                | J { .. }
-                | Jal { .. }
-                | Jr { .. }
-                | Jalr { .. }
-        )
-    }
-
     /// The general-purpose register written by this instruction, if any
     /// (`$zero` writes are reported and must be ignored by the executor).
     pub fn written_reg(self) -> Option<Reg> {
@@ -798,19 +779,19 @@ mod tests {
             base: Reg::SP,
             offset: 0,
         };
-        assert!(lw.is_load() && !lw.is_store() && !lw.is_control_transfer());
+        assert!(lw.is_load() && !lw.is_store());
         let sw = Instruction::Sw {
             rt: Reg::T0,
             base: Reg::SP,
             offset: 0,
         };
-        assert!(sw.is_store());
+        assert!(sw.is_store() && !sw.is_load());
         let beq = Instruction::Beq {
             rs: Reg::T0,
             rt: Reg::T1,
             offset: 0,
         };
-        assert!(beq.is_control_transfer());
+        assert!(!beq.is_load() && !beq.is_store());
     }
 
     #[test]

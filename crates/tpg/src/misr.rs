@@ -80,13 +80,6 @@ impl Misr32 {
     pub fn signature(&self) -> u32 {
         self.state
     }
-
-    /// Theoretical aliasing probability for a long response stream: a fault
-    /// that corrupts at least one absorbed word escapes with probability
-    /// ~2⁻³² (the "negligible aliasing" of Section 3.3).
-    pub fn aliasing_probability() -> f64 {
-        1.0 / 2.0f64.powi(32)
-    }
 }
 
 #[cfg(test)]
@@ -170,11 +163,6 @@ mod tests {
         let mut m = Misr32::default();
         m.absorb_words(&corrupted);
         assert_eq!(m.signature(), reference.signature());
-    }
-
-    #[test]
-    fn aliasing_probability_is_tiny() {
-        assert!(Misr32::aliasing_probability() < 1e-9);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! the paper's cache assumptions, and evaluates the three activation
 //! policies (startup/shutdown, idle cycles, periodic timer) for permanent
 //! and intermittent fault detection latency, plus the scheduler overhead of
-//! periodic activation.
+//! periodic activation: analytic, and measured on the on-line test manager's
+//! virtual clock over a few periodic sessions.
 //!
 //! ```text
 //! cargo run --example periodic_testing
@@ -16,23 +17,23 @@ use std::time::Duration;
 
 use sbst::core::plan::build_managed_schedule;
 use sbst::core::{Cut, SelfTestProgram};
-use sbst::cpu::manager::{ManagerConfig, OnlineTestManager};
-use sbst::cpu::system::{run_time_shared, scheduler_overhead, TimeShareConfig};
+use sbst::cpu::manager::{FaultFreeBench, ManagerConfig, OnlineTestManager, SessionStatus};
+use sbst::cpu::system::scheduler_overhead;
 use sbst::cpu::{ActivationPolicy, AnalyticStallModel, ArchFault, ExecTimeEstimate, QuantumConfig};
 use sbst::gates::Fault;
-use sbst::isa::parse_asm;
 
 fn main() -> Result<(), Box<dyn Error>> {
     // Compose the periodic test program from the high-priority CUTs
     // (reduced widths keep this example fast; the table1 binary runs the
     // full 32-bit processor).
-    let program = SelfTestProgram::build(&[
+    let inventory = [
         Cut::alu(16),
         Cut::shifter(16),
         Cut::multiplier(8),
         Cut::divider(8),
         Cut::control(),
-    ])?;
+    ];
+    let program = SelfTestProgram::build(&inventory)?;
     let run = program.run()?;
     println!(
         "self-test program: {} words, {} instructions, {} cycles, {} data refs",
@@ -116,34 +117,38 @@ fn main() -> Result<(), Box<dyn Error>> {
         overhead.single_quantum
     );
 
-    // ... and measured: actually time-share a user workload with the test
-    // process on one simulated CPU (round robin, real context switches).
-    let user = parse_asm(
-        "work:
-         addiu $t0, $t0, 1
-         multu $t0, $t0
-         mflo  $t1
-         j work
-         nop",
-    )?
-    .assemble(0x0010_0000, 0x0020_0000)?;
-    let share = run_time_shared(
-        &user,
-        &program.program,
-        TimeShareConfig {
-            quantum_cycles: 200_000,
-            test_period_cycles: 1_000_000,
-            context_switch_cycles: 100,
-            horizon_cycles: 10_000_000,
+    // ... and measured: the on-line test manager runs the same CUTs'
+    // routines once per period on its virtual clock, idling up to the next
+    // activation between sessions the way every fleet node does. Its
+    // routines run on the cacheless self-test core, so the measured share
+    // carries no analytic memory-stall term.
+    let schedule = build_managed_schedule(&inventory)?;
+    let period_cycles = (0.5 * config.clock_hz) as u64;
+    let mut mgr = OnlineTestManager::new(
+        ManagerConfig {
+            period_cycles,
+            ..ManagerConfig::default()
         },
-    )?;
+        schedule.components,
+        schedule.store,
+    );
+    let sessions = 4;
+    let mut test_cycles = 0;
+    for session in 1..=sessions {
+        let before = mgr.clock_cycles();
+        let status = mgr.run_session(&mut FaultFreeBench);
+        if status != (SessionStatus::Completed { healthy: true }) {
+            return Err(format!("healthy session {session} ended {status:?}").into());
+        }
+        test_cycles += mgr.clock_cycles() - before;
+        let next = session * period_cycles;
+        mgr.advance_clock(next.saturating_sub(mgr.clock_cycles()));
+    }
     println!(
-        "\ntime-shared simulation over {} cycles: {} test runs completed, \
-         user retired {} instructions, measured test overhead {:.4}%",
-        share.total_cycles,
-        share.test_runs_completed,
-        share.user_instructions,
-        share.test_overhead_fraction() * 100.0
+        "measured over {sessions} managed sessions: {test_cycles} test cycles of {} \
+         clock cycles, test overhead {:.5}% CPU",
+        mgr.clock_cycles(),
+        test_cycles as f64 / mgr.clock_cycles() as f64 * 100.0
     );
 
     // The on-line test manager closing the loop in-field: watchdogged

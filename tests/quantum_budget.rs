@@ -1,20 +1,29 @@
 //! The Section 2 requirements, verified on the combined program:
 //! execution time below one quantum, no pipeline stalls from unresolved
-//! hazards, locality under simulated caches.
+//! hazards, locality under simulated caches, and a small but nonzero
+//! share of CPU time when the on-line test manager runs the routines
+//! periodically.
 
+use sbst::core::plan::build_managed_schedule;
 use sbst::core::{Cut, SelfTestProgram};
-use sbst::cpu::{AnalyticStallModel, CacheConfig, Cpu, CpuConfig, ExecTimeEstimate, QuantumConfig};
+use sbst::cpu::{
+    AnalyticStallModel, CacheConfig, Cpu, CpuConfig, ExecTimeEstimate, FaultFreeBench,
+    ManagerConfig, OnlineTestManager, QuantumConfig, SessionStatus,
+};
 
-fn build_program() -> SelfTestProgram {
-    SelfTestProgram::build(&[
+fn cuts() -> [Cut; 6] {
+    [
         Cut::alu(8),
         Cut::shifter(8),
         Cut::multiplier(8),
         Cut::divider(8),
         Cut::memctrl(),
         Cut::control(),
-    ])
-    .expect("program builds")
+    ]
+}
+
+fn build_program() -> SelfTestProgram {
+    SelfTestProgram::build(&cuts()).expect("program builds")
 }
 
 #[test]
@@ -94,4 +103,33 @@ fn memory_footprint_is_small() {
         "program is {} words",
         program.size_words()
     );
+}
+
+#[test]
+fn periodic_managed_sessions_cost_a_small_nonzero_share() {
+    // The test process competes with user processes once per period: each
+    // fault-free session moves the manager's clock by exactly the
+    // routines' characterized cycles, and the idle time up to the next
+    // activation fills the rest of the period.
+    let schedule = build_managed_schedule(&cuts()).expect("schedule builds");
+    let session_cycles: u64 = schedule.components.iter().map(|c| c.expected_cycles).sum();
+    let config = ManagerConfig::default();
+    let mut mgr = OnlineTestManager::new(config, schedule.components, schedule.store);
+    let sessions = 5;
+    for session in 1..=sessions {
+        let before = mgr.clock_cycles();
+        assert_eq!(
+            mgr.run_session(&mut FaultFreeBench),
+            SessionStatus::Completed { healthy: true }
+        );
+        assert_eq!(
+            mgr.clock_cycles() - before,
+            session_cycles,
+            "session {session}"
+        );
+        mgr.advance_clock(session * config.period_cycles - mgr.clock_cycles());
+    }
+    assert_eq!(mgr.clock_cycles(), sessions * config.period_cycles);
+    let overhead = (sessions * session_cycles) as f64 / mgr.clock_cycles() as f64;
+    assert!(overhead > 0.0 && overhead < 0.02, "overhead {overhead}");
 }
