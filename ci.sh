@@ -10,9 +10,9 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
-# Every JSON report must carry the current schema (13: table1's fault_sim
-# object reports lane_words_simulated). A schema bump edits this line only.
-expected_schema=13
+# Every JSON report must carry the current schema (14: table1's fault_sim
+# object reports events_simulated). A schema bump edits this line only.
+expected_schema=14
 
 echo "== format check =="
 cargo fmt --check
@@ -148,8 +148,8 @@ fi
 # the stimulus, so the simulation volume is thread-invariant too.
 sim_volume_fields() {
   jq -S '.table1.fault_sim | {
-    events_full_eval, cycles_simulated, live_lane_cycles, lane_slots_filled, lane_slots_total,
-    lane_words_simulated
+    events_simulated, events_full_eval, cycles_simulated, live_lane_cycles, lane_slots_filled,
+    lane_slots_total, lane_words_simulated
   }' "$1"
 }
 if ! diff <(sim_volume_fields BENCH_table1_serial.json) <(sim_volume_fields BENCH_table1.json); then
@@ -172,8 +172,9 @@ table1_snapshot_fields() {
     atpg: (.atpg | {runs, random_patterns_tried, random_patterns_kept, detected_by_random,
                     podem_targets, podem_tests, podem_backtracks, redundant, aborted,
                     podem_discarded, drop_sim_tape_compilations}),
-    fault_sim: (.fault_sim | {events_full_eval, cycles_simulated, live_lane_cycles,
-                              lane_slots_filled, lane_slots_total, lane_words_simulated})
+    fault_sim: (.fault_sim | {events_simulated, events_full_eval, cycles_simulated,
+                              live_lane_cycles, lane_slots_filled, lane_slots_total,
+                              lane_words_simulated})
   }' "$1"
 }
 if ! diff <(table1_snapshot_fields BENCH_table1.json) tests/golden/table1_smoke.json; then
@@ -203,6 +204,13 @@ if ! diff <(atpg_outcome_fields BENCH_table1_full_serial.json) <(atpg_outcome_fi
 fi
 if ! diff <(sim_volume_fields BENCH_table1_full_serial.json) <(sim_volume_fields BENCH_table1_full.json); then
   echo "error: fault-sim volume diverges between the serial and threaded full table1 runs" >&2
+  exit 1
+fi
+# Cone-restricted grading evaluates fewer gates than a full evaluation of
+# every clocked cycle would.
+if ! jq -e '.table1.fault_sim | .events_simulated < .events_full_eval' \
+    BENCH_table1_full_serial.json > /dev/null; then
+  echo "error: fault grading evaluated no fewer gates than a full evaluation" >&2
   exit 1
 fi
 

@@ -101,8 +101,8 @@ fn main() {
         table.grading_wall_time.as_secs_f64()
     );
     eprintln!(
-        "gate-evaluation events: {}",
-        table.sim_stats.events_full_eval
+        "gate-evaluation events: {} ({} for a full evaluation of every clocked cycle)",
+        table.sim_stats.events_simulated, table.sim_stats.events_full_eval
     );
     eprintln!(
         "batch-cycles clocked, both fault models: {} ({} lane words, {} live lane-cycles)",

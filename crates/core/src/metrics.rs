@@ -94,7 +94,14 @@ use crate::json::JsonValue;
 /// (64-bit lane words evaluated, summed over every clocked cycle), and
 /// `cycles_simulated` and `events_full_eval` no longer count the skipped
 /// cycles.
-pub const SCHEMA_VERSION: u32 = 13;
+/// 14 — fault grading restricts each batch to its faults' fanout cones,
+/// reading every other net from one fault-free record: Table 1's
+/// `fault_sim` object regains `events_simulated`, the gate evaluations
+/// the fault batches actually performed (below `events_full_eval` once a
+/// batch's cone leaves gates out), and no batch runs over the whole
+/// stimulus as the reference any more, so `cycles_simulated`,
+/// `lane_words_simulated` and `events_full_eval` fall.
+pub const SCHEMA_VERSION: u32 = 14;
 
 /// A machine-readable run report: a named, schema-versioned JSON document
 /// that every bench binary writes behind its `--json <path>` flag.

@@ -384,6 +384,7 @@ impl Table1 {
                         JsonValue::Float(self.grading_wall_time.as_secs_f64()),
                     ),
                     ("engine", JsonValue::from(self.engine.name())),
+                    ("events_simulated", JsonValue::from(sim.events_simulated)),
                     ("events_full_eval", JsonValue::from(sim.events_full_eval)),
                     ("cycles_simulated", JsonValue::from(sim.cycles_simulated)),
                     (
@@ -885,6 +886,10 @@ mod tests {
         assert_eq!(
             sim.get("engine").unwrap().as_str(),
             Some(table.engine.name())
+        );
+        assert_eq!(
+            sim.get("events_simulated").unwrap().as_u64(),
+            Some(table.sim_stats.events_simulated)
         );
         assert_eq!(
             sim.get("events_full_eval").unwrap().as_u64(),

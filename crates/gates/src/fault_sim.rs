@@ -20,6 +20,15 @@
 //!   It is the simplest engine, and the differential tests pin the
 //!   compiled tape against it.
 //!
+//! Every call first simulates the fault-free machine once over the whole
+//! stimulus, on the engine's own simulator, into a bit-packed *record*:
+//! one bit per net per cycle, 64 cycles per pass on a netlist without
+//! flip-flops and one cycle per pass otherwise. The record holds the
+//! fault-free responses and the primary inputs every batch reads. A
+//! [`FaultSimulator`] keeps its last record, keyed by the exact input
+//! vectors, so grading both fault models over one stimulus simulates the
+//! fault-free machine once.
+//!
 //! The fault list is partitioned in index order into contiguous batches
 //! of the engine's [`SimEngine::faults_per_pass`], one lane per fault.
 //! Runs of four consecutive batches form fixed *groups*, and the groups
@@ -27,11 +36,18 @@
 //! batches window by window, 16 cycles at a time.
 //!
 //! Under `drop_on_detect` a group clocks only work that can still detect
-//! a fault, which is the fault dropping of sequential fault simulators
-//! such as PROOFS (Niermann, Cheng and Patel, IEEE TCAD 1992) carried
-//! down to lane words and repeated patterns:
+//! a fault: the fault dropping and fault-free reference of sequential
+//! fault simulators such as PROOFS (Niermann, Cheng and Patel, IEEE TCAD
+//! 1992), carried down to fanout cones, lane words and repeated patterns:
 //!
 //! - A batch stops as soon as all of its faults are detected.
+//! - On the compiled engine a batch evaluates only the fanout cone of its
+//!   faults: the tape entries and flip-flops their sites reach, found by
+//!   one forward walk whenever faults are assigned to it. Each clocked
+//!   cycle loads the nets the cone reads but does not drive from the
+//!   record, evaluates the cone's entries, compares the cone's outputs
+//!   and latches the cone's flip-flops. Every other net holds its
+//!   fault-free value in every lane, as no fault of the batch reaches it.
 //! - A batch evaluates only the lane words up to the one holding its
 //!   highest undetected lane (word 0, with the reference lane, always
 //!   counts), narrowed after every detection.
@@ -39,43 +55,44 @@
 //!   into as few batches as they fill, in index order from lane 1 up,
 //!   when that frees a batch or lowers the group's total live words, and
 //!   stops clocking the emptied batches. A moved fault is re-injected at
-//!   its new lane and takes its flip-flop bits and, under the transition
-//!   model, its arming bit along; every other net value is rebuilt from
-//!   the inputs and the flip-flops by each eval.
+//!   its new lane and takes along its flip-flop bits, a lane word at a
+//!   time (the record's for a flip-flop outside its old batch's cone),
+//!   and under the transition model its arming bit; lane 0 takes the
+//!   record's. Every other net value is rebuilt by each eval.
 //! - On a netlist without flip-flops a cycle can detect only what its
 //!   input vector (stuck-at) or its pair of previous and current vectors
 //!   (transition) can, so the group leaves out every cycle that repeats
 //!   an earlier observed cycle's vector or pair, and under stuck-at every
 //!   unobserved cycle. A compared transition cycle's predecessor is still
 //!   clocked, as its launch. The plan is fixed per call by the stimulus
-//!   and the model, and a left-out observed cycle takes its fault-free
-//!   response from the first observed cycle with the same vector.
+//!   and the model.
 //!
-//! `drop_on_detect: false` clocks every batch at full width over every
-//! cycle: the oracle the dropping runs are tested against. Groups share
-//! no state, and they and their windows are fixed by the fault list and
-//! the stimulus alone, never by the thread count.
+//! `drop_on_detect: false` clocks every batch over the whole netlist at
+//! full width over every cycle, as the full-eval engine evaluates the
+//! whole netlist under either setting: the oracles the dropping runs are
+//! tested against. Groups share no state, and they and their windows are
+//! fixed by the fault list and the stimulus alone, never by the thread
+//! count.
 //!
 //! Coverage, per-fault detecting cycles and fault-free responses are
 //! bit-identical across both engines, every thread count and either
 //! `drop_on_detect`: lanes are independent machines wherever they sit, a
 //! fault leaves the simulation only once it is detected, a left-out cycle
-//! could detect no fault still in it, and the group holding fault 0 keeps
-//! one batch, whose lane 0 records the reference, running over the whole
-//! stimulus.
+//! could detect no fault still in it, a net outside a batch's cone holds
+//! the value the record holds, and lane 0 of every batch is the
+//! fault-free machine.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::coverage::FaultCoverage;
 use crate::fanout::{fan_out, resolve_threads};
-use crate::fault::{Fault, TransitionFault};
+use crate::fault::{Fault, FaultSite, TransitionFault};
 use crate::net::NetId;
 use crate::netlist::Netlist;
 use crate::sim::{Simulator, LANES};
-use crate::tape::{CompiledTape, TapeSimulator, MAX_LANE_WORDS};
+use crate::tape::{CompiledTape, ConeScratch, TapeSimulator, MAX_LANE_WORDS};
 
 /// Faults graded per simulation pass: one lane per fault, with lane 0
 /// reserved for the fault-free reference machine.
@@ -158,13 +175,48 @@ impl Stimulus {
 
 /// Partitions `fault_count` faults into contiguous index ranges of at
 /// most `per_batch` faults, one simulation pass each, in order. An empty
-/// fault list yields a single empty batch: the simulator still runs one
-/// reference-only pass to record fault-free responses.
+/// fault list yields a single empty batch, which under `drop_on_detect`
+/// clocks nothing: the fault-free responses come from the record.
 fn fault_batches(fault_count: usize, per_batch: usize) -> Vec<Range<usize>> {
     let n_batches = fault_count.div_ceil(per_batch).max(1);
     (0..n_batches)
         .map(|b| b * per_batch..((b + 1) * per_batch).min(fault_count))
         .collect()
+}
+
+/// A stimulus's input vectors packed LSB-first into words, `stride` words
+/// per cycle.
+#[derive(Debug, PartialEq, Eq)]
+struct PackedInputs {
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl PackedInputs {
+    /// Packs `stimulus`, whose vectors drive `width` primary inputs.
+    fn new(stimulus: &Stimulus, width: usize) -> Self {
+        let stride = width.div_ceil(64).max(1);
+        let mut words = vec![0u64; stimulus.len() * stride];
+        for ((inputs, _), packed) in stimulus.cycles.iter().zip(words.chunks_mut(stride)) {
+            debug_assert_eq!(inputs.len(), width);
+            for (word, bits) in packed.iter_mut().zip(inputs.chunks(64)) {
+                *word = bits
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (i, &bit)| acc | u64::from(bit) << i);
+            }
+        }
+        PackedInputs { stride, words }
+    }
+
+    fn cycles(&self) -> usize {
+        self.words.len() / self.stride
+    }
+
+    /// The input vector of `cycle`.
+    fn vector(&self, cycle: usize) -> &[u64] {
+        &self.words[cycle * self.stride..][..self.stride]
+    }
 }
 
 /// What grading does with one stimulus cycle.
@@ -176,21 +228,18 @@ enum CycleStep {
     /// launch of a transition pair whose own pair already occurred.
     Clock,
     /// Leave the cycle out: on a netlist without flip-flops it can detect
-    /// no fault that an earlier observed cycle has not. A skipped observed
-    /// cycle's fault-free response is that of observed cycle `same_as`
-    /// (counted among the observed cycles), which applied the same vector.
-    Skip { same_as: Option<u32> },
+    /// no fault that an earlier observed cycle has not.
+    Skip,
 }
 
-/// A stimulus and the step grading takes at each of its cycles, fixed by
-/// the stimulus and the fault model alone.
-struct Plan<'s> {
-    stimulus: &'s Stimulus,
+/// The step grading takes at each stimulus cycle, fixed by the stimulus
+/// and the fault model alone.
+struct Plan {
     steps: Vec<CycleStep>,
 }
 
-impl<'s> Plan<'s> {
-    /// Plans grading over `stimulus`.
+impl Plan {
+    /// Plans grading over `stimulus`, whose vectors `inputs` packs.
     ///
     /// Without `skip` every cycle is clocked and the observed ones
     /// compared. With `skip` (a netlist without flip-flops, under
@@ -203,7 +252,7 @@ impl<'s> Plan<'s> {
     /// - transition: only an observed cycle whose pair no earlier
     ///   observed cycle had is compared, and its predecessor is clocked
     ///   as its launch, so the arming state it reads is exact.
-    fn new(stimulus: &'s Stimulus, transition: bool, skip: bool) -> Self {
+    fn new(stimulus: &Stimulus, inputs: &PackedInputs, transition: bool, skip: bool) -> Self {
         let mut steps: Vec<CycleStep> = stimulus
             .iter()
             .map(|(_, observe)| {
@@ -215,66 +264,163 @@ impl<'s> Plan<'s> {
             })
             .collect();
         if !skip {
-            return Plan { stimulus, steps };
+            return Plan { steps };
         }
-        // A dense id per distinct input vector, hashed packed into words.
-        let stride = stimulus
-            .cycles
-            .first()
-            .map_or(0, |(v, _)| v.len())
-            .div_ceil(64)
-            .max(1);
-        let mut packed = vec![0u64; stimulus.len() * stride];
-        for ((inputs, _), words) in stimulus.cycles.iter().zip(packed.chunks_mut(stride)) {
-            for (word, bits) in words.iter_mut().zip(inputs.chunks(64)) {
-                *word = bits
-                    .iter()
-                    .rev()
-                    .fold(0, |acc, &bit| acc << 1 | u64::from(bit));
+        // A dense id per distinct input vector: sort the cycles by vector
+        // and number the runs of equal ones.
+        let mut order: Vec<usize> = (0..steps.len()).collect();
+        order.sort_unstable_by(|&a, &b| inputs.vector(a).cmp(inputs.vector(b)));
+        let mut vector = vec![0u32; steps.len()];
+        let mut ids = 0;
+        for (i, &t) in order.iter().enumerate() {
+            if i == 0 || inputs.vector(order[i - 1]) != inputs.vector(t) {
+                ids += 1;
+            }
+            vector[t] = ids - 1;
+        }
+        // The observed cycles whose vector pair no earlier observed cycle
+        // had, by sorting the pairs with their cycles.
+        let mut new_pair = vec![false; steps.len()];
+        if transition {
+            let mut pairs: Vec<(u64, usize)> = (1..steps.len())
+                .filter(|&t| steps[t] == CycleStep::Compare)
+                .map(|t| (u64::from(vector[t - 1]) << 32 | u64::from(vector[t]), t))
+                .collect();
+            pairs.sort_unstable();
+            for (i, &(pair, t)) in pairs.iter().enumerate() {
+                new_pair[t] = i == 0 || pairs[i - 1].0 != pair;
             }
         }
-        let mut ids: HashMap<&[u64], u32> = HashMap::new();
-        let vector: Vec<u32> = packed
-            .chunks(stride)
-            .map(|words| {
-                let next = ids.len() as u32;
-                *ids.entry(words).or_insert(next)
-            })
-            .collect();
-        // Each vector's first observed cycle, counted among the observed ones.
-        let mut first_observed = vec![u32::MAX; ids.len()];
-        let mut pairs = HashSet::new();
-        let mut observed = 0;
-        for (t, (_, observe)) in stimulus.iter().enumerate() {
-            if !observe {
-                steps[t] = CycleStep::Skip { same_as: None };
+        let mut seen = vec![false; ids as usize];
+        for (t, step) in steps.iter_mut().enumerate() {
+            if *step == CycleStep::Clock {
+                *step = CycleStep::Skip;
                 continue;
             }
             let v = vector[t] as usize;
             let new = if transition {
-                t == 0 || pairs.insert(u64::from(vector[t - 1]) << 32 | u64::from(vector[t]))
+                t == 0 || new_pair[t]
             } else {
-                first_observed[v] == u32::MAX
+                !seen[v]
             };
-            if first_observed[v] == u32::MAX {
-                first_observed[v] = observed;
-            }
+            seen[v] = true;
             if !new {
-                steps[t] = CycleStep::Skip {
-                    same_as: Some(first_observed[v]),
-                };
+                *step = CycleStep::Skip;
             }
-            observed += 1;
         }
         if transition {
             for t in 1..steps.len() {
-                if steps[t] == CycleStep::Compare && matches!(steps[t - 1], CycleStep::Skip { .. })
-                {
+                if steps[t] == CycleStep::Compare && steps[t - 1] == CycleStep::Skip {
                     steps[t - 1] = CycleStep::Clock;
                 }
             }
         }
-        Plan { stimulus, steps }
+        Plan { steps }
+    }
+}
+
+/// The fault-free machine's value of every net on every stimulus cycle,
+/// one bit each.
+#[derive(Debug)]
+struct FaultFreeRecord {
+    /// The input vectors simulated, which key the record.
+    inputs: PackedInputs,
+    /// Nets of the netlist, the words of one block.
+    nets: usize,
+    /// Word `block * nets + n` holds net `n` over cycles `64 * block`
+    /// on, cycle `c` at bit `c % 64`.
+    words: Vec<u64>,
+}
+
+impl FaultFreeRecord {
+    /// Simulates `netlist` fault-free over every cycle of `inputs` on
+    /// simulators from `new_sim`, 64 cycles per pass, one per lane: with
+    /// the primary inputs, and the flip-flop states that a second
+    /// simulator stepping only the next-state logic records one cycle per
+    /// pass, every net is a function of its lane's cycle.
+    fn simulate<S: LaneSim<1>>(
+        new_sim: impl Fn() -> S,
+        netlist: &Netlist,
+        inputs: PackedInputs,
+    ) -> Self {
+        let (nets, cycles) = (netlist.net_count(), inputs.cycles());
+        let dffs = netlist.dff_gates().len();
+        let mut words = vec![0u64; cycles.div_ceil(64) * nets];
+        let mut sim = new_sim();
+        let mut stepper = (dffs > 0).then(|| {
+            let mut stepper = new_sim();
+            stepper.restrict_to_next_state();
+            stepper
+        });
+        // The block's input and flip-flop words, cycle `t` at bit `t % 64`.
+        let mut lanes = vec![0u64; netlist.inputs().len()];
+        let mut states = vec![[0u64]; dffs];
+        for (b, block) in words.chunks_mut(nets.max(1)).enumerate() {
+            let span = b * 64..(b * 64 + 64).min(cycles);
+            lanes.fill(0);
+            for t in span.clone() {
+                let vector = inputs.vector(t);
+                for (pos, lane) in lanes.iter_mut().enumerate() {
+                    *lane |= (vector[pos / 64] >> (pos % 64) & 1) << (t % 64);
+                }
+            }
+            for (pos, (&net, &lane)) in netlist.inputs().iter().zip(&lanes).enumerate() {
+                block[net.index()] = lane;
+                sim.set_input_word(pos, lane);
+            }
+            if let Some(stepper) = &mut stepper {
+                states.fill([0]);
+                for t in span {
+                    for (k, state) in states.iter_mut().enumerate() {
+                        state[0] |= (stepper.dff_word(k)[0] & 1) << (t % 64);
+                    }
+                    stepper.eval_block(block, (t % 64) as u32);
+                    stepper.step();
+                }
+                sim.set_dff_words(&states);
+            }
+            sim.eval();
+            for (n, word) in block.iter_mut().enumerate() {
+                *word = sim.lanes(NetId::from_index(n))[0];
+            }
+        }
+        FaultFreeRecord {
+            inputs,
+            nets,
+            words,
+        }
+    }
+
+    /// The block of net words holding `cycle`, and its bit in them.
+    fn block(&self, cycle: usize) -> (&[u64], u32) {
+        (
+            &self.words[cycle / 64 * self.nets..][..self.nets],
+            (cycle % 64) as u32,
+        )
+    }
+
+    /// `net`'s fault-free value at `cycle`, 0 or 1.
+    fn bit(&self, net: NetId, cycle: usize) -> u64 {
+        let (block, bit) = self.block(cycle);
+        block[net.index()] >> bit & 1
+    }
+
+    /// `outputs`' fault-free words (LSB-first, 64 outputs per word) at
+    /// every observed cycle of `stimulus`.
+    fn responses(&self, outputs: &[NetId], stimulus: &Stimulus) -> Vec<Vec<u64>> {
+        stimulus
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, observe))| *observe)
+            .map(|(t, _)| {
+                let (block, bit) = self.block(t);
+                let mut words = vec![0; outputs.len().div_ceil(64)];
+                for (k, &out) in outputs.iter().enumerate() {
+                    words[k / 64] |= (block[out.index()] >> bit & 1) << (k % 64);
+                }
+                words
+            })
+            .collect()
     }
 }
 
@@ -318,11 +464,12 @@ impl SimEngine {
 pub struct FaultSimConfig {
     /// Stop simulating a fault once it is detected: a batch stops as
     /// soon as every fault in it is detected and evaluates only the lane
-    /// words that still hold an undetected fault, a group repacks its
-    /// survivors into fewer batches or words, and a netlist without
-    /// flip-flops skips the cycles that repeat an observed pattern (see
-    /// the module docs). `false` clocks every batch at full width over
-    /// the whole stimulus.
+    /// words that still hold an undetected fault (on the compiled engine,
+    /// only its faults' fanout cone), a group repacks its survivors into
+    /// fewer batches or words, and a netlist without flip-flops skips the
+    /// cycles that repeat an observed pattern (see the module docs).
+    /// `false` clocks every batch over the whole netlist at full width
+    /// over the whole stimulus.
     pub drop_on_detect: bool,
     /// Worker threads for fault-batch fan-out.
     ///
@@ -399,10 +546,13 @@ pub struct SimStats {
     /// [`SimEngine::faults_per_pass`] it shows how much of the clocked lane
     /// capacity still had a fault to grade.
     pub live_lane_cycles: u64,
-    /// Gate-evaluation events performed (each event evaluating every lane
-    /// of one gate bit-parallel). Both engines evaluate every
-    /// combinational gate on every clocked cycle, so this always equals
-    /// [`SimStats::events_full_eval`].
+    /// Gate-evaluation events the fault batches performed (each event
+    /// evaluating the live lane words of one gate bit-parallel). The
+    /// full-eval engine, and any batch without `drop_on_detect`,
+    /// evaluates every combinational gate on every clocked cycle, so there
+    /// this equals [`SimStats::events_full_eval`]; a compiled-engine batch
+    /// under `drop_on_detect` evaluates only its faults' fanout cone, so
+    /// this falls below it. The fault-free record pass is not counted.
     pub events_simulated: u64,
     /// Events a full evaluation of every clocked cycle costs
     /// (`cycles_simulated × combinational gate count`).
@@ -519,6 +669,18 @@ impl<'f> FaultList<'f> {
         }
     }
 
+    /// The net fault `index` forces, which seeds its fanout cone: a stem
+    /// or transition fault's net, an input-pin fault's gate output.
+    fn seed(&self, index: usize, netlist: &Netlist) -> NetId {
+        match self {
+            FaultList::Stuck(faults) => match faults[index].site {
+                FaultSite::Stem(net) => net,
+                FaultSite::Pin { gate, .. } => netlist.gate(gate).output,
+            },
+            FaultList::Transition(faults) => faults[index].net,
+        }
+    }
+
     /// The net whose arming state fault `index` carries: the transition
     /// fault's net, `None` for a stuck-at fault (which carries none).
     fn armed_net(&self, index: usize) -> Option<NetId> {
@@ -551,14 +713,30 @@ fn lanes_of<const W: usize>(mask: [u64; W]) -> impl Iterator<Item = usize> {
 /// A simulator the group loop can drive: `W` lane words per net, with
 /// lane 0 of word 0 the fault-free reference machine. Implemented by the
 /// 64-lane full-eval [`Simulator`] (`W = 1`) and by the compiled tape
-/// (`W = `[`MAX_LANE_WORDS`]).
+/// (`W = `[`MAX_LANE_WORDS`]); the fault-free record is simulated on
+/// either at `W = 1`.
 trait LaneSim<const W: usize> {
     fn inject_stuck(&mut self, fault: &Fault, lane: usize);
     fn inject_transition(&mut self, fault: &TransitionFault, lane: usize);
-    fn set_input_at(&mut self, pos: usize, value: bool);
-    /// Narrows [`LaneSim::eval`] to the first `words` lane words.
+    /// Restricts [`LaneSim::eval_block`] and [`LaneSim::step`] to the fanout
+    /// cone of `seeds`, the nets the injected faults force; the full-eval
+    /// simulator evaluates the whole netlist regardless.
+    fn restrict(&mut self, seeds: &[NetId], scratch: &mut ConeScratch);
+    /// Restricts a fault-free simulator to the logic that steps the
+    /// flip-flops; the full-eval simulator evaluates the whole netlist
+    /// regardless.
+    fn restrict_to_next_state(&mut self);
+    /// Narrows evaluation to the first `words` lane words.
     fn set_words(&mut self, words: usize);
+    /// Drives primary input `pos` with `word` (bit `L` is lane `L`).
+    fn set_input_word(&mut self, pos: usize, word: u64);
     fn eval(&mut self);
+    /// Evaluates one cycle of a block of fault-free record words
+    /// ([`FaultFreeRecord::block`]), reading its inputs, and a restricted
+    /// simulator's side nets, from bit `bit` of the block.
+    fn eval_block(&mut self, block: &[u64], bit: u32);
+    /// The primary outputs [`LaneSim::eval_block`] computes.
+    fn outputs(&self) -> &[NetId];
     fn lanes(&self, net: NetId) -> [u64; W];
     fn step(&mut self);
     /// Gate-evaluation events performed over `cycles` clocked cycles.
@@ -566,8 +744,11 @@ trait LaneSim<const W: usize> {
     /// Removes every injected fault and zeroes the machine state, so the
     /// simulator can take a repacked batch; the event count runs on.
     fn clear(&mut self);
-    /// Lane carry-out: the flip-flop words, in netlist flip-flop order.
-    fn dff_words(&self) -> Vec<[u64; W]>;
+    /// The flip-flops [`LaneSim::step`] latches, `None` for all of them:
+    /// the only ones whose words hold the batch's state.
+    fn stepped_dffs(&self) -> Option<&[u32]>;
+    /// Lane carry-out: the words of flip-flop `k`, in netlist order.
+    fn dff_word(&self, k: usize) -> [u64; W];
     /// Lane carry-in: overwrites the flip-flop words.
     fn set_dff_words(&mut self, words: &[[u64; W]]);
     /// The arming words of transition-fault net `net`.
@@ -586,16 +767,32 @@ impl LaneSim<1> for Simulator<'_> {
         self.inject_transition_fault(fault, 1u64 << lane);
     }
 
-    fn set_input_at(&mut self, pos: usize, value: bool) {
-        let net = self.netlist().inputs()[pos];
-        self.set_input(net, value);
-    }
+    /// Full evaluation: no cone.
+    fn restrict(&mut self, _seeds: &[NetId], _scratch: &mut ConeScratch) {}
+
+    fn restrict_to_next_state(&mut self) {}
 
     /// One word, which holds the reference lane: nothing to narrow.
     fn set_words(&mut self, _words: usize) {}
 
+    fn set_input_word(&mut self, pos: usize, word: u64) {
+        Simulator::set_input_word(self, pos, word);
+    }
+
     fn eval(&mut self) {
         Simulator::eval(self);
+    }
+
+    fn eval_block(&mut self, block: &[u64], bit: u32) {
+        for (pos, &net) in self.netlist().inputs().iter().enumerate() {
+            let word = 0u64.wrapping_sub(block[net.index()] >> bit & 1);
+            Simulator::set_input_word(self, pos, word);
+        }
+        Simulator::eval(self);
+    }
+
+    fn outputs(&self) -> &[NetId] {
+        self.netlist().outputs()
     }
 
     fn lanes(&self, net: NetId) -> [u64; 1] {
@@ -616,11 +813,12 @@ impl LaneSim<1> for Simulator<'_> {
         self.reset();
     }
 
-    fn dff_words(&self) -> Vec<[u64; 1]> {
-        Simulator::dff_words(self)
-            .iter()
-            .map(|&word| [word])
-            .collect()
+    fn stepped_dffs(&self) -> Option<&[u32]> {
+        None
+    }
+
+    fn dff_word(&self, k: usize) -> [u64; 1] {
+        [Simulator::dff_words(self)[k]]
     }
 
     fn set_dff_words(&mut self, words: &[[u64; 1]]) {
@@ -647,17 +845,32 @@ impl<const W: usize> LaneSim<W> for TapeSimulator<&CompiledTape, W> {
         self.inject_transition_fault(fault, lane);
     }
 
-    #[inline]
-    fn set_input_at(&mut self, pos: usize, value: bool) {
-        TapeSimulator::set_input_at(self, pos, value);
+    fn restrict(&mut self, seeds: &[NetId], scratch: &mut ConeScratch) {
+        TapeSimulator::restrict(self, seeds, scratch);
+    }
+
+    fn restrict_to_next_state(&mut self) {
+        TapeSimulator::restrict_to_next_state(self);
     }
 
     fn set_words(&mut self, words: usize) {
         TapeSimulator::set_words(self, words);
     }
 
+    fn set_input_word(&mut self, pos: usize, word: u64) {
+        TapeSimulator::set_input_word(self, pos, word);
+    }
+
     fn eval(&mut self) {
         TapeSimulator::eval(self);
+    }
+
+    fn eval_block(&mut self, block: &[u64], bit: u32) {
+        self.eval_from(block, bit);
+    }
+
+    fn outputs(&self) -> &[NetId] {
+        TapeSimulator::outputs(self)
     }
 
     #[inline]
@@ -678,8 +891,12 @@ impl<const W: usize> LaneSim<W> for TapeSimulator<&CompiledTape, W> {
         self.reset();
     }
 
-    fn dff_words(&self) -> Vec<[u64; W]> {
-        TapeSimulator::dff_words(self).to_vec()
+    fn stepped_dffs(&self) -> Option<&[u32]> {
+        TapeSimulator::stepped_dffs(self)
+    }
+
+    fn dff_word(&self, k: usize) -> [u64; W] {
+        self.dff_words()[k]
     }
 
     fn set_dff_words(&mut self, words: &[[u64; W]]) {
@@ -693,6 +910,75 @@ impl<const W: usize> LaneSim<W> for TapeSimulator<&CompiledTape, W> {
     fn set_transition_prev(&mut self, net: NetId, words: [u64; W]) {
         TapeSimulator::set_transition_prev(self, net, words);
     }
+}
+
+/// Gathers the bits of a word that a fixed mask selects into its low
+/// bits, in order: a software `pext` whose mask-dependent moves are worked
+/// out once and then applied to many words (Warren, *Hacker's Delight*,
+/// §7-4).
+#[derive(Debug, Clone, Copy)]
+struct Compress {
+    mask: u64,
+    /// The bits that move right by `1 << i` at step `i`.
+    moves: [u64; 6],
+}
+
+impl Compress {
+    fn new(mask: u64) -> Self {
+        let mut m = mask;
+        // Bits with a clear mask bit to their right, counted step by step.
+        let mut mk = !m << 1;
+        let mut moves = [0; 6];
+        for (i, mv) in moves.iter_mut().enumerate() {
+            let mut mp = mk ^ (mk << 1);
+            mp ^= mp << 2;
+            mp ^= mp << 4;
+            mp ^= mp << 8;
+            mp ^= mp << 16;
+            mp ^= mp << 32;
+            *mv = mp & m;
+            m = (m ^ *mv) | (*mv >> (1 << i));
+            mk &= !mp;
+        }
+        Compress { mask, moves }
+    }
+
+    fn apply(&self, word: u64) -> u64 {
+        let mut x = word & self.mask;
+        for (i, mv) in self.moves.iter().enumerate() {
+            let t = x & mv;
+            x = (x ^ t) | (t >> (1 << i));
+        }
+        x
+    }
+}
+
+/// Overwrites the `count` lanes from `lane` on with the low bits of
+/// `bits`.
+fn deposit<const W: usize>(words: &mut [u64; W], lane: usize, count: usize, bits: u64) {
+    debug_assert!((1..=64).contains(&count));
+    let (w, shift) = (lane / 64, lane % 64);
+    let ones = u64::MAX >> (64 - count);
+    let bits = bits & ones;
+    words[w] = words[w] & !(ones << shift) | bits << shift;
+    if shift + count > 64 {
+        words[w + 1] = words[w + 1] & !(ones >> (64 - shift)) | bits >> (64 - shift);
+    }
+}
+
+/// One run of a repack: the survivors in one lane word of an old batch,
+/// or the part of them that fits the new batch they start in.
+struct Run {
+    /// The old batch's lane word.
+    word: usize,
+    /// Gathers the survivors' bits of that word.
+    gather: Compress,
+    /// Gathered bits skipped: the run's first survivor among them.
+    skip: usize,
+    count: usize,
+    /// The new batch, and its lane the run starts at.
+    to: usize,
+    lane: usize,
 }
 
 /// One batch of a group in flight: a private simulator and the faults in
@@ -726,6 +1012,16 @@ impl<S: LaneSim<W>, const W: usize> Batch<S, W> {
         }
     }
 
+    /// Restricts the simulator to the fanout cone of its faults.
+    fn restrict(&mut self, grading: &Grading<'_>, scratch: &mut ConeScratch) {
+        let seeds: Vec<NetId> = self
+            .faults
+            .iter()
+            .map(|&index| grading.faults.seed(index, grading.netlist))
+            .collect();
+        self.sim.restrict(&seeds, scratch);
+    }
+
     /// Narrows the simulator to the lane words up to the one holding the
     /// highest undetected lane. Word 0, which holds the reference lane,
     /// always counts.
@@ -750,9 +1046,6 @@ impl<S: LaneSim<W>, const W: usize> Batch<S, W> {
 struct GroupOutcome {
     /// First detecting cycle of each fault in the group, in index order.
     detecting_cycle: Vec<Option<u32>>,
-    /// Fault-free responses of every observed cycle (the group holding
-    /// fault 0 only).
-    reference: Option<Vec<Vec<u64>>>,
     /// Cycles clocked, over every batch simulator.
     cycles: u64,
     /// Lane words evaluated, over every clocked cycle.
@@ -790,16 +1083,15 @@ pub struct FaultSimulator<'a> {
     /// this simulator — callers that grade many small stimuli (ATPG fault
     /// dropping) pay compilation once per simulator, not once per call.
     tape: OnceLock<CompiledTape>,
+    /// The last fault-free record, reused by a call over the same input
+    /// vectors (both fault models of one stimulus).
+    record: Mutex<Option<Arc<FaultFreeRecord>>>,
 }
 
 impl<'a> FaultSimulator<'a> {
     /// Creates a fault simulator with the default configuration.
     pub fn new(netlist: &'a Netlist) -> Self {
-        FaultSimulator {
-            netlist,
-            config: FaultSimConfig::default(),
-            tape: OnceLock::new(),
-        }
+        FaultSimulator::with_config(netlist, FaultSimConfig::default())
     }
 
     /// Creates a fault simulator with an explicit configuration.
@@ -808,6 +1100,7 @@ impl<'a> FaultSimulator<'a> {
             netlist,
             config,
             tape: OnceLock::new(),
+            record: Mutex::new(None),
         }
     }
 
@@ -833,7 +1126,7 @@ impl<'a> FaultSimulator<'a> {
     /// (consecutive cycles) initializes and then excites it with the error
     /// propagated to an observed output.
     ///
-    /// Batching, threading, drop-on-detect and the reference recording all
+    /// Batching, threading, drop-on-detect and the fault-free record all
     /// behave as in [`FaultSimulator::simulate`]; results are bit-identical
     /// across engines and thread counts.
     pub fn simulate_transition(
@@ -860,39 +1153,46 @@ impl<'a> FaultSimulator<'a> {
                 CompiledTape::compile(self.netlist)
             })
         });
-        let plan = Plan::new(
-            stimulus,
-            matches!(faults, FaultList::Transition(_)),
-            self.config.drop_on_detect && self.netlist.is_combinational(),
-        );
+        let record = self.record(stimulus, tape);
+        let netlist = self.netlist;
+        let grading = Grading {
+            faults,
+            netlist,
+            plan: Plan::new(
+                stimulus,
+                &record.inputs,
+                matches!(faults, FaultList::Transition(_)),
+                self.config.drop_on_detect && netlist.is_combinational(),
+            ),
+            record: &record,
+            dff_q: netlist
+                .dff_gates()
+                .iter()
+                .map(|&gate| netlist.gate(gate).output)
+                .collect(),
+            drop_on_detect: self.config.drop_on_detect,
+        };
         let (graded, workers) = fan_out(
             &groups,
             resolve_threads(self.config.threads),
             || (),
             |_, group| match tape {
-                Some(tape) => self.run_group(
-                    || TapeSimulator::<_, MAX_LANE_WORDS>::new(tape),
-                    faults,
-                    group,
-                    &plan,
-                ),
-                None => self.run_group(|| Simulator::new(self.netlist), faults, group, &plan),
+                Some(tape) => {
+                    grading.run_group(|| TapeSimulator::<_, MAX_LANE_WORDS>::new(tape), group)
+                }
+                None => grading.run_group(|| Simulator::new(netlist), group),
             },
         );
 
         // Groups come back in fault-index order, whichever worker graded
         // them, so concatenating them is the deterministic merge.
         let mut detecting_cycle = Vec::with_capacity(faults.len());
-        let mut fault_free_responses = Vec::new();
         let (mut cycles_simulated, mut lane_words_simulated, mut events_simulated) = (0, 0, 0);
         for outcome in graded {
             cycles_simulated += outcome.cycles;
             lane_words_simulated += outcome.lane_words;
             events_simulated += outcome.events;
             detecting_cycle.extend(outcome.detecting_cycle);
-            if let Some(responses) = outcome.reference {
-                fault_free_responses = responses;
-            }
         }
         // A fault's lane is live up to and including its detecting cycle.
         let live_lane_cycles = detecting_cycle
@@ -902,7 +1202,7 @@ impl<'a> FaultSimulator<'a> {
         FaultSimResult {
             detected: detecting_cycle.iter().map(Option::is_some).collect(),
             detecting_cycle,
-            fault_free_responses,
+            fault_free_responses: record.responses(netlist.outputs(), stimulus),
             threads_used: workers.len(),
             engine,
             wall_time: start.elapsed(),
@@ -913,7 +1213,7 @@ impl<'a> FaultSimulator<'a> {
                 cycles_scheduled: batches.len() as u64 * stimulus.len() as u64,
                 live_lane_cycles,
                 events_simulated,
-                events_full_eval: cycles_simulated * self.netlist.comb_order().len() as u64,
+                events_full_eval: cycles_simulated * netlist.comb_order().len() as u64,
                 tape_compilations,
                 lane_slots_filled: faults.len() as u64,
                 lane_slots_total: batches.len() as u64 * engine.faults_per_pass() as u64,
@@ -921,81 +1221,118 @@ impl<'a> FaultSimulator<'a> {
         }
     }
 
+    /// The fault-free record of `stimulus`: the cached one when it was
+    /// simulated from the same input vectors, else a new pass on the
+    /// engine's simulator (over `tape` on the compiled engine), which then
+    /// takes the cache's place.
+    fn record(&self, stimulus: &Stimulus, tape: Option<&CompiledTape>) -> Arc<FaultFreeRecord> {
+        let inputs = PackedInputs::new(stimulus, self.netlist.inputs().len());
+        let cached = self.cached_record().clone();
+        if let Some(record) = cached.filter(|record| record.inputs == inputs) {
+            return record;
+        }
+        let record = Arc::new(match tape {
+            Some(tape) => {
+                FaultFreeRecord::simulate(|| TapeSimulator::<_, 1>::new(tape), self.netlist, inputs)
+            }
+            None => {
+                FaultFreeRecord::simulate(|| Simulator::new(self.netlist), self.netlist, inputs)
+            }
+        });
+        *self.cached_record() = Some(Arc::clone(&record));
+        record
+    }
+
+    fn cached_record(&self) -> std::sync::MutexGuard<'_, Option<Arc<FaultFreeRecord>>> {
+        // The cache holds either no record or a whole one at every step.
+        self.record
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
+/// What every group of one grading call shares.
+struct Grading<'g> {
+    faults: FaultList<'g>,
+    netlist: &'g Netlist,
+    plan: Plan,
+    record: &'g FaultFreeRecord,
+    /// Each flip-flop's output net, in netlist flip-flop order.
+    dff_q: Vec<NetId>,
+    drop_on_detect: bool,
+}
+
+/// Buffers a group reuses from one repack to the next.
+struct GroupScratch<const W: usize> {
+    cone: ConeScratch,
+    /// Each new batch's flip-flop words.
+    carry: Vec<Vec<[u64; W]>>,
+}
+
+impl Grading<'_> {
     /// Grades one group of consecutive batches (contiguous ranges of fault
     /// indices) on private simulators from `new_sim`, one fault per lane
-    /// from lane 1 up, window by window, taking each cycle's `plan` step.
+    /// from lane 1 up, window by window, taking each cycle's plan step.
     ///
-    /// The group holding fault 0 also records the fault-free lane-0
-    /// responses of every observed cycle from its first batch, which never
-    /// stops: the reference must span the whole stimulus. Under
-    /// [`FaultSimConfig::drop_on_detect`] every other batch stops once all
-    /// its faults are detected, every batch evaluates only the lane words
-    /// that still hold an undetected fault, and each window boundary may
-    /// repack the survivors ([`FaultSimulator::repack`]).
+    /// Under [`FaultSimConfig::drop_on_detect`] each batch is restricted
+    /// to its faults' fanout cone, stops once all its faults are detected
+    /// and evaluates only the lane words that still hold an undetected
+    /// fault, and each window boundary may repack the survivors
+    /// ([`Grading::repack`]).
     fn run_group<const W: usize, S: LaneSim<W>>(
         &self,
         new_sim: impl Fn() -> S,
-        faults: FaultList<'_>,
         group: &[Range<usize>],
-        plan: &Plan<'_>,
     ) -> GroupOutcome {
         let base = group[0].start;
-        let keeps_reference = base == 0;
         let mut outcome = GroupOutcome {
             detecting_cycle: vec![None; group[group.len() - 1].end - base],
-            reference: keeps_reference.then(Vec::new),
             cycles: 0,
             lane_words: 0,
             events: 0,
         };
+        let mut scratch = GroupScratch {
+            cone: ConeScratch::default(),
+            carry: Vec::new(),
+        };
         let mut live: Vec<Batch<S, W>> = group
             .iter()
-            .map(|batch| {
-                let mut batch_sim = Batch {
+            .map(|faults| {
+                let mut batch = Batch {
                     sim: new_sim(),
-                    faults: Vec::with_capacity(batch.len()),
+                    faults: Vec::with_capacity(faults.len()),
                     undetected: [0; W],
                     words: W,
                     cycles: 0,
                     lane_words: 0,
                 };
-                batch_sim.assign(faults, batch.clone());
-                if self.config.drop_on_detect {
-                    batch_sim.narrow();
+                batch.assign(self.faults, faults.clone());
+                if self.drop_on_detect {
+                    batch.restrict(self, &mut scratch.cone);
+                    batch.narrow();
                 }
-                batch_sim
+                batch
             })
             .collect();
 
+        let len = self.plan.steps.len();
         let mut window_start = 0;
-        while window_start < plan.stimulus.len() && !live.is_empty() {
-            let window = window_start..(window_start + WINDOW_CYCLES).min(plan.stimulus.len());
-            for (i, batch) in live.iter_mut().enumerate() {
-                let reference = if i == 0 {
-                    outcome.reference.as_mut()
-                } else {
-                    None
-                };
-                self.run_window(
-                    batch,
-                    plan,
-                    window.clone(),
-                    reference,
-                    &mut outcome.detecting_cycle,
-                    base,
-                );
+        while window_start < len && !live.is_empty() {
+            let window = window_start..(window_start + WINDOW_CYCLES).min(len);
+            for batch in &mut live {
+                self.run_window(batch, window.clone(), &mut outcome.detecting_cycle, base);
             }
             window_start = window.end;
             // After the last window there is nothing left to clock.
-            if self.config.drop_on_detect && window_start < plan.stimulus.len() {
-                for (index, batch) in std::mem::take(&mut live).into_iter().enumerate() {
-                    if batch.undetected != [0; W] || (keeps_reference && index == 0) {
+            if self.drop_on_detect && window_start < len {
+                for batch in std::mem::take(&mut live) {
+                    if batch.undetected != [0; W] {
                         live.push(batch);
                     } else {
                         outcome.retire(batch);
                     }
                 }
-                Self::repack(&mut live, faults, keeps_reference, &mut outcome);
+                self.repack(&mut live, window_start, &mut scratch, &mut outcome);
             }
         }
         for batch in live {
@@ -1005,55 +1342,38 @@ impl<'a> FaultSimulator<'a> {
     }
 
     /// Clocks `batch` over the stimulus cycles `window`, taking each
-    /// cycle's `plan` step, recording each fault's first detecting cycle
-    /// into `detecting_cycle` (indexed from fault `base`) and, when
-    /// `reference` is given, the fault-free responses. Any other batch
-    /// stops once all its faults are detected under
-    /// [`FaultSimConfig::drop_on_detect`].
+    /// cycle's plan step and recording each fault's first detecting cycle
+    /// into `detecting_cycle` (indexed from fault `base`). Under
+    /// [`FaultSimConfig::drop_on_detect`] the batch stops once all its
+    /// faults are detected.
     fn run_window<const W: usize>(
         &self,
         batch: &mut Batch<impl LaneSim<W>, W>,
-        plan: &Plan<'_>,
         window: Range<usize>,
-        mut reference: Option<&mut Vec<Vec<u64>>>,
         detecting_cycle: &mut [Option<u32>],
         base: usize,
     ) {
-        let outputs = self.netlist.outputs();
         let mut live = batch.live_faults();
+        if self.drop_on_detect && live == 0 {
+            return;
+        }
         for cycle in window {
-            let (inputs, observe) = &plan.stimulus.cycles[cycle];
-            let compare = match plan.steps[cycle] {
+            let compare = match self.plan.steps[cycle] {
                 CycleStep::Compare => true,
                 CycleStep::Clock => false,
-                CycleStep::Skip { same_as } => {
-                    if let (Some(reference), Some(same_as)) = (reference.as_deref_mut(), same_as) {
-                        reference.push(reference[same_as as usize].clone());
-                    }
-                    continue;
-                }
+                CycleStep::Skip => continue,
             };
             batch.cycles += 1;
             batch.lane_words += batch.words as u64;
-            debug_assert_eq!(inputs.len(), self.netlist.inputs().len());
-            for (pos, &value) in inputs.iter().enumerate() {
-                batch.sim.set_input_at(pos, value);
-            }
-            batch.sim.eval();
-            if let Some(reference) = reference.as_deref_mut().filter(|_| *observe) {
-                let mut response_words = vec![0; outputs.len().div_ceil(64)];
-                for (k, &out) in outputs.iter().enumerate() {
-                    response_words[k / 64] |= (batch.sim.lanes(out)[0] & 1) << (k % 64);
-                }
-                reference.push(response_words);
-            }
+            let (block, bit) = self.record.block(cycle);
+            batch.sim.eval_block(block, bit);
             if compare {
                 let mut diff = [0u64; W];
-                for &out in outputs {
+                for &out in batch.sim.outputs() {
                     let v = batch.sim.lanes(out);
                     let lane0 = 0u64.wrapping_sub(v[0] & 1); // broadcast lane 0
-                    for w in 0..W {
-                        diff[w] |= v[w] ^ lane0;
+                    for (diff, v) in diff.iter_mut().zip(v).take(batch.words) {
+                        *diff |= v ^ lane0;
                     }
                 }
                 let mut newly = [0u64; W];
@@ -1066,8 +1386,8 @@ impl<'a> FaultSimulator<'a> {
                         detecting_cycle[batch.faults[lane - 1] - base] = Some(cycle as u32);
                         live -= 1;
                     }
-                    if self.config.drop_on_detect {
-                        if live == 0 && reference.is_none() {
+                    if self.drop_on_detect {
+                        if live == 0 {
                             break;
                         }
                         batch.narrow();
@@ -1080,23 +1400,26 @@ impl<'a> FaultSimulator<'a> {
 
     /// Gathers a group's undetected faults into as few batches as they
     /// fill, in fault-index order from lane 1 up, when that frees a batch
-    /// or lowers the lane words the group evaluates per cycle; the group
-    /// holding fault 0 keeps at least its reference batch. The first
-    /// batches' simulators are cleared and reused, the rest retired.
-    /// Each moved fault is re-injected and takes its flip-flop bits and
-    /// arming bit to its new lane; lane 0 of every batch takes the
-    /// fault-free state, the same in every batch of the group.
+    /// or lowers the lane words the group evaluates per cycle, before
+    /// stimulus cycle `cycle`. The first batches' simulators are cleared
+    /// and reused, the rest retired.
+    ///
+    /// Each moved fault is re-injected, and its new batch restricted to
+    /// its faults' cone. A lane's flip-flop bits move along a lane word at
+    /// a time: the bits of a flip-flop its old batch latched, the record's
+    /// fault-free bit for one outside that batch's cone, which no fault of
+    /// the batch could disturb. Lane 0 takes the record's bits, and a
+    /// transition fault its arming bit.
     fn repack<const W: usize, S: LaneSim<W>>(
+        &self,
         live: &mut Vec<Batch<S, W>>,
-        faults: FaultList<'_>,
-        keeps_reference: bool,
+        cycle: usize,
+        scratch: &mut GroupScratch<W>,
         outcome: &mut GroupOutcome,
     ) {
         let per_pass = 64 * W - 1;
         let survivors: usize = live.iter().map(Batch::live_faults).sum();
-        let needed = survivors
-            .div_ceil(per_pass)
-            .max(usize::from(keeps_reference));
+        let needed = survivors.div_ceil(per_pass);
         // Packed from lane 1 up, a batch's words reach its highest lane.
         let packed_words: usize = (0..needed)
             .map(|b| survivors.saturating_sub(b * per_pass).min(per_pass) / 64 + 1)
@@ -1105,48 +1428,81 @@ impl<'a> FaultSimulator<'a> {
         if needed >= live.len() && packed_words >= live_words {
             return;
         }
-        // (fault, batch, lane, arming bit) of every survivor, in
-        // fault-index order, and each batch's flip-flop words.
-        let mut moves = Vec::with_capacity(survivors);
-        let mut dffs = Vec::with_capacity(live.len());
-        for (b, batch) in live.iter().enumerate() {
-            for lane in lanes_of(batch.undetected) {
-                let fault = batch.faults[lane - 1];
-                let armed = faults
-                    .armed_net(fault)
-                    .map_or(0, |net| lane_bit(&batch.sim.transition_prev(net), lane));
-                moves.push((fault, b, lane, armed));
+        // Every survivor's fault and arming bit, and each old batch's runs
+        // of survivors. Batches hold ascending fault ranges, each from lane
+        // 1 up, so (batch, lane) order is fault-index order.
+        let mut moved = Vec::with_capacity(survivors);
+        let mut runs: Vec<Vec<Run>> = Vec::with_capacity(live.len());
+        for batch in live.iter() {
+            let mut batch_runs = Vec::new();
+            for (word, &mask) in batch.undetected.iter().enumerate() {
+                let gather = Compress::new(mask);
+                let count = mask.count_ones() as usize;
+                let mut skip = 0;
+                while skip < count {
+                    let (to, slot) = (moved.len() / per_pass, moved.len() % per_pass);
+                    let take = (count - skip).min(per_pass - slot);
+                    batch_runs.push(Run {
+                        word,
+                        gather,
+                        skip,
+                        count: take,
+                        to,
+                        lane: slot + 1,
+                    });
+                    for lane in lanes_of([mask]).skip(skip).take(take) {
+                        let lane = word * 64 + lane;
+                        let fault = batch.faults[lane - 1];
+                        let armed = self
+                            .faults
+                            .armed_net(fault)
+                            .map_or(0, |net| lane_bit(&batch.sim.transition_prev(net), lane));
+                        moved.push((fault, armed));
+                    }
+                    skip += take;
+                }
             }
-            dffs.push(batch.sim.dff_words());
+            runs.push(batch_runs);
         }
-        moves.sort_unstable();
+        debug_assert!(moved.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        // Each new batch's flip-flop words: the record's bit in every
+        // lane, then the carried runs over it.
+        let fault_free: Vec<[u64; W]> = self
+            .dff_q
+            .iter()
+            .map(|&q| [0u64.wrapping_sub(self.record.bit(q, cycle)); W])
+            .collect();
+        scratch.carry.resize_with(needed, Vec::new);
+        for carry in &mut scratch.carry[..needed] {
+            carry.clone_from(&fault_free);
+        }
+        for (batch, runs) in live.iter().zip(&runs) {
+            let carry = &mut scratch.carry;
+            let mut carry_dff = |k: usize| {
+                let words = batch.sim.dff_word(k);
+                for run in runs {
+                    let bits = run.gather.apply(words[run.word]) >> run.skip;
+                    deposit(&mut carry[run.to][k], run.lane, run.count, bits);
+                }
+            };
+            match batch.sim.stepped_dffs() {
+                Some(dffs) => dffs.iter().for_each(|&k| carry_dff(k as usize)),
+                None => (0..self.dff_q.len()).for_each(carry_dff),
+            }
+        }
         for batch in live.drain(needed..) {
             outcome.retire(batch);
         }
-        let mut chunks = moves.chunks(per_pass);
-        for batch in live.iter_mut() {
+        let mut chunks = moved.chunks(per_pass);
+        for (batch, carry) in live.iter_mut().zip(&scratch.carry) {
             let chunk = chunks.next().unwrap_or_default();
-            // Lane 0 takes the fault-free flip-flop bits.
-            let mut dff: Vec<[u64; W]> = dffs[0]
-                .iter()
-                .map(|words| {
-                    let mut lane0 = [0; W];
-                    lane0[0] = words[0] & 1;
-                    lane0
-                })
-                .collect();
-            for (offset, &(_, from, lane, _)) in chunk.iter().enumerate() {
-                let to = offset + 1;
-                for (dst, src) in dff.iter_mut().zip(&dffs[from]) {
-                    dst[to / 64] |= lane_bit(src, lane) << (to % 64);
-                }
-            }
             batch.sim.clear();
-            batch.assign(faults, chunk.iter().map(|&(fault, ..)| fault));
+            batch.assign(self.faults, chunk.iter().map(|&(fault, _)| fault));
+            batch.restrict(self, &mut scratch.cone);
             batch.narrow();
-            batch.sim.set_dff_words(&dff);
-            for (offset, &(fault, _, _, armed)) in chunk.iter().enumerate() {
-                if let Some(net) = faults.armed_net(fault) {
+            batch.sim.set_dff_words(carry);
+            for (offset, &(fault, armed)) in chunk.iter().enumerate() {
+                if let Some(net) = self.faults.armed_net(fault) {
                     let to = offset + 1;
                     let mut words = batch.sim.transition_prev(net);
                     words[to / 64] |= armed << (to % 64);
@@ -1315,12 +1671,87 @@ mod tests {
         assert_eq!(full.detected, compiled.detected);
         assert_eq!(full.detecting_cycle, compiled.detecting_cycle);
         assert_eq!(full.fault_free_responses, compiled.fault_free_responses);
-        // Every gate counts as one event per cycle: the compiled
-        // engine's event count is exactly the full-eval baseline.
-        assert_eq!(
-            compiled.stats.events_simulated,
-            compiled.stats.events_full_eval
-        );
+        // A compiled batch evaluates at most every gate per cycle.
+        assert!(compiled.stats.events_simulated <= compiled.stats.events_full_eval);
+    }
+
+    #[test]
+    fn compress_gathers_the_masked_bits_in_order() {
+        let mut state = 0x0123_4567_89AB_CDEFu64;
+        let mut next = || {
+            state = state.rotate_left(23).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            state
+        };
+        for _ in 0..2000 {
+            let (word, mask) = (next(), next() & next());
+            for mask in [mask, !mask, 0, !0, mask & mask.wrapping_neg()] {
+                let mut naive = 0;
+                for (k, bit) in (0..64).filter(|&bit| mask >> bit & 1 == 1).enumerate() {
+                    naive |= (word >> bit & 1) << k;
+                }
+                assert_eq!(
+                    Compress::new(mask).apply(word),
+                    naive,
+                    "{word:x} / {mask:x}"
+                );
+            }
+        }
+    }
+
+    /// Two unconnected circuits: an AND feeding an inverter, and an XOR
+    /// chain of five gates. A batch evaluates only the circuits its faults
+    /// sit in, so the event count is the clocked cycles times the size of
+    /// those circuits.
+    #[test]
+    fn a_batch_evaluates_only_its_faults_cones() {
+        let mut b = NetlistBuilder::new("two_cones");
+        let a = b.input_bus("a", 2);
+        let x = b.input_bus("x", 3);
+        let and = b.and2(a.net(0), a.net(1));
+        let small = b.not(and);
+        let mut chain = x.net(0);
+        for k in 0..5 {
+            chain = b.xor2(chain, x.net((k + 1) % 3));
+        }
+        b.mark_output(small, "small");
+        b.mark_output(chain, "chain");
+        let n = b.finish().unwrap();
+        let in_small = |f: &Fault| match f.site {
+            FaultSite::Stem(net) => [a.net(0), a.net(1), and, small].contains(&net),
+            FaultSite::Pin { gate, .. } => [and, small].contains(&n.gate(gate).output),
+        };
+        let (small_faults, chain_faults): (Vec<Fault>, Vec<Fault>) =
+            n.collapsed_faults().into_iter().partition(in_small);
+        let mut s = Stimulus::new();
+        for v in 0..32u32 {
+            s.push_pattern(&(0..5).map(|i| v >> i & 1 == 1).collect::<Vec<_>>());
+        }
+        let grade = |faults: &[Fault]| FaultSimulator::new(&n).simulate(faults, &s).stats;
+        for (faults, gates) in [
+            (&small_faults, 2),
+            (&chain_faults, 5),
+            (&n.collapsed_faults(), 7),
+        ] {
+            let stats = grade(faults);
+            assert!(stats.cycles_simulated > 0);
+            assert_eq!(stats.events_simulated, gates * stats.cycles_simulated);
+            assert_eq!(stats.events_full_eval, 7 * stats.cycles_simulated);
+        }
+    }
+
+    #[test]
+    fn a_record_serves_only_its_own_stimulus() {
+        let n = and2_netlist();
+        let faults = n.collapsed_faults();
+        let sim = FaultSimulator::new(&n);
+        let first = sim.simulate(&faults, &exhaustive2());
+        let mut other = Stimulus::new();
+        other.push_pattern(&[true, true]);
+        other.push_pattern(&[true, false]);
+        let second = sim.simulate(&faults, &other);
+        assert_eq!(second.fault_free_responses, vec![vec![1], vec![0]]);
+        let again = sim.simulate_transition(&[], &exhaustive2());
+        assert_eq!(again.fault_free_responses, first.fault_free_responses);
     }
 
     #[test]
@@ -1499,8 +1930,7 @@ mod tests {
     #[test]
     fn drop_on_detect_savings_show_in_stats() {
         // Wide OR tree, multi-batch under both engines; the walking-one
-        // patterns detect every fault early so later cycles are dropped in
-        // non-reference batches.
+        // patterns detect every fault early so later cycles are dropped.
         const WIDTH: usize = 160;
         let mut b = NetlistBuilder::new("wide");
         let bus = b.input_bus("a", WIDTH);
@@ -1576,14 +2006,13 @@ mod tests {
         assert_eq!(dropped.detecting_cycle, full.detecting_cycle);
         assert!(dropped.coverage().detected > full.detected.len() / 2);
 
-        // Without repacking every batch but the reference one would run to
-        // its last detection, and the late detections span all batches.
+        // Without repacking every batch would run to its last detection,
+        // and the late detections span all batches.
         let per_batch: u64 = full
             .detecting_cycle
             .chunks(per_pass)
-            .enumerate()
-            .map(|(batch, cycles)| {
-                if batch == 0 || cycles.iter().any(Option::is_none) {
+            .map(|cycles| {
+                if cycles.iter().any(Option::is_none) {
                     s.len() as u64
                 } else {
                     cycles
@@ -1616,7 +2045,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_list_still_records_reference_in_parallel() {
+    fn empty_fault_list_still_records_responses_in_parallel() {
         let n = and2_netlist();
         let res = FaultSimulator::with_config(&n, FaultSimConfig::with_threads(4))
             .simulate(&[], &exhaustive2());

@@ -205,6 +205,12 @@ impl<'a> Simulator<'a> {
         self.input_words[pos] = word;
     }
 
+    /// Drives primary input `pos` (in [`Netlist::inputs`] order) with a
+    /// per-lane word.
+    pub(crate) fn set_input_word(&mut self, pos: usize, word: u64) {
+        self.input_words[pos] = word;
+    }
+
     /// Drives an input bus with the same word in every lane.
     ///
     /// # Panics

@@ -27,8 +27,14 @@
 //! forcing to the result, exactly where [`crate::Simulator`] applies them.
 //! Faulted primary inputs and flip-flop outputs are forced the same way
 //! before the replay.
+//!
+//! A fault simulator can also restrict a simulator to the fanout cone of
+//! its injected faults ([`CompiledTape::cone`]): each cycle then loads the
+//! nets the cone reads but does not drive from a fault-free record, and
+//! evaluates and latches only the cone's entries and flip-flops. Every
+//! net outside the cone holds its fault-free value in every lane, since
+//! no injected fault reaches it.
 
-use std::collections::HashMap;
 use std::ops::Deref;
 
 use crate::fault::{Fault, FaultSite, TransitionFault};
@@ -98,16 +104,18 @@ pub struct CompiledTape {
     entries: Vec<TapeEntry>,
     /// Operand pool for n-ary micro-ops (net indices).
     pool: Vec<u32>,
-    /// Gate index → its tape entry (`u32::MAX` for DFFs).
-    entry_of_gate: Vec<u32>,
-    /// Net index → tape entry of its combinational driver (`u32::MAX`
-    /// for primary inputs and flip-flop outputs).
-    entry_of_net: Vec<u32>,
+    /// Gate index → its node: tape entry `e` as `e`, flip-flop `k` as
+    /// `entries.len() + k`.
+    node_of_gate: Vec<u32>,
+    /// Net index → the node driving it: tape entry `e` as `e`, flip-flop
+    /// `k` as `entries.len() + k`, `u32::MAX` for a primary input.
+    node_of_net: Vec<u32>,
     /// Primary-input net indices (parallel to `netlist.inputs()`).
     input_nets: Vec<u32>,
-    /// Per-DFF `(q net, d net, gate index)` (parallel to
-    /// `netlist.dff_gates()`).
-    dff_nets: Vec<(u32, u32, u32)>,
+    /// Primary outputs, in netlist order.
+    outputs: Vec<NetId>,
+    /// Per-DFF `(q net, d net)` (parallel to `netlist.dff_gates()`).
+    dff_nets: Vec<(u32, u32)>,
 }
 
 impl CompiledTape {
@@ -120,36 +128,196 @@ impl CompiledTape {
             net_count: netlist.net_count(),
             entries: Vec::with_capacity(comb.len()),
             pool: Vec::new(),
-            entry_of_gate: vec![u32::MAX; netlist.gate_count()],
-            entry_of_net: vec![u32::MAX; netlist.net_count()],
+            node_of_gate: vec![u32::MAX; netlist.gate_count()],
+            node_of_net: vec![u32::MAX; netlist.net_count()],
             input_nets: netlist.inputs().iter().map(|n| n.index() as u32).collect(),
+            outputs: netlist.outputs().to_vec(),
             dff_nets: netlist
                 .dff_gates()
                 .iter()
                 .map(|&gid| {
                     let gate = netlist.gate(gid);
-                    (
-                        gate.output.index() as u32,
-                        gate.inputs[0].index() as u32,
-                        gid.index() as u32,
-                    )
+                    (gate.output.index() as u32, gate.inputs[0].index() as u32)
                 })
                 .collect(),
         };
         for &gid in comb {
             let gate = netlist.gate(gid);
             let entry = tape.entries.len() as u32;
-            tape.entry_of_gate[gid.index()] = entry;
-            tape.entry_of_net[gate.output.index()] = entry;
+            tape.node_of_gate[gid.index()] = entry;
+            tape.node_of_net[gate.output.index()] = entry;
             let op = tape.micro_op(gate);
             tape.entries.push(TapeEntry {
                 op,
                 out: gate.output.index() as u32,
             });
         }
+        let first_dff = tape.entries.len() as u32;
+        for (k, &gid) in netlist.dff_gates().iter().enumerate() {
+            let node = first_dff + k as u32;
+            tape.node_of_gate[gid.index()] = node;
+            tape.node_of_net[tape.dff_nets[k].0 as usize] = node;
+        }
         // Shared tapes stay alive for a whole fault campaign.
         tape.pool.shrink_to_fit();
         tape
+    }
+
+    /// The tape entry driving net `ni`, if a combinational gate does.
+    fn entry_of_net(&self, ni: u32) -> Option<u32> {
+        let node = self.node_of_net[ni as usize];
+        ((node as usize) < self.entries.len()).then_some(node)
+    }
+
+    /// The part of the tape that faults disturbing `seeds` first can
+    /// reach. A fault seeds the net it forces: a stem or transition fault
+    /// its net, an input-pin fault its gate's output.
+    ///
+    /// One forward walk in tape order marks every entry that is seeded or
+    /// reads a marked net, and its output; then every flip-flop that is
+    /// seeded or reads a marked net joins, and while one does the walk
+    /// runs again. A walk starts at the first seeded entry, or at the top
+    /// of the tape when a primary input or flip-flop output is marked.
+    pub(crate) fn cone(&self, seeds: &[NetId], scratch: &mut ConeScratch) -> Cone {
+        let ConeScratch {
+            nets,
+            nodes,
+            loaded,
+        } = scratch;
+        let entry_count = self.entries.len() as u32;
+        for (bits, len) in [
+            (&mut *nets, self.net_count),
+            (&mut *loaded, self.net_count),
+            (&mut *nodes, self.entries.len() + self.dff_nets.len()),
+        ] {
+            bits.clear();
+            bits.resize(len.div_ceil(64), 0);
+        }
+        let mut first = entry_count;
+        for &seed in seeds {
+            let n = seed.index() as u32;
+            mark(nets, n);
+            let node = self.node_of_net[n as usize];
+            if node != u32::MAX {
+                mark(nodes, node);
+            }
+            first = first.min(self.entry_of_net(n).unwrap_or(0));
+        }
+        loop {
+            for e in first..entry_count {
+                let entry = &self.entries[e as usize];
+                if !is_marked(nodes, e) {
+                    let mut reads_cone = false;
+                    for_each_operand(&self.pool, entry.op, |n| reads_cone |= is_marked(nets, n));
+                    if !reads_cone {
+                        continue;
+                    }
+                    mark(nodes, e);
+                }
+                mark(nets, entry.out);
+            }
+            let mut joined = false;
+            for (k, &(q, d)) in self.dff_nets.iter().enumerate() {
+                if is_marked(nets, d) && mark(nodes, entry_count + k as u32) {
+                    joined |= mark(nets, q);
+                }
+            }
+            if !joined {
+                break;
+            }
+            first = 0;
+        }
+        let size: usize = nodes.iter().map(|w| w.count_ones() as usize).sum();
+        let mut cone = Cone {
+            entries: Vec::with_capacity(size),
+            ..Cone::default()
+        };
+        for node in marked(nodes) {
+            if node < entry_count {
+                cone.entries.push(node);
+            } else {
+                cone.dffs.push(node - entry_count);
+            }
+        }
+        cone.outputs = self
+            .outputs
+            .iter()
+            .copied()
+            .filter(|o| is_marked(nets, o.index() as u32))
+            .collect();
+        // The cone reads every net its entries and flip-flops take in, and
+        // each seed it forces; it loads those no cone node drives. Only a
+        // seed is marked without a marked driver.
+        let mut load = |n: u32, driven: bool| {
+            if !driven && mark(loaded, n) {
+                cone.loads.push(n);
+            }
+        };
+        for &e in &cone.entries {
+            for_each_operand(&self.pool, self.entries[e as usize].op, |n| {
+                load(n, is_marked(nets, n))
+            });
+        }
+        for &k in &cone.dffs {
+            let d = self.dff_nets[k as usize].1;
+            load(d, is_marked(nets, d));
+        }
+        for &seed in seeds {
+            let node = self.node_of_net[seed.index()];
+            load(
+                seed.index() as u32,
+                node != u32::MAX && is_marked(nodes, node),
+            );
+        }
+        cone.loads.sort_unstable();
+        cone
+    }
+
+    /// The tape's next-state logic: every flip-flop, and the entries its
+    /// `d` pins depend on. A simulator restricted to it steps the
+    /// fault-free machine's state while loading only primary inputs.
+    pub(crate) fn next_state_cone(&self) -> Cone {
+        let entry_count = self.entries.len();
+        let mut needed = vec![false; entry_count];
+        let need = |n: u32, needed: &mut [bool]| {
+            if let Some(entry) = self.entry_of_net(n) {
+                needed[entry as usize] = true;
+            }
+        };
+        for &(_, d) in &self.dff_nets {
+            need(d, &mut needed);
+        }
+        // Operands precede their readers on the tape.
+        for e in (0..entry_count).rev() {
+            if needed[e] {
+                for_each_operand(&self.pool, self.entries[e].op, |n| need(n, &mut needed));
+            }
+        }
+        let mut cone = Cone {
+            dffs: (0..self.dff_nets.len() as u32).collect(),
+            ..Cone::default()
+        };
+        for (e, _) in needed.iter().enumerate().filter(|(_, &needed)| needed) {
+            cone.entries.push(e as u32);
+        }
+        // The primary inputs the entries or any flip-flop read.
+        let mut read = vec![false; self.net_count];
+        for &e in &cone.entries {
+            for_each_operand(&self.pool, self.entries[e as usize].op, |n| {
+                read[n as usize] = true
+            });
+        }
+        for &(_, d) in &self.dff_nets {
+            read[d as usize] = true;
+        }
+        cone.loads = self
+            .input_nets
+            .iter()
+            .copied()
+            .filter(|&n| read[n as usize])
+            .collect();
+        cone.loads.sort_unstable();
+        cone
     }
 
     /// The micro-op evaluating `gate`.
@@ -215,6 +383,86 @@ impl CompiledTape {
     /// a pure function of the primary inputs.
     pub fn is_combinational(&self) -> bool {
         self.dff_nets.is_empty()
+    }
+}
+
+/// The tape entries and flip-flops a set of faults can disturb
+/// ([`CompiledTape::cone`]), and the nets around them.
+#[derive(Debug, Default)]
+pub(crate) struct Cone {
+    /// The cone's tape entries, by index, in tape order.
+    entries: Vec<u32>,
+    /// The cone's flip-flops, in netlist order.
+    dffs: Vec<u32>,
+    /// The nets the cone reads but does not drive, loaded each cycle from
+    /// the fault-free record.
+    loads: Vec<u32>,
+    /// The primary outputs in the cone, the only ones a fault can reach.
+    outputs: Vec<NetId>,
+}
+
+/// The bitmaps of [`CompiledTape::cone`], kept to be reused by the next
+/// walk.
+#[derive(Debug, Default)]
+pub(crate) struct ConeScratch {
+    nets: Vec<u64>,
+    nodes: Vec<u64>,
+    loaded: Vec<u64>,
+}
+
+/// Sets bit `i`; `true` if it was clear.
+fn mark(bits: &mut [u64], i: u32) -> bool {
+    let (word, bit) = (i as usize / 64, 1u64 << (i % 64));
+    let clear = bits[word] & bit == 0;
+    bits[word] |= bit;
+    clear
+}
+
+fn is_marked(bits: &[u64], i: u32) -> bool {
+    bits[i as usize / 64] >> (i % 64) & 1 == 1
+}
+
+/// The set bits, in ascending order.
+fn marked(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let i = w as u32 * 64 + word.trailing_zeros();
+                word &= word - 1;
+                i
+            })
+        })
+    })
+}
+
+/// Calls `f` on each operand net of `op`, in pin order.
+fn for_each_operand(pool: &[u32], op: MicroOp, mut f: impl FnMut(u32)) {
+    match op {
+        MicroOp::Const0 | MicroOp::Const1 => {}
+        MicroOp::Copy { a } | MicroOp::NotOf { a } => f(a),
+        MicroOp::And2 { a, b }
+        | MicroOp::Or2 { a, b }
+        | MicroOp::Nand2 { a, b }
+        | MicroOp::Nor2 { a, b }
+        | MicroOp::Xor2 { a, b }
+        | MicroOp::Xnor2 { a, b } => {
+            f(a);
+            f(b);
+        }
+        MicroOp::Mux2 { s, a, b } => {
+            f(s);
+            f(a);
+            f(b);
+        }
+        MicroOp::AndN { off, len }
+        | MicroOp::OrN { off, len }
+        | MicroOp::NandN { off, len }
+        | MicroOp::NorN { off, len } => {
+            pool[off as usize..(off + len) as usize]
+                .iter()
+                .for_each(|&n| f(n));
+        }
     }
 }
 
@@ -487,12 +735,63 @@ impl<T: Deref<Target = CompiledTape>, const W: usize> TapeSimulator<T, W> {
         self.state.input_words[pos] = if value { !0 } else { 0 };
     }
 
+    /// Drives primary input `pos` (in [`Netlist::inputs`] order) with
+    /// `word` in every lane word: bit `L` is lane `L` of each word.
+    pub(crate) fn set_input_word(&mut self, pos: usize, word: u64) {
+        self.state.input_words[pos] = word;
+    }
+
     /// Propagates values through the combinational tape.
     ///
     /// Flip-flop outputs present their current state; call
     /// [`TapeSimulator::step`] afterwards to latch the next state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator is restricted to a cone, which a fault
+    /// simulator evaluates only from its fault-free record.
     pub fn eval(&mut self) {
-        self.state.eval(&self.tape);
+        self.state.eval(&self.tape, None);
+    }
+
+    /// Evaluates one cycle of a fault-free record: `block[n] >> bit & 1`
+    /// is net `n`'s fault-free value. Every primary input takes its
+    /// recorded value; a simulator restricted to a cone loads its side
+    /// nets and evaluates only the cone.
+    pub(crate) fn eval_from(&mut self, block: &[u64], bit: u32) {
+        self.state.eval(&self.tape, Some((block, bit)));
+    }
+
+    /// Restricts every later [`TapeSimulator::eval_from`] and
+    /// [`TapeSimulator::step`] to the cone of `seeds`, the nets the
+    /// injected faults force ([`CompiledTape::cone`]), until the faults
+    /// are cleared.
+    pub(crate) fn restrict(&mut self, seeds: &[NetId], scratch: &mut ConeScratch) {
+        let cone = self.tape.cone(seeds, scratch);
+        self.state.restrict(cone);
+    }
+
+    /// Restricts every later [`TapeSimulator::eval_from`] and
+    /// [`TapeSimulator::step`] to the next-state logic
+    /// ([`CompiledTape::next_state_cone`]), for a fault-free simulator
+    /// that only steps the state.
+    pub(crate) fn restrict_to_next_state(&mut self) {
+        let cone = self.tape.next_state_cone();
+        self.state.restrict(cone);
+    }
+
+    /// The primary outputs evaluation computes: the cone's, or all.
+    pub(crate) fn outputs(&self) -> &[NetId] {
+        match &self.state.cone {
+            Some(restriction) => &restriction.cone.outputs,
+            None => &self.tape.outputs,
+        }
+    }
+
+    /// The flip-flops [`TapeSimulator::step`] latches: the cone's, or
+    /// `None` for all of them.
+    pub(crate) fn stepped_dffs(&self) -> Option<&[u32]> {
+        self.state.cone.as_ref().map(|r| &r.cone.dffs[..])
     }
 
     /// Narrows [`TapeSimulator::eval`] to the first `words` lane words
@@ -526,9 +825,9 @@ impl<T: Deref<Target = CompiledTape>, const W: usize> TapeSimulator<T, W> {
         load::<W, W>(&self.state.values, net.index() as u32)
     }
 
-    /// Gate-evaluation events performed so far: each tape replay counts
-    /// every combinational gate once, so the compiled engine's event
-    /// count equals the full-eval baseline of `cycles × gates`.
+    /// Gate-evaluation events performed so far: each eval counts every
+    /// gate it evaluates once, so an unrestricted simulator's count equals
+    /// the full-eval baseline of `cycles × gates`.
     pub fn events(&self) -> u64 {
         self.state.events
     }
@@ -580,11 +879,23 @@ struct LaneState<const W: usize> {
     entry_faults: FaultedSites<W>,
     /// Injections on primary inputs and flip-flop outputs, keyed by net.
     source_faults: FaultedSites<W>,
-    /// DFF indices with a faulty `d` pin.
-    dff_pin_masks: HashMap<u32, WideMask<W>>,
+    /// Flip-flops with a faulty `d` pin, with their masks.
+    dff_pin_masks: Vec<(u32, WideMask<W>)>,
+    /// Flip-flop → its position in `dff_pin_masks` (`u32::MAX` for none).
+    dff_pin_slot: Vec<u32>,
+    /// The cone evaluation is restricted to, if any.
+    cone: Option<Restriction>,
     /// Lane words [`LaneState::eval`] computes, from word 0.
     words: usize,
     events: u64,
+}
+
+/// A cone and where each faulted entry sits in it.
+#[derive(Debug)]
+struct Restriction {
+    cone: Cone,
+    /// The cone position of each faulted entry, in entry order.
+    faulted: Vec<u32>,
 }
 
 impl<const W: usize> LaneState<W> {
@@ -595,7 +906,9 @@ impl<const W: usize> LaneState<W> {
             dff_state: vec![[0; W]; tape.dff_nets.len()],
             entry_faults: FaultedSites::new(tape.entries.len()),
             source_faults: FaultedSites::new(tape.net_count),
-            dff_pin_masks: HashMap::new(),
+            dff_pin_masks: Vec::new(),
+            dff_pin_slot: vec![u32::MAX; tape.dff_nets.len()],
+            cone: None,
             words: W,
             events: 0,
         }
@@ -614,26 +927,44 @@ impl<const W: usize> LaneState<W> {
         }
     }
 
-    /// Removes all injected faults.
+    /// Removes all injected faults, and the cone they spanned.
     fn clear_faults(&mut self) {
         self.entry_faults.clear();
         self.source_faults.clear();
-        self.dff_pin_masks.clear();
+        for (k, _) in self.dff_pin_masks.drain(..) {
+            self.dff_pin_slot[k as usize] = u32::MAX;
+        }
+        self.cone = None;
+    }
+
+    /// Restricts evaluation to `cone`, which must hold every faulted
+    /// entry.
+    fn restrict(&mut self, cone: Cone) {
+        let mut faulted = Vec::with_capacity(self.entry_faults.sites.len());
+        let mut at = 0;
+        for &(entry, _) in self.entry_faults.in_order().iter() {
+            at += cone.entries[at..]
+                .iter()
+                .position(|&e| e == entry)
+                .expect("a cone holds every faulted entry");
+            faulted.push(at as u32);
+        }
+        self.cone = Some(Restriction { cone, faulted });
     }
 
     /// The injections on net `ni`: its driving entry's, or its own for a
     /// primary input or flip-flop output.
     fn site(&mut self, tape: &CompiledTape, ni: u32) -> &mut SiteFaults<W> {
-        match tape.entry_of_net[ni as usize] {
-            u32::MAX => self.source_faults.site(ni),
-            entry => self.entry_faults.site(entry),
+        match tape.entry_of_net(ni) {
+            None => self.source_faults.site(ni),
+            Some(entry) => self.entry_faults.site(entry),
         }
     }
 
     fn site_of(&self, tape: &CompiledTape, ni: u32) -> Option<&SiteFaults<W>> {
-        match tape.entry_of_net[ni as usize] {
-            u32::MAX => self.source_faults.get(ni),
-            entry => self.entry_faults.get(entry),
+        match tape.entry_of_net(ni) {
+            None => self.source_faults.get(ni),
+            Some(entry) => self.entry_faults.get(entry),
         }
     }
 
@@ -648,9 +979,16 @@ impl<const W: usize> LaneState<W> {
         assert!(lane < 64 * W, "lane {lane} out of range for W={W}");
         let mask = match fault.site {
             FaultSite::Stem(net) => &mut self.site(tape, net.index() as u32).stem,
-            FaultSite::Pin { gate, pin } => match tape.entry_of_gate[gate.index()] {
-                // Only flip-flops own no tape entry.
-                u32::MAX => self.dff_pin_masks.entry(gate.index() as u32).or_default(),
+            FaultSite::Pin { gate, pin } => match tape.node_of_gate[gate.index()] {
+                node if node as usize >= tape.entries.len() => {
+                    let k = node - tape.entries.len() as u32;
+                    let slot = &mut self.dff_pin_slot[k as usize];
+                    if *slot == u32::MAX {
+                        *slot = self.dff_pin_masks.len() as u32;
+                        self.dff_pin_masks.push((k, WideMask::default()));
+                    }
+                    &mut self.dff_pin_masks[*slot as usize].1
+                }
                 entry => {
                     let pins = &mut self.entry_faults.site(entry).pins;
                     let at = match pins.iter().position(|&(p, _)| p == pin) {
@@ -694,26 +1032,29 @@ impl<const W: usize> LaneState<W> {
     }
 
     /// Propagates values through the combinational tape, over the first
-    /// `words` lane words of every net.
+    /// `words` lane words of every net. The primary inputs come from
+    /// `record` (a fault-free record's block of net words, and the cycle's
+    /// bit in it) when given, else from the driven input words; a
+    /// restricted simulator loads its cone's side nets from `record` and
+    /// evaluates only the cone.
     ///
     /// Flip-flop outputs present their current state; call
     /// [`TapeSimulator::step`] afterwards to latch the next state.
-    fn eval(&mut self, tape: &CompiledTape) {
+    fn eval(&mut self, tape: &CompiledTape, record: Option<(&[u64], u32)>) {
         // `words <= W <= MAX_LANE_WORDS`; an arm narrower than `W` exists
         // only where `W` leaves room for it, so a one-word simulator
         // keeps a single body.
         match self.words {
-            1 if W > 1 => self.eval_words::<1>(tape),
-            2 if W > 2 => self.eval_words::<2>(tape),
-            3 if W > 3 => self.eval_words::<3>(tape),
-            _ => self.eval_words::<W>(tape),
+            1 if W > 1 => self.eval_words::<1>(tape, record),
+            2 if W > 2 => self.eval_words::<2>(tape, record),
+            3 if W > 3 => self.eval_words::<3>(tape, record),
+            _ => self.eval_words::<W>(tape, record),
         }
-        self.events += tape.entries.len() as u64;
     }
 
     /// [`LaneState::eval`] over the first `K` of each net's `W` words.
     #[inline(always)]
-    fn eval_words<const K: usize>(&mut self, tape: &CompiledTape) {
+    fn eval_words<const K: usize>(&mut self, tape: &CompiledTape, record: Option<(&[u64], u32)>) {
         debug_assert!(K <= W);
         let LaneState {
             values,
@@ -721,46 +1062,99 @@ impl<const W: usize> LaneState<W> {
             dff_state,
             entry_faults,
             source_faults,
+            cone,
+            events,
             ..
         } = self;
-        for (&ni, &word) in tape.input_nets.iter().zip(input_words.iter()) {
-            store::<W, K>(values, ni, [word; K]);
-        }
-        for (&(q, _, _), v) in tape.dff_nets.iter().zip(dff_state.iter()) {
-            store::<W, K>(values, q, std::array::from_fn(|w| v[w]));
-        }
+        let fault_free = |(block, bit): (&[u64], u32), n: u32| {
+            [0u64.wrapping_sub(block[n as usize] >> bit & 1); K]
+        };
+        let (order, faulted) = match cone {
+            Some(Restriction { cone, faulted }) => {
+                let record = record.expect("a restricted simulator evaluates from the record");
+                for &n in &cone.loads {
+                    store::<W, K>(values, n, fault_free(record, n));
+                }
+                for &k in &cone.dffs {
+                    let v = &dff_state[k as usize];
+                    let q = tape.dff_nets[k as usize].0;
+                    store::<W, K>(values, q, std::array::from_fn(|w| v[w]));
+                }
+                (Some(&cone.entries[..]), Some(&faulted[..]))
+            }
+            None => {
+                for (&ni, &word) in tape.input_nets.iter().zip(input_words.iter()) {
+                    let v = record.map_or([word; K], |record| fault_free(record, ni));
+                    store::<W, K>(values, ni, v);
+                }
+                for (&(q, _), v) in tape.dff_nets.iter().zip(dff_state.iter()) {
+                    store::<W, K>(values, q, std::array::from_fn(|w| v[w]));
+                }
+                (None, None)
+            }
+        };
         for (ni, site) in source_faults.in_order() {
             let v = site.force(load::<W, K>(values, *ni));
             store::<W, K>(values, *ni, v);
         }
-        // Fault-free runs between faulted entries take one micro-op and
-        // one store per gate.
+        // The entries to evaluate, the cone's or the whole tape's, by
+        // position; fault-free runs between faulted entries take one
+        // micro-op and one store per gate.
+        let entry = |at: usize| match order {
+            Some(order) => &tape.entries[order[at] as usize],
+            None => &tape.entries[at],
+        };
+        let run = |values: &mut [u64], from: usize, to: usize| match order {
+            Some(order) => replay::<W, K>(
+                &tape.pool,
+                values,
+                order[from..to].iter().map(|&e| &tape.entries[e as usize]),
+            ),
+            None => replay::<W, K>(&tape.pool, values, &tape.entries[from..to]),
+        };
+        let count = order.map_or(tape.entries.len(), <[u32]>::len);
+        let sites = entry_faults.in_order();
+        debug_assert!(faulted.is_none_or(|f| f.len() == sites.len()));
         let mut next = 0;
-        for (e, site) in entry_faults.in_order() {
-            let e = *e as usize;
-            replay::<W, K>(&tape.pool, values, &tape.entries[next..e]);
-            let TapeEntry { op, out } = tape.entries[e];
+        for (i, (e, site)) in sites.iter_mut().enumerate() {
+            let at = faulted.map_or(*e, |faulted| faulted[i]) as usize;
+            run(values, next, at);
+            let TapeEntry { op, out } = *entry(at);
             let v = eval_op(&tape.pool, op, |pin, n| {
                 site.pin_value(pin, load::<W, K>(values, n))
             });
             store::<W, K>(values, out, site.force(v));
-            next = e + 1;
+            next = at + 1;
         }
-        replay::<W, K>(&tape.pool, values, &tape.entries[next..]);
+        run(values, next, count);
+        *events += count as u64;
     }
 
     /// Latches flip-flop next-state (the value on each DFF's `d` pin,
-    /// after any injected `d`-pin fault).
+    /// after any injected `d`-pin fault): every flip-flop, or a
+    /// restricted simulator's cone flip-flops.
     ///
     /// Must be called after [`TapeSimulator::eval`] for the cycle.
     fn step(&mut self, tape: &CompiledTape) {
-        for k in 0..tape.dff_nets.len() {
-            let (_, d, gidx) = tape.dff_nets[k];
-            let mut v = load::<W, W>(&self.values, d);
-            if let Some(m) = self.dff_pin_masks.get(&gidx) {
-                m.apply(&mut v);
-            }
-            self.dff_state[k] = v;
+        let LaneState {
+            values,
+            dff_state,
+            dff_pin_masks,
+            cone,
+            ..
+        } = self;
+        let mut latch = |k: usize| dff_state[k] = load::<W, W>(values, tape.dff_nets[k].1);
+        match cone {
+            Some(restriction) => restriction
+                .cone
+                .dffs
+                .iter()
+                .for_each(|&k| latch(k as usize)),
+            None => (0..tape.dff_nets.len()).for_each(latch),
+        }
+        // A flip-flop with a faulted `d` pin is in any cone: it seeds one.
+        for (k, mask) in dff_pin_masks.iter() {
+            mask.apply(&mut dff_state[*k as usize]);
         }
     }
 }
@@ -785,7 +1179,11 @@ fn store<const W: usize, const K: usize>(values: &mut [u64], idx: u32, v: [u64; 
 /// Evaluates fault-free `entries` in order, over the first `K` of each
 /// net's `W` words.
 #[inline(always)]
-fn replay<const W: usize, const K: usize>(pool: &[u32], values: &mut [u64], entries: &[TapeEntry]) {
+fn replay<'t, const W: usize, const K: usize>(
+    pool: &[u32],
+    values: &mut [u64],
+    entries: impl IntoIterator<Item = &'t TapeEntry>,
+) {
     for entry in entries {
         let v: [u64; K] = eval_op(pool, entry.op, |_, n| load::<W, K>(values, n));
         store::<W, K>(values, entry.out, v);

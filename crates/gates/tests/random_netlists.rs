@@ -197,12 +197,12 @@ proptest! {
         prop_assert_eq!(&full.fault_free_responses, &compiled.fault_free_responses);
     }
 
-    /// Both engines evaluate every combinational gate on every clocked
-    /// cycle: the event count equals the full-eval baseline of
-    /// `cycles × combinational gates` exactly (the compiled tape counts
-    /// each folded gate once per replay).
+    /// The full-eval engine evaluates every combinational gate on every
+    /// clocked cycle, so its event count equals the full-eval baseline of
+    /// `cycles × combinational gates` exactly; the compiled engine
+    /// evaluates only each batch's fanout cone, never more than that.
     #[test]
-    fn event_counts_equal_cycles_times_gates(
+    fn event_counts_stay_within_cycles_times_gates(
         recipe in recipe_strategy(),
         pattern_seed: u64,
     ) {
@@ -228,11 +228,11 @@ proptest! {
             .simulate(&faults, &stim);
             let baseline = res.stats.cycles_simulated * netlist.comb_order().len() as u64;
             prop_assert_eq!(res.stats.events_full_eval, baseline);
-            prop_assert_eq!(
-                res.stats.events_simulated,
-                res.stats.events_full_eval,
-                "{}", engine.name()
-            );
+            if engine == SimEngine::FullEval {
+                prop_assert_eq!(res.stats.events_simulated, res.stats.events_full_eval);
+            } else {
+                prop_assert!(res.stats.events_simulated <= res.stats.events_full_eval);
+            }
         }
     }
 

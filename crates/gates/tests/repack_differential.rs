@@ -8,9 +8,11 @@
 //! models and both engines, at 1, 2 and 7 threads.
 //!
 //! The cases: seeded random sequential netlists, each with at least three
-//! batches of faults and a stimulus many repack windows long; a larger one
-//! spanning several groups of batches, so its threaded runs really fan the
-//! groups out; random combinational netlists whose stimuli repeat vectors
+//! batches of faults and a stimulus many repack windows long; two
+//! unconnected ones side by side, whose batches' fanout cones differ, so
+//! a repack merges lanes from different cones; a larger one spanning
+//! several groups of batches, so its threaded runs really fan the groups
+//! out; random combinational netlists whose stimuli repeat vectors
 //! and vector pairs, at observed and unobserved cycles and across window
 //! boundaries; and a batch whose survivors sit in its highest lane words,
 //! so only a repack can narrow it.
@@ -33,9 +35,15 @@ fn next(state: &mut u64) -> u64 {
 /// is random logic over the inputs and the flip-flops (so state feeds
 /// back), `gates` random gates and 8 observed outputs.
 fn random_netlist(seed: u64, gates: usize, flip_flops: usize) -> Netlist {
-    let mut rng = seed;
     let mut b = NetlistBuilder::new("random");
-    let mut nets: Vec<NetId> = (0..16).map(|i| b.input(&format!("i{i}"))).collect();
+    random_block(&mut b, seed, gates, flip_flops, "");
+    b.finish().expect("random netlists are valid")
+}
+
+/// Adds one [`random_netlist`] to `b`, its net names prefixed by `tag`.
+fn random_block(b: &mut NetlistBuilder, seed: u64, gates: usize, flip_flops: usize, tag: &str) {
+    let mut rng = seed;
+    let mut nets: Vec<NetId> = (0..16).map(|i| b.input(&format!("{tag}i{i}"))).collect();
     // Flip-flops start on a placeholder input and are rewired below.
     let qs: Vec<NetId> = (0..flip_flops).map(|_| b.dff(nets[0])).collect();
     nets.extend(&qs);
@@ -66,9 +74,8 @@ fn random_netlist(seed: u64, gates: usize, flip_flops: usize) -> Netlist {
     }
     for k in 0..8 {
         let net = nets[first_gate + (next(&mut rng) % gate_span) as usize];
-        b.mark_output(net, &format!("o{k}"));
+        b.mark_output(net, &format!("{tag}o{k}"));
     }
-    b.finish().expect("random netlists are valid")
 }
 
 /// 120 random cycles (seven and a half 16-cycle windows), about three in
@@ -87,15 +94,13 @@ fn random_stimulus(netlist: &Netlist, seed: u64) -> Stimulus {
 }
 
 /// What a per-batch run without repacking clocks: every batch runs to its
-/// last detection, or the whole stimulus if it holds fault 0 or an
-/// undetected fault.
+/// last detection, or the whole stimulus if it holds an undetected fault.
 fn per_batch_cycles(result: &FaultSimResult, per_pass: usize, len: usize) -> u64 {
     result
         .detecting_cycle
         .chunks(per_pass)
-        .enumerate()
-        .map(|(b, batch)| {
-            if b == 0 || batch.iter().any(Option::is_none) {
+        .map(|batch| {
+            if batch.iter().any(Option::is_none) {
                 len as u64
             } else {
                 batch
@@ -243,6 +248,30 @@ fn repacking_matches_the_never_dropping_run() {
 }
 
 #[test]
+fn repacking_batches_with_different_cones_matches_the_never_dropping_run() {
+    // Two unconnected random circuits side by side: the fault list runs
+    // through the first circuit's nets and then the second's, so the
+    // first batches' cones lie in one circuit and the last batches' in
+    // the other. A repack that merges their survivors gives each lane
+    // the other circuit's flip-flops, which it never latched: their bits
+    // must come from the fault-free record.
+    for seed in 0..3u64 {
+        let mut b = NetlistBuilder::new("two_circuits");
+        random_block(&mut b, seed, 300, 24, "a_");
+        random_block(&mut b, seed + 100, 300, 24, "b_");
+        let netlist = b.finish().expect("random netlists are valid");
+        let stimulus = random_stimulus(&netlist, seed);
+        let repacked = check_case(
+            &netlist,
+            &stimulus,
+            SimEngine::Compiled,
+            &format!("two circuits, seed {seed}"),
+        );
+        assert_eq!(repacked, 2, "both models should have repacked");
+    }
+}
+
+#[test]
 fn repacking_across_groups_matches_the_never_dropping_run() {
     // Enough faults for at least eight 255-fault compiled batches per
     // model, i.e. two or more groups, so 2 and 7 threads grade groups
@@ -297,18 +326,34 @@ fn skipping_repeated_patterns_matches_the_never_dropping_run() {
                 &format!("combinational seed {seed}"),
             );
         }
-        // The reference batch runs over the whole stimulus, so it alone
-        // shows the skipped cycles: under either model it clocks fewer
-        // cycles than the stimulus has.
+        // A batch holding one fault the stimulus never detects runs to
+        // the end, so it alone shows the skipped cycles: under either
+        // model it clocks fewer cycles than the stimulus has.
         let simulator = FaultSimulator::with_config(&netlist, FaultSimConfig::with_threads(1));
-        for (model, reference) in [
-            ("stuck-at", simulator.simulate(&[], &stimulus)),
-            ("transition", simulator.simulate_transition(&[], &stimulus)),
+        let stuck = netlist.collapsed_faults();
+        let transition = enumerate_transition_faults(&netlist);
+        let undetected = |result: FaultSimResult| {
+            result
+                .detected
+                .iter()
+                .position(|&detected| !detected)
+                .expect("a random stimulus leaves some fault undetected")
+        };
+        let stuck = stuck[undetected(simulator.simulate(&stuck, &stimulus))];
+        let transition =
+            transition[undetected(simulator.simulate_transition(&transition, &stimulus))];
+        for (model, alone) in [
+            ("stuck-at", simulator.simulate(&[stuck], &stimulus)),
+            (
+                "transition",
+                simulator.simulate_transition(&[transition], &stimulus),
+            ),
         ] {
+            assert!(!alone.detected[0]);
             assert!(
-                reference.stats.cycles_simulated < stimulus.len() as u64,
+                alone.stats.cycles_simulated < stimulus.len() as u64,
                 "seed {seed}, {model}: {} of {} cycles clocked",
-                reference.stats.cycles_simulated,
+                alone.stats.cycles_simulated,
                 stimulus.len()
             );
         }

@@ -36,7 +36,8 @@ const ATPG_KEYS: [&str; 11] = [
     "podem_discarded",
     "drop_sim_tape_compilations",
 ];
-const FAULT_SIM_KEYS: [&str; 6] = [
+const FAULT_SIM_KEYS: [&str; 7] = [
+    "events_simulated",
     "events_full_eval",
     "cycles_simulated",
     "live_lane_cycles",
