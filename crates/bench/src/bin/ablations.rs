@@ -16,14 +16,18 @@
 //!    quantifying the "negligible aliasing" claim on a real routine.
 //! 5. **Fault-list collapsing**: grading cost with and without equivalence
 //!    collapsing (quality is unchanged by construction; the win is volume).
-//! 6. **Simulation engine**: the full-eval reference vs the compiled tape
-//!    on the same stimulus — identical coverage; the compiled engine saves
-//!    wall time with flat precomputed-operand entries that check no fault
-//!    flag on unfaulted gates, and by packing 255 faults per pass.
+//! 6. **Simulation engine**: the never-dropping full-eval oracle vs the
+//!    compiled tape on the same stimulus — identical coverage; the oracle
+//!    evaluates every gate of every batch on every cycle, while the
+//!    compiled engine packs 255 faults per pass into flat
+//!    precomputed-operand entries and clocks only what can still detect a
+//!    fault (dropping, repacking, fanout cones), so its event count falls
+//!    far below the oracle's.
 //! 7. **Fault model**: single stuck-at vs gross transition-delay on the
 //!    same stimulus — two-pattern launch/capture detection needs pattern
-//!    *pairs*, so transition coverage trails stuck-at coverage; both
-//!    engines agree bit-for-bit on the transition numbers too.
+//!    *pairs*, so transition coverage trails stuck-at coverage; the
+//!    oracle and the compiled engine agree bit-for-bit on the transition
+//!    numbers too.
 //!
 //! `--threads` pins every worker pool: the grading fault simulator and the
 //! routine builds' PODEM and ATPG grading pools. Results are identical

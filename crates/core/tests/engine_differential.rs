@@ -42,7 +42,6 @@ fn engine_thread_matrix_is_bit_identical_on_components() {
         FaultSimConfig {
             engine: SimEngine::FullEval,
             threads: Some(1),
-            ..FaultSimConfig::default()
         },
     )
     .unwrap();
@@ -53,7 +52,6 @@ fn engine_thread_matrix_is_bit_identical_on_components() {
                 FaultSimConfig {
                     engine,
                     threads: Some(threads),
-                    ..FaultSimConfig::default()
                 },
             )
             .unwrap();
@@ -104,7 +102,6 @@ fn transition_grading_matrix_is_bit_identical() {
         FaultSimConfig {
             engine: SimEngine::FullEval,
             threads: Some(1),
-            ..FaultSimConfig::default()
         },
     );
     assert!(reference.transition_coverage.total > 0);
@@ -121,7 +118,6 @@ fn transition_grading_matrix_is_bit_identical() {
                 FaultSimConfig {
                     engine,
                     threads: Some(threads),
-                    ..FaultSimConfig::default()
                 },
             );
             assert_eq!(

@@ -7,47 +7,51 @@
 //! the machinery below — only injection, and the arming state a repack
 //! moves with a transition fault, differ.
 //!
-//! Two engines grade a batch ([`SimEngine`]):
+//! Two engines grade a fault list ([`SimEngine`]):
 //!
 //! - [`SimEngine::Compiled`] (the default, the production engine): the
 //!   netlist is compiled once into a flat evaluation tape
 //!   ([`crate::CompiledTape`]) of one entry per gate, and each pass runs
 //!   [`crate::MAX_LANE_WORDS`]` × 64 = 256` lanes wide — one fault-free
-//!   reference lane plus up to 255 faulty machines.
-//! - [`SimEngine::FullEval`] (the reference oracle): a plain
-//!   [`Simulator`] evaluates every combinational gate on every cycle, 64
-//!   lanes wide — one reference plus [`FAULTS_PER_BATCH`] faults per pass.
-//!   It is the simplest engine, and the differential tests pin the
-//!   compiled tape against it.
+//!   reference lane plus up to 255 faulty machines — clocking only the
+//!   work that can still detect a fault (below).
+//! - [`SimEngine::FullEval`] (the reference oracle): each batch of
+//!   [`FAULTS_PER_BATCH`] faults gets a fresh 64-lane [`Simulator`] that
+//!   evaluates every combinational gate on every stimulus cycle and
+//!   compares the outputs with lane 0 on every observed cycle. It never
+//!   drops a fault and shares no record, plan, cone or repack with the
+//!   compiled engine, so the differential tests pin the compiled engine
+//!   against it.
 //!
-//! Every call first simulates the fault-free machine once over the whole
-//! stimulus, on the engine's own simulator, into a bit-packed *record*:
-//! one bit per net per cycle, 64 cycles per pass on a netlist without
-//! flip-flops and one cycle per pass otherwise. The record holds the
-//! fault-free responses and the primary inputs every batch reads. A
-//! [`FaultSimulator`] keeps its last record, keyed by the exact input
-//! vectors, so grading both fault models over one stimulus simulates the
-//! fault-free machine once.
+//! The compiled engine first simulates the fault-free machine once over
+//! the whole stimulus into a bit-packed *record*: one bit per net per
+//! cycle, 64 cycles per pass, one per lane. On a netlist with flip-flops
+//! a second simulator, stepping only the next-state logic, first records
+//! the flip-flop states of the pass's cycles one cycle at a time, so in
+//! the pass every net is a function of its lane's cycle. The record holds
+//! the fault-free responses and the nets every batch reads but does not
+//! evaluate. A [`FaultSimulator`] keeps its last record, keyed by the
+//! exact input vectors, so grading both fault models over one stimulus
+//! simulates the fault-free machine once.
 //!
 //! The fault list is partitioned in index order into contiguous batches
-//! of the engine's [`SimEngine::faults_per_pass`], one lane per fault.
-//! Runs of four consecutive batches form fixed *groups*, and the groups
-//! fan out over worker threads ([`crate::fan_out`]). A group clocks its
-//! batches window by window, 16 cycles at a time.
-//!
-//! Under `drop_on_detect` a group clocks only work that can still detect
-//! a fault: the fault dropping and fault-free reference of sequential
-//! fault simulators such as PROOFS (Niermann, Cheng and Patel, IEEE TCAD
-//! 1992), carried down to fanout cones, lane words and repeated patterns:
+//! of [`SimEngine::faults_per_pass`], one lane per fault. On the compiled
+//! engine runs of four consecutive batches form fixed *groups*, and the
+//! groups fan out over worker threads ([`crate::fan_out`]). A group
+//! clocks its batches window by window, 16 cycles at a time, and clocks
+//! only work that can still detect a fault: the fault dropping and
+//! fault-free reference of sequential fault simulators such as PROOFS
+//! (Niermann, Cheng and Patel, IEEE TCAD 1992), carried down to fanout
+//! cones, lane words and repeated patterns:
 //!
 //! - A batch stops as soon as all of its faults are detected.
-//! - On the compiled engine a batch evaluates only the fanout cone of its
-//!   faults: the tape entries and flip-flops their sites reach, found by
-//!   one forward walk whenever faults are assigned to it. Each clocked
-//!   cycle loads the nets the cone reads but does not drive from the
-//!   record, evaluates the cone's entries, compares the cone's outputs
-//!   and latches the cone's flip-flops. Every other net holds its
-//!   fault-free value in every lane, as no fault of the batch reaches it.
+//! - A batch evaluates only the fanout cone of its faults: the tape
+//!   entries and flip-flops their sites reach, found by one forward walk
+//!   whenever faults are assigned to it. Each clocked cycle loads the nets
+//!   the cone reads but does not drive from the record, evaluates the
+//!   cone's entries, compares the cone's outputs and latches the cone's
+//!   flip-flops. Every other net holds its fault-free value in every lane,
+//!   as no fault of the batch reaches it.
 //! - A batch evaluates only the lane words up to the one holding its
 //!   highest undetected lane (word 0, with the reference lane, always
 //!   counts), narrowed after every detection.
@@ -67,20 +71,15 @@
 //!   clocked, as its launch. The plan is fixed per call by the stimulus
 //!   and the model.
 //!
-//! `drop_on_detect: false` clocks every batch over the whole netlist at
-//! full width over every cycle, as the full-eval engine evaluates the
-//! whole netlist under either setting: the oracles the dropping runs are
-//! tested against. Groups share no state, and they and their windows are
-//! fixed by the fault list and the stimulus alone, never by the thread
-//! count.
+//! Groups share no state, and they and their windows are fixed by the
+//! fault list and the stimulus alone, never by the thread count.
 //!
 //! Coverage, per-fault detecting cycles and fault-free responses are
-//! bit-identical across both engines, every thread count and either
-//! `drop_on_detect`: lanes are independent machines wherever they sit, a
-//! fault leaves the simulation only once it is detected, a left-out cycle
-//! could detect no fault still in it, a net outside a batch's cone holds
-//! the value the record holds, and lane 0 of every batch is the
-//! fault-free machine.
+//! bit-identical across both engines and every thread count: lanes are
+//! independent machines wherever they sit, a fault leaves the simulation
+//! only once it is detected, a left-out cycle could detect no fault still
+//! in it, a net outside a batch's cone holds the value the record holds,
+//! and lane 0 of every batch is the fault-free machine.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -94,8 +93,9 @@ use crate::netlist::Netlist;
 use crate::sim::{Simulator, LANES};
 use crate::tape::{CompiledTape, ConeScratch, TapeSimulator, MAX_LANE_WORDS};
 
-/// Faults graded per simulation pass: one lane per fault, with lane 0
-/// reserved for the fault-free reference machine.
+/// Faults the 64-lane full-eval oracle grades per simulation pass: one
+/// lane per fault, with lane 0 reserved for the fault-free reference
+/// machine.
 ///
 /// Derived from [`LANES`] so a lane-width change can never desync batching
 /// from injection.
@@ -108,6 +108,13 @@ const GROUP_BATCHES: usize = 4;
 
 /// Cycles a group clocks between repack checks.
 const WINDOW_CYCLES: usize = 16;
+
+/// Lane words per compiled batch.
+const W: usize = MAX_LANE_WORDS;
+
+/// A compiled batch's simulator: lane 0 of word 0 is the fault-free
+/// reference machine.
+type BatchSim<'t> = TapeSimulator<&'t CompiledTape, W>;
 
 // Lane masks and the per-batch live mask are `u64` words; the lane count
 // must match exactly or injection masks would silently truncate.
@@ -175,8 +182,9 @@ impl Stimulus {
 
 /// Partitions `fault_count` faults into contiguous index ranges of at
 /// most `per_batch` faults, one simulation pass each, in order. An empty
-/// fault list yields a single empty batch, which under `drop_on_detect`
-/// clocks nothing: the fault-free responses come from the record.
+/// fault list yields a single empty batch, which on the compiled engine
+/// clocks nothing (the fault-free responses come from the record) and on
+/// the full-eval engine clocks the fault-free machine alone.
 fn fault_batches(fault_count: usize, per_batch: usize) -> Vec<Range<usize>> {
     let n_batches = fault_count.div_ceil(per_batch).max(1);
     (0..n_batches)
@@ -239,20 +247,25 @@ struct Plan {
 }
 
 impl Plan {
-    /// Plans grading over `stimulus`, whose vectors `inputs` packs.
+    /// Plans grading `netlist` over `stimulus`, whose vectors `inputs`
+    /// packs.
     ///
-    /// Without `skip` every cycle is clocked and the observed ones
-    /// compared. With `skip` (a netlist without flip-flops, under
-    /// drop-on-detect) a cycle's outputs depend on its input vector
-    /// alone, and a transition fault's lane on the (previous, current)
-    /// vector pair, so:
+    /// On a netlist with flip-flops every cycle is clocked and the
+    /// observed ones compared. On one without, a cycle's outputs depend on
+    /// its input vector alone, and a transition fault's lane on the
+    /// (previous, current) vector pair, so:
     ///
     /// - stuck-at: only an observed cycle applying a vector no earlier
     ///   observed cycle applied is clocked;
     /// - transition: only an observed cycle whose pair no earlier
     ///   observed cycle had is compared, and its predecessor is clocked
     ///   as its launch, so the arming state it reads is exact.
-    fn new(stimulus: &Stimulus, inputs: &PackedInputs, transition: bool, skip: bool) -> Self {
+    fn new(
+        netlist: &Netlist,
+        stimulus: &Stimulus,
+        inputs: &PackedInputs,
+        transition: bool,
+    ) -> Self {
         let mut steps: Vec<CycleStep> = stimulus
             .iter()
             .map(|(_, observe)| {
@@ -263,7 +276,7 @@ impl Plan {
                 }
             })
             .collect();
-        if !skip {
+        if !netlist.is_combinational() {
             return Plan { steps };
         }
         // A dense id per distinct input vector: sort the cycles by vector
@@ -334,21 +347,17 @@ struct FaultFreeRecord {
 
 impl FaultFreeRecord {
     /// Simulates `netlist` fault-free over every cycle of `inputs` on
-    /// simulators from `new_sim`, 64 cycles per pass, one per lane: with
-    /// the primary inputs, and the flip-flop states that a second
-    /// simulator stepping only the next-state logic records one cycle per
-    /// pass, every net is a function of its lane's cycle.
-    fn simulate<S: LaneSim<1>>(
-        new_sim: impl Fn() -> S,
-        netlist: &Netlist,
-        inputs: PackedInputs,
-    ) -> Self {
+    /// one-word simulators over its `tape`, 64 cycles per pass, one per
+    /// lane: with the primary inputs, and the flip-flop states that a
+    /// second simulator stepping only the next-state logic records one
+    /// cycle per step, every net is a function of its lane's cycle.
+    fn simulate(tape: &CompiledTape, netlist: &Netlist, inputs: PackedInputs) -> Self {
         let (nets, cycles) = (netlist.net_count(), inputs.cycles());
         let dffs = netlist.dff_gates().len();
         let mut words = vec![0u64; cycles.div_ceil(64) * nets];
-        let mut sim = new_sim();
+        let mut sim = TapeSimulator::<_, 1>::new(tape);
         let mut stepper = (dffs > 0).then(|| {
-            let mut stepper = new_sim();
+            let mut stepper = TapeSimulator::<_, 1>::new(tape);
             stepper.restrict_to_next_state();
             stepper
         });
@@ -371,17 +380,17 @@ impl FaultFreeRecord {
             if let Some(stepper) = &mut stepper {
                 states.fill([0]);
                 for t in span {
-                    for (k, state) in states.iter_mut().enumerate() {
-                        state[0] |= (stepper.dff_word(k)[0] & 1) << (t % 64);
+                    for (state, [word]) in states.iter_mut().zip(stepper.dff_words()) {
+                        state[0] |= (word & 1) << (t % 64);
                     }
-                    stepper.eval_block(block, (t % 64) as u32);
+                    stepper.eval_from(block, (t % 64) as u32);
                     stepper.step();
                 }
-                sim.set_dff_words(&states);
+                sim.dff_words_mut().copy_from_slice(&states);
             }
             sim.eval();
             for (n, word) in block.iter_mut().enumerate() {
-                *word = sim.lanes(NetId::from_index(n))[0];
+                *word = sim.value(NetId::from_index(n))[0];
             }
         }
         FaultFreeRecord {
@@ -429,13 +438,15 @@ impl FaultFreeRecord {
 pub enum SimEngine {
     /// Compiled evaluation tape (see [`crate::CompiledTape`]): flat
     /// instruction stream of one entry per gate with precomputed operand
-    /// indices, and 4×`u64` lane blocks grading up to 255 faults per pass
-    /// (the default).
+    /// indices, and 4×`u64` lane blocks grading up to 255 faults per pass,
+    /// clocking only the work that can still detect a fault (see the
+    /// module docs; the default).
     #[default]
     Compiled,
     /// Evaluate every combinational gate on every cycle with a plain
-    /// [`Simulator`]: the reference oracle the compiled tape is
-    /// differentially tested against.
+    /// [`Simulator`], [`FAULTS_PER_BATCH`] faults per pass, never dropping
+    /// a fault: the reference oracle the compiled tape is differentially
+    /// tested against.
     FullEval,
 }
 
@@ -460,40 +471,21 @@ impl SimEngine {
 }
 
 /// Configuration for [`FaultSimulator`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FaultSimConfig {
-    /// Stop simulating a fault once it is detected: a batch stops as
-    /// soon as every fault in it is detected and evaluates only the lane
-    /// words that still hold an undetected fault (on the compiled engine,
-    /// only its faults' fanout cone), a group repacks its survivors into
-    /// fewer batches or words, and a netlist without flip-flops skips the
-    /// cycles that repeat an observed pattern (see the module docs).
-    /// `false` clocks every batch over the whole netlist at full width
-    /// over the whole stimulus.
-    pub drop_on_detect: bool,
     /// Worker threads for fault-batch fan-out.
     ///
     /// `None` (the default) uses [`std::thread::available_parallelism`];
     /// `Some(1)` grades every batch on the calling thread; `Some(n)` pins
     /// the pool, which is how benches make wall-clock numbers reproducible.
     /// The effective count never exceeds the number of batch groups (four
-    /// batches each). Coverage results are bit-identical for every
-    /// setting.
+    /// batches each; on the full-eval engine, the number of batches).
+    /// Coverage results are bit-identical for every setting.
     pub threads: Option<usize>,
     /// Simulation engine (default [`SimEngine::Compiled`]). Coverage
     /// results are bit-identical for both engines; only batch packing and
     /// wall time differ.
     pub engine: SimEngine,
-}
-
-impl Default for FaultSimConfig {
-    fn default() -> Self {
-        FaultSimConfig {
-            drop_on_detect: true,
-            threads: None,
-            engine: SimEngine::default(),
-        }
-    }
 }
 
 impl FaultSimConfig {
@@ -515,8 +507,8 @@ impl FaultSimConfig {
 }
 
 /// Instrumentation from one [`FaultSimulator::simulate`] run: how much
-/// simulation happened and how much `drop_on_detect` saved. Independent
-/// of the thread count.
+/// simulation happened and, on the compiled engine, how much dropping
+/// detected faults saved. Independent of the thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Fault batches of the initial packing (up to
@@ -524,15 +516,17 @@ pub struct SimStats {
     /// lane); repacking merges them as faults are detected.
     pub batches: u64,
     /// Netlist cycles actually clocked, summed over every batch simulator.
-    /// Under `drop_on_detect` a netlist without flip-flops leaves out the
-    /// cycles that can detect nothing new (repeated patterns), and they
-    /// are not counted.
+    /// The full-eval engine clocks every batch over every cycle, so there
+    /// this equals [`SimStats::cycles_scheduled`]; the compiled engine
+    /// stops detected batches, repacks survivors and, on a netlist without
+    /// flip-flops, leaves out the cycles that can detect nothing new
+    /// (repeated patterns), which are not counted.
     pub cycles_simulated: u64,
-    /// Lane words evaluated, summed over every clocked cycle: under
-    /// `drop_on_detect` a batch evaluates only the words up to its highest
-    /// undetected lane, so this falls below `cycles_simulated ×`
-    /// [`crate::MAX_LANE_WORDS`] on the compiled engine (the 64-lane
-    /// full-eval engine evaluates one word per cycle).
+    /// Lane words evaluated, summed over every clocked cycle: a compiled
+    /// batch evaluates only the words up to its highest undetected lane,
+    /// so this falls below `cycles_simulated ×`
+    /// [`crate::MAX_LANE_WORDS`] (the 64-lane full-eval engine evaluates
+    /// one word per cycle).
     pub lane_words_simulated: u64,
     /// Cycles the initial packing would clock without dropping
     /// (`batches * stimulus.len()`); the gap to `cycles_simulated` is what
@@ -548,11 +542,11 @@ pub struct SimStats {
     pub live_lane_cycles: u64,
     /// Gate-evaluation events the fault batches performed (each event
     /// evaluating the live lane words of one gate bit-parallel). The
-    /// full-eval engine, and any batch without `drop_on_detect`,
-    /// evaluates every combinational gate on every clocked cycle, so there
-    /// this equals [`SimStats::events_full_eval`]; a compiled-engine batch
-    /// under `drop_on_detect` evaluates only its faults' fanout cone, so
-    /// this falls below it. The fault-free record pass is not counted.
+    /// full-eval engine evaluates every combinational gate on every
+    /// clocked cycle, so there this equals [`SimStats::events_full_eval`];
+    /// a compiled batch evaluates only its faults' fanout cone, so this
+    /// falls below it. The compiled engine's fault-free record pass is not
+    /// counted.
     pub events_simulated: u64,
     /// Events a full evaluation of every clocked cycle costs
     /// (`cycles_simulated × combinational gate count`).
@@ -662,10 +656,10 @@ impl<'f> FaultList<'f> {
     }
 
     /// Injects fault `index` into lane `lane` of a batch simulator.
-    fn inject<const W: usize>(&self, sim: &mut impl LaneSim<W>, index: usize, lane: usize) {
+    fn inject(&self, sim: &mut BatchSim<'_>, index: usize, lane: usize) {
         match self {
-            FaultList::Stuck(faults) => sim.inject_stuck(&faults[index], lane),
-            FaultList::Transition(faults) => sim.inject_transition(&faults[index], lane),
+            FaultList::Stuck(faults) => sim.inject_fault(&faults[index], lane),
+            FaultList::Transition(faults) => sim.inject_transition_fault(&faults[index], lane),
         }
     }
 
@@ -692,13 +686,13 @@ impl<'f> FaultList<'f> {
 }
 
 /// Bit `lane` of a lane word.
-fn lane_bit<const W: usize>(words: &[u64; W], lane: usize) -> u64 {
+fn lane_bit(words: &[u64; W], lane: usize) -> u64 {
     words[lane / 64] >> (lane % 64) & 1
 }
 
 /// The lanes set in a lane mask, in ascending order.
-fn lanes_of<const W: usize>(mask: [u64; W]) -> impl Iterator<Item = usize> {
-    (0..W).flat_map(move |w| {
+fn lanes_of<const N: usize>(mask: [u64; N]) -> impl Iterator<Item = usize> {
+    (0..N).flat_map(move |w| {
         let mut word = mask[w];
         std::iter::from_fn(move || {
             (word != 0).then(|| {
@@ -708,208 +702,6 @@ fn lanes_of<const W: usize>(mask: [u64; W]) -> impl Iterator<Item = usize> {
             })
         })
     })
-}
-
-/// A simulator the group loop can drive: `W` lane words per net, with
-/// lane 0 of word 0 the fault-free reference machine. Implemented by the
-/// 64-lane full-eval [`Simulator`] (`W = 1`) and by the compiled tape
-/// (`W = `[`MAX_LANE_WORDS`]); the fault-free record is simulated on
-/// either at `W = 1`.
-trait LaneSim<const W: usize> {
-    fn inject_stuck(&mut self, fault: &Fault, lane: usize);
-    fn inject_transition(&mut self, fault: &TransitionFault, lane: usize);
-    /// Restricts [`LaneSim::eval_block`] and [`LaneSim::step`] to the fanout
-    /// cone of `seeds`, the nets the injected faults force; the full-eval
-    /// simulator evaluates the whole netlist regardless.
-    fn restrict(&mut self, seeds: &[NetId], scratch: &mut ConeScratch);
-    /// Restricts a fault-free simulator to the logic that steps the
-    /// flip-flops; the full-eval simulator evaluates the whole netlist
-    /// regardless.
-    fn restrict_to_next_state(&mut self);
-    /// Narrows evaluation to the first `words` lane words.
-    fn set_words(&mut self, words: usize);
-    /// Drives primary input `pos` with `word` (bit `L` is lane `L`).
-    fn set_input_word(&mut self, pos: usize, word: u64);
-    fn eval(&mut self);
-    /// Evaluates one cycle of a block of fault-free record words
-    /// ([`FaultFreeRecord::block`]), reading its inputs, and a restricted
-    /// simulator's side nets, from bit `bit` of the block.
-    fn eval_block(&mut self, block: &[u64], bit: u32);
-    /// The primary outputs [`LaneSim::eval_block`] computes.
-    fn outputs(&self) -> &[NetId];
-    fn lanes(&self, net: NetId) -> [u64; W];
-    fn step(&mut self);
-    /// Gate-evaluation events performed over `cycles` clocked cycles.
-    fn events(&self, cycles: u64) -> u64;
-    /// Removes every injected fault and zeroes the machine state, so the
-    /// simulator can take a repacked batch; the event count runs on.
-    fn clear(&mut self);
-    /// The flip-flops [`LaneSim::step`] latches, `None` for all of them:
-    /// the only ones whose words hold the batch's state.
-    fn stepped_dffs(&self) -> Option<&[u32]>;
-    /// Lane carry-out: the words of flip-flop `k`, in netlist order.
-    fn dff_word(&self, k: usize) -> [u64; W];
-    /// Lane carry-in: overwrites the flip-flop words.
-    fn set_dff_words(&mut self, words: &[[u64; W]]);
-    /// The arming words of transition-fault net `net`.
-    fn transition_prev(&self, net: NetId) -> [u64; W];
-    /// Overwrites the arming words of `net` and marks the machine primed,
-    /// as it was where they were carried out.
-    fn set_transition_prev(&mut self, net: NetId, words: [u64; W]);
-}
-
-impl LaneSim<1> for Simulator<'_> {
-    fn inject_stuck(&mut self, fault: &Fault, lane: usize) {
-        self.inject_fault(fault, 1u64 << lane);
-    }
-
-    fn inject_transition(&mut self, fault: &TransitionFault, lane: usize) {
-        self.inject_transition_fault(fault, 1u64 << lane);
-    }
-
-    /// Full evaluation: no cone.
-    fn restrict(&mut self, _seeds: &[NetId], _scratch: &mut ConeScratch) {}
-
-    fn restrict_to_next_state(&mut self) {}
-
-    /// One word, which holds the reference lane: nothing to narrow.
-    fn set_words(&mut self, _words: usize) {}
-
-    fn set_input_word(&mut self, pos: usize, word: u64) {
-        Simulator::set_input_word(self, pos, word);
-    }
-
-    fn eval(&mut self) {
-        Simulator::eval(self);
-    }
-
-    fn eval_block(&mut self, block: &[u64], bit: u32) {
-        for (pos, &net) in self.netlist().inputs().iter().enumerate() {
-            let word = 0u64.wrapping_sub(block[net.index()] >> bit & 1);
-            Simulator::set_input_word(self, pos, word);
-        }
-        Simulator::eval(self);
-    }
-
-    fn outputs(&self) -> &[NetId] {
-        self.netlist().outputs()
-    }
-
-    fn lanes(&self, net: NetId) -> [u64; 1] {
-        [self.value(net)]
-    }
-
-    fn step(&mut self) {
-        Simulator::step(self);
-    }
-
-    /// Full evaluation: every combinational gate on every clocked cycle.
-    fn events(&self, cycles: u64) -> u64 {
-        cycles * self.netlist().comb_order().len() as u64
-    }
-
-    fn clear(&mut self) {
-        self.clear_faults();
-        self.reset();
-    }
-
-    fn stepped_dffs(&self) -> Option<&[u32]> {
-        None
-    }
-
-    fn dff_word(&self, k: usize) -> [u64; 1] {
-        [Simulator::dff_words(self)[k]]
-    }
-
-    fn set_dff_words(&mut self, words: &[[u64; 1]]) {
-        for (word, [carried]) in self.dff_words_mut().iter_mut().zip(words) {
-            *word = *carried;
-        }
-    }
-
-    fn transition_prev(&self, net: NetId) -> [u64; 1] {
-        [Simulator::transition_prev(self, net)]
-    }
-
-    fn set_transition_prev(&mut self, net: NetId, [word]: [u64; 1]) {
-        Simulator::set_transition_prev(self, net, word);
-    }
-}
-
-impl<const W: usize> LaneSim<W> for TapeSimulator<&CompiledTape, W> {
-    fn inject_stuck(&mut self, fault: &Fault, lane: usize) {
-        self.inject_fault(fault, lane);
-    }
-
-    fn inject_transition(&mut self, fault: &TransitionFault, lane: usize) {
-        self.inject_transition_fault(fault, lane);
-    }
-
-    fn restrict(&mut self, seeds: &[NetId], scratch: &mut ConeScratch) {
-        TapeSimulator::restrict(self, seeds, scratch);
-    }
-
-    fn restrict_to_next_state(&mut self) {
-        TapeSimulator::restrict_to_next_state(self);
-    }
-
-    fn set_words(&mut self, words: usize) {
-        TapeSimulator::set_words(self, words);
-    }
-
-    fn set_input_word(&mut self, pos: usize, word: u64) {
-        TapeSimulator::set_input_word(self, pos, word);
-    }
-
-    fn eval(&mut self) {
-        TapeSimulator::eval(self);
-    }
-
-    fn eval_block(&mut self, block: &[u64], bit: u32) {
-        self.eval_from(block, bit);
-    }
-
-    fn outputs(&self) -> &[NetId] {
-        TapeSimulator::outputs(self)
-    }
-
-    #[inline]
-    fn lanes(&self, net: NetId) -> [u64; W] {
-        self.value(net)
-    }
-
-    fn step(&mut self) {
-        TapeSimulator::step(self);
-    }
-
-    fn events(&self, _cycles: u64) -> u64 {
-        TapeSimulator::events(self)
-    }
-
-    fn clear(&mut self) {
-        self.clear_faults();
-        self.reset();
-    }
-
-    fn stepped_dffs(&self) -> Option<&[u32]> {
-        TapeSimulator::stepped_dffs(self)
-    }
-
-    fn dff_word(&self, k: usize) -> [u64; W] {
-        self.dff_words()[k]
-    }
-
-    fn set_dff_words(&mut self, words: &[[u64; W]]) {
-        self.dff_words_mut().copy_from_slice(words);
-    }
-
-    fn transition_prev(&self, net: NetId) -> [u64; W] {
-        TapeSimulator::transition_prev(self, net)
-    }
-
-    fn set_transition_prev(&mut self, net: NetId, words: [u64; W]) {
-        TapeSimulator::set_transition_prev(self, net, words);
-    }
 }
 
 /// Gathers the bits of a word that a fixed mask selects into its low
@@ -955,7 +747,7 @@ impl Compress {
 
 /// Overwrites the `count` lanes from `lane` on with the low bits of
 /// `bits`.
-fn deposit<const W: usize>(words: &mut [u64; W], lane: usize, count: usize, bits: u64) {
+fn deposit(words: &mut [u64; W], lane: usize, count: usize, bits: u64) {
     debug_assert!((1..=64).contains(&count));
     let (w, shift) = (lane / 64, lane % 64);
     let ones = u64::MAX >> (64 - count);
@@ -983,8 +775,8 @@ struct Run {
 
 /// One batch of a group in flight: a private simulator and the faults in
 /// its lanes.
-struct Batch<S, const W: usize> {
-    sim: S,
+struct Batch<'t> {
+    sim: BatchSim<'t>,
     /// Fault index carried by lane `i + 1`.
     faults: Vec<usize>,
     /// Lanes whose fault is not yet detected.
@@ -997,29 +789,32 @@ struct Batch<S, const W: usize> {
     lane_words: u64,
 }
 
-impl<S: LaneSim<W>, const W: usize> Batch<S, W> {
+impl Batch<'_> {
     /// Injects the faults `indices` into lanes 1.. of the (clear)
-    /// simulator, all undetected.
-    fn assign(&mut self, faults: FaultList<'_>, indices: impl Iterator<Item = usize>) {
+    /// simulator, all undetected, and restricts it to their fanout cone
+    /// and the lane words they occupy.
+    fn assign(
+        &mut self,
+        grading: &Grading<'_>,
+        indices: impl Iterator<Item = usize>,
+        scratch: &mut ConeScratch,
+    ) {
         self.faults.clear();
         self.undetected = [0; W];
         for (offset, index) in indices.enumerate() {
             let lane = offset + 1;
             debug_assert!(lane < 64 * W, "lane 0 is the reference");
-            faults.inject(&mut self.sim, index, lane);
+            grading.faults.inject(&mut self.sim, index, lane);
             self.undetected[lane / 64] |= 1u64 << (lane % 64);
             self.faults.push(index);
         }
-    }
-
-    /// Restricts the simulator to the fanout cone of its faults.
-    fn restrict(&mut self, grading: &Grading<'_>, scratch: &mut ConeScratch) {
         let seeds: Vec<NetId> = self
             .faults
             .iter()
             .map(|&index| grading.faults.seed(index, grading.netlist))
             .collect();
         self.sim.restrict(&seeds, scratch);
+        self.narrow();
     }
 
     /// Narrows the simulator to the lane words up to the one holding the
@@ -1042,9 +837,11 @@ impl<S: LaneSim<W>, const W: usize> Batch<S, W> {
     }
 }
 
-/// What grading one group of batches reports back to the merge.
-struct GroupOutcome {
-    /// First detecting cycle of each fault in the group, in index order.
+/// What grading some batches reports: one group's to the merge, or a
+/// whole call's.
+#[derive(Default)]
+struct Outcome {
+    /// First detecting cycle of each fault, in index order.
     detecting_cycle: Vec<Option<u32>>,
     /// Cycles clocked, over every batch simulator.
     cycles: u64,
@@ -1054,22 +851,32 @@ struct GroupOutcome {
     events: u64,
 }
 
-impl GroupOutcome {
+impl Outcome {
     /// Books the work of a batch simulator the group no longer clocks.
-    fn retire<const W: usize>(&mut self, batch: Batch<impl LaneSim<W>, W>) {
+    fn retire(&mut self, batch: Batch<'_>) {
         self.cycles += batch.cycles;
         self.lane_words += batch.lane_words;
-        self.events += batch.sim.events(batch.cycles);
+        self.events += batch.sim.events();
+    }
+
+    /// Appends the outcome of the batches that follow these.
+    fn absorb(&mut self, next: Outcome) {
+        self.detecting_cycle.extend(next.detecting_cycle);
+        self.cycles += next.cycles;
+        self.lane_words += next.lane_words;
+        self.events += next.events;
     }
 }
 
 /// Parallel single-stuck-at fault simulator.
 ///
 /// Packs up to [`SimEngine::faults_per_pass`] faulty machines plus one
-/// fault-free reference machine (lane 0) into each simulation pass, fans
-/// groups of four passes out over worker threads (see
-/// [`FaultSimConfig::threads`]) and repacks each group's surviving faults
-/// into fewer passes as the others are detected. A fault is *detected*
+/// fault-free reference machine (lane 0) into each simulation pass. On
+/// the compiled engine it fans groups of four passes out over worker
+/// threads (see [`FaultSimConfig::threads`]) and repacks each group's
+/// surviving faults into fewer passes as the others are detected; the
+/// full-eval oracle fans out its passes one by one and never drops a
+/// fault. A fault is *detected*
 /// when any primary output differs from the reference lane on an observed
 /// cycle — the same criterion commercial fault simulators use. MISR
 /// aliasing, which the paper argues is negligible, can be audited
@@ -1126,7 +933,7 @@ impl<'a> FaultSimulator<'a> {
     /// (consecutive cycles) initializes and then excites it with the error
     /// propagated to an observed output.
     ///
-    /// Batching, threading, drop-on-detect and the fault-free record all
+    /// Batching, threading, fault dropping and the fault-free record all
     /// behave as in [`FaultSimulator::simulate`]; results are bit-identical
     /// across engines and thread counts.
     pub fn simulate_transition(
@@ -1141,59 +948,29 @@ impl<'a> FaultSimulator<'a> {
     fn simulate_list(&self, faults: FaultList<'_>, stimulus: &Stimulus) -> FaultSimResult {
         let start = Instant::now();
         let engine = self.config.engine;
-        let batches = fault_batches(faults.len(), engine.faults_per_pass());
-        let groups: Vec<&[Range<usize>]> = batches.chunks(GROUP_BATCHES).collect();
-        // The compiled engine's tape is built once per *simulator* and
-        // shared (immutably) by every worker and every later call; each
-        // batch still gets a private simulator state.
-        let mut tape_compilations = 0u64;
-        let tape = matches!(engine, SimEngine::Compiled).then(|| {
-            self.tape.get_or_init(|| {
-                tape_compilations += 1;
-                CompiledTape::compile(self.netlist)
-            })
-        });
-        let record = self.record(stimulus, tape);
         let netlist = self.netlist;
-        let grading = Grading {
-            faults,
-            netlist,
-            plan: Plan::new(
-                stimulus,
-                &record.inputs,
-                matches!(faults, FaultList::Transition(_)),
-                self.config.drop_on_detect && netlist.is_combinational(),
-            ),
-            record: &record,
-            dff_q: netlist
-                .dff_gates()
-                .iter()
-                .map(|&gate| netlist.gate(gate).output)
-                .collect(),
-            drop_on_detect: self.config.drop_on_detect,
+        let batches = fault_batches(faults.len(), engine.faults_per_pass());
+        let threads = resolve_threads(self.config.threads);
+        let mut tape_compilations = 0u64;
+        let (outcome, fault_free_responses, threads_used) = match engine {
+            SimEngine::Compiled => {
+                // The tape is built once per *simulator* and shared
+                // (immutably) by every worker and every later call; each
+                // batch still gets a private simulator state.
+                let tape = self.tape.get_or_init(|| {
+                    tape_compilations += 1;
+                    CompiledTape::compile(netlist)
+                });
+                self.grade_compiled(tape, faults, stimulus, &batches, threads)
+            }
+            SimEngine::FullEval => full_eval(netlist, faults, stimulus, &batches, threads),
         };
-        let (graded, workers) = fan_out(
-            &groups,
-            resolve_threads(self.config.threads),
-            || (),
-            |_, group| match tape {
-                Some(tape) => {
-                    grading.run_group(|| TapeSimulator::<_, MAX_LANE_WORDS>::new(tape), group)
-                }
-                None => grading.run_group(|| Simulator::new(netlist), group),
-            },
-        );
-
-        // Groups come back in fault-index order, whichever worker graded
-        // them, so concatenating them is the deterministic merge.
-        let mut detecting_cycle = Vec::with_capacity(faults.len());
-        let (mut cycles_simulated, mut lane_words_simulated, mut events_simulated) = (0, 0, 0);
-        for outcome in graded {
-            cycles_simulated += outcome.cycles;
-            lane_words_simulated += outcome.lane_words;
-            events_simulated += outcome.events;
-            detecting_cycle.extend(outcome.detecting_cycle);
-        }
+        let Outcome {
+            detecting_cycle,
+            cycles,
+            lane_words,
+            events,
+        } = outcome;
         // A fault's lane is live up to and including its detecting cycle.
         let live_lane_cycles = detecting_cycle
             .iter()
@@ -1202,18 +979,18 @@ impl<'a> FaultSimulator<'a> {
         FaultSimResult {
             detected: detecting_cycle.iter().map(Option::is_some).collect(),
             detecting_cycle,
-            fault_free_responses: record.responses(netlist.outputs(), stimulus),
-            threads_used: workers.len(),
+            fault_free_responses,
+            threads_used,
             engine,
             wall_time: start.elapsed(),
             stats: SimStats {
                 batches: batches.len() as u64,
-                cycles_simulated,
-                lane_words_simulated,
+                cycles_simulated: cycles,
+                lane_words_simulated: lane_words,
                 cycles_scheduled: batches.len() as u64 * stimulus.len() as u64,
                 live_lane_cycles,
-                events_simulated,
-                events_full_eval: cycles_simulated * netlist.comb_order().len() as u64,
+                events_simulated: events,
+                events_full_eval: cycles * netlist.comb_order().len() as u64,
                 tape_compilations,
                 lane_slots_filled: faults.len() as u64,
                 lane_slots_total: batches.len() as u64 * engine.faults_per_pass() as u64,
@@ -1221,24 +998,60 @@ impl<'a> FaultSimulator<'a> {
         }
     }
 
+    /// Grades `batches` on the compiled engine over `tape`, in groups of
+    /// [`GROUP_BATCHES`] fanned out over `threads` workers (see the module
+    /// docs). Returns the merged outcome, the fault-free responses and the
+    /// workers used.
+    fn grade_compiled(
+        &self,
+        tape: &CompiledTape,
+        faults: FaultList<'_>,
+        stimulus: &Stimulus,
+        batches: &[Range<usize>],
+        threads: usize,
+    ) -> (Outcome, Vec<Vec<u64>>, usize) {
+        let netlist = self.netlist;
+        let record = self.record(stimulus, tape);
+        let grading = Grading {
+            faults,
+            netlist,
+            tape,
+            plan: Plan::new(
+                netlist,
+                stimulus,
+                &record.inputs,
+                matches!(faults, FaultList::Transition(_)),
+            ),
+            record: &record,
+            dff_q: netlist
+                .dff_gates()
+                .iter()
+                .map(|&gate| netlist.gate(gate).output)
+                .collect(),
+        };
+        let groups: Vec<&[Range<usize>]> = batches.chunks(GROUP_BATCHES).collect();
+        let (graded, workers) =
+            fan_out(&groups, threads, || (), |_, group| grading.run_group(group));
+        // Groups come back in fault-index order, whichever worker graded
+        // them, so concatenating them is the deterministic merge.
+        let mut merged = Outcome::default();
+        for outcome in graded {
+            merged.absorb(outcome);
+        }
+        let responses = record.responses(netlist.outputs(), stimulus);
+        (merged, responses, workers.len())
+    }
+
     /// The fault-free record of `stimulus`: the cached one when it was
-    /// simulated from the same input vectors, else a new pass on the
-    /// engine's simulator (over `tape` on the compiled engine), which then
-    /// takes the cache's place.
-    fn record(&self, stimulus: &Stimulus, tape: Option<&CompiledTape>) -> Arc<FaultFreeRecord> {
+    /// simulated from the same input vectors, else a new pass over `tape`,
+    /// which then takes the cache's place.
+    fn record(&self, stimulus: &Stimulus, tape: &CompiledTape) -> Arc<FaultFreeRecord> {
         let inputs = PackedInputs::new(stimulus, self.netlist.inputs().len());
         let cached = self.cached_record().clone();
         if let Some(record) = cached.filter(|record| record.inputs == inputs) {
             return record;
         }
-        let record = Arc::new(match tape {
-            Some(tape) => {
-                FaultFreeRecord::simulate(|| TapeSimulator::<_, 1>::new(tape), self.netlist, inputs)
-            }
-            None => {
-                FaultFreeRecord::simulate(|| Simulator::new(self.netlist), self.netlist, inputs)
-            }
-        });
+        let record = Arc::new(FaultFreeRecord::simulate(tape, self.netlist, inputs));
         *self.cached_record() = Some(Arc::clone(&record));
         record
     }
@@ -1251,19 +1064,90 @@ impl<'a> FaultSimulator<'a> {
     }
 }
 
-/// What every group of one grading call shares.
+/// The reference oracle, [`SimEngine::FullEval`]: each of `batches`, fanned
+/// out over `threads` workers, gets a fresh [`Simulator`] with its faults
+/// in lanes 1 and up, clocks every stimulus cycle over the whole netlist
+/// and compares the outputs with lane 0 on every observed cycle. Returns
+/// the merged outcome, lane 0's responses and the workers used.
+fn full_eval(
+    netlist: &Netlist,
+    faults: FaultList<'_>,
+    stimulus: &Stimulus,
+    batches: &[Range<usize>],
+    threads: usize,
+) -> (Outcome, Vec<Vec<u64>>, usize) {
+    let outputs = netlist.outputs();
+    let (graded, workers) = fan_out(
+        batches,
+        threads,
+        || (),
+        |_, batch| {
+            let mut sim = Simulator::new(netlist);
+            for (lane, index) in (1..).zip(batch.clone()) {
+                match faults {
+                    FaultList::Stuck(list) => sim.inject_fault(&list[index], 1 << lane),
+                    FaultList::Transition(list) => {
+                        sim.inject_transition_fault(&list[index], 1 << lane)
+                    }
+                }
+            }
+            let mut detecting_cycle = vec![None; batch.len()];
+            let mut responses = Vec::with_capacity(stimulus.observed_cycles());
+            for (cycle, (inputs, observe)) in stimulus.iter().enumerate() {
+                for (pos, &bit) in inputs.iter().enumerate() {
+                    sim.set_input_word(pos, 0u64.wrapping_sub(u64::from(bit)));
+                }
+                sim.eval();
+                if observe {
+                    let mut words = vec![0; outputs.len().div_ceil(64)];
+                    let mut diff = 0;
+                    for (k, &out) in outputs.iter().enumerate() {
+                        let v = sim.value(out);
+                        words[k / 64] |= (v & 1) << (k % 64);
+                        diff |= v ^ 0u64.wrapping_sub(v & 1);
+                    }
+                    for lane in lanes_of([diff]) {
+                        detecting_cycle[lane - 1].get_or_insert(cycle as u32);
+                    }
+                    responses.push(words);
+                }
+                sim.step();
+            }
+            (detecting_cycle, responses)
+        },
+    );
+    let cycles = (batches.len() * stimulus.len()) as u64;
+    let mut outcome = Outcome {
+        cycles,
+        lane_words: cycles,
+        events: cycles * netlist.comb_order().len() as u64,
+        ..Outcome::default()
+    };
+    let mut fault_free_responses = None;
+    for (detecting_cycle, responses) in graded {
+        outcome.detecting_cycle.extend(detecting_cycle);
+        fault_free_responses.get_or_insert(responses);
+    }
+    (
+        outcome,
+        fault_free_responses.unwrap_or_default(),
+        workers.len(),
+    )
+}
+
+/// What every group of one compiled grading call shares.
 struct Grading<'g> {
     faults: FaultList<'g>,
     netlist: &'g Netlist,
+    tape: &'g CompiledTape,
     plan: Plan,
     record: &'g FaultFreeRecord,
     /// Each flip-flop's output net, in netlist flip-flop order.
     dff_q: Vec<NetId>,
-    drop_on_detect: bool,
 }
 
 /// Buffers a group reuses from one repack to the next.
-struct GroupScratch<const W: usize> {
+struct GroupScratch {
     cone: ConeScratch,
     /// Each new batch's flip-flop words.
     carry: Vec<Vec<[u64; W]>>,
@@ -1271,46 +1155,35 @@ struct GroupScratch<const W: usize> {
 
 impl Grading<'_> {
     /// Grades one group of consecutive batches (contiguous ranges of fault
-    /// indices) on private simulators from `new_sim`, one fault per lane
-    /// from lane 1 up, window by window, taking each cycle's plan step.
+    /// indices) on private simulators, one fault per lane from lane 1 up,
+    /// window by window, taking each cycle's plan step.
     ///
-    /// Under [`FaultSimConfig::drop_on_detect`] each batch is restricted
-    /// to its faults' fanout cone, stops once all its faults are detected
-    /// and evaluates only the lane words that still hold an undetected
-    /// fault, and each window boundary may repack the survivors
-    /// ([`Grading::repack`]).
-    fn run_group<const W: usize, S: LaneSim<W>>(
-        &self,
-        new_sim: impl Fn() -> S,
-        group: &[Range<usize>],
-    ) -> GroupOutcome {
+    /// Each batch is restricted to its faults' fanout cone, stops once all
+    /// its faults are detected and evaluates only the lane words that
+    /// still hold an undetected fault, and each window boundary may repack
+    /// the survivors ([`Grading::repack`]).
+    fn run_group(&self, group: &[Range<usize>]) -> Outcome {
         let base = group[0].start;
-        let mut outcome = GroupOutcome {
+        let mut outcome = Outcome {
             detecting_cycle: vec![None; group[group.len() - 1].end - base],
-            cycles: 0,
-            lane_words: 0,
-            events: 0,
+            ..Outcome::default()
         };
         let mut scratch = GroupScratch {
             cone: ConeScratch::default(),
             carry: Vec::new(),
         };
-        let mut live: Vec<Batch<S, W>> = group
+        let mut live: Vec<Batch<'_>> = group
             .iter()
             .map(|faults| {
                 let mut batch = Batch {
-                    sim: new_sim(),
+                    sim: BatchSim::new(self.tape),
                     faults: Vec::with_capacity(faults.len()),
                     undetected: [0; W],
                     words: W,
                     cycles: 0,
                     lane_words: 0,
                 };
-                batch.assign(self.faults, faults.clone());
-                if self.drop_on_detect {
-                    batch.restrict(self, &mut scratch.cone);
-                    batch.narrow();
-                }
+                batch.assign(self, faults.clone(), &mut scratch.cone);
                 batch
             })
             .collect();
@@ -1324,7 +1197,7 @@ impl Grading<'_> {
             }
             window_start = window.end;
             // After the last window there is nothing left to clock.
-            if self.drop_on_detect && window_start < len {
+            if window_start < len {
                 for batch in std::mem::take(&mut live) {
                     if batch.undetected != [0; W] {
                         live.push(batch);
@@ -1343,18 +1216,17 @@ impl Grading<'_> {
 
     /// Clocks `batch` over the stimulus cycles `window`, taking each
     /// cycle's plan step and recording each fault's first detecting cycle
-    /// into `detecting_cycle` (indexed from fault `base`). Under
-    /// [`FaultSimConfig::drop_on_detect`] the batch stops once all its
-    /// faults are detected.
-    fn run_window<const W: usize>(
+    /// into `detecting_cycle` (indexed from fault `base`). The batch stops
+    /// once all its faults are detected.
+    fn run_window(
         &self,
-        batch: &mut Batch<impl LaneSim<W>, W>,
+        batch: &mut Batch<'_>,
         window: Range<usize>,
         detecting_cycle: &mut [Option<u32>],
         base: usize,
     ) {
         let mut live = batch.live_faults();
-        if self.drop_on_detect && live == 0 {
+        if live == 0 {
             return;
         }
         for cycle in window {
@@ -1366,11 +1238,11 @@ impl Grading<'_> {
             batch.cycles += 1;
             batch.lane_words += batch.words as u64;
             let (block, bit) = self.record.block(cycle);
-            batch.sim.eval_block(block, bit);
+            batch.sim.eval_from(block, bit);
             if compare {
                 let mut diff = [0u64; W];
                 for &out in batch.sim.outputs() {
-                    let v = batch.sim.lanes(out);
+                    let v = batch.sim.value(out);
                     let lane0 = 0u64.wrapping_sub(v[0] & 1); // broadcast lane 0
                     for (diff, v) in diff.iter_mut().zip(v).take(batch.words) {
                         *diff |= v ^ lane0;
@@ -1386,12 +1258,10 @@ impl Grading<'_> {
                         detecting_cycle[batch.faults[lane - 1] - base] = Some(cycle as u32);
                         live -= 1;
                     }
-                    if self.drop_on_detect {
-                        if live == 0 {
-                            break;
-                        }
-                        batch.narrow();
+                    if live == 0 {
+                        break;
                     }
+                    batch.narrow();
                 }
             }
             batch.sim.step();
@@ -1410,12 +1280,12 @@ impl Grading<'_> {
     /// fault-free bit for one outside that batch's cone, which no fault of
     /// the batch could disturb. Lane 0 takes the record's bits, and a
     /// transition fault its arming bit.
-    fn repack<const W: usize, S: LaneSim<W>>(
+    fn repack(
         &self,
-        live: &mut Vec<Batch<S, W>>,
+        live: &mut Vec<Batch<'_>>,
         cycle: usize,
-        scratch: &mut GroupScratch<W>,
-        outcome: &mut GroupOutcome,
+        scratch: &mut GroupScratch,
+        outcome: &mut Outcome,
     ) {
         let per_pass = 64 * W - 1;
         let survivors: usize = live.iter().map(Batch::live_faults).sum();
@@ -1478,16 +1348,13 @@ impl Grading<'_> {
         }
         for (batch, runs) in live.iter().zip(&runs) {
             let carry = &mut scratch.carry;
-            let mut carry_dff = |k: usize| {
-                let words = batch.sim.dff_word(k);
+            let dff_words = batch.sim.dff_words();
+            for &k in batch.sim.stepped_dffs() {
+                let k = k as usize;
                 for run in runs {
-                    let bits = run.gather.apply(words[run.word]) >> run.skip;
+                    let bits = run.gather.apply(dff_words[k][run.word]) >> run.skip;
                     deposit(&mut carry[run.to][k], run.lane, run.count, bits);
                 }
-            };
-            match batch.sim.stepped_dffs() {
-                Some(dffs) => dffs.iter().for_each(|&k| carry_dff(k as usize)),
-                None => (0..self.dff_q.len()).for_each(carry_dff),
             }
         }
         for batch in live.drain(needed..) {
@@ -1496,11 +1363,14 @@ impl Grading<'_> {
         let mut chunks = moved.chunks(per_pass);
         for (batch, carry) in live.iter_mut().zip(&scratch.carry) {
             let chunk = chunks.next().unwrap_or_default();
-            batch.sim.clear();
-            batch.assign(self.faults, chunk.iter().map(|&(fault, _)| fault));
-            batch.restrict(self, &mut scratch.cone);
-            batch.narrow();
-            batch.sim.set_dff_words(carry);
+            batch.sim.clear_faults();
+            batch.sim.reset();
+            batch.assign(
+                self,
+                chunk.iter().map(|&(fault, _)| fault),
+                &mut scratch.cone,
+            );
+            batch.sim.dff_words_mut().copy_from_slice(carry);
             for (offset, &(fault, armed)) in chunk.iter().enumerate() {
                 if let Some(net) = self.faults.armed_net(fault) {
                     let to = offset + 1;
@@ -1613,15 +1483,14 @@ mod tests {
         let n = and2_netlist();
         let faults = n.collapsed_faults();
         let stim = exhaustive2();
-        let cfg = FaultSimConfig {
-            drop_on_detect: false,
-            ..FaultSimConfig::default()
-        };
-        let res = FaultSimulator::with_config(&n, cfg).simulate(&faults, &stim);
-        assert_eq!(res.fault_free_responses.len(), stim.observed_cycles());
-        // AND truth table: 0,0,0,1.
-        let bits: Vec<u64> = res.fault_free_responses.iter().map(|w| w[0] & 1).collect();
-        assert_eq!(bits, vec![0, 0, 0, 1]);
+        for engine in [SimEngine::Compiled, SimEngine::FullEval] {
+            let res = FaultSimulator::with_config(&n, FaultSimConfig::with_engine(engine))
+                .simulate(&faults, &stim);
+            assert_eq!(res.fault_free_responses.len(), stim.observed_cycles());
+            // AND truth table: 0,0,0,1.
+            let bits: Vec<u64> = res.fault_free_responses.iter().map(|w| w[0] & 1).collect();
+            assert_eq!(bits, vec![0, 0, 0, 1], "{}", engine.name());
+        }
     }
 
     #[test]
@@ -1653,7 +1522,6 @@ mod tests {
             FaultSimConfig {
                 engine: SimEngine::FullEval,
                 threads: Some(1),
-                ..FaultSimConfig::default()
             },
         )
         .simulate(&faults, &s);
@@ -1664,7 +1532,6 @@ mod tests {
             FaultSimConfig {
                 engine: SimEngine::Compiled,
                 threads: Some(1),
-                ..FaultSimConfig::default()
             },
         )
         .simulate(&faults, &s);
@@ -1787,7 +1654,6 @@ mod tests {
             FaultSimConfig {
                 engine: SimEngine::FullEval,
                 threads: Some(1),
-                ..FaultSimConfig::default()
             },
         )
         .simulate(&faults, &s);
@@ -1797,7 +1663,6 @@ mod tests {
                 FaultSimConfig {
                     engine: SimEngine::Compiled,
                     threads: Some(threads),
-                    ..FaultSimConfig::default()
                 },
             )
             .simulate(&faults, &s);
@@ -1908,18 +1773,15 @@ mod tests {
         let n = and2_netlist();
         let faults = n.collapsed_faults();
         let stim = exhaustive2();
-        let cfg = FaultSimConfig {
-            drop_on_detect: false,
-            engine: SimEngine::FullEval,
-            ..FaultSimConfig::default()
-        };
+        let cfg = FaultSimConfig::with_engine(SimEngine::FullEval);
         let res = FaultSimulator::with_config(&n, cfg).simulate(&faults, &stim);
         let batches = fault_batches(faults.len(), FAULTS_PER_BATCH).len() as u64;
         assert_eq!(res.stats.batches, batches);
         assert_eq!(res.stats.cycles_scheduled, batches * stim.len() as u64);
-        // drop_on_detect off: every scheduled cycle is clocked.
+        // The oracle never drops: every scheduled cycle is clocked.
         assert_eq!(res.stats.cycles_simulated, res.stats.cycles_scheduled);
-        // Full-eval engine: one event per combinational gate per cycle.
+        assert_eq!(res.stats.lane_words_simulated, res.stats.cycles_simulated);
+        // One event per combinational gate per cycle.
         assert_eq!(
             res.stats.events_simulated,
             res.stats.cycles_simulated * n.comb_order().len() as u64
@@ -1927,10 +1789,53 @@ mod tests {
         assert_eq!(res.stats.events_simulated, res.stats.events_full_eval);
     }
 
+    /// The oracle's shape on a sequential netlist: an empty fault list
+    /// still clocks its one batch over every cycle, and lane 0 gives the
+    /// compiled engine's fault-free responses, under both fault models.
+    #[test]
+    fn the_oracle_clocks_every_cycle_and_reads_responses_from_lane_zero() {
+        let mut b = NetlistBuilder::new("reg_xor");
+        let d = b.input_bus("d", 3);
+        let q = b.bus_dff(&d);
+        let x = b.xor2(q.net(0), d.net(1));
+        let y = b.and2(q.net(1), q.net(2));
+        b.mark_output(x, "x");
+        b.mark_output(y, "y");
+        let n = b.finish().unwrap();
+        let mut s = Stimulus::new();
+        for t in 0..70u32 {
+            let v = t.wrapping_mul(0x9E37) >> 3;
+            s.push_cycle(&[v & 1 == 1, v & 2 != 0, v & 4 != 0], t % 5 != 2);
+        }
+        let grade = |engine, transition: bool| {
+            let sim = FaultSimulator::with_config(&n, FaultSimConfig::with_engine(engine));
+            if transition {
+                sim.simulate_transition(&[], &s)
+            } else {
+                sim.simulate(&[], &s)
+            }
+        };
+        for transition in [false, true] {
+            let oracle = grade(SimEngine::FullEval, transition);
+            let compiled = grade(SimEngine::Compiled, transition);
+            assert_eq!(oracle.stats.batches, 1);
+            assert_eq!(oracle.stats.cycles_scheduled, s.len() as u64);
+            assert_eq!(oracle.stats.cycles_simulated, oracle.stats.cycles_scheduled);
+            assert_eq!(oracle.stats.events_simulated, oracle.stats.events_full_eval);
+            assert_eq!(oracle.stats.events_full_eval, 2 * s.len() as u64);
+            assert_eq!(oracle.fault_free_responses, compiled.fault_free_responses);
+            assert_eq!(oracle.fault_free_responses.len(), s.observed_cycles());
+            // The compiled engine reads an empty list's responses from its
+            // record and clocks nothing.
+            assert_eq!(compiled.stats.cycles_simulated, 0);
+        }
+    }
+
     #[test]
     fn drop_on_detect_savings_show_in_stats() {
-        // Wide OR tree, multi-batch under both engines; the walking-one
-        // patterns detect every fault early so later cycles are dropped.
+        // Wide OR tree, multi-batch on the compiled engine; the walking-one
+        // patterns detect every fault early so later cycles are dropped,
+        // which the never-dropping oracle still clocks.
         const WIDTH: usize = 160;
         let mut b = NetlistBuilder::new("wide");
         let bus = b.input_bus("a", WIDTH);
@@ -1951,21 +1856,23 @@ mod tests {
         for _ in 0..64 {
             s.push_pattern(&[false; WIDTH]);
         }
-        for engine in [SimEngine::FullEval, SimEngine::Compiled] {
+        let grade = |engine| {
             let cfg = FaultSimConfig {
                 engine,
                 threads: Some(2),
-                ..FaultSimConfig::default()
             };
-            let res = FaultSimulator::with_config(&n, cfg).simulate(&faults, &s);
-            assert_eq!(res.coverage().percent(), 100.0, "{}", engine.name());
-            assert!(
-                res.stats.cycles_simulated < res.stats.cycles_scheduled,
-                "{}: expected drop-on-detect to skip padded cycles: {:?}",
-                engine.name(),
-                res.stats
-            );
-        }
+            FaultSimulator::with_config(&n, cfg).simulate(&faults, &s)
+        };
+        let (compiled, oracle) = (grade(SimEngine::Compiled), grade(SimEngine::FullEval));
+        assert_eq!(compiled.coverage().percent(), 100.0);
+        assert_eq!(compiled.detecting_cycle, oracle.detecting_cycle);
+        assert!(
+            compiled.stats.cycles_simulated < compiled.stats.cycles_scheduled,
+            "expected dropping to skip padded cycles: {:?}",
+            compiled.stats
+        );
+        assert!(compiled.stats.events_simulated < compiled.stats.events_full_eval);
+        assert_eq!(oracle.stats.cycles_simulated, oracle.stats.cycles_scheduled);
     }
 
     #[test]
@@ -1994,15 +1901,14 @@ mod tests {
         for pattern in &patterns {
             s.push_pattern(pattern);
         }
-        let grade = |drop_on_detect| {
+        let grade = |engine| {
             let cfg = FaultSimConfig {
-                drop_on_detect,
+                engine,
                 threads: Some(1),
-                ..FaultSimConfig::default()
             };
             FaultSimulator::with_config(&n, cfg).simulate(&faults, &s)
         };
-        let (dropped, full) = (grade(true), grade(false));
+        let (dropped, full) = (grade(SimEngine::Compiled), grade(SimEngine::FullEval));
         assert_eq!(dropped.detecting_cycle, full.detecting_cycle);
         assert!(dropped.coverage().detected > full.detected.len() / 2);
 
@@ -2140,7 +2046,6 @@ mod tests {
             FaultSimConfig {
                 engine: SimEngine::FullEval,
                 threads: Some(1),
-                ..FaultSimConfig::default()
             },
         )
         .simulate_transition(&faults, &s);
@@ -2156,7 +2061,6 @@ mod tests {
                     FaultSimConfig {
                         engine,
                         threads: Some(threads),
-                        ..FaultSimConfig::default()
                     },
                 )
                 .simulate_transition(&faults, &s);

@@ -295,30 +295,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Flip-flop state words, parallel to [`Netlist::dff_gates`].
-    pub(crate) fn dff_words_mut(&mut self) -> &mut [u64] {
-        &mut self.state
-    }
-
-    /// Flip-flop state words, parallel to [`Netlist::dff_gates`].
-    pub(crate) fn dff_words(&self) -> &[u64] {
-        &self.state
-    }
-
-    /// The arming word of transition-fault net `net` (0 before its first
-    /// eval).
-    pub(crate) fn transition_prev(&self, net: NetId) -> u64 {
-        self.transition_prev.get(&net).copied().unwrap_or(0)
-    }
-
-    /// Sets the arming word of `net` and marks the machine primed, as if
-    /// it had already evaluated: how a machine resumes a transition
-    /// fault's launch state mid-stimulus.
-    pub(crate) fn set_transition_prev(&mut self, net: NetId, word: u64) {
-        self.transition_prev.insert(net, word);
-        self.transition_primed = true;
-    }
-
     /// Current per-lane word on `net` (valid after [`Simulator::eval`]).
     pub fn value(&self, net: NetId) -> u64 {
         self.values[net.index()]

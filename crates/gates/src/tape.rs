@@ -755,9 +755,9 @@ impl<T: Deref<Target = CompiledTape>, const W: usize> TapeSimulator<T, W> {
     }
 
     /// Evaluates one cycle of a fault-free record: `block[n] >> bit & 1`
-    /// is net `n`'s fault-free value. Every primary input takes its
-    /// recorded value; a simulator restricted to a cone loads its side
-    /// nets and evaluates only the cone.
+    /// is net `n`'s fault-free value. The simulator, which must be
+    /// restricted to a cone, loads its cone's side nets from the record and
+    /// evaluates only the cone.
     pub(crate) fn eval_from(&mut self, block: &[u64], bit: u32) {
         self.state.eval(&self.tape, Some((block, bit)));
     }
@@ -780,18 +780,25 @@ impl<T: Deref<Target = CompiledTape>, const W: usize> TapeSimulator<T, W> {
         self.state.restrict(cone);
     }
 
-    /// The primary outputs evaluation computes: the cone's, or all.
-    pub(crate) fn outputs(&self) -> &[NetId] {
-        match &self.state.cone {
-            Some(restriction) => &restriction.cone.outputs,
-            None => &self.tape.outputs,
-        }
+    /// The cone the simulator is restricted to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator is not restricted.
+    fn cone(&self) -> &Cone {
+        let restriction = self.state.cone.as_ref();
+        &restriction.expect("the simulator is restricted").cone
     }
 
-    /// The flip-flops [`TapeSimulator::step`] latches: the cone's, or
-    /// `None` for all of them.
-    pub(crate) fn stepped_dffs(&self) -> Option<&[u32]> {
-        self.state.cone.as_ref().map(|r| &r.cone.dffs[..])
+    /// The primary outputs a restricted evaluation computes: the cone's.
+    pub(crate) fn outputs(&self) -> &[NetId] {
+        &self.cone().outputs
+    }
+
+    /// The flip-flops a restricted [`TapeSimulator::step`] latches: the
+    /// cone's.
+    pub(crate) fn stepped_dffs(&self) -> &[u32] {
+        &self.cone().dffs
     }
 
     /// Narrows [`TapeSimulator::eval`] to the first `words` lane words
@@ -1032,11 +1039,12 @@ impl<const W: usize> LaneState<W> {
     }
 
     /// Propagates values through the combinational tape, over the first
-    /// `words` lane words of every net. The primary inputs come from
-    /// `record` (a fault-free record's block of net words, and the cycle's
-    /// bit in it) when given, else from the driven input words; a
-    /// restricted simulator loads its cone's side nets from `record` and
-    /// evaluates only the cone.
+    /// `words` lane words of every net. An unrestricted simulator reads
+    /// its primary inputs from the driven input words and evaluates the
+    /// whole tape; a restricted one, which must be given `record` (a
+    /// fault-free record's block of net words, and the cycle's bit in
+    /// it), loads its cone's side nets from it and evaluates only the
+    /// cone.
     ///
     /// Flip-flop outputs present their current state; call
     /// [`TapeSimulator::step`] afterwards to latch the next state.
@@ -1069,9 +1077,8 @@ impl<const W: usize> LaneState<W> {
         let fault_free = |(block, bit): (&[u64], u32), n: u32| {
             [0u64.wrapping_sub(block[n as usize] >> bit & 1); K]
         };
-        let (order, faulted) = match cone {
-            Some(Restriction { cone, faulted }) => {
-                let record = record.expect("a restricted simulator evaluates from the record");
+        let (order, faulted) = match (cone, record) {
+            (Some(Restriction { cone, faulted }), Some(record)) => {
                 for &n in &cone.loads {
                     store::<W, K>(values, n, fault_free(record, n));
                 }
@@ -1082,16 +1089,16 @@ impl<const W: usize> LaneState<W> {
                 }
                 (Some(&cone.entries[..]), Some(&faulted[..]))
             }
-            None => {
+            (None, None) => {
                 for (&ni, &word) in tape.input_nets.iter().zip(input_words.iter()) {
-                    let v = record.map_or([word; K], |record| fault_free(record, ni));
-                    store::<W, K>(values, ni, v);
+                    store::<W, K>(values, ni, [word; K]);
                 }
                 for (&(q, _), v) in tape.dff_nets.iter().zip(dff_state.iter()) {
                     store::<W, K>(values, q, std::array::from_fn(|w| v[w]));
                 }
                 (None, None)
             }
+            _ => panic!("a simulator evaluates from the record exactly when it is restricted"),
         };
         for (ni, site) in source_faults.in_order() {
             let v = site.force(load::<W, K>(values, *ni));

@@ -171,7 +171,6 @@ fn grade(netlist: &Netlist, stim: &Stimulus, engine: SimEngine, threads: usize) 
         FaultSimConfig {
             engine,
             threads: Some(threads),
-            ..FaultSimConfig::default()
         },
     )
     .simulate(&netlist.collapsed_faults(), stim)

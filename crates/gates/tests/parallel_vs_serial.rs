@@ -1,8 +1,9 @@
 //! Differential test: multi-threaded fault simulation must be
 //! **bit-identical** to the single-threaded path on arbitrary netlists.
 //!
-//! The pool grades fixed groups of four consecutive batches. Groups are
-//! independent (private simulators, disjoint fault subsets), so the
+//! The pool grades fixed groups of four consecutive compiled batches, or
+//! the full-eval oracle's batches one by one. Either unit is independent
+//! (private simulators, disjoint fault subsets), so the
 //! deterministic fault-index-order merge guarantees that detected sets,
 //! detecting cycles, coverage percentages, undetected lists and the
 //! recorded fault-free responses never depend on the thread count or on
@@ -17,7 +18,7 @@
 use proptest::prelude::*;
 use sbst_gates::{
     FaultSimConfig, FaultSimResult, FaultSimulator, GateKind, NetId, Netlist, NetlistBuilder,
-    Stimulus, LANES,
+    SimEngine, Stimulus, LANES,
 };
 
 /// A recipe for a random combinational DAG (same shape as the generator in
@@ -103,12 +104,11 @@ fn assert_identical(serial: &FaultSimResult, parallel: &FaultSimResult, label: &
     );
 }
 
-fn run(netlist: &Netlist, stim: &Stimulus, threads: usize, drop: bool) -> FaultSimResult {
+fn run(netlist: &Netlist, stim: &Stimulus, threads: usize, engine: SimEngine) -> FaultSimResult {
     let faults = netlist.collapsed_faults();
     let config = FaultSimConfig {
-        drop_on_detect: drop,
         threads: Some(threads),
-        ..FaultSimConfig::default()
+        engine,
     };
     FaultSimulator::with_config(netlist, config).simulate(&faults, stim)
 }
@@ -117,7 +117,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// threads = N is bit-identical to threads = 1 on random netlists,
-    /// with and without fault dropping.
+    /// on the dropping compiled engine and the never-dropping full-eval
+    /// oracle, and the two engines agree.
     #[test]
     fn random_netlists_identical_across_thread_counts(
         recipe in recipe_strategy(),
@@ -125,12 +126,18 @@ proptest! {
     ) {
         let netlist = build(&recipe);
         let stim = random_stimulus(netlist.inputs().len(), 12, seed);
-        for drop in [true, false] {
-            let serial = run(&netlist, &stim, 1, drop);
+        let oracle = run(&netlist, &stim, 1, SimEngine::FullEval);
+        for engine in [SimEngine::Compiled, SimEngine::FullEval] {
+            let serial = run(&netlist, &stim, 1, engine);
             prop_assert_eq!(serial.threads_used, 1);
+            assert_identical(&oracle, &serial, engine.name());
             for threads in [2usize, 5, 16] {
-                let parallel = run(&netlist, &stim, threads, drop);
-                assert_identical(&serial, &parallel, &format!("threads={threads} drop={drop}"));
+                let parallel = run(&netlist, &stim, threads, engine);
+                assert_identical(
+                    &serial,
+                    &parallel,
+                    &format!("threads={threads} {}", engine.name()),
+                );
             }
         }
     }
@@ -163,9 +170,9 @@ fn many_batch_circuit_identical_across_thread_counts() {
         faults.len()
     );
     let stim = random_stimulus(64, 48, 0xDEAD_BEEF);
-    let serial = run(&netlist, &stim, 1, true);
+    let serial = run(&netlist, &stim, 1, SimEngine::Compiled);
     for threads in [2usize, 3, 4, 8, 64] {
-        let parallel = run(&netlist, &stim, threads, true);
+        let parallel = run(&netlist, &stim, threads, SimEngine::Compiled);
         assert_identical(&serial, &parallel, &format!("threads={threads}"));
         assert!(parallel.threads_used >= 1);
     }
@@ -218,19 +225,22 @@ fn many_group_circuit_identical_across_thread_counts() {
     }
     let netlist = b.finish().unwrap();
     let stim = random_stimulus(64, 48, 0xC0FF_EE00);
-    for drop in [true, false] {
-        let serial = run(&netlist, &stim, 1, drop);
+    let oracle = run(&netlist, &stim, 1, SimEngine::FullEval);
+    for engine in [SimEngine::Compiled, SimEngine::FullEval] {
+        let serial = run(&netlist, &stim, 1, engine);
+        assert_identical(&oracle, &serial, engine.name());
         assert!(
             serial.stats.batches >= 8,
-            "want >= 8 compiled batches, got {}",
+            "want >= 8 {} batches, got {}",
+            engine.name(),
             serial.stats.batches
         );
         for threads in [2usize, 3, 8] {
-            let parallel = run(&netlist, &stim, threads, drop);
+            let parallel = run(&netlist, &stim, threads, engine);
             assert_identical(
                 &serial,
                 &parallel,
-                &format!("threads={threads} drop={drop}"),
+                &format!("threads={threads} {}", engine.name()),
             );
             assert!(
                 parallel.threads_used >= 2,

@@ -115,7 +115,8 @@ proptest! {
     }
 
     /// The fault simulator's reference lane reproduces plain simulation on
-    /// random patterns for random netlists.
+    /// random patterns for random netlists, and the compiled engine's
+    /// results equal the never-dropping full-eval oracle's.
     #[test]
     fn fault_sim_reference_lane(recipe in recipe_strategy(), pattern_seed: u64) {
         let netlist = build(&recipe);
@@ -135,11 +136,13 @@ proptest! {
         }
         let faults = netlist.collapsed_faults();
         let take = faults.len().min(10);
-        let result = FaultSimulator::with_config(
-            &netlist,
-            FaultSimConfig { drop_on_detect: false, ..FaultSimConfig::default() },
-        )
-        .simulate(&faults[..take], &stim);
+        let graded = [SimEngine::Compiled, SimEngine::FullEval].map(|engine| {
+            FaultSimulator::with_config(&netlist, FaultSimConfig::with_engine(engine))
+                .simulate(&faults[..take], &stim)
+        });
+        let [result, oracle] = &graded;
+        prop_assert_eq!(&result.detecting_cycle, &oracle.detecting_cycle);
+        prop_assert_eq!(&result.fault_free_responses, &oracle.fault_free_responses);
         prop_assert_eq!(result.fault_free_responses.len(), 4);
         for (cycle, bits) in patterns.iter().enumerate() {
             let mut sim = Simulator::new(&netlist);
@@ -180,7 +183,7 @@ proptest! {
         let faults = netlist.collapsed_faults();
         let full = FaultSimulator::with_config(
             &netlist,
-            FaultSimConfig { engine: SimEngine::FullEval, threads: Some(1), ..FaultSimConfig::default() },
+            FaultSimConfig { engine: SimEngine::FullEval, threads: Some(1) },
         )
         .simulate(&faults, &stim);
         let compiled = FaultSimulator::with_config(
@@ -188,7 +191,6 @@ proptest! {
             FaultSimConfig {
                 engine: SimEngine::Compiled,
                 threads: Some(1),
-                ..FaultSimConfig::default()
             },
         )
         .simulate(&faults, &stim);

@@ -1,11 +1,11 @@
-//! Dropping must be invisible in the grading results. A dropping run stops
-//! detected batches, repacks survivors into fewer batches or fewer lane
-//! words, evaluates only the lane words that still hold an undetected
+//! Dropping must be invisible in the grading results. The compiled engine
+//! stops detected batches, repacks survivors into fewer batches or fewer
+//! lane words, evaluates only the lane words that still hold an undetected
 //! fault and, on a netlist without flip-flops, skips repeated patterns.
 //! It must report exactly the detections, detecting cycles and fault-free
-//! responses of a `drop_on_detect: false` run (which clocks every batch at
-//! full width over the whole stimulus and never repacks), under both fault
-//! models and both engines, at 1, 2 and 7 threads.
+//! responses of the full-eval oracle (which clocks every batch over the
+//! whole netlist and the whole stimulus, and never drops or repacks),
+//! under both fault models, at 1, 2 and 7 threads.
 //!
 //! The cases: seeded random sequential netlists, each with at least three
 //! batches of faults and a stimulus many repack windows long; two
@@ -138,23 +138,21 @@ fn volume(result: &FaultSimResult) -> [u64; 8] {
     ]
 }
 
-/// Grades `stuck` and `transition` on `netlist` on `engine`, with and
-/// without dropping, and checks that the dropping runs at 1, 2 and 7
-/// threads report exactly what the never-dropping run does. Returns each
-/// model's never-dropping run and serial dropping run, stuck-at first.
+/// Grades `stuck` and `transition` on `netlist` on both engines, and
+/// checks that the compiled runs at 1, 2 and 7 threads report exactly what
+/// the never-dropping full-eval oracle does. Returns each model's oracle
+/// run and serial compiled run, stuck-at first.
 fn check_lists(
     netlist: &Netlist,
     stimulus: &Stimulus,
     stuck: &[Fault],
     transition: &[TransitionFault],
-    engine: SimEngine,
     case: &str,
 ) -> Vec<(FaultSimResult, FaultSimResult)> {
-    let grade = |drop_on_detect: bool, threads: usize, model_is_stuck: bool| {
+    let grade = |engine: SimEngine, threads: usize, model_is_stuck: bool| {
         let simulator = FaultSimulator::with_config(
             netlist,
             FaultSimConfig {
-                drop_on_detect,
                 threads: Some(threads),
                 engine,
             },
@@ -167,28 +165,23 @@ fn check_lists(
     };
     let mut runs = Vec::new();
     for model_is_stuck in [true, false] {
-        let full = grade(false, 1, model_is_stuck);
+        let full = grade(SimEngine::FullEval, 1, model_is_stuck);
+        // The oracle clocks its one lane word on every cycle of every batch.
         assert_eq!(full.stats.cycles_simulated, full.stats.cycles_scheduled);
-        // Without dropping every cycle evaluates every lane word.
-        let words = (engine.faults_per_pass() + 1) as u64 / 64;
-        assert_eq!(
-            full.stats.lane_words_simulated,
-            words * full.stats.cycles_simulated
-        );
-        let serial = grade(true, 1, model_is_stuck);
+        assert_eq!(full.stats.lane_words_simulated, full.stats.cycles_simulated);
+        let serial = grade(SimEngine::Compiled, 1, model_is_stuck);
         // Groups of four batches are the unit the pool fans out.
         let groups = serial.stats.batches.div_ceil(4) as usize;
         for threads in [1usize, 2, 7] {
             let tag = format!(
-                "{case}, {}, {}, {threads} threads",
-                engine.name(),
+                "{case}, {}, {threads} threads",
                 if model_is_stuck {
                     "stuck-at"
                 } else {
                     "transition"
                 }
             );
-            let dropped = grade(true, threads, model_is_stuck);
+            let dropped = grade(SimEngine::Compiled, threads, model_is_stuck);
             assert_eq!(dropped.threads_used, threads.min(groups), "{tag}");
             assert_eq!(dropped.detected, full.detected, "{tag}");
             assert_eq!(dropped.detecting_cycle, full.detecting_cycle, "{tag}");
@@ -211,20 +204,20 @@ fn check_lists(
 }
 
 /// [`check_lists`] over `netlist`'s collapsed stuck-at and transition
-/// fault lists, each at least three batches long. Returns how many of the
-/// two models' dropping runs clocked fewer batch-cycles than per-batch
-/// dropping would, i.e. repacked.
-fn check_case(netlist: &Netlist, stimulus: &Stimulus, engine: SimEngine, case: &str) -> usize {
+/// fault lists, each at least three compiled batches long. Returns how
+/// many of the two models' compiled runs clocked fewer batch-cycles than
+/// per-batch dropping would, i.e. repacked.
+fn check_case(netlist: &Netlist, stimulus: &Stimulus, case: &str) -> usize {
     let stuck = netlist.collapsed_faults();
     let transition = enumerate_transition_faults(netlist);
-    let per_pass = engine.faults_per_pass();
+    let per_pass = SimEngine::Compiled.faults_per_pass();
     assert!(
         stuck.len() > 2 * per_pass && transition.len() > 2 * per_pass,
         "{case}: need three batches per model ({} / {} faults)",
         stuck.len(),
         transition.len()
     );
-    check_lists(netlist, stimulus, &stuck, &transition, engine, case)
+    check_lists(netlist, stimulus, &stuck, &transition, case)
         .iter()
         .filter(|(full, serial)| {
             serial.stats.cycles_simulated < per_batch_cycles(full, per_pass, stimulus.len())
@@ -238,13 +231,11 @@ fn repacking_matches_the_never_dropping_run() {
     for seed in 0..6u64 {
         let netlist = random_netlist(seed, 300, 24);
         let stimulus = random_stimulus(&netlist, seed);
-        for engine in [SimEngine::Compiled, SimEngine::FullEval] {
-            repacked_runs += check_case(&netlist, &stimulus, engine, &format!("seed {seed}"));
-        }
+        repacked_runs += check_case(&netlist, &stimulus, &format!("seed {seed}"));
     }
     // The cases must actually exercise repacking, or the equalities above
     // prove nothing about it.
-    assert_eq!(repacked_runs, 24, "every run should have repacked");
+    assert_eq!(repacked_runs, 12, "every compiled run should have repacked");
 }
 
 #[test]
@@ -261,12 +252,7 @@ fn repacking_batches_with_different_cones_matches_the_never_dropping_run() {
         random_block(&mut b, seed + 100, 300, 24, "b_");
         let netlist = b.finish().expect("random netlists are valid");
         let stimulus = random_stimulus(&netlist, seed);
-        let repacked = check_case(
-            &netlist,
-            &stimulus,
-            SimEngine::Compiled,
-            &format!("two circuits, seed {seed}"),
-        );
+        let repacked = check_case(&netlist, &stimulus, &format!("two circuits, seed {seed}"));
         assert_eq!(repacked, 2, "both models should have repacked");
     }
 }
@@ -281,7 +267,7 @@ fn repacking_across_groups_matches_the_never_dropping_run() {
     let per_pass = SimEngine::Compiled.faults_per_pass();
     assert!(netlist.collapsed_faults().len() > 7 * per_pass);
     assert!(enumerate_transition_faults(&netlist).len() > 7 * per_pass);
-    let repacked = check_case(&netlist, &stimulus, SimEngine::Compiled, "seed 42");
+    let repacked = check_case(&netlist, &stimulus, "seed 42");
     assert_eq!(repacked, 2, "both models should have repacked");
 }
 
@@ -318,17 +304,17 @@ fn skipping_repeated_patterns_matches_the_never_dropping_run() {
     for seed in 0..4u64 {
         let netlist = random_netlist(seed, 300, 0);
         let stimulus = repeating_stimulus(&netlist, seed);
-        for engine in [SimEngine::Compiled, SimEngine::FullEval] {
-            check_case(
-                &netlist,
-                &stimulus,
-                engine,
-                &format!("combinational seed {seed}"),
-            );
-        }
+        check_case(&netlist, &stimulus, &format!("combinational seed {seed}"));
         // A batch holding one fault the stimulus never detects runs to
-        // the end, so it alone shows the skipped cycles: under either
-        // model it clocks fewer cycles than the stimulus has.
+        // the end, so it alone shows the skipped cycles. Leaving out only
+        // the cycles nothing observes would still clock every observed
+        // cycle (stuck-at), or every observed cycle and its launch
+        // (transition); skipping repeated vectors and pairs clocks fewer.
+        let observed: Vec<bool> = stimulus.iter().map(|(_, observe)| observe).collect();
+        let observed_cycles = observed.iter().filter(|&&o| o).count();
+        let observed_or_launch = (0..observed.len())
+            .filter(|&t| observed[t] || observed.get(t + 1) == Some(&true))
+            .count();
         let simulator = FaultSimulator::with_config(&netlist, FaultSimConfig::with_threads(1));
         let stuck = netlist.collapsed_faults();
         let transition = enumerate_transition_faults(&netlist);
@@ -342,19 +328,23 @@ fn skipping_repeated_patterns_matches_the_never_dropping_run() {
         let stuck = stuck[undetected(simulator.simulate(&stuck, &stimulus))];
         let transition =
             transition[undetected(simulator.simulate_transition(&transition, &stimulus))];
-        for (model, alone) in [
-            ("stuck-at", simulator.simulate(&[stuck], &stimulus)),
+        for (model, alone, bound) in [
+            (
+                "stuck-at",
+                simulator.simulate(&[stuck], &stimulus),
+                observed_cycles,
+            ),
             (
                 "transition",
                 simulator.simulate_transition(&[transition], &stimulus),
+                observed_or_launch,
             ),
         ] {
             assert!(!alone.detected[0]);
             assert!(
-                alone.stats.cycles_simulated < stimulus.len() as u64,
-                "seed {seed}, {model}: {} of {} cycles clocked",
+                alone.stats.cycles_simulated < bound as u64,
+                "seed {seed}, {model}: {} cycles clocked, {bound} without skipping repeats",
                 alone.stats.cycles_simulated,
-                stimulus.len()
             );
         }
     }
@@ -396,25 +386,14 @@ fn survivors_in_high_lane_words_are_repacked_into_fewer_words() {
         stimulus.push_pattern(&one_hot(i));
         stimulus.push_pattern(&[false; WIDTH]);
     }
-    for engine in [SimEngine::Compiled, SimEngine::FullEval] {
-        let runs = check_lists(
-            &netlist,
-            &stimulus,
-            &stuck,
-            &transition,
-            engine,
-            &format!("registered OR, {}", engine.name()),
+    let runs = check_lists(&netlist, &stimulus, &stuck, &transition, "registered OR");
+    for (full, dropped) in runs {
+        assert_eq!(full.coverage().detected, WIDTH);
+        assert!(
+            dropped.stats.lane_words_simulated < 4 * dropped.stats.cycles_simulated,
+            "no narrowing repack: {} lane words over {} cycles",
+            dropped.stats.lane_words_simulated,
+            dropped.stats.cycles_simulated
         );
-        for (full, dropped) in runs {
-            assert_eq!(full.coverage().detected, WIDTH, "{}", engine.name());
-            if engine == SimEngine::Compiled {
-                assert!(
-                    dropped.stats.lane_words_simulated < 4 * dropped.stats.cycles_simulated,
-                    "no narrowing repack: {} lane words over {} cycles",
-                    dropped.stats.lane_words_simulated,
-                    dropped.stats.cycles_simulated
-                );
-            }
-        }
     }
 }

@@ -1,12 +1,14 @@
-//! Property tests for [`Stimulus`] bookkeeping and the `drop_on_detect`
-//! optimization.
+//! Property tests for [`Stimulus`] bookkeeping and for fault dropping,
+//! against the never-dropping full-eval oracle.
 
 // The vendored `proptest!` macro is a tt-muncher; long test bodies need a
 // deeper macro recursion budget than the default 128.
 #![recursion_limit = "512"]
 
 use proptest::prelude::*;
-use sbst_gates::{FaultSimConfig, FaultSimulator, GateKind, NetId, NetlistBuilder, Stimulus};
+use sbst_gates::{
+    FaultSimConfig, FaultSimulator, GateKind, NetId, NetlistBuilder, SimEngine, Stimulus,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -74,23 +76,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Dropping detected faults early never loses a detection: every fault
-    /// the exhaustive run detects, the dropping run detects too (on the
-    /// same cycle — the *first* detecting cycle is unaffected by when the
-    /// batch stops clocking).
+    /// the never-dropping full-eval oracle detects, the compiled engine
+    /// detects too (on the same cycle — the *first* detecting cycle is
+    /// unaffected by when the batch stops clocking).
     #[test]
     fn drop_on_detect_loses_no_detection(width in 3usize..20, seed: u64) {
         let (netlist, stim) = chain_with_patterns(width, 16, seed);
         let faults = netlist.collapsed_faults();
-        let dropping = FaultSimulator::with_config(
-            &netlist,
-            FaultSimConfig { drop_on_detect: true, ..FaultSimConfig::default() },
-        )
-        .simulate(&faults, &stim);
+        let dropping = FaultSimulator::new(&netlist).simulate(&faults, &stim);
         let exhaustive = FaultSimulator::with_config(
             &netlist,
-            FaultSimConfig { drop_on_detect: false, ..FaultSimConfig::default() },
+            FaultSimConfig::with_engine(SimEngine::FullEval),
         )
         .simulate(&faults, &stim);
+        prop_assert_eq!(exhaustive.stats.cycles_simulated, exhaustive.stats.cycles_scheduled);
         prop_assert_eq!(&dropping.detected, &exhaustive.detected);
         prop_assert_eq!(&dropping.detecting_cycle, &exhaustive.detecting_cycle);
         for i in exhaustive

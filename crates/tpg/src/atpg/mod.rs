@@ -389,7 +389,6 @@ impl<'a> Atpg<'a> {
         FaultSimConfig {
             threads: self.config.sim_threads,
             engine: self.config.sim_engine,
-            ..FaultSimConfig::default()
         }
     }
 
